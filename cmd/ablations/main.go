@@ -25,12 +25,11 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/npb"
 	"repro/internal/sim"
-	// Blank import: installs the REPRO_COLL_TUNING environment
-	// compatibility shim (the tuning grammar lives in internal/spec).
-	_ "repro/internal/spec"
+	"repro/internal/spec"
 )
 
 func main() {
+	spec.InstallEnvTuning()
 	machine := flag.String("machine", "hazelhen-cray", "machine profile")
 	flag.Parse()
 	mk, ok := sim.Profiles()[*machine]

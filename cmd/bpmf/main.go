@@ -19,12 +19,11 @@ import (
 	"repro/internal/bpmf"
 	"repro/internal/mpi"
 	"repro/internal/sim"
-	// Blank import: installs the REPRO_COLL_TUNING environment
-	// compatibility shim (the tuning grammar lives in internal/spec).
-	_ "repro/internal/spec"
+	"repro/internal/spec"
 )
 
 func main() {
+	spec.InstallEnvTuning()
 	cores := flag.Int("cores", 0, "single point: core count; 0 = full Fig. 12 sweep")
 	real := flag.Bool("real", false, "run the actual Gibbs sampler (small scale) and report RMSE")
 	iters := flag.Int("iters", 0, "Gibbs iterations (default 20, the paper's setting)")

@@ -12,12 +12,11 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	// Blank import: installs the REPRO_COLL_TUNING environment
-	// compatibility shim (the tuning grammar lives in internal/spec).
-	_ "repro/internal/spec"
+	"repro/internal/spec"
 )
 
 func main() {
+	spec.InstallEnvTuning()
 	out := flag.String("o", "", "also write the report to this file")
 	fine := flag.Bool("fine", false, "full power-of-two element sweeps (slower)")
 	flag.Parse()

@@ -20,12 +20,11 @@ import (
 	"repro/internal/hybrid"
 	"repro/internal/mpi"
 	"repro/internal/sim"
-	// Blank import: installs the REPRO_COLL_TUNING environment
-	// compatibility shim (the tuning grammar lives in internal/spec).
-	_ "repro/internal/spec"
+	"repro/internal/spec"
 )
 
 func main() {
+	spec.InstallEnvTuning()
 	fig := flag.String("fig", "", "figure to reproduce: 7, 8, 9, 10 or all")
 	fine := flag.Bool("fine", false, "full power-of-two element sweep")
 	iters := flag.Int("iters", 0, "timed iterations per point (default 5)")

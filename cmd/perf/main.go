@@ -1,59 +1,54 @@
-// Command perf measures the wall-clock (host time, not virtual time)
-// cost of figure-scale simulator runs and writes a BENCH_*.json report,
-// so the repository carries a perf trajectory across PRs.
+// Command perf runs the simulator's sweep dimensions and single
+// declarative queries. It pins nothing and gates nothing: virtual times
+// are pinned by `go test` (the sweep golden in internal/bench, the
+// figure-case goldens) and host speed is measured by benchmark/.
 //
 // Usage:
 //
-//	go run ./cmd/perf -out BENCH_PR1.json [-baseline old.json] [-case regexp]
-//	go run ./cmd/perf -check -baseline BENCH_PR1.json [-case regexp]
-//	go run ./cmd/perf -sweep coll,topo,scale [-tuning policy=cost,...] -out BENCH_PR4.json
-//	go run ./cmd/perf -sweep noise [-noiseseed 42] -out BENCH_PR9.json
-//	go run ./cmd/perf -sweep scale -scalemax 8192 [-cpuprofile cpu.pprof]
+//	go run ./cmd/perf -sweep coll,topo,scale [-tuning policy=cost,...] [-out sweeps.json]
+//	go run ./cmd/perf -sweep noise,tuned [-noiseseed 42]
+//	go run ./cmd/perf -sweep scale -scalemax 8192 [-engine event] [-cpuprofile cpu.pprof]
 //	go run ./cmd/perf -spec query.json
 //	go run ./cmd/perf -collective allgather -shape 64x24 -sizes 64,4096
 //
-// The last two forms are query mode: instead of benchmarking the
-// simulator, perf executes one declarative spec.Query — from a JSON
-// file (-spec) or assembled from flags (-collective, -shape, -sizes,
-// -iters, -fold plus the shared -machine, -engine, -tuning) — and
-// prints the spec.Result as JSON. The same Query posted to cmd/serverd
-// returns a bit-identical result; with -engine both, query mode runs
-// both execution backends and fails unless their virtual times agree
-// exactly.
+// The last two forms are query mode: perf executes one declarative
+// spec.Query — from a JSON file (-spec) or assembled from flags
+// (-collective, -shape, -sizes, -iters, -fold plus the shared -machine
+// and -tuning) — and prints the spec.Result as JSON. The same Query
+// posted to cmd/serverd returns a bit-identical result. With -engine
+// both (the default) the query also runs on the other execution
+// backend and perf fails unless the virtual times agree exactly;
+// -engine goroutine or -engine event runs that one backend only.
 //
-// With -baseline, the old report's numbers are embedded alongside the
-// new ones and per-case ns/op speedups are computed. With -check, the
-// run becomes a CI perf-regression gate: it exits non-zero when any
-// case is more than -maxslow times slower than the baseline (generous,
-// for noisy CI hosts) or exceeds the strict allocs/op ceiling
-// (allocations are deterministic, so they barely get slack).
-//
-// -sweep selects extra report dimensions (comma-separated, or "all"):
+// -sweep selects report dimensions (comma-separated, or "all"):
 //
 //	coll     the collective selection engine's algorithm choices and
 //	         crossover points per message size
 //	topo     the multi-level topology dimension (levels x ppn)
 //	scale    the scale-out dimension: size-only allgather/allreduce up
-//	         to -scalemax ranks, recording ns/op, peak goroutines,
-//	         peak RSS
+//	         to -scalemax ranks on the -engine backends, cross-checked
+//	         when both run
 //	stencil  the process-topology dimension: 4-dim grid halo exchanges
 //	         (CartCreate + NeighborAlltoall) per halo width up to
 //	         -scalemax ranks
+//	noise    the robustness dimension: an allreduce ladder per
+//	         deterministic noise level, refereed across engines and
+//	         world-reuse paths
 //	tuned    the measured-selection dimension: a congested allreduce
 //	         ladder under the table, cost and measured tuning policies,
-//	         with the tuning store's persistence round trip and the
-//	         warm-path determinism verdict in the loop
+//	         with the tuning store's persistence round trip in the loop
 //
-// -cpuprofile / -memprofile write pprof profiles covering the whole
-// run (cases plus sweeps), for digging into control-plane hot spots.
+// -cpuprofile / -memprofile write pprof profiles covering the run.
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"regexp"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -65,241 +60,177 @@ import (
 )
 
 func main() {
-	out := flag.String("out", "", "write the JSON report to this path")
-	baselinePath := flag.String("baseline", "", "compare against a previous report")
-	caseRe := flag.String("case", "", "only run cases matching this regexp")
-	check := flag.Bool("check", false, "fail (exit 1) on regression vs -baseline")
-	maxSlow := flag.Float64("maxslow", 3.0, "-check: max allowed ns/op slowdown factor")
-	allocSlack := flag.Float64("allocslack", 1.10, "-check: allocs/op ceiling factor over baseline")
-	sweep := flag.String("sweep", "", "extra sweep dimensions: coll,topo,scale,stencil,service,noise,tuned or all")
-	scaleMax := flag.Int("scalemax", 65536, "scale sweep: largest rank count to run")
-	noiseSeed := flag.Int64("noiseseed", 42, "noise sweep: seed keying every noisy level")
-	engineSpec := flag.String("engine", "both",
-		"scale sweep execution backend: goroutine, event or both")
-	tuningSpec := flag.String("tuning", "policy=cost",
-		"coll tuning spec for the sweep (see REPRO_COLL_TUNING)")
-	machine := flag.String("machine", "hazelhen-cray", "machine profile for the sweep")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this path")
-	specPath := flag.String("spec", "", "query mode: run the spec.Query in this JSON file")
-	collective := flag.String("collective", "", "query mode: collective to simulate (enables query mode)")
-	shape := flag.String("shape", "4x8", "query mode: topology as NODESxPPN")
-	sizesSpec := flag.String("sizes", "1024", "query mode: comma-separated size ladder in bytes")
-	iters := flag.Int("iters", 1, "query mode: operations per ladder point")
-	fold := flag.String("fold", "", "query mode: rank-symmetry folding: auto, off or a unit")
-	flag.Parse()
-
-	if *specPath != "" || *collective != "" {
-		if err := runQueryMode(*specPath, *collective, *shape, *sizesSpec,
-			*machine, *engineSpec, *tuningSpec, *fold, *iters, *out); err != nil {
-			fatal(err)
-		}
-		return
+	spec.InstallEnvTuning()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "perf:", err)
+		os.Exit(1)
 	}
+}
 
-	dims, err := parseSweep(*sweep)
-	if err != nil {
-		fatal(err)
-	}
-
-	var re *regexp.Regexp
-	if *caseRe != "" {
-		if re, err = regexp.Compile(*caseRe); err != nil {
-			fatal(err)
-		}
-	}
-
-	var baseline *bench.WallReport
-	if *baselinePath != "" {
-		if baseline, err = bench.LoadWallReport(*baselinePath); err != nil {
-			fatal(err)
-		}
-	}
-	if *check && baseline == nil {
-		fatal(fmt.Errorf("-check needs -baseline"))
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("perf", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	out := fs.String("out", "", "write the JSON report (or query result) to this path")
+	sweep := fs.String("sweep", "", "sweep dimensions: coll,topo,scale,stencil,noise,tuned or all")
+	scaleMax := fs.Int("scalemax", 65536, "scale and stencil sweeps: largest rank count to run")
+	noiseSeed := fs.Int64("noiseseed", 42, "noise and tuned sweeps: seed keying every noisy level")
+	engineSpec := fs.String("engine", "both",
+		"execution backend for the scale sweep and query mode: goroutine, event or both (cross-checked)")
+	tuningSpec := fs.String("tuning", "policy=cost",
+		"coll tuning spec for the coll/topo sweeps and flag-built queries (see REPRO_COLL_TUNING)")
+	machine := fs.String("machine", "hazelhen-cray", "machine profile")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this path")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this path")
+	specPath := fs.String("spec", "", "query mode: run the spec.Query in this JSON file")
+	collective := fs.String("collective", "", "query mode: collective to simulate (enables query mode)")
+	shape := fs.String("shape", "4x8", "query mode: topology as NODESxPPN")
+	sizesSpec := fs.String("sizes", "1024", "query mode: comma-separated size ladder in bytes")
+	iters := fs.Int("iters", 1, "query mode: operations per ladder point")
+	fold := fs.String("fold", "", "query mode: rank-symmetry folding: auto, off or a unit")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return err
 		}
-		// fatal() and the -check exit both flush through stopCPUProfile:
-		// a deferred stop would be skipped by os.Exit, truncating the
-		// profile exactly when a regression is being investigated.
-		stopCPUProfile = func() {
-			pprof.StopCPUProfile()
-			f.Close()
-			stopCPUProfile = func() {}
-		}
-		defer stopCPUProfile()
+		defer pprof.StopCPUProfile()
 	}
 
-	rep, err := run(re, baseline)
+	var err error
+	switch {
+	case *specPath != "" && *collective != "":
+		err = fmt.Errorf("-spec and -collective are mutually exclusive")
+	case *specPath != "" || *collective != "":
+		var q *spec.Query
+		if *specPath == "" {
+			q, err = queryFromFlags(*collective, *shape, *sizesSpec, *machine, *tuningSpec, *fold, *iters)
+		} else if data, rerr := os.ReadFile(*specPath); rerr != nil {
+			err = rerr
+		} else {
+			q, err = spec.Parse(data)
+		}
+		if err == nil {
+			ref, challengers := enginePaths(q, *engineSpec)
+			err = runQuery(q, ref, challengers, *out, stdout, stderr)
+		}
+	case *sweep != "":
+		err = runSweeps(*sweep, *machine, *tuningSpec, *engineSpec, *scaleMax, *noiseSeed, *out, stdout)
+	default:
+		err = fmt.Errorf("nothing to do: give -sweep, -spec or -collective (host speed is measured by `bash benchmark/run.sh`)")
+	}
 	if err != nil {
-		fatal(err)
-	}
-
-	if len(dims) > 0 {
-		st, err := spec.ParseTuning(*tuningSpec)
-		if err != nil {
-			fatal(err)
-		}
-		tun, err := st.Coll()
-		if err != nil {
-			fatal(err)
-		}
-		mk, ok := sim.Profiles()[*machine]
-		if !ok {
-			fatal(fmt.Errorf("unknown machine %q", *machine))
-		}
-		if dims["coll"] {
-			rep.CollSweep = bench.RunCollSweep(mk(), tun)
-			printSweep(rep.CollSweep)
-		}
-		if dims["topo"] {
-			if rep.TopoSweep, err = bench.RunTopoSweep(mk(), tun); err != nil {
-				fatal(err)
-			}
-			printTopoSweep(rep.TopoSweep)
-		}
-		if dims["scale"] {
-			engines, err := parseEngines(*engineSpec)
-			if err != nil {
-				fatal(err)
-			}
-			if rep.ScaleSweep, err = bench.RunScaleSweep(mk(), *scaleMax, engines); err != nil {
-				fatal(err)
-			}
-			printScaleSweep(rep.ScaleSweep)
-		}
-		if dims["stencil"] {
-			if rep.StencilSweep, err = bench.RunStencilSweep(mk(), *scaleMax); err != nil {
-				fatal(err)
-			}
-			printStencilSweep(rep.StencilSweep)
-		}
-		if dims["service"] {
-			if rep.ServiceSweep, err = bench.RunServiceSweep(*machine, 0); err != nil {
-				fatal(err)
-			}
-			printServiceSweep(rep.ServiceSweep)
-		}
-		if dims["noise"] {
-			if rep.NoiseSweep, err = bench.RunNoiseSweep(*machine, *noiseSeed); err != nil {
-				fatal(err)
-			}
-			printNoiseSweep(rep.NoiseSweep)
-		}
-		if dims["tuned"] {
-			if rep.TunedSweep, err = bench.RunTunedSweep(*machine, *noiseSeed); err != nil {
-				fatal(err)
-			}
-			printTunedSweep(rep.TunedSweep)
-		}
-	}
-
-	if *out != "" {
-		if err := rep.WriteWallReport(*out); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *out)
+		return err
 	}
 
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
+		defer f.Close()
 		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
-		}
-		f.Close()
+		return pprof.WriteHeapProfile(f)
 	}
-
-	if *check {
-		if violations := rep.CheckAgainst(baseline, *maxSlow, *allocSlack); len(violations) > 0 {
-			for _, v := range violations {
-				fmt.Fprintln(os.Stderr, "perf regression:", v)
-			}
-			stopCPUProfile()
-			os.Exit(1)
-		}
-		fmt.Printf("perf check passed vs %s (max slowdown %.1fx, alloc slack %.2fx)\n",
-			*baselinePath, *maxSlow, *allocSlack)
-	}
+	return nil
 }
 
-// runQueryMode executes one declarative spec.Query — loaded from
-// specPath, or assembled from the query-mode flags — and prints the
-// spec.Result as indented JSON (to out when given, stdout otherwise).
-// A flag-built query with engine "both" runs on both backends and
-// fails unless every point's virtual time is bit-identical.
-func runQueryMode(specPath, collective, shape, sizesSpec, machine, engineSpec, tuningSpec, fold string, iters int, out string) error {
-	var q *spec.Query
-	if specPath != "" {
-		if collective != "" {
-			return fmt.Errorf("-spec and -collective are mutually exclusive")
-		}
-		data, err := os.ReadFile(specPath)
-		if err != nil {
-			return err
-		}
-		if q, err = spec.Parse(data); err != nil {
-			return err
-		}
-	} else {
-		var err error
-		if q, err = queryFromFlags(collective, shape, sizesSpec, machine, engineSpec, tuningSpec, fold, iters); err != nil {
-			return err
-		}
-		if engineSpec == "both" {
-			// Cross-engine check: the event backend must reproduce the
-			// goroutine backend's virtual times exactly.
-			alt := *q
-			alt.Sizes = append([]int(nil), q.Sizes...)
-			alt.Engine = sim.EngineEvent.String()
-			q.Engine = sim.EngineGoroutine.String()
-			res, altRes, err := runBoth(q, &alt)
-			if err != nil {
-				return err
-			}
-			for i := range res.Points {
-				if res.Points[i].VirtualPs != altRes.Points[i].VirtualPs {
-					return fmt.Errorf("engines disagree at %d B: goroutine %d ps, event %d ps",
-						res.Points[i].Bytes, res.Points[i].VirtualPs, altRes.Points[i].VirtualPs)
-				}
-			}
-			fmt.Fprintln(os.Stderr, "engines agree bit-identically")
-			return printResult(res, out)
-		}
-	}
-	res, err := spec.Run(q)
+// runSweeps runs the selected dimensions, printing each and writing the
+// report to out when given.
+func runSweeps(list, machine, tuningSpec, engineSpec string, scaleMax int, seed int64, out string, stdout io.Writer) error {
+	dims, err := bench.SelectDimensions(list)
 	if err != nil {
 		return err
 	}
-	return printResult(res, out)
+	st, err := spec.ParseTuning(tuningSpec)
+	if err != nil {
+		return err
+	}
+	tun, err := st.Coll()
+	if err != nil {
+		return err
+	}
+	mk, ok := sim.Profiles()[machine]
+	if !ok {
+		return fmt.Errorf("unknown machine %q", machine)
+	}
+	var engines []sim.Engine // empty = both
+	if engineSpec != "both" {
+		e, err := sim.ParseEngine(engineSpec)
+		if err != nil {
+			return fmt.Errorf("-engine: %w (or \"both\")", err)
+		}
+		engines = []sim.Engine{e}
+	}
+	rep, err := bench.RunSweeps(dims, bench.SweepConfig{
+		Model: mk(), Tuning: tun, MaxRanks: scaleMax, Engines: engines, Seed: seed,
+	}, stdout)
+	if err != nil {
+		return err
+	}
+	if out == "" {
+		return nil
+	}
+	if err := writeJSON(rep, out, nil); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "wrote %s\n", out)
+	return nil
 }
 
-// runBoth executes the two engine variants of one query.
-func runBoth(a, b *spec.Query) (*spec.Result, *spec.Result, error) {
-	ra, err := spec.Run(a)
+// writeJSON writes v as indented JSON to path, or to stdout when path
+// is empty.
+func writeJSON(v any, path string, stdout io.Writer) error {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	rb, err := spec.Run(b)
+	data = append(data, '\n')
+	if path != "" {
+		return os.WriteFile(path, data, 0o644)
+	}
+	_, err = stdout.Write(data)
+	return err
+}
+
+// enginePaths resolves -engine for query mode. "both" keeps the query's
+// own engine as the reference — so the printed Result is the one
+// cmd/serverd returns for the same Query — and adds the other backend
+// as a challenger; a named engine runs alone.
+func enginePaths(q *spec.Query, engineSpec string) (ref spec.Path, challengers []spec.Path) {
+	if engineSpec != "both" {
+		return spec.Path{Name: engineSpec, Engine: engineSpec}, nil
+	}
+	other := sim.EngineEvent.String()
+	if q.Engine == other {
+		other = sim.EngineGoroutine.String()
+	}
+	return spec.Path{Name: q.Engine}, []spec.Path{{Name: other, Engine: other}}
+}
+
+// runQuery executes one query through spec.Referee and prints the
+// reference path's spec.Result as indented JSON (to out when given,
+// stdout otherwise). With challengers it fails unless every path's
+// virtual times are bit-identical.
+func runQuery(q *spec.Query, ref spec.Path, challengers []spec.Path, out string, stdout, stderr io.Writer) error {
+	res, err := spec.Referee(context.Background(), q, ref, challengers...)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	return ra, rb, nil
+	if len(challengers) > 0 {
+		fmt.Fprintln(stderr, "engines agree bit-identically")
+	}
+	return writeJSON(res, out, stdout)
 }
 
 // queryFromFlags assembles a Query from the query-mode flag surface.
-func queryFromFlags(collective, shape, sizesSpec, machine, engineSpec, tuningSpec, fold string, iters int) (*spec.Query, error) {
+func queryFromFlags(collective, shape, sizesSpec, machine, tuningSpec, fold string, iters int) (*spec.Query, error) {
 	nodes, ppn, ok := strings.Cut(shape, "x")
 	if !ok {
 		return nil, fmt.Errorf("-shape %q is not NODESxPPN", shape)
@@ -333,177 +264,8 @@ func queryFromFlags(collective, shape, sizesSpec, machine, engineSpec, tuningSpe
 		Fold:       fold,
 		Tuning:     tun,
 	}
-	if engineSpec != "both" && engineSpec != "" {
-		q.Engine = engineSpec
-	}
 	if err := q.Canonicalize(); err != nil {
 		return nil, err
 	}
 	return q, nil
-}
-
-// printResult writes the Result as indented JSON.
-func printResult(res *spec.Result, out string) error {
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if out != "" {
-		return os.WriteFile(out, data, 0o644)
-	}
-	_, err = os.Stdout.Write(data)
-	return err
-}
-
-// parseSweep resolves the -sweep dimension list. The historical bare
-// boolean form ("-sweep" with no value) is gone; "all" selects every
-// dimension.
-func parseSweep(spec string) (map[string]bool, error) {
-	dims := map[string]bool{}
-	if spec == "" {
-		return dims, nil
-	}
-	if spec == "all" {
-		return map[string]bool{"coll": true, "topo": true, "scale": true, "stencil": true, "service": true, "noise": true, "tuned": true}, nil
-	}
-	for _, d := range strings.Split(spec, ",") {
-		switch d = strings.TrimSpace(d); d {
-		case "coll", "topo", "scale", "stencil", "service", "noise", "tuned":
-			dims[d] = true
-		default:
-			return nil, fmt.Errorf("unknown sweep dimension %q (want coll, topo, scale, stencil, service, noise, tuned or all)", d)
-		}
-	}
-	return dims, nil
-}
-
-func run(re *regexp.Regexp, baseline *bench.WallReport) (*bench.WallReport, error) {
-	var filter func(string) bool
-	if re != nil {
-		filter = re.MatchString
-	}
-	rep, err := bench.RunWallCases(filter)
-	if err != nil {
-		return nil, err
-	}
-	if baseline != nil {
-		rep.CompareTo(baseline)
-	}
-	print(rep)
-	return rep, nil
-}
-
-func print(rep *bench.WallReport) {
-	fmt.Printf("%-28s %14s %12s %12s %8s %10s\n",
-		"case", "ns/op", "allocs/op", "B/op", "peakG", "virtual_us")
-	for _, r := range rep.Results {
-		fmt.Printf("%-28s %14.0f %12.0f %12.0f %8d %10.2f\n",
-			r.Name, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp, r.PeakGoroutines, r.VirtualUs)
-		if s, ok := rep.Speedup[r.Name]; ok {
-			fmt.Printf("%-28s %13.2fx vs baseline\n", "", s)
-		}
-	}
-}
-
-func printSweep(s *bench.CollSweepReport) {
-	fmt.Printf("\ncoll-sweep (%s, policy %s): %d points, crossovers:\n",
-		s.Model, s.Policy, len(s.Points))
-	for _, x := range s.Crossovers {
-		fmt.Printf("  %-10s n=%-3d %s: %s -> %s at %d B\n",
-			x.Collective, x.CommSize, x.Hop, x.From, x.To, x.AtBytes)
-	}
-}
-
-func printTopoSweep(s *bench.TopoSweepReport) {
-	fmt.Printf("\ntopo-sweep (%s, policy %s): %d points (levels x ppn):\n",
-		s.Model, s.Policy, len(s.Points))
-	for _, p := range s.Points {
-		fmt.Printf("  %-18s %dx%-3d %8dB  hier %10.2f us  hybrid(%s) %10.2f us\n",
-			p.Stack, p.Nodes, p.PPN, p.Bytes, p.HierUs, p.SharedLevel, p.HybridUs)
-	}
-}
-
-// parseEngines resolves the -engine flag into the backend list handed
-// to the scale sweep ("both" runs goroutine then event, letting the
-// sweep cross-check their virtual timelines).
-func parseEngines(spec string) ([]sim.Engine, error) {
-	if spec == "" || spec == "both" {
-		return []sim.Engine{sim.EngineGoroutine, sim.EngineEvent}, nil
-	}
-	e, err := sim.ParseEngine(spec)
-	if err != nil {
-		return nil, fmt.Errorf("-engine: %w (or \"both\")", err)
-	}
-	return []sim.Engine{e}, nil
-}
-
-func printScaleSweep(s *bench.ScaleSweepReport) {
-	fmt.Printf("\nscale-sweep (%s, up to %d ranks):\n", s.Model, s.MaxRanks)
-	for _, p := range s.Points {
-		fold := ""
-		if p.FoldUnit > 0 {
-			fold = fmt.Sprintf(" fold %d", p.FoldUnit)
-		}
-		fmt.Printf("  %-10s %5dx%-3d %7d ranks %-9s %10.1f ms/op  peakG %7d  peakRSS %5.0f MiB  virtual %10.2f us%s\n",
-			p.Coll, p.Nodes, p.PPN, p.Ranks, p.Engine, p.NsPerOp/1e6, p.PeakGoroutines,
-			float64(p.PeakRSSBytes)/(1<<20), p.VirtualUs, fold)
-	}
-}
-
-func printStencilSweep(s *bench.StencilSweepReport) {
-	fmt.Printf("\nstencil-sweep (%s, up to %d ranks):\n", s.Model, s.MaxRanks)
-	for _, p := range s.Points {
-		fmt.Printf("  %-12s %7d ranks  halo %4dB %10.1f ms/op  setup %7.0f ms  peakG %7d  virtual %10.2f us\n",
-			p.Dims, p.Ranks, p.HaloBytes, p.NsPerOp/1e6, p.SetupNs/1e6, p.PeakGoroutines, p.VirtualUs)
-	}
-}
-
-func printServiceSweep(s *bench.ServiceSweepReport) {
-	fmt.Printf("\nservice-sweep (%s, %d unique queries, cache hit ratio %.3f, coalesced %d, cli/http bit-identical %v):\n",
-		s.Machine, s.UniqueQueries, s.CacheHitRatio, s.Coalesced, s.BitIdentical)
-	for _, p := range s.Points {
-		fmt.Printf("  %3d clients %7d reqs %10.0f qps  p50 %7.0f us  p99 %7.0f us\n",
-			p.Clients, p.Requests, p.QPS, p.P50Us, p.P99Us)
-	}
-	if c := s.ColdShape; c != nil {
-		fmt.Printf("  cold shape %s (%d distinct queries, pool hit ratio %.3f, pooled/cold bit-identical %v):\n",
-			c.Shape, c.Queries, c.PoolHitRatio, c.BitIdentical)
-		fmt.Printf("    point p50: pooled %7.0f us  per-point %7.0f us  speedup %.2fx\n",
-			c.PooledP50Us, c.PerPointP50Us, c.P50Speedup)
-		fmt.Printf("    %2d-size sweep: pooled %7.1f ms  per-point %7.1f ms  speedup %.2fx\n",
-			c.SweepSizes, c.PooledSweepMs, c.PerPointSweepMs, c.SweepSpeedup)
-	}
-}
-
-func printNoiseSweep(s *bench.NoiseSweepReport) {
-	fmt.Printf("\nnoise-sweep (%s, %s %dx%d, seed %d, all paths bit-identical %v):\n",
-		s.Model, s.Collective, s.Nodes, s.PPN, s.Seed, s.BitIdentical)
-	for _, p := range s.Points {
-		fmt.Printf("  %-18s %8dB  virtual %10.2f us  slowdown %5.2fx  bit-identical %v\n",
-			p.Label, p.Bytes, p.VirtualUs, p.SlowdownVsClean, p.BitIdentical)
-	}
-}
-
-func printTunedSweep(s *bench.TunedSweepReport) {
-	fmt.Printf("\ntuned-sweep (%s, %s %dx%d, seed %d, congestion net=%g, %d measurements, beats cost on %d points, bit-identical %v):\n",
-		s.Model, s.Collective, s.Nodes, s.PPN, s.Seed, s.CongestionNet, s.Measurements, s.BeatsCost, s.BitIdentical)
-	for _, p := range s.Points {
-		mark := ""
-		if p.MeasuredBeatsCost {
-			mark = "  << measured wins"
-		}
-		fmt.Printf("  %8dB  table %12d ps  cost %12d ps (%s)  measured %12d ps (%s)%s\n",
-			p.Bytes, p.TablePs, p.CostPs, p.CostPick, p.MeasuredPs, p.MeasuredPick, mark)
-	}
-}
-
-// stopCPUProfile flushes the CPU profile (no-op until -cpuprofile
-// installs the real one); every os.Exit path must call it.
-var stopCPUProfile = func() {}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "perf:", err)
-	stopCPUProfile()
-	os.Exit(1)
 }

@@ -38,6 +38,7 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/server"
+	"repro/internal/spec"
 )
 
 // envString, envInt, envInt64 and envDuration resolve a flag's default
@@ -105,6 +106,7 @@ func fatal(err error) {
 }
 
 func main() {
+	spec.InstallEnvTuning()
 	addr := flag.String("addr", envString("REPRO_ADDR", ":8080"), "listen address")
 	workers := flag.Int("workers", envInt("REPRO_WORKERS", 0), "max concurrent point queries (0 = GOMAXPROCS)")
 	sweepWorkers := flag.Int("sweep-workers", envInt("REPRO_SWEEP_WORKERS", 0), "max concurrent sweep queries (0 = workers/4)")

@@ -18,13 +18,12 @@ import (
 	"repro/internal/bench"
 	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/summa"
-	// Blank import: installs the REPRO_COLL_TUNING environment
-	// compatibility shim (the tuning grammar lives in internal/spec).
-	_ "repro/internal/spec"
 )
 
 func main() {
+	spec.InstallEnvTuning()
 	block := flag.Int("block", 0, "per-core block size b (panel); 0 = all of 8, 64, 128, 256")
 	cores := flag.Int("cores", 0, "single point: core count (perfect square); 0 = full sweep")
 	verify := flag.Bool("verify", false, "run with real data and verify the product (small sizes)")

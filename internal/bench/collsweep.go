@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"fmt"
+	"io"
+
 	"repro/internal/coll"
 	"repro/internal/sim"
 )
@@ -9,8 +12,9 @@ import (
 // fast the host runs: for each collective and communicator shape it
 // sweeps the message size and records the algorithm the cost policy
 // picks, then extracts the crossover points — the sizes at which the
-// choice flips. The committed BENCH_*.json files carry the table so a
-// PR that moves a crossover shows up in review.
+// choice flips. The sweep golden (testdata/sweeps.golden.json) pins the
+// table, so a PR that moves a crossover fails tier-1 until the golden
+// is regenerated and the move shows up in review.
 
 // SweepPoint is one (collective, shape, size) decision.
 type SweepPoint struct {
@@ -38,6 +42,16 @@ type CollSweepReport struct {
 	Policy     string       `json:"policy"`
 	Points     []SweepPoint `json:"points"`
 	Crossovers []Crossover  `json:"crossovers"`
+}
+
+// Fprint lists the crossovers.
+func (s *CollSweepReport) Fprint(w io.Writer) {
+	fmt.Fprintf(w, "\ncoll-sweep (%s, policy %s): %d points, crossovers:\n",
+		s.Model, s.Policy, len(s.Points))
+	for _, x := range s.Crossovers {
+		fmt.Fprintf(w, "  %-10s n=%-3d %s: %s -> %s at %d B\n",
+			x.Collective, x.CommSize, x.Hop, x.From, x.To, x.AtBytes)
+	}
 }
 
 // sweepSizes is the message-size sweep: 8 B to 4 MiB in powers of two.

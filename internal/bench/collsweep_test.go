@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/coll"
@@ -64,32 +63,5 @@ func TestCollSweepStructure(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestCheckAgainst(t *testing.T) {
-	base := &WallReport{Results: []WallResult{
-		{Name: "a", NsPerOp: 1000, AllocsPerOp: 100},
-		{Name: "b", NsPerOp: 2000, AllocsPerOp: 0},
-	}}
-	ok := &WallReport{Results: []WallResult{
-		{Name: "a", NsPerOp: 2500, AllocsPerOp: 105}, // 2.5x slower, allocs within slack
-		{Name: "b", NsPerOp: 1000, AllocsPerOp: 10},  // faster, +10 allocs under flat grace
-		{Name: "new-case", NsPerOp: 9e9},             // no baseline: skipped
-	}}
-	if v := ok.CheckAgainst(base, 3.0, 1.10); len(v) != 0 {
-		t.Errorf("clean report flagged: %v", v)
-	}
-	slow := &WallReport{Results: []WallResult{
-		{Name: "a", NsPerOp: 3500, AllocsPerOp: 100},
-	}}
-	if v := slow.CheckAgainst(base, 3.0, 1.10); len(v) != 1 || !strings.Contains(v[0], "ns/op") {
-		t.Errorf("3.5x slowdown not flagged: %v", v)
-	}
-	leaky := &WallReport{Results: []WallResult{
-		{Name: "a", NsPerOp: 1000, AllocsPerOp: 200},
-	}}
-	if v := leaky.CheckAgainst(base, 3.0, 1.10); len(v) != 1 || !strings.Contains(v[0], "allocs/op") {
-		t.Errorf("alloc regression not flagged: %v", v)
 	}
 }

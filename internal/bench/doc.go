@@ -3,23 +3,14 @@
 // cluster, printing the same series the paper plots. See DESIGN.md's
 // per-experiment index and EXPERIMENTS.md for paper-vs-measured notes.
 //
-// Beyond the figures, the package carries the repository's performance
-// accounting:
+// Beyond the figures, the package carries the sweep dimensions behind
+// cmd/perf -sweep (the Dimensions table: selection crossovers,
+// multi-level topologies, scale-out to 1,048,576 ranks, 4-dim stencil
+// halos, deterministic noise levels, measured tuning) and the tests
+// that pin virtual time to the picosecond: the figure-scale WallCases
+// goldens and the sweep golden in testdata/. Every cross-engine and
+// cross-reuse-path check in the sweeps goes through spec.Referee.
 //
-//   - The wall-clock harness (WallCases, RunWallCases) measures how
-//     fast the simulator itself executes figure-scale workloads — host
-//     ns/op, allocs/op, peak goroutines — and writes the BENCH_*.json
-//     trajectory at the repo root; CheckAgainst is the CI
-//     perf-regression gate over a committed baseline.
-//   - The sweep dimensions extend a report: RunCollSweep (selection
-//     crossovers per message size), RunTopoSweep (multi-level
-//     hierarchies), RunScaleSweep (size-only collectives up to
-//     1,048,576 ranks, per execution backend) and RunStencilSweep
-//     (4-dim grid halo exchanges per halo
-//     width, the process-topology dimension).
-//   - The golden determinism tests pin virtual makespans to the
-//     picosecond, so optimizations to the simulator can never move
-//     modeled time.
-//
-// cmd/perf is the command-line front end for all of it.
+// The package pins virtual time only. How fast the host runs the
+// simulator is measured from outside, with spread, by benchmark/.
 package bench

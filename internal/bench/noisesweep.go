@@ -3,7 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
-	"time"
+	"io"
 
 	"repro/internal/spec"
 )
@@ -12,10 +12,10 @@ import (
 // same collective ladder simulated under a ladder of deterministic
 // noise configurations — link congestion, seeded jitter, straggler
 // ranks and their combination — reporting how far each level stretches
-// the virtual makespan over the clean run. Every level is executed
-// four ways (goroutine engine warm, event engine warm, per-point
-// referee worlds, pooled worlds with a warm re-run) and the point is
-// only marked bit-identical when all of them agree exactly: the sweep
+// the virtual makespan over the clean run. Every level goes through
+// spec.Referee on five paths (goroutine engine warm, event engine
+// warm, per-point referee worlds, pooled worlds and a warm pooled
+// re-run) and the sweep fails unless all of them agree exactly: it
 // doubles as the determinism gate for the noise subsystem.
 
 // NoisePoint is one (noise level, ladder size) measurement.
@@ -31,12 +31,13 @@ type NoisePoint struct {
 	// SlowdownVsClean is VirtualPs over the clean level's VirtualPs at
 	// the same size (1.0 for the clean level itself).
 	SlowdownVsClean float64 `json:"slowdown_vs_clean"`
-	// BitIdentical reports that both engines, the per-point referee,
-	// and a pooled warm re-run produced exactly this VirtualPs.
+	// BitIdentical records the referee's verdict: every path produced
+	// exactly this VirtualPs. A divergence fails the sweep, so a
+	// written report always says true.
 	BitIdentical bool `json:"bit_identical"`
 }
 
-// NoiseSweepReport is the noise section of a BENCH_*.json document.
+// NoiseSweepReport is the noise section of a sweep report.
 type NoiseSweepReport struct {
 	Model      string `json:"model"`
 	Collective string `json:"collective"`
@@ -45,12 +46,19 @@ type NoiseSweepReport struct {
 	Iters      int    `json:"iters"`
 	// Seed keys every noisy level.
 	Seed int64 `json:"seed"`
-	// WallMs is the host time the whole sweep took.
-	WallMs float64 `json:"wall_ms"`
-	// BitIdentical is the conjunction over every point — the headline
-	// determinism verdict.
+	// BitIdentical is the conjunction over every point.
 	BitIdentical bool         `json:"bit_identical"`
 	Points       []NoisePoint `json:"points"`
+}
+
+// Fprint lists every point.
+func (s *NoiseSweepReport) Fprint(w io.Writer) {
+	fmt.Fprintf(w, "\nnoise-sweep (%s, %s %dx%d, seed %d, all paths bit-identical %v):\n",
+		s.Model, s.Collective, s.Nodes, s.PPN, s.Seed, s.BitIdentical)
+	for _, p := range s.Points {
+		fmt.Fprintf(w, "  %-18s %8dB  virtual %10.2f us  slowdown %5.2fx\n",
+			p.Label, p.Bytes, p.VirtualUs, p.SlowdownVsClean)
+	}
 }
 
 // noiseLevel is one rung of the noise ladder.
@@ -77,10 +85,9 @@ func noiseLevels(seed int64) []noiseLevel {
 // noiseSweepSizes is the ladder each level runs.
 var noiseSweepSizes = []int{4096, 262144}
 
-// RunNoiseSweep measures the noise dimension on the given machine
-// profile: an 8x8 allreduce ladder per noise level, each level
-// executed across both engines and all three world-reuse paths and
-// cross-checked for exact agreement.
+// RunNoiseSweep runs the noise dimension on the given machine profile:
+// an 8x8 allreduce ladder per noise level, each level refereed across
+// both engines and all three world-reuse paths.
 func RunNoiseSweep(machine string, seed int64) (*NoiseSweepReport, error) {
 	const nodes, ppn, iters = 8, 8, 2
 	rep := &NoiseSweepReport{
@@ -90,61 +97,31 @@ func RunNoiseSweep(machine string, seed int64) (*NoiseSweepReport, error) {
 	}
 	pool := spec.NewWorldPool(spec.PoolConfig{})
 	defer pool.Close()
-	start := time.Now()
+	pooled := &spec.Exec{Pool: pool}
 
 	clean := map[int]int64{} // bytes -> clean VirtualPs
 	for _, lvl := range noiseLevels(seed) {
-		mkQuery := func(engine string) *spec.Query {
-			return &spec.Query{
-				Machine:    machine,
-				Topology:   spec.Topology{Nodes: nodes, PPN: ppn},
-				Collective: "allreduce",
-				Sizes:      append([]int(nil), noiseSweepSizes...),
-				Iters:      iters,
-				Engine:     engine,
-				Noise:      cloneSpecNoise(lvl.noise),
-				Tuning:     spec.Tuning{Policy: "cost"},
-			}
+		q := &spec.Query{
+			Machine:    machine,
+			Topology:   spec.Topology{Nodes: nodes, PPN: ppn},
+			Collective: "allreduce",
+			Sizes:      noiseSweepSizes,
+			Iters:      iters,
+			Noise:      lvl.noise,
+			Tuning:     spec.Tuning{Policy: "cost"},
 		}
-		// The reference timeline: goroutine engine, warm world within
-		// the ladder group.
-		ref, err := spec.Run(mkQuery("goroutine"))
+		// The second pooled path replays on the world the first one
+		// checked back in.
+		ref, err := spec.Referee(context.Background(), q,
+			spec.Path{Name: "goroutine/warm", Engine: "goroutine"},
+			spec.Path{Name: "event/warm", Engine: "event"},
+			spec.Path{Name: "goroutine/per-point", Engine: "goroutine", Exec: &spec.Exec{PerPointWorlds: true}},
+			spec.Path{Name: "goroutine/pooled", Engine: "goroutine", Exec: pooled},
+			spec.Path{Name: "goroutine/pooled-warm", Engine: "goroutine", Exec: pooled})
 		if err != nil {
 			return nil, fmt.Errorf("bench: noise sweep %q: %w", lvl.label, err)
 		}
-		// Challengers: the event engine, the per-point referee path, and
-		// a pooled execution run twice so the second pass replays on a
-		// warm checked-in world.
-		challengers := []*spec.Result{}
-		ev, err := spec.Run(mkQuery("event"))
-		if err != nil {
-			return nil, fmt.Errorf("bench: noise sweep %q (event): %w", lvl.label, err)
-		}
-		challengers = append(challengers, ev)
-		perPoint, err := (&spec.Exec{PerPointWorlds: true}).RunContext(context.Background(), mkQuery("goroutine"))
-		if err != nil {
-			return nil, fmt.Errorf("bench: noise sweep %q (per-point): %w", lvl.label, err)
-		}
-		challengers = append(challengers, perPoint)
-		pooled := &spec.Exec{Pool: pool}
-		for pass := 0; pass < 2; pass++ {
-			res, err := pooled.RunContext(context.Background(), mkQuery("goroutine"))
-			if err != nil {
-				return nil, fmt.Errorf("bench: noise sweep %q (pooled pass %d): %w", lvl.label, pass, err)
-			}
-			challengers = append(challengers, res)
-		}
-
-		for i, p := range ref.Points {
-			identical := true
-			for _, ch := range challengers {
-				if ch.Points[i].VirtualPs != p.VirtualPs {
-					identical = false
-				}
-			}
-			if !identical {
-				rep.BitIdentical = false
-			}
+		for _, p := range ref.Points {
 			if lvl.noise == nil {
 				clean[p.Bytes] = p.VirtualPs
 			}
@@ -155,28 +132,9 @@ func RunNoiseSweep(machine string, seed int64) (*NoiseSweepReport, error) {
 			rep.Points = append(rep.Points, NoisePoint{
 				Label: lvl.label, Bytes: p.Bytes,
 				VirtualPs: p.VirtualPs, VirtualUs: float64(p.VirtualPs) / 1e6,
-				SlowdownVsClean: slowdown, BitIdentical: identical,
+				SlowdownVsClean: slowdown, BitIdentical: true,
 			})
 		}
 	}
-	rep.WallMs = float64(time.Since(start).Nanoseconds()) / 1e6
 	return rep, nil
-}
-
-// cloneSpecNoise deep-copies a noise block so each execution
-// canonicalizes its own query without sharing slices or maps.
-func cloneSpecNoise(n *spec.Noise) *spec.Noise {
-	if n == nil {
-		return nil
-	}
-	c := *n
-	c.Stragglers = append([]int(nil), n.Stragglers...)
-	c.Failures = append([]spec.Failure(nil), n.Failures...)
-	if n.Congestion != nil {
-		c.Congestion = make(map[string]float64, len(n.Congestion))
-		for k, v := range n.Congestion {
-			c.Congestion[k] = v
-		}
-	}
-	return &c
 }

@@ -7,15 +7,41 @@ import (
 	"time"
 )
 
+// Wall is the host-side cost of one sweep point. It is the only part of
+// a point that is not deterministic, so it sits under one "wall" key
+// that the sweep golden strips whole. These are single readings for a
+// developer's eye; benchmark/ is what measures the simulator's speed.
+type Wall struct {
+	NsPerOp        float64 `json:"ns_per_op"`
+	PeakGoroutines int     `json:"peak_goroutines"` // sampled during the point
+	PeakRSSBytes   int64   `json:"peak_rss_bytes"`  // process high-water mark after the point
+}
+
+// timePoint runs one sweep point of ops operations under a goroutine
+// sampler and returns its host cost.
+func timePoint(ops int, run func() error) (Wall, error) {
+	sampler := newGoroutineSampler()
+	start := time.Now()
+	err := run()
+	elapsed := time.Since(start)
+	sampler.stop()
+	if err != nil {
+		return Wall{}, err
+	}
+	return Wall{
+		NsPerOp:        float64(elapsed.Nanoseconds()) / float64(ops),
+		PeakGoroutines: sampler.peak(),
+		PeakRSSBytes:   peakRSSBytes(),
+	}, nil
+}
+
 // goroutineSampler polls the process goroutine count in the background
-// and keeps the high-water mark — the "how many parked rank workers did
-// this workload really hold" column of the wall-clock and scale
-// reports.
+// and keeps the high-water mark — how many parked rank workers a
+// workload really held.
 type goroutineSampler struct {
 	max  atomic.Int64
 	quit chan struct{}
 	wg   sync.WaitGroup
-	once sync.Once
 }
 
 func newGoroutineSampler() *goroutineSampler {
@@ -39,13 +65,10 @@ func newGoroutineSampler() *goroutineSampler {
 	return s
 }
 
-// stop retires the sampling goroutine. Idempotent, so error paths can
-// defer it while success paths stop eagerly before reading peak().
+// stop retires the sampling goroutine.
 func (s *goroutineSampler) stop() {
-	s.once.Do(func() {
-		close(s.quit)
-		s.wg.Wait()
-	})
+	close(s.quit)
+	s.wg.Wait()
 }
 
 func (s *goroutineSampler) peak() int { return int(s.max.Load()) }

@@ -2,56 +2,60 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"runtime"
-	"time"
 
-	"repro/internal/coll"
-	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/spec"
 )
 
-// The scale sweep is the scale-out dimension of cmd/perf -sweep: how
-// fast (in host time) the simulator executes collectives as the rank
-// count grows toward the million-rank regime — 64x64 up to 16384x64 =
-// 1,048,576 ranks, far beyond the paper's testbed. Payloads are
-// size-only (no data movement), so the measurement isolates the
-// control plane: rank dispatch, matcher traffic, coordinator fusion
-// and geometry setup. Each point records wall ns/op, the peak
-// goroutine count and the process peak RSS, which is what holds the
-// scale-out engine accountable across PRs.
-//
-// Since PR6 every point names its execution backend. The goroutine
-// engine runs every shape up to 65,536 ranks; the discrete-event
-// engine additionally runs the million-rank shape, with rank-symmetry
-// folding applied whenever the coll fold helpers approve the workload
-// (FoldUnit > 0 in the report). When both engines run a point the
-// sweep itself asserts their virtual makespans are bit-identical —
-// the folded event run must reproduce the unfolded goroutine
-// timeline exactly, or the sweep fails.
+// The scale sweep is the scale-out dimension of cmd/perf -sweep: the
+// size-only hierarchical allgather and allreduce as the rank count
+// grows toward the million-rank regime — 64x64 up to 16384x64 =
+// 1,048,576 ranks, far beyond the paper's testbed. Each point is one
+// spec.Query (8 B per rank, 2 iterations, fold "auto") run per
+// execution backend: the goroutine engine runs every shape up to
+// 65,536 ranks unfolded; the event engine additionally runs the
+// million-rank shape, folded whenever the coll fold helpers approve
+// (FoldUnit > 0). When both engines run a point, spec.Agree demands
+// bit-identical virtual makespans — the folded event run must
+// reproduce the unfolded goroutine timeline exactly, or the sweep
+// fails.
 
-// ScalePoint is one (shape, collective, engine) measurement.
+// ScalePoint is one (shape, collective, engine) run.
 type ScalePoint struct {
-	Coll           string  `json:"coll"`
-	Engine         string  `json:"engine"`    // execution backend of this point
-	FoldUnit       int     `json:"fold_unit"` // rank-symmetry fold unit (0 = unfolded)
-	Nodes          int     `json:"nodes"`
-	PPN            int     `json:"ppn"`
-	Ranks          int     `json:"ranks"`
-	Bytes          int     `json:"bytes"` // payload bytes per rank
-	Iters          int     `json:"iters"`
-	NsPerOp        float64 `json:"ns_per_op"`       // setup + iters ops, divided by iters
-	SetupNs        float64 `json:"setup_ns"`        // world + communicator construction
-	VirtualUs      float64 `json:"virtual_us"`      // per-op virtual makespan (determinism anchor)
-	VirtualPs      int64   `json:"virtual_ps"`      // exact total makespan (cross-engine equality)
-	PeakGoroutines int     `json:"peak_goroutines"` // sampled during the point
-	PeakRSSBytes   int64   `json:"peak_rss_bytes"`  // process high-water mark after the point
+	Coll      string  `json:"coll"`
+	Engine    string  `json:"engine"`    // execution backend of this point
+	FoldUnit  int     `json:"fold_unit"` // rank-symmetry fold unit (0 = unfolded)
+	Nodes     int     `json:"nodes"`
+	PPN       int     `json:"ppn"`
+	Ranks     int     `json:"ranks"`
+	Bytes     int     `json:"bytes"` // payload bytes per rank
+	Iters     int     `json:"iters"`
+	VirtualUs float64 `json:"virtual_us"` // per-op virtual makespan
+	VirtualPs int64   `json:"virtual_ps"` // exact total makespan (cross-engine equality)
+	Wall      Wall    `json:"wall"`       // world build + iters ops, per op
 }
 
-// ScaleSweepReport is the scale section of a BENCH_*.json document.
+// ScaleSweepReport is the scale section of a sweep report.
 type ScaleSweepReport struct {
 	Model    string       `json:"model"`
 	MaxRanks int          `json:"max_ranks"`
 	Points   []ScalePoint `json:"points"`
+}
+
+// Fprint lists every point.
+func (s *ScaleSweepReport) Fprint(w io.Writer) {
+	fmt.Fprintf(w, "\nscale-sweep (%s, up to %d ranks):\n", s.Model, s.MaxRanks)
+	for _, p := range s.Points {
+		fold := ""
+		if p.FoldUnit > 0 {
+			fold = fmt.Sprintf(" fold %d", p.FoldUnit)
+		}
+		fmt.Fprintf(w, "  %-10s %5dx%-3d %7d ranks %-9s %10.1f ms/op  peakG %7d  peakRSS %5.0f MiB  virtual %10.2f us%s\n",
+			p.Coll, p.Nodes, p.PPN, p.Ranks, p.Engine, p.Wall.NsPerOp/1e6, p.Wall.PeakGoroutines,
+			float64(p.Wall.PeakRSSBytes)/(1<<20), p.VirtualUs, fold)
+	}
 }
 
 // scaleShapes is the node-count ladder of the sweep at 64 ranks per
@@ -75,138 +79,55 @@ func scaleShapes(maxRanks int) [][2]int {
 // regime is exactly what the event engine plus folding exists for.
 const goroutineEngineMaxRanks = 65536
 
-// RunScaleSweep measures the scale dimension up to maxRanks ranks on
-// each of the given execution backends (both engines when engines is
-// empty). Points that run on both backends are checked for
-// bit-identical virtual makespans before the report is returned.
-func RunScaleSweep(model *sim.CostModel, maxRanks int, engines []sim.Engine) (*ScaleSweepReport, error) {
+// RunScaleSweep runs the scale dimension up to maxRanks ranks on each
+// of the given execution backends (both engines when engines is
+// empty). Points that run on both backends must agree on their virtual
+// makespan.
+func RunScaleSweep(machine string, maxRanks int, engines []sim.Engine) (*ScaleSweepReport, error) {
+	const bytesPerRank, iters = 8, 2
 	if len(engines) == 0 {
 		engines = []sim.Engine{sim.EngineGoroutine, sim.EngineEvent}
 	}
-	rep := &ScaleSweepReport{Model: model.Name, MaxRanks: maxRanks}
+	rep := &ScaleSweepReport{Model: machine, MaxRanks: maxRanks}
 	for _, shape := range scaleShapes(maxRanks) {
+		nodes, ppn := shape[0], shape[1]
 		for _, collName := range []string{"allgather", "allreduce"} {
-			ref := int64(-1)
+			var ref *spec.Result
 			for _, eng := range engines {
-				if eng == sim.EngineGoroutine && shape[0]*shape[1] > goroutineEngineMaxRanks {
+				if eng == sim.EngineGoroutine && nodes*ppn > goroutineEngineMaxRanks {
 					continue
 				}
-				pt, err := runScalePoint(model, collName, shape[0], shape[1], eng)
+				q := &spec.Query{
+					Machine:    machine,
+					Topology:   spec.Topology{Nodes: nodes, PPN: ppn},
+					Collective: collName,
+					Sizes:      []int{bytesPerRank},
+					Iters:      iters,
+					Engine:     eng.String(),
+				}
+				var res *spec.Result
+				wall, err := timePoint(iters, func() (err error) {
+					res, err = spec.Run(q)
+					return err
+				})
+				if err == nil && ref != nil {
+					err = spec.Agree(eng.String(), res, ref)
+				}
 				if err != nil {
-					return nil, fmt.Errorf("bench: scale sweep %s %dx%d (%s): %w",
-						collName, shape[0], shape[1], eng, err)
+					return nil, fmt.Errorf("bench: scale sweep %s %dx%d (%s): %w", collName, nodes, ppn, eng, err)
 				}
-				if ref >= 0 && pt.VirtualPs != ref {
-					return nil, fmt.Errorf(
-						"bench: scale sweep %s %dx%d: engine virtual-time mismatch: %s got %d ps, want %d ps",
-						collName, shape[0], shape[1], eng, pt.VirtualPs, ref)
+				if ref == nil {
+					ref = res
 				}
-				ref = pt.VirtualPs
-				rep.Points = append(rep.Points, pt)
+				pt := res.Points[0]
+				rep.Points = append(rep.Points, ScalePoint{
+					Coll: collName, Engine: res.Engine, FoldUnit: pt.FoldUnit,
+					Nodes: nodes, PPN: ppn, Ranks: res.Ranks, Bytes: bytesPerRank, Iters: iters,
+					VirtualUs: pt.VirtualUsPerOp, VirtualPs: pt.VirtualPs, Wall: wall,
+				})
+				runtime.GC() // release the point's world before the next one
 			}
 		}
 	}
 	return rep, nil
-}
-
-// scaleFoldUnit resolves the rank-symmetry fold unit of a sweep
-// workload through the coll package's fold helpers (0 = run unfolded).
-// Sweep worlds carry no per-world tuning, so the runtime picks
-// algorithms under coll.DefaultTuning — the helpers must replicate
-// exactly that pick.
-func scaleFoldUnit(model *sim.CostModel, topo *sim.Topology, collName string, bytesPerRank int) int {
-	switch collName {
-	case "allgather":
-		return coll.HierAllgatherFoldUnit(model, topo, bytesPerRank, coll.DefaultTuning())
-	case "allreduce":
-		return coll.AllreduceFoldUnit(model, topo, bytesPerRank, 1, coll.DefaultTuning())
-	}
-	return 0
-}
-
-func runScalePoint(model *sim.CostModel, collName string, nodes, ppn int, engine sim.Engine) (ScalePoint, error) {
-	const bytesPerRank = 8
-	iters := 2
-	pt := ScalePoint{
-		Coll: collName, Engine: engine.String(), Nodes: nodes, PPN: ppn, Ranks: nodes * ppn,
-		Bytes: bytesPerRank, Iters: iters,
-	}
-
-	sampler := newGoroutineSampler()
-	defer sampler.stop() // error paths; the success path stops eagerly
-	start := time.Now()
-	topo, err := sim.Uniform(nodes, ppn)
-	if err != nil {
-		return ScalePoint{}, err
-	}
-	// Folding rides the event engine only: the goroutine points stay
-	// unfolded so the sweep's cross-engine equality check pins the
-	// folded timeline against an independently computed full-width one.
-	opts := []mpi.Option{mpi.WithEngine(engine)}
-	if engine == sim.EngineEvent {
-		if u := scaleFoldUnit(model, topo, collName, bytesPerRank); u > 0 {
-			pt.FoldUnit = u
-			opts = append(opts, mpi.WithFold(u))
-		}
-	}
-	w, err := mpi.NewWorld(model, topo, opts...)
-	if err != nil {
-		return ScalePoint{}, err
-	}
-	var setup time.Duration
-	body := func(p *mpi.Proc) error {
-		switch collName {
-		case "allgather":
-			h, err := coll.NewHier(p.CommWorld())
-			if err != nil {
-				return err
-			}
-			if p.Rank() == 0 {
-				setup = time.Since(start)
-			}
-			send := mpi.Sized(bytesPerRank)
-			recv := mpi.Sized(bytesPerRank * p.Size())
-			for i := 0; i < iters; i++ {
-				if err := h.Allgather(send, recv, bytesPerRank); err != nil {
-					return err
-				}
-			}
-			return nil
-		case "allreduce":
-			c := p.CommWorld()
-			if p.Rank() == 0 {
-				setup = time.Since(start)
-			}
-			send := mpi.Sized(bytesPerRank)
-			recv := mpi.Sized(bytesPerRank)
-			for i := 0; i < iters; i++ {
-				if err := coll.Allreduce(c, send, recv, 1, mpi.Float64, mpi.OpSum); err != nil {
-					return err
-				}
-			}
-			return nil
-		default:
-			return fmt.Errorf("unknown scale collective %q", collName)
-		}
-	}
-	runErr := w.Run(body)
-	elapsed := time.Since(start)
-	virtual := sim.Time(0)
-	if runErr == nil {
-		virtual = w.MaxClock()
-	}
-	w.Close()
-	sampler.stop()
-	if runErr != nil {
-		return ScalePoint{}, runErr
-	}
-
-	pt.NsPerOp = float64(elapsed.Nanoseconds()) / float64(iters)
-	pt.SetupNs = float64(setup.Nanoseconds())
-	pt.VirtualUs = (virtual / sim.Time(iters)).Us()
-	pt.VirtualPs = int64(virtual)
-	pt.PeakGoroutines = sampler.peak()
-	pt.PeakRSSBytes = peakRSSBytes()
-	runtime.GC() // release the point's worlds before the next one
-	return pt, nil
 }

@@ -1,16 +1,12 @@
 package bench
 
-import (
-	"testing"
-
-	"repro/internal/sim"
-)
+import "testing"
 
 func TestScaleSweepSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("4096-rank sweep in -short mode")
 	}
-	rep, err := RunScaleSweep(sim.HazelHenCray(), 4096, nil)
+	rep, err := RunScaleSweep("hazelhen-cray", 4096, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,15 +17,15 @@ func TestScaleSweepSmoke(t *testing.T) {
 		if p.Ranks != 4096 {
 			t.Errorf("%s/%s: %d ranks, want 4096", p.Coll, p.Engine, p.Ranks)
 		}
-		if p.NsPerOp <= 0 || p.VirtualUs <= 0 || p.VirtualPs <= 0 {
-			t.Errorf("%s/%s: empty measurement (%v ns/op, %v virtual us)", p.Coll, p.Engine, p.NsPerOp, p.VirtualUs)
+		if p.Wall.NsPerOp <= 0 || p.VirtualUs <= 0 || p.VirtualPs <= 0 {
+			t.Errorf("%s/%s: empty measurement (%v ns/op, %v virtual us)", p.Coll, p.Engine, p.Wall.NsPerOp, p.VirtualUs)
 		}
 		switch p.Engine {
 		case "goroutine":
 			// The point's world holds one goroutine per rank while it
 			// runs; the sampler must have seen them.
-			if p.PeakGoroutines < p.Ranks {
-				t.Errorf("%s/%s: peak goroutines %d below rank count %d", p.Coll, p.Engine, p.PeakGoroutines, p.Ranks)
+			if p.Wall.PeakGoroutines < p.Ranks {
+				t.Errorf("%s/%s: peak goroutines %d below rank count %d", p.Coll, p.Engine, p.Wall.PeakGoroutines, p.Ranks)
 			}
 			if p.FoldUnit != 0 {
 				t.Errorf("%s/%s: goroutine point folded (unit %d)", p.Coll, p.Engine, p.FoldUnit)
@@ -47,17 +43,12 @@ func TestScaleSweepSmoke(t *testing.T) {
 			t.Errorf("%s: unknown engine %q", p.Coll, p.Engine)
 		}
 	}
-	// RunScaleSweep itself asserts cross-engine virtual-time equality,
-	// but pin it here too so a future refactor can't drop the check.
-	byColl := map[string][]int64{}
-	for _, p := range rep.Points {
-		byColl[p.Coll] = append(byColl[p.Coll], p.VirtualPs)
-	}
-	for collName, vs := range byColl {
-		for _, v := range vs[1:] {
-			if v != vs[0] {
-				t.Errorf("%s: cross-engine virtual times differ: %v", collName, vs)
-			}
+	// RunScaleSweep itself asserts cross-engine virtual-time equality
+	// (points come in goroutine/event pairs), but pin it here too so a
+	// future refactor can't drop the check.
+	for i := 0; i+1 < len(rep.Points); i += 2 {
+		if a, b := rep.Points[i], rep.Points[i+1]; a.VirtualPs != b.VirtualPs {
+			t.Errorf("%s: cross-engine virtual times differ: %d vs %d ps", a.Coll, a.VirtualPs, b.VirtualPs)
 		}
 	}
 }

@@ -2,8 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"runtime"
-	"time"
 
 	"repro/internal/coll"
 	"repro/internal/mpi"
@@ -16,30 +16,36 @@ import (
 // coll.NeighborAlltoall at 4k to 65,536 ranks. Payloads are size-only,
 // so the measurement isolates what the topology subsystem adds to the
 // control plane: grid construction, the reorder permutation, and the
-// 8-neighbor exchange per rank per step. Each point records wall
-// ns/op per halo width plus the deterministic virtual makespan, which
-// the -check gate pins exactly.
+// 8-neighbor exchange per rank per step. Each point records the
+// deterministic virtual makespan per halo width, which the sweep
+// golden pins exactly, plus the host cost of the exchange.
 
 // StencilPoint is one (grid shape, halo width) measurement.
 type StencilPoint struct {
-	Dims           string  `json:"dims"` // e.g. "16x16x16x16"
-	Nodes          int     `json:"nodes"`
-	PPN            int     `json:"ppn"`
-	Ranks          int     `json:"ranks"`
-	HaloBytes      int     `json:"halo_bytes"` // per-neighbor block
-	Iters          int     `json:"iters"`
-	NsPerOp        float64 `json:"ns_per_op"`       // exchange wall time / iters
-	SetupNs        float64 `json:"setup_ns"`        // world + grid construction (per shape)
-	VirtualUs      float64 `json:"virtual_us"`      // per-op virtual makespan (determinism anchor)
-	PeakGoroutines int     `json:"peak_goroutines"` // sampled during the point
-	PeakRSSBytes   int64   `json:"peak_rss_bytes"`  // process high-water mark after the point
+	Dims      string  `json:"dims"` // e.g. "16x16x16x16"
+	Nodes     int     `json:"nodes"`
+	PPN       int     `json:"ppn"`
+	Ranks     int     `json:"ranks"`
+	HaloBytes int     `json:"halo_bytes"` // per-neighbor block
+	Iters     int     `json:"iters"`
+	VirtualUs float64 `json:"virtual_us"` // per-op virtual makespan (determinism anchor)
+	Wall      Wall    `json:"wall"`       // the exchange alone; grid construction excluded
 }
 
-// StencilSweepReport is the stencil section of a BENCH_*.json document.
+// StencilSweepReport is the stencil section of a sweep report.
 type StencilSweepReport struct {
 	Model    string         `json:"model"`
 	MaxRanks int            `json:"max_ranks"`
 	Points   []StencilPoint `json:"points"`
+}
+
+// Fprint lists every point.
+func (s *StencilSweepReport) Fprint(w io.Writer) {
+	fmt.Fprintf(w, "\nstencil-sweep (%s, up to %d ranks):\n", s.Model, s.MaxRanks)
+	for _, p := range s.Points {
+		fmt.Fprintf(w, "  %-12s %7d ranks  halo %4dB %10.1f ms/op  peakG %7d  virtual %10.2f us\n",
+			p.Dims, p.Ranks, p.HaloBytes, p.Wall.NsPerOp/1e6, p.Wall.PeakGoroutines, p.VirtualUs)
+	}
 }
 
 // stencilShape is one rung of the grid ladder at 64 ranks per node.
@@ -86,9 +92,8 @@ func RunStencilSweep(model *sim.CostModel, maxRanks int) (*StencilSweepReport, e
 }
 
 // runStencilShape measures every halo width on one grid, sharing the
-// world and the Cartesian communicator across widths (their
-// construction is the shape's setup_ns; clocks reset between widths so
-// each point's virtual makespan stands alone).
+// world and the Cartesian communicator across widths (clocks reset
+// between widths so each point's virtual makespan stands alone).
 func runStencilShape(model *sim.CostModel, shape stencilShape) ([]StencilPoint, error) {
 	const iters = 2
 	ranks := shape.nodes * stencilPPN
@@ -104,7 +109,6 @@ func runStencilShape(model *sim.CostModel, shape stencilShape) ([]StencilPoint, 
 		periods[i] = true
 	}
 
-	start := time.Now()
 	topo, err := sim.Uniform(shape.nodes, stencilPPN)
 	if err != nil {
 		return nil, err
@@ -129,41 +133,32 @@ func runStencilShape(model *sim.CostModel, shape stencilShape) ([]StencilPoint, 
 	if err != nil {
 		return nil, err
 	}
-	setup := time.Since(start)
 
 	var pts []StencilPoint
 	for _, halo := range stencilHaloBytes {
 		w.ResetClocks()
-		// One sampler per point, like the scale sweep, so each
-		// point's peak reflects its own run rather than the shape's
-		// construction high-water mark.
-		sampler := newGoroutineSampler()
-		opStart := time.Now()
-		err := w.Run(func(p *mpi.Proc) error {
-			cart := carts[p.Rank()]
-			in, _, _ := cart.Neighborhood()
-			send := mpi.Sized(halo * len(in))
-			recv := mpi.Sized(halo * len(in))
-			for i := 0; i < iters; i++ {
-				if err := coll.NeighborAlltoall(cart, send, recv, halo); err != nil {
-					return err
+		wall, err := timePoint(iters, func() error {
+			return w.Run(func(p *mpi.Proc) error {
+				cart := carts[p.Rank()]
+				in, _, _ := cart.Neighborhood()
+				send := mpi.Sized(halo * len(in))
+				recv := mpi.Sized(halo * len(in))
+				for i := 0; i < iters; i++ {
+					if err := coll.NeighborAlltoall(cart, send, recv, halo); err != nil {
+						return err
+					}
 				}
-			}
-			return nil
+				return nil
+			})
 		})
-		elapsed := time.Since(opStart)
-		sampler.stop()
 		if err != nil {
 			return nil, err
 		}
 		pts = append(pts, StencilPoint{
 			Dims: dimStr, Nodes: shape.nodes, PPN: stencilPPN, Ranks: ranks,
 			HaloBytes: halo, Iters: iters,
-			NsPerOp:        float64(elapsed.Nanoseconds()) / float64(iters),
-			SetupNs:        float64(setup.Nanoseconds()),
-			VirtualUs:      (w.MaxClock() / sim.Time(iters)).Us(),
-			PeakGoroutines: sampler.peak(),
-			PeakRSSBytes:   peakRSSBytes(),
+			VirtualUs: (w.MaxClock() / sim.Time(iters)).Us(),
+			Wall:      wall,
 		})
 	}
 	w.Close()    // idempotent; the deferred Close covers error paths

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/coll"
 	"repro/internal/hybrid"
@@ -14,9 +15,9 @@ import (
 // group) and ranks-per-node count it runs the composed pure-MPI
 // allgather and the hybrid allgather (window at the stack's innermost
 // shared level, threaded through coll.Tuning.SharedLevel), records the
-// virtual makespans and the priced per-tier composition. The committed
-// BENCH_*.json carries the table so a PR that moves a per-level
-// crossover or a topology's virtual time shows up in review.
+// virtual makespans and the priced per-tier composition. The sweep
+// golden pins the table, so a PR that moves a per-level crossover or a
+// topology's virtual time shows up in review.
 
 // TopoPoint is one (stack, shape, size) measurement.
 type TopoPoint struct {
@@ -36,6 +37,16 @@ type TopoSweepReport struct {
 	Model  string      `json:"model"`
 	Policy string      `json:"policy"`
 	Points []TopoPoint `json:"points"`
+}
+
+// Fprint lists every point.
+func (s *TopoSweepReport) Fprint(w io.Writer) {
+	fmt.Fprintf(w, "\ntopo-sweep (%s, policy %s): %d points (levels x ppn):\n",
+		s.Model, s.Policy, len(s.Points))
+	for _, p := range s.Points {
+		fmt.Fprintf(w, "  %-18s %dx%-3d %8dB  hier %10.2f us  hybrid(%s) %10.2f us\n",
+			p.Stack, p.Nodes, p.PPN, p.Bytes, p.HierUs, p.SharedLevel, p.HybridUs)
+	}
 }
 
 // topoStack describes one sweep topology family.

@@ -3,8 +3,8 @@ package bench
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
-	"time"
 
 	"repro/internal/coll"
 	"repro/internal/sim"
@@ -21,10 +21,10 @@ import (
 // puts it; the ladder deliberately straddles both crossovers so the
 // report shows the measured policy strictly beating the cost policy's
 // pick on the points between them. The full store lifecycle is in the
-// loop (cold measure -> save -> reload -> warm serve), and every warm
-// point is executed across both engines and all world-reuse paths plus
-// a full rerun: the sweep doubles as the determinism gate for the
-// measured policy.
+// loop (cold measure -> save -> reload -> warm serve), and the warm
+// ladder goes through spec.Referee across both engines, all
+// world-reuse paths and a full rerun: the sweep doubles as the
+// determinism gate for the measured policy.
 
 // TunedPoint is one ladder size measured under all three policies.
 type TunedPoint struct {
@@ -42,14 +42,15 @@ type TunedPoint struct {
 	// MeasuredBeatsCost reports MeasuredPs strictly below CostPs: the
 	// store's winner outran the clean-model pick under congestion.
 	MeasuredBeatsCost bool `json:"measured_beats_cost"`
-	// BitIdentical reports that both engines, the per-point referee, a
-	// pooled warm re-run and a full rerun against the same store all
-	// produced exactly MeasuredPs.
+	// BitIdentical records the referee's verdict: both engines, the
+	// per-point referee, a pooled warm re-run and a full rerun against
+	// the same store all produced exactly MeasuredPs. A divergence
+	// fails the sweep, so a written report always says true.
 	BitIdentical bool `json:"bit_identical"`
 }
 
-// TunedSweepReport is the measured-selection section of a
-// BENCH_*.json document.
+// TunedSweepReport is the measured-selection section of a sweep
+// report.
 type TunedSweepReport struct {
 	Model      string `json:"model"`
 	Collective string `json:"collective"`
@@ -61,8 +62,6 @@ type TunedSweepReport struct {
 	// CongestionNet is the network congestion factor the ladder runs
 	// under — the regime where the clean cost prior misranks.
 	CongestionNet float64 `json:"congestion_net"`
-	// WallMs is the host time the whole sweep took.
-	WallMs float64 `json:"wall_ms"`
 	// StoreEntries and Measurements describe the tuning store after
 	// the cold pass: distinct points cached, candidate races run.
 	StoreEntries int   `json:"store_entries"`
@@ -70,10 +69,23 @@ type TunedSweepReport struct {
 	// BeatsCost counts the points where the measured policy's virtual
 	// time is strictly below the cost policy's.
 	BeatsCost int `json:"beats_cost"`
-	// BitIdentical is the conjunction over every point — the headline
-	// determinism verdict for the measured policy.
+	// BitIdentical is the conjunction over every point.
 	BitIdentical bool         `json:"bit_identical"`
 	Points       []TunedPoint `json:"points"`
+}
+
+// Fprint lists every point.
+func (s *TunedSweepReport) Fprint(w io.Writer) {
+	fmt.Fprintf(w, "\ntuned-sweep (%s, %s %dx%d, seed %d, congestion net=%g, %d measurements, beats cost on %d points, bit-identical %v):\n",
+		s.Model, s.Collective, s.Nodes, s.PPN, s.Seed, s.CongestionNet, s.Measurements, s.BeatsCost, s.BitIdentical)
+	for _, p := range s.Points {
+		mark := ""
+		if p.MeasuredBeatsCost {
+			mark = "  << measured wins"
+		}
+		fmt.Fprintf(w, "  %8dB  table %12d ps  cost %12d ps (%s)  measured %12d ps (%s)%s\n",
+			p.Bytes, p.TablePs, p.CostPs, p.CostPick, p.MeasuredPs, p.MeasuredPick, mark)
+	}
 }
 
 // tunedSweepSizes straddles both allreduce crossovers: the clean cost
@@ -89,8 +101,8 @@ const tunedCongestionNet = 16
 // machine profile: an 8x8 congested allreduce ladder under the table,
 // cost and measured policies, with the tuning store's full persistence
 // round trip (cold measure, save, reload, warm serve) in the loop and
-// the warm results cross-checked for exact agreement across engines,
-// world-reuse paths and a rerun.
+// the warm ladder refereed across engines, world-reuse paths and a
+// rerun.
 func RunTunedSweep(machine string, seed int64) (*TunedSweepReport, error) {
 	const nodes, ppn, iters = 8, 8, 2
 	mkModel, ok := sim.Profiles()[machine]
@@ -104,25 +116,23 @@ func RunTunedSweep(machine string, seed int64) (*TunedSweepReport, error) {
 		Seed: seed, CongestionNet: tunedCongestionNet,
 		BitIdentical: true,
 	}
-	mkQuery := func(policy, engine string) *spec.Query {
+	mkQuery := func(policy string) *spec.Query {
 		return &spec.Query{
 			Machine:    machine,
 			Topology:   spec.Topology{Nodes: nodes, PPN: ppn},
 			Collective: "allreduce",
-			Sizes:      append([]int(nil), tunedSweepSizes...),
+			Sizes:      tunedSweepSizes,
 			Iters:      iters,
-			Engine:     engine,
 			Noise:      &spec.Noise{Seed: seed, Congestion: map[string]float64{"net": tunedCongestionNet}},
 			Tuning:     spec.Tuning{Policy: policy},
 		}
 	}
-	start := time.Now()
 
-	table, err := spec.Run(mkQuery("table", ""))
+	table, err := spec.Run(mkQuery("table"))
 	if err != nil {
 		return nil, fmt.Errorf("bench: tuned sweep (table): %w", err)
 	}
-	cost, err := spec.Run(mkQuery("cost", ""))
+	cost, err := spec.Run(mkQuery("cost"))
 	if err != nil {
 		return nil, fmt.Errorf("bench: tuned sweep (cost): %w", err)
 	}
@@ -132,17 +142,14 @@ func RunTunedSweep(machine string, seed int64) (*TunedSweepReport, error) {
 	// the candidates in the background.
 	store := tune.NewStore()
 	tuner := spec.NewTuner(store)
-	cold, err := (&spec.Exec{Tuner: tuner}).RunContext(context.Background(), mkQuery("measured", ""))
+	cold, err := (&spec.Exec{Tuner: tuner}).RunContext(context.Background(), mkQuery("measured"))
+	if err == nil {
+		// Pending measurements must serve the cost pick.
+		err = spec.Agree("cold-measured", cold, cost)
+	}
 	if err != nil {
 		tuner.Close()
-		return nil, fmt.Errorf("bench: tuned sweep (cold measured): %w", err)
-	}
-	for i := range cost.Points {
-		if cold.Points[i].VirtualPs != cost.Points[i].VirtualPs {
-			tuner.Close()
-			return nil, fmt.Errorf("bench: tuned sweep: cold measured run diverged from cost at %d B (%d vs %d ps) — pending measurements must serve the cost pick",
-				cost.Points[i].Bytes, cold.Points[i].VirtualPs, cost.Points[i].VirtualPs)
-		}
+		return nil, fmt.Errorf("bench: tuned sweep (cold measured vs cost): %w", err)
 	}
 	tuner.Drain()
 	tuner.Close()
@@ -172,34 +179,22 @@ func RunTunedSweep(machine string, seed int64) (*TunedSweepReport, error) {
 	}
 	warmTuner := spec.NewTuner(reloaded)
 	defer warmTuner.Close()
-	warm := &spec.Exec{Tuner: warmTuner}
-
-	// Reference timeline plus challengers: the event engine, the
-	// per-point referee, a pooled pair (second pass replays on a warm
-	// world) and a full rerun of the reference.
-	ref, err := warm.RunContext(context.Background(), mkQuery("measured", "goroutine"))
-	if err != nil {
-		return nil, fmt.Errorf("bench: tuned sweep (warm): %w", err)
-	}
 	pool := spec.NewWorldPool(spec.PoolConfig{})
 	defer pool.Close()
-	var challengers []*spec.Result
-	for _, ch := range []struct {
-		label string
-		exec  *spec.Exec
-		query *spec.Query
-	}{
-		{"event", warm, mkQuery("measured", "event")},
-		{"per-point", &spec.Exec{PerPointWorlds: true, Tuner: warmTuner}, mkQuery("measured", "goroutine")},
-		{"pooled", &spec.Exec{Pool: pool, Tuner: warmTuner}, mkQuery("measured", "goroutine")},
-		{"pooled-warm", &spec.Exec{Pool: pool, Tuner: warmTuner}, mkQuery("measured", "goroutine")},
-		{"rerun", warm, mkQuery("measured", "goroutine")},
-	} {
-		res, err := ch.exec.RunContext(context.Background(), ch.query)
-		if err != nil {
-			return nil, fmt.Errorf("bench: tuned sweep (%s): %w", ch.label, err)
-		}
-		challengers = append(challengers, res)
+	warm := &spec.Exec{Tuner: warmTuner}
+	pooled := &spec.Exec{Pool: pool, Tuner: warmTuner}
+
+	// The second pooled path replays on the world the first one checked
+	// back in; the last path is a plain rerun of the reference.
+	ref, err := spec.Referee(context.Background(), mkQuery("measured"),
+		spec.Path{Name: "goroutine/warm", Engine: "goroutine", Exec: warm},
+		spec.Path{Name: "event/warm", Engine: "event", Exec: warm},
+		spec.Path{Name: "goroutine/per-point", Engine: "goroutine", Exec: &spec.Exec{PerPointWorlds: true, Tuner: warmTuner}},
+		spec.Path{Name: "goroutine/pooled", Engine: "goroutine", Exec: pooled},
+		spec.Path{Name: "goroutine/pooled-warm", Engine: "goroutine", Exec: pooled},
+		spec.Path{Name: "goroutine/rerun", Engine: "goroutine", Exec: warm})
+	if err != nil {
+		return nil, fmt.Errorf("bench: tuned sweep (warm): %w", err)
 	}
 	if st := reloaded.Stats(); st.Hits == 0 {
 		return nil, fmt.Errorf("bench: tuned sweep: warm runs never hit the store")
@@ -220,15 +215,6 @@ func RunTunedSweep(machine string, seed int64) (*TunedSweepReport, error) {
 	rep.StoreEntries = st.Entries
 	rep.Measurements = st.Measured
 	for i, p := range ref.Points {
-		identical := true
-		for _, ch := range challengers {
-			if ch.Points[i].VirtualPs != p.VirtualPs {
-				identical = false
-			}
-		}
-		if !identical {
-			rep.BitIdentical = false
-		}
 		costPick, err := coll.Choose(coll.CollAllreduce,
 			coll.Env{Size: nodes * ppn, Bytes: p.Bytes, Count: p.Bytes / 8, Model: model, Hop: sim.HopNet},
 			coll.Tuning{Policy: coll.PolicyCost})
@@ -247,9 +233,8 @@ func RunTunedSweep(machine string, seed int64) (*TunedSweepReport, error) {
 			CostPick:          costPick,
 			MeasuredPick:      measuredPicks[p.Bytes],
 			MeasuredBeatsCost: beats,
-			BitIdentical:      identical,
+			BitIdentical:      true,
 		})
 	}
-	rep.WallMs = float64(time.Since(start).Nanoseconds()) / 1e6
 	return rep, nil
 }

@@ -1,12 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
-	"testing"
-
 	"repro/internal/bpmf"
 	"repro/internal/coll"
 	"repro/internal/mpi"
@@ -14,75 +8,16 @@ import (
 	"repro/internal/summa"
 )
 
-// This file measures *real* (wall-clock) execution speed of the
-// simulator itself, as opposed to the virtual latencies everywhere else
-// in the package. The virtual results are deterministic by design; how
-// many nanoseconds and allocations the host burns to produce them is
-// not, and is exactly what data-plane optimizations change. The
-// harness reports ns/op, allocs/op, bytes/op and the peak goroutine
-// count per figure-scale workload, so that BENCH_*.json files at the
-// repo root can hold successive PRs accountable for the wall-clock
-// trajectory.
-
-// WallCase is one wall-clock workload: a figure-scale run measured in
-// host time. Run executes one operation and returns the virtual
-// makespan so the harness can cross-check determinism between builds.
+// WallCase is one figure-scale workload whose virtual makespan the
+// golden determinism tests pin to the picosecond. Run executes one
+// operation and returns that makespan. (Host-time measurement of the
+// same scale points lives in benchmark/, outside this package.)
 type WallCase struct {
 	Name string
 	Run  func() (sim.Time, error)
 }
 
-// WallResult is the measurement of one WallCase.
-type WallResult struct {
-	Name           string  `json:"name"`
-	NsPerOp        float64 `json:"ns_per_op"`
-	AllocsPerOp    float64 `json:"allocs_per_op"`
-	BytesPerOp     float64 `json:"bytes_per_op"`
-	PeakGoroutines int     `json:"peak_goroutines"`
-	Iters          int     `json:"iters"`
-	VirtualUs      float64 `json:"virtual_us"`
-}
-
-// WallReport is the JSON document written to BENCH_*.json.
-type WallReport struct {
-	GoVersion string       `json:"go_version"`
-	Results   []WallResult `json:"results"`
-	// Baseline carries the pre-refactor numbers the current results
-	// are compared against (same schema), when a comparison was made.
-	Baseline []WallResult       `json:"baseline,omitempty"`
-	Speedup  map[string]float64 `json:"speedup_ns_per_op,omitempty"`
-	// CollSweep records the selection engine's algorithm choices and
-	// crossover points (cmd/perf -sweep).
-	CollSweep *CollSweepReport `json:"coll_sweep,omitempty"`
-	// TopoSweep records the multi-level topology dimension: composed
-	// and hybrid allgather virtual times plus priced compositions per
-	// level stack and ppn (cmd/perf -sweep).
-	TopoSweep *TopoSweepReport `json:"topo_sweep,omitempty"`
-	// ScaleSweep records the scale-out dimension: wall ns/op, peak
-	// goroutines and peak RSS of size-only collectives up to 65,536
-	// ranks (cmd/perf -sweep scale).
-	ScaleSweep *ScaleSweepReport `json:"scale_sweep,omitempty"`
-	// StencilSweep records the process-topology dimension: 4-dim
-	// grid halo exchanges per halo width up to 65,536 ranks
-	// (cmd/perf -sweep stencil).
-	StencilSweep *StencilSweepReport `json:"stencil_sweep,omitempty"`
-	// ServiceSweep records the simulation-as-a-service dimension:
-	// warm-cache throughput and latency of the what-if daemon
-	// (cmd/perf -sweep service).
-	ServiceSweep *ServiceSweepReport `json:"service_sweep,omitempty"`
-	// NoiseSweep records the robustness dimension: virtual-time
-	// slowdown per deterministic noise level, cross-checked for exact
-	// agreement across engines and world-reuse paths
-	// (cmd/perf -sweep noise).
-	NoiseSweep *NoiseSweepReport `json:"noise_sweep,omitempty"`
-	// TunedSweep records the measured-selection dimension: the
-	// congested allreduce ladder under the table, cost and measured
-	// tuning policies, with the tuning store's persistence round trip
-	// and the warm-path determinism verdict (cmd/perf -sweep tuned).
-	TunedSweep *TunedSweepReport `json:"tuned_sweep,omitempty"`
-}
-
-// WallCases returns the standard wall-clock workload set: the paper's
+// WallCases returns the standard figure-scale workload set: the paper's
 // Fig. 7 (one full node), Fig. 9 (64 nodes x 24 ranks — 1536 rank
 // goroutines), and Fig. 11 (SUMMA) scale points, plus a small-message
 // ping-pong that isolates the p2p matcher fast path.
@@ -210,275 +145,4 @@ func WallCases() []WallCase {
 			},
 		},
 	}
-}
-
-// MeasureWall benchmarks one case with the standard library's
-// benchmark loop (so iteration counts self-tune) while sampling the
-// process goroutine count in the background.
-func MeasureWall(c WallCase) (WallResult, error) {
-	var virtual sim.Time
-	var runErr error
-	sampler := newGoroutineSampler()
-
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			v, err := c.Run()
-			if err != nil {
-				runErr = err
-				b.Fatal(err)
-			}
-			virtual = v
-		}
-	})
-	sampler.stop()
-	if runErr != nil {
-		return WallResult{}, fmt.Errorf("bench: %s: %w", c.Name, runErr)
-	}
-	return WallResult{
-		Name:           c.Name,
-		NsPerOp:        float64(res.T.Nanoseconds()) / float64(res.N),
-		AllocsPerOp:    float64(res.AllocsPerOp()),
-		BytesPerOp:     float64(res.AllocedBytesPerOp()),
-		PeakGoroutines: sampler.peak(),
-		Iters:          res.N,
-		VirtualUs:      virtual.Us(),
-	}, nil
-}
-
-// RunWallCases measures the standard cases (all of them when filter is
-// nil, otherwise those whose name the filter accepts) and assembles the
-// report.
-func RunWallCases(filter func(name string) bool) (*WallReport, error) {
-	rep := &WallReport{GoVersion: runtime.Version()}
-	for _, c := range WallCases() {
-		if filter != nil && !filter(c.Name) {
-			continue
-		}
-		r, err := MeasureWall(c)
-		if err != nil {
-			return nil, err
-		}
-		rep.Results = append(rep.Results, r)
-	}
-	return rep, nil
-}
-
-// CompareTo embeds the baseline's results and computes per-case ns/op
-// speedups against it (baseline ns / current ns, so > 1 means the
-// current build is faster).
-func (rep *WallReport) CompareTo(baseline *WallReport) {
-	rep.Baseline = baseline.Results
-	rep.Speedup = map[string]float64{}
-	byName := map[string]WallResult{}
-	for _, r := range baseline.Results {
-		byName[r.Name] = r
-	}
-	for _, r := range rep.Results {
-		if b, ok := byName[r.Name]; ok && r.NsPerOp > 0 {
-			rep.Speedup[r.Name] = b.NsPerOp / r.NsPerOp
-		}
-	}
-}
-
-// CheckAgainst is the perf-regression gate: it compares the current
-// results to a committed baseline and returns one violation string per
-// breach. Wall-clock time gets a generous multiplier (CI machines are
-// noisy and heterogeneous); allocations are deterministic per
-// operation, so they get a strict ceiling — allocSlack covers only
-// benchmark-loop warmup effects. Cases missing on either side are
-// skipped: the gate guards what both builds measure.
-func (rep *WallReport) CheckAgainst(baseline *WallReport, maxSlowdown, allocSlack float64) []string {
-	byName := map[string]WallResult{}
-	for _, b := range baseline.Results {
-		byName[b.Name] = b
-	}
-	var violations []string
-	for _, r := range rep.Results {
-		b, ok := byName[r.Name]
-		if !ok {
-			continue
-		}
-		if b.NsPerOp > 0 && r.NsPerOp > b.NsPerOp*maxSlowdown {
-			violations = append(violations, fmt.Sprintf(
-				"%s: %.0f ns/op exceeds %.1fx baseline %.0f ns/op",
-				r.Name, r.NsPerOp, maxSlowdown, b.NsPerOp))
-		}
-		if ceiling := b.AllocsPerOp*allocSlack + 16; r.AllocsPerOp > ceiling {
-			violations = append(violations, fmt.Sprintf(
-				"%s: %.0f allocs/op exceeds ceiling %.0f (baseline %.0f)",
-				r.Name, r.AllocsPerOp, ceiling, b.AllocsPerOp))
-		}
-	}
-	// The topology dimension is part of the gate: once a baseline
-	// carries a topo sweep, every checked build must produce one, and
-	// virtual times are deterministic so they must match exactly.
-	if baseline.TopoSweep != nil {
-		if rep.TopoSweep == nil || len(rep.TopoSweep.Points) == 0 {
-			violations = append(violations, "topology sweep missing (baseline has one; run with -sweep)")
-		} else {
-			topoKey := func(p TopoPoint) string {
-				return fmt.Sprintf("%s/%dx%d/%dB", p.Stack, p.Nodes, p.PPN, p.Bytes)
-			}
-			current := map[string]TopoPoint{}
-			for _, p := range rep.TopoSweep.Points {
-				current[topoKey(p)] = p
-			}
-			// Every baseline point must still exist and match exactly;
-			// a vanished point is a sweep-shape drift the gate must
-			// surface, not silently skip.
-			for _, b := range baseline.TopoSweep.Points {
-				key := topoKey(b)
-				p, ok := current[key]
-				if !ok {
-					violations = append(violations, fmt.Sprintf(
-						"topo %s: baseline point missing from the current sweep", key))
-					continue
-				}
-				if p.HierUs != b.HierUs || p.HybridUs != b.HybridUs {
-					violations = append(violations, fmt.Sprintf(
-						"topo %s: virtual time moved (hier %.2f -> %.2f us, hybrid %.2f -> %.2f us)",
-						key, b.HierUs, p.HierUs, b.HybridUs, p.HybridUs))
-				}
-			}
-		}
-	}
-	// The stencil dimension: virtual times are deterministic, so every
-	// point measured by both builds must match exactly. Unlike the topo
-	// sweep, the ladder is rank-count-capped in CI (-scalemax), so only
-	// the intersection is compared — but a missing sweep, or an empty
-	// intersection, is a gate failure (a silently skipped dimension
-	// would otherwise read as green).
-	if baseline.StencilSweep != nil {
-		if rep.StencilSweep == nil || len(rep.StencilSweep.Points) == 0 {
-			violations = append(violations, "stencil sweep missing (baseline has one; run with -sweep stencil)")
-		} else {
-			stencilKey := func(p StencilPoint) string {
-				return fmt.Sprintf("%s/%dB", p.Dims, p.HaloBytes)
-			}
-			current := map[string]StencilPoint{}
-			for _, p := range rep.StencilSweep.Points {
-				current[stencilKey(p)] = p
-			}
-			common := 0
-			for _, b := range baseline.StencilSweep.Points {
-				p, ok := current[stencilKey(b)]
-				if !ok {
-					continue
-				}
-				common++
-				if p.VirtualUs != b.VirtualUs {
-					violations = append(violations, fmt.Sprintf(
-						"stencil %s: virtual time moved (%.2f -> %.2f us)",
-						stencilKey(b), b.VirtualUs, p.VirtualUs))
-				}
-			}
-			if common == 0 {
-				violations = append(violations,
-					"stencil sweep shares no points with the baseline (ladder shape drifted)")
-			}
-		}
-	}
-	// The noise dimension: each point's virtual makespan is seeded and
-	// deterministic, so every point measured by both builds must match
-	// exactly, and the in-sweep cross-engine/warm/pooled agreement
-	// verdict must hold in the current build.
-	if baseline.NoiseSweep != nil {
-		if rep.NoiseSweep == nil || len(rep.NoiseSweep.Points) == 0 {
-			violations = append(violations, "noise sweep missing (baseline has one; run with -sweep noise)")
-		} else {
-			if !rep.NoiseSweep.BitIdentical {
-				violations = append(violations,
-					"noise sweep lost bit-identity across engines/world-reuse paths")
-			}
-			noiseKey := func(p NoisePoint) string {
-				return fmt.Sprintf("%s/%dB", p.Label, p.Bytes)
-			}
-			current := map[string]NoisePoint{}
-			for _, p := range rep.NoiseSweep.Points {
-				current[noiseKey(p)] = p
-			}
-			common := 0
-			for _, b := range baseline.NoiseSweep.Points {
-				p, ok := current[noiseKey(b)]
-				if !ok {
-					continue
-				}
-				common++
-				if rep.NoiseSweep.Seed == baseline.NoiseSweep.Seed && p.VirtualPs != b.VirtualPs {
-					violations = append(violations, fmt.Sprintf(
-						"noise %s: virtual time moved (%d -> %d ps)",
-						noiseKey(b), b.VirtualPs, p.VirtualPs))
-				}
-			}
-			if common == 0 {
-				violations = append(violations,
-					"noise sweep shares no points with the baseline (ladder shape drifted)")
-			}
-		}
-	}
-	// The measured-selection dimension: the warm tuning store must pin
-	// every path to one timeline, the measured policy must keep
-	// strictly beating the cost prior on the congested window, and —
-	// since every virtual time is seeded and deterministic — points
-	// measured by both builds under the same seed must match exactly.
-	if baseline.TunedSweep != nil {
-		if rep.TunedSweep == nil || len(rep.TunedSweep.Points) == 0 {
-			violations = append(violations, "tuned sweep missing (baseline has one; run with -sweep tuned)")
-		} else {
-			if !rep.TunedSweep.BitIdentical {
-				violations = append(violations,
-					"tuned sweep lost bit-identity across engines/world-reuse paths/reruns")
-			}
-			if rep.TunedSweep.BeatsCost < 2 {
-				violations = append(violations, fmt.Sprintf(
-					"measured policy beats the cost policy on %d points, want >= 2",
-					rep.TunedSweep.BeatsCost))
-			}
-			current := map[int]TunedPoint{}
-			for _, p := range rep.TunedSweep.Points {
-				current[p.Bytes] = p
-			}
-			common := 0
-			for _, b := range baseline.TunedSweep.Points {
-				p, ok := current[b.Bytes]
-				if !ok {
-					continue
-				}
-				common++
-				if rep.TunedSweep.Seed == baseline.TunedSweep.Seed && p.MeasuredPs != b.MeasuredPs {
-					violations = append(violations, fmt.Sprintf(
-						"tuned %dB: measured virtual time moved (%d -> %d ps)",
-						b.Bytes, b.MeasuredPs, p.MeasuredPs))
-				}
-			}
-			if common == 0 {
-				violations = append(violations,
-					"tuned sweep shares no points with the baseline (ladder shape drifted)")
-			}
-		}
-	}
-	return violations
-}
-
-// LoadWallReport reads a previously written report.
-func LoadWallReport(path string) (*WallReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep WallReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("bench: parse %s: %w", path, err)
-	}
-	return &rep, nil
-}
-
-// WriteWallReport writes the report as indented JSON.
-func (rep *WallReport) WriteWallReport(path string) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

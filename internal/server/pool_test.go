@@ -53,23 +53,17 @@ func TestWorldPoolHitsAcrossQueries(t *testing.T) {
 	}
 }
 
-// TestWorldPoolDisabled: a negative rank budget turns pooling off, and
-// the construct-per-point referee config never pools either.
+// TestWorldPoolDisabled: a negative rank budget turns pooling off.
 func TestWorldPoolDisabled(t *testing.T) {
-	for _, cfg := range []server.Config{
-		{WorldPoolRanks: -1, Logger: quietLogger()},
-		{PerPointWorlds: true, Logger: quietLogger()},
-	} {
-		srv := server.New(cfg)
-		for i := 0; i < 3; i++ {
-			if rec := do(t, srv, "POST", "/v1/run", poolQuery(64+i*16)); rec.Code != 200 {
-				t.Fatalf("query %d: %d %s", i, rec.Code, rec.Body)
-			}
+	srv := server.New(server.Config{WorldPoolRanks: -1, Logger: quietLogger()})
+	defer srv.Close()
+	for i := 0; i < 3; i++ {
+		if rec := do(t, srv, "POST", "/v1/run", poolQuery(64+i*16)); rec.Code != 200 {
+			t.Fatalf("query %d: %d %s", i, rec.Code, rec.Body)
 		}
-		if s := srv.PoolStats(); s.Hits != 0 || s.Misses != 0 || s.IdleWorlds != 0 {
-			t.Errorf("%+v: pool active despite being disabled: %+v", cfg, s)
-		}
-		srv.Close()
+	}
+	if s := srv.PoolStats(); s.Hits != 0 || s.Misses != 0 || s.IdleWorlds != 0 {
+		t.Errorf("pool active despite being disabled: %+v", s)
 	}
 }
 

@@ -188,14 +188,8 @@ func TestHTTPMatchesCLI(t *testing.T) {
 	if viaHTTP.Fingerprint != direct.Fingerprint {
 		t.Errorf("fingerprints differ: %s vs %s", viaHTTP.Fingerprint, direct.Fingerprint)
 	}
-	if len(viaHTTP.Points) != len(direct.Points) {
-		t.Fatalf("point counts differ: %d vs %d", len(viaHTTP.Points), len(direct.Points))
-	}
-	for i := range direct.Points {
-		if viaHTTP.Points[i].VirtualPs != direct.Points[i].VirtualPs {
-			t.Errorf("point %d: HTTP %d ps, CLI %d ps", i,
-				viaHTTP.Points[i].VirtualPs, direct.Points[i].VirtualPs)
-		}
+	if err := spec.Agree("http", &viaHTTP, direct); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -71,11 +71,8 @@ func TestTuneStoreSharedAcrossDaemons(t *testing.T) {
 	if len(results[0].Points) == 0 {
 		t.Fatal("no points returned")
 	}
-	for i := range results[0].Points {
-		if results[0].Points[i].VirtualPs != results[1].Points[i].VirtualPs {
-			t.Errorf("point %d: daemon A %d ps, daemon B %d ps — shared store must pin picks",
-				i, results[0].Points[i].VirtualPs, results[1].Points[i].VirtualPs)
-		}
+	if err := spec.Agree("daemon-B", &results[1], &results[0]); err != nil {
+		t.Errorf("shared store must pin picks: %v", err)
 	}
 }
 

@@ -21,6 +21,6 @@
 // The package also owns the textual tuning grammar historically parsed
 // by internal/coll ("policy=cost,allreduce=rabenseifner,..."):
 // ParseTuning parses it, Tuning.Spec renders it back canonically, and
-// importing this package installs the REPRO_COLL_TUNING environment
+// InstallEnvTuning applies the REPRO_COLL_TUNING environment
 // compatibility shim (see EnvVar).
 package spec

@@ -19,53 +19,29 @@ var allCollectives = []string{
 // collective on both engines, the construct-per-point path
 // (PerPointWorlds — the historical behavior), the warm within-query
 // path (zero Exec), the pooled path and the pooled+parallel path must
-// return bit-identical virtual times. The ladder mixes sizes so the
-// event engine's fold=auto produces multiple fold groups for the
-// foldable collectives, covering group partitioning too.
+// return bit-identical points. The ladder mixes sizes so the event
+// engine's fold=auto produces multiple fold groups for the foldable
+// collectives, covering group partitioning too. Referee itself demands
+// that the two pooled paths reused a world.
 func TestExecWarmPathsBitIdentical(t *testing.T) {
 	pool := spec.NewWorldPool(spec.PoolConfig{MaxIdle: -1})
 	defer pool.Close()
-	execs := map[string]*spec.Exec{
-		"perpoint":        {PerPointWorlds: true},
-		"warm":            {},
-		"pooled":          {Pool: pool},
-		"pooled-parallel": {Pool: pool, Parallelism: 4},
-	}
 	for _, collective := range allCollectives {
-		for _, engine := range []string{"", `,"engine":"event"`} {
-			raw := `{"machine":"laptop","topology":{"nodes":2,"ppn":4},"collective":"` +
-				collective + `","sizes":[8,512,4096,65536],"iters":2` + engine + `}`
-			results := map[string]*spec.Result{}
-			for name, e := range execs {
-				q, err := spec.Parse([]byte(raw))
-				if err != nil {
-					t.Fatal(err)
-				}
-				r, err := e.RunContext(context.Background(), q)
-				if err != nil {
-					t.Fatalf("%s %s %s: %v", collective, engine, name, err)
-				}
-				results[name] = r
+		for _, engine := range []string{"goroutine", "event"} {
+			q, err := spec.Parse([]byte(`{"machine":"laptop","topology":{"nodes":2,"ppn":4},"collective":"` +
+				collective + `","sizes":[8,512,4096,65536],"iters":2}`))
+			if err != nil {
+				t.Fatal(err)
 			}
-			ref := results["perpoint"]
-			for name, r := range results {
-				if len(r.Points) != len(ref.Points) {
-					t.Fatalf("%s %s %s: %d points, referee has %d",
-						collective, engine, name, len(r.Points), len(ref.Points))
-				}
-				for i := range ref.Points {
-					if r.Points[i] != ref.Points[i] {
-						t.Errorf("%s %s %s point %d: %+v, referee %+v",
-							collective, engine, name, i, r.Points[i], ref.Points[i])
-					}
-				}
+			_, err = spec.Referee(context.Background(), q,
+				spec.Path{Name: "perpoint", Engine: engine, Exec: &spec.Exec{PerPointWorlds: true}},
+				spec.Path{Name: "warm", Engine: engine},
+				spec.Path{Name: "pooled", Engine: engine, Exec: &spec.Exec{Pool: pool}},
+				spec.Path{Name: "pooled-parallel", Engine: engine, Exec: &spec.Exec{Pool: pool, Parallelism: 4}})
+			if err != nil {
+				t.Errorf("%s %s: %v", collective, engine, err)
 			}
 		}
-	}
-	// Sanity: the pooled runs actually reused worlds — otherwise the
-	// referee proved nothing about warm state.
-	if s := pool.Stats(); s.Hits == 0 {
-		t.Errorf("pooled executions never hit the pool: %+v", s)
 	}
 }
 
@@ -76,33 +52,18 @@ func TestExecWarmPathsBitIdentical(t *testing.T) {
 func TestExecPooledSequenceMatchesCold(t *testing.T) {
 	pool := spec.NewWorldPool(spec.PoolConfig{MaxIdle: -1})
 	defer pool.Close()
-	raw := `{"machine":"laptop","topology":{"nodes":2,"ppn":4},"collective":"allgather","sizes":[64,4096],"iters":3}`
-	cold := func() *spec.Result {
-		q, err := spec.Parse([]byte(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := (&spec.Exec{PerPointWorlds: true}).RunContext(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}()
-	e := &spec.Exec{Pool: pool}
-	for rerun := 0; rerun < 3; rerun++ {
-		q, err := spec.Parse([]byte(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := e.RunContext(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range cold.Points {
-			if r.Points[i] != cold.Points[i] {
-				t.Errorf("rerun %d point %d: %+v, cold %+v", rerun, i, r.Points[i], cold.Points[i])
-			}
-		}
+	q, err := spec.Parse([]byte(`{"machine":"laptop","topology":{"nodes":2,"ppn":4},"collective":"allgather","sizes":[64,4096],"iters":3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled := &spec.Exec{Pool: pool}
+	_, err = spec.Referee(context.Background(), q,
+		spec.Path{Name: "cold", Exec: &spec.Exec{PerPointWorlds: true}},
+		spec.Path{Name: "pooled-0", Exec: pooled},
+		spec.Path{Name: "pooled-1", Exec: pooled},
+		spec.Path{Name: "pooled-2", Exec: pooled})
+	if err != nil {
+		t.Error(err)
 	}
 	if s := pool.Stats(); s.Hits < 2 {
 		t.Errorf("reruns did not reuse the world: %+v", s)

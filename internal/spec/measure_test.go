@@ -53,11 +53,8 @@ func TestMeasuredColdFallsBackToCost(t *testing.T) {
 	tuner := spec.NewTuner(store)
 	defer tuner.Close()
 	cold := runTuned(t, &spec.Exec{Tuner: tuner}, tunedQueryJSON(""))
-	for i := range cost.Points {
-		if cold.Points[i].VirtualPs != cost.Points[i].VirtualPs {
-			t.Errorf("point %d: cold measured %d ps, cost %d ps — pending measurements must serve the cost choice",
-				i, cold.Points[i].VirtualPs, cost.Points[i].VirtualPs)
-		}
+	if err := spec.Agree("cold-measured", cold, cost); err != nil {
+		t.Errorf("pending measurements must serve the cost choice: %v", err)
 	}
 	tuner.Drain()
 	st := store.Stats()
@@ -66,11 +63,8 @@ func TestMeasuredColdFallsBackToCost(t *testing.T) {
 	}
 	// A tuner-less measured run is also exactly the cost run.
 	plain := runTuned(t, &spec.Exec{}, tunedQueryJSON(""))
-	for i := range cost.Points {
-		if plain.Points[i].VirtualPs != cost.Points[i].VirtualPs {
-			t.Errorf("point %d: tuner-less measured %d ps, cost %d ps",
-				i, plain.Points[i].VirtualPs, cost.Points[i].VirtualPs)
-		}
+	if err := spec.Agree("tuner-less-measured", plain, cost); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -107,29 +101,28 @@ func TestMeasuredWarmGoldenDeterminism(t *testing.T) {
 
 	pool := spec.NewWorldPool(spec.PoolConfig{MaxIdle: -1})
 	defer pool.Close()
-	execs := map[string]*spec.Exec{
-		"perpoint":        {PerPointWorlds: true, Tuner: warmTuner},
-		"warm":            {Tuner: warmTuner},
-		"pooled":          {Pool: pool, Tuner: warmTuner},
-		"pooled-parallel": {Pool: pool, Parallelism: 4, Tuner: warmTuner},
-	}
-	var ref *spec.Result
-	for _, engine := range []string{"", "event"} {
-		for name, e := range execs {
-			for rerun := 0; rerun < 2; rerun++ {
-				r := runTuned(t, e, tunedQueryJSON(engine))
-				if ref == nil {
-					ref = r
-					continue
-				}
-				for i := range ref.Points {
-					if r.Points[i].VirtualPs != ref.Points[i].VirtualPs {
-						t.Errorf("engine=%q %s rerun=%d point %d: %d ps, reference %d ps",
-							engine, name, rerun, i, r.Points[i].VirtualPs, ref.Points[i].VirtualPs)
-					}
-				}
+	var paths []spec.Path
+	for _, engine := range []string{"goroutine", "event"} {
+		for _, e := range []struct {
+			name string
+			exec *spec.Exec
+		}{
+			{"perpoint", &spec.Exec{PerPointWorlds: true, Tuner: warmTuner}},
+			{"warm", &spec.Exec{Tuner: warmTuner}},
+			{"pooled", &spec.Exec{Pool: pool, Tuner: warmTuner}},
+			{"pooled-parallel", &spec.Exec{Pool: pool, Parallelism: 4, Tuner: warmTuner}},
+		} {
+			for _, pass := range []string{"", "/rerun"} {
+				paths = append(paths, spec.Path{Name: engine + "/" + e.name + pass, Engine: engine, Exec: e.exec})
 			}
 		}
+	}
+	q, err := spec.Parse([]byte(tunedQueryJSON("")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := spec.Referee(context.Background(), q, paths[0], paths[1:]...); err != nil {
+		t.Error(err)
 	}
 	// The warm runs resolved from the store, not the cost fallback.
 	if st := reloaded.Stats(); st.Hits == 0 {
@@ -164,11 +157,8 @@ func TestMeasuredSharedStoreFile(t *testing.T) {
 		results[d] = runTuned(t, &spec.Exec{Tuner: tr}, tunedQueryJSON("event"))
 		tr.Close()
 	}
-	for i := range results[0].Points {
-		if results[0].Points[i] != results[1].Points[i] {
-			t.Errorf("point %d: daemon A %+v, daemon B %+v",
-				i, results[0].Points[i], results[1].Points[i])
-		}
+	if err := spec.Agree("daemon-B", results[1], results[0]); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -248,11 +238,8 @@ func TestMeasuredHammer(t *testing.T) {
 		if results[g] == nil || results[0] == nil {
 			t.Fatal("warm hammer run failed")
 		}
-		for i := range results[0].Points {
-			if results[g].Points[i] != results[0].Points[i] {
-				t.Errorf("warm run %d point %d: %+v, run 0 has %+v",
-					g, i, results[g].Points[i], results[0].Points[i])
-			}
+		if err := spec.Agree(fmt.Sprintf("warm-run-%d", g), results[g], results[0]); err != nil {
+			t.Error(err)
 		}
 	}
 }

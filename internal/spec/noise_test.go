@@ -3,6 +3,7 @@ package spec_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
@@ -33,48 +34,33 @@ func noisyQuery(t *testing.T, engine string, seed int64) *spec.Query {
 // TestNoiseGoldenDeterminism is the PR's golden suite: one seed, every
 // execution path — both engines, per-point referee worlds, the warm
 // within-query path, and a pooled world run twice (second pass warm) —
-// must produce bit-identical virtual times; a different seed must not.
+// must produce bit-identical virtual times; a different seed must not,
+// and the referee must name the path that carries it.
 func TestNoiseGoldenDeterminism(t *testing.T) {
 	pool := spec.NewWorldPool(spec.PoolConfig{MaxIdle: -1})
 	defer pool.Close()
-	run := func(engine string, seed int64, e *spec.Exec) *spec.Result {
-		r, err := e.RunContext(context.Background(), noisyQuery(t, engine, seed))
-		if err != nil {
-			t.Fatalf("engine %s seed %d: %v", engine, seed, err)
+	pooled := &spec.Exec{Pool: pool}
+	q := noisyQuery(t, "goroutine", 3)
+	ref := spec.Path{Name: "goroutine/perpoint", Exec: &spec.Exec{PerPointWorlds: true}}
+	_, err := spec.Referee(context.Background(), q, ref,
+		spec.Path{Name: "goroutine/warm"},
+		spec.Path{Name: "event/perpoint", Engine: "event", Exec: &spec.Exec{PerPointWorlds: true}},
+		spec.Path{Name: "event/warm", Engine: "event"},
+		spec.Path{Name: "goroutine/pooled", Exec: pooled},
+		spec.Path{Name: "goroutine/pooled-2", Exec: pooled})
+	if err != nil {
+		t.Error(err)
+	}
+	_, err = spec.Referee(context.Background(), q, ref,
+		spec.Path{Name: "goroutine/warm"},
+		spec.Path{Name: "seed-4", Edit: func(q *spec.Query) { q.Noise.Seed = 4 }})
+	if !errors.Is(err, spec.ErrDiverged) {
+		t.Fatalf("seed 3 and seed 4 produced identical ladders — seed is not keying the draws (err = %v)", err)
+	}
+	for _, want := range []string{"path seed-4 at ", " B: got ", " ps, want ", "reference path goroutine/perpoint"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("divergence error %q does not contain %q", err, want)
 		}
-		return r
-	}
-	ref := run("goroutine", 3, &spec.Exec{PerPointWorlds: true})
-	challengers := map[string]*spec.Result{
-		"goroutine/warm":     run("goroutine", 3, &spec.Exec{}),
-		"event/perpoint":     run("event", 3, &spec.Exec{PerPointWorlds: true}),
-		"event/warm":         run("event", 3, &spec.Exec{}),
-		"goroutine/pooled":   run("goroutine", 3, &spec.Exec{Pool: pool}),
-		"goroutine/pooled-2": run("goroutine", 3, &spec.Exec{Pool: pool}),
-	}
-	for name, r := range challengers {
-		if len(r.Points) != len(ref.Points) {
-			t.Fatalf("%s: %d points, referee has %d", name, len(r.Points), len(ref.Points))
-		}
-		for i := range ref.Points {
-			if r.Points[i].VirtualPs != ref.Points[i].VirtualPs {
-				t.Errorf("%s point %d (%d B): %d ps, referee %d ps",
-					name, i, ref.Points[i].Bytes, r.Points[i].VirtualPs, ref.Points[i].VirtualPs)
-			}
-		}
-	}
-	if s := pool.Stats(); s.Hits == 0 {
-		t.Errorf("second pooled run never reused the noisy world: %+v", s)
-	}
-	other := run("goroutine", 4, &spec.Exec{})
-	diverged := false
-	for i := range ref.Points {
-		if other.Points[i].VirtualPs != ref.Points[i].VirtualPs {
-			diverged = true
-		}
-	}
-	if !diverged {
-		t.Error("seed 3 and seed 4 produced identical ladders — seed is not keying the draws")
 	}
 }
 

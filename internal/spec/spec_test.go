@@ -62,6 +62,33 @@ func TestTuningRoundTrip(t *testing.T) {
 	}
 }
 
+// TestInstallEnvTuning pins the REPRO_COLL_TUNING shim's three cases:
+// a well-formed value becomes the process default, an unset variable
+// leaves the default alone, and a malformed one is ignored.
+func TestInstallEnvTuning(t *testing.T) {
+	defer coll.SetDefaultTuning(coll.DefaultTuning())
+	coll.SetDefaultTuning(coll.Tuning{})
+
+	t.Setenv(spec.EnvVar, "")
+	spec.InstallEnvTuning()
+	if got := coll.DefaultTuning(); got.Policy != coll.PolicyTable || got.Force != nil {
+		t.Errorf("unset variable changed the default: %+v", got)
+	}
+	t.Setenv(spec.EnvVar, "policy=cost,allreduce=rabenseifner,sharedlevel=socket")
+	spec.InstallEnvTuning()
+	got := coll.DefaultTuning()
+	if got.Policy != coll.PolicyCost || got.Force[coll.CollAllreduce] != "rabenseifner" || got.SharedLevel != "socket" {
+		t.Errorf("well-formed variable installed %+v", got)
+	}
+	for _, bad := range []string{"policy=fastest", "allreduce=nosuchalgo", "nokeyvalue"} {
+		t.Setenv(spec.EnvVar, bad)
+		spec.InstallEnvTuning()
+		if now := coll.DefaultTuning(); now.Policy != coll.PolicyCost || now.SharedLevel != "socket" {
+			t.Errorf("malformed %q replaced the default: %+v", bad, now)
+		}
+	}
+}
+
 // TestTuningCollConversion checks the declarative <-> runtime
 // conversion both ways.
 func TestTuningCollConversion(t *testing.T) {
@@ -247,34 +274,21 @@ func FuzzParseQuery(f *testing.F) {
 // and demands bit-identical virtual times — the spec-level form of the
 // cross-engine contract.
 func TestRunEnginesBitIdentical(t *testing.T) {
-	for _, collective := range []string{"allgather", "allreduce", "bcast", "barrier", "alltoall", "gather", "scan", "reduce", "allgatherv"} {
-		base := `{"machine":"laptop","topology":{"nodes":2,"ppn":4},"collective":"` + collective + `","sizes":[8,4096],"iters":2`
-		qg, err := spec.Parse([]byte(base + `}`))
+	for _, collective := range allCollectives {
+		q, err := spec.Parse([]byte(`{"machine":"laptop","topology":{"nodes":2,"ppn":4},"collective":"` + collective + `","sizes":[8,4096],"iters":2}`))
 		if err != nil {
 			t.Fatal(err)
 		}
-		qe, err := spec.Parse([]byte(base + `,"engine":"event"}`))
+		res, err := spec.Referee(context.Background(), q,
+			spec.Path{Name: "goroutine", Engine: "goroutine"},
+			spec.Path{Name: "event", Engine: "event"})
 		if err != nil {
-			t.Fatal(err)
+			t.Errorf("%s: %v", collective, err)
+			continue
 		}
-		rg, err := spec.Run(qg)
-		if err != nil {
-			t.Fatalf("%s goroutine: %v", collective, err)
-		}
-		re, err := spec.Run(qe)
-		if err != nil {
-			t.Fatalf("%s event: %v", collective, err)
-		}
-		if len(rg.Points) != len(re.Points) {
-			t.Fatalf("%s: point count %d vs %d", collective, len(rg.Points), len(re.Points))
-		}
-		for i := range rg.Points {
-			if rg.Points[i].VirtualPs != re.Points[i].VirtualPs {
-				t.Errorf("%s at %d B: goroutine %d ps, event %d ps",
-					collective, rg.Points[i].Bytes, rg.Points[i].VirtualPs, re.Points[i].VirtualPs)
-			}
-			if rg.Points[i].VirtualPs <= 0 {
-				t.Errorf("%s at %d B: non-positive virtual time", collective, rg.Points[i].Bytes)
+		for _, p := range res.Points {
+			if p.VirtualPs <= 0 {
+				t.Errorf("%s at %d B: non-positive virtual time", collective, p.Bytes)
 			}
 		}
 	}
@@ -282,22 +296,12 @@ func TestRunEnginesBitIdentical(t *testing.T) {
 
 // TestRunDeterministic: the same Query run twice is bit-identical.
 func TestRunDeterministic(t *testing.T) {
-	run := func() *spec.Result {
-		q, err := spec.Parse([]byte(pointQuery))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := spec.Run(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
+	q, err := spec.Parse([]byte(pointQuery))
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := run(), run()
-	for i := range a.Points {
-		if a.Points[i] != b.Points[i] {
-			t.Errorf("point %d differs across runs: %+v vs %+v", i, a.Points[i], b.Points[i])
-		}
+	if _, err := spec.Referee(context.Background(), q, spec.Path{Name: "first"}, spec.Path{Name: "second"}); err != nil {
+		t.Error(err)
 	}
 }
 

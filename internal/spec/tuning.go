@@ -32,9 +32,9 @@ type Tuning struct {
 }
 
 // EnvVar is the environment variable the process-default tuning is
-// read from — kept as a compatibility shim: importing this package
-// parses it, installs the result via coll.SetDefaultTuning, and logs
-// its spec-form equivalent.
+// read from — kept as a compatibility shim: InstallEnvTuning parses
+// it, installs the result via coll.SetDefaultTuning, and logs its
+// spec-form equivalent.
 const EnvVar = "REPRO_COLL_TUNING"
 
 // ParseTuning parses the textual tuning grammar of comma-separated
@@ -175,13 +175,13 @@ func TuningFromColl(ct coll.Tuning) Tuning {
 	return t
 }
 
-// init installs the REPRO_COLL_TUNING compatibility shim: a set,
-// well-formed value becomes the process-default coll tuning exactly as
-// when internal/coll parsed the variable itself, and its spec-form
+// InstallEnvTuning applies the REPRO_COLL_TUNING compatibility shim;
+// commands call it first thing in main. A set, well-formed value
+// becomes the process-default coll tuning, and its spec-form
 // equivalent (textual and JSON) is logged so users can migrate to the
 // Spec API. A malformed value is logged and ignored rather than
 // failing every collective in the job.
-func init() {
+func InstallEnvTuning() {
 	s := os.Getenv(EnvVar)
 	if s == "" {
 		return
