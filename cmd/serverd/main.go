@@ -17,9 +17,9 @@
 // the daemon without wrapping the command line. See API.md for every
 // endpoint, the full Query schema and more examples. Shutdown is
 // graceful: on SIGINT/SIGTERM the listener closes, in-flight requests
-// get -drain to finish (then their worlds are aborted), the warm world
-// pool is retired, and the simulator's parked rank workers are drained
-// so the process exits with no simulator goroutines.
+// get -drain to finish (then their worlds are aborted) and the warm
+// world pool is retired, which leaves no simulator goroutine; the
+// "stopped" log line reports the goroutine count.
 package main
 
 import (
@@ -32,11 +32,11 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
 	"strconv"
 	"syscall"
 	"time"
 
-	"repro/internal/mpi"
 	"repro/internal/server"
 	"repro/internal/spec"
 )
@@ -199,9 +199,8 @@ func main() {
 		pprofSrv.Close()
 	}
 	// Abort anything the drain window did not flush and retire the
-	// warm world pool, then release the simulator's parked rank
-	// workers.
+	// warm world pool; the goroutine count left over is logged so a
+	// leak shows (CI's serverd-smoke checks it).
 	svc.Close()
-	released := mpi.DrainIdleWorkers()
-	logger.Info("stopped", "rank_workers_released", released)
+	logger.Info("stopped", "goroutines", runtime.NumGoroutine())
 }

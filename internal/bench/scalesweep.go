@@ -34,7 +34,6 @@ type ScalePoint struct {
 	Iters     int     `json:"iters"`
 	VirtualUs float64 `json:"virtual_us"` // per-op virtual makespan
 	VirtualPs int64   `json:"virtual_ps"` // exact total makespan (cross-engine equality)
-	Wall      Wall    `json:"wall"`       // world build + iters ops, per op
 }
 
 // ScaleSweepReport is the scale section of a sweep report.
@@ -52,9 +51,8 @@ func (s *ScaleSweepReport) Fprint(w io.Writer) {
 		if p.FoldUnit > 0 {
 			fold = fmt.Sprintf(" fold %d", p.FoldUnit)
 		}
-		fmt.Fprintf(w, "  %-10s %5dx%-3d %7d ranks %-9s %10.1f ms/op  peakG %7d  peakRSS %5.0f MiB  virtual %10.2f us%s\n",
-			p.Coll, p.Nodes, p.PPN, p.Ranks, p.Engine, p.Wall.NsPerOp/1e6, p.Wall.PeakGoroutines,
-			float64(p.Wall.PeakRSSBytes)/(1<<20), p.VirtualUs, fold)
+		fmt.Fprintf(w, "  %-10s %5dx%-3d %7d ranks %-9s virtual %10.2f us%s\n",
+			p.Coll, p.Nodes, p.PPN, p.Ranks, p.Engine, p.VirtualUs, fold)
 	}
 }
 
@@ -105,11 +103,7 @@ func RunScaleSweep(machine string, maxRanks int, engines []sim.Engine) (*ScaleSw
 					Iters:      iters,
 					Engine:     eng.String(),
 				}
-				var res *spec.Result
-				wall, err := timePoint(iters, func() (err error) {
-					res, err = spec.Run(q)
-					return err
-				})
+				res, err := spec.Run(q)
 				if err == nil && ref != nil {
 					err = spec.Agree(eng.String(), res, ref)
 				}
@@ -123,7 +117,7 @@ func RunScaleSweep(machine string, maxRanks int, engines []sim.Engine) (*ScaleSw
 				rep.Points = append(rep.Points, ScalePoint{
 					Coll: collName, Engine: res.Engine, FoldUnit: pt.FoldUnit,
 					Nodes: nodes, PPN: ppn, Ranks: res.Ranks, Bytes: bytesPerRank, Iters: iters,
-					VirtualUs: pt.VirtualUsPerOp, VirtualPs: pt.VirtualPs, Wall: wall,
+					VirtualUs: pt.VirtualUsPerOp, VirtualPs: pt.VirtualPs,
 				})
 				runtime.GC() // release the point's world before the next one
 			}

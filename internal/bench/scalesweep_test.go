@@ -17,25 +17,17 @@ func TestScaleSweepSmoke(t *testing.T) {
 		if p.Ranks != 4096 {
 			t.Errorf("%s/%s: %d ranks, want 4096", p.Coll, p.Engine, p.Ranks)
 		}
-		if p.Wall.NsPerOp <= 0 || p.VirtualUs <= 0 || p.VirtualPs <= 0 {
-			t.Errorf("%s/%s: empty measurement (%v ns/op, %v virtual us)", p.Coll, p.Engine, p.Wall.NsPerOp, p.VirtualUs)
+		if p.VirtualUs <= 0 || p.VirtualPs <= 0 {
+			t.Errorf("%s/%s: empty measurement (%v virtual us, %d ps)", p.Coll, p.Engine, p.VirtualUs, p.VirtualPs)
 		}
 		switch p.Engine {
 		case "goroutine":
-			// The point's world holds one goroutine per rank while it
-			// runs; the sampler must have seen them.
-			if p.Wall.PeakGoroutines < p.Ranks {
-				t.Errorf("%s/%s: peak goroutines %d below rank count %d", p.Coll, p.Engine, p.Wall.PeakGoroutines, p.Ranks)
-			}
 			if p.FoldUnit != 0 {
 				t.Errorf("%s/%s: goroutine point folded (unit %d)", p.Coll, p.Engine, p.FoldUnit)
 			}
 		case "event":
 			// Both sweep workloads are fold-symmetric on the uniform
-			// 64-ppn ladder, so the event points must run folded. (No
-			// goroutine-count bound here: the previous point's workers
-			// survive in the pool's global reserve, so the sampler sees
-			// them even though this world spawns only FoldUnit workers.)
+			// 64-ppn ladder, so the event points must run folded.
 			if p.FoldUnit != p.PPN {
 				t.Errorf("%s/%s: fold unit %d, want %d", p.Coll, p.Engine, p.FoldUnit, p.PPN)
 			}

@@ -18,7 +18,7 @@ import (
 // control plane: grid construction, the reorder permutation, and the
 // 8-neighbor exchange per rank per step. Each point records the
 // deterministic virtual makespan per halo width, which the sweep
-// golden pins exactly, plus the host cost of the exchange.
+// golden pins exactly.
 
 // StencilPoint is one (grid shape, halo width) measurement.
 type StencilPoint struct {
@@ -29,7 +29,6 @@ type StencilPoint struct {
 	HaloBytes int     `json:"halo_bytes"` // per-neighbor block
 	Iters     int     `json:"iters"`
 	VirtualUs float64 `json:"virtual_us"` // per-op virtual makespan (determinism anchor)
-	Wall      Wall    `json:"wall"`       // the exchange alone; grid construction excluded
 }
 
 // StencilSweepReport is the stencil section of a sweep report.
@@ -43,8 +42,8 @@ type StencilSweepReport struct {
 func (s *StencilSweepReport) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "\nstencil-sweep (%s, up to %d ranks):\n", s.Model, s.MaxRanks)
 	for _, p := range s.Points {
-		fmt.Fprintf(w, "  %-12s %7d ranks  halo %4dB %10.1f ms/op  peakG %7d  virtual %10.2f us\n",
-			p.Dims, p.Ranks, p.HaloBytes, p.Wall.NsPerOp/1e6, p.Wall.PeakGoroutines, p.VirtualUs)
+		fmt.Fprintf(w, "  %-12s %7d ranks  halo %4dB  virtual %10.2f us\n",
+			p.Dims, p.Ranks, p.HaloBytes, p.VirtualUs)
 	}
 }
 
@@ -137,19 +136,17 @@ func runStencilShape(model *sim.CostModel, shape stencilShape) ([]StencilPoint, 
 	var pts []StencilPoint
 	for _, halo := range stencilHaloBytes {
 		w.ResetClocks()
-		wall, err := timePoint(iters, func() error {
-			return w.Run(func(p *mpi.Proc) error {
-				cart := carts[p.Rank()]
-				in, _, _ := cart.Neighborhood()
-				send := mpi.Sized(halo * len(in))
-				recv := mpi.Sized(halo * len(in))
-				for i := 0; i < iters; i++ {
-					if err := coll.NeighborAlltoall(cart, send, recv, halo); err != nil {
-						return err
-					}
+		err := w.Run(func(p *mpi.Proc) error {
+			cart := carts[p.Rank()]
+			in, _, _ := cart.Neighborhood()
+			send := mpi.Sized(halo * len(in))
+			recv := mpi.Sized(halo * len(in))
+			for i := 0; i < iters; i++ {
+				if err := coll.NeighborAlltoall(cart, send, recv, halo); err != nil {
+					return err
 				}
-				return nil
-			})
+			}
+			return nil
 		})
 		if err != nil {
 			return nil, err
@@ -158,7 +155,6 @@ func runStencilShape(model *sim.CostModel, shape stencilShape) ([]StencilPoint, 
 			Dims: dimStr, Nodes: shape.nodes, PPN: stencilPPN, Ranks: ranks,
 			HaloBytes: halo, Iters: iters,
 			VirtualUs: (w.MaxClock() / sim.Time(iters)).Us(),
-			Wall:      wall,
 		})
 	}
 	w.Close()    // idempotent; the deferred Close covers error paths

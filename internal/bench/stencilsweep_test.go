@@ -22,11 +22,8 @@ func TestStencilSweepSmokeAndDeterminism(t *testing.T) {
 		if p.Ranks != 4096 || p.Dims != "8x8x8x8" {
 			t.Errorf("unexpected point %s/%d ranks", p.Dims, p.Ranks)
 		}
-		if p.Wall.NsPerOp <= 0 || p.VirtualUs <= 0 {
-			t.Errorf("halo %dB: empty measurement (%v ns/op, %v virtual us)", p.HaloBytes, p.Wall.NsPerOp, p.VirtualUs)
-		}
-		if p.Wall.PeakGoroutines < p.Ranks {
-			t.Errorf("halo %dB: peak goroutines %d below rank count %d", p.HaloBytes, p.Wall.PeakGoroutines, p.Ranks)
+		if p.VirtualUs <= 0 {
+			t.Errorf("halo %dB: empty measurement (%v virtual us)", p.HaloBytes, p.VirtualUs)
 		}
 	}
 	// Determinism: TestSweepGolden runs this same sweep and compares

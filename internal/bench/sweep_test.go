@@ -31,22 +31,6 @@ func decodeTree(t *testing.T, data []byte) map[string]any {
 	return tree
 }
 
-// stripWall removes every "wall" object — the only non-deterministic
-// part of a sweep point.
-func stripWall(v any) {
-	switch v := v.(type) {
-	case map[string]any:
-		delete(v, "wall")
-		for _, c := range v {
-			stripWall(c)
-		}
-	case []any:
-		for _, c := range v {
-			stripWall(c)
-		}
-	}
-}
-
 // diffTree returns one line per place got departs from want, each
 // naming the section, point and field (e.g.
 // "noise_sweep.points[3].virtual_ps"). A list of the wrong length is
@@ -95,9 +79,9 @@ func diffTree(path string, got, want any) []string {
 //
 //	go run ./cmd/perf -sweep coll,topo,stencil,noise,tuned -scalemax 4096
 //
-// must reproduce testdata/sweeps.golden.json exactly once the wall
-// objects are dropped (regenerate with -update, and say why in the
-// PR). The scale dimension is pinned by TestScaleSweepSmoke instead.
+// must reproduce testdata/sweeps.golden.json exactly (regenerate with
+// -update, and say why in the PR). The scale dimension is pinned by
+// TestScaleSweepSmoke instead.
 func TestSweepGolden(t *testing.T) {
 	dims, err := SelectDimensions("coll,topo,stencil,noise,tuned")
 	if err != nil {
@@ -115,7 +99,6 @@ func TestSweepGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := decodeTree(t, data)
-	stripWall(got)
 	if *update {
 		out, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {

@@ -31,10 +31,9 @@ type Comm struct {
 	// world or a parent communicator was configured with.
 	collCfg any
 
-	// ctree/cfuser cache the communicator's clock-fusion engine (see
-	// coord.go) after the first FuseClocks, so the steady-state fusion
-	// path touches no shared maps at all.
-	ctree  *clockTree
+	// cfuser caches the communicator's clock-fusion cell (see coord.go)
+	// after the first FuseClocks, so the steady-state fusion path
+	// touches no shared maps at all.
 	cfuser *clockFuser
 
 	// ptopo is the process topology (Cartesian grid or distributed
@@ -142,17 +141,15 @@ func SharePlan[T any](c *Comm, val any, build func(vals []any) *T) (*T, error) {
 // clocks. It is the repeatedly-invoked core of the shared-memory
 // synchronization primitives (flag barriers, epoch counters), so it
 // avoids the session machinery entirely: each communicator context
-// owns a persistent fusion engine, cached on the handle — a pooled
-// counter cell for small communicators, a binary channel tree for
-// large ones (see coord.go). No per-call session key is needed — but
-// like every collective, all members must call FuseClocks in the same
-// order. The timed cost of the modeled synchronization is charged by
-// the caller.
+// owns a persistent fusion cell (clockFuser, coord.go), cached on the
+// handle, that serves every size, both engines, folded worlds and
+// failure configs. No per-call session key is needed — but like every
+// collective, all members must call FuseClocks in the same order. The
+// timed cost of the modeled synchronization is charged by the caller.
 func (c *Comm) FuseClocks(t sim.Time) sim.Time {
 	w := c.p.world
 	n := len(c.ranks)
-	folded := w.foldUnit > 0
-	if folded {
+	if w.foldUnit > 0 {
 		// Only the class representatives execute, and every replica's
 		// clock is (by construction) its representative's, so the max
 		// over the representative members equals the max over all
@@ -162,31 +159,15 @@ func (c *Comm) FuseClocks(t sim.Time) sim.Time {
 	if n == 1 {
 		return t
 	}
-	hasFail := w.hasFailures()
-	if hasFail {
+	var failed func() bool
+	if w.hasFailures() {
 		c.checkFailed()
+		failed = c.deadCheck
 	}
-	if folded || w.evLive || hasFail || n < clockTreeMin {
-		// The channel tree cannot serve folded comms (missing members
-		// would strand its edges), the event engine (its mid-tree
-		// parks are plain channel receives the scheduler cannot see),
-		// or failure configs (the tree cannot be woken rank-selectively
-		// by the death walk), so all three use the counter cell, which
-		// parks through the scheduler in event mode and is poisoned
-		// per-context by coordinator.failRank.
-		if c.cfuser == nil {
-			c.cfuser = w.coord.clockFuser(c.ctx)
-		}
-		var failed func() bool
-		if hasFail {
-			failed = c.deadCheck
-		}
-		return c.cfuser.fuse(c.p, n, t, failed)
+	if c.cfuser == nil {
+		c.cfuser = w.coord.clockFuser(c.ctx)
 	}
-	if c.ctree == nil {
-		c.ctree = w.coord.clockTree(c.ctx, n)
-	}
-	return c.ctree.fuse(c.rank, t, w.abortCh)
+	return c.cfuser.fuse(c.p, n, t, failed)
 }
 
 // foldSize counts the communicator members that execute under folding

@@ -17,10 +17,10 @@ import (
 //   - exchange sessions live in a sharded map (hashed by session key),
 //     their records recycled through a pool and deleted as soon as the
 //     last member leaves, so the maps stay small and mostly uncontended;
-//   - FuseClocks bypasses maps and locks entirely: each communicator
-//     context gets a persistent binary fusion tree of per-rank channels
-//     (see clockTree), so concurrent barriers on different node
-//     communicators never touch shared state.
+//   - FuseClocks bypasses the session maps entirely: each communicator
+//     context gets a persistent counter cell (see clockFuser), so
+//     concurrent barriers on different node communicators never touch
+//     shared state.
 
 // coordShardCount is the number of session-map shards (power of two).
 const coordShardCount = 64
@@ -50,7 +50,6 @@ type coordShard struct {
 
 type coordinator struct {
 	shards [coordShardCount]coordShard
-	trees  sync.Map // ctx int -> *clockTree (large comms)
 
 	// Fuser creation and the abort poison walk are ordered through
 	// fuserMu: a cell is either inserted before the walk (which then
@@ -58,7 +57,7 @@ type coordinator struct {
 	// never park in a cell the walk missed.
 	fuserMu        sync.Mutex
 	fusersPoisoned bool
-	fusers         sync.Map // ctx int -> *clockFuser (small comms)
+	fusers         sync.Map // ctx int -> *clockFuser
 }
 
 func newCoordinator() *coordinator {
@@ -183,20 +182,6 @@ func chanClosed(ch <-chan struct{}) bool {
 	}
 }
 
-// FuseClocks runs on one of two per-context fusion engines, both of
-// which eliminate the seed's global session map and mutex (every
-// shared-memory barrier of every node communicator serialized there):
-//
-//   - clockFuser, a counter cell, for small communicators: arrivals
-//     fold their clock into the round's max under a per-context lock,
-//     all but the last park once on the round's done channel. Minimal
-//     park count, but the lock and the broadcast wake are O(n) on one
-//     spot, so
-//   - clockTree, a binary channel tree, serves large communicators,
-//     where fan-in through tree edges keeps any single lock or wake
-//     list constant-size.
-const clockTreeMin = 65 // comm size at which fusion switches to the tree
-
 // fuseRound is one fusion round of a clockFuser. Records are pooled;
 // the done channel is created lazily by the first member that has to
 // wait and closed by the round's last arriver (or Abort's poison walk,
@@ -206,14 +191,17 @@ type fuseRound struct {
 	remaining int
 	released  int
 	aborted   bool
-	failed    bool // a member died mid-round (see coordinator.failRank)
+	failed    bool // a member died mid-round (see coordinator.failFusers)
 	done      chan struct{}
 	waiters   []int // event-engine parked ranks (see exchange)
 }
 
 var fuseRoundPool = sync.Pool{New: func() any { return new(fuseRound) }}
 
-// clockFuser is the counter-cell engine: one live round at a time
+// clockFuser is the per-context fusion cell behind FuseClocks:
+// arrivals fold their clock into the round's max under the cell's
+// lock, and all but the last park once on the round's done channel
+// (through the scheduler in event mode). One live round at a time
 // (FuseClocks is collective and called in lockstep, so a member of
 // round k+1 can only arrive after round k completed on its goroutine —
 // but stragglers of round k may still be waking up, which is why
@@ -309,57 +297,6 @@ func (f *clockFuser) fuse(p *Proc, size int, clk sim.Time, failed func() bool) s
 	return res
 }
 
-// clockTree is the tree engine: one node per comm rank, wired as a
-// binary heap (children of i are 2i+1 and 2i+2). A fusion flows child
-// contributions up the tree (each node maxing them with its own clock)
-// and the root's result back down. Channels are buffered so the
-// pipelined hand-offs of back-to-back fusions never block, and
-// consecutive fusions need no session bookkeeping at all: the tree
-// edges themselves sequence the rounds. Max is commutative and
-// associative, so the result is deterministic regardless of arrival
-// order.
-type clockTree struct {
-	nodes []clockNode
-}
-
-type clockNode struct {
-	up   chan sim.Time // contributions from this node's children
-	down chan sim.Time // result from this node's parent
-}
-
-func newClockTree(size int) *clockTree {
-	t := &clockTree{nodes: make([]clockNode, size)}
-	for i := range t.nodes {
-		t.nodes[i] = clockNode{up: make(chan sim.Time, 2), down: make(chan sim.Time, 1)}
-	}
-	return t
-}
-
-// clockTreePools recycles fusion trees across worlds, one pool per
-// size: a completed fusion leaves every channel empty, so a tree from
-// a cleanly closed world is indistinguishable from a fresh one, and a
-// sweep that churns through same-shape worlds stops allocating
-// thousands of channels per world. Trees of aborted worlds may hold
-// residue and are never returned.
-var clockTreePools sync.Map // size int -> *sync.Pool
-
-func getClockTree(size int) *clockTree {
-	v, ok := clockTreePools.Load(size)
-	if !ok {
-		v, _ = clockTreePools.LoadOrStore(size, &sync.Pool{})
-	}
-	if t, ok := v.(*sync.Pool).Get().(*clockTree); ok {
-		return t
-	}
-	return newClockTree(size)
-}
-
-func putClockTree(t *clockTree) {
-	if v, ok := clockTreePools.Load(len(t.nodes)); ok {
-		v.(*sync.Pool).Put(t)
-	}
-}
-
 // clockFuser returns the counter cell for a communicator context,
 // creating it on first use. Creation panics with ErrAborted on a
 // poisoned coordinator: a cell minted after the poison walk would
@@ -404,17 +341,19 @@ func (co *coordinator) poisonFusers() {
 	})
 }
 
-// failRank wakes the collective waiters a rank's death strands: fusion
-// rounds and setup sessions on communicator contexts containing the
-// dead rank can never complete (the dead member will not arrive), so
-// they are failed — waiters wake and panic with ErrRankFailed. Runs on
+// failFusers fails the fusion rounds a rank's death strands: a round on
+// a communicator context containing the dead rank can never complete
+// (the dead member will not arrive), so its waiters wake and panic with
+// ErrRankFailed, and the cell stays failed for later arrivals. Runs on
 // the dying rank's goroutine (the token holder in event mode, making
-// the scheduler wakes safe). Holding fuserMu across the fuser walk
-// orders it against cell creation, exactly like the abort poison; cells
-// created after the walk are covered by fuse's under-lock dead re-check
-// (the matcher's dead flag is published before this walk starts).
-func (co *coordinator) failRank(w *World, rank int) {
+// the scheduler wakes safe), after the matcher's dead flag is
+// published: a cell created after this walk is covered by fuse's
+// under-lock dead re-check, which is only sound once the flag is up.
+// Holding fuserMu across the walk orders it against cell creation,
+// exactly like the abort poison.
+func (co *coordinator) failFusers(w *World, rank int) {
 	co.fuserMu.Lock()
+	defer co.fuserMu.Unlock()
 	co.fusers.Range(func(k, v any) bool {
 		if !w.ctxHasRank(k.(int), rank) {
 			return true
@@ -438,13 +377,16 @@ func (co *coordinator) failRank(w *World, rank int) {
 		f.mu.Unlock()
 		return true
 	})
-	co.fuserMu.Unlock()
+}
 
-	// Sessions still waiting on contributions (remaining > 0) from a
-	// communicator containing the dead rank can never complete. Failed
-	// sessions stay in their maps so late arrivals observe the flag;
-	// completed sessions (remaining == 0) are left alone — their
-	// stragglers only read the finished vals vector.
+// failSessions fails the setup sessions a rank's death strands:
+// sessions still waiting on contributions (remaining > 0) from a
+// communicator containing the dead rank can never complete. Failed
+// sessions stay in their maps so late arrivals observe the flag;
+// completed sessions (remaining == 0) are left alone — their stragglers
+// only read the finished vals vector. Runs on the dying rank's
+// goroutine, before the dead flag is published (see World.killRank).
+func (co *coordinator) failSessions(w *World, rank int) {
 	for i := range co.shards {
 		sh := &co.shards[i]
 		sh.mu.Lock()
@@ -465,93 +407,6 @@ func (co *coordinator) failRank(w *World, rank int) {
 		}
 		sh.mu.Unlock()
 	}
-}
-
-// clockTree returns the fusion tree for a communicator context,
-// creating it on first use. The losing copy of a creation race is
-// returned to the pool; every rank ends up on the same tree.
-func (co *coordinator) clockTree(ctx, size int) *clockTree {
-	if v, ok := co.trees.Load(ctx); ok {
-		return v.(*clockTree)
-	}
-	t := getClockTree(size)
-	v, loaded := co.trees.LoadOrStore(ctx, t)
-	if loaded {
-		putClockTree(t)
-	}
-	return v.(*clockTree)
-}
-
-// releaseTrees returns every fusion tree to the cross-world pools.
-// Only called for cleanly closed worlds (never after an abort, whose
-// half-run fusions can leave values in the channels).
-func (co *coordinator) releaseTrees() {
-	co.trees.Range(func(k, v any) bool {
-		putClockTree(v.(*clockTree))
-		co.trees.Delete(k)
-		return true
-	})
-}
-
-// fuse runs one tree-structured max-reduction. Every member of the
-// communicator must call it exactly once per fusion round (the
-// collective lockstep FuseClocks already requires). Abort handling
-// matches exchange: a closed abort channel panics with ErrAborted.
-// Each channel operation tries the non-blocking form first: the
-// buffered capacities make sends succeed immediately in the steady
-// state, and contributions that already arrived skip the select
-// machinery and the park on the receive side.
-func (t *clockTree) fuse(rank int, clk sim.Time, abort <-chan struct{}) sim.Time {
-	n := len(t.nodes)
-	acc := clk
-	left, right := 2*rank+1, 2*rank+2
-	for c := left; c <= right && c < n; c++ {
-		var v sim.Time
-		select {
-		case v = <-t.nodes[rank].up:
-		default:
-			select {
-			case v = <-t.nodes[rank].up:
-			case <-abort:
-				panic(ErrAborted)
-			}
-		}
-		if v > acc {
-			acc = v
-		}
-	}
-	if rank > 0 {
-		select {
-		case t.nodes[(rank-1)/2].up <- acc:
-		default:
-			select {
-			case t.nodes[(rank-1)/2].up <- acc:
-			case <-abort:
-				panic(ErrAborted)
-			}
-		}
-		select {
-		case acc = <-t.nodes[rank].down:
-		default:
-			select {
-			case acc = <-t.nodes[rank].down:
-			case <-abort:
-				panic(ErrAborted)
-			}
-		}
-	}
-	for c := left; c <= right && c < n; c++ {
-		select {
-		case t.nodes[c].down <- acc:
-		default:
-			select {
-			case t.nodes[c].down <- acc:
-			case <-abort:
-				panic(ErrAborted)
-			}
-		}
-	}
-	return acc
 }
 
 // sessionCount reports the live sessions across all shards (tests).

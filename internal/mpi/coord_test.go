@@ -8,8 +8,8 @@ import (
 
 // Coordinator hygiene: completed exchange sessions must be deleted and
 // their records recycled (the seed's maps grew without bound across
-// communicator creations), and the clock-fusion engines must be
-// allocation-lean at steady state.
+// communicator creations), and clock fusion must be allocation-lean at
+// steady state.
 
 func TestExchangeSessionsDeletedAfterRun(t *testing.T) {
 	w := newTestWorld(t, 2, 4)
@@ -88,25 +88,40 @@ func TestFuseClocksSteadyStateAllocationLean(t *testing.T) {
 	}
 }
 
-func TestClockTreeLargeCommFusion(t *testing.T) {
-	// A single node wider than clockTreeMin routes FuseClocks through
-	// the tree engine; the fused max must still be exact.
-	w, err := NewWorld(sim.Laptop(), sim.MustUniform(1, clockTreeMin+3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	err = w.Run(func(p *Proc) error {
-		c := p.CommWorld()
-		got := c.FuseClocks(sim.Time(100 + p.Rank()))
-		want := sim.Time(100 + p.Size() - 1)
-		if got != want {
-			t.Errorf("rank %d: fused max %v, want %v", p.Rank(), got, want)
+// TestShmBarrierWideNodeEnginesAgree pins the one fusion path on wide
+// one-node communicators: on each side of, and well past, the size at
+// which the goroutine engine used to switch fusers (65), skewed ranks
+// leave repeated shm barriers at the same exact virtual time on both
+// engines.
+func TestShmBarrierWideNodeEnginesAgree(t *testing.T) {
+	for _, n := range []int{64, 65, 128} {
+		var clocks [2][]sim.Time
+		for i, eng := range []sim.Engine{sim.EngineGoroutine, sim.EngineEvent} {
+			w, err := NewWorld(sim.Laptop(), sim.MustUniform(1, n), WithEngine(eng))
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = w.Run(func(p *Proc) error {
+				c := p.CommWorld()
+				for it := 0; it < 3; it++ {
+					p.Elapse(sim.Time(1000 * (p.Rank() + it)))
+					c.shmBarrier()
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < n; r++ {
+				clocks[i] = append(clocks[i], w.Proc(r).Clock())
+			}
+			w.Close()
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		for r := 0; r < n; r++ {
+			if clocks[0][r] != clocks[1][r] || clocks[0][r] != clocks[0][0] {
+				t.Fatalf("1x%d rank %d: goroutine %v, event %v, rank 0 %v", n, r, clocks[0][r], clocks[1][r], clocks[0][0])
+			}
+		}
 	}
 }
 

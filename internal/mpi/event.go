@@ -6,7 +6,7 @@ import "sync"
 // a cooperative single-threaded scheduler that runs exactly one ready
 // rank at a time and hands control off through an event (ready) queue,
 // instead of letting the Go runtime schedule all ranks in parallel and
-// park them on channels (pool.go, sim.EngineGoroutine).
+// park them on channels (World.Run, sim.EngineGoroutine).
 //
 // Rank bodies are arbitrary Go closures, so the continuation mechanism
 // is still a goroutine per executing rank — Go offers no way to capture
@@ -62,10 +62,8 @@ type evSched struct {
 	rlen  int
 	done  int // ranks finished this Run
 
-	st   *runState
 	ctrl chan struct{} // Run-complete signal back to the caller
 	quit chan struct{}
-	stop sync.Once
 	wg   sync.WaitGroup
 }
 
@@ -97,8 +95,7 @@ func newEvSched(w *World, n int) *evSched {
 // begin resets the per-Run state and enqueues every rank. Called by the
 // Run driver before the first dispatch; the gate sends that follow
 // publish these writes to the workers.
-func (ev *evSched) begin(st *runState) {
-	ev.st = st
+func (ev *evSched) begin() {
 	ev.done = 0
 	ev.rhead, ev.rlen = 0, 0
 	for r := 0; r < ev.n; r++ {
@@ -178,9 +175,8 @@ func (ev *evSched) yield(r int) {
 }
 
 // worker is one rank's continuation goroutine: dispatched once per Run,
-// it executes the body with the same recovery and abort semantics as
-// the goroutine engine's rankJob, then marks itself done and passes the
-// token on.
+// it executes the body (World.runRank, shared with the goroutine
+// engine), then marks itself done and passes the token on.
 func (ev *evSched) worker(r int) {
 	defer ev.wg.Done()
 	for {
@@ -189,36 +185,19 @@ func (ev *evSched) worker(r int) {
 		case <-ev.quit:
 			return
 		}
-		ev.runBody(r)
+		ev.w.runRank(ev.w.procs[r])
 		ev.state[r] = evDone
 		ev.done++
 		ev.dispatchNext()
 	}
 }
 
-func (ev *evSched) runBody(r int) {
-	p, st := ev.w.procs[r], ev.st
-	defer func() {
-		if rec := recover(); rec != nil {
-			st.errs[r] = recoveredRankError(p, rec)
-		}
-	}()
-	if err := st.body(p); err != nil {
-		st.errs[r] = &RankError{Rank: r, Err: err}
-		p.world.Abort()
-	}
-}
-
-// shutdown wakes the parked workers and waits for them to exit. Only
-// legal between Runs (all workers at their loop-top select).
+// shutdown wakes the parked workers and waits for them to exit. Called
+// once, by World.Close, and only between Runs (all workers at their
+// loop-top select).
 func (ev *evSched) shutdown() {
-	ev.stop.Do(func() { close(ev.quit) })
+	close(ev.quit)
 	ev.wg.Wait()
-}
-
-// release is the finalizer flavor of shutdown: signal, don't wait.
-func (ev *evSched) release() {
-	ev.stop.Do(func() { close(ev.quit) })
 }
 
 // evAwait is the event-mode replacement for a blocking channel receive

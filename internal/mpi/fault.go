@@ -184,13 +184,16 @@ func (w *World) Damaged() bool { return w.damaged.Load() }
 // scheduler wakes safe.
 func (w *World) killRank(p *Proc) {
 	w.damaged.Store(true)
-	// The coordinator walk runs first: survivors can only learn of the
+	// The session walk runs first: survivors can only learn of the
 	// death through matcher sentinels or the dead flag (both published
 	// by the matcher walk below), so no survivor can start a recovery
 	// exchange while this walk might still mistake it for a stranded
-	// session and fail it.
-	w.coord.failRank(w, p.rank)
+	// session and fail it. The fusion walk runs last: a member that
+	// enters a cell the walk has not seen is caught by the cell's own
+	// dead-flag re-check, which needs the flag published first.
+	w.coord.failSessions(w, p.rank)
 	w.match.killRank(w, p.rank)
+	w.coord.failFusers(w, p.rank)
 	if w.tracer.Enabled() {
 		w.tracer.Record(sim.Event{At: p.clock, Rank: p.rank, Kind: "fail", Note: "scheduled rank failure"})
 	}

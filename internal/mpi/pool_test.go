@@ -4,45 +4,150 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
-// Pool lifecycle coverage: Run must reuse the parked workers instead of
-// spawning per call, Abort must behave in both the parked and the
-// active phase, and Close must be idempotent.
+// Run lifecycle coverage: a goroutine-engine world holds one goroutine
+// per executing rank while a Run is in flight and none between Runs,
+// whatever way the Run ended and whether or not the world is ever
+// closed; only an event-engine world needs Close to release goroutines.
 
-// goroutinesSettled samples the goroutine count until it stops moving
-// (worker hand-offs finish asynchronously).
-func goroutinesSettled() int {
-	prev := runtime.NumGoroutine()
-	for i := 0; i < 50; i++ {
+// settlesTo reports whether the process goroutine count falls back to
+// base (a rank goroutine signals the Run's WaitGroup a few instructions
+// before it exits, so Run can return first).
+func settlesTo(base int) bool {
+	for i := 0; i < 2000 && runtime.NumGoroutine() > base; i++ {
 		time.Sleep(time.Millisecond)
-		cur := runtime.NumGoroutine()
-		if cur == prev {
-			return cur
-		}
-		prev = cur
 	}
-	return prev
+	return runtime.NumGoroutine() <= base
 }
 
-func TestRunReusesPoolGoroutines(t *testing.T) {
-	w := newTestWorld(t, 1, 8)
-	defer w.Close()
-	body := func(p *Proc) error { return p.CommWorld().Barrier() }
-	if err := w.Run(body); err != nil {
-		t.Fatal(err)
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	boom := errors.New("boom")
+	waitForPeer := func(p *Proc) error {
+		_, err := p.CommWorld().Recv(Sized(8), 0, 1) // never sent
+		return err
 	}
-	after1 := goroutinesSettled()
-	for i := 0; i < 50; i++ {
-		if err := w.Run(body); err != nil {
+	cases := []struct {
+		name string
+		body func(p *Proc) error
+		want error // nil: the Run must succeed
+	}{
+		{"clean", func(p *Proc) error { return p.CommWorld().Barrier() }, nil},
+		{"rank error", func(p *Proc) error {
+			if p.Rank() == 0 {
+				return boom
+			}
+			return waitForPeer(p)
+		}, boom},
+		{"rank panic", func(p *Proc) error {
+			if p.Rank() == 0 {
+				panic("kaboom")
+			}
+			return waitForPeer(p)
+		}, ErrAborted},
+		{"abort mid-Run", func(p *Proc) error {
+			if p.Rank() == 0 {
+				go p.world.Abort() // from outside the job, as a cancelled request does
+			}
+			return waitForPeer(p)
+		}, ErrAborted},
+	}
+	for _, tc := range cases {
+		for _, closeIt := range []bool{true, false} {
+			base := runtime.NumGoroutine()
+			w := newTestWorld(t, 2, 4)
+			for i := 0; i < 3; i++ {
+				err := w.Run(tc.body)
+				if tc.want == nil && err != nil || tc.want != nil && !errors.Is(err, tc.want) {
+					t.Fatalf("%s: Run returned %v, want %v", tc.name, err, tc.want)
+				}
+				if !settlesTo(base) {
+					t.Fatalf("%s: %d goroutines after Run %d, %d before the world existed", tc.name, runtime.NumGoroutine(), i, base)
+				}
+				if tc.want != nil {
+					break // the world is poisoned; one Run is all it has
+				}
+			}
+			if closeIt {
+				w.Close()
+			}
+			if !settlesTo(base) {
+				t.Fatalf("%s (close=%v): %d goroutines left, want %d", tc.name, closeIt, runtime.NumGoroutine(), base)
+			}
+		}
+	}
+}
+
+func TestDroppedWorldsLeaveNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		w := newTestWorld(t, 1, 8)
+		if err := w.Run(func(p *Proc) error { return p.CommWorld().Barrier() }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	after51 := goroutinesSettled()
-	if after51 > after1+2 {
-		t.Errorf("goroutines grew across repeated Runs: %d after first, %d after 51 — workers not reused", after1, after51)
+	if !settlesTo(base) {
+		t.Errorf("100 unclosed worlds left %d goroutines, want %d", runtime.NumGoroutine(), base)
+	}
+}
+
+// TestRunHoldsOneGoroutinePerRank is the in-flight half of the contract
+// (it replaces the sweeps' sampled peak_goroutines assertions): on a
+// folded world only the executing ranks get one.
+func TestRunHoldsOneGoroutinePerRank(t *testing.T) {
+	for _, fold := range []int{0, 4} {
+		w, err := NewWorld(sim.Laptop(), sim.MustUniform(4, 4), WithFold(fold))
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec := w.execN
+		base := runtime.NumGoroutine()
+		var arrived atomic.Int32
+		release := make(chan struct{})
+		done := make(chan error, 1)
+		go func() {
+			done <- w.Run(func(p *Proc) error {
+				arrived.Add(1)
+				<-release
+				return nil
+			})
+		}()
+		for arrived.Load() < int32(exec) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := runtime.NumGoroutine() - base; got < exec {
+			t.Errorf("fold %d: %d goroutines in flight for %d executing ranks", fold, got, exec)
+		}
+		close(release)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if !settlesTo(base) {
+			t.Errorf("fold %d: %d goroutines after Run, want %d", fold, runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+func TestClosedEventWorldLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	w, err := NewWorld(sim.Laptop(), sim.MustUniform(2, 4), WithEngine(sim.EngineEvent))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(func(p *Proc) error { return p.CommWorld().Barrier() }); err != nil {
+		t.Fatal(err)
+	}
+	if got := runtime.NumGoroutine() - base; got < w.Size() {
+		t.Errorf("event world holds %d goroutines between Runs, want its %d continuations", got, w.Size())
+	}
+	w.Close()
+	if !settlesTo(base) {
+		t.Errorf("closed event world left %d goroutines, want %d", runtime.NumGoroutine(), base)
 	}
 }
 
@@ -63,8 +168,10 @@ func TestRunSteadyStateAllocationFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// The dispatch path itself is allocation-free; a tiny budget covers
-	// runtime scheduling internals (sudog cache refills and the like).
+	// Spawning through the world's one bound closure allocates nothing
+	// (goroutine descriptors and stacks come from the runtime's free
+	// lists); a tiny budget covers scheduling internals such as sudog
+	// cache refills.
 	if avg >= 4 {
 		t.Errorf("steady-state Run allocates %.2f objects/op, want ~0", avg)
 	}
@@ -76,8 +183,7 @@ func TestAbortWhileParked(t *testing.T) {
 	if err := w.Run(func(p *Proc) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	// Pool is parked between Runs; Abort must poison the world without
-	// disturbing the parked workers.
+	// No Run in flight: Abort must still poison the world.
 	w.Abort()
 	if err := w.Run(func(p *Proc) error { return nil }); !errors.Is(err, ErrAborted) {
 		t.Errorf("Run on aborted world returned %v, want ErrAborted", err)
@@ -122,26 +228,6 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 }
 
-func TestWorkersReusedAcrossWorlds(t *testing.T) {
-	// A closed world's workers return to the cross-world reserve; the
-	// next same-sized world must not spawn a full complement again.
-	w := newTestWorld(t, 1, 8)
-	if err := w.Run(func(p *Proc) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	base := goroutinesSettled()
-	w2 := newTestWorld(t, 1, 8)
-	defer w2.Close()
-	if err := w2.Run(func(p *Proc) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	after := goroutinesSettled()
-	if after > base+2 {
-		t.Errorf("second world grew goroutines %d -> %d; reserve workers not reused", base, after)
-	}
-}
-
 func TestMaxClockDuringRunPanics(t *testing.T) {
 	w := newTestWorld(t, 1, 2)
 	defer w.Close()
@@ -161,7 +247,8 @@ func TestMaxClockDuringRunPanics(t *testing.T) {
 
 // TestRepeatedRunMaxClockRace drives the documented contract — clock
 // reads strictly between Runs — under the race detector: the CI race
-// job fails here if MaxClock/ResetClocks ever race with the pool.
+// job fails here if MaxClock/ResetClocks ever race with the rank
+// goroutines.
 func TestRepeatedRunMaxClockRace(t *testing.T) {
 	w := newTestWorld(t, 2, 3)
 	defer w.Close()

@@ -9,7 +9,6 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -18,8 +17,7 @@ import (
 )
 
 // World owns one simulated job: the topology, the cost model, the
-// message-matching engine, the persistent rank pool, and the per-rank
-// processes.
+// message-matching engine, and the per-rank processes.
 type World struct {
 	topo   *sim.Topology
 	model  *sim.CostModel
@@ -44,20 +42,20 @@ type World struct {
 	identity []int // comm rank == global rank table for COMM_WORLD
 	procs    []*Proc
 
-	// Execution engine: the persistent rank pool (goroutine backend),
-	// the event scheduler (event backend, lazily created), the reusable
-	// per-Run dispatch record, and the Run gate that enforces the
-	// one-Run-at-a-time / no-clock-reads-during-Run contract. evLive is
-	// set only while an event-engine Run is in flight; the park sites
-	// (request.go, sched.go, coord.go) branch on it.
-	engine       sim.Engine
-	ev           *evSched
-	evLive       bool
-	pool         *rankPool
-	run          runState
-	running      atomic.Bool
-	closed       atomic.Bool
-	finalizerSet bool // leak-backstop finalizer installed (see pool.go)
+	// Execution engine: the goroutine backend's per-rank entry point
+	// (spawned execN times per Run), the event scheduler (event backend,
+	// lazily created), the reusable per-Run dispatch record, and the Run
+	// gate that enforces the one-Run-at-a-time /
+	// no-clock-reads-during-Run contract. evLive is set only while an
+	// event-engine Run is in flight; the park sites (request.go,
+	// sched.go, coord.go) branch on it.
+	engine   sim.Engine
+	ev       *evSched
+	evLive   bool
+	rankMain func() // w.runNextRank, bound once so `go w.rankMain()` allocates nothing
+	run      runState
+	running  atomic.Bool
+	closed   atomic.Bool
 
 	// Rank-symmetry folding (fold.go): with foldUnit u > 0 only ranks
 	// 0..u-1 execute; every rank r aliases the Proc of its class
@@ -88,11 +86,11 @@ var ErrAborted = errors.New("mpi: job aborted because another rank failed")
 // it directly for failure injection. A world stays poisoned after
 // Abort.
 //
-// The hot wait paths (message completion, small-comm clock fusion)
-// park on plain channel receives; Abort wakes those by poisoning their
-// channels directly (matcher.poison, poisonFusers). The remaining
-// waiters — exchange sessions, large-comm fusion trees — still select
-// on abortCh and wake through its close.
+// The hot wait paths (message completion, clock fusion) park on plain
+// channel receives; Abort wakes those by poisoning their channels
+// directly (matcher.poison, poisonFusers). The remaining waiters —
+// exchange sessions — still select on abortCh and wake through its
+// close.
 func (w *World) Abort() {
 	w.abortOnce.Do(func() {
 		close(w.abortCh)
@@ -122,7 +120,7 @@ func (w *World) Aborted() bool {
 // the zero behavior NewWorld applies them to.
 type Config struct {
 	// Engine selects the execution backend Runs dispatch on:
-	// sim.EngineGoroutine (one parked worker per rank) or
+	// sim.EngineGoroutine (one goroutine per rank per Run) or
 	// sim.EngineEvent (single-threaded discrete-event scheduler).
 	// DefaultConfig seeds it from the package default (SetDefaultEngine).
 	Engine sim.Engine
@@ -241,7 +239,7 @@ func NewWorldConfig(model *sim.CostModel, topo *sim.Topology, cfg Config) (*Worl
 	if w.foldUnit > 0 {
 		w.execN = w.foldUnit
 	}
-	w.pool = newRankPool(w.execN)
+	w.rankMain = w.runNextRank
 	w.match.fold = w.foldUnit
 	w.match.sizeTo(w.execN)
 	if w.hasFailures() {
@@ -265,10 +263,10 @@ func NewWorldConfig(model *sim.CostModel, topo *sim.Topology, cfg Config) (*Worl
 func (w *World) Engine() sim.Engine { return w.engine }
 
 // SetEngine switches the execution backend for subsequent Runs. Both
-// backends may be used on the same World interchangeably (each is
-// created lazily and kept until Close); virtual clocks are
-// bit-identical either way. Must not be called while a Run is in
-// flight.
+// backends may be used on the same World interchangeably (the event
+// scheduler is created at its first Run and kept until Close); virtual
+// clocks are bit-identical either way. Must not be called while a Run
+// is in flight.
 func (w *World) SetEngine(e sim.Engine) {
 	w.assertNotRunning("SetEngine")
 	w.engine = e
@@ -305,16 +303,25 @@ func (e *RankError) Error() string { return fmt.Sprintf("rank %d: %v", e.Rank, e
 // Unwrap exposes the underlying error.
 func (e *RankError) Unwrap() error { return e.Err }
 
-// ErrClosed is returned by Run on a World whose pool was shut down.
+// ErrClosed is returned by Run on a closed World.
 var ErrClosed = errors.New("mpi: world closed")
 
-// Run executes body once per rank on the persistent rank pool and waits
-// for all of them. Workers are long-lived goroutines parked on per-rank
-// mailboxes: the first Run spawns them, every later Run reuses them, so
-// the steady state dispatches without spawning or allocating. Panics
-// inside a rank are recovered and reported as that rank's error. The
-// returned error joins every failing rank's error (errors.Join), nil if
-// all ranks succeeded.
+// runState is the per-Run dispatch record, owned by the World and
+// reused across calls so a steady-state Run allocates nothing.
+type runState struct {
+	body func(p *Proc) error
+	errs []error
+	wg   sync.WaitGroup
+	next atomic.Int32 // goroutine engine: next rank to hand out
+}
+
+// Run executes body once per executing rank and waits for all of them.
+// On the goroutine engine it spawns one goroutine per rank and joins
+// them, so a world holds no goroutine between Runs; on the event engine
+// it dispatches to the scheduler's continuation goroutines, which live
+// until Close. Panics inside a rank are recovered and reported as that
+// rank's error. The returned error joins every failing rank's error
+// (errors.Join), nil if all ranks succeeded.
 //
 // Run may be called repeatedly on the same World; clocks continue from
 // where the previous Run left them (use ResetClocks between independent
@@ -349,21 +356,17 @@ func (w *World) Run(body func(p *Proc) error) error {
 	if w.engine == sim.EngineEvent {
 		if w.ev == nil {
 			w.ev = newEvSched(w, w.execN)
-			setWorldFinalizer(w)
 		}
 		w.evLive = true
-		w.ev.begin(st)
+		w.ev.begin()
 		w.ev.dispatchNext()
 		<-w.ev.ctrl
 		w.evLive = false
 	} else {
-		if !w.pool.started {
-			w.pool.start()
-			setWorldFinalizer(w)
-		}
+		st.next.Store(0)
 		st.wg.Add(w.execN)
 		for r := 0; r < w.execN; r++ {
-			w.pool.dispatch(rankJob{p: w.procs[r], st: st})
+			go w.rankMain()
 		}
 		st.wg.Wait()
 	}
@@ -373,6 +376,31 @@ func (w *World) Run(body func(p *Proc) error) error {
 		err = w.finishFoldedRun(err)
 	}
 	return err
+}
+
+// runNextRank is the body of one goroutine-engine rank goroutine: it
+// claims the next unclaimed rank of the Run in flight and executes it.
+func (w *World) runNextRank() {
+	defer w.run.wg.Done()
+	w.runRank(w.procs[w.run.next.Add(1)-1])
+}
+
+// runRank executes the Run body on one rank, on either engine: panics
+// are recovered and reported as the rank's error, coordinator aborts
+// surface as ErrAborted, and a failing rank aborts the job, as mpirun
+// would, so peers blocked in collectives wake up with ErrAborted
+// instead of hanging.
+func (w *World) runRank(p *Proc) {
+	st := &w.run
+	defer func() {
+		if rec := recover(); rec != nil {
+			st.errs[p.rank] = recoveredRankError(p, rec)
+		}
+	}()
+	if err := st.body(p); err != nil {
+		st.errs[p.rank] = &RankError{Rank: p.rank, Err: err}
+		w.Abort()
+	}
 }
 
 // recoveredRankError converts a recovered rank panic into the rank's
@@ -413,30 +441,26 @@ func recoveredRankError(p *Proc, rec any) error {
 	}
 }
 
-// Close shuts the rank pool down: parked workers wake up and exit, and
-// later Run calls fail with ErrClosed. Close is idempotent and safe on
-// a world that never ran; it must not be called while a Run is in
-// flight. Worlds the harnesses churn through (one per measured
-// operation) should be closed so their parked goroutines are released
-// deterministically; a world dropped without Close is cleaned up by a
-// GC finalizer instead.
+// Close retires the world: later Run calls fail with ErrClosed, and an
+// event-engine world's continuation goroutines wake up and exit. A
+// world that only ever ran on the goroutine engine holds no goroutine
+// between Runs, so for it Close only latches the flag; a world that ran
+// on the event engine must be closed to release its scheduler. Close is
+// idempotent and safe on a world that never ran; it must not be called
+// while a Run is in flight.
 func (w *World) Close() {
 	if w.running.Load() {
 		panic("mpi: Close during Run")
 	}
-	if w.closed.CompareAndSwap(false, true) {
-		w.pool.shutdown()
-		if w.ev != nil {
-			w.ev.shutdown()
-		}
-		if !w.Aborted() {
-			// All fusions completed, so the trees' channels are empty
-			// and the trees can serve the next same-shape world.
-			w.coord.releaseTrees()
-		}
-		runtime.SetFinalizer(w, nil)
+	if w.closed.CompareAndSwap(false, true) && w.ev != nil {
+		w.ev.shutdown()
 	}
 }
+
+// DrainIdleWorkers does nothing and returns 0: no goroutine outlives a
+// Run or a Close, so there is no reserve to drain. It survives only
+// because benchmark/serve.go:82, its last caller, is frozen.
+func DrainIdleWorkers() int { return 0 }
 
 // assertNotRunning guards the clock accessors: per-rank clocks are
 // owned by the rank goroutines while a Run is in flight, so reading or

@@ -71,9 +71,9 @@ func (m *metrics) request(endpoint string, code int, d time.Duration) {
 }
 
 // render writes the Prometheus text exposition of every metric.
-// cacheLen, idleWorkers and the world-pool and tuning-store snapshots
-// are sampled by the caller at scrape time.
-func (m *metrics) render(w *strings.Builder, cacheLen, idleWorkers int, pointCap, sweepCap int, ps spec.PoolStats, ts tune.Stats) {
+// cacheLen and the world-pool and tuning-store snapshots are sampled by
+// the caller at scrape time.
+func (m *metrics) render(w *strings.Builder, cacheLen int, pointCap, sweepCap int, ps spec.PoolStats, ts tune.Stats) {
 	fmt.Fprintf(w, "# HELP repro_requests_total Completed HTTP requests by endpoint and status code.\n")
 	fmt.Fprintf(w, "# TYPE repro_requests_total counter\n")
 	m.mu.Lock()
@@ -127,8 +127,6 @@ func (m *metrics) render(w *strings.Builder, cacheLen, idleWorkers int, pointCap
 	fmt.Fprintf(w, "# TYPE repro_pool_capacity gauge\n")
 	fmt.Fprintf(w, "repro_pool_capacity{class=\"point\"} %d\n", pointCap)
 	fmt.Fprintf(w, "repro_pool_capacity{class=\"sweep\"} %d\n", sweepCap)
-	fmt.Fprintf(w, "# HELP repro_rank_pool_idle_workers Parked simulator rank workers on the cross-world reserve.\n")
-	fmt.Fprintf(w, "# TYPE repro_rank_pool_idle_workers gauge\nrepro_rank_pool_idle_workers %d\n", idleWorkers)
 
 	fmt.Fprintf(w, "# HELP repro_world_pool_hits_total World checkouts served by a resident warm world.\n")
 	fmt.Fprintf(w, "# TYPE repro_world_pool_hits_total counter\nrepro_world_pool_hits_total %d\n", ps.Hits)

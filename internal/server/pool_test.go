@@ -68,9 +68,8 @@ func TestWorldPoolDisabled(t *testing.T) {
 }
 
 // TestServerCloseRetiresPool: graceful shutdown must leave no resident
-// worlds (ROADMAP: "no resident worlds or rank-pool goroutines leak
-// after graceful shutdown" — the rank-worker half is drained by
-// mpi.DrainIdleWorkers in cmd/serverd).
+// worlds (their event-engine goroutines go with them; serverd's
+// "stopped" log line reports the count).
 func TestServerCloseRetiresPool(t *testing.T) {
 	srv := server.New(server.Config{Logger: quietLogger(), WorldPoolIdle: time.Hour})
 	for i := 0; i < 4; i++ {

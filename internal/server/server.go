@@ -53,7 +53,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/tune"
@@ -246,9 +245,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 
 // Close cancels the server's base context — leaders still simulating
 // abort their worlds and report cancellation — and retires the warm
-// world pool (its idle reaper goroutine included). Call after the HTTP
-// host has stopped accepting requests; then drain the rank-worker
-// reserve via mpi.DrainIdleWorkers.
+// world pool (its idle reaper goroutine included), after which no
+// simulator goroutine is left. Call after the HTTP host has stopped
+// accepting requests.
 func (s *Server) Close() {
 	s.stop()
 	s.tuner.Close()
@@ -614,7 +613,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // handleMetrics is GET /metrics: Prometheus text exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	var b strings.Builder
-	s.met.render(&b, s.cache.len(), mpi.IdleWorkers(), s.cfg.Workers, s.cfg.SweepWorkers, s.PoolStats(), s.TuneStats())
+	s.met.render(&b, s.cache.len(), s.cfg.Workers, s.cfg.SweepWorkers, s.PoolStats(), s.TuneStats())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	io.WriteString(w, b.String()) //nolint:errcheck // client gone is the only failure
 }

@@ -123,8 +123,7 @@ type PooledWorld struct {
 // time World contract is structural. Idle residency is bounded three
 // ways — a rank budget with LRU eviction, an idle reaper, and a
 // per-world checkout cap (see PoolConfig) — and Close retires
-// everything, integrating with mpi.DrainIdleWorkers for graceful
-// daemon shutdown.
+// everything, for graceful daemon shutdown.
 type WorldPool struct {
 	cfg PoolConfig
 
@@ -297,9 +296,8 @@ func (p *WorldPool) reaper() {
 
 // Close retires every idle world and stops the reaper. Worlds checked
 // out at the time are closed when they come back (Checkin on a closed
-// pool discards). After Close plus the holders' check-ins, the only
-// simulator goroutines left are the parked cross-world rank workers,
-// which mpi.DrainIdleWorkers releases.
+// pool discards). After Close plus the holders' check-ins no simulator
+// goroutine is left.
 func (p *WorldPool) Close() {
 	p.mu.Lock()
 	if p.closed {
