@@ -15,8 +15,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/bench"
@@ -30,25 +32,35 @@ import (
 
 func main() {
 	spec.InstallEnvTuning()
-	machine := flag.String("machine", "hazelhen-cray", "machine profile")
-	flag.Parse()
-	mk, ok := sim.Profiles()[*machine]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "ablations: unknown machine %q\n", *machine)
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "ablations:", err)
 		os.Exit(1)
-	}
-	for _, f := range []func(*sim.CostModel) error{
-		syncFlavors, leaderCounts, allgatherAlgos, pipelined, barriers, npbKernels, noiseDrift,
-		noiseSelection,
-	} {
-		if err := f(mk()); err != nil {
-			fmt.Fprintln(os.Stderr, "ablations:", err)
-			os.Exit(1)
-		}
 	}
 }
 
-func run(model *sim.CostModel, shape []int, body func(p *mpi.Proc) error) (sim.Time, error) {
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("ablations", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	machine := fs.String("machine", "hazelhen-cray", "machine profile")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	mk, ok := sim.Profiles()[*machine]
+	if !ok {
+		return fmt.Errorf("unknown machine %q", *machine)
+	}
+	for _, f := range []func(io.Writer, *sim.CostModel) error{
+		syncFlavors, leaderCounts, allgatherAlgos, pipelined, barriers, npbKernels, noiseDrift,
+		noiseSelection,
+	} {
+		if err := f(stdout, mk()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func makespan(model *sim.CostModel, shape []int, body func(p *mpi.Proc) error) (sim.Time, error) {
 	topo, err := sim.NewTopology(shape)
 	if err != nil {
 		return 0, err
@@ -72,7 +84,7 @@ func uniformShape(nodes, ppn int) []int {
 	return s
 }
 
-func syncFlavors(model *sim.CostModel) error {
+func syncFlavors(out io.Writer, model *sim.CostModel) error {
 	t := &bench.Table{
 		Name:   "Ablation: hybrid allgather synchronization flavor (8 nodes x 24 ranks, us per op)",
 		Note:   "Sect. 6: the paper uses barriers; flag-based schemes are the 'light-weight means'.",
@@ -89,10 +101,10 @@ func syncFlavors(model *sim.CostModel) error {
 		}
 		t.AddRow(row...)
 	}
-	return t.Fprint(os.Stdout)
+	return t.Fprint(out)
 }
 
-func leaderCounts(model *sim.CostModel) error {
+func leaderCounts(out io.Writer, model *sim.CostModel) error {
 	t := &bench.Table{
 		Name:   "Ablation: leaders per node, pure-MPI hierarchy vs hybrid (8 nodes x 24 ranks, us per op)",
 		Note:   "Multi-leader [14] parallelizes the intra-node phases; the hybrid scheme removes them.",
@@ -104,7 +116,7 @@ func leaderCounts(model *sim.CostModel) error {
 		row := []string{fmt.Sprint(elems)}
 		for _, leaders := range []int{1, 2, 4, 8} {
 			l := leaders
-			lat, err := run(model, shape, func(p *mpi.Proc) error {
+			lat, err := makespan(model, shape, func(p *mpi.Proc) error {
 				m, err := coll.NewMultiLeaderHier(p.CommWorld(), l)
 				if err != nil {
 					return err
@@ -129,10 +141,10 @@ func leaderCounts(model *sim.CostModel) error {
 		row = append(row, fmt.Sprintf("%.2f", hy.Us()))
 		t.AddRow(row...)
 	}
-	return t.Fprint(os.Stdout)
+	return t.Fprint(out)
 }
 
-func allgatherAlgos(model *sim.CostModel) error {
+func allgatherAlgos(out io.Writer, model *sim.CostModel) error {
 	t := &bench.Table{
 		Name:   "Ablation: flat allgather algorithms (16 nodes x 1 rank, us per op)",
 		Note:   "The classic family [28]; the tuned selector picks per size.",
@@ -148,7 +160,7 @@ func allgatherAlgos(model *sim.CostModel) error {
 		}
 		for _, fn := range algos {
 			f := fn
-			lat, err := run(model, shape, func(p *mpi.Proc) error {
+			lat, err := makespan(model, shape, func(p *mpi.Proc) error {
 				return f(p.CommWorld(), mpi.Sized(per), mpi.Sized(per*p.Size()), per)
 			})
 			if err != nil {
@@ -158,10 +170,10 @@ func allgatherAlgos(model *sim.CostModel) error {
 		}
 		t.AddRow(row...)
 	}
-	return t.Fprint(os.Stdout)
+	return t.Fprint(out)
 }
 
-func pipelined(model *sim.CostModel) error {
+func pipelined(out io.Writer, model *sim.CostModel) error {
 	t := &bench.Table{
 		Name:   "Ablation: chunked (pipelined [30]) vs plain bridge exchange (8 nodes x 4 ranks, large blocks)",
 		Note:   "Negative result: a ring is already pipelined at block granularity; chunking only adds latency.",
@@ -173,7 +185,7 @@ func pipelined(model *sim.CostModel) error {
 		row := []string{fmt.Sprint(kib)}
 		for _, chunk := range []int{0, 128 << 10} {
 			ch := chunk
-			lat, err := run(model, shape, func(p *mpi.Proc) error {
+			lat, err := makespan(model, shape, func(p *mpi.Proc) error {
 				ctx, err := hybrid.New(p.CommWorld())
 				if err != nil {
 					return err
@@ -195,10 +207,10 @@ func pipelined(model *sim.CostModel) error {
 		}
 		t.AddRow(row...)
 	}
-	return t.Fprint(os.Stdout)
+	return t.Fprint(out)
 }
 
-func npbKernels(model *sim.CostModel) error {
+func npbKernels(out io.Writer, model *sim.CostModel) error {
 	t := &bench.Table{
 		Name:   "Ablation: NPB-style kernels, pure vs hybrid collectives (4 nodes x 24 ranks, ms per run)",
 		Note:   "Allreduce-shaped kernels (CG, EP) gain; alltoall-shaped ones (FT, IS) LOSE badly —\nfunneling a complete exchange through one leader per node serializes what the pairwise\nexchange spreads over every rank. See EXPERIMENTS.md.",
@@ -227,10 +239,10 @@ func npbKernels(model *sim.CostModel) error {
 			fmt.Sprintf("%.2f", times[0].Ms()), fmt.Sprintf("%.2f", times[1].Ms()),
 			fmt.Sprintf("%.2f", float64(times[0])/float64(times[1])))
 	}
-	return t.Fprint(os.Stdout)
+	return t.Fprint(out)
 }
 
-func noiseDrift(model *sim.CostModel) error {
+func noiseDrift(out io.Writer, model *sim.CostModel) error {
 	t := &bench.Table{
 		Name:   "Ablation: deterministic noise drift (8 nodes x 8 ranks, 4096-elem allreduce, us per op)",
 		Note:   "Seeded noise moves the timeline off the clean run; per-seed spread (5 seeds) is the\nsensitivity any clean-machine tuning decision is exposed to under perturbation.",
@@ -314,7 +326,7 @@ func noiseDrift(model *sim.CostModel) error {
 			fmt.Sprintf("%+.1f%%", (mean/clean-1)*100),
 			fmt.Sprintf("%.1f%%", (maxL-minL)/mean*100))
 	}
-	return t.Fprint(os.Stdout)
+	return t.Fprint(out)
 }
 
 // noiseSelection answers the ROADMAP drift question: the selection
@@ -325,7 +337,7 @@ func noiseDrift(model *sim.CostModel) error {
 // its own virtual time over that optimum. Because the noise draws are
 // seed-deterministic, a policy run's time equals its chosen algorithm's
 // forced time exactly, which is how the pick columns are recovered.
-func noiseSelection(model *sim.CostModel) error {
+func noiseSelection(out io.Writer, model *sim.CostModel) error {
 	t := &bench.Table{
 		Name: "Ablation: selection drift under noise (8 nodes x 8 ranks allreduce, mean of 5 seeds)",
 		Note: "Noise-blind policies keep their clean-machine choice; drift is the price of that choice\n" +
@@ -450,10 +462,10 @@ func noiseSelection(model *sim.CostModel) error {
 				fmt.Sprintf("%+.1f%%", measuredDrift/float64(len(seeds))*100))
 		}
 	}
-	return t.Fprint(os.Stdout)
+	return t.Fprint(out)
 }
 
-func barriers(model *sim.CostModel) error {
+func barriers(out io.Writer, model *sim.CostModel) error {
 	t := &bench.Table{
 		Name:   "Ablation: barrier algorithms (us per barrier)",
 		Note:   "Dissemination (runtime default) vs central counter; single-node barriers take the shm fast path.",
@@ -463,7 +475,7 @@ func barriers(model *sim.CostModel) error {
 		row := []string{fmt.Sprint(shape)}
 		for _, central := range []bool{false, true} {
 			cen := central
-			lat, err := run(model, shape, func(p *mpi.Proc) error {
+			lat, err := makespan(model, shape, func(p *mpi.Proc) error {
 				for i := 0; i < 4; i++ {
 					var err error
 					if cen {
@@ -484,5 +496,5 @@ func barriers(model *sim.CostModel) error {
 		}
 		t.AddRow(row...)
 	}
-	return t.Fprint(os.Stdout)
+	return t.Fprint(out)
 }

@@ -1,6 +1,7 @@
 package coll
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -303,4 +304,51 @@ func TestRequestTest(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestIallreduceRankFailureEndsWait: a nonblocking collective whose peer
+// dies mid-schedule must end Wait with ErrRankFailed on both engines,
+// not return nil over a half-reduced buffer (mpi.Sched used to take the
+// death sentinel for a completion time). The flag orders the hand-off in
+// host time: rank 0's receive is queued before rank 1 dies, so it is the
+// death walk that ends it, not a refused post.
+func TestIallreduceRankFailureEndsWait(t *testing.T) {
+	for _, eng := range []sim.Engine{sim.EngineGoroutine, sim.EngineEvent} {
+		w, err := mpi.NewWorld(sim.Laptop(), sim.MustUniform(1, 2), mpi.WithEngine(eng), mpi.WithRealData(),
+			mpi.WithNoise(&sim.Noise{Failures: []sim.Failure{{Rank: 1, At: sim.Millisecond}}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var waitErr error
+		err = w.Run(func(p *mpi.Proc) error {
+			c := p.CommWorld()
+			if p.Rank() == 1 {
+				if err := c.RecvFlag(0, 9); err != nil {
+					return err
+				}
+				p.Elapse(2 * sim.Millisecond) // past the deadline
+				p.Compute(1)                  // dies
+				return nil
+			}
+			s, err := Iallreduce(c, mpi.FromFloat64s([]float64{1}), w.NewBuf(8), 1, mpi.Float64, mpi.OpSum)
+			if err != nil {
+				return err
+			}
+			if err := s.Start(); err != nil {
+				return err
+			}
+			if err := c.SendFlag(1, 9); err != nil {
+				return err
+			}
+			waitErr = s.Wait()
+			return nil
+		})
+		w.Close()
+		if err != nil {
+			t.Fatalf("engine %v: Run: %v", eng, err)
+		}
+		if !errors.Is(waitErr, mpi.ErrRankFailed) {
+			t.Errorf("engine %v: Iallreduce Wait = %v, want ErrRankFailed", eng, waitErr)
+		}
+	}
 }

@@ -21,7 +21,7 @@ type Comm struct {
 	ctx   int
 	ranks []int // comm rank -> global rank (shared, read-only)
 	rank  int   // this process's comm rank
-	seq   int   // sequence number for untimed coordination calls
+	seq   int   // sequence number of SetupOnce slots (derive.go)
 	sched int   // sequence number for nonblocking schedule tag windows
 
 	// collCfg carries the collective-tuning configuration attached to
@@ -31,10 +31,10 @@ type Comm struct {
 	// world or a parent communicator was configured with.
 	collCfg any
 
-	// cfuser caches the communicator's clock-fusion cell (see coord.go)
-	// after the first FuseClocks, so the steady-state fusion path
-	// touches no shared maps at all.
-	cfuser *clockFuser
+	// cell caches the communicator's rendezvous cell (coord.go) after
+	// the first round, so the steady-state fusion path touches no shared
+	// map at all.
+	cell *cell
 
 	// ptopo is the process topology (Cartesian grid or distributed
 	// graph) attached by CartCreate / DistGraphCreate, nil on plain
@@ -47,9 +47,9 @@ type Comm struct {
 }
 
 // CommWorld returns this rank's handle on MPI_COMM_WORLD. The handle is
-// a per-process singleton: untimed coordination calls (Split, window
-// allocation, shm barriers) are sequenced per communicator handle, so
-// every call site must observe the same sequence counter.
+// a per-process singleton: SetupOnce slots are sequenced per
+// communicator handle, so every call site must observe the same
+// sequence counter.
 func (p *Proc) CommWorld() *Comm {
 	if p.commWorld == nil {
 		p.cw = Comm{p: p, ctx: 0, ranks: p.world.identity, rank: p.rank, collCfg: p.world.collCfg}
@@ -74,100 +74,82 @@ func (c *Comm) Global(rank int) int { return c.ranks[rank] }
 // Ranks returns the comm-rank -> global-rank table (do not modify).
 func (c *Comm) Ranks() []int { return c.ranks }
 
-// nextSeq issues the next coordination sequence number. Untimed
-// collective setup calls (Split, window allocation) must be invoked in
-// the same order by every member, which MPI requires anyway.
+// nextSeq issues the next SetupOnce slot number. Untimed collective
+// setup calls must be invoked in the same order by every member, which
+// MPI requires anyway.
 func (c *Comm) nextSeq() int {
 	c.seq++
 	return c.seq
 }
 
-// exchange performs an untimed allgather of one value per member. It is
-// the building block for communicator and window construction — the
+// exchange performs an untimed allgather of one value per member: one
+// round of the communicator's rendezvous cell (coord.go). It is the
+// building block for communicator and window construction — the
 // "one-off" operations whose cost the paper explicitly excludes from
-// measurements (Sect. 4.1).
+// measurements (Sect. 4.1). build runs once over the full contribution
+// vector, on whichever member completes the round, and every member
+// receives its product.
 //
 // Under rank-symmetry folding an exchange can only complete when every
 // member executes, so communicators spanning ranks outside the fold
 // unit refuse loudly (ErrFoldUnsafe, recovered as the rank's error)
-// instead of deadlocking: generic Split, Setup/SharePlan and window
+// instead of deadlocking: generic Split, SharePlan and window
 // construction on such communicators are inherently unfoldable.
 // Communicators wholly inside the unit — node and tier communicators
 // of the hierarchical collectives — exchange normally.
-func (c *Comm) exchange(val any) []any {
-	w := c.p.world
-	if u := w.foldUnit; u > 0 {
+func (c *Comm) exchange(val any, build func(vals []any) any) any {
+	if u := c.p.world.foldUnit; u > 0 {
 		for _, g := range c.ranks {
 			if g >= u {
 				panic(fmt.Errorf("%w: exchange on a communicator spanning rank %d (fold unit %d)", ErrFoldUnsafe, g, u))
 			}
 		}
 	}
-	c.checkFailed()
-	key := coordKey{ctx: c.ctx, seq: c.nextSeq()}
-	return w.coord.exchange(key, c.p, c.rank, len(c.ranks), val)
+	c.p.maybeFail()
+	_, _, out := c.meet(c.ranks, len(c.ranks), c.rank, c.p.clock, val, build)
+	return out
 }
 
-// Setup performs an untimed allgather of one value per member. It
-// exists for "one-off" construction work — communicator metadata,
-// window geometry, hierarchy shapes — which the paper's measurements
-// explicitly exclude (Sect. 4.1). It must be called collectively and in
-// the same order by all members, like every MPI setup call.
-func (c *Comm) Setup(val any) []any { return c.exchange(val) }
-
-// SharePlan runs the "rank 0 computes, everyone shares" setup pattern
-// used by communicator construction at scale: every member contributes
-// val (an untimed allgather, like Setup); comm rank 0 derives a plan
-// from the full contribution vector; every member receives the same
-// plan to use read-only. A nil plan from build signals a validation
-// failure and surfaces as an error on every member (rank 0 may keep a
-// more precise error of its own). Like Setup, SharePlan must be called
-// collectively and in the same order by all members.
+// SharePlan runs the "everyone contributes, one member computes,
+// everyone shares" setup pattern used by communicator construction at
+// scale: every member contributes val (an untimed allgather); the
+// member that completes the rendezvous derives a plan from the full
+// contribution vector, so build must not depend on which member runs
+// it; every member receives the same plan to use read-only. A nil plan
+// from build signals a validation failure and surfaces as an error on
+// every member. SharePlan must be called collectively and in the same
+// order by all members, like every MPI setup call.
 func SharePlan[T any](c *Comm, val any, build func(vals []any) *T) (*T, error) {
-	vals := c.exchange(val)
-	var plan *T
-	if c.rank == 0 {
-		plan = build(vals)
+	out := c.exchange(val, func(vals []any) any { return build(vals) })
+	if plan := out.(*T); plan != nil {
+		return plan, nil
 	}
-	published := c.exchange(plan)
-	plan, _ = published[0].(*T)
-	if plan == nil {
-		return nil, fmt.Errorf("mpi: setup plan rejected by comm rank 0")
-	}
-	return plan, nil
+	return nil, fmt.Errorf("mpi: setup plan rejected by its builder")
 }
 
 // FuseClocks performs an untimed max-reduction of the members' virtual
 // clocks. It is the repeatedly-invoked core of the shared-memory
-// synchronization primitives (flag barriers, epoch counters), so it
-// avoids the session machinery entirely: each communicator context
-// owns a persistent fusion cell (clockFuser, coord.go), cached on the
-// handle, that serves every size, both engines, folded worlds and
-// failure configs. No per-call session key is needed — but like every
-// collective, all members must call FuseClocks in the same order. The
-// timed cost of the modeled synchronization is charged by the caller.
+// synchronization primitives (flag barriers, epoch counters): a
+// vector-less round of the communicator's rendezvous cell (coord.go),
+// cached on the handle, on every size, both engines, folded worlds and
+// failure configs. Like every collective, all members must call
+// FuseClocks in the same order. The timed cost of the modeled
+// synchronization is charged by the caller.
 func (c *Comm) FuseClocks(t sim.Time) sim.Time {
-	w := c.p.world
 	n := len(c.ranks)
-	if w.foldUnit > 0 {
+	if c.p.world.foldUnit > 0 {
 		// Only the class representatives execute, and every replica's
 		// clock is (by construction) its representative's, so the max
 		// over the representative members equals the max over all
-		// members. The fuser just has to count representatives.
+		// members. The round just has to count representatives.
 		n = c.foldSize()
 	}
 	if n == 1 {
 		return t
 	}
-	var failed func() bool
-	if w.hasFailures() {
-		c.checkFailed()
-		failed = c.deadCheck
-	}
-	if c.cfuser == nil {
-		c.cfuser = w.coord.clockFuser(c.ctx)
-	}
-	return c.cfuser.fuse(c.p, n, t, failed)
+	c.p.maybeFail()
+	max, _, _ := c.meet(c.ranks, n, -1, t, nil, nil)
+	return max
 }
 
 // foldSize counts the communicator members that execute under folding
@@ -197,11 +179,11 @@ type splitGroup struct {
 	ranks []int
 }
 
-// splitPlan is the full partition of one Split call. Parent comm rank 0
-// computes it once and publishes it; every other member only performs
-// two O(1) lookups. (The seed implementation had every rank rebuild and
-// re-sort the whole partition, which dominated setup wall-clock time at
-// Fig. 9 scale — 1536 ranks each doing O(n log n) work per Split.)
+// splitPlan is the full partition of one Split call. One member
+// computes it and every other member only performs two O(1) lookups.
+// (The seed implementation had every rank rebuild and re-sort the whole
+// partition, which dominated setup wall-clock time at Fig. 9 scale —
+// 1536 ranks each doing O(n log n) work per Split.)
 type splitPlan struct {
 	groups []*splitGroup
 	byComm []int32 // parent comm rank -> group index, -1 for Undefined
@@ -257,9 +239,9 @@ func (w *World) buildSplitPlan(vals []any) *splitPlan {
 // by (key, parent rank) — MPI_Comm_split. Ranks passing Undefined
 // receive nil.
 func (c *Comm) Split(color, key int) (*Comm, error) {
-	// Comm rank 0 computes the whole partition (group tables and
-	// context ids, which must be identical across members) and
-	// publishes it; everyone else just looks itself up.
+	// One member computes the whole partition (group tables and context
+	// ids, which must be identical across members); everyone else just
+	// looks itself up.
 	plan, err := SharePlan(c,
 		splitEntry{color: color, key: key, globalRank: c.p.rank, commRank: c.rank},
 		c.p.world.buildSplitPlan)
@@ -275,11 +257,7 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 		return nil, nil
 	}
 	g := plan.groups[gi]
-	// Preallocate this rank's receive-side match queue for the new
-	// context so first use of the communicator doesn't allocate.
-	c.p.world.match.reserve(g.ctx, c.p.rank)
-	c.p.world.registerComm(g.ctx, g.ranks)
-	return &Comm{p: c.p, ctx: g.ctx, ranks: g.ranks, rank: int(plan.rankIn[c.rank]), collCfg: c.collCfg}, nil
+	return c.NewGroupComm(g.ctx, g.ranks, int(plan.rankIn[c.rank])), nil
 }
 
 // CollConfig returns the collective-tuning configuration attached to

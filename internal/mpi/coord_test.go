@@ -6,16 +6,33 @@ import (
 	"repro/internal/sim"
 )
 
-// Coordinator hygiene: completed exchange sessions must be deleted and
-// their records recycled (the seed's maps grew without bound across
-// communicator creations), and clock fusion must be allocation-lean at
-// steady state.
+// Coordinator hygiene: a clean Run leaves no rendezvous round live on
+// any cell (the seed's session maps grew without bound across
+// communicator creations), and both kinds of round must be
+// allocation-lean at steady state.
 
-func TestExchangeSessionsDeletedAfterRun(t *testing.T) {
+// liveRounds counts the cells that still hold a round collecting
+// arrivals. Only meaningful between Runs.
+func liveRounds(w *World) int {
+	n := 0
+	w.coord.cells.Range(func(_, v any) bool {
+		cl := v.(*cell)
+		cl.mu.Lock()
+		if cl.cur != nil {
+			n++
+		}
+		cl.mu.Unlock()
+		return true
+	})
+	return n
+}
+
+func TestNoLiveRoundAfterCleanRun(t *testing.T) {
 	w := newTestWorld(t, 2, 4)
 	defer w.Close()
 	err := w.Run(func(p *Proc) error {
-		// Exchange-based construction: generic Split and a window.
+		// Exchange-based construction (generic Split, a window) and
+		// clock fusion on the same cells.
 		sub, err := p.CommWorld().Split(p.Rank()%2, p.Rank())
 		if err != nil {
 			return err
@@ -27,14 +44,16 @@ func TestExchangeSessionsDeletedAfterRun(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		_, err = WinAllocateShared(node, 8)
-		return err
+		if _, err = WinAllocateShared(node, 8); err != nil {
+			return err
+		}
+		return node.Barrier()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := w.coord.sessionCount(); n != 0 {
-		t.Errorf("%d exchange sessions left after Run; completed sessions must be deleted", n)
+	if n := liveRounds(w); n != 0 {
+		t.Errorf("%d rendezvous rounds still live after a clean Run", n)
 	}
 }
 
@@ -42,9 +61,9 @@ func TestSetupExchangeAllocationLean(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless")
 	}
-	// A single-member communicator completes its session at contribute
-	// time, exercising the create/complete/release/pool cycle without
-	// needing a peer goroutine.
+	// A single-member communicator completes its round at contribute
+	// time, exercising the open/complete/recycle cycle without needing a
+	// peer goroutine.
 	w, err := NewWorld(sim.Laptop(), sim.MustUniform(1, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -52,15 +71,15 @@ func TestSetupExchangeAllocationLean(t *testing.T) {
 	defer w.Close()
 	c := w.Proc(0).CommWorld()
 	for i := 0; i < 32; i++ {
-		c.Setup(i)
+		c.exchange(i, nil)
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		c.Setup(7)
+		c.exchange(7, nil)
 	})
 	// The returned contribution vector escapes (one allocation); the
-	// session record itself must come from the pool.
-	if avg >= 3 {
-		t.Errorf("Setup allocates %.2f objects/op, want <= 2 (pooled session records)", avg)
+	// round record itself must come from the pool. 1.00 at the parent.
+	if avg > 1 {
+		t.Errorf("exchange allocates %.2f objects/op, want <= 1 (pooled round records)", avg)
 	}
 }
 

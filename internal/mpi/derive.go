@@ -12,7 +12,7 @@ import (
 // This file holds the exchange-free communicator-derivation machinery.
 // Splits whose outcome is fully determined by world-global data — the
 // topology and the parent communicator's rank table — do not need the
-// contribute/publish exchanges of the generic Split: any member can
+// contribute/build exchange of the generic Split: any member can
 // compute the whole partition locally. SetupOnce shares exactly one
 // such computation per collective call among the members, and the
 // expensive membership tables are additionally cached across worlds
@@ -27,7 +27,7 @@ type setupKey struct{ ctx, seq int }
 // setupEntry is the once-guarded slot one SetupOnce call shares. left
 // counts the members that have not fetched the result yet; the last
 // one deletes the slot, so setup plans don't accumulate on the world
-// (the same hygiene the coordinator's exchange sessions get).
+// (the same hygiene the coordinator's pooled rounds get).
 type setupEntry struct {
 	once sync.Once
 	val  any
@@ -38,11 +38,11 @@ type setupEntry struct {
 // SetupOnce runs build exactly once per collective call on the
 // communicator and hands the result to every member — the local,
 // exchange-free analogue of SharePlan for plans derivable from
-// world-global data (topology, rank tables). Like Setup and SharePlan
-// it must be called collectively and in the same order by all members;
-// unlike them it performs no rendezvous: members that arrive after the
-// build simply read the shared slot and proceed, and the last arrival
-// retires the slot.
+// world-global data (topology, rank tables). Like SharePlan it must be
+// called collectively and in the same order by all members; unlike it,
+// it performs no rendezvous: members that arrive after the build simply
+// read the shared slot and proceed, and the last arrival retires the
+// slot.
 func SetupOnce(c *Comm, build func() (any, error)) (any, error) {
 	key := setupKey{ctx: c.ctx, seq: c.nextSeq()}
 	w := c.p.world
@@ -83,7 +83,6 @@ func (c *Comm) NewGroupComm(ctx int, ranks []int, rank int) *Comm {
 // dst must be written by exactly one rank.
 func (c *Comm) InitGroupComm(dst *Comm, ctx int, ranks []int, rank int) *Comm {
 	c.p.world.match.reserve(ctx, c.p.rank)
-	c.p.world.registerComm(ctx, ranks)
 	*dst = Comm{p: c.p, ctx: ctx, ranks: ranks, rank: rank, collCfg: c.collCfg}
 	return dst
 }

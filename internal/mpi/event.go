@@ -23,7 +23,7 @@ import "sync"
 // Scheduling protocol. Control is a token: it starts with the Run
 // caller, passes to a rank through a gate send, and comes back through
 // the ctrl channel when every rank is done. A running rank that blocks
-// (evAwait) parks itself and forwards the token via dispatchNext; a
+// (await) parks itself and forwards the token via dispatchNext; a
 // rank whose operation completes is enqueued on the ready ring by the
 // completer (wake) and resumed later by whichever rank holds the token.
 // All scheduler state (states, ready ring, done count) is therefore
@@ -32,12 +32,12 @@ import "sync"
 // construction.
 //
 // Abort. External goroutines may only close the world's abort channel
-// and poison the matcher/coordinator (World.Abort) — they never touch
-// scheduler state. When the token holder finds the ready ring empty
-// with ranks still parked, no internal event can ever complete them:
-// it blocks on the abort channel (a genuine deadlock hangs there, just
-// like the goroutine engine) and, once poisoned, wakes every parked
-// rank so each can observe its sentinel or the aborted flag.
+// and poison the matcher and the rendezvous cells (World.Abort) — they
+// never touch scheduler state. When the token holder finds the ready
+// ring empty with ranks still parked, no internal event can ever
+// complete them: it blocks on the abort channel (a genuine deadlock
+// hangs there, just like the goroutine engine) and, once poisoned, wakes
+// every parked rank so each can observe its sentinel or closed round.
 
 // Per-rank scheduler states. Only the token holder reads or writes
 // them (see the protocol note above), so they are plain ints.
@@ -45,7 +45,7 @@ const (
 	evIdle    int32 = iota // between Runs
 	evReady                // enqueued on the ready ring
 	evRunning              // holds the token (at most one rank)
-	evParked               // blocked in evAwait or a coordinator wait
+	evParked               // blocked in await
 	evDone                 // body finished this Run
 )
 
@@ -147,8 +147,10 @@ func (ev *evSched) wakeAllParked() {
 // Called by the completing rank (the token holder); idempotent for
 // ranks already ready, running, or done — a rank parked on record B
 // may be woken by record A's completion, re-check B, and park again.
+// A rendezvous round wakes its whole member table, which on a folded
+// world also lists replicas (r >= n): they never execute.
 func (ev *evSched) wake(r int) {
-	if ev.state[r] == evParked {
+	if r < ev.n && ev.state[r] == evParked {
 		ev.state[r] = evReady
 		ev.pushReady(r)
 	}
@@ -200,22 +202,46 @@ func (ev *evSched) shutdown() {
 	ev.wg.Wait()
 }
 
-// evAwait is the event-mode replacement for a blocking channel receive
-// on a matcher record (message.done / recvReq.result): poll the
-// channel, park if empty, re-check on every wake. After an abort the
-// receive is taken directly — the poison walk delivers a sentinel to
-// every queued record and completions are synchronous, so the channel
-// is guaranteed to produce a value.
-func evAwait[T any](ev *evSched, rank int, ch chan T) T {
+// wake readies a rank whose awaited channel was just fed: a no-op on the
+// goroutine engine, where feeding the channel is the wake. The receiver
+// is nil in Abort's walks — Abort may run on a goroutine outside the Run
+// (spec's cancellation watcher) and must not touch scheduler state; once
+// abortCh is closed the empty-ring path readies every parked rank.
+func (w *World) wake(rank int) {
+	if w != nil && w.evLive {
+		w.ev.wake(rank)
+	}
+}
+
+// yield lets the other ranks run between two polls of a Test loop: on
+// the single-threaded event engine a spin would starve them forever.
+func (p *Proc) yield() {
+	if w := p.world; w.evLive {
+		w.ev.yield(p.rank)
+	}
+}
+
+// await is the one park of the runtime: rank p blocks until ch yields.
+// Whatever ends the wait — completion, abort, a peer's death, revocation
+// — arrives through ch itself (a value, a sentinel, a close), so the
+// goroutine engine takes a plain receive, never a select against the
+// abort channel. The event engine polls, parks and re-checks on every
+// wake; after an abort it receives directly, since the poison walks feed
+// every queued record and close every live round.
+func await[T any](p *Proc, ch <-chan T) T {
+	w := p.world
+	if !w.evLive {
+		return <-ch
+	}
 	for {
 		select {
 		case v := <-ch:
 			return v
 		default:
 		}
-		if ev.w.Aborted() {
+		if w.Aborted() {
 			return <-ch
 		}
-		ev.park(rank)
+		w.ev.park(p.rank)
 	}
 }

@@ -172,7 +172,7 @@ func TestEventEngineAbort(t *testing.T) {
 // TestEngineSwitchRerun is the re-run satellite: a world must survive
 // goroutine -> event -> goroutine engine switches across Runs with
 // clocks continuing exactly as if one engine had run throughout, and
-// with no coordinator sessions or matcher records left behind by
+// with no rendezvous round or matcher record left behind by
 // either backend.
 func TestEngineSwitchRerun(t *testing.T) {
 	topo := sim.MustUniform(2, 4)
@@ -199,8 +199,8 @@ func TestEngineSwitchRerun(t *testing.T) {
 		if err := w.Run(body); err != nil {
 			t.Fatalf("run %d (%v): %v", i, e, err)
 		}
-		if n := w.coord.sessionCount(); n != 0 {
-			t.Fatalf("run %d (%v): %d coordinator sessions still live", i, e, n)
+		if n := liveRounds(w); n != 0 {
+			t.Fatalf("run %d (%v): %d rendezvous rounds still live", i, e, n)
 		}
 		if n := w.match.pendingRecords(); n != 0 {
 			t.Fatalf("run %d (%v): %d matcher records still queued", i, e, n)

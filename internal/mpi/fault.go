@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -30,8 +31,8 @@ import (
 //   - non-fault-aware collectives (FuseClocks, exchange-based setup) on
 //     a communicator with a dead member panic with ErrRankFailed, which
 //     aborts the job — exactly MPI's default MPI_ERRORS_ARE_FATAL
-//     behavior. Members already parked inside a fusion round or setup
-//     session are woken by the death walk and fail the same way;
+//     behavior. Members already parked inside a rendezvous round are
+//     woken by the death walk and fail the same way;
 //   - fault-tolerant programs instead use Comm.Revoke (poison the
 //     communicator so every member's pending and future p2p ops fail),
 //     Comm.Agree (fault-aware agreement over the live members) and
@@ -175,207 +176,44 @@ func (w *World) hasFailures() bool { return w.noise != nil && w.noise.failAt != 
 // them.
 func (w *World) Damaged() bool { return w.damaged.Load() }
 
-// killRank executes rank p's scheduled death. It marks the world
-// damaged, publishes the death flag, fails every matcher record that
-// can no longer complete, wakes collective waiters stranded in fusion
-// rounds or setup sessions on communicators containing p, and unwinds
-// the rank body with errRankKilled. Runs on the dying rank's own
-// goroutine — which in event mode is the token holder, making the
-// scheduler wakes safe.
+// killRank executes rank p's scheduled death: it marks the world
+// damaged, publishes the death flag, then fails everything that waits
+// on p — the matcher records whose peer it is and the rendezvous rounds
+// whose member table lists it — and unwinds the rank body with
+// errRankKilled. The one ordering rule: flag first, walks after. A
+// concurrent post or arrival either observes the flag under the lock the
+// walk takes next (and fails on its own) or got in before the walk locks
+// there (and is failed by it). A recovery round over the live set is not
+// waiting on p, so the walk leaves it alone however early a survivor
+// starts it. Runs on the dying rank's own goroutine — which in event
+// mode is the token holder, making the scheduler wakes safe.
 func (w *World) killRank(p *Proc) {
 	w.damaged.Store(true)
-	// The session walk runs first: survivors can only learn of the
-	// death through matcher sentinels or the dead flag (both published
-	// by the matcher walk below), so no survivor can start a recovery
-	// exchange while this walk might still mistake it for a stranded
-	// session and fail it. The fusion walk runs last: a member that
-	// enters a cell the walk has not seen is caught by the cell's own
-	// dead-flag re-check, which needs the flag published first.
-	w.coord.failSessions(w, p.rank)
-	w.match.killRank(w, p.rank)
-	w.coord.failFusers(w, p.rank)
+	w.match.dead[p.rank].Store(true)
+	w.match.fail(w, failClock, func(_, peer int) bool { return peer == p.rank })
+	w.coord.fail(w, fmt.Errorf("mpi: rank %d failed during a rendezvous: %w", p.rank, ErrRankFailed),
+		func(members []int) bool { return slices.Contains(members, p.rank) })
 	if w.tracer.Enabled() {
 		w.tracer.Record(sim.Event{At: p.clock, Rank: p.rank, Kind: "fail", Note: "scheduled rank failure"})
 	}
 	panic(errRankKilled)
 }
 
-// registerComm records a communicator's member table for the death
-// walk (which must know whether a context's communicator contains the
-// dead rank). Only worlds with scheduled failures track this; for
-// everyone else it is a single nil check.
-func (w *World) registerComm(ctx int, ranks []int) {
-	if w.hasFailures() {
-		w.commRanks.Store(ctx, ranks)
+// stranded reports why a rendezvous over members can never complete:
+// the job aborted, or a member is dead (nil when it still can). meet
+// evaluates it under the cell lock.
+func (w *World) stranded(members []int) error {
+	if w.Aborted() {
+		return ErrAborted
 	}
-}
-
-// ctxHasRank reports whether the communicator registered for ctx
-// contains the given global rank. Unregistered contexts conservatively
-// report true: wrongly failing a waiter is loud, stranding one is a
-// hang.
-func (w *World) ctxHasRank(ctx, rank int) bool {
-	v, ok := w.commRanks.Load(ctx)
-	if !ok {
-		return true
-	}
-	for _, g := range v.([]int) {
-		if g == rank {
-			return true
+	if m := w.match; m.dead != nil {
+		for _, g := range members {
+			if m.dead[g].Load() {
+				return fmt.Errorf("mpi: rendezvous on a communicator containing failed rank %d: %w", g, ErrRankFailed)
+			}
 		}
 	}
-	return false
-}
-
-// deadMember returns the first dead global rank in ranks, -1 if none.
-func (m *matcher) deadMember(ranks []int) int {
-	if m.dead == nil {
-		return -1
-	}
-	for _, g := range ranks {
-		if m.dead[g].Load() {
-			return g
-		}
-	}
-	return -1
-}
-
-// checkFailed is the collective-entry failure gate: the caller dies if
-// its own deadline passed, and panics with ErrRankFailed if the
-// communicator contains a dead member — non-fault-aware collectives on
-// a broken communicator fail fast (and fatally) instead of deadlocking.
-func (c *Comm) checkFailed() {
-	w := c.p.world
-	if !w.hasFailures() {
-		return
-	}
-	c.p.maybeFail()
-	if r := w.match.deadMember(c.ranks); r >= 0 {
-		panic(fmt.Errorf("mpi: collective on communicator containing failed rank %d: %w", r, ErrRankFailed))
-	}
-}
-
-// deadCheck is the fold of checkFailed the fusion cell re-evaluates
-// under its own lock, closing the race between a member's entry check
-// and a concurrent death.
-func (c *Comm) deadCheck() bool {
-	return c.p.world.match.deadMember(c.ranks) >= 0
-}
-
-// killRank fails the matcher records a rank's death strands. Shard
-// `rank` holds exactly the sends addressed to the dead rank and the
-// dead rank's own posted receives; receives expecting the dead rank as
-// their source live wherever their poster's queue is. The death flag is
-// published first, so a concurrent post either observes it under the
-// shard lock (and fails with ErrRankFailed) or lands before this walk
-// locks that shard (and is failed by it) — the same interleaving
-// argument as the abort poison.
-func (m *matcher) killRank(w *World, rank int) {
-	if m.dead == nil {
-		panic("mpi: killRank without failure configuration")
-	}
-	m.dead[rank].Store(true)
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		for _, cq := range s.queues {
-			q := cq.q
-			if i == rank {
-				// Sends to the dead rank can never be received: wake
-				// rendezvous senders with the failure sentinel, recycle
-				// fire-and-forget eager payloads.
-				for j := q.sends.head; j < len(q.sends.items); j++ {
-					msg := q.sends.items[j]
-					if msg.eager {
-						if msg.store != nil {
-							putEagerStore(msg.store)
-						}
-						putMessage(msg)
-					} else {
-						msg.done <- failClock
-						if w.evLive {
-							w.ev.wake(msg.src)
-						}
-					}
-				}
-				q.sends.items = q.sends.items[:0]
-				q.sends.head = 0
-				// The dead rank's own posted receives stay matchable:
-				// whether a peer's send pairs with them then depends only
-				// on virtual program order (the receive was posted before
-				// the death), never on how the peer's post interleaves
-				// with this walk in host time. The dead rank never reads
-				// the results; the records are simply never recycled.
-				continue
-			}
-			// Receives on other ranks expecting the dead rank as their
-			// source fail; everything else is compacted back in place
-			// (writes trail reads on the shared backing array).
-			items := q.recvs.items[q.recvs.head:]
-			q.recvs.items = q.recvs.items[:q.recvs.head]
-			kept := q.recvs.items
-			for _, rr := range items {
-				if rr.srcGlobal == rank {
-					rr.result <- recvResult{at: failClock}
-					if w.evLive {
-						w.ev.wake(rr.dst)
-					}
-				} else {
-					kept = append(kept, rr)
-				}
-			}
-			q.recvs.items = kept
-		}
-		s.mu.Unlock()
-	}
-}
-
-// revokeCtx revokes a communicator context: the revoked mark is
-// published first (posts check it under the shard lock), then every
-// queued record of the context is failed with the revoked sentinel.
-// Idempotent; safe from any rank (the event engine's caller is the
-// token holder).
-func (m *matcher) revokeCtx(w *World, ctx int) {
-	if _, loaded := m.revoked.LoadOrStore(ctx, struct{}{}); loaded {
-		return
-	}
-	m.nRevoked.Add(1)
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		for _, cq := range s.queues {
-			if cq.ctx != ctx {
-				continue
-			}
-			q := cq.q
-			for j := q.recvs.head; j < len(q.recvs.items); j++ {
-				rr := q.recvs.items[j]
-				rr.result <- recvResult{at: revokedClock}
-				if w.evLive {
-					w.ev.wake(rr.dst)
-				}
-			}
-			q.recvs.items = q.recvs.items[:0]
-			q.recvs.head = 0
-			for j := q.sends.head; j < len(q.sends.items); j++ {
-				msg := q.sends.items[j]
-				if msg.eager {
-					if msg.store != nil {
-						putEagerStore(msg.store)
-					}
-					putMessage(msg)
-				} else {
-					msg.done <- revokedClock
-					if w.evLive {
-						w.ev.wake(msg.src)
-					}
-				}
-			}
-			q.sends.items = q.sends.items[:0]
-			q.sends.head = 0
-		}
-		s.mu.Unlock()
-	}
+	return nil
 }
 
 // isRevoked reports whether a context has been revoked (one atomic
@@ -392,21 +230,28 @@ func (m *matcher) isRevoked(ctx int) bool {
 // MPI_Comm_revoke. Pending and future point-to-point operations on the
 // communicator fail with ErrRevoked on all members, which is how one
 // rank's failure observation propagates to members that were not
-// communicating with the dead rank. Revocation is permanent; recovery
-// continues on the communicator returned by Shrink. Coordination-plane
-// calls (Agree, Shrink) still work on a revoked communicator.
+// communicating with the dead rank. Revocation is permanent and
+// idempotent; recovery continues on the communicator returned by
+// Shrink. Coordination-plane calls (Agree, Shrink) still work on a
+// revoked communicator. Safe from any rank (the event engine's caller
+// is the token holder).
 func (c *Comm) Revoke() {
-	c.p.world.match.revokeCtx(c.p.world, c.ctx)
+	m := c.p.world.match
+	if _, loaded := m.revoked.LoadOrStore(c.ctx, struct{}{}); !loaded {
+		m.nRevoked.Add(1)
+		m.fail(c.p.world, revokedClock, func(ctx, _ int) bool { return ctx == c.ctx })
+	}
 }
 
 // Revoked reports whether this communicator has been revoked.
 func (c *Comm) Revoked() bool { return c.p.world.match.isRevoked(c.ctx) }
 
 // liveMembers returns the global ranks of this communicator that have
-// not died, and the caller's index among them. Every member observes
-// the same live set by the time it reaches a recovery call (the
-// failure it is recovering from happened causally before), so the
-// live-indexed coordination sessions line up across members.
+// not died, and the caller's index among them: the member table of the
+// fault-aware rounds behind Agree and Shrink. Every member observes the
+// same live set by the time it reaches a recovery call (the failure it
+// is recovering from happened causally before), so the live-indexed
+// rounds line up across members.
 func (c *Comm) liveMembers() (live []int, idx int) {
 	m := c.p.world.match
 	live = make([]int, 0, len(c.ranks))
@@ -421,18 +266,6 @@ func (c *Comm) liveMembers() (live []int, idx int) {
 		live = append(live, g)
 	}
 	return live, idx
-}
-
-// exchangeLive is the fault-aware flavor of exchange: an untimed
-// allgather over the live members only, keyed by the same per-handle
-// sequence counters (dead members never advance theirs, and every live
-// member computes the same live set). The returned contribution vector
-// is indexed by live index.
-func (c *Comm) exchangeLive(val any) (vals []any, live []int, idx int) {
-	c.p.maybeFail()
-	live, idx = c.liveMembers()
-	key := coordKey{ctx: c.ctx, seq: c.nextSeq()}
-	return c.p.world.coord.exchange(key, c.p, idx, len(live), val), live, idx
 }
 
 // recoveryCost models the virtual time a fault-aware agreement over n
@@ -452,29 +285,14 @@ func (c *Comm) recoveryCost(n int) sim.Time {
 // excluded; a rank that dies during the agreement aborts the job (see
 // the package limitations note).
 func (c *Comm) Agree(flag bool) (bool, error) {
-	type agreeVal struct {
-		flag  bool
-		clock sim.Time
-	}
-	vals, live, _ := c.exchangeLive(agreeVal{flag: flag, clock: c.p.clock})
-	out := true
-	var max sim.Time
+	c.p.maybeFail()
+	live, idx := c.liveMembers()
+	max, vals, _ := c.meet(live, len(live), idx, c.p.clock, flag, nil)
 	for _, v := range vals {
-		av := v.(agreeVal)
-		out = out && av.flag
-		if av.clock > max {
-			max = av.clock
-		}
+		flag = flag && v.(bool)
 	}
 	c.p.syncTo(max + c.recoveryCost(len(live)))
-	return out, nil
-}
-
-// shrinkPlan is the shared shape of one Shrink call: the fresh context
-// id and the live-rank table, computed by the lowest live member.
-type shrinkPlan struct {
-	ctx   int
-	ranks []int
+	return flag, nil
 }
 
 // Shrink builds a new communicator over this one's live members — the
@@ -484,30 +302,17 @@ type shrinkPlan struct {
 // collective tuning, and is immediately usable for p2p and
 // collectives. Clocks synchronize like Agree.
 func (c *Comm) Shrink() (*Comm, error) {
-	vals, live, idx := c.exchangeLive(c.p.clock)
+	c.p.maybeFail()
+	live, idx := c.liveMembers()
 	if idx < 0 {
 		return nil, fmt.Errorf("mpi: Shrink on rank %d which is itself dead", c.p.rank)
 	}
-	var max sim.Time
-	for _, v := range vals {
-		if t := v.(sim.Time); t > max {
-			max = t
-		}
-	}
-	var plan *shrinkPlan
-	if idx == 0 {
-		plan = &shrinkPlan{ctx: c.p.world.newContext(), ranks: live}
-	}
-	published, _, _ := c.exchangeLive(plan)
-	plan, _ = published[0].(*shrinkPlan)
-	if plan == nil {
-		return nil, errors.New("mpi: shrink plan missing from live leader")
-	}
-	w := c.p.world
-	w.match.reserve(plan.ctx, c.p.rank)
-	w.registerComm(plan.ctx, plan.ranks)
+	max, _, out := c.meet(live, len(live), -1, c.p.clock, nil, func([]any) any {
+		return &splitGroup{ctx: c.p.world.newContext(), ranks: live}
+	})
+	g := out.(*splitGroup)
 	c.p.syncTo(max + c.recoveryCost(len(live)))
-	return &Comm{p: c.p, ctx: plan.ctx, ranks: plan.ranks, rank: idx, collCfg: c.collCfg}, nil
+	return c.NewGroupComm(g.ctx, g.ranks, idx), nil
 }
 
 // DeadRanks returns the global ranks that have died so far (tests and

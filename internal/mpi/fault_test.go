@@ -2,7 +2,10 @@ package mpi
 
 import (
 	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -313,6 +316,132 @@ func TestShrinkAndAgreeRecovery(t *testing.T) {
 			if s != w.Size()-1 {
 				t.Errorf("engine %v: rank %d shrunken size %d, want %d", eng, r, s, w.Size()-1)
 			}
+		}
+	}
+}
+
+// TestSchedFailureSentinels: a schedule whose receive can never complete
+// must end with the error of what ended the wait, on both engines and
+// through both Wait and a Test loop. (Sched used to compare completion
+// times against abortClock only, so failClock and revokedClock entered
+// the cursor as times, finishRound dropped them, and Wait returned nil
+// with the buffer unfilled.) The flags order the hand-off in host time:
+// both receives are queued before rank 1 acts, so it is the sentinel
+// walk that ends them, not a refused post.
+func TestSchedFailureSentinels(t *testing.T) {
+	cases := []struct {
+		name  string
+		noise *sim.Noise
+		peer  int
+		act   func(p *Proc)
+		want  error
+	}{
+		// Rank 1 outlives the two flag receives, steps over its deadline
+		// and dies at the next operation boundary.
+		{"rank failed", &sim.Noise{Failures: []sim.Failure{{Rank: 1, At: sim.Millisecond}}}, 1,
+			func(p *Proc) { p.Elapse(2 * sim.Millisecond); p.Compute(1) }, ErrRankFailed},
+		// Rank 3 is alive and never sends.
+		{"revoked", nil, 3, func(p *Proc) { p.CommWorld().Revoke() }, ErrRevoked},
+	}
+	for _, tc := range cases {
+		for _, eng := range []sim.Engine{sim.EngineGoroutine, sim.EngineEvent} {
+			w := noisyWorld(t, tc.noise, WithEngine(eng))
+			errs := make([]error, w.Size())
+			err := w.Run(func(p *Proc) error {
+				c := p.CommWorld()
+				switch p.Rank() {
+				case 0, 2:
+					s := c.NewSched([]Round{{Ops: []SchedOp{SchedRecv(w.NewBuf(8), tc.peer, 0)}}})
+					if err := s.Start(); err != nil {
+						return err
+					}
+					if err := c.SendFlag(1, 9); err != nil {
+						return err
+					}
+					if p.Rank() == 0 {
+						errs[0] = s.Wait()
+						return nil
+					}
+					for done := false; !done && errs[2] == nil; {
+						done, errs[2] = s.Test()
+					}
+				case 1:
+					for _, src := range []int{0, 2} {
+						if err := c.RecvFlag(src, 9); err != nil {
+							return err
+						}
+					}
+					tc.act(p)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s, engine %v: Run: %v", tc.name, eng, err)
+			}
+			for _, r := range []int{0, 2} {
+				if !errors.Is(errs[r], tc.want) {
+					t.Errorf("%s, engine %v: rank %d schedule ended with %v, want %v", tc.name, eng, r, errs[r], tc.want)
+				}
+			}
+		}
+	}
+}
+
+// TestRankFailureStrandsNoSetupExchange: survivors entering a setup
+// exchange — a generic Split, a WinAllocateShared — while a member dies
+// at its first operation boundary must all fail with ErrRankFailed,
+// however their arrival interleaves with the death: before the dead
+// flag (the death walk fails their round), after it (the arrival check
+// under the cell lock), never in between. Nobody aborts the job here
+// (each survivor keeps its panic to itself), so a survivor the death
+// machinery misses parks for good — which is what the deadline catches.
+func TestRankFailureStrandsNoSetupExchange(t *testing.T) {
+	const n, doomed = 24, 5
+	flavors := map[string]func(c *Comm){
+		"split": func(c *Comm) { c.Split(c.Rank()%2, c.Rank()) },
+		"win":   func(c *Comm) { WinAllocateShared(c, 8) },
+	}
+	for name, enter := range flavors {
+		for it := 0; it < 150; it++ {
+			w, err := NewWorld(sim.Laptop(), sim.MustUniform(1, n), WithEngine(sim.EngineGoroutine),
+				WithNoise(&sim.Noise{Failures: []sim.Failure{{Rank: doomed, At: 0}}}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			errs := make([]error, n)
+			ran := make(chan error, 1)
+			var entering atomic.Int32
+			go func() {
+				ran <- w.Run(func(p *Proc) error {
+					if p.Rank() == doomed {
+						// Die while the survivors are arriving, not before
+						// the first or after the last of them.
+						for entering.Load() < n/2 {
+							runtime.Gosched()
+						}
+						p.Compute(1)
+						return nil
+					}
+					defer func() { errs[p.Rank()], _ = recover().(error) }()
+					entering.Add(1)
+					enter(p.CommWorld())
+					return nil
+				})
+			}()
+			select {
+			case err = <-ran:
+			case <-time.After(30 * time.Second):
+				t.Fatalf("%s, iteration %d: a survivor parked in a setup exchange its dead member can never complete", name, it)
+			}
+			if err != nil {
+				t.Fatalf("%s, iteration %d: Run: %v", name, it, err)
+			}
+			for r, e := range errs {
+				if r != doomed && !errors.Is(e, ErrRankFailed) {
+					t.Fatalf("%s, iteration %d: survivor %d got %v, want ErrRankFailed", name, it, r, e)
+				}
+			}
+			w.Close()
 		}
 	}
 }

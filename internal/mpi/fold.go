@@ -34,7 +34,7 @@ import (
 //   - the world must be size-only (folding replicates clocks, not
 //     payload bytes);
 //   - operations that inherently need every rank — generic Split,
-//     Setup/SharePlan, window construction on a communicator spanning
+//     SharePlan, window construction on a communicator spanning
 //     ranks >= u — panic with ErrFoldUnsafe (recovered as the rank's
 //     error) instead of deadlocking;
 //   - a workload that is not actually fold-symmetric leaves unmatched

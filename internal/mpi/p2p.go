@@ -70,6 +70,23 @@ var (
 	eagerBytesPool sync.Pool // of *[]byte
 )
 
+// feed delivers a rendezvous send's completion time (or a sentinel)
+// through its done channel and readies the sender. The rank is read
+// first: once the value is in the channel the poster owns the record
+// again and may already be recycling it.
+func (m *message) feed(w *World, at sim.Time) {
+	src := m.src
+	m.done <- at
+	w.wake(src)
+}
+
+// feed is message.feed for a receive record.
+func (r *recvReq) feed(w *World, res recvResult) {
+	dst := r.dst
+	r.result <- res
+	w.wake(dst)
+}
+
 func getMessage() *message { return msgPool.Get().(*message) }
 
 // putMessage recycles a message whose done channel is known empty.
@@ -114,19 +131,16 @@ func cloneEager(b Buf) (Buf, *[]byte) {
 
 func putEagerStore(p *[]byte) { eagerBytesPool.Put(p) }
 
-// abortClock is the poison timestamp delivered to blocked waiters when
-// the job aborts: instead of every wait being a two-way select against
-// the abort channel (the select machinery is measurable on the hot
-// path), Abort walks the queues once and feeds each parked waiter this
-// sentinel through the channel it is already blocked on. Legitimate
-// completion times are never negative.
-const abortClock = sim.Time(math.MinInt64)
-
-// failClock and revokedClock are the fault-injection cousins of
-// abortClock: the death walk feeds failClock to waiters whose peer
-// died, revokeCtx feeds revokedClock to waiters on a revoked
-// communicator (fault.go). failErr maps all three back to errors.
+// abortClock, failClock and revokedClock are the poison timestamps fed
+// to blocked waiters when the job aborts, the peer they wait on dies, or
+// their communicator is revoked: instead of every wait being a two-way
+// select against the abort channel (the select machinery is measurable
+// on the hot path), matcher.fail walks the queues once and feeds each
+// parked waiter its sentinel through the channel it is already blocked
+// on. Legitimate completion times are never negative; failErr
+// (fault.go) is the one place that maps the sentinels back to errors.
 const (
+	abortClock   = sim.Time(math.MinInt64)
 	failClock    = sim.Time(math.MinInt64 + 1)
 	revokedClock = sim.Time(math.MinInt64 + 2)
 )
@@ -221,6 +235,20 @@ func (q *fifo[T]) remove(i int) {
 	q.items = q.items[:len(q.items)-1]
 }
 
+// filter keeps the items keep accepts, in order, compacting in place
+// (writes trail reads on the shared backing array).
+func (q *fifo[T]) filter(keep func(T) bool) {
+	all := q.items
+	q.items = q.items[:0]
+	for _, v := range all[q.head:] {
+		if keep(v) {
+			q.items = append(q.items, v)
+		}
+	}
+	q.head = 0
+	clear(all[len(q.items):])
+}
+
 // rankQueue holds the unmatched sends and receives targeting one
 // (context, destination) pair, in posting order (MPI's non-overtaking
 // rule).
@@ -300,10 +328,8 @@ func (m *matcher) accepts(r *recvReq, msg *message) bool {
 }
 
 // postSend enqueues a send or pairs it with a waiting receive. It
-// returns the matched receive (nil if queued), or ErrAborted on a
-// poisoned matcher: the abort flag is checked under the shard lock, so
-// a post either lands before Abort's poison walk (which then wakes it)
-// or observes the flag — a waiter can never be stranded.
+// returns the matched receive (nil if queued), or the error of the flag
+// it observed under the shard lock (see fail).
 func (m *matcher) postSend(ctx int, msg *message) (*recvReq, error) {
 	s := m.shard(msg.dst)
 	s.mu.Lock()
@@ -363,28 +389,49 @@ func (m *matcher) postRecv(ctx, dst int, r *recvReq) (*message, error) {
 	return nil, nil
 }
 
-// poison wakes every queued waiter with the abortClock sentinel and
-// flips the matcher into its poisoned state (all later posts fail with
-// ErrAborted). Called once, from Abort.
-func (m *matcher) poison() {
-	m.aborted.Store(true)
+// fail is the matcher's one sentinel walk, behind abort, rank death and
+// revocation alike. Every queued record sel picks, by its context and
+// by the global rank it is waiting on (a receive's source, a send's
+// destination), leaves its queue, and its poster is fed the sentinel at
+// through the channel it is, or will be, parked on. Each caller
+// publishes its flag first (matcher.aborted, dead, revoked), and posts
+// check the flags under the shard lock: a post either lands before the
+// walk locks that shard, which then feeds it, or observes the flag, so a
+// waiter is never stranded.
+//
+// The walk selects on what a record waits for, not on who posted it:
+// what a dead rank posted before dying stays matchable (in-flight
+// delivery, as ULFM allows), so whether a peer pairs with it depends
+// only on virtual program order, never on how the peer's post
+// interleaves with the walk in host time. Receives from AnySource wait
+// on no rank and only fail by context.
+func (m *matcher) fail(w *World, at sim.Time, sel func(ctx, peer int) bool) {
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.Lock()
 		for _, cq := range s.queues {
-			q := cq.q
-			for j := q.recvs.head; j < len(q.recvs.items); j++ {
-				q.recvs.items[j].result <- recvResult{at: abortClock}
-			}
-			q.recvs.items = q.recvs.items[:0]
-			q.recvs.head = 0
-			for j := q.sends.head; j < len(q.sends.items); j++ {
-				if msg := q.sends.items[j]; !msg.eager {
-					msg.done <- abortClock
+			cq.q.recvs.filter(func(rr *recvReq) bool {
+				if !sel(cq.ctx, rr.srcGlobal) {
+					return true
 				}
-			}
-			q.sends.items = q.sends.items[:0]
-			q.sends.head = 0
+				rr.feed(w, recvResult{at: at})
+				return false
+			})
+			cq.q.sends.filter(func(msg *message) bool {
+				if !sel(cq.ctx, msg.dst) {
+					return true
+				}
+				if msg.eager {
+					// Fire-and-forget: nobody waits on it, recycle.
+					if msg.store != nil {
+						putEagerStore(msg.store)
+					}
+					putMessage(msg)
+				} else {
+					msg.feed(w, at)
+				}
+				return false
+			})
 		}
 		s.mu.Unlock()
 	}
@@ -405,14 +452,11 @@ func (w *World) complete(m *message, r *recvReq) {
 		// the waiter leaves as soon as the store lands, plus one
 		// hot-line load.
 		arrival := m.postClock + w.model.MemAlpha
-		r.result <- recvResult{
+		r.feed(w, recvResult{
 			at:     sim.MaxTime(r.postClock, arrival) + w.model.MemAlpha/4,
 			source: m.commSrc,
 			tag:    m.tag,
-		}
-		if w.evLive {
-			w.ev.wake(r.dst)
-		}
+		})
 		putMessage(m)
 		return
 	}
@@ -449,15 +493,9 @@ func (w *World) complete(m *message, r *recvReq) {
 		}
 		putMessage(m)
 	} else {
-		m.done <- sendDone
-		if w.evLive {
-			w.ev.wake(m.src)
-		}
+		m.feed(w, sendDone)
 	}
-	r.result <- res
-	if w.evLive {
-		w.ev.wake(r.dst)
-	}
+	r.feed(w, res)
 }
 
 // pendingRecords counts the unmatched sends and receives queued across

@@ -15,7 +15,7 @@ type Request struct {
 	rr     *recvReq // recv side
 	status Status
 	done   bool
-	err    error // latched failure (abort/rank-failed/revoked): every later Wait/Test repeats it
+	err    error // latched failure (see progress)
 }
 
 // postSendAtClock posts a send whose virtual posting time is `at` —
@@ -88,7 +88,7 @@ func (c *Comm) postSendMsg(buf Buf, dst, tag int) (*message, error) {
 // postRecvReqAt posts a receive at an explicit virtual time. A
 // non-empty kind records a trace event at post (the blocking path
 // traces at completion instead). The caller must hand the record to
-// waitRecvReq (or the schedule executor's drain) exactly once, which
+// waitRecvReq (or the schedule executor's settle) exactly once, which
 // recycles it.
 func (c *Comm) postRecvReqAt(buf Buf, src, tag int, at sim.Time, kind string) (*recvReq, error) {
 	if err := c.validRank(src, true); err != nil {
@@ -129,44 +129,49 @@ func (c *Comm) postRecvReq(buf Buf, src, tag int) (*recvReq, error) {
 	return c.postRecvReqAt(buf, src, tag, c.p.clock, "")
 }
 
-// waitSendMsg blocks until a rendezvous send completes, advances the
-// clock, and recycles the message. The wait is a plain channel receive
-// — no select against the abort channel — because Abort's poison walk
-// delivers the abortClock sentinel through the same channel (p2p.go),
-// which keeps the hottest park path free of the select machinery.
-func (p *Proc) waitSendMsg(m *message) error {
-	var at sim.Time
-	if w := p.world; w.evLive {
-		at = evAwait(w.ev, p.rank, m.done)
-	} else {
-		at = <-m.done
+// take receives from a record's channel: blocking through await, or,
+// for the Test flavors, only what has already arrived.
+func take[T any](p *Proc, ch <-chan T, block bool) (v T, ok bool) {
+	if block {
+		return await(p, ch), true
 	}
+	select {
+	case v = <-ch:
+		return v, true
+	default:
+		return v, false
+	}
+}
+
+// waitSendMsg blocks until a rendezvous send completes.
+func (p *Proc) waitSendMsg(m *message) error { return p.finishSend(m, await(p, m.done)) }
+
+// finishSend consumes what a rendezvous send's done channel produced —
+// its completion time, or the sentinel that ended the wait: the message
+// is recycled and the clock advances.
+func (p *Proc) finishSend(m *message, at sim.Time) error {
+	putMessage(m)
 	if err := failErr(at); err != nil {
-		putMessage(m)
 		return err
 	}
 	p.syncTo(at)
-	putMessage(m)
 	return nil
 }
 
-// waitRecvReq blocks until a receive completes, advances the clock, and
-// recycles the record. A receive whose send was already queued
-// completed synchronously inside postRecv, so the result is often
-// sitting in the buffered channel and the receive doesn't even park;
-// abort is delivered as the abortClock poison, like waitSendMsg.
+// waitRecvReq blocks until a receive completes. A receive whose send
+// was already queued completed synchronously inside postRecv, so the
+// result is often sitting in the buffered channel and the receive
+// doesn't even park.
 func (p *Proc) waitRecvReq(rr *recvReq) (Status, error) {
-	var res recvResult
-	if w := p.world; w.evLive {
-		res = evAwait(w.ev, p.rank, rr.result)
-	} else {
-		res = <-rr.result
-	}
+	return p.finishRecv(rr, await(p, rr.result))
+}
+
+// finishRecv is finishSend for a receive record.
+func (p *Proc) finishRecv(rr *recvReq, res recvResult) (Status, error) {
+	putRecvReq(rr)
 	if err := failErr(res.at); err != nil {
-		putRecvReq(rr)
 		return Status{}, err
 	}
-	putRecvReq(rr)
 	p.syncTo(res.at)
 	p.trace("recv", res.bytes, "")
 	return Status{Source: res.source, Tag: res.tag, Bytes: res.bytes}, nil
@@ -199,35 +204,8 @@ func (r *Request) Wait() (Status, error) {
 	if r == nil {
 		return Status{}, errors.New("mpi: Wait on nil request")
 	}
-	if r.err != nil {
-		return Status{}, r.err
-	}
-	if r.done {
-		return r.status, nil
-	}
-	r.done = true
-	if r.isSend {
-		if r.eager {
-			// Completion time was already charged at post.
-			return Status{}, nil
-		}
-		msg := r.msg
-		r.msg = nil
-		if err := r.p.waitSendMsg(msg); err != nil {
-			r.err = err
-			return Status{}, err
-		}
-		return Status{}, nil
-	}
-	rr := r.rr
-	r.rr = nil
-	st, err := r.p.waitRecvReq(rr)
-	if err != nil {
-		r.err = err
-		return Status{}, err
-	}
-	r.status = st
-	return r.status, nil
+	_, st, err := r.progress(true)
+	return st, err
 }
 
 // Test polls for completion without blocking (MPI_Test). When the
@@ -240,63 +218,40 @@ func (r *Request) Test() (bool, Status, error) {
 	if r == nil {
 		return false, Status{}, errors.New("mpi: Test on nil request")
 	}
-	if r.err != nil {
-		return false, Status{}, r.err
+	return r.progress(false)
+}
+
+// progress is Wait (block) and Test (poll) in one: they differ only in
+// how the record's channel is read.
+func (r *Request) progress(block bool) (bool, Status, error) {
+	if r.err != nil || r.done {
+		return r.err == nil, r.status, r.err
 	}
-	if r.done {
-		return true, r.status, nil
-	}
-	if r.isSend {
-		if r.eager {
-			// Completion time was already charged at post.
-			r.done = true
-			return true, Status{}, nil
-		}
-		select {
-		case at := <-r.msg.done:
-			putMessage(r.msg)
+	ok := true
+	switch {
+	case r.isSend && r.eager:
+		// Completion time was already charged at post.
+	case r.isSend:
+		var at sim.Time
+		if at, ok = take(r.p, r.msg.done, block); ok {
+			r.err = r.p.finishSend(r.msg, at)
 			r.msg = nil
-			if err := failErr(at); err != nil {
-				// Latch the failure so later Wait/Test keep reporting it
-				// instead of touching the recycled message.
-				r.err = err
-				return false, Status{}, err
-			}
-			r.p.syncTo(at)
-			r.done = true
-			return true, Status{}, nil
-		case <-r.p.world.abortCh:
-			return false, Status{}, ErrAborted
-		default:
-			// On the single-threaded event engine a Test loop must hand
-			// control off or no other rank can ever make progress.
-			if w := r.p.world; w.evLive {
-				w.ev.yield(r.p.rank)
-			}
-			return false, Status{}, nil
+		}
+	default:
+		var res recvResult
+		if res, ok = take(r.p, r.rr.result, block); ok {
+			r.status, r.err = r.p.finishRecv(r.rr, res)
+			r.rr = nil
 		}
 	}
-	select {
-	case res := <-r.rr.result:
-		putRecvReq(r.rr)
-		r.rr = nil
-		if err := failErr(res.at); err != nil {
-			r.err = err
-			return false, Status{}, err
-		}
-		r.p.syncTo(res.at)
-		r.p.trace("recv", res.bytes, "")
-		r.status = Status{Source: res.source, Tag: res.tag, Bytes: res.bytes}
-		r.done = true
-		return true, r.status, nil
-	case <-r.p.world.abortCh:
-		return false, Status{}, ErrAborted
-	default:
-		if w := r.p.world; w.evLive {
-			w.ev.yield(r.p.rank)
-		}
+	if !ok {
+		r.p.yield()
 		return false, Status{}, nil
 	}
+	// A failure (abort, rank failed, revoked) is latched: every later
+	// Wait/Test repeats it instead of touching the recycled record.
+	r.done = r.err == nil
+	return r.done, r.status, r.err
 }
 
 // Waitall completes a set of requests, returning the first error.

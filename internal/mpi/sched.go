@@ -68,12 +68,12 @@ type Round struct {
 	After func(now sim.Time) sim.Time
 }
 
-// schedPending tracks one posted, not-yet-drained operation.
+// schedPending tracks one posted operation: its record until the
+// completion is taken off it (both nil from then on), then the time.
 type schedPending struct {
-	msg  *message // rendezvous send
-	rr   *recvReq // receive
-	done bool
-	at   sim.Time
+	msg *message // rendezvous send
+	rr  *recvReq // receive
+	at  sim.Time
 }
 
 // Sched is a nonblocking collective in flight (MPI_Request for an
@@ -161,9 +161,9 @@ func (s *Sched) postRounds() error {
 	return nil
 }
 
-// finishRound folds the drained completion times into the cursor, runs
+// finishRound folds the settled completion times into the cursor, runs
 // the epilogue, and advances to the next round. All pending ops must
-// be done.
+// be settled.
 func (s *Sched) finishRound() {
 	for i := range s.pend {
 		if at := s.pend[i].at; at > s.cursor {
@@ -177,127 +177,73 @@ func (s *Sched) finishRound() {
 	s.cur++
 }
 
-// drain blocks until every outstanding operation of the current round
-// has completed. In event mode the park goes through the scheduler
-// (evAwait always yields a value: real completion or the poison
-// sentinel); in goroutine mode it is the two-way select against the
-// abort channel.
-func (s *Sched) drain() error {
-	w := s.c.p.world
-	rank := s.c.p.rank
-	for i := range s.pend {
-		p := &s.pend[i]
-		if p.done {
-			continue
-		}
-		if p.msg != nil {
-			var at sim.Time
-			if w.evLive {
-				at = evAwait(w.ev, rank, p.msg.done)
-			} else {
-				select {
-				case at = <-p.msg.done:
-				case <-w.abortCh:
-					return ErrAborted
-				}
-			}
-			putMessage(p.msg)
-			if at == abortClock {
-				p.msg = nil
-				return ErrAborted
-			}
-			p.msg, p.done, p.at = nil, true, at
-		} else {
-			var res recvResult
-			if w.evLive {
-				res = evAwait(w.ev, rank, p.rr.result)
-			} else {
-				select {
-				case res = <-p.rr.result:
-				case <-w.abortCh:
-					return ErrAborted
-				}
-			}
-			putRecvReq(p.rr)
-			if res.at == abortClock {
-				p.rr = nil
-				return ErrAborted
-			}
-			p.rr, p.done, p.at = nil, true, res.at
-		}
-	}
-	return nil
-}
-
-// poll drains whatever has already completed and reports whether the
-// whole round is done, without blocking.
-func (s *Sched) poll() (bool, error) {
+// settle takes the outstanding completions of the current round off
+// their records — blocking (Wait) or only those that already arrived
+// (Test) — and reports whether the round is complete. What arrives may
+// be a sentinel (abort, dead peer, revoked communicator): it ends the
+// schedule with its error instead of entering the cursor as a time.
+func (s *Sched) settle(block bool) (bool, error) {
+	p := s.c.p
 	all := true
 	for i := range s.pend {
-		p := &s.pend[i]
-		if p.done {
-			continue
+		op := &s.pend[i]
+		ok := true
+		if op.msg != nil {
+			if op.at, ok = take(p, op.msg.done, block); ok {
+				putMessage(op.msg)
+				op.msg = nil
+			}
+		} else if op.rr != nil {
+			var res recvResult
+			if res, ok = take(p, op.rr.result, block); ok {
+				putRecvReq(op.rr)
+				op.rr, op.at = nil, res.at
+			}
 		}
-		if p.msg != nil {
-			select {
-			case at := <-p.msg.done:
-				putMessage(p.msg)
-				if at == abortClock {
-					p.msg = nil
-					return false, ErrAborted
-				}
-				p.msg, p.done, p.at = nil, true, at
-			default:
-				all = false
-			}
-		} else {
-			select {
-			case res := <-p.rr.result:
-				putRecvReq(p.rr)
-				if res.at == abortClock {
-					p.rr = nil
-					return false, ErrAborted
-				}
-				p.rr, p.done, p.at = nil, true, res.at
-			default:
-				all = false
-			}
+		if !ok {
+			all = false
+		} else if err := failErr(op.at); err != nil {
+			return false, err
 		}
 	}
 	if !all {
-		if w := s.c.p.world; w.evLive {
-			// Hand control off so the peers this round is waiting on
-			// can run (see Request.Test).
-			w.ev.yield(s.c.p.rank)
-		}
-		if s.c.p.world.Aborted() {
-			return false, ErrAborted
-		}
+		// Hand control off so the peers this round is waiting on can run
+		// (see Proc.yield).
+		p.yield()
 	}
 	return all, nil
 }
 
+// progress drives the schedule: to completion (block), or as far as the
+// completions that already arrived allow. On completion it fuses the
+// caller's clock with the engine cursor: clock = max(clock, cursor).
+func (s *Sched) progress(block bool) (bool, error) {
+	if err := s.Start(); err != nil {
+		return false, err
+	}
+	for !s.done {
+		ok, err := s.settle(block)
+		if s.fail(err) != nil || !ok {
+			return false, s.err
+		}
+		s.finishRound()
+		if err := s.fail(s.postRounds()); err != nil {
+			return false, err
+		}
+	}
+	s.c.p.syncTo(s.cursor)
+	return true, nil
+}
+
 // Wait drives the schedule to completion and fuses the caller's clock
-// with the engine cursor: clock = max(clock, cursor). Calling Wait on
-// a completed schedule is a no-op.
+// with the engine cursor. Calling Wait on a completed schedule is a
+// no-op.
 func (s *Sched) Wait() error {
 	if s == nil {
 		return errors.New("mpi: Wait on nil schedule")
 	}
-	if err := s.Start(); err != nil {
-		return err
-	}
-	for !s.done {
-		if err := s.fail(s.drain()); err != nil {
-			return err
-		}
-		s.finishRound()
-		if err := s.fail(s.postRounds()); err != nil {
-			return err
-		}
-	}
-	s.c.p.syncTo(s.cursor)
-	return nil
+	_, err := s.progress(true)
+	return err
 }
 
 // Test makes progress without blocking and reports whether the
@@ -309,24 +255,7 @@ func (s *Sched) Test() (bool, error) {
 	if s == nil {
 		return false, errors.New("mpi: Test on nil schedule")
 	}
-	if err := s.Start(); err != nil {
-		return false, err
-	}
-	for !s.done {
-		ok, err := s.poll()
-		if err := s.fail(err); err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
-		s.finishRound()
-		if err := s.fail(s.postRounds()); err != nil {
-			return false, err
-		}
-	}
-	s.c.p.syncTo(s.cursor)
-	return true, nil
+	return s.progress(false)
 }
 
 // Done reports whether the schedule has completed (after which Wait

@@ -36,34 +36,29 @@ func WinAllocateShared(c *Comm, mySize int) (*Win, error) {
 		return nil, err
 	}
 
-	vals := c.exchange(mySize)
-	sizes := make([]int, c.Size())
-	offs := make([]int, c.Size())
-	total := 0
-	for r, v := range vals {
-		sizes[r] = v.(int)
-		offs[r] = total
-		total += sizes[r]
-	}
-
-	// Rank 0 allocates the node segment and publishes it; everyone
-	// shares the same backing storage, which is what makes the
-	// hybrid collectives single-copy-per-node by construction.
-	var seg Buf
-	if c.Rank() == 0 {
-		seg = c.p.world.NewBuf(total)
-	}
-	published := c.exchange(seg)
-	seg = published[0].(Buf)
-
-	return &Win{comm: c, base: seg, offs: offs, sizes: sizes}, nil
+	// One round: the member that completes the sizes exchange lays out
+	// and allocates the node segment, and everyone adopts that one plan —
+	// sharing the backing storage is what makes the hybrid collectives
+	// single-copy-per-node by construction.
+	out := c.exchange(mySize, func(vals []any) any {
+		plan := &winPlan{offs: make([]int, len(vals)), sizes: make([]int, len(vals))}
+		for r, v := range vals {
+			plan.sizes[r] = v.(int)
+			plan.offs[r] = plan.total
+			plan.total += plan.sizes[r]
+		}
+		plan.base = c.p.world.NewBuf(plan.total)
+		return plan
+	})
+	plan := out.(*winPlan)
+	return &Win{comm: c, base: plan.base, offs: plan.offs, sizes: plan.sizes}, nil
 }
 
-// winLeaderPlan is the shared state of a leader-pattern window: the
-// node segment plus the offset/size tables every member adopts. total
-// is kept for validation — members must have passed the same size, or
-// whichever member built the plan would silently decide the geometry.
-type winLeaderPlan struct {
+// winPlan is the shared state of a window: the node segment plus the
+// offset/size tables every member adopts. The leader pattern keeps total
+// for validation — members must have passed the same size, or whichever
+// member built the plan would silently decide the geometry.
+type winPlan struct {
 	total int
 	base  Buf
 	offs  []int
@@ -89,7 +84,7 @@ func WinAllocateLeader(c *Comm, total int) (*Win, error) {
 		return nil, err
 	}
 	v, err := SetupOnce(c, func() (any, error) {
-		plan := &winLeaderPlan{
+		plan := &winPlan{
 			total: total,
 			base:  c.p.world.NewBuf(total),
 			offs:  make([]int, c.Size()),
@@ -104,7 +99,7 @@ func WinAllocateLeader(c *Comm, total int) (*Win, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan := v.(*winLeaderPlan)
+	plan := v.(*winPlan)
 	// Divergent sizes are an application bug that must fail loudly on
 	// the rank that holds the odd value, not silently adopt whichever
 	// member reached the setup slot first.

@@ -31,13 +31,9 @@ type World struct {
 
 	// Deterministic noise/fault layer (fault.go). noise is the compiled
 	// per-world state (nil for a clean world); damaged latches once any
-	// rank dies so pools never reuse a world with dead ranks; commRanks
-	// maps context id -> member global ranks, maintained only under
-	// failure configs so the coordinator's death walk can tell which
-	// sessions a dead rank participates in.
-	noise     *noiseState
-	damaged   atomic.Bool
-	commRanks sync.Map
+	// rank dies so pools never reuse a world with dead ranks.
+	noise   *noiseState
+	damaged atomic.Bool
 
 	identity []int // comm rank == global rank table for COMM_WORLD
 	procs    []*Proc
@@ -47,8 +43,8 @@ type World struct {
 	// lazily created), the reusable per-Run dispatch record, and the Run
 	// gate that enforces the one-Run-at-a-time /
 	// no-clock-reads-during-Run contract. evLive is set only while an
-	// event-engine Run is in flight; the park sites (request.go,
-	// sched.go, coord.go) branch on it.
+	// event-engine Run is in flight; only wake, yield and await
+	// (event.go) branch on it.
 	engine   sim.Engine
 	ev       *evSched
 	evLive   bool
@@ -86,16 +82,17 @@ var ErrAborted = errors.New("mpi: job aborted because another rank failed")
 // it directly for failure injection. A world stays poisoned after
 // Abort.
 //
-// The hot wait paths (message completion, clock fusion) park on plain
-// channel receives; Abort wakes those by poisoning their channels
-// directly (matcher.poison, poisonFusers). The remaining waiters —
-// exchange sessions — still select on abortCh and wake through its
-// close.
+// Every wait is a plain receive on the channel of the record or round
+// the rank waits on (await, event.go), so Abort reaches them all the
+// same way: flag first, then one walk feeds every queued matcher record
+// the abortClock sentinel and one closes every live rendezvous round.
+// abortCh only serves the event scheduler's empty-ring wait.
 func (w *World) Abort() {
 	w.abortOnce.Do(func() {
+		w.match.aborted.Store(true)
 		close(w.abortCh)
-		w.match.poison()
-		w.coord.poisonFusers()
+		w.match.fail(nil, abortClock, func(int, int) bool { return true })
+		w.coord.fail(nil, ErrAborted, func([]int) bool { return true })
 	})
 }
 
@@ -104,14 +101,7 @@ func (w *World) Abort() {
 func (w *World) Closed() bool { return w.closed.Load() }
 
 // Aborted reports whether the job was aborted.
-func (w *World) Aborted() bool {
-	select {
-	case <-w.abortCh:
-		return true
-	default:
-		return false
-	}
-}
+func (w *World) Aborted() bool { return w.match.aborted.Load() }
 
 // Config collects every World construction knob in one declarative,
 // value-semantics record — the single construction path layered
@@ -222,7 +212,7 @@ func NewWorldConfig(model *sim.CostModel, topo *sim.Topology, cfg Config) (*Worl
 		collCfg:  cfg.CollConfig,
 		foldUnit: cfg.FoldUnit,
 		match:    newMatcher(),
-		coord:    newCoordinator(),
+		coord:    new(coordinator),
 		abortCh:  make(chan struct{}),
 	}
 	if err := w.validateFold(); err != nil {
@@ -255,7 +245,6 @@ func NewWorldConfig(model *sim.CostModel, topo *sim.Topology, cfg Config) (*Worl
 		w.identity[r] = r
 		w.procs[r] = &store[r%w.execN]
 	}
-	w.registerComm(0, w.identity)
 	return w, nil
 }
 
@@ -327,8 +316,8 @@ type runState struct {
 // where the previous Run left them (use ResetClocks between independent
 // measurements). This is the warm-world contract the spec layer's
 // world pool is built on: a world that finished a Run cleanly (no
-// error, no abort) is drained — matcher queues empty, coordinator
-// sessions released — and a ResetClocks+Run cycle on it produces
+// error, no abort) is drained — matcher queues empty, no rendezvous
+// round live — and a ResetClocks+Run cycle on it produces
 // virtual times bit-identical to a freshly constructed world of the
 // same shape. Run on an aborted world fails immediately with
 // ErrAborted (the world stays poisoned), and on a closed world with
