@@ -60,22 +60,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-func makespan(model *sim.CostModel, shape []int, body func(p *mpi.Proc) error) (sim.Time, error) {
-	topo, err := sim.NewTopology(shape)
-	if err != nil {
-		return 0, err
-	}
-	w, err := mpi.NewWorld(model, topo)
-	if err != nil {
-		return 0, err
-	}
-	defer w.Close()
-	if err := w.Run(body); err != nil {
-		return 0, err
-	}
-	return w.MaxClock(), nil
-}
-
 func uniformShape(nodes, ppn int) []int {
 	s := make([]int, nodes)
 	for i := range s {
@@ -116,7 +100,7 @@ func leaderCounts(out io.Writer, model *sim.CostModel) error {
 		row := []string{fmt.Sprint(elems)}
 		for _, leaders := range []int{1, 2, 4, 8} {
 			l := leaders
-			lat, err := makespan(model, shape, func(p *mpi.Proc) error {
+			lat, err := bench.Makespan(model, shape, func(p *mpi.Proc) error {
 				m, err := coll.NewMultiLeaderHier(p.CommWorld(), l)
 				if err != nil {
 					return err
@@ -160,7 +144,7 @@ func allgatherAlgos(out io.Writer, model *sim.CostModel) error {
 		}
 		for _, fn := range algos {
 			f := fn
-			lat, err := makespan(model, shape, func(p *mpi.Proc) error {
+			lat, err := bench.Makespan(model, shape, func(p *mpi.Proc) error {
 				return f(p.CommWorld(), mpi.Sized(per), mpi.Sized(per*p.Size()), per)
 			})
 			if err != nil {
@@ -185,7 +169,7 @@ func pipelined(out io.Writer, model *sim.CostModel) error {
 		row := []string{fmt.Sprint(kib)}
 		for _, chunk := range []int{0, 128 << 10} {
 			ch := chunk
-			lat, err := makespan(model, shape, func(p *mpi.Proc) error {
+			lat, err := bench.Makespan(model, shape, func(p *mpi.Proc) error {
 				ctx, err := hybrid.New(p.CommWorld())
 				if err != nil {
 					return err
@@ -242,6 +226,20 @@ func npbKernels(out io.Writer, model *sim.CostModel) error {
 	return t.Fprint(out)
 }
 
+// allreduces is the rank body of the two noise tables: iters
+// back-to-back float64 sum allreduces of elems elements.
+func allreduces(elems, iters int) func(p *mpi.Proc) error {
+	return func(p *mpi.Proc) error {
+		send, recv := mpi.Sized(elems*8), mpi.Sized(elems*8)
+		for i := 0; i < iters; i++ {
+			if err := coll.Allreduce(p.CommWorld(), send, recv, elems, mpi.Float64, mpi.OpSum); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
 func noiseDrift(out io.Writer, model *sim.CostModel) error {
 	t := &bench.Table{
 		Name:   "Ablation: deterministic noise drift (8 nodes x 8 ranks, 4096-elem allreduce, us per op)",
@@ -269,29 +267,8 @@ func noiseDrift(out io.Writer, model *sim.CostModel) error {
 		}},
 	}
 	measure := func(n *sim.Noise) (sim.Time, error) {
-		topo, err := sim.Uniform(8, 8)
-		if err != nil {
-			return 0, err
-		}
-		w, err := mpi.NewWorld(model, topo, mpi.WithNoise(n))
-		if err != nil {
-			return 0, err
-		}
-		defer w.Close()
-		err = w.Run(func(p *mpi.Proc) error {
-			c := p.CommWorld()
-			send, recv := mpi.Sized(elems*8), mpi.Sized(elems*8)
-			for i := 0; i < iters; i++ {
-				if err := coll.Allreduce(c, send, recv, elems, mpi.Float64, mpi.OpSum); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return 0, err
-		}
-		return w.MaxClock() / iters, nil
+		lat, err := bench.Makespan(model, uniformShape(8, 8), allreduces(elems, iters), mpi.WithNoise(n))
+		return lat / iters, err
 	}
 	var clean float64
 	for _, lvl := range levels {
@@ -367,29 +344,8 @@ func noiseSelection(out io.Writer, model *sim.CostModel) error {
 		}},
 	}
 	measure := func(elems int, n *sim.Noise, tun coll.Tuning) (sim.Time, error) {
-		topo, err := sim.Uniform(8, 8)
-		if err != nil {
-			return 0, err
-		}
-		w, err := mpi.NewWorld(model, topo, mpi.WithNoise(n), mpi.WithCollConfig(tun))
-		if err != nil {
-			return 0, err
-		}
-		defer w.Close()
-		err = w.Run(func(p *mpi.Proc) error {
-			c := p.CommWorld()
-			send, recv := mpi.Sized(elems*8), mpi.Sized(elems*8)
-			for i := 0; i < iters; i++ {
-				if err := coll.Allreduce(c, send, recv, elems, mpi.Float64, mpi.OpSum); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return 0, err
-		}
-		return w.MaxClock(), nil
+		return bench.Makespan(model, uniformShape(8, 8), allreduces(elems, iters),
+			mpi.WithNoise(n), mpi.WithCollConfig(tun))
 	}
 	algos := coll.Algorithms(coll.CollAllreduce)
 	pickOf := func(forced map[string]sim.Time, lat sim.Time) string {
@@ -475,7 +431,7 @@ func barriers(out io.Writer, model *sim.CostModel) error {
 		row := []string{fmt.Sprint(shape)}
 		for _, central := range []bool{false, true} {
 			cen := central
-			lat, err := makespan(model, shape, func(p *mpi.Proc) error {
+			lat, err := bench.Makespan(model, shape, func(p *mpi.Proc) error {
 				for i := 0; i < 4; i++ {
 					var err error
 					if cen {

@@ -45,7 +45,7 @@ func main() {
 		{"Fig 8", func() error { ts, err := bench.Fig8(o); return many(w, ts, err) }},
 		{"Fig 9", func() error { ts, err := bench.Fig9(o); return many(w, ts, err) }},
 		{"Fig 10", func() error { t, err := bench.Fig10(o); return one(w, t, err) }},
-		{"Fig 11", func() error { ts, err := bench.Fig11(o); return many(w, ts, err) }},
+		{"Fig 11", func() error { ts, err := bench.Fig11(o, nil); return many(w, ts, err) }},
 		{"Fig 12", func() error { t, err := bench.Fig12(o); return one(w, t, err) }},
 	}
 	for _, s := range steps {

@@ -131,7 +131,7 @@ func runFreeForm(machine string, nodes, ppn, elems, iters int, syncName string) 
 	if !ok {
 		return fmt.Errorf("unknown machine %q (profiles: hazelhen-cray, vulcan-openmpi, laptop)", machine)
 	}
-	syncMode, err := parseSync(syncName)
+	syncMode, err := parseSyncMode(syncName)
 	if err != nil {
 		return err
 	}
@@ -154,10 +154,6 @@ func runFreeForm(machine string, nodes, ppn, elems, iters int, syncName string) 
 	fmt.Printf("Allgather:    %10.2f us\n", pure.Us())
 	fmt.Printf("ratio:        %10.2f\n", float64(pure)/float64(hy))
 	return nil
-}
-
-func parseSync(s string) (m syncMode, err error) {
-	return parseSyncMode(s)
 }
 
 func fatal(err error) {

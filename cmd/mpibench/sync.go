@@ -6,8 +6,6 @@ import (
 	"repro/internal/hybrid"
 )
 
-type syncMode = hybrid.SyncMode
-
 // parseSyncMode maps the -sync flag to a hybrid synchronization flavor.
 func parseSyncMode(s string) (hybrid.SyncMode, error) {
 	switch s {

@@ -10,10 +10,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/mpi"
@@ -24,34 +25,42 @@ import (
 
 func main() {
 	spec.InstallEnvTuning()
-	block := flag.Int("block", 0, "per-core block size b (panel); 0 = all of 8, 64, 128, 256")
-	cores := flag.Int("cores", 0, "single point: core count (perfect square); 0 = full sweep")
-	verify := flag.Bool("verify", false, "run with real data and verify the product (small sizes)")
-	machine := flag.String("machine", "hazelhen-cray", "machine profile")
-	flag.Parse()
-
-	if *cores != 0 {
-		if err := runPoint(*machine, *cores, pick(*block, 64), *verify); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	tables, err := bench.Fig11(bench.FigOpts{})
-	if err != nil {
-		fatal(err)
-	}
-	for _, t := range tables {
-		if *block != 0 && !containsBlock(t.Name, *block) {
-			continue
-		}
-		if err := t.Fprint(os.Stdout); err != nil {
-			fatal(err)
-		}
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "summa:", err)
+		os.Exit(1)
 	}
 }
 
-func containsBlock(name string, b int) bool {
-	return strings.Contains(name, fmt.Sprintf("(%dx%d ", b, b))
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("summa", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	block := fs.Int("block", 0, "per-core block size b (one panel); 0 = the paper's 8, 64, 128, 256")
+	cores := fs.Int("cores", 0, "single point: core count (perfect square); 0 = full sweep")
+	verify := fs.Bool("verify", false, "run with real data and verify the product (small sizes)")
+	machine := fs.String("machine", "hazelhen-cray", "machine profile")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *block < 0 {
+		return fmt.Errorf("-block %d: block size must be positive (0 = all four panels)", *block)
+	}
+	if *cores != 0 {
+		return runPoint(stdout, *machine, *cores, pick(*block, 64), *verify)
+	}
+	var blocks []int
+	if *block != 0 {
+		blocks = []int{*block}
+	}
+	tables, err := bench.Fig11(bench.FigOpts{}, blocks)
+	if err != nil {
+		return err
+	}
+	for _, t := range tables {
+		if err := t.Fprint(stdout); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func pick(v, def int) int {
@@ -61,7 +70,7 @@ func pick(v, def int) int {
 	return v
 }
 
-func runPoint(machine string, cores, block int, verify bool) error {
+func runPoint(out io.Writer, machine string, cores, block int, verify bool) error {
 	mk, ok := sim.Profiles()[machine]
 	if !ok {
 		return fmt.Errorf("unknown machine %q", machine)
@@ -94,16 +103,11 @@ func runPoint(machine string, cores, block int, verify bool) error {
 		if hy {
 			name = "Hy_SUMMA"
 		}
-		fmt.Printf("%-10s cores=%d b=%d: %12.2f us", name, cores, block, res.Makespan.Us())
+		fmt.Fprintf(out, "%-10s cores=%d b=%d: %12.2f us", name, cores, block, res.Makespan.Us())
 		if verify {
-			fmt.Printf("  verified=%v", res.Verified)
+			fmt.Fprintf(out, "  verified=%v", res.Verified)
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "summa:", err)
-	os.Exit(1)
 }

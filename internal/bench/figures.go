@@ -166,11 +166,15 @@ func Fig11Cores() []int { return []int{4, 16, 64, 256, 1024} }
 func Fig11Blocks() []int { return []int{8, 64, 128, 256} }
 
 // Fig11 reproduces the SUMMA comparison (Ori_SUMMA vs Hy_SUMMA and
-// their ratio) on the Cray profile, one table per block size.
-func Fig11(o FigOpts) ([]*Table, error) {
+// their ratio) on the Cray profile, one table per block size in blocks
+// (nil = Fig11Blocks, the paper's four panels).
+func Fig11(o FigOpts, blocks []int) ([]*Table, error) {
 	model := sim.HazelHenCray()
+	if blocks == nil {
+		blocks = Fig11Blocks()
+	}
 	var tables []*Table
-	for _, b := range Fig11Blocks() {
+	for _, b := range blocks {
 		t := &Table{
 			Name:   fmt.Sprintf("Figure 11 (%dx%d blocks): SUMMA on Cray profile", b, b),
 			Note:   "Paper: ratio > 1 everywhere; largest for small blocks on one node, shrinking as compute grows.",

@@ -44,21 +44,32 @@ func (o MicroOpts) iters() int {
 	return o.Iters
 }
 
-// HyAllgatherLatency measures the paper's Hy_Allgather: the hybrid
-// allgather including its synchronization calls (setup excluded, as in
-// Sect. 5).
-func HyAllgatherLatency(model *sim.CostModel, nodeSizes []int, bytesPerRank int, o MicroOpts) (sim.Time, error) {
-	topo, err := sim.NewTopology(nodeSizes)
+// Makespan runs body on every rank of a fresh world laid over shape
+// (ranks per node, SMP-style) and returns the run's virtual makespan:
+// the one measurement scaffold behind every latency in this package
+// and in cmd/ablations.
+func Makespan(model *sim.CostModel, shape []int, body func(p *mpi.Proc) error, opts ...mpi.Option) (sim.Time, error) {
+	topo, err := sim.NewTopology(shape)
 	if err != nil {
 		return 0, err
 	}
-	w, err := mpi.NewWorld(model, topo)
+	w, err := mpi.NewWorld(model, topo, opts...)
 	if err != nil {
 		return 0, err
 	}
 	defer w.Close()
+	if err := w.Run(body); err != nil {
+		return 0, err
+	}
+	return w.MaxClock(), nil
+}
+
+// HyAllgatherLatency measures the paper's Hy_Allgather: the hybrid
+// allgather including its synchronization calls (setup excluded, as in
+// Sect. 5).
+func HyAllgatherLatency(model *sim.CostModel, nodeSizes []int, bytesPerRank int, o MicroOpts) (sim.Time, error) {
 	iters := o.iters()
-	err = w.Run(func(p *mpi.Proc) error {
+	t, err := Makespan(model, nodeSizes, func(p *mpi.Proc) error {
 		ctx, err := hybrid.New(p.CommWorld(), hybrid.WithSync(o.Sync))
 		if err != nil {
 			return err
@@ -74,26 +85,14 @@ func HyAllgatherLatency(model *sim.CostModel, nodeSizes []int, bytesPerRank int,
 		}
 		return nil
 	})
-	if err != nil {
-		return 0, err
-	}
-	return w.MaxClock() / sim.Time(iters), nil
+	return t / sim.Time(iters), err
 }
 
 // PureAllgatherLatency measures the paper's baseline Allgather: the
 // SMP-aware pure-MPI MPI_Allgather.
 func PureAllgatherLatency(model *sim.CostModel, nodeSizes []int, bytesPerRank int, o MicroOpts) (sim.Time, error) {
-	topo, err := sim.NewTopology(nodeSizes)
-	if err != nil {
-		return 0, err
-	}
-	w, err := mpi.NewWorld(model, topo)
-	if err != nil {
-		return 0, err
-	}
-	defer w.Close()
 	iters := o.iters()
-	err = w.Run(func(p *mpi.Proc) error {
+	t, err := Makespan(model, nodeSizes, func(p *mpi.Proc) error {
 		h, err := coll.NewHier(p.CommWorld())
 		if err != nil {
 			return err
@@ -107,26 +106,14 @@ func PureAllgatherLatency(model *sim.CostModel, nodeSizes []int, bytesPerRank in
 		}
 		return nil
 	})
-	if err != nil {
-		return 0, err
-	}
-	return w.MaxClock() / sim.Time(iters), nil
+	return t / sim.Time(iters), err
 }
 
 // HyBcastLatency measures the hybrid broadcast (Fig. 6) including its
 // synchronization.
 func HyBcastLatency(model *sim.CostModel, nodeSizes []int, bytes int, o MicroOpts) (sim.Time, error) {
-	topo, err := sim.NewTopology(nodeSizes)
-	if err != nil {
-		return 0, err
-	}
-	w, err := mpi.NewWorld(model, topo)
-	if err != nil {
-		return 0, err
-	}
-	defer w.Close()
 	iters := o.iters()
-	err = w.Run(func(p *mpi.Proc) error {
+	t, err := Makespan(model, nodeSizes, func(p *mpi.Proc) error {
 		ctx, err := hybrid.New(p.CommWorld(), hybrid.WithSync(o.Sync))
 		if err != nil {
 			return err
@@ -142,25 +129,13 @@ func HyBcastLatency(model *sim.CostModel, nodeSizes []int, bytes int, o MicroOpt
 		}
 		return nil
 	})
-	if err != nil {
-		return 0, err
-	}
-	return w.MaxClock() / sim.Time(iters), nil
+	return t / sim.Time(iters), err
 }
 
 // PureBcastLatency measures the SMP-aware pure-MPI broadcast baseline.
 func PureBcastLatency(model *sim.CostModel, nodeSizes []int, bytes int, o MicroOpts) (sim.Time, error) {
-	topo, err := sim.NewTopology(nodeSizes)
-	if err != nil {
-		return 0, err
-	}
-	w, err := mpi.NewWorld(model, topo)
-	if err != nil {
-		return 0, err
-	}
-	defer w.Close()
 	iters := o.iters()
-	err = w.Run(func(p *mpi.Proc) error {
+	t, err := Makespan(model, nodeSizes, func(p *mpi.Proc) error {
 		h, err := coll.NewHier(p.CommWorld())
 		if err != nil {
 			return err
@@ -173,10 +148,7 @@ func PureBcastLatency(model *sim.CostModel, nodeSizes []int, bytes int, o MicroO
 		}
 		return nil
 	})
-	if err != nil {
-		return 0, err
-	}
-	return w.MaxClock() / sim.Time(iters), nil
+	return t / sim.Time(iters), err
 }
 
 // Machines returns the two machine/library stacks of the evaluation, in

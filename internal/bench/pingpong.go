@@ -14,25 +14,14 @@ import (
 // against the profile: a self-calibration that guards against cost
 // accounting regressions in the p2p engine.
 func PingPong(model *sim.CostModel, sameNode bool, bytes, iters int) (sim.Time, error) {
-	var topo *sim.Topology
-	var err error
+	shape := []int{1, 1}
 	if sameNode {
-		topo, err = sim.Uniform(1, 2)
-	} else {
-		topo, err = sim.Uniform(2, 1)
+		shape = []int{2}
 	}
-	if err != nil {
-		return 0, err
-	}
-	w, err := mpi.NewWorld(model, topo)
-	if err != nil {
-		return 0, err
-	}
-	defer w.Close()
 	if iters <= 0 {
 		iters = 4
 	}
-	err = w.Run(func(p *mpi.Proc) error {
+	t, err := Makespan(model, shape, func(p *mpi.Proc) error {
 		c := p.CommWorld()
 		buf := mpi.Sized(bytes)
 		for i := 0; i < iters; i++ {
@@ -54,11 +43,8 @@ func PingPong(model *sim.CostModel, sameNode bool, bytes, iters int) (sim.Time, 
 		}
 		return nil
 	})
-	if err != nil {
-		return 0, err
-	}
 	// Half round trip, averaged.
-	return w.MaxClock() / sim.Time(2*iters), nil
+	return t / sim.Time(2*iters), err
 }
 
 // FitAlphaBeta runs ping-pong at two sizes and solves for the effective

@@ -21,6 +21,15 @@ const (
 	tagAlltoall
 )
 
+const (
+	tagScan = 1<<25 + 16 + iota
+	tagReduceScatter
+	tagNeighbor
+)
+
+// famAllgather is the regular allgather's face on the shared exchanges.
+var famAllgather = family{name: "allgather", tag: tagAllgather}
+
 // Allgather gathers per-rank blocks of `per` bytes from every rank into
 // every rank's recv buffer (rank order). The algorithm is resolved by
 // the selection engine (see registry.go): under the default table
@@ -31,43 +40,52 @@ func Allgather(c *mpi.Comm, send, recv mpi.Buf, per int) error {
 	if err := checkAllgatherArgs(c, send, recv, per); err != nil {
 		return err
 	}
-	en, err := pick(CollAllgather, envFor(c, per, 0), tuningOf(c), false)
+	run, err := dispatch[any](c, CollAllgather, envFor(c, per, 0), false)
 	if err != nil {
 		return err
 	}
-	return en.run.(allgatherFn)(c, send, recv, per)
+	if exchange, ok := run.(exchangeFn); ok {
+		placeOwn(c, send, recv, per)
+		return exchange(c, blocks{buf: recv, per: per}, famAllgather)
+	}
+	return run.(allgatherFn)(c, send, recv, per)
 }
 
 // AllgatherInPlace runs the allgather with every rank's block already
 // placed at its slot of recv, selecting among the in-place-capable
 // algorithms (Bruck's rotated layout rules it out). The hierarchical
-// baselines use this on their bridge communicators.
+// baselines use this on their bridge communicators, which makes it the
+// form the figure workloads actually run; the regular ring and
+// recursive-doubling forms are "place own block, then this".
 func AllgatherInPlace(c *mpi.Comm, recv mpi.Buf, per int) error {
-	switch {
-	case c == nil:
-		return fmt.Errorf("coll: allgather on nil communicator")
-	case per < 0:
-		return fmt.Errorf("coll: negative block size %d", per)
-	case recv.Len() < per*c.Size():
-		return fmt.Errorf("coll: recv buffer %dB < %d blocks of %dB", recv.Len(), c.Size(), per)
+	if err := checkInPlaceArgs(c, recv, per); err != nil {
+		return err
 	}
-	en, err := pick(CollAllgather, envFor(c, per, 0), tuningOf(c), true)
+	exchange, err := dispatch[exchangeFn](c, CollAllgather, envFor(c, per, 0), true)
 	if err != nil {
 		return err
 	}
-	return en.runInPlace.(allgatherInPlaceFn)(c, recv, per)
+	return exchange(c, blocks{buf: recv, per: per}, famAllgather)
 }
 
-func checkAllgatherArgs(c *mpi.Comm, send, recv mpi.Buf, per int) error {
+func checkInPlaceArgs(c *mpi.Comm, recv mpi.Buf, per int) error {
 	switch {
 	case c == nil:
 		return fmt.Errorf("coll: allgather on nil communicator")
 	case per < 0:
 		return fmt.Errorf("coll: negative block size %d", per)
-	case send.Len() < per:
-		return fmt.Errorf("coll: send buffer %dB < block %dB", send.Len(), per)
 	case recv.Len() < per*c.Size():
 		return fmt.Errorf("coll: recv buffer %dB < %d blocks of %dB", recv.Len(), c.Size(), per)
+	}
+	return nil
+}
+
+func checkAllgatherArgs(c *mpi.Comm, send, recv mpi.Buf, per int) error {
+	if err := checkInPlaceArgs(c, recv, per); err != nil {
+		return err
+	}
+	if send.Len() < per {
+		return fmt.Errorf("coll: send buffer %dB < block %dB", send.Len(), per)
 	}
 	return nil
 }
@@ -87,24 +105,7 @@ func AllgatherRing(c *mpi.Comm, send, recv mpi.Buf, per int) error {
 		return err
 	}
 	placeOwn(c, send, recv, per)
-	n := c.Size()
-	if n == 1 {
-		return nil
-	}
-	right := (c.Rank() + 1) % n
-	left := (c.Rank() - 1 + n) % n
-	for i := 0; i < n-1; i++ {
-		sendIdx := (c.Rank() - i + n) % n
-		recvIdx := (c.Rank() - i - 1 + n) % n
-		_, err := c.Sendrecv(
-			recv.Slice(sendIdx*per, per), right, tagAllgather,
-			recv.Slice(recvIdx*per, per), left, tagAllgather,
-		)
-		if err != nil {
-			return fmt.Errorf("coll: allgather ring step %d: %w", i, err)
-		}
-	}
-	return nil
+	return allgatherRing(c, blocks{buf: recv, per: per}, famAllgather)
 }
 
 // AllgatherRecDbl is recursive doubling: log2(n) exchange steps that
@@ -113,27 +114,23 @@ func AllgatherRecDbl(c *mpi.Comm, send, recv mpi.Buf, per int) error {
 	if err := checkAllgatherArgs(c, send, recv, per); err != nil {
 		return err
 	}
-	n := c.Size()
-	if !isPow2(n) {
-		return fmt.Errorf("coll: recursive doubling needs power-of-two size, got %d", n)
+	if !isPow2(c.Size()) {
+		return fmt.Errorf("coll: recursive doubling needs power-of-two size, got %d", c.Size())
 	}
 	placeOwn(c, send, recv, per)
-	rank := c.Rank()
-	for mask := 1; mask < n; mask <<= 1 {
-		partner := rank ^ mask
-		// The block range I currently hold is my mask-aligned
-		// group; the partner holds the adjacent group.
-		haveBase := rank &^ (mask - 1)
-		getBase := partner &^ (mask - 1)
-		_, err := c.Sendrecv(
-			recv.Slice(haveBase*per, mask*per), partner, tagAllgather,
-			recv.Slice(getBase*per, mask*per), partner, tagAllgather,
-		)
-		if err != nil {
-			return fmt.Errorf("coll: allgather recdbl mask %d: %w", mask, err)
-		}
-	}
-	return nil
+	return allgatherRecDbl(c, blocks{buf: recv, per: per}, famAllgather)
+}
+
+// allgatherRing and allgatherRecDbl are the two exchanges over the
+// whole communicator, as the allgather and allgatherv registry entries
+// run them (the selector guarantees recursive doubling a power-of-two
+// size).
+func allgatherRing(c *mpi.Comm, v blocks, f family) error {
+	return ringExchange(c, v, c.Rank(), f)
+}
+
+func allgatherRecDbl(c *mpi.Comm, v blocks, f family) error {
+	return doublingExchange(c, v, c.Rank(), c.Size(), 0, f)
 }
 
 // AllgatherBruck is Bruck's algorithm: ceil(log2 n) steps on any size,
@@ -173,6 +170,110 @@ func AllgatherBruck(c *mpi.Comm, send, recv mpi.Buf, per int) error {
 		p.CopyLocal(recv.Slice(((rank+i)%n)*per, per), tmp.Slice(i*per, per), 1)
 	}
 	return nil
+}
+
+// AllgatherNeighbor is the neighbor-exchange allgather (Chen et al.):
+// n/2 + 1 steps of pairwise exchanges with alternating neighbours,
+// transferring two blocks per step. Even communicator sizes only; it
+// trades latency against ring for medium messages and completes the
+// classic algorithm family for the ablation sweep.
+func AllgatherNeighbor(c *mpi.Comm, send, recv mpi.Buf, per int) error {
+	if err := checkAllgatherArgs(c, send, recv, per); err != nil {
+		return err
+	}
+	n := c.Size()
+	if n == 1 {
+		placeOwn(c, send, recv, per)
+		return nil
+	}
+	if n%2 != 0 {
+		return fmt.Errorf("coll: neighbor-exchange needs an even size, got %d", n)
+	}
+	placeOwn(c, send, recv, per)
+	rank := c.Rank()
+
+	// First step: exchange own blocks with the first neighbour.
+	var first int
+	if rank%2 == 0 {
+		first = (rank + 1) % n
+	} else {
+		first = (rank - 1 + n) % n
+	}
+	if _, err := c.Sendrecv(
+		recv.Slice(rank*per, per), first, tagNeighbor,
+		recv.Slice(first*per, per), first, tagNeighbor,
+	); err != nil {
+		return fmt.Errorf("coll: neighbor step 0: %w", err)
+	}
+
+	// Remaining steps: alternate left/right, forwarding the pair of
+	// blocks learned two steps ago.
+	// Track which contiguous pair (in ring distance) was received
+	// last. Even ranks move left then right alternately; odd ranks
+	// mirror. We follow the standard formulation: at odd steps
+	// exchange with left neighbour of the first partner chain, at
+	// even steps with right.
+	lastPair := pairStart(rank, 0, n)
+	for step := 1; step <= n/2-1; step++ {
+		var partner int
+		if (rank%2 == 0) == (step%2 == 1) {
+			partner = (rank - 1 + n) % n
+		} else {
+			partner = (rank + 1) % n
+		}
+		sendBase := lastPair
+		recvBase := pairStart(rank, step, n)
+		if err := sendrecvPair(c, recv, per, n, sendBase, partner, recvBase); err != nil {
+			return fmt.Errorf("coll: neighbor step %d: %w", step, err)
+		}
+		lastPair = recvBase
+	}
+	return nil
+}
+
+// pairStart returns the first block index of the pair a rank acquires
+// at a given neighbor-exchange step.
+func pairStart(rank, step, n int) int {
+	// The pair acquired at step s sits 2s (even ranks, odd steps
+	// moving left) or -(2s) blocks away from the rank's own pair.
+	pairBase := rank &^ 1 // my pair: {even, even+1}
+	var off int
+	if rank%2 == 0 {
+		if step%2 == 1 {
+			off = -2 * ((step + 1) / 2)
+		} else {
+			off = 2 * (step / 2)
+		}
+	} else {
+		if step%2 == 1 {
+			off = 2 * ((step + 1) / 2)
+		} else {
+			off = -2 * (step / 2)
+		}
+	}
+	return ((pairBase+off)%n + n) % n
+}
+
+// sendrecvPair exchanges two adjacent blocks (mod n wraparound handled
+// block-by-block).
+func sendrecvPair(c *mpi.Comm, recv mpi.Buf, per, n, sendBase, partner, recvBase int) error {
+	// Two blocks, possibly wrapping: send blocks sendBase,
+	// sendBase+1; receive recvBase, recvBase+1.
+	r1, err := c.Irecv(recv.Slice((recvBase%n)*per, per), partner, tagNeighbor)
+	if err != nil {
+		return err
+	}
+	r2, err := c.Irecv(recv.Slice(((recvBase+1)%n)*per, per), partner, tagNeighbor)
+	if err != nil {
+		return err
+	}
+	if err := c.Send(recv.Slice((sendBase%n)*per, per), partner, tagNeighbor); err != nil {
+		return err
+	}
+	if err := c.Send(recv.Slice(((sendBase+1)%n)*per, per), partner, tagNeighbor); err != nil {
+		return err
+	}
+	return mpi.Waitall(r1, r2)
 }
 
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }

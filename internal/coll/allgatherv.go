@@ -27,6 +27,16 @@ func Total(counts []int) int {
 	return t
 }
 
+// scale returns v with every element multiplied by k (block counts to
+// byte counts).
+func scale(v []int, k int) []int {
+	out := make([]int, len(v))
+	for i, x := range v {
+		out[i] = x * k
+	}
+	return out
+}
+
 func checkAllgathervArgs(c *mpi.Comm, recv mpi.Buf, counts []int) error {
 	switch {
 	case c == nil:
@@ -70,7 +80,7 @@ func Allgatherv(c *mpi.Comm, send, recv mpi.Buf, counts []int) error {
 // AllgathervInPlace runs the irregular allgather assuming each rank's
 // block is already placed at its displacement in recv. The algorithm
 // is resolved by the selection engine; the v variant only registers
-// the ring and (power-of-two) recursive-doubling runners, mirroring
+// the ring and (power-of-two) recursive-doubling exchanges, mirroring
 // how real libraries under-tune it ([29]).
 func AllgathervInPlace(c *mpi.Comm, recv mpi.Buf, counts []int) error {
 	if err := checkAllgathervArgs(c, recv, counts); err != nil {
@@ -79,20 +89,14 @@ func AllgathervInPlace(c *mpi.Comm, recv mpi.Buf, counts []int) error {
 	if c.Size() == 1 {
 		return nil
 	}
-	p := c.Proc()
-	// The per-call setup: walking the count/displacement vectors.
-	p.Elapse(p.Model().Tuning.AllgathervSetup)
-	en, err := pick(CollAllgatherv, envFor(c, Total(counts), 0), tuningOf(c), true)
-	if err != nil {
-		return err
-	}
-	return en.runInPlace.(allgathervFn)(c, recv, counts)
+	return allgathervPlaced(c, blocks{buf: recv, counts: counts, displs: Displs(counts)}, Total(counts), true)
 }
 
-// AllgathervExplicit runs the ring allgatherv with caller-provided
+// AllgathervExplicit runs the allgatherv with caller-provided
 // displacements (which need not be prefix sums — the multi-leader
 // hierarchy scatters node slices through a strided layout). Each rank's
-// block must already sit at displs[rank].
+// block must already sit at displs[rank]. The layout is validated on
+// every member before a byte moves, like the standard form's.
 func AllgathervExplicit(c *mpi.Comm, recv mpi.Buf, counts, displs []int) error {
 	if c == nil {
 		return fmt.Errorf("coll: allgatherv on nil communicator")
@@ -101,102 +105,43 @@ func AllgathervExplicit(c *mpi.Comm, recv mpi.Buf, counts, displs []int) error {
 		return fmt.Errorf("coll: allgatherv got %d counts / %d displs for %d ranks",
 			len(counts), len(displs), c.Size())
 	}
-	n := c.Size()
-	if n == 1 {
-		return nil
-	}
-	p := c.Proc()
-	tun := p.Model().Tuning
-
 	// When the displacements are an ordinary prefix layout the call is
 	// equivalent to the standard in-place allgatherv and gets the same
 	// engine-driven algorithm selection (including the logarithmic
 	// small-message path). Genuinely strided layouts always ring.
-	prefix := true
-	for i := 1; i < n; i++ {
-		if displs[i] != displs[i-1]+counts[i-1] {
-			prefix = false
-			break
+	prefix, total := true, 0
+	for r, n := range counts {
+		switch {
+		case n < 0:
+			return fmt.Errorf("coll: allgatherv count[%d] = %d", r, n)
+		case displs[r] < 0 || displs[r]+n > recv.Len():
+			return fmt.Errorf("coll: allgatherv block %d [%d, %d) lies outside the %dB recv buffer",
+				r, displs[r], displs[r]+n, recv.Len())
 		}
+		prefix = prefix && displs[r] == total
+		total += n
 	}
-	if prefix && displs[0] == 0 {
-		return AllgathervInPlace(c, recv, counts)
+	if c.Size() == 1 {
+		return nil
 	}
+	return allgathervPlaced(c, blocks{buf: recv, counts: counts, displs: displs}, total, prefix)
+}
 
+// allgathervPlaced charges the v family's per-call setup (walking the
+// count/displacement vectors) and runs the exchange over validated,
+// already-placed blocks: the selected algorithm, or the ring where only
+// the ring can address the layout. Every step pays the family's
+// bookkeeping penalty.
+func allgathervPlaced(c *mpi.Comm, v blocks, total int, selected bool) error {
+	p := c.Proc()
+	tun := &p.Model().Tuning
 	p.Elapse(tun.AllgathervSetup)
-	right := (c.Rank() + 1) % n
-	left := (c.Rank() - 1 + n) % n
-	penalty := tun.AllgathervStepPenalty
-	for i := 0; i < n-1; i++ {
-		sendIdx := (c.Rank() - i + n) % n
-		recvIdx := (c.Rank() - i - 1 + n) % n
-		p.Elapse(penalty)
-		_, err := c.Sendrecv(
-			recv.Slice(displs[sendIdx], counts[sendIdx]), right, tagAllgatherv,
-			recv.Slice(displs[recvIdx], counts[recvIdx]), left, tagAllgatherv,
-		)
-		if err != nil {
-			return fmt.Errorf("coll: allgatherv explicit step %d: %w", i, err)
+	exchange := exchangeFn(allgatherRing)
+	if selected {
+		var err error
+		if exchange, err = dispatch[exchangeFn](c, CollAllgatherv, envFor(c, total, 0), true); err != nil {
+			return err
 		}
 	}
-	return nil
-}
-
-// allgathervRing is the ring algorithm on irregular blocks: n-1 steps;
-// step cost is dominated by the largest block in flight, which is why
-// the irregular-population case (paper Fig. 10) hurts the pure-MPI
-// flavor that must run it over *all* ranks.
-func allgathervRing(c *mpi.Comm, recv mpi.Buf, counts []int) error {
-	n := c.Size()
-	displs := Displs(counts)
-	right := (c.Rank() + 1) % n
-	left := (c.Rank() - 1 + n) % n
-	penalty := c.Proc().Model().Tuning.AllgathervStepPenalty
-	for i := 0; i < n-1; i++ {
-		sendIdx := (c.Rank() - i + n) % n
-		recvIdx := (c.Rank() - i - 1 + n) % n
-		c.Proc().Elapse(penalty)
-		_, err := c.Sendrecv(
-			recv.Slice(displs[sendIdx], counts[sendIdx]), right, tagAllgatherv,
-			recv.Slice(displs[recvIdx], counts[recvIdx]), left, tagAllgatherv,
-		)
-		if err != nil {
-			return fmt.Errorf("coll: allgatherv ring step %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// allgathervRecDbl is recursive doubling over irregular blocks
-// (power-of-two sizes only; the selector guarantees that).
-func allgathervRecDbl(c *mpi.Comm, recv mpi.Buf, counts []int) error {
-	n := c.Size()
-	rank := c.Rank()
-	displs := Displs(counts)
-	penalty := c.Proc().Model().Tuning.AllgathervStepPenalty
-
-	// rangeOf returns the byte span covering blocks [base, base+m).
-	rangeOf := func(base, m int) (off, length int) {
-		off = displs[base]
-		for b := base; b < base+m; b++ {
-			length += counts[b]
-		}
-		return off, length
-	}
-	for mask := 1; mask < n; mask <<= 1 {
-		partner := rank ^ mask
-		haveBase := rank &^ (mask - 1)
-		getBase := partner &^ (mask - 1)
-		hOff, hLen := rangeOf(haveBase, mask)
-		gOff, gLen := rangeOf(getBase, mask)
-		c.Proc().Elapse(penalty)
-		_, err := c.Sendrecv(
-			recv.Slice(hOff, hLen), partner, tagAllgatherv,
-			recv.Slice(gOff, gLen), partner, tagAllgatherv,
-		)
-		if err != nil {
-			return fmt.Errorf("coll: allgatherv recdbl mask %d: %w", mask, err)
-		}
-	}
-	return nil
+	return exchange(c, v, family{name: "allgatherv", tag: tagAllgatherv, penalty: tun.AllgathervStepPenalty})
 }

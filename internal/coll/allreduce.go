@@ -15,11 +15,11 @@ func Allreduce(c *mpi.Comm, send, recv mpi.Buf, count int, dt mpi.Datatype, op m
 	if err := checkReduceArgs(c, send, recv, count, dt); err != nil {
 		return err
 	}
-	en, err := pick(CollAllreduce, envFor(c, count*dt.Size(), count), tuningOf(c), false)
+	run, err := dispatch[allreduceFn](c, CollAllreduce, envFor(c, count*dt.Size(), count), false)
 	if err != nil {
 		return err
 	}
-	return en.run.(allreduceFn)(c, send, recv, count, dt, op)
+	return run(c, send, recv, count, dt, op)
 }
 
 func checkReduceArgs(c *mpi.Comm, send, recv mpi.Buf, count int, dt mpi.Datatype) error {
@@ -36,25 +36,36 @@ func checkReduceArgs(c *mpi.Comm, send, recv mpi.Buf, count int, dt mpi.Datatype
 	return nil
 }
 
-// foldExtras maps a non-power-of-two communicator onto its largest
-// power-of-two core, MPICH style: the first 2*rem ranks pair up, evens
-// hand their contribution to odds and sit out. It returns the caller's
-// core rank (-1 if idle) and the core size.
-//
-// translate maps a core rank back to a comm rank.
-func foldCore(n int) (pof2, rem int) {
-	pof2 = 1
-	for pof2*2 <= n {
-		pof2 *= 2
+// foldIn and foldOut bracket an allreduce on a non-power-of-two
+// communicator, MPICH style (see coreRole): going in, every idle even
+// rank hands acc to its odd neighbour, which reduces it into its own;
+// coming out, the odds return the final result.
+func foldIn(c *mpi.Comm, coreRank, rem int, acc, tmp mpi.Buf, count int, dt mpi.Datatype, op mpi.Op) error {
+	rank := c.Rank()
+	switch {
+	case rank >= 2*rem:
+		return nil
+	case coreRank < 0:
+		return c.Send(acc, rank+1, tagAllreduce)
 	}
-	return pof2, n - pof2
+	if _, err := c.Recv(tmp, rank-1, tagAllreduce); err != nil {
+		return err
+	}
+	op.Apply(acc, tmp, count, dt)
+	c.Proc().Compute(float64(count))
+	return nil
 }
 
-func coreToComm(coreRank, rem int) int {
-	if coreRank < rem {
-		return coreRank*2 + 1
+func foldOut(c *mpi.Comm, coreRank, rem int, acc mpi.Buf) error {
+	rank := c.Rank()
+	switch {
+	case rank >= 2*rem:
+		return nil
+	case coreRank < 0:
+		_, err := c.Recv(acc, rank+1, tagAllreduce)
+		return err
 	}
-	return coreRank + rem
+	return c.Send(acc, rank-1, tagAllreduce)
 }
 
 // AllreduceRecDbl is recursive doubling: log2(n) full-size exchanges,
@@ -67,56 +78,28 @@ func AllreduceRecDbl(c *mpi.Comm, send, recv mpi.Buf, count int, dt mpi.Datatype
 	p := c.Proc()
 	bytes := count * dt.Size()
 	n := c.Size()
-	p.CopyLocal(recv.Slice(0, bytes), send.Slice(0, bytes), 1)
+	acc := recv.Slice(0, bytes)
+	p.CopyLocal(acc, send.Slice(0, bytes), 1)
 	if n == 1 {
 		return nil
 	}
 	tmp := p.World().NewBuf(bytes)
 
-	pof2, rem := foldCore(n)
-	rank := c.Rank()
-	coreRank := -1
-	switch {
-	case rank < 2*rem && rank%2 == 0:
-		// Fold my contribution into my odd neighbour and idle.
-		if err := c.Send(recv.Slice(0, bytes), rank+1, tagAllreduce); err != nil {
-			return err
-		}
-	case rank < 2*rem:
-		if _, err := c.Recv(tmp, rank-1, tagAllreduce); err != nil {
-			return err
-		}
-		op.Apply(recv, tmp, count, dt)
-		p.Compute(float64(count))
-		coreRank = rank / 2
-	default:
-		coreRank = rank - rem
+	coreRank, pof2, rem := coreRole(c.Rank(), n)
+	if err := foldIn(c, coreRank, rem, acc, tmp, count, dt, op); err != nil {
+		return err
 	}
-
 	if coreRank >= 0 {
 		for mask := 1; mask < pof2; mask <<= 1 {
 			partner := coreToComm(coreRank^mask, rem)
-			if _, err := c.Sendrecv(recv.Slice(0, bytes), partner, tagAllreduce, tmp, partner, tagAllreduce); err != nil {
+			if _, err := c.Sendrecv(acc, partner, tagAllreduce, tmp, partner, tagAllreduce); err != nil {
 				return fmt.Errorf("coll: allreduce recdbl mask %d: %w", mask, err)
 			}
-			op.Apply(recv, tmp, count, dt)
+			op.Apply(acc, tmp, count, dt)
 			p.Compute(float64(count))
 		}
 	}
-
-	// Unfold: odds return the final result to their idle evens.
-	if rank < 2*rem {
-		if rank%2 == 0 {
-			if _, err := c.Recv(recv.Slice(0, bytes), rank+1, tagAllreduce); err != nil {
-				return err
-			}
-		} else {
-			if err := c.Send(recv.Slice(0, bytes), rank-1, tagAllreduce); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return foldOut(c, coreRank, rem, acc)
 }
 
 // AllreduceRabenseifner is reduce-scatter (recursive halving) followed
@@ -130,119 +113,162 @@ func AllreduceRabenseifner(c *mpi.Comm, send, recv mpi.Buf, count int, dt mpi.Da
 	es := dt.Size()
 	bytes := count * es
 	n := c.Size()
-	p.CopyLocal(recv.Slice(0, bytes), send.Slice(0, bytes), 1)
+	acc := recv.Slice(0, bytes)
+	p.CopyLocal(acc, send.Slice(0, bytes), 1)
 	if n == 1 {
 		return nil
 	}
-	pof2, rem := foldCore(n)
+	coreRank, pof2, rem := coreRole(c.Rank(), n)
 	if count < pof2 {
 		// Too few elements to scatter; fall back.
 		return AllreduceRecDbl(c, send, recv, count, dt, op)
 	}
 	tmp := p.World().NewBuf(bytes)
-	rank := c.Rank()
-	coreRank := -1
-	switch {
-	case rank < 2*rem && rank%2 == 0:
-		if err := c.Send(recv.Slice(0, bytes), rank+1, tagAllreduce); err != nil {
-			return err
-		}
-	case rank < 2*rem:
-		if _, err := c.Recv(tmp, rank-1, tagAllreduce); err != nil {
-			return err
-		}
-		op.Apply(recv, tmp, count, dt)
-		p.Compute(float64(count))
-		coreRank = rank / 2
-	default:
-		coreRank = rank - rem
+	if err := foldIn(c, coreRank, rem, acc, tmp, count, dt, op); err != nil {
+		return err
 	}
 
 	if coreRank >= 0 {
-		// Element ranges per core rank: near-equal contiguous
-		// splits.
-		cnts := make([]int, pof2)
-		base := count / pof2
-		extra := count % pof2
-		for i := range cnts {
-			cnts[i] = base
-			if i < extra {
-				cnts[i]++
+		// One piece per core rank: near-equal contiguous element
+		// ranges, addressed the same way in the accumulator and in the
+		// scratch the partner's half lands in.
+		counts := make([]int, pof2)
+		for i := range counts {
+			counts[i] = count / pof2 * es
+			if i < count%pof2 {
+				counts[i] += es
 			}
 		}
-		displ := Displs(scale(cnts, es))
-		elDispl := Displs(cnts)
+		mine := blocks{buf: acc, counts: counts, displs: Displs(counts)}
+		theirs := mine
+		theirs.buf = tmp
 
-		// Recursive halving reduce-scatter: after step with the
-		// given mask, I hold the reduced range of my mask-sized
-		// group.
-		lo, hi := 0, pof2 // my current group of piece indices
+		// Recursive halving reduce-scatter: after the step with the
+		// given mask, I hold the reduced range of my mask-sized group
+		// of pieces. It is the doubling step read backwards: the group
+		// I would hold is the half I keep, the partner's the half I
+		// give away.
 		for mask := pof2 / 2; mask > 0; mask >>= 1 {
-			partnerCore := coreRank ^ mask
-			partner := coreToComm(partnerCore, rem)
-			mid := lo + (hi-lo)/2
-			var sendLo, sendHi, keepLo, keepHi int
-			if coreRank < mid {
-				keepLo, keepHi = lo, mid
-				sendLo, sendHi = mid, hi
-			} else {
-				keepLo, keepHi = mid, hi
-				sendLo, sendHi = lo, mid
-			}
-			sOff := displ[sendLo]
-			sLen := displ[sendHi-1] + cnts[sendHi-1]*es - sOff
-			kOff := displ[keepLo]
-			kLen := displ[keepHi-1] + cnts[keepHi-1]*es - kOff
+			partnerPos, keep, give := doublingStep(coreRank, mask)
+			partner := coreToComm(partnerPos, rem)
 			if _, err := c.Sendrecv(
-				recv.Slice(sOff, sLen), partner, tagAllreduce,
-				tmp.Slice(kOff, kLen), partner, tagAllreduce,
+				mine.span(give, mask), partner, tagAllreduce,
+				theirs.span(keep, mask), partner, tagAllreduce,
 			); err != nil {
 				return fmt.Errorf("coll: rabenseifner halving: %w", err)
 			}
-			kElems := elDispl[keepHi-1] + cnts[keepHi-1] - elDispl[keepLo]
-			op.Apply(recv.Slice(kOff, kLen), tmp.Slice(kOff, kLen), kElems, dt)
-			p.Compute(float64(kElems))
-			lo, hi = keepLo, keepHi
+			kept := mine.span(keep, mask)
+			op.Apply(kept, theirs.span(keep, mask), kept.Len()/es, dt)
+			p.Compute(float64(kept.Len() / es))
 		}
 
-		// Allgather the reduced pieces back with recursive
-		// doubling over the same ranges.
-		for mask := 1; mask < pof2; mask <<= 1 {
-			partnerCore := coreRank ^ mask
-			partner := coreToComm(partnerCore, rem)
-			haveBase := coreRank &^ (mask - 1)
-			getBase := partnerCore &^ (mask - 1)
-			hOff := displ[haveBase]
-			hLen := displ[haveBase+mask-1] + cnts[haveBase+mask-1]*es - hOff
-			gOff := displ[getBase]
-			gLen := displ[getBase+mask-1] + cnts[getBase+mask-1]*es - gOff
-			if _, err := c.Sendrecv(
-				recv.Slice(hOff, hLen), partner, tagAllreduce,
-				recv.Slice(gOff, gLen), partner, tagAllreduce,
-			); err != nil {
-				return fmt.Errorf("coll: rabenseifner allgather: %w", err)
-			}
+		// Allgather the reduced pieces back with recursive doubling
+		// over the same ranges.
+		if err := doublingExchange(c, mine, coreRank, pof2, rem,
+			family{name: "rabenseifner allgather", tag: tagAllreduce}); err != nil {
+			return err
 		}
 	}
+	return foldOut(c, coreRank, rem, acc)
+}
 
-	if rank < 2*rem {
-		if rank%2 == 0 {
-			if _, err := c.Recv(recv.Slice(0, bytes), rank+1, tagAllreduce); err != nil {
-				return err
+// Reduce folds count elements onto root (commutative ops only, like
+// every op in internal/mpi). The algorithm is resolved by the
+// selection engine.
+func Reduce(c *mpi.Comm, send, recv mpi.Buf, count int, dt mpi.Datatype, op mpi.Op, root int) error {
+	if err := checkRootArgs(c, root); err != nil {
+		return err
+	}
+	if err := checkReduceArgs(c, send, send, count, dt); err != nil {
+		return err
+	}
+	run, err := dispatch[reduceFn](c, CollReduce, envFor(c, count*dt.Size(), count), false)
+	if err != nil {
+		return err
+	}
+	return run(c, send, recv, count, dt, op, root)
+}
+
+// ReduceBinomial accumulates partial results up a binomial tree.
+func ReduceBinomial(c *mpi.Comm, send, recv mpi.Buf, count int, dt mpi.Datatype, op mpi.Op, root int) error {
+	if err := checkRootArgs(c, root); err != nil {
+		return err
+	}
+	if err := checkReduceArgs(c, send, send, count, dt); err != nil {
+		return err
+	}
+	p := c.Proc()
+	bytes := count * dt.Size()
+	n := c.Size()
+	rel := (c.Rank() - root + n) % n
+
+	acc := p.World().NewBuf(bytes)
+	p.CopyLocal(acc, send.Slice(0, bytes), 1)
+	tmp := p.World().NewBuf(bytes)
+
+	up := binomialParent(rel, n)
+	for mask := 1; mask < up; mask <<= 1 {
+		if rel+mask < n {
+			child := (rel + mask + root) % n
+			if _, err := c.Recv(tmp, child, tagReduce); err != nil {
+				return fmt.Errorf("coll: reduce recv: %w", err)
 			}
-		} else {
-			if err := c.Send(recv.Slice(0, bytes), rank-1, tagAllreduce); err != nil {
-				return err
-			}
+			op.Apply(acc, tmp, count, dt)
+			p.Compute(float64(count))
 		}
 	}
+	if rel != 0 {
+		parent := (rel - up + root) % n
+		if err := c.Send(acc, parent, tagReduce); err != nil {
+			return fmt.Errorf("coll: reduce send: %w", err)
+		}
+		return nil
+	}
+	// Root deposits the result.
+	if recv.Len() < bytes {
+		return fmt.Errorf("coll: reduce recv buffer %dB < %dB", recv.Len(), bytes)
+	}
+	p.CopyLocal(recv.Slice(0, bytes), acc, 1)
 	return nil
 }
 
-func scale(v []int, k int) []int {
-	out := make([]int, len(v))
-	for i, x := range v {
-		out[i] = x * k
+// ReduceScatterBlock reduces count-per-rank blocks across all ranks and
+// scatters the result: rank r ends with op-reduction of everyone's r-th
+// block. Implemented as pairwise exchange (n-1 balanced steps), the
+// algorithm MPICH uses for commutative ops on non-power-of-two counts.
+func ReduceScatterBlock(c *mpi.Comm, send, recv mpi.Buf, countPer int, dt mpi.Datatype, op mpi.Op) error {
+	n := c.Size()
+	bytes := countPer * dt.Size()
+	switch {
+	case c == nil:
+		return fmt.Errorf("coll: reduce-scatter on nil communicator")
+	case countPer < 0:
+		return fmt.Errorf("coll: negative block count %d", countPer)
+	case send.Len() < bytes*n:
+		return fmt.Errorf("coll: reduce-scatter send buffer %dB < %d blocks", send.Len(), n)
+	case recv.Len() < bytes:
+		return fmt.Errorf("coll: reduce-scatter recv buffer %dB < %dB", recv.Len(), bytes)
 	}
-	return out
+	p := c.Proc()
+	rank := c.Rank()
+	p.CopyLocal(recv.Slice(0, bytes), send.Slice(rank*bytes, bytes), 1)
+	if n == 1 {
+		return nil
+	}
+	tmp := p.World().NewBuf(bytes)
+	for step := 1; step < n; step++ {
+		dst := (rank + step) % n
+		src := (rank - step + n) % n
+		// Send the block destined for dst, receive my block's
+		// contribution from src.
+		if _, err := c.Sendrecv(
+			send.Slice(dst*bytes, bytes), dst, tagReduceScatter,
+			tmp, src, tagReduceScatter,
+		); err != nil {
+			return fmt.Errorf("coll: reduce-scatter step %d: %w", step, err)
+		}
+		op.Apply(recv, tmp, countPer, dt)
+		p.Compute(float64(countPer))
+	}
+	return nil
 }

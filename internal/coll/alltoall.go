@@ -25,11 +25,11 @@ func Alltoall(c *mpi.Comm, send, recv mpi.Buf, per int) error {
 	if err := checkAlltoallArgs(c, send, recv, per); err != nil {
 		return err
 	}
-	en, err := pick(CollAlltoall, envFor(c, per, 0), tuningOf(c), false)
+	run, err := dispatch[alltoallFn](c, CollAlltoall, envFor(c, per, 0), false)
 	if err != nil {
 		return err
 	}
-	return en.run.(alltoallFn)(c, send, recv, per)
+	return run(c, send, recv, per)
 }
 
 // AlltoallPairwise is the pairwise exchange algorithm: n-1 balanced
@@ -60,110 +60,4 @@ func AlltoallPairwise(c *mpi.Comm, send, recv mpi.Buf, per int) error {
 		}
 	}
 	return nil
-}
-
-// Reduce folds count elements onto root (commutative ops only, like
-// every op in internal/mpi). The algorithm is resolved by the
-// selection engine.
-func Reduce(c *mpi.Comm, send, recv mpi.Buf, count int, dt mpi.Datatype, op mpi.Op, root int) error {
-	if err := checkRootArgs(c, root); err != nil {
-		return err
-	}
-	if err := checkReduceArgs(c, send, send, count, dt); err != nil {
-		return err
-	}
-	en, err := pick(CollReduce, envFor(c, count*dt.Size(), count), tuningOf(c), false)
-	if err != nil {
-		return err
-	}
-	return en.run.(reduceFn)(c, send, recv, count, dt, op, root)
-}
-
-// ReduceBinomial accumulates partial results up a binomial tree.
-func ReduceBinomial(c *mpi.Comm, send, recv mpi.Buf, count int, dt mpi.Datatype, op mpi.Op, root int) error {
-	if err := checkRootArgs(c, root); err != nil {
-		return err
-	}
-	if err := checkReduceArgs(c, send, send, count, dt); err != nil {
-		return err
-	}
-	p := c.Proc()
-	bytes := count * dt.Size()
-	n := c.Size()
-	rel := (c.Rank() - root + n) % n
-
-	acc := p.World().NewBuf(bytes)
-	p.CopyLocal(acc, send.Slice(0, bytes), 1)
-	tmp := p.World().NewBuf(bytes)
-
-	mask := 1
-	for mask < n {
-		if rel&mask != 0 {
-			parent := (rel - mask + root) % n
-			if err := c.Send(acc, parent, tagReduce); err != nil {
-				return fmt.Errorf("coll: reduce send: %w", err)
-			}
-			return nil
-		}
-		if rel+mask < n {
-			child := (rel + mask + root) % n
-			if _, err := c.Recv(tmp, child, tagReduce); err != nil {
-				return fmt.Errorf("coll: reduce recv: %w", err)
-			}
-			op.Apply(acc, tmp, count, dt)
-			p.Compute(float64(count))
-		}
-		mask <<= 1
-	}
-	// Root deposits the result.
-	if recv.Len() < bytes {
-		return fmt.Errorf("coll: reduce recv buffer %dB < %dB", recv.Len(), bytes)
-	}
-	p.CopyLocal(recv.Slice(0, bytes), acc, 1)
-	return nil
-}
-
-// Barrier synchronizes the communicator. The algorithm is resolved by
-// the selection engine: the runtime's native dissemination barrier
-// (with its shared-memory fast path) by default, the central-counter
-// ablation when forced or when the cost policy prefers it.
-func Barrier(c *mpi.Comm) error {
-	if c == nil {
-		return fmt.Errorf("coll: barrier on nil communicator")
-	}
-	en, err := pick(CollBarrier, envFor(c, 0, 0), tuningOf(c), false)
-	if err != nil {
-		return err
-	}
-	return en.run.(barrierFn)(c)
-}
-
-// BarrierCentral is the naive central-counter barrier: gather
-// zero-byte tokens at rank 0, then broadcast a release. It exists as an
-// ablation against the dissemination barrier (2(n-1) serialized hops vs
-// log2(n) balanced rounds).
-func BarrierCentral(c *mpi.Comm) error {
-	n := c.Size()
-	if n <= 1 {
-		return nil
-	}
-	empty := mpi.Sized(0)
-	if c.Rank() == 0 {
-		for r := 1; r < n; r++ {
-			if _, err := c.Recv(empty, r, tagGather); err != nil {
-				return err
-			}
-		}
-		for r := 1; r < n; r++ {
-			if err := c.Send(empty, r, tagBcast); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := c.Send(empty, 0, tagGather); err != nil {
-		return err
-	}
-	_, err := c.Recv(empty, 0, tagBcast)
-	return err
 }

@@ -15,11 +15,11 @@ func Bcast(c *mpi.Comm, buf mpi.Buf, root int) error {
 	if err := checkBcastArgs(c, buf, root); err != nil {
 		return err
 	}
-	en, err := pick(CollBcast, envFor(c, buf.Len(), 0), tuningOf(c), false)
+	run, err := dispatch[bcastFn](c, CollBcast, envFor(c, buf.Len(), 0), false)
 	if err != nil {
 		return err
 	}
-	return en.run.(bcastFn)(c, buf, root)
+	return run(c, buf, root)
 }
 
 func checkBcastArgs(c *mpi.Comm, buf mpi.Buf, root int) error {
@@ -45,52 +45,23 @@ func BcastBinomial(c *mpi.Comm, buf mpi.Buf, root int) error {
 	rel := (c.Rank() - root + n) % n
 
 	// Receive once from the parent...
-	mask := 1
-	for mask < n {
-		if rel&mask != 0 {
-			parent := (rel - mask + root) % n
-			if _, err := c.Recv(buf, parent, tagBcast); err != nil {
-				return fmt.Errorf("coll: bcast binomial recv: %w", err)
-			}
-			break
+	mask := binomialParent(rel, n)
+	if rel != 0 {
+		parent := (rel - mask + root) % n
+		if _, err := c.Recv(buf, parent, tagBcast); err != nil {
+			return fmt.Errorf("coll: bcast binomial recv: %w", err)
 		}
-		mask <<= 1
 	}
 	// ...then forward to children under decreasing masks.
-	mask >>= 1
-	for mask > 0 {
+	for mask >>= 1; mask > 0; mask >>= 1 {
 		if rel+mask < n {
 			child := (rel + mask + root) % n
 			if err := c.Send(buf, child, tagBcast); err != nil {
 				return fmt.Errorf("coll: bcast binomial send: %w", err)
 			}
 		}
-		mask >>= 1
 	}
 	return nil
-}
-
-// bcastPieces splits a message into n near-equal pieces laid out in
-// relative-rank order: relative rank i owns bytes
-// [i*per, min((i+1)*per, total)).
-func bcastPieces(total, n int) (per int, counts []int) {
-	per = (total + n - 1) / n
-	if per == 0 {
-		per = 1
-	}
-	counts = make([]int, n)
-	for i := range counts {
-		lo := i * per
-		hi := lo + per
-		if lo > total {
-			lo = total
-		}
-		if hi > total {
-			hi = total
-		}
-		counts[i] = hi - lo
-	}
-	return per, counts
 }
 
 // BcastScatterAllgather is the van de Geijn algorithm MPICH uses for
@@ -110,51 +81,32 @@ func BcastScatterAllgather(c *mpi.Comm, buf mpi.Buf, root int) error {
 		// No payload to scatter; the zero-byte tree still broadcasts.
 		return BcastBinomial(c, buf, root)
 	}
-	per, counts := bcastPieces(total, n)
+	// The payload is cut into n near-equal pieces laid out in
+	// relative-rank order: relative rank i owns bytes
+	// [i*per, min((i+1)*per, total)), so payloads smaller than n*per end
+	// in short or empty pieces.
+	per := (total + n - 1) / n
 	rel := (c.Rank() - root + n) % n
-	absRank := func(r int) int { return (r + root) % n }
-	// pieceOff clamps a relative piece's offset to the payload end, so
-	// empty tail pieces (payloads smaller than n*per) slice validly.
-	pieceOff := func(i int) int {
-		if o := i * per; o < total {
-			return o
-		}
-		return total
-	}
 
 	// Phase 1: binomial scatter. Every rank ends up holding its own
 	// relative piece; interior tree nodes transiently hold their
 	// subtree's range [rel*per, rel*per+curr).
-	curr := 0
-	if rel == 0 {
-		curr = total
-	}
-	mask := 1
-	for mask < n {
-		if rel&mask != 0 {
-			src := absRank(rel - mask)
-			curr = total - rel*per
-			if curr < 0 {
-				curr = 0
+	curr := total
+	mask := binomialParent(rel, n)
+	if rel != 0 {
+		src := (rel - mask + root) % n
+		curr = min(max(total-rel*per, 0), mask*per)
+		if curr > 0 {
+			if _, err := c.Recv(buf.Slice(rel*per, curr), src, tagBcast); err != nil {
+				return fmt.Errorf("coll: bcast scatter recv: %w", err)
 			}
-			if max := mask * per; curr > max {
-				curr = max
-			}
-			if curr > 0 {
-				if _, err := c.Recv(buf.Slice(rel*per, curr), src, tagBcast); err != nil {
-					return fmt.Errorf("coll: bcast scatter recv: %w", err)
-				}
-			}
-			break
 		}
-		mask <<= 1
 	}
-	mask >>= 1
-	for mask > 0 {
+	for mask >>= 1; mask > 0; mask >>= 1 {
 		if rel+mask < n {
 			sendSize := curr - mask*per
 			if sendSize > 0 {
-				dst := absRank(rel + mask)
+				dst := (rel + mask + root) % n
 				off := (rel + mask) * per
 				if err := c.Send(buf.Slice(off, sendSize), dst, tagBcast); err != nil {
 					return fmt.Errorf("coll: bcast scatter send: %w", err)
@@ -162,24 +114,10 @@ func BcastScatterAllgather(c *mpi.Comm, buf mpi.Buf, root int) error {
 				curr -= sendSize
 			}
 		}
-		mask >>= 1
 	}
 
 	// Phase 2: ring allgather of the pieces in relative-rank space.
-	right := absRank(rel + 1)
-	left := absRank(rel - 1 + n)
-	for i := 0; i < n-1; i++ {
-		sendIdx := (rel - i + n) % n
-		recvIdx := (rel - i - 1 + n) % n
-		_, err := c.Sendrecv(
-			buf.Slice(pieceOff(sendIdx), counts[sendIdx]), right, tagBcast,
-			buf.Slice(pieceOff(recvIdx), counts[recvIdx]), left, tagBcast,
-		)
-		if err != nil {
-			return fmt.Errorf("coll: bcast allgather step %d: %w", i, err)
-		}
-	}
-	return nil
+	return ringExchange(c, blocks{buf: buf, per: per}, rel, family{name: "bcast allgather", tag: tagBcast})
 }
 
 // BcastPipelined is a chained pipeline for very large messages: the

@@ -1,7 +1,9 @@
 package coll
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/mpi"
@@ -138,12 +140,14 @@ func TestAllgathervCorrect(t *testing.T) {
 				// Place own block (in-place semantics).
 				mine := fill(p.Rank(), counts[p.Rank()]/8)
 				p.CopyLocal(recv.Slice(displs[p.Rank()], counts[p.Rank()]), mine, 1)
+				v := blocks{buf: recv, counts: counts, displs: displs}
+				fam := family{name: "allgatherv", tag: tagAllgatherv}
 				var err error
 				switch variant {
 				case "ring":
-					err = allgathervRing(c, recv, counts)
+					err = allgatherRing(c, v, fam)
 				case "recdbl":
-					err = allgathervRecDbl(c, recv, counts)
+					err = allgatherRecDbl(c, v, fam)
 				default:
 					err = AllgathervInPlace(c, recv, counts)
 				}
@@ -219,6 +223,50 @@ func TestAllgathervExplicitStridedLayout(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestAllgathervExplicitValidatesStridedLayout: a bad strided layout is
+// refused on every member before a byte moves, exactly like a bad
+// prefix layout — not discovered mid-ring as a Buf.Slice panic on the
+// first rank to reach the block, with every other rank aborted.
+func TestAllgathervExplicitValidatesStridedLayout(t *testing.T) {
+	cases := []struct {
+		name           string
+		counts, displs []int
+		want           string
+	}{
+		{"block past the buffer", []int{8, 8, 8, 8}, []int{0, 16, 32, 60}, "block 3"},
+		{"negative count", []int{8, -8, 8, 8}, []int{0, 16, 32, 48}, "count[1]"},
+		{"negative displacement", []int{8, 8, 8, 8}, []int{0, -16, 32, 48}, "block 1"},
+	}
+	for _, tc := range cases {
+		for _, eng := range []sim.Engine{sim.EngineGoroutine, sim.EngineEvent} {
+			t.Run(fmt.Sprintf("%s/%v", tc.name, eng), func(t *testing.T) {
+				w, err := mpi.NewWorld(sim.Laptop(), sim.MustUniform(2, 2), mpi.WithRealData(), mpi.WithEngine(eng))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer w.Close()
+				errs := make([]error, 4)
+				if err := w.Run(func(p *mpi.Proc) error {
+					errs[p.Rank()] = AllgathervExplicit(p.CommWorld(), mpi.Bytes(make([]byte, 64)), tc.counts, tc.displs)
+					return nil
+				}); err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+				for r, err := range errs {
+					switch {
+					case err == nil:
+						t.Errorf("rank %d accepted the layout", r)
+					case errors.Is(err, mpi.ErrAborted):
+						t.Errorf("rank %d was aborted instead of refusing the call: %v", r, err)
+					case !strings.HasPrefix(err.Error(), "coll: ") || !strings.Contains(err.Error(), tc.want):
+						t.Errorf("rank %d: %q is not a coll: validation error naming %s", r, err, tc.want)
+					}
+				}
+			})
+		}
+	}
 }
 
 func TestBcastAlgorithmsCorrect(t *testing.T) {
@@ -618,9 +666,6 @@ func TestDispls(t *testing.T) {
 	}
 	if Total([]int{1, 2, 3}) != 6 {
 		t.Error("Total broken")
-	}
-	if !uniform([]int{2, 2}) || uniform([]int{2, 3}) {
-		t.Error("uniform broken")
 	}
 	if !isPow2(8) || isPow2(6) || isPow2(0) {
 		t.Error("isPow2 broken")

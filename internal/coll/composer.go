@@ -2,6 +2,7 @@ package coll
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/mpi"
@@ -17,11 +18,13 @@ import (
 // hybrid context is the one-level stack of whichever shared-memory
 // level hosts its window.
 //
-// Geometry is discovered once with the plan-published pattern: every
-// member contributes its leader chain, comm rank 0 sorts the membership
-// into level order and publishes the shared tables (the helper that
-// hier.go, multileader.go and hybrid/ctx.go previously each re-derived
-// for the node level alone). Construction is untimed one-off setup.
+// Geometry is derived, not exchanged: the tier membership tables and
+// the level-sorted slot order are a pure function of the topology and
+// the communicator's rank table, so whichever member arrives first
+// computes them (mpi.SetupOnce, backed by the cross-world geometry
+// cache) and every member adopts the same read-only tables. Hier,
+// MultiLeaderHier and hybrid.Ctx all take their node shape from here.
+// Construction is untimed one-off setup.
 type Composer struct {
 	comm  *mpi.Comm
 	level []int       // sim topology level indices, innermost first
@@ -49,8 +52,8 @@ type tierShape struct {
 	childN  []int
 }
 
-// compShape is the level-sorted geometry of one composer, computed by
-// comm rank 0 and shared read-only by every member.
+// compShape is the level-sorted geometry of one composer, computed
+// once and shared read-only by every member.
 type compShape struct {
 	slotToRank []int
 	rankToSlot []int
@@ -390,7 +393,11 @@ func (k *Composer) Allgather(send, recv mpi.Buf, per int) error {
 			counts[j] = below.size[child] * per
 			offs[j] = below.first[child] * per
 		}
-		if err := gatherInPlaceLinear(k.tiers[t], recv, counts, offs); err != nil {
+		// The root's own block is already in place (the tier below put
+		// it there), so unlike Gatherv no self-copy is charged.
+		v := blocks{buf: recv, counts: counts, displs: offs}
+		mine := v.at(k.tiers[t].Rank())
+		if err := gatherAtRoot(k.tiers[t], mine, v, 0, family{name: "in-place gather", tag: tagGather}); err != nil {
 			return fmt.Errorf("coll: composed allgather tier %d gather: %w", t, err)
 		}
 	}
@@ -400,7 +407,7 @@ func (k *Composer) Allgather(send, recv mpi.Buf, per int) error {
 	// populations force the weaker MPI_Allgatherv ([29], Fig. 10).
 	if k.top != nil && k.top.Size() > 1 {
 		last := &shape.tiers[len(k.tiers)-1]
-		if uniform(last.size) {
+		if slices.Min(last.size) == slices.Max(last.size) {
 			blk := last.size[0] * per
 			if err := AllgatherInPlace(k.top, recv, blk); err != nil {
 				return fmt.Errorf("coll: composed allgather top exchange: %w", err)
@@ -422,23 +429,6 @@ func (k *Composer) Allgather(send, recv mpi.Buf, per int) error {
 		}
 		if err := BcastBinomial(k.tiers[t], recv.Slice(0, total), 0); err != nil {
 			return fmt.Errorf("coll: composed allgather tier %d bcast: %w", t, err)
-		}
-	}
-	return nil
-}
-
-// gatherInPlaceLinear gathers variable-size blocks at tier comm rank 0,
-// each landing at its absolute offset in recv. The root's own block is
-// already in place (the tier below put it there), so unlike Gatherv no
-// self-copy is charged.
-func gatherInPlaceLinear(c *mpi.Comm, recv mpi.Buf, counts, offs []int) error {
-	if c.Rank() != 0 {
-		me := c.Rank()
-		return c.Send(recv.Slice(offs[me], counts[me]), 0, tagGather)
-	}
-	for r := 1; r < c.Size(); r++ {
-		if _, err := c.Recv(recv.Slice(offs[r], counts[r]), r, tagGather); err != nil {
-			return fmt.Errorf("coll: in-place gather from %d: %w", r, err)
 		}
 	}
 	return nil
@@ -573,10 +563,10 @@ func (k *Composer) PriceAllgather(per int, tun Tuning) ([]TierEstimate, sim.Time
 	carried := per
 	for t := range k.tiers {
 		ts := &k.shape.tiers[t]
-		size := maxOf(ts.size)
+		size := slices.Max(ts.size)
 		members := size
 		if t > 0 {
-			members = maxOf(ts.childN)
+			members = slices.Max(ts.childN)
 			carried = size * per / max(members, 1)
 		}
 		e := Env{Size: members, Bytes: carried, Model: model, Hop: topo.LevelClass(k.level[t])}
@@ -589,9 +579,9 @@ func (k *Composer) PriceAllgather(per int, tun Tuning) ([]TierEstimate, sim.Time
 	// phase.
 	last := &k.shape.tiers[len(k.tiers)-1]
 	if len(last.size) > 1 {
-		e := Env{Size: len(last.size), Bytes: maxOf(last.size) * per, Model: model, Hop: sim.HopNet}
+		e := Env{Size: len(last.size), Bytes: slices.Max(last.size) * per, Model: model, Hop: sim.HopNet}
 		cl := CollAllgather
-		if !uniform(last.size) {
+		if slices.Min(last.size) != slices.Max(last.size) {
 			cl = CollAllgatherv
 			e.Bytes = ranks * per
 		}
@@ -603,9 +593,9 @@ func (k *Composer) PriceAllgather(per int, tun Tuning) ([]TierEstimate, sim.Time
 	// runs), outermost tier first.
 	for t := len(k.tiers) - 1; t >= 0; t-- {
 		ts := &k.shape.tiers[t]
-		members := maxOf(ts.size)
+		members := slices.Max(ts.size)
 		if t > 0 {
-			members = maxOf(ts.childN)
+			members = slices.Max(ts.childN)
 		}
 		e := Env{Size: members, Bytes: ranks * per, Model: model, Hop: topo.LevelClass(k.level[t])}
 		if err := add(topo.LevelName(k.level[t]), "bcast", "binomial", e, CollBcast); err != nil {
@@ -613,14 +603,4 @@ func (k *Composer) PriceAllgather(per int, tun Tuning) ([]TierEstimate, sim.Time
 		}
 	}
 	return out, total, nil
-}
-
-func maxOf(v []int) int {
-	m := 0
-	for _, x := range v {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

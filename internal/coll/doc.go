@@ -34,8 +34,9 @@
 //
 // Composer is the recursive geometry engine behind the SMP-aware
 // baselines: it builds a leader tree over any machine-topology level
-// stack, discovers the whole shape with one rank-0 plan share, and
-// composes per-tier algorithms through the registry. Hier is the thin
+// stack, derives the whole shape locally (nothing is exchanged; one
+// member computes, all share), and composes per-tier algorithms through
+// the registry. Hier is the thin
 // node-level instantiation; MultiLeaderHier and hybrid.Ctx reuse the
 // same geometry.
 //

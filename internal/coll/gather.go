@@ -15,11 +15,11 @@ func Gather(c *mpi.Comm, send, recv mpi.Buf, per, root int) error {
 	if err := checkRootArgs(c, root); err != nil {
 		return err
 	}
-	en, err := pick(CollGather, envFor(c, per, 0), tuningOf(c), false)
+	run, err := dispatch[gatherFn](c, CollGather, envFor(c, per, 0), false)
 	if err != nil {
 		return err
 	}
-	return en.run.(gatherFn)(c, send, recv, per, root)
+	return run(c, send, recv, per, root)
 }
 
 func checkRootArgs(c *mpi.Comm, root int) error {
@@ -40,25 +40,14 @@ func GatherLinear(c *mpi.Comm, send, recv mpi.Buf, per, root int) error {
 	if err := checkRootArgs(c, root); err != nil {
 		return err
 	}
-	if c.Rank() != root {
-		return c.Send(send.Slice(0, per), root, tagGather)
-	}
-	if recv.Len() < per*c.Size() {
-		return fmt.Errorf("coll: gather recv buffer %dB < %d x %dB", recv.Len(), c.Size(), per)
-	}
-	p := c.Proc()
-	p.CopyLocal(recv.Slice(root*per, per), send.Slice(0, per), 1)
-	// Receive in deterministic rank order; arrivals overlap on the
-	// wire, the root serializes only its own unpacking.
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
+	if c.Rank() == root {
+		if recv.Len() < per*c.Size() {
+			return fmt.Errorf("coll: gather recv buffer %dB < %d x %dB", recv.Len(), c.Size(), per)
 		}
-		if _, err := c.Recv(recv.Slice(r*per, per), r, tagGather); err != nil {
-			return fmt.Errorf("coll: gather linear from %d: %w", r, err)
-		}
+		c.Proc().CopyLocal(recv.Slice(root*per, per), send.Slice(0, per), 1)
 	}
-	return nil
+	return gatherAtRoot(c, send.Slice(0, per), blocks{buf: recv, per: per}, root,
+		family{name: "gather linear", tag: tagGather})
 }
 
 // GatherBinomial aggregates subtrees up a binomial tree: log2(n) rounds,
@@ -85,34 +74,29 @@ func GatherBinomial(c *mpi.Comm, send, recv mpi.Buf, per, root int) error {
 	p.CopyLocal(tmp.Slice(0, per), send.Slice(0, per), 1)
 	have := 1
 
-	mask := 1
-	for mask < n {
-		if rel&mask != 0 {
-			// Send my accumulated range to the parent and stop.
-			parent := (rel - mask + root) % n
-			if err := c.Send(tmp.Slice(0, have*per), parent, tagGather); err != nil {
-				return fmt.Errorf("coll: gather binomial send: %w", err)
-			}
-			return nil
-		}
+	up := binomialParent(rel, n)
+	for mask := 1; mask < up; mask <<= 1 {
 		// Receive the child's range, if that child exists.
 		childRel := rel + mask
 		if childRel < n {
-			cnt := subtreeSpan(childRel, n)
-			if cnt > mask {
-				cnt = mask
-			}
+			cnt := min(subtreeSpan(childRel, n), mask)
 			child := (childRel + root) % n
 			if _, err := c.Recv(tmp.Slice(have*per, cnt*per), child, tagGather); err != nil {
 				return fmt.Errorf("coll: gather binomial recv: %w", err)
 			}
 			have += cnt
 		}
-		mask <<= 1
+	}
+	if rel != 0 {
+		// Send my accumulated range to the parent and stop.
+		parent := (rel - up + root) % n
+		if err := c.Send(tmp.Slice(0, have*per), parent, tagGather); err != nil {
+			return fmt.Errorf("coll: gather binomial send: %w", err)
+		}
+		return nil
 	}
 
-	// Only the root reaches here; unrotate relative blocks into comm
-	// rank order.
+	// Unrotate relative blocks into comm rank order.
 	for i := 0; i < n; i++ {
 		p.CopyLocal(recv.Slice(((i+root)%n)*per, per), tmp.Slice(i*per, per), 1)
 	}
@@ -143,24 +127,16 @@ func Gatherv(c *mpi.Comm, send, recv mpi.Buf, counts []int, root int) error {
 	if len(counts) != c.Size() {
 		return fmt.Errorf("coll: gatherv got %d counts for %d ranks", len(counts), c.Size())
 	}
-	if c.Rank() != root {
-		return c.Send(send.Slice(0, counts[c.Rank()]), root, tagGather)
-	}
-	displs := Displs(counts)
-	if recv.Len() < Total(counts) {
-		return fmt.Errorf("coll: gatherv recv buffer %dB < %dB", recv.Len(), Total(counts))
-	}
-	p := c.Proc()
-	p.CopyLocal(recv.Slice(displs[root], counts[root]), send.Slice(0, counts[root]), 1)
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
+	// Only the root needs (and validates) the gathered layout.
+	var v blocks
+	if c.Rank() == root {
+		if recv.Len() < Total(counts) {
+			return fmt.Errorf("coll: gatherv recv buffer %dB < %dB", recv.Len(), Total(counts))
 		}
-		if _, err := c.Recv(recv.Slice(displs[r], counts[r]), r, tagGather); err != nil {
-			return fmt.Errorf("coll: gatherv from %d: %w", r, err)
-		}
+		v = blocks{buf: recv, counts: counts, displs: Displs(counts)}
+		c.Proc().CopyLocal(v.at(root), send.Slice(0, counts[root]), 1)
 	}
-	return nil
+	return gatherAtRoot(c, send.Slice(0, counts[c.Rank()]), v, root, family{name: "gatherv", tag: tagGather})
 }
 
 // Scatter distributes root's per-rank blocks with a binomial tree
@@ -183,6 +159,7 @@ func Scatter(c *mpi.Comm, send, recv mpi.Buf, per, root int) error {
 
 	tmp := p.World().NewBuf(subtreeSpan(rel, n) * per)
 	have := 0
+	mask := binomialParent(rel, n)
 	if rel == 0 {
 		// Rotate into relative order once (charged), like MPICH's
 		// root-side pack.
@@ -191,38 +168,17 @@ func Scatter(c *mpi.Comm, send, recv mpi.Buf, per, root int) error {
 		}
 		have = n
 	} else {
-		mask := 1
-		for mask < n {
-			if rel&mask != 0 {
-				parent := (rel - mask + root) % n
-				have = subtreeSpan(rel, n)
-				if _, err := c.Recv(tmp.Slice(0, have*per), parent, tagScatter); err != nil {
-					return fmt.Errorf("coll: scatter recv: %w", err)
-				}
-				break
-			}
-			mask <<= 1
+		parent := (rel - mask + root) % n
+		have = subtreeSpan(rel, n)
+		if _, err := c.Recv(tmp.Slice(0, have*per), parent, tagScatter); err != nil {
+			return fmt.Errorf("coll: scatter recv: %w", err)
 		}
 	}
 
 	// Forward the upper halves to children, largest first.
-	mask := 1
-	for mask < n {
-		if rel&mask != 0 {
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
+	for mask >>= 1; mask > 0; mask >>= 1 {
 		if rel+mask < n {
-			cnt := subtreeSpan(rel+mask, n)
-			if cnt > mask {
-				cnt = mask
-			}
-			if cnt > have-mask {
-				cnt = have - mask
-			}
+			cnt := min(subtreeSpan(rel+mask, n), mask, have-mask)
 			if cnt > 0 {
 				child := (rel + mask + root) % n
 				if err := c.Send(tmp.Slice(mask*per, cnt*per), child, tagScatter); err != nil {
@@ -231,7 +187,6 @@ func Scatter(c *mpi.Comm, send, recv mpi.Buf, per, root int) error {
 				have = mask
 			}
 		}
-		mask >>= 1
 	}
 	p.CopyLocal(recv.Slice(0, per), tmp.Slice(0, per), 1)
 	return nil

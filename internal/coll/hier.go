@@ -77,55 +77,10 @@ func (h *Hier) Allgather(send, recv mpi.Buf, per int) error {
 	return h.comp.Allgather(send, recv, per)
 }
 
-func allgatherRingInPlace(c *mpi.Comm, recv mpi.Buf, per int) error {
-	n := c.Size()
-	right := (c.Rank() + 1) % n
-	left := (c.Rank() - 1 + n) % n
-	for i := 0; i < n-1; i++ {
-		sendIdx := (c.Rank() - i + n) % n
-		recvIdx := (c.Rank() - i - 1 + n) % n
-		_, err := c.Sendrecv(
-			recv.Slice(sendIdx*per, per), right, tagAllgather,
-			recv.Slice(recvIdx*per, per), left, tagAllgather,
-		)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func allgatherRecDblInPlace(c *mpi.Comm, recv mpi.Buf, per int) error {
-	n := c.Size()
-	rank := c.Rank()
-	for mask := 1; mask < n; mask <<= 1 {
-		partner := rank ^ mask
-		haveBase := rank &^ (mask - 1)
-		getBase := partner &^ (mask - 1)
-		_, err := c.Sendrecv(
-			recv.Slice(haveBase*per, mask*per), partner, tagAllgather,
-			recv.Slice(getBase*per, mask*per), partner, tagAllgather,
-		)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Bcast is the SMP-aware broadcast baseline: the root hands the message
 // up its leader chain, leaders broadcast over the bridge, and every
 // leader fans out within its group — so every rank again holds a
 // private copy.
 func (h *Hier) Bcast(buf mpi.Buf, root int) error {
 	return h.comp.Bcast(buf, root)
-}
-
-func uniform(v []int) bool {
-	for _, x := range v {
-		if x != v[0] {
-			return false
-		}
-	}
-	return true
 }

@@ -2,6 +2,7 @@ package coll
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mpi"
 )
@@ -51,7 +52,7 @@ func NewMultiLeaderHier(c *mpi.Comm, nLeaders int) (*MultiLeaderHier, error) {
 
 	// Validate identically on all ranks (every rank holds the same
 	// published shape, so every rank fails the same way).
-	if !uniform(comp.GroupSizes(0)) {
+	if sizes := comp.GroupSizes(0); slices.Min(sizes) != slices.Max(sizes) {
 		return nil, fmt.Errorf("coll: multi-leader hierarchy needs uniform node population")
 	}
 	if !comp.SMP() {
@@ -121,13 +122,6 @@ func groupBounds(nodeSize, groups, g int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Leaders returns the number of leader groups per node.

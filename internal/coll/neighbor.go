@@ -37,17 +37,116 @@ const (
 	tagNeighborAlltoallv
 )
 
-// neighborhoodOf fetches the communicator's neighborhood or reports a
-// usable error for plain communicators.
-func neighborhoodOf(c *mpi.Comm, what string) (in, out []mpi.NeighborEdge, err error) {
+// neighborFamily is one row of the neighborhood table: what tells
+// MPI_Neighbor_allgather, _alltoall and _alltoallv apart once a call is
+// validated and its blocks are addressed. Every public form is a family
+// crossed with a shape (pairwise, linear, the engine's pick of the two,
+// or the nonblocking schedule).
+type neighborFamily struct {
+	name    string     // as errors spell it
+	cl      Collective // the family's registry entries
+	tagBase int
+	gather  bool // every out-neighbor is sent the caller's one block, not its own slot
+}
+
+var (
+	nbrAllgather = neighborFamily{"neighbor allgather", CollNeighborAllgather, tagNeighborAllgather, true}
+	nbrAlltoall  = neighborFamily{"neighbor alltoall", CollNeighborAlltoall, tagNeighborAlltoall, false}
+	nbrAlltoallv = neighborFamily{"neighbor alltoallv", CollNeighborAlltoallv, tagNeighborAlltoallv, false}
+)
+
+// neighborCall is one validated call: the communicator's neighborhood
+// and the slot addressing of both buffers. bytes is the per-neighbor
+// block the selection engine prices.
+type neighborCall struct {
+	f          *neighborFamily
+	c          *mpi.Comm
+	in, out    []mpi.NeighborEdge
+	send, recv blocks
+	bytes      int
+}
+
+// open fetches the communicator's neighborhood or reports a usable
+// error for plain communicators.
+func (f *neighborFamily) open(c *mpi.Comm) (*neighborCall, error) {
 	if c == nil {
-		return nil, nil, fmt.Errorf("coll: %s on nil communicator", what)
+		return nil, fmt.Errorf("coll: %s on nil communicator", f.name)
 	}
 	in, out, ok := c.Neighborhood()
 	if !ok {
-		return nil, nil, fmt.Errorf("coll: %s needs a communicator with a process topology (CartCreate / DistGraphCreate)", what)
+		return nil, fmt.Errorf("coll: %s needs a communicator with a process topology (CartCreate / DistGraphCreate)", f.name)
 	}
-	return in, out, nil
+	return &neighborCall{f: f, c: c, in: in, out: out}, nil
+}
+
+// regular validates a call with one block size: slot i of either buffer
+// is its i-th block of per bytes.
+func (f *neighborFamily) regular(c *mpi.Comm, send, recv mpi.Buf, per int) (*neighborCall, error) {
+	k, err := f.open(c)
+	if err != nil {
+		return nil, err
+	}
+	sendNeed := per * len(k.out)
+	if f.gather {
+		sendNeed = per
+	}
+	switch {
+	case per < 0:
+		return nil, fmt.Errorf("coll: negative neighbor block size %d", per)
+	case send.Len() < sendNeed:
+		return nil, fmt.Errorf("coll: neighbor send buffer %dB < %dB", send.Len(), sendNeed)
+	case recv.Len() < per*len(k.in):
+		return nil, fmt.Errorf("coll: neighbor recv buffer %dB < %d slots of %dB", recv.Len(), len(k.in), per)
+	}
+	k.send, k.recv, k.bytes = blocks{buf: send, per: per}, blocks{buf: recv, per: per}, per
+	return k, nil
+}
+
+// irregular validates a call with per-slot byte counts, blocks packed
+// back to back in slot order.
+func (f *neighborFamily) irregular(c *mpi.Comm, send mpi.Buf, sendCounts []int, recv mpi.Buf, recvCounts []int) (*neighborCall, error) {
+	k, err := f.open(c)
+	if err != nil {
+		return nil, err
+	}
+	if len(sendCounts) != len(k.out) {
+		return nil, fmt.Errorf("coll: %d send counts for %d out-neighbors", len(sendCounts), len(k.out))
+	}
+	if len(recvCounts) != len(k.in) {
+		return nil, fmt.Errorf("coll: %d recv counts for %d in-neighbors", len(recvCounts), len(k.in))
+	}
+	if k.send, err = packedBlocks(send, sendCounts, "neighbor send"); err != nil {
+		return nil, err
+	}
+	if k.recv, err = packedBlocks(recv, recvCounts, "neighbor recv"); err != nil {
+		return nil, err
+	}
+	for _, n := range sendCounts {
+		k.bytes = max(k.bytes, n)
+	}
+	return k, nil
+}
+
+// packedBlocks addresses per-slot byte counts packed back to back and
+// validates the buffer length.
+func packedBlocks(buf mpi.Buf, counts []int, what string) (blocks, error) {
+	for i, n := range counts {
+		if n < 0 {
+			return blocks{}, fmt.Errorf("coll: negative %s count %d at slot %d", what, n, i)
+		}
+	}
+	if total := Total(counts); buf.Len() < total {
+		return blocks{}, fmt.Errorf("coll: %s buffer %dB < %dB of counted blocks", what, buf.Len(), total)
+	}
+	return blocks{buf: buf, counts: counts, displs: Displs(counts)}, nil
+}
+
+// sendAt addresses the block out-neighbor slot i is sent.
+func (k *neighborCall) sendAt(i int) mpi.Buf {
+	if k.f.gather {
+		i = 0
+	}
+	return k.send.at(i)
 }
 
 // nonNull counts the edges that move data.
@@ -86,73 +185,72 @@ func neighborLinearCost(e Env) sim.Time {
 		timesT(e.Degree, e.Model.SendOverhead)
 }
 
-// nbrBufFn addresses one neighborhood slot's block.
-type nbrBufFn = func(slot int) mpi.Buf
-
-// runNeighborPairwise executes the paired per-dimension exchange on a
-// Cartesian communicator: for each dimension, one step in the negative
-// direction of travel (send to the negative neighbor, receive from the
-// positive one — their block travels negative too), then one in the
-// positive. Each step is a plain Sendrecv, degenerating to Send/Recv
-// at non-periodic boundaries (ProcNull on one side) and to a
-// self-exchange on 1-wide periodic dims.
-func runNeighborPairwise(c *mpi.Comm, tagBase int, sendAt, recvAt nbrBufFn) error {
-	in, out, _ := c.Neighborhood()
-	for d := 0; d < len(out)/2; d++ {
+// pairwise executes the paired per-dimension exchange on a Cartesian
+// communicator: for each dimension, one step in the negative direction
+// of travel (send to the negative neighbor, receive from the positive
+// one — their block travels negative too), then one in the positive.
+// Each step is a plain Sendrecv, degenerating to Send/Recv at
+// non-periodic boundaries (ProcNull on one side) and to a self-exchange
+// on 1-wide periodic dims.
+func (k *neighborCall) pairwise() error {
+	if !k.c.IsCart() {
+		return fmt.Errorf("coll: pairwise neighbor exchange needs a Cartesian topology")
+	}
+	for d := 0; d < len(k.out)/2; d++ {
 		// Travel negative: out slot 2d (to the negative side), in slot
 		// 2d+1 (the positive side's block arriving). Tags agree by
 		// construction (both are 2d).
-		if err := nbrStep(c, tagBase, out[2*d], sendAt(2*d), in[2*d+1], recvAt(2*d+1)); err != nil {
+		if err := k.step(2*d, 2*d+1); err != nil {
 			return fmt.Errorf("coll: neighbor exchange dim %d negative: %w", d, err)
 		}
 		// Travel positive: out slot 2d+1, in slot 2d (tags 2d+1).
-		if err := nbrStep(c, tagBase, out[2*d+1], sendAt(2*d+1), in[2*d], recvAt(2*d)); err != nil {
+		if err := k.step(2*d+1, 2*d); err != nil {
 			return fmt.Errorf("coll: neighbor exchange dim %d positive: %w", d, err)
 		}
 	}
 	return nil
 }
 
-// nbrStep is one direction of one dimension: a Sendrecv when both
-// sides exist, a lone Send/Recv at a boundary.
-func nbrStep(c *mpi.Comm, tagBase int, oe mpi.NeighborEdge, sbuf mpi.Buf, ie mpi.NeighborEdge, rbuf mpi.Buf) error {
+// step is one direction of one dimension, out slot i against in slot j:
+// a Sendrecv when both sides exist, a lone Send/Recv at a boundary.
+func (k *neighborCall) step(i, j int) error {
+	c, tagBase, oe, ie := k.c, k.f.tagBase, k.out[i], k.in[j]
 	switch {
 	case oe.Peer != mpi.ProcNull && ie.Peer != mpi.ProcNull:
-		_, err := c.Sendrecv(sbuf, oe.Peer, tagBase+oe.Tag, rbuf, ie.Peer, tagBase+ie.Tag)
+		_, err := c.Sendrecv(k.sendAt(i), oe.Peer, tagBase+oe.Tag, k.recv.at(j), ie.Peer, tagBase+ie.Tag)
 		return err
 	case oe.Peer != mpi.ProcNull:
-		return c.Send(sbuf, oe.Peer, tagBase+oe.Tag)
+		return c.Send(k.sendAt(i), oe.Peer, tagBase+oe.Tag)
 	case ie.Peer != mpi.ProcNull:
-		_, err := c.Recv(rbuf, ie.Peer, tagBase+ie.Tag)
+		_, err := c.Recv(k.recv.at(j), ie.Peer, tagBase+ie.Tag)
 		return err
 	default:
 		return nil
 	}
 }
 
-// runNeighborLinear executes the posted-all exchange: every receive is
-// posted (in slot order), then every send, then all complete. Works on
-// any neighborhood, including self-edges (the receive is already
-// posted when the matching send arrives) and multi-edges (FIFO
-// matching pairs them in slot order on both sides).
-func runNeighborLinear(c *mpi.Comm, tagBase int, sendAt, recvAt nbrBufFn) error {
-	in, out, _ := c.Neighborhood()
-	reqs := make([]*mpi.Request, 0, len(in)+len(out))
-	for j, e := range in {
+// linear executes the posted-all exchange: every receive is posted (in
+// slot order), then every send, then all complete. Works on any
+// neighborhood, including self-edges (the receive is already posted
+// when the matching send arrives) and multi-edges (FIFO matching pairs
+// them in slot order on both sides).
+func (k *neighborCall) linear() error {
+	reqs := make([]*mpi.Request, 0, len(k.in)+len(k.out))
+	for j, e := range k.in {
 		if e.Peer == mpi.ProcNull {
 			continue
 		}
-		r, err := c.Irecv(recvAt(j), e.Peer, tagBase+e.Tag)
+		r, err := k.c.Irecv(k.recv.at(j), e.Peer, k.f.tagBase+e.Tag)
 		if err != nil {
 			return err
 		}
 		reqs = append(reqs, r)
 	}
-	for i, e := range out {
+	for i, e := range k.out {
 		if e.Peer == mpi.ProcNull {
 			continue
 		}
-		r, err := c.Isend(sendAt(i), e.Peer, tagBase+e.Tag)
+		r, err := k.c.Isend(k.sendAt(i), e.Peer, k.f.tagBase+e.Tag)
 		if err != nil {
 			return err
 		}
@@ -161,20 +259,53 @@ func runNeighborLinear(c *mpi.Comm, tagBase int, sendAt, recvAt nbrBufFn) error 
 	return mpi.Waitall(reqs...)
 }
 
-func checkNeighborArgs(in, out []mpi.NeighborEdge, send, recv mpi.Buf, per int, gather bool) error {
-	sendNeed := per * len(out)
-	if gather {
-		sendNeed = per
+// selected runs the shape the selection engine resolves for the call.
+func (k *neighborCall) selected() error {
+	run, err := dispatch[neighborFn](k.c, k.f.cl, envForNeighbor(k.c, k.in, k.out, k.bytes), false)
+	if err != nil {
+		return err
 	}
-	switch {
-	case per < 0:
-		return fmt.Errorf("coll: negative neighbor block size %d", per)
-	case send.Len() < sendNeed:
-		return fmt.Errorf("coll: neighbor send buffer %dB < %dB", send.Len(), sendNeed)
-	case recv.Len() < per*len(in):
-		return fmt.Errorf("coll: neighbor recv buffer %dB < %d slots of %dB", recv.Len(), len(in), per)
+	return run(k)
+}
+
+// sched compiles the one-round posted-all schedule of the nonblocking
+// forms: all receives (slot order), then all sends, relative tags
+// straight from the neighborhood edges.
+func (k *neighborCall) sched() *mpi.Sched {
+	ops := make([]mpi.SchedOp, 0, len(k.in)+len(k.out))
+	for j, e := range k.in {
+		if e.Peer == mpi.ProcNull {
+			continue
+		}
+		ops = append(ops, mpi.SchedRecv(k.recv.at(j), e.Peer, e.Tag))
 	}
-	return nil
+	for i, e := range k.out {
+		if e.Peer == mpi.ProcNull {
+			continue
+		}
+		ops = append(ops, mpi.SchedSend(k.sendAt(i), e.Peer, e.Tag))
+	}
+	if len(ops) == 0 {
+		return k.c.NewSched(nil)
+	}
+	return k.c.NewSched([]mpi.Round{{Ops: ops}})
+}
+
+// run and runV validate a call and hand it to one shape.
+func (f *neighborFamily) run(c *mpi.Comm, send, recv mpi.Buf, per int, shape neighborFn) error {
+	k, err := f.regular(c, send, recv, per)
+	if err != nil {
+		return err
+	}
+	return shape(k)
+}
+
+func (f *neighborFamily) runV(c *mpi.Comm, send mpi.Buf, sendCounts []int, recv mpi.Buf, recvCounts []int, shape neighborFn) error {
+	k, err := f.irregular(c, send, sendCounts, recv, recvCounts)
+	if err != nil {
+		return err
+	}
+	return shape(k)
 }
 
 // NeighborAllgather sends the caller's single block of `per` bytes to
@@ -182,50 +313,18 @@ func checkNeighborArgs(in, out []mpi.NeighborEdge, send, recv mpi.Buf, per int, 
 // in neighborhood slot order (MPI_Neighbor_allgather). The algorithm
 // is resolved by the selection engine.
 func NeighborAllgather(c *mpi.Comm, send, recv mpi.Buf, per int) error {
-	in, out, err := neighborhoodOf(c, "neighbor allgather")
-	if err != nil {
-		return err
-	}
-	if err := checkNeighborArgs(in, out, send, recv, per, true); err != nil {
-		return err
-	}
-	en, err := pick(CollNeighborAllgather, envForNeighbor(c, in, out, per), tuningOf(c), false)
-	if err != nil {
-		return err
-	}
-	return en.run.(neighborFn)(c, send, recv, per)
+	return nbrAllgather.run(c, send, recv, per, (*neighborCall).selected)
 }
 
 // NeighborAllgatherPairwise is the paired per-dimension exchange
 // (Cartesian topologies only).
 func NeighborAllgatherPairwise(c *mpi.Comm, send, recv mpi.Buf, per int) error {
-	in, out, err := neighborhoodOf(c, "neighbor allgather")
-	if err != nil {
-		return err
-	}
-	if err := checkNeighborArgs(in, out, send, recv, per, true); err != nil {
-		return err
-	}
-	if !c.IsCart() {
-		return fmt.Errorf("coll: pairwise neighbor exchange needs a Cartesian topology")
-	}
-	return runNeighborPairwise(c, tagNeighborAllgather,
-		func(int) mpi.Buf { return send.Slice(0, per) },
-		func(j int) mpi.Buf { return recv.Slice(j*per, per) })
+	return nbrAllgather.run(c, send, recv, per, (*neighborCall).pairwise)
 }
 
 // NeighborAllgatherLinear is the posted-all exchange (any topology).
 func NeighborAllgatherLinear(c *mpi.Comm, send, recv mpi.Buf, per int) error {
-	in, out, err := neighborhoodOf(c, "neighbor allgather")
-	if err != nil {
-		return err
-	}
-	if err := checkNeighborArgs(in, out, send, recv, per, true); err != nil {
-		return err
-	}
-	return runNeighborLinear(c, tagNeighborAllgather,
-		func(int) mpi.Buf { return send.Slice(0, per) },
-		func(j int) mpi.Buf { return recv.Slice(j*per, per) })
+	return nbrAllgather.run(c, send, recv, per, (*neighborCall).linear)
 }
 
 // NeighborAlltoall sends a distinct block of `per` bytes to each
@@ -233,78 +332,18 @@ func NeighborAllgatherLinear(c *mpi.Comm, send, recv mpi.Buf, per int) error {
 // per in-neighbor (MPI_Neighbor_alltoall). The algorithm is resolved
 // by the selection engine.
 func NeighborAlltoall(c *mpi.Comm, send, recv mpi.Buf, per int) error {
-	in, out, err := neighborhoodOf(c, "neighbor alltoall")
-	if err != nil {
-		return err
-	}
-	if err := checkNeighborArgs(in, out, send, recv, per, false); err != nil {
-		return err
-	}
-	en, err := pick(CollNeighborAlltoall, envForNeighbor(c, in, out, per), tuningOf(c), false)
-	if err != nil {
-		return err
-	}
-	return en.run.(neighborFn)(c, send, recv, per)
+	return nbrAlltoall.run(c, send, recv, per, (*neighborCall).selected)
 }
 
 // NeighborAlltoallPairwise is the paired per-dimension exchange
 // (Cartesian topologies only).
 func NeighborAlltoallPairwise(c *mpi.Comm, send, recv mpi.Buf, per int) error {
-	in, out, err := neighborhoodOf(c, "neighbor alltoall")
-	if err != nil {
-		return err
-	}
-	if err := checkNeighborArgs(in, out, send, recv, per, false); err != nil {
-		return err
-	}
-	if !c.IsCart() {
-		return fmt.Errorf("coll: pairwise neighbor exchange needs a Cartesian topology")
-	}
-	return runNeighborPairwise(c, tagNeighborAlltoall,
-		func(i int) mpi.Buf { return send.Slice(i*per, per) },
-		func(j int) mpi.Buf { return recv.Slice(j*per, per) })
+	return nbrAlltoall.run(c, send, recv, per, (*neighborCall).pairwise)
 }
 
 // NeighborAlltoallLinear is the posted-all exchange (any topology).
 func NeighborAlltoallLinear(c *mpi.Comm, send, recv mpi.Buf, per int) error {
-	in, out, err := neighborhoodOf(c, "neighbor alltoall")
-	if err != nil {
-		return err
-	}
-	if err := checkNeighborArgs(in, out, send, recv, per, false); err != nil {
-		return err
-	}
-	return runNeighborLinear(c, tagNeighborAlltoall,
-		func(i int) mpi.Buf { return send.Slice(i*per, per) },
-		func(j int) mpi.Buf { return recv.Slice(j*per, per) })
-}
-
-// nbrOffsets turns per-slot byte counts into packed displacements and
-// validates the buffer length.
-func nbrOffsets(counts []int, buf mpi.Buf, what string) ([]int, error) {
-	offs := make([]int, len(counts))
-	total := 0
-	for i, n := range counts {
-		if n < 0 {
-			return nil, fmt.Errorf("coll: negative %s count %d at slot %d", what, n, i)
-		}
-		offs[i] = total
-		total += n
-	}
-	if buf.Len() < total {
-		return nil, fmt.Errorf("coll: %s buffer %dB < %dB of counted blocks", what, buf.Len(), total)
-	}
-	return offs, nil
-}
-
-func checkNeighborVArgs(in, out []mpi.NeighborEdge, sendCounts, recvCounts []int) error {
-	if len(sendCounts) != len(out) {
-		return fmt.Errorf("coll: %d send counts for %d out-neighbors", len(sendCounts), len(out))
-	}
-	if len(recvCounts) != len(in) {
-		return fmt.Errorf("coll: %d recv counts for %d in-neighbors", len(recvCounts), len(in))
-	}
-	return nil
+	return nbrAlltoall.run(c, send, recv, per, (*neighborCall).linear)
 }
 
 // NeighborAlltoallv is the irregular complete neighborhood exchange
@@ -313,99 +352,19 @@ func checkNeighborVArgs(in, out []mpi.NeighborEdge, sendCounts, recvCounts []int
 // in-neighbor j, blocks packed back to back in slot order. The
 // algorithm is resolved by the selection engine.
 func NeighborAlltoallv(c *mpi.Comm, send mpi.Buf, sendCounts []int, recv mpi.Buf, recvCounts []int) error {
-	in, out, err := neighborhoodOf(c, "neighbor alltoallv")
-	if err != nil {
-		return err
-	}
-	if err := checkNeighborVArgs(in, out, sendCounts, recvCounts); err != nil {
-		return err
-	}
-	bytes := 0
-	for _, n := range sendCounts {
-		if n > bytes {
-			bytes = n
-		}
-	}
-	en, err := pick(CollNeighborAlltoallv, envForNeighbor(c, in, out, bytes), tuningOf(c), false)
-	if err != nil {
-		return err
-	}
-	return en.run.(neighborVFn)(c, send, sendCounts, recv, recvCounts)
-}
-
-// neighborVBufs resolves the per-slot block addressing of the
-// irregular exchange.
-func neighborVBufs(send mpi.Buf, sendCounts []int, recv mpi.Buf, recvCounts []int) (sendAt, recvAt nbrBufFn, err error) {
-	soffs, err := nbrOffsets(sendCounts, send, "neighbor send")
-	if err != nil {
-		return nil, nil, err
-	}
-	roffs, err := nbrOffsets(recvCounts, recv, "neighbor recv")
-	if err != nil {
-		return nil, nil, err
-	}
-	return func(i int) mpi.Buf { return send.Slice(soffs[i], sendCounts[i]) },
-		func(j int) mpi.Buf { return recv.Slice(roffs[j], recvCounts[j]) }, nil
+	return nbrAlltoallv.runV(c, send, sendCounts, recv, recvCounts, (*neighborCall).selected)
 }
 
 // NeighborAlltoallvPairwise is the paired per-dimension irregular
 // exchange (Cartesian topologies only).
 func NeighborAlltoallvPairwise(c *mpi.Comm, send mpi.Buf, sendCounts []int, recv mpi.Buf, recvCounts []int) error {
-	in, out, err := neighborhoodOf(c, "neighbor alltoallv")
-	if err != nil {
-		return err
-	}
-	if err := checkNeighborVArgs(in, out, sendCounts, recvCounts); err != nil {
-		return err
-	}
-	if !c.IsCart() {
-		return fmt.Errorf("coll: pairwise neighbor exchange needs a Cartesian topology")
-	}
-	sendAt, recvAt, err := neighborVBufs(send, sendCounts, recv, recvCounts)
-	if err != nil {
-		return err
-	}
-	return runNeighborPairwise(c, tagNeighborAlltoallv, sendAt, recvAt)
+	return nbrAlltoallv.runV(c, send, sendCounts, recv, recvCounts, (*neighborCall).pairwise)
 }
 
 // NeighborAlltoallvLinear is the posted-all irregular exchange (any
 // topology).
 func NeighborAlltoallvLinear(c *mpi.Comm, send mpi.Buf, sendCounts []int, recv mpi.Buf, recvCounts []int) error {
-	in, out, err := neighborhoodOf(c, "neighbor alltoallv")
-	if err != nil {
-		return err
-	}
-	if err := checkNeighborVArgs(in, out, sendCounts, recvCounts); err != nil {
-		return err
-	}
-	sendAt, recvAt, err := neighborVBufs(send, sendCounts, recv, recvCounts)
-	if err != nil {
-		return err
-	}
-	return runNeighborLinear(c, tagNeighborAlltoallv, sendAt, recvAt)
-}
-
-// ineighborSched compiles the one-round posted-all schedule shared by
-// the nonblocking neighborhood collectives: all receives (slot order),
-// then all sends, relative tags straight from the neighborhood edges.
-func ineighborSched(c *mpi.Comm, in, out []mpi.NeighborEdge, sendAt, recvAt nbrBufFn) *mpi.Sched {
-	ops := make([]mpi.SchedOp, 0, len(in)+len(out))
-	for j, e := range in {
-		if e.Peer == mpi.ProcNull {
-			continue
-		}
-		ops = append(ops, mpi.SchedRecv(recvAt(j), e.Peer, e.Tag))
-	}
-	for i, e := range out {
-		if e.Peer == mpi.ProcNull {
-			continue
-		}
-		ops = append(ops, mpi.SchedSend(sendAt(i), e.Peer, e.Tag))
-	}
-	if len(ops) == 0 {
-		return c.NewSched(nil)
-	}
-	return c.NewSched([]mpi.Round{{Ops: ops}})
+	return nbrAlltoallv.runV(c, send, sendCounts, recv, recvCounts, (*neighborCall).linear)
 }
 
 // IneighborAllgather starts a nonblocking neighborhood allgather as a
@@ -413,30 +372,20 @@ func ineighborSched(c *mpi.Comm, in, out []mpi.NeighborEdge, sendAt, recvAt nbrB
 // posting every receive and send, completion fused at Wait. send and
 // recv must stay untouched until Wait.
 func IneighborAllgather(c *mpi.Comm, send, recv mpi.Buf, per int) (*mpi.Sched, error) {
-	in, out, err := neighborhoodOf(c, "ineighbor allgather")
+	k, err := nbrAllgather.regular(c, send, recv, per)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkNeighborArgs(in, out, send, recv, per, true); err != nil {
-		return nil, err
-	}
-	return ineighborSched(c, in, out,
-		func(int) mpi.Buf { return send.Slice(0, per) },
-		func(j int) mpi.Buf { return recv.Slice(j*per, per) }), nil
+	return k.sched(), nil
 }
 
 // IneighborAlltoall starts a nonblocking neighborhood alltoall as a
 // schedule on the asynchronous progress engine (mpi.Sched). send and
 // recv must stay untouched until Wait.
 func IneighborAlltoall(c *mpi.Comm, send, recv mpi.Buf, per int) (*mpi.Sched, error) {
-	in, out, err := neighborhoodOf(c, "ineighbor alltoall")
+	k, err := nbrAlltoall.regular(c, send, recv, per)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkNeighborArgs(in, out, send, recv, per, false); err != nil {
-		return nil, err
-	}
-	return ineighborSched(c, in, out,
-		func(i int) mpi.Buf { return send.Slice(i*per, per) },
-		func(j int) mpi.Buf { return recv.Slice(j*per, per) }), nil
+	return k.sched(), nil
 }

@@ -37,17 +37,16 @@ func Iallgather(c *mpi.Comm, send, recv mpi.Buf, per int) (*mpi.Sched, error) {
 		mpi.CopyData(recv.Slice(rank*per, per), send.Slice(0, per))
 		return now + model.CopyCost(per, 1)
 	}}}
+	v := blocks{buf: recv, per: per}
 	switch {
 	case n == 1:
 	case isPow2(n):
 		step := 0
 		for mask := 1; mask < n; mask <<= 1 {
-			partner := rank ^ mask
-			haveBase := rank &^ (mask - 1)
-			getBase := partner &^ (mask - 1)
+			partner, have, get := doublingStep(rank, mask)
 			rounds = append(rounds, mpi.Round{Ops: []mpi.SchedOp{
-				mpi.SchedRecv(recv.Slice(getBase*per, mask*per), partner, step),
-				mpi.SchedSend(recv.Slice(haveBase*per, mask*per), partner, step),
+				mpi.SchedRecv(v.span(get, mask), partner, step),
+				mpi.SchedSend(v.span(have, mask), partner, step),
 			}})
 			step++
 		}
@@ -55,11 +54,10 @@ func Iallgather(c *mpi.Comm, send, recv mpi.Buf, per int) (*mpi.Sched, error) {
 		right := (rank + 1) % n
 		left := (rank - 1 + n) % n
 		for i := 0; i < n-1; i++ {
-			sendIdx := (rank - i + n) % n
-			recvIdx := (rank - i - 1 + n) % n
+			s, r := ringStep(rank, n, i)
 			rounds = append(rounds, mpi.Round{Ops: []mpi.SchedOp{
-				mpi.SchedRecv(recv.Slice(recvIdx*per, per), left, i),
-				mpi.SchedSend(recv.Slice(sendIdx*per, per), right, i),
+				mpi.SchedRecv(v.at(r), left, i),
+				mpi.SchedSend(v.at(s), right, i),
 			}})
 		}
 	}
@@ -95,21 +93,19 @@ func Iallreduce(c *mpi.Comm, send, recv mpi.Buf, count int, dt mpi.Datatype, op 
 	// Relative tags: 0 folds, 1+step the core exchanges, stride-1 the
 	// unfold.
 	const unfoldTag = 63
-	pof2, rem := foldCore(n)
-	coreRank := -1
+	acc := recv.Slice(0, bytes)
+	coreRank, pof2, rem := coreRole(rank, n)
 	switch {
-	case rank < 2*rem && rank%2 == 0:
+	case rank >= 2*rem:
+	case coreRank < 0:
 		rounds = append(rounds, mpi.Round{Ops: []mpi.SchedOp{
-			mpi.SchedSend(recv.Slice(0, bytes), rank+1, 0),
+			mpi.SchedSend(acc, rank+1, 0),
 		}})
-	case rank < 2*rem:
+	default:
 		rounds = append(rounds, mpi.Round{
 			Ops:   []mpi.SchedOp{mpi.SchedRecv(tmp, rank-1, 0)},
 			After: apply,
 		})
-		coreRank = rank / 2
-	default:
-		coreRank = rank - rem
 	}
 	if coreRank >= 0 {
 		step := 0
@@ -118,23 +114,23 @@ func Iallreduce(c *mpi.Comm, send, recv mpi.Buf, count int, dt mpi.Datatype, op 
 			rounds = append(rounds, mpi.Round{
 				Ops: []mpi.SchedOp{
 					mpi.SchedRecv(tmp, partner, 1+step),
-					mpi.SchedSend(recv.Slice(0, bytes), partner, 1+step),
+					mpi.SchedSend(acc, partner, 1+step),
 				},
 				After: apply,
 			})
 			step++
 		}
 	}
-	if rank < 2*rem {
-		if rank%2 == 0 {
-			rounds = append(rounds, mpi.Round{Ops: []mpi.SchedOp{
-				mpi.SchedRecv(recv.Slice(0, bytes), rank+1, unfoldTag),
-			}})
-		} else {
-			rounds = append(rounds, mpi.Round{Ops: []mpi.SchedOp{
-				mpi.SchedSend(recv.Slice(0, bytes), rank-1, unfoldTag),
-			}})
-		}
+	switch {
+	case rank >= 2*rem:
+	case coreRank < 0:
+		rounds = append(rounds, mpi.Round{Ops: []mpi.SchedOp{
+			mpi.SchedRecv(acc, rank+1, unfoldTag),
+		}})
+	default:
+		rounds = append(rounds, mpi.Round{Ops: []mpi.SchedOp{
+			mpi.SchedSend(acc, rank-1, unfoldTag),
+		}})
 	}
 	return c.NewSched(rounds), nil
 }
@@ -152,26 +148,19 @@ func Ibcast(c *mpi.Comm, buf mpi.Buf, root int) (*mpi.Sched, error) {
 	}
 	rel := (c.Rank() - root + n) % n
 
-	mask := 1
-	for mask < n {
-		if rel&mask != 0 {
-			parent := (rel - mask + root) % n
-			rounds = append(rounds, mpi.Round{Ops: []mpi.SchedOp{
-				mpi.SchedRecv(buf, parent, 0),
-			}})
-			break
-		}
-		mask <<= 1
+	mask := binomialParent(rel, n)
+	if rel != 0 {
+		rounds = append(rounds, mpi.Round{Ops: []mpi.SchedOp{
+			mpi.SchedRecv(buf, (rel-mask+root)%n, 0),
+		}})
 	}
 	// Once the payload is here, the engine fires all child sends
 	// back-to-back in one round.
-	mask >>= 1
 	var sends []mpi.SchedOp
-	for mask > 0 {
+	for mask >>= 1; mask > 0; mask >>= 1 {
 		if rel+mask < n {
 			sends = append(sends, mpi.SchedSend(buf, (rel+mask+root)%n, 0))
 		}
-		mask >>= 1
 	}
 	if len(sends) > 0 {
 		rounds = append(rounds, mpi.Round{Ops: sends})

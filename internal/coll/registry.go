@@ -111,20 +111,23 @@ func envFor(c *mpi.Comm, bytes, count int) Env {
 	return Env{Size: c.Size(), Bytes: bytes, Count: count, Model: c.Proc().Model(), Hop: c.HopClass()}
 }
 
-// Runner signatures per collective family.
+// Runner signatures per collective family. exchangeFn is the one
+// signature of the allgather and allgatherv families' in-place-capable
+// runners: an exchange over blocks every rank has already placed, which
+// the regular and the in-place entry points both reach (the regular one
+// places the caller's block first). allgatherFn is the full signature
+// of the two allgather algorithms whose layout rules that out.
 type (
-	allgatherFn        = func(*mpi.Comm, mpi.Buf, mpi.Buf, int) error
-	allgatherInPlaceFn = func(*mpi.Comm, mpi.Buf, int) error
-	allgathervFn       = func(*mpi.Comm, mpi.Buf, []int) error
-	allreduceFn        = func(*mpi.Comm, mpi.Buf, mpi.Buf, int, mpi.Datatype, mpi.Op) error
-	reduceFn           = func(*mpi.Comm, mpi.Buf, mpi.Buf, int, mpi.Datatype, mpi.Op, int) error
-	bcastFn            = func(*mpi.Comm, mpi.Buf, int) error
-	barrierFn          = func(*mpi.Comm) error
-	alltoallFn         = func(*mpi.Comm, mpi.Buf, mpi.Buf, int) error
-	gatherFn           = func(*mpi.Comm, mpi.Buf, mpi.Buf, int, int) error
-	scanFn             = func(*mpi.Comm, mpi.Buf, mpi.Buf, int, mpi.Datatype, mpi.Op) error
-	neighborFn         = func(*mpi.Comm, mpi.Buf, mpi.Buf, int) error
-	neighborVFn        = func(*mpi.Comm, mpi.Buf, []int, mpi.Buf, []int) error
+	exchangeFn  = func(*mpi.Comm, blocks, family) error
+	allgatherFn = func(*mpi.Comm, mpi.Buf, mpi.Buf, int) error
+	allreduceFn = func(*mpi.Comm, mpi.Buf, mpi.Buf, int, mpi.Datatype, mpi.Op) error
+	reduceFn    = func(*mpi.Comm, mpi.Buf, mpi.Buf, int, mpi.Datatype, mpi.Op, int) error
+	bcastFn     = func(*mpi.Comm, mpi.Buf, int) error
+	barrierFn   = func(*mpi.Comm) error
+	alltoallFn  = func(*mpi.Comm, mpi.Buf, mpi.Buf, int) error
+	gatherFn    = func(*mpi.Comm, mpi.Buf, mpi.Buf, int, int) error
+	scanFn      = func(*mpi.Comm, mpi.Buf, mpi.Buf, int, mpi.Datatype, mpi.Op) error
+	neighborFn  = func(*neighborCall) error
 )
 
 // entry is one registered algorithm.
@@ -133,8 +136,7 @@ type entry struct {
 	applies func(Env) bool     // nil = always applicable
 	cost    func(Env) sim.Time // alpha-beta-gamma estimate (PolicyCost)
 
-	run        any // full runner (signature per family), nil if in-place only
-	runInPlace any // in-place runner, nil when unavailable
+	run any // the runner, of its family's signature above
 
 	// foldable marks algorithms proven safe under the mpi package's
 	// rank-symmetry folding (mpi.WithFold) when the communicator size
@@ -188,9 +190,8 @@ var registry = [numCollectives][]entry{
 				return timesT(sim.Log2Ceil(e.Size), alphaT(e)) +
 					timesT(bisection, betaT(e, (e.Size-1)*e.Bytes))
 			},
-			run:        allgatherFn(AllgatherRecDbl),
-			runInPlace: allgatherInPlaceFn(allgatherRecDblInPlace),
-			foldable:   true,
+			run:      exchangeFn(allgatherRecDbl),
+			foldable: true,
 		},
 		{
 			name: "bruck",
@@ -206,9 +207,8 @@ var registry = [numCollectives][]entry{
 			cost: func(e Env) sim.Time {
 				return timesT(e.Size-1, alphaT(e)+betaT(e, e.Bytes))
 			},
-			run:        allgatherFn(AllgatherRing),
-			runInPlace: allgatherInPlaceFn(allgatherRingInPlace),
-			foldable:   true,
+			run:      exchangeFn(allgatherRing),
+			foldable: true,
 		},
 		{
 			name:    "neighbor",
@@ -231,7 +231,7 @@ var registry = [numCollectives][]entry{
 				return timesT(steps, alphaT(e)+e.Model.Tuning.AllgathervStepPenalty) +
 					timesT(bisection, betaT(e, e.Bytes-e.Bytes/max(e.Size, 1)))
 			},
-			runInPlace: allgathervFn(allgathervRecDbl),
+			run: exchangeFn(allgatherRecDbl),
 		},
 		{
 			name: "ring",
@@ -239,7 +239,7 @@ var registry = [numCollectives][]entry{
 				return timesT(e.Size-1, alphaT(e)+e.Model.Tuning.AllgathervStepPenalty) +
 					betaT(e, e.Bytes-e.Bytes/max(e.Size, 1))
 			},
-			runInPlace: allgathervFn(allgathervRing),
+			run: exchangeFn(allgatherRing),
 		},
 	},
 	CollAllreduce: {
@@ -374,12 +374,12 @@ var registry = [numCollectives][]entry{
 			name:    "pairwise",
 			applies: func(e Env) bool { return e.Cart },
 			cost:    neighborPairwiseCost,
-			run:     neighborFn(NeighborAllgatherPairwise),
+			run:     neighborFn((*neighborCall).pairwise),
 		},
 		{
 			name: "linear",
 			cost: neighborLinearCost,
-			run:  neighborFn(NeighborAllgatherLinear),
+			run:  neighborFn((*neighborCall).linear),
 		},
 	},
 	CollNeighborAlltoall: {
@@ -387,12 +387,12 @@ var registry = [numCollectives][]entry{
 			name:    "pairwise",
 			applies: func(e Env) bool { return e.Cart },
 			cost:    neighborPairwiseCost,
-			run:     neighborFn(NeighborAlltoallPairwise),
+			run:     neighborFn((*neighborCall).pairwise),
 		},
 		{
 			name: "linear",
 			cost: neighborLinearCost,
-			run:  neighborFn(NeighborAlltoallLinear),
+			run:  neighborFn((*neighborCall).linear),
 		},
 	},
 	CollNeighborAlltoallv: {
@@ -400,12 +400,12 @@ var registry = [numCollectives][]entry{
 			name:    "pairwise",
 			applies: func(e Env) bool { return e.Cart },
 			cost:    neighborPairwiseCost,
-			run:     neighborVFn(NeighborAlltoallvPairwise),
+			run:     neighborFn((*neighborCall).pairwise),
 		},
 		{
 			name: "linear",
 			cost: neighborLinearCost,
-			run:  neighborVFn(NeighborAlltoallvLinear),
+			run:  neighborFn((*neighborCall).linear),
 		},
 	},
 	CollScan: {
@@ -490,12 +490,10 @@ func tableChoice(cl Collective, e Env, inPlace bool) string {
 	return ""
 }
 
-// available reports whether an entry can serve the call.
+// available reports whether an entry can serve the call: an in-place
+// call needs an exchange over already-placed blocks.
 func (en *entry) available(e Env, inPlace bool) bool {
-	if inPlace && en.runInPlace == nil {
-		return false
-	}
-	if !inPlace && en.run == nil {
+	if _, ok := en.run.(exchangeFn); inPlace && !ok {
 		return false
 	}
 	return en.applies == nil || en.applies(e)
@@ -565,12 +563,23 @@ func pick(cl Collective, e Env, tun Tuning, inPlace bool) (*entry, error) {
 	return en, nil
 }
 
+// dispatch resolves the algorithm for one call on c and returns its
+// runner as the family's signature F: the one place every entry point's
+// selection passes through.
+func dispatch[F any](c *mpi.Comm, cl Collective, e Env, inPlace bool) (run F, err error) {
+	en, err := pick(cl, e, tuningOf(c), inPlace)
+	if err != nil {
+		return run, err
+	}
+	return en.run.(F), nil
+}
+
 // Registered reports whether an algorithm name exists for a collective.
 func Registered(cl Collective, name string) bool { return findEntry(cl, name) != nil }
 
 // Available reports whether a registered algorithm can serve the
-// described call (its runner for the requested form exists and its
-// applicability predicate holds). The measured-policy tuner uses it to
+// described call (it can run the requested form and its applicability
+// predicate holds). The measured-policy tuner uses it to
 // race only the candidates the engine could actually pick.
 func Available(cl Collective, name string, e Env, inPlace bool) bool {
 	en := findEntry(cl, name)
@@ -600,10 +609,9 @@ func Algorithms(cl Collective) []string {
 
 // Choose returns the name of the algorithm the engine would run for
 // the described call under the given tuning — the introspection hook
-// the selection tests and the bench coll-sweep build on. Allgatherv
-// only exists in in-place form, so it selects among in-place runners.
+// the selection tests and the bench coll-sweep build on.
 func Choose(cl Collective, e Env, tun Tuning) (string, error) {
-	en, err := pick(cl, e, tun, cl == CollAllgatherv)
+	en, err := pick(cl, e, tun, false)
 	if err != nil {
 		return "", err
 	}

@@ -6,12 +6,6 @@ import (
 	"repro/internal/mpi"
 )
 
-const (
-	tagScan = 1<<25 + 16 + iota
-	tagReduceScatter
-	tagNeighbor
-)
-
 // Scan computes the inclusive prefix reduction: rank r's recv holds
 // op(send_0, ..., send_r). The algorithm is resolved by the selection
 // engine: under the default table policy the classic recursive-doubling
@@ -21,11 +15,11 @@ func Scan(c *mpi.Comm, send, recv mpi.Buf, count int, dt mpi.Datatype, op mpi.Op
 	if err := checkReduceArgs(c, send, recv, count, dt); err != nil {
 		return err
 	}
-	en, err := pick(CollScan, envFor(c, count*dt.Size(), count), tuningOf(c), false)
+	run, err := dispatch[scanFn](c, CollScan, envFor(c, count*dt.Size(), count), false)
 	if err != nil {
 		return err
 	}
-	return en.run.(scanFn)(c, send, recv, count, dt, op)
+	return run(c, send, recv, count, dt, op)
 }
 
 // ScanRecDbl is the classic recursive-doubling scan: log2 n steps,
@@ -140,149 +134,4 @@ func Exscan(c *mpi.Comm, send, recv mpi.Buf, count int, dt mpi.Datatype, op mpi.
 		p.Compute(float64(count))
 	}
 	return nil
-}
-
-// ReduceScatterBlock reduces count-per-rank blocks across all ranks and
-// scatters the result: rank r ends with op-reduction of everyone's r-th
-// block. Implemented as pairwise exchange (n-1 balanced steps), the
-// algorithm MPICH uses for commutative ops on non-power-of-two counts.
-func ReduceScatterBlock(c *mpi.Comm, send, recv mpi.Buf, countPer int, dt mpi.Datatype, op mpi.Op) error {
-	n := c.Size()
-	bytes := countPer * dt.Size()
-	switch {
-	case c == nil:
-		return fmt.Errorf("coll: reduce-scatter on nil communicator")
-	case countPer < 0:
-		return fmt.Errorf("coll: negative block count %d", countPer)
-	case send.Len() < bytes*n:
-		return fmt.Errorf("coll: reduce-scatter send buffer %dB < %d blocks", send.Len(), n)
-	case recv.Len() < bytes:
-		return fmt.Errorf("coll: reduce-scatter recv buffer %dB < %dB", recv.Len(), bytes)
-	}
-	p := c.Proc()
-	rank := c.Rank()
-	p.CopyLocal(recv.Slice(0, bytes), send.Slice(rank*bytes, bytes), 1)
-	if n == 1 {
-		return nil
-	}
-	tmp := p.World().NewBuf(bytes)
-	for step := 1; step < n; step++ {
-		dst := (rank + step) % n
-		src := (rank - step + n) % n
-		// Send the block destined for dst, receive my block's
-		// contribution from src.
-		if _, err := c.Sendrecv(
-			send.Slice(dst*bytes, bytes), dst, tagReduceScatter,
-			tmp, src, tagReduceScatter,
-		); err != nil {
-			return fmt.Errorf("coll: reduce-scatter step %d: %w", step, err)
-		}
-		op.Apply(recv, tmp, countPer, dt)
-		p.Compute(float64(countPer))
-	}
-	return nil
-}
-
-// AllgatherNeighbor is the neighbor-exchange allgather (Chen et al.):
-// n/2 + 1 steps of pairwise exchanges with alternating neighbours,
-// transferring two blocks per step. Even communicator sizes only; it
-// trades latency against ring for medium messages and completes the
-// classic algorithm family for the ablation sweep.
-func AllgatherNeighbor(c *mpi.Comm, send, recv mpi.Buf, per int) error {
-	if err := checkAllgatherArgs(c, send, recv, per); err != nil {
-		return err
-	}
-	n := c.Size()
-	if n == 1 {
-		placeOwn(c, send, recv, per)
-		return nil
-	}
-	if n%2 != 0 {
-		return fmt.Errorf("coll: neighbor-exchange needs an even size, got %d", n)
-	}
-	placeOwn(c, send, recv, per)
-	rank := c.Rank()
-
-	// First step: exchange own blocks with the first neighbour.
-	var first int
-	if rank%2 == 0 {
-		first = (rank + 1) % n
-	} else {
-		first = (rank - 1 + n) % n
-	}
-	if _, err := c.Sendrecv(
-		recv.Slice(rank*per, per), first, tagNeighbor,
-		recv.Slice(first*per, per), first, tagNeighbor,
-	); err != nil {
-		return fmt.Errorf("coll: neighbor step 0: %w", err)
-	}
-
-	// Remaining steps: alternate left/right, forwarding the pair of
-	// blocks learned two steps ago.
-	// Track which contiguous pair (in ring distance) was received
-	// last. Even ranks move left then right alternately; odd ranks
-	// mirror. We follow the standard formulation: at odd steps
-	// exchange with left neighbour of the first partner chain, at
-	// even steps with right.
-	lastPair := pairStart(rank, 0, n)
-	for step := 1; step <= n/2-1; step++ {
-		var partner int
-		if (rank%2 == 0) == (step%2 == 1) {
-			partner = (rank - 1 + n) % n
-		} else {
-			partner = (rank + 1) % n
-		}
-		sendBase := lastPair
-		recvBase := pairStart(rank, step, n)
-		if err := sendrecvPair(c, recv, per, n, sendBase, partner, recvBase); err != nil {
-			return fmt.Errorf("coll: neighbor step %d: %w", step, err)
-		}
-		lastPair = recvBase
-	}
-	return nil
-}
-
-// pairStart returns the first block index of the pair a rank acquires
-// at a given neighbor-exchange step.
-func pairStart(rank, step, n int) int {
-	// The pair acquired at step s sits 2s (even ranks, odd steps
-	// moving left) or -(2s) blocks away from the rank's own pair.
-	pairBase := rank &^ 1 // my pair: {even, even+1}
-	var off int
-	if rank%2 == 0 {
-		if step%2 == 1 {
-			off = -2 * ((step + 1) / 2)
-		} else {
-			off = 2 * (step / 2)
-		}
-	} else {
-		if step%2 == 1 {
-			off = 2 * ((step + 1) / 2)
-		} else {
-			off = -2 * (step / 2)
-		}
-	}
-	return ((pairBase+off)%n + n) % n
-}
-
-// sendrecvPair exchanges two adjacent blocks (mod n wraparound handled
-// block-by-block).
-func sendrecvPair(c *mpi.Comm, recv mpi.Buf, per, n, sendBase, partner, recvBase int) error {
-	// Two blocks, possibly wrapping: send blocks sendBase,
-	// sendBase+1; receive recvBase, recvBase+1.
-	r1, err := c.Irecv(recv.Slice((recvBase%n)*per, per), partner, tagNeighbor)
-	if err != nil {
-		return err
-	}
-	r2, err := c.Irecv(recv.Slice(((recvBase+1)%n)*per, per), partner, tagNeighbor)
-	if err != nil {
-		return err
-	}
-	if err := c.Send(recv.Slice((sendBase%n)*per, per), partner, tagNeighbor); err != nil {
-		return err
-	}
-	if err := c.Send(recv.Slice(((sendBase+1)%n)*per, per), partner, tagNeighbor); err != nil {
-		return err
-	}
-	return mpi.Waitall(r1, r2)
 }

@@ -66,9 +66,9 @@ func ParsePolicy(s string) (Policy, error) {
 // The textual key=value grammar historically parsed here (the
 // REPRO_COLL_TUNING environment variable and the -tuning flags) is
 // owned by internal/spec since the Spec API redesign: spec.ParseTuning
-// parses it, spec.Tuning round-trips it, and importing internal/spec
-// installs the environment compatibility shim that feeds
-// SetDefaultTuning.
+// parses it, spec.Tuning round-trips it, and a command that calls
+// spec.InstallEnvTuning() gets the environment compatibility shim that
+// feeds SetDefaultTuning (importing internal/spec installs nothing).
 type Tuning struct {
 	Policy Policy
 	// Force pins a collective to a named algorithm regardless of

@@ -2,6 +2,7 @@ package hybrid
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/coll"
 	"repro/internal/mpi"
@@ -218,7 +219,7 @@ func (a *Allgatherer) Allgather() error {
 	}
 	if c.bridge != nil {
 		var err error
-		if a.chunk > 0 && maxInt(a.nodeCounts) > a.chunk {
+		if a.chunk > 0 && slices.Max(a.nodeCounts) > a.chunk {
 			err = allgathervChunked(c.bridge, a.buf, a.nodeCounts, a.nodeDispls, a.chunk)
 		} else {
 			err = coll.AllgathervExplicit(c.bridge, a.buf, a.nodeCounts, a.nodeDispls)
@@ -253,7 +254,7 @@ func (a *Allgatherer) ReadFence() error { return a.ctx.node.Barrier() }
 // rounds overlap around the ring, approaching the pipelined bound of
 // [30] for blocks beyond ~256 KiB.
 func allgathervChunked(bridge *mpi.Comm, buf mpi.Buf, counts, displs []int, chunk int) error {
-	maxCnt := maxInt(counts)
+	maxCnt := slices.Max(counts)
 	rounds := (maxCnt + chunk - 1) / chunk
 	for r := 0; r < rounds; r++ {
 		cc := make([]int, len(counts))
@@ -275,14 +276,4 @@ func allgathervChunked(bridge *mpi.Comm, buf mpi.Buf, counts, displs []int, chun
 		}
 	}
 	return nil
-}
-
-func maxInt(v []int) int {
-	m := 0
-	for _, x := range v {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

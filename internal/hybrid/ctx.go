@@ -86,9 +86,9 @@ func WithCollTuning(t coll.Tuning) Option { return func(c *Ctx) { c.collTuning =
 
 // New builds the hybrid context over a communicator: the two-level
 // communicator split of Fig. 4 lines 2-10 plus the level-sorted rank
-// array, all through the composer's plan-published geometry (rank 0
-// computes once, everyone shares). Construction is untimed one-off
-// setup.
+// array, all through the composer's derived geometry (nothing is
+// exchanged: whichever member arrives first computes it, everyone
+// shares it). Construction is untimed one-off setup.
 func New(comm *mpi.Comm, opts ...Option) (*Ctx, error) {
 	if comm == nil {
 		return nil, fmt.Errorf("hybrid: New on nil communicator")

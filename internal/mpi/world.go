@@ -171,9 +171,10 @@ func WithFold(unit int) Option { return func(c *Config) { c.FoldUnit = unit } }
 func WithNoise(n *sim.Noise) Option { return func(c *Config) { c.Noise = n } }
 
 // defaultEngine holds the package-wide backend worlds are created with
-// when no WithEngine option is given. Harnesses that construct worlds
-// deep inside benchmark closures (internal/bench) switch engines
-// through it without threading an option through every layer.
+// when no WithEngine option is given. One test uses it
+// (internal/bench's TestVirtualTimeIdenticalOnEventEngine reruns the
+// figure cases, which build their worlds deep inside closures, on the
+// event engine); everything else threads WithEngine or Config.Engine.
 var defaultEngine atomic.Int32
 
 // SetDefaultEngine sets the execution backend NewWorld uses when no

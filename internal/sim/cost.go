@@ -62,31 +62,6 @@ type LevelCost struct {
 	BetaPsPerByte int64
 }
 
-// AllgatherAlg etc. enumerate the pure-MPI algorithm choices the tuning
-// tables select between. They live here (rather than in internal/coll)
-// so that machine profiles can carry their library's selection policy
-// without an import cycle.
-type AllgatherAlg int
-
-// The allgather algorithm choices a tuning table can force.
-const (
-	AllgatherAuto AllgatherAlg = iota
-	AllgatherRecursiveDoubling
-	AllgatherBruck
-	AllgatherRing
-)
-
-// BcastAlg enumerates broadcast algorithm choices.
-type BcastAlg int
-
-// The broadcast algorithm choices a tuning table can force.
-const (
-	BcastAuto BcastAlg = iota
-	BcastBinomial
-	BcastScatterAllgather
-	BcastPipelined
-)
-
 // Tuning holds the MPICH/OpenMPI-style runtime selection cutoffs that
 // differ between the two library stacks of the paper (Cray MPI on Hazel
 // Hen, OpenMPI on Vulcan). Sizes are in bytes.
