@@ -8,12 +8,18 @@
 //	bpmf                    # the full Fig. 12 sweep
 //	bpmf -cores 240         # one point
 //	bpmf -cores 16 -real    # actually sample (small scale), report RMSE
+//
+// The sweep runs the paper's configuration: -machine, -real and -iters
+// belong to a single point and are errors without -cores.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 
 	"repro/internal/bench"
 	"repro/internal/bpmf"
@@ -24,28 +30,42 @@ import (
 
 func main() {
 	spec.InstallEnvTuning()
-	cores := flag.Int("cores", 0, "single point: core count; 0 = full Fig. 12 sweep")
-	real := flag.Bool("real", false, "run the actual Gibbs sampler (small scale) and report RMSE")
-	iters := flag.Int("iters", 0, "Gibbs iterations (default 20, the paper's setting)")
-	machine := flag.String("machine", "hazelhen-cray", "machine profile")
-	flag.Parse()
-
-	if *cores == 0 {
-		t, err := bench.Fig12(bench.FigOpts{})
-		if err != nil {
-			fatal(err)
-		}
-		if err := t.Fprint(os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if err := runPoint(*machine, *cores, *real, *iters); err != nil {
-		fatal(err)
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "bpmf:", err)
+		os.Exit(1)
 	}
 }
 
-func runPoint(machine string, cores int, real bool, iters int) error {
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("bpmf", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	cores := fs.Int("cores", 0, "single point: core count; 0 = full Fig. 12 sweep")
+	real := fs.Bool("real", false, "single point: run the actual Gibbs sampler (small scale) and report RMSE")
+	iters := fs.Int("iters", 0, "single point: Gibbs iterations (default 20, the paper's setting)")
+	machine := fs.String("machine", "hazelhen-cray", "single point: machine profile")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *cores != 0 {
+		return runPoint(stdout, *machine, *cores, *real, *iters)
+	}
+	var stray error
+	fs.Visit(func(f *flag.Flag) {
+		if stray == nil && slices.Contains([]string{"real", "iters", "machine"}, f.Name) {
+			stray = fmt.Errorf("-%s is not read by the Fig. 12 sweep (give -cores for a single point)", f.Name)
+		}
+	})
+	if stray != nil {
+		return stray
+	}
+	t, err := bench.Fig12(bench.FigOpts{})
+	if err != nil {
+		return err
+	}
+	return t.Fprint(stdout)
+}
+
+func runPoint(out io.Writer, machine string, cores int, real bool, iters int) error {
 	mk, ok := sim.Profiles()[machine]
 	if !ok {
 		return fmt.Errorf("unknown machine %q", machine)
@@ -82,16 +102,11 @@ func runPoint(machine string, cores int, real bool, iters int) error {
 		if hy {
 			name = "Hy_BPMF"
 		}
-		fmt.Printf("%-9s cores=%d iters=%d: TotalTime %10.1f ms", name, cores, c.Iters, res.Makespan.Ms())
+		fmt.Fprintf(out, "%-9s cores=%d iters=%d: TotalTime %10.1f ms", name, cores, c.Iters, res.Makespan.Ms())
 		if real && len(res.RMSE) > 0 {
-			fmt.Printf("  RMSE %.4f -> %.4f", res.RMSE[0], res.RMSE[len(res.RMSE)-1])
+			fmt.Fprintf(out, "  RMSE %.4f -> %.4f", res.RMSE[0], res.RMSE[len(res.RMSE)-1])
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "bpmf:", err)
-	os.Exit(1)
 }

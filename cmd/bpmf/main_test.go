@@ -1,0 +1,55 @@
+package main
+
+import (
+	"bytes"
+	"io"
+	"strings"
+	"testing"
+)
+
+// TestSweepRejectsPointFlags: without -cores the command runs the whole
+// Fig. 12 sweep on the paper's configuration; -machine, -real and -iters
+// used to be ignored there (`bpmf -machine bogus` exited 0).
+func TestSweepRejectsPointFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-machine", "bogus"}, "-machine"},
+		{[]string{"-real"}, "-real"},
+		{[]string{"-iters", "3"}, "-iters"},
+	} {
+		var stdout bytes.Buffer
+		err := run(tc.args, &stdout, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.flag+" ") {
+			t.Errorf("%v: err = %v, want an error naming %s", tc.args, err, tc.flag)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: printed %q before failing", tc.args, stdout.String())
+		}
+	}
+	for _, args := range [][]string{{"-cores", "16", "-machine", "abacus"}, {"-nope"}} {
+		if err := run(args, io.Discard, io.Discard); err == nil {
+			t.Errorf("%v: accepted", args)
+		}
+	}
+}
+
+// TestRealPoint pins one real-data point (identical to the parent
+// commit's): Ori and Hy sample the same chain, so they print the same
+// RMSE trajectory.
+func TestRealPoint(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-cores", "16", "-real", "-iters", "2"}, &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	const want = `Ori_BPMF  cores=16 iters=2: TotalTime       56.5 ms  RMSE 0.9255 -> 0.8547
+Hy_BPMF   cores=16 iters=2: TotalTime       56.3 ms  RMSE 0.9255 -> 0.8547
+`
+	if stdout.String() != want {
+		t.Errorf("output:\n%s\nwant:\n%s", stdout.String(), want)
+	}
+	if stderr.Len() != 0 {
+		t.Errorf("stderr: %q", stderr.String())
+	}
+}

@@ -6,15 +6,21 @@
 //
 //	mpibench -fig 7            # one figure
 //	mpibench -fig all          # every micro figure
-//	mpibench -fine             # full 2^0..2^15 element grid
+//	mpibench -fig 7 -fine      # full 2^0..2^15 element grid
 //	mpibench -nodes 8 -ppn 4 -elems 1024 -machine hazelhen-cray
 //	                           # free-form single measurement
+//
+// A flag the selected mode does not read (-sync with -fig, -fine
+// without) is an error naming the flag.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 
 	"repro/internal/bench"
 	"repro/internal/hybrid"
@@ -25,36 +31,59 @@ import (
 
 func main() {
 	spec.InstallEnvTuning()
-	fig := flag.String("fig", "", "figure to reproduce: 7, 8, 9, 10 or all")
-	fine := flag.Bool("fine", false, "full power-of-two element sweep")
-	iters := flag.Int("iters", 0, "timed iterations per point (default 5)")
-	nodes := flag.Int("nodes", 4, "free-form: number of nodes")
-	ppn := flag.Int("ppn", 24, "free-form: ranks per node")
-	elems := flag.Int("elems", 1024, "free-form: elements of double precision per rank")
-	machine := flag.String("machine", "hazelhen-cray", "free-form: machine profile")
-	sync := flag.String("sync", "barrier", "hybrid sync flavor: barrier, p2p, sharedflags")
-	trace := flag.Bool("trace", false, "free-form: print event-trace statistics of the hybrid op")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "mpibench:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("mpibench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "", "figure to reproduce: 7, 8, 9, 10 or all")
+	fine := fs.Bool("fine", false, "figures: full power-of-two element sweep")
+	iters := fs.Int("iters", 0, "timed iterations per point (default 5)")
+	nodes := fs.Int("nodes", 4, "free-form: number of nodes")
+	ppn := fs.Int("ppn", 24, "free-form: ranks per node")
+	elems := fs.Int("elems", 1024, "free-form: elements of double precision per rank")
+	machine := fs.String("machine", "hazelhen-cray", "free-form: machine profile")
+	sync := fs.String("sync", "barrier", "free-form: hybrid sync flavor: barrier, p2p, sharedflags")
+	trace := fs.Bool("trace", false, "free-form: print event-trace statistics of the hybrid op")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	// A flag the selected mode does not read is an error, not a run that
+	// prints numbers for some other configuration than the command line's.
+	mode, unread := "free-form mode (no -fig)", []string{"fine"}
+	if *fig != "" {
+		mode, unread = "figure mode (-fig)", []string{"nodes", "ppn", "elems", "machine", "sync", "trace"}
+	}
+	var stray error
+	fs.Visit(func(f *flag.Flag) {
+		if stray == nil && slices.Contains(unread, f.Name) {
+			stray = fmt.Errorf("-%s is not read in %s", f.Name, mode)
+		}
+	})
+	if stray != nil {
+		return stray
+	}
 
 	if *fig != "" {
-		if err := runFigures(*fig, bench.FigOpts{Fine: *fine, Iters: *iters}); err != nil {
-			fatal(err)
-		}
-		return
+		return runFigures(stdout, *fig, bench.FigOpts{Fine: *fine, Iters: *iters})
 	}
-	if err := runFreeForm(*machine, *nodes, *ppn, *elems, *iters, *sync); err != nil {
-		fatal(err)
+	if err := runFreeForm(stdout, *machine, *nodes, *ppn, *elems, *iters, *sync); err != nil {
+		return err
 	}
 	if *trace {
-		if err := runTraced(*machine, *nodes, *ppn, *elems, *sync); err != nil {
-			fatal(err)
-		}
+		return runTraced(stdout, *machine, *nodes, *ppn, *elems, *sync)
 	}
+	return nil
 }
 
 // runTraced repeats the hybrid measurement once with event tracing on
 // and prints the aggregate statistics (message counts and bytes).
-func runTraced(machine string, nodes, ppn, elems int, syncName string) error {
+func runTraced(out io.Writer, machine string, nodes, ppn, elems int, syncName string) error {
 	mk := sim.Profiles()[machine]
 	syncMode, err := parseSyncMode(syncName)
 	if err != nil {
@@ -83,23 +112,23 @@ func runTraced(machine string, nodes, ppn, elems int, syncName string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("\nevent trace of one Hy_Allgather:")
-	return tr.Stats().Fprint(os.Stdout)
+	fmt.Fprintln(out, "\nevent trace of one Hy_Allgather:")
+	return tr.Stats().Fprint(out)
 }
 
-func runFigures(which string, o bench.FigOpts) error {
+func runFigures(out io.Writer, which string, o bench.FigOpts) error {
 	emit := func(t *bench.Table, err error) error {
 		if err != nil {
 			return err
 		}
-		return t.Fprint(os.Stdout)
+		return t.Fprint(out)
 	}
 	emitAll := func(ts []*bench.Table, err error) error {
 		if err != nil {
 			return err
 		}
 		for _, t := range ts {
-			if err := t.Fprint(os.Stdout); err != nil {
+			if err := t.Fprint(out); err != nil {
 				return err
 			}
 		}
@@ -116,7 +145,7 @@ func runFigures(which string, o bench.FigOpts) error {
 		return emit(bench.Fig10(o))
 	case "all":
 		for _, f := range []string{"7", "8", "9", "10"} {
-			if err := runFigures(f, o); err != nil {
+			if err := runFigures(out, f, o); err != nil {
 				return err
 			}
 		}
@@ -126,7 +155,7 @@ func runFigures(which string, o bench.FigOpts) error {
 	}
 }
 
-func runFreeForm(machine string, nodes, ppn, elems, iters int, syncName string) error {
+func runFreeForm(out io.Writer, machine string, nodes, ppn, elems, iters int, syncName string) error {
 	mk, ok := sim.Profiles()[machine]
 	if !ok {
 		return fmt.Errorf("unknown machine %q (profiles: hazelhen-cray, vulcan-openmpi, laptop)", machine)
@@ -149,14 +178,9 @@ func runFreeForm(machine string, nodes, ppn, elems, iters int, syncName string) 
 	if err != nil {
 		return err
 	}
-	fmt.Printf("machine=%s nodes=%d ppn=%d elems=%d sync=%s\n", machine, nodes, ppn, elems, syncName)
-	fmt.Printf("Hy_Allgather: %10.2f us\n", hy.Us())
-	fmt.Printf("Allgather:    %10.2f us\n", pure.Us())
-	fmt.Printf("ratio:        %10.2f\n", float64(pure)/float64(hy))
+	fmt.Fprintf(out, "machine=%s nodes=%d ppn=%d elems=%d sync=%s\n", machine, nodes, ppn, elems, syncName)
+	fmt.Fprintf(out, "Hy_Allgather: %10.2f us\n", hy.Us())
+	fmt.Fprintf(out, "Allgather:    %10.2f us\n", pure.Us())
+	fmt.Fprintf(out, "ratio:        %10.2f\n", float64(pure)/float64(hy))
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mpibench:", err)
-	os.Exit(1)
 }

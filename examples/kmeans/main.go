@@ -103,9 +103,9 @@ func run(topo *sim.Topology, hy bool) ([]float64, sim.Time, error) {
 			}
 			cents = recenter(global, cents)
 			// The hybrid result segment is rewritten next round;
-			// fence reads (cf. hybrid.Allgatherer.ReadFence).
+			// fence reads.
 			if hy {
-				if err := ctx.Node().Barrier(); err != nil {
+				if err := red.ReadFence(); err != nil {
 					return err
 				}
 			}

@@ -61,105 +61,48 @@ type compShape struct {
 	tiers      []tierShape
 }
 
-// compEntry is one member's input to the geometry builder: its comm
-// rank, its rank within the innermost tier communicator, and per tier
-// it belongs to the *global* rank of that tier's leader (-1 when not a
-// member). The seed implementation exchanged these entries between all
-// members; they are fully derivable from the topology and the comm's
-// rank table, so the builder now synthesizes them locally (see
-// buildComposerGeom) and no exchange runs.
-type compEntry struct {
-	commRank int
-	sub0     int
-	leader   []int
-}
-
-// buildCompShape sorts the membership into level order — outermost
-// leader chain first, then position within the innermost group — and
-// derives the per-tier group tables. Group order at every tier is
-// leader-comm-rank order (bridge order), matching the historical
-// node-sorted global rank array of hybrid Sect. 6.
-func buildCompShape(ranks []int, tiers int, entries []compEntry) *compShape {
-	n := len(entries)
-	commOf := make(map[int]int, n) // global rank -> comm rank
-	for r, g := range ranks {
-		commOf[g] = r
-	}
-	byRank := make([]*compEntry, n)
-	for i := range entries {
-		byRank[entries[i].commRank] = &entries[i]
-	}
-	// chain[r*tiers+t]: comm rank of r's tier-t leader, resolved
-	// transitively (only tier members know their own leader).
-	chain := make([]int, n*tiers)
-	for r := 0; r < n; r++ {
-		lead := r
-		for t := 0; t < tiers; t++ {
-			g := byRank[lead].leader[t]
-			if g < 0 {
-				return nil
-			}
-			var ok bool
-			if lead, ok = commOf[g]; !ok {
-				return nil
-			}
-			chain[r*tiers+t] = lead
-		}
-	}
-
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		for t := tiers - 1; t >= 0; t-- {
-			if chain[a*tiers+t] != chain[b*tiers+t] {
-				return chain[a*tiers+t] < chain[b*tiers+t]
-			}
-		}
-		return byRank[a].sub0 < byRank[b].sub0
-	})
-
+// buildCompShape lays the membership out in level order and derives
+// the per-tier group tables, straight from the tier group tables:
+// groups[t][g] lists tier-t group g's members as comm ranks in
+// ascending order, tierGroup[t][r] is comm rank r's group at tier t,
+// and top lists the outermost leaders in ascending comm-rank order. A
+// group's slots are its members' in order, where a member above tier 0
+// — the leader of a group one tier down — stands for that whole group.
+// Group order at every tier is therefore leader-comm-rank order (bridge
+// order), matching the historical node-sorted global rank array of
+// hybrid Sect. 6.
+func buildCompShape(n int, groups [][][]int, tierGroup [][]int32, top []int) *compShape {
 	shape := &compShape{
-		slotToRank: make([]int, n),
+		slotToRank: make([]int, 0, n),
 		rankToSlot: make([]int, n),
 		smp:        true,
-		tiers:      make([]tierShape, tiers),
+		tiers:      make([]tierShape, len(groups)),
 	}
-	for s, r := range order {
-		shape.slotToRank[s] = r
+	var expand func(t, g int)
+	expand = func(t, g int) {
+		ts := &shape.tiers[t]
+		first := len(shape.slotToRank)
+		ts.first = append(ts.first, first)
+		if t > 0 {
+			ts.childLo = append(ts.childLo, len(shape.tiers[t-1].first))
+			ts.childN = append(ts.childN, len(groups[t][g]))
+		}
+		for _, m := range groups[t][g] {
+			if t == 0 {
+				shape.slotToRank = append(shape.slotToRank, m)
+			} else {
+				expand(t-1, int(tierGroup[t-1][m]))
+			}
+		}
+		ts.size = append(ts.size, len(shape.slotToRank)-first)
+	}
+	for _, lead := range top {
+		expand(len(groups)-1, int(tierGroup[len(groups)-1][lead]))
+	}
+	for s, r := range shape.slotToRank {
 		shape.rankToSlot[r] = s
 		if r != s {
 			shape.smp = false
-		}
-	}
-	// Group tables per tier: consecutive slot runs sharing the
-	// tier leader.
-	for t := 0; t < tiers; t++ {
-		ts := &shape.tiers[t]
-		lastLeader := -1
-		for s, r := range order {
-			if chain[r*tiers+t] != lastLeader {
-				ts.first = append(ts.first, s)
-				ts.size = append(ts.size, 0)
-				lastLeader = chain[r*tiers+t]
-			}
-			ts.size[len(ts.size)-1]++
-		}
-		if t > 0 {
-			below := &shape.tiers[t-1]
-			child := 0
-			for g := range ts.first {
-				ts.childLo = append(ts.childLo, child)
-				end := ts.first[g] + ts.size[g]
-				cnt := 0
-				for child < len(below.first) && below.first[child] < end {
-					child++
-					cnt++
-				}
-				ts.childN = append(ts.childN, cnt)
-			}
 		}
 	}
 	return shape
@@ -248,12 +191,7 @@ func NewComposer(c *mpi.Comm, levels []int) (*Composer, error) {
 		k.myGroup = make([]int, len(levels))
 	}
 	for t := range levels {
-		ts := &shape.tiers[t]
-		g := sort.SearchInts(ts.first, k.mySlot+1) - 1
-		if g < 0 || k.mySlot >= ts.first[g]+ts.size[g] {
-			return nil, fmt.Errorf("coll: composer could not locate own tier-%d group", t)
-		}
-		k.myGroup[t] = g
+		k.myGroup[t] = k.GroupOfSlot(t, k.mySlot)
 	}
 	return k, nil
 }
@@ -329,8 +267,9 @@ func (k *Composer) MyGroup(i int) int { return k.myGroup[i] }
 // therefore participates in at least tier 1).
 func (k *Composer) IsLeader() bool { return k.tiers[0].Rank() == 0 }
 
-// groupOfSlot locates the tier-t group containing a slot.
-func (k *Composer) groupOfSlot(t, slot int) int {
+// GroupOfSlot returns the index, in leader order, of the tier-t group
+// containing a slot.
+func (k *Composer) GroupOfSlot(t, slot int) int {
 	ts := &k.shape.tiers[t]
 	return sort.SearchInts(ts.first, slot+1) - 1
 }
@@ -456,7 +395,7 @@ func (k *Composer) Bcast(buf mpi.Buf, root int) error {
 	// leader in turn.
 	rep := root
 	for t := 0; t < len(k.tiers); t++ {
-		g := k.groupOfSlot(t, root) // slot == comm rank under SMP
+		g := k.GroupOfSlot(t, root) // slot == comm rank under SMP
 		leader := shape.tiers[t].first[g]
 		if rep != leader {
 			if me == rep {
@@ -476,7 +415,7 @@ func (k *Composer) Bcast(buf mpi.Buf, root int) error {
 
 	// Outermost leaders broadcast across groups.
 	if k.top != nil && k.top.Size() > 1 {
-		rootTop := k.groupOfSlot(len(k.tiers)-1, root)
+		rootTop := k.GroupOfSlot(len(k.tiers)-1, root)
 		if err := Bcast(k.top, buf, rootTop); err != nil {
 			return fmt.Errorf("coll: composed bcast top phase: %w", err)
 		}
@@ -499,11 +438,11 @@ func (k *Composer) Bcast(buf mpi.Buf, root int) error {
 func (k *Composer) tierRankOf(t, commRank int) int {
 	slot := commRank // SMP guaranteed by callers
 	ts := &k.shape.tiers[t]
-	g := k.groupOfSlot(t, slot)
+	g := k.GroupOfSlot(t, slot)
 	if t == 0 {
 		return slot - ts.first[g]
 	}
-	child := k.groupOfSlot(t-1, slot)
+	child := k.GroupOfSlot(t-1, slot)
 	return child - ts.childLo[g]
 }
 

@@ -15,7 +15,7 @@ import (
 	"repro/internal/sim"
 )
 
-var updateExchanges = flag.Bool("update", false, "rewrite testdata/exchanges.golden.json from the current code (say why in the PR)")
+var updateExchanges = flag.Bool("update", false, "rewrite the testdata/*.golden.json files from the current code (say why in the PR)")
 
 // exchPin is one pinned run: the world's makespan in virtual
 // picoseconds and a checksum over every rank's result bytes.
@@ -469,9 +469,20 @@ func TestExchangesGolden(t *testing.T) {
 			}
 		}
 	}
-	// One case per line, sorted, so a drifted pin is a one-line diff.
-	keys := make([]string, 0, len(got))
-	for key := range got {
+	lines := make(map[string]string, len(got))
+	for key, pin := range got {
+		lines[key] = fmt.Sprintf("{\"ps\": %d, \"sum\": %q}", pin.Ps, pin.Sum)
+	}
+	checkGolden(t, path, lines)
+}
+
+// checkGolden compares a golden file with the current cases, each
+// already rendered as one JSON value: one case per line, sorted, so a
+// drifted pin is a one-line diff. -update rewrites the file first.
+func checkGolden(t *testing.T, path string, lines map[string]string) {
+	t.Helper()
+	keys := make([]string, 0, len(lines))
+	for key := range lines {
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
@@ -482,12 +493,11 @@ func TestExchangesGolden(t *testing.T) {
 		if i == len(keys)-1 {
 			sep = ""
 		}
-		fmt.Fprintf(&out, " %q: {\"ps\": %d, \"sum\": %q}%s\n", key, got[key].Ps, got[key].Sum, sep)
+		fmt.Fprintf(&out, " %q: %s%s\n", key, lines[key], sep)
 	}
 	out.WriteString("}\n")
-	enc := out.Bytes()
 	if *updateExchanges {
-		if err := os.WriteFile(path, enc, 0o644); err != nil {
+		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -495,24 +505,24 @@ func TestExchangesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(raw, enc) {
+	if bytes.Equal(raw, out.Bytes()) {
 		return
 	}
-	var want map[string]exchPin
+	var want map[string]json.RawMessage
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
 	for key, w := range want {
-		if g, ok := got[key]; !ok {
+		if g, ok := lines[key]; !ok {
 			t.Errorf("%s: pinned but no longer run", key)
-		} else if g != w {
-			t.Errorf("%s: got %+v, pinned %+v", key, g, w)
+		} else if g != string(w) {
+			t.Errorf("%s: got %s, pinned %s", key, g, w)
 		}
 	}
-	for key := range got {
+	for key := range lines {
 		if _, ok := want[key]; !ok {
 			t.Errorf("%s: run but not pinned (regenerate with -update)", key)
 		}
 	}
-	t.Fatalf("%s is not byte-identical to the current output", path)
+	t.Fatalf("%s is not byte-identical to the current output (regenerate with -update and say why in the PR)", path)
 }

@@ -1,7 +1,6 @@
 package coll
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/mpi"
@@ -64,7 +63,7 @@ func composerGeomFor(topo *sim.Topology, members, levels []int) (*composerGeom, 
 	h = sim.HashInts(h^0x9e3779b97f4a7c15, levels)
 	return composerGeomCache.GetOrBuild(h,
 		func(g *composerGeom) bool { return g.matches(topo, members, levels) },
-		func() (*composerGeom, error) { return buildComposerGeom(topo, members, levels) })
+		func() (*composerGeom, error) { return buildComposerGeom(topo, members, levels), nil })
 }
 
 // buildComposerGeom derives the full leader-tree geometry locally,
@@ -76,10 +75,10 @@ func composerGeomFor(topo *sim.Topology, members, levels []int) (*composerGeom, 
 //   - tier t>0 members are the leaders (first member) of the tier-(t-1)
 //     groups; the top communicator joins the outermost leaders in
 //     ascending comm-rank order;
-//   - the slot order comes from the same entry sort the exchanged plan
-//     used (buildCompShape), so composed collectives stay op-for-op
+//   - the slot order and group tables follow from those tables alone
+//     (buildCompShape), so composed collectives stay op-for-op
 //     identical.
-func buildComposerGeom(topo *sim.Topology, members, levels []int) (*composerGeom, error) {
+func buildComposerGeom(topo *sim.Topology, members, levels []int) *composerGeom {
 	n := len(members)
 	tiers := len(levels)
 	g := &composerGeom{
@@ -93,6 +92,8 @@ func buildComposerGeom(topo *sim.Topology, members, levels []int) (*composerGeom
 
 	// parts: the comm ranks participating at the current tier, in
 	// ascending comm-rank order (everyone at tier 0, leaders above).
+	// groups[t][g]: tier-t group g's members as comm ranks.
+	groups := make([][][]int, tiers)
 	parts := make([]int, n)
 	for r := range parts {
 		parts[r] = r
@@ -117,9 +118,11 @@ func buildComposerGeom(topo *sim.Topology, members, levels []int) (*composerGeom
 		}
 		sort.Ints(ids)
 		g.tierRanks[t] = make([][]int, len(ids))
+		groups[t] = make([][]int, len(ids))
 		leaders := make([]int, 0, len(ids))
 		for gi, id := range ids {
 			grp := byID[id]
+			groups[t][gi] = grp
 			table := make([]int, len(grp))
 			for i, r := range grp {
 				table[i] = members[r]
@@ -144,26 +147,7 @@ func buildComposerGeom(topo *sim.Topology, members, levels []int) (*composerGeom
 		g.topRank[r] = int32(i)
 	}
 
-	// Slot order: synthesize the per-member entries the exchanged plan
-	// carried (leader chain as global ranks) and run the same sort.
-	entries := make([]compEntry, n)
-	for r := 0; r < n; r++ {
-		e := &entries[r]
-		e.commRank = r
-		e.sub0 = int(g.tierRank[0][r])
-		e.leader = make([]int, tiers)
-		for t := 0; t < tiers; t++ {
-			e.leader[t] = -1
-			if gi := g.tierGroup[t][r]; gi >= 0 {
-				e.leader[t] = g.tierRanks[t][gi][0]
-			}
-		}
-	}
-	shape := buildCompShape(g.members, tiers, entries)
-	if shape == nil {
-		return nil, fmt.Errorf("coll: composer geometry derivation failed (unresolvable leader chain)")
-	}
-	g.shape = shape
+	g.shape = buildCompShape(n, groups, g.tierGroup, parts)
 
 	// Arena layout for the per-plan Comm handles: each rank owns a
 	// contiguous run of slots, one per communicator it belongs to.
@@ -181,7 +165,7 @@ func buildComposerGeom(topo *sim.Topology, members, levels []int) (*composerGeom
 		}
 	}
 	g.handles = int(off)
-	return g, nil
+	return g
 }
 
 // composerPlan is the per-world completion of a cached geometry: the

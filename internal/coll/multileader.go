@@ -34,9 +34,9 @@ type MultiLeaderHier struct {
 }
 
 // NewMultiLeaderHier builds the structure with nLeaders groups per node
-// (clamped to the node size). The node shape is discovered through the
-// composer's plan-published geometry — the same helper Hier and the
-// hybrid context build on — rather than a bespoke exchange.
+// (clamped to the node size). The node shape is the composer's derived
+// geometry — the same helper Hier and the hybrid context build on —
+// rather than a bespoke exchange.
 func NewMultiLeaderHier(c *mpi.Comm, nLeaders int) (*MultiLeaderHier, error) {
 	if c == nil {
 		return nil, fmt.Errorf("coll: NewMultiLeaderHier on nil communicator")

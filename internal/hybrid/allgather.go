@@ -18,14 +18,10 @@ import (
 // one-off; Allgather() is the repeatedly-invoked, timed operation whose
 // cost the paper measures — synchronization included.
 type Allgatherer struct {
-	ctx        *Ctx
-	win        *mpi.Win
-	buf        mpi.Buf // the whole shared result buffer (node's single copy)
-	counts     []int   // bytes per rank, slot order
-	displs     []int   // byte offset per slot
-	nodeCounts []int   // bytes per node, bridge order
-	nodeDispls []int
-	chunk      int // >0: pipelined bridge exchange for large blocks ([30])
+	collective
+	buf   mpi.Buf // the whole shared result buffer (node's single copy)
+	plan  *agPlan // counts and displacements, shared by every member
+	chunk int     // >0: pipelined bridge exchange for large blocks ([30])
 }
 
 // AllgatherOption configures an Allgatherer.
@@ -48,16 +44,16 @@ func (c *Ctx) NewAllgatherer(per int, opts ...AllgatherOption) (*Allgatherer, er
 	return c.newAllgatherer(nil, per, opts)
 }
 
-// agPlan is the slot-ordered allgather geometry, computed once by comm
-// rank 0 and shared read-only by every member (the count vector must
-// agree across members, as MPI_Allgatherv requires, so the leader's
-// copy is everyone's copy).
+// agPlan is the slot-ordered allgather geometry, computed once by
+// whichever member reaches the setup slot first and shared read-only by
+// every member (the count vector must agree across members, as
+// MPI_Allgatherv requires, so the builder's copy is everyone's copy).
 type agPlan struct {
-	uniform    int // >= 0: every count is this value (O(1) validation)
-	total      int // sum of counts
-	counts     []int
-	displs     []int
-	nodeCounts []int
+	uniform    int   // >= 0: every count is this value (O(1) validation)
+	total      int   // sum of counts
+	counts     []int // bytes per rank, slot order
+	displs     []int // byte offset per slot
+	nodeCounts []int // bytes per node, bridge order
 	nodeDispls []int
 }
 
@@ -70,7 +66,7 @@ func (c *Ctx) NewAllgathererV(counts []int, opts ...AllgatherOption) (*Allgather
 	}
 	// Validate the local copy on every member (members must pass
 	// matching vectors, but a corrupt local copy should fail loudly on
-	// the rank that holds it, not silently adopt rank 0's geometry).
+	// the rank that holds it, not silently adopt the builder's geometry).
 	for r, cnt := range counts {
 		if cnt < 0 {
 			return nil, fmt.Errorf("hybrid: negative count %d for rank %d", cnt, r)
@@ -82,39 +78,34 @@ func (c *Ctx) NewAllgathererV(counts []int, opts ...AllgatherOption) (*Allgather
 // newAllgatherer builds the allgatherer; counts == nil means a uniform
 // `per` bytes per rank.
 func (c *Ctx) newAllgatherer(counts []int, per int, opts []AllgatherOption) (*Allgatherer, error) {
-	a := &Allgatherer{ctx: c}
+	a := &Allgatherer{collective: collective{c}}
 	for _, o := range opts {
 		o(a)
 	}
 
-	// Slot-ordered geometry (node-major layout), built once per
-	// collective call and shared read-only through the world's setup
-	// slot (mpi.SetupOnce) — no exchange runs at all: the plan is fully
-	// determined by the context geometry and the (identical, per
-	// MPI_Allgatherv semantics) member arguments, so whichever member
-	// arrives first computes it for everyone.
+	// No exchange runs: the plan is fully determined by the context
+	// geometry and the (identical, per MPI_Allgatherv semantics) member
+	// arguments, so it is built once per collective call through the
+	// world's setup slot.
 	v, err := mpi.SetupOnce(c.comm, func() (any, error) {
-		plan := &agPlan{uniform: -1, counts: make([]int, c.comm.Size())}
+		plan := &agPlan{uniform: per, counts: make([]int, c.comm.Size())}
+		if counts != nil {
+			plan.uniform = -1
+		}
 		for slot := range plan.counts {
+			plan.counts[slot] = per
 			if counts != nil {
 				plan.counts[slot] = counts[c.RankAt(slot)]
-			} else {
-				plan.counts[slot] = per
 			}
-		}
-		if counts == nil {
-			plan.uniform = per
 		}
 		plan.total = coll.Total(plan.counts)
 		plan.displs = coll.Displs(plan.counts)
 		plan.nodeCounts = make([]int, c.Nodes())
 		plan.nodeDispls = make([]int, c.Nodes())
 		for n := 0; n < c.Nodes(); n++ {
-			first := c.nodeFirst[n]
+			first, size := c.nodeSpan(n)
 			plan.nodeDispls[n] = plan.displs[first]
-			for s := first; s < first+c.nodeSizes[n]; s++ {
-				plan.nodeCounts[n] += plan.counts[s]
-			}
+			plan.nodeCounts[n] = coll.Total(plan.counts[first : first+size])
 		}
 		return plan, nil
 	})
@@ -125,42 +116,26 @@ func (c *Ctx) newAllgatherer(counts []int, per int, opts []AllgatherOption) (*Al
 	// Members must have passed the same geometry the plan was built
 	// from; a divergent local vector is an application bug that must
 	// fail loudly, not silently run with the builder's placement. The
-	// uniform case compares one value; the irregular variant checks its
-	// whole vector.
-	if counts == nil {
-		if plan.uniform != per {
-			// Mixed constructors (a member passed an explicitly
-			// uniform vector to the V variant) still agree when every
-			// slot holds per; only then is the geometry identical.
-			for slot, cnt := range plan.counts {
-				if cnt != per {
-					return nil, fmt.Errorf("hybrid: allgather counts diverge across ranks (slot %d: builder has %d, this rank has %d)",
-						slot, cnt, per)
-				}
-			}
-		}
-	} else {
+	// uniform case compares one value; the irregular variant — and mixed
+	// constructors, where a member passed an explicitly uniform vector
+	// to the V variant, which still agree when every slot holds per —
+	// check the whole vector.
+	if counts != nil || plan.uniform != per {
 		for slot, cnt := range plan.counts {
-			if want := counts[c.RankAt(slot)]; cnt != want {
+			want := per
+			if counts != nil {
+				want = counts[c.RankAt(slot)]
+			}
+			if cnt != want {
 				return nil, fmt.Errorf("hybrid: allgather counts diverge across ranks (slot %d: builder has %d, this rank has %d)",
 					slot, cnt, want)
 			}
 		}
 	}
-	a.counts = plan.counts
-	a.displs = plan.displs
-	a.nodeCounts = plan.nodeCounts
-	a.nodeDispls = plan.nodeDispls
-
-	// Fig. 4 lines 13-16: only the leader asks for the contiguous
-	// node memory; children query its base.
-	total := plan.total
-	win, err := mpi.WinAllocateLeader(c.node, total)
-	if err != nil {
+	a.plan = plan
+	if a.buf, err = c.segment(plan.total); err != nil {
 		return nil, err
 	}
-	a.win = win
-	a.buf = win.Query(0).Slice(0, total)
 	return a, nil
 }
 
@@ -168,16 +143,13 @@ func (c *Ctx) newAllgatherer(counts []int, per int, opts []AllgatherOption) (*Al
 // "private data" each rank initializes independently (Fig. 4 lines
 // 21-22). Writing here is writing the final result location: the hybrid
 // scheme has no send buffer at all.
-func (a *Allgatherer) Mine() mpi.Buf {
-	slot := a.ctx.SlotOf(a.ctx.comm.Rank())
-	return a.buf.Slice(a.displs[slot], a.counts[slot])
-}
+func (a *Allgatherer) Mine() mpi.Buf { return a.Block(a.ctx.comm.Rank()) }
 
 // Block returns the partition contributed by a given comm rank (valid
 // after Allgather returns on this rank).
 func (a *Allgatherer) Block(rank int) mpi.Buf {
 	slot := a.ctx.SlotOf(rank)
-	return a.buf.Slice(a.displs[slot], a.counts[slot])
+	return a.buf.Slice(a.plan.displs[slot], a.plan.counts[slot])
 }
 
 // Buffer returns the whole gathered result (node-major slot order; use
@@ -186,67 +158,35 @@ func (a *Allgatherer) Buffer() mpi.Buf { return a.buf }
 
 // Counts returns the per-slot byte counts (shared across all ranks;
 // do not modify).
-func (a *Allgatherer) Counts() []int { return a.counts }
+func (a *Allgatherer) Counts() []int { return a.plan.counts }
 
 // Allgather runs the timed operation of Fig. 4 lines 23-39:
 //
 //	barrier; leaders: MPI_Allgatherv on the bridge; barrier
 //
-// with the single-node degenerate case collapsing to one barrier, and
-// the configured sync flavor standing in for the barriers.
+// with the configured sync flavor standing in for the barriers, and the
+// single-node degenerate case (lines 29-30/37-38) collapsing to one
+// synchronization that makes the node's single buffer consistent:
+// nothing moves, but every rank reads its peers' partitions next.
 func (a *Allgatherer) Allgather() error {
-	c := a.ctx
-	multiNode := c.Nodes() > 1
-
-	if !multiNode {
-		// Fig. 4 lines 29-30/37-38: one barrier makes the node's
-		// single buffer consistent; nothing moves. The pairwise
-		// flavors are not symmetric, so they need both phases
-		// (children must also wait before reading peers' slots).
-		if c.sync == SyncBarrier {
-			return c.Arrive()
-		}
-		if err := c.Arrive(); err != nil {
-			return err
-		}
-		return c.Release()
+	if a.ctx.Nodes() == 1 {
+		return a.ctx.epoch("allgather", toAll, 0, false, nil)
 	}
-
-	// The leaders must wait until their children initialized all
-	// partitions.
-	if err := c.Arrive(); err != nil {
-		return fmt.Errorf("hybrid: allgather arrive: %w", err)
-	}
-	if c.bridge != nil {
-		var err error
-		if a.chunk > 0 && slices.Max(a.nodeCounts) > a.chunk {
-			err = allgathervChunked(c.bridge, a.buf, a.nodeCounts, a.nodeDispls, a.chunk)
-		} else {
-			err = coll.AllgathervExplicit(c.bridge, a.buf, a.nodeCounts, a.nodeDispls)
-		}
-		if err != nil {
-			return fmt.Errorf("hybrid: allgather bridge exchange: %w", err)
-		}
-	}
-	// Children wait until the leaders finished the exchange.
-	if err := c.Release(); err != nil {
-		return fmt.Errorf("hybrid: allgather release: %w", err)
-	}
-	return nil
+	return a.ctx.epoch("allgather", toLeader, 0, false, a.exchange)
 }
 
-// ReadFence separates one epoch's reads from the next epoch's writes.
-//
-// The paper's two synchronizations (Fig. 4) order on-node writes before
-// the exchange and the exchange before on-node reads — but nothing
-// orders one iteration's *reads* before the next iteration's *writes*
-// to the same shared partition. An iterative caller that rewrites
-// Mine() every round (SUMMA panels, BPMF sampling phases) must call
-// ReadFence after it has finished reading Buffer()/Block() and before
-// the next write, or peers may observe the next epoch's data early.
-// One-shot callers (and the OSU-style latency loop, which never reads
-// between operations) do not need it.
-func (a *Allgatherer) ReadFence() error { return a.ctx.node.Barrier() }
+// exchange is the leaders' MPI_Allgatherv of whole node blocks, in
+// place in the shared buffer.
+func (a *Allgatherer) exchange(bridge *mpi.Comm, _ int) error {
+	if bridge == nil {
+		return nil
+	}
+	counts, displs := a.plan.nodeCounts, a.plan.nodeDispls
+	if a.chunk > 0 && slices.Max(counts) > a.chunk {
+		return allgathervChunked(bridge, a.buf, counts, displs, a.chunk)
+	}
+	return coll.AllgathervExplicit(bridge, a.buf, counts, displs)
+}
 
 // allgathervChunked pipelines the ring exchange: each node block is cut
 // into chunks and the ring runs once per chunk. Because ranks advance
@@ -254,21 +194,12 @@ func (a *Allgatherer) ReadFence() error { return a.ctx.node.Barrier() }
 // rounds overlap around the ring, approaching the pipelined bound of
 // [30] for blocks beyond ~256 KiB.
 func allgathervChunked(bridge *mpi.Comm, buf mpi.Buf, counts, displs []int, chunk int) error {
-	maxCnt := slices.Max(counts)
-	rounds := (maxCnt + chunk - 1) / chunk
+	rounds := (slices.Max(counts) + chunk - 1) / chunk
+	cc, dd := make([]int, len(counts)), make([]int, len(counts))
 	for r := 0; r < rounds; r++ {
-		cc := make([]int, len(counts))
-		dd := make([]int, len(counts))
-		for i := range counts {
-			lo := r * chunk
-			hi := lo + chunk
-			if lo > counts[i] {
-				lo = counts[i]
-			}
-			if hi > counts[i] {
-				hi = counts[i]
-			}
-			cc[i] = hi - lo
+		for i, cnt := range counts {
+			lo := min(r*chunk, cnt)
+			cc[i] = min(lo+chunk, cnt) - lo
 			dd[i] = displs[i] + lo
 		}
 		if err := coll.AllgathervExplicit(bridge, buf, cc, dd); err != nil {

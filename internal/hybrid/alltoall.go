@@ -2,11 +2,16 @@ package hybrid
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mpi"
 )
 
-const tagHyAlltoall = 1<<25 + 40
+// Tags of the leaders' point-to-point bridge phases.
+const (
+	tagHyAlltoall = 1<<25 + 40
+	tagHyRooted   = tagHyAlltoall + 1 // gather and scatter node blocks
+)
 
 // Alltoaller extends the paper's single-copy-per-node principle to the
 // complete exchange (MPI_Alltoall — called out in the paper's
@@ -21,15 +26,15 @@ const tagHyAlltoall = 1<<25 + 40
 //   - node leaders exchange packed inter-node submatrices pairwise;
 //   - children read their received row from the shared recv segment.
 type Alltoaller struct {
-	ctx  *Ctx
+	collective
 	per  int // bytes per (src, dst) block
 	size int // comm size
 
-	sendWin *mpi.Win
-	recvWin *mpi.Win
-	send    mpi.Buf // node send matrix: nodeSize x size x per
-	recv    mpi.Buf // node recv matrix: nodeSize x size x per
-	staging mpi.Buf // leader pack/unpack buffer
+	send mpi.Buf // node send matrix: nodeSize x size x per
+	recv mpi.Buf // node recv matrix: nodeSize x size x per
+	// Leader staging: a pack half and an unpack half, each sized for
+	// the largest inter-node submatrix.
+	stage mpi.Buf
 }
 
 // NewAlltoaller prepares the shared segments (one-off).
@@ -37,34 +42,17 @@ func (c *Ctx) NewAlltoaller(per int) (*Alltoaller, error) {
 	if per < 0 {
 		return nil, fmt.Errorf("hybrid: negative block size %d", per)
 	}
-	size := c.comm.Size()
-	rowBytes := size * per
-	sendWin, err := mpi.WinAllocateLeader(c.node, c.node.Size()*rowBytes)
-	if err != nil {
+	a := &Alltoaller{collective: collective{c}, per: per, size: c.comm.Size()}
+	matrix := c.node.Size() * a.size * per
+	var err error
+	if a.send, err = c.segment(matrix); err != nil {
 		return nil, err
 	}
-	recvWin, err := mpi.WinAllocateLeader(c.node, c.node.Size()*rowBytes)
-	if err != nil {
+	if a.recv, err = c.segment(matrix); err != nil {
 		return nil, err
-	}
-	a := &Alltoaller{
-		ctx:     c,
-		per:     per,
-		size:    size,
-		sendWin: sendWin,
-		recvWin: recvWin,
-		send:    sendWin.Query(0).Slice(0, c.node.Size()*rowBytes),
-		recv:    recvWin.Query(0).Slice(0, c.node.Size()*rowBytes),
 	}
 	if c.IsLeader() {
-		// Staging for the largest inter-node submatrix.
-		maxPPN := 0
-		for _, s := range c.nodeSizes {
-			if s > maxPPN {
-				maxPPN = s
-			}
-		}
-		a.staging = c.comm.Proc().World().NewBuf(c.node.Size() * maxPPN * per)
+		a.stage = c.comm.Proc().World().NewBuf(2 * c.node.Size() * slices.Max(c.NodeSizes()) * per)
 	}
 	return a, nil
 }
@@ -94,84 +82,68 @@ func (a *Alltoaller) recvBlock(localDst, slot int) mpi.Buf {
 	return a.recv.Slice(localDst*a.size*a.per+slot*a.per, a.per)
 }
 
-// Alltoall runs the timed exchange.
+// Alltoall runs the timed exchange. Its on-node pull has every rank
+// read every peer's send row, so the arrival must make all on-node
+// writes visible to all on-node ranks, not just to the leader.
 func (a *Alltoaller) Alltoall() error {
+	return a.ctx.epoch("alltoall", toAll, 0, false, a.exchange)
+}
+
+// exchange moves the blocks: on the node by load/store, between nodes
+// through the leaders.
+func (a *Alltoaller) exchange(bridge *mpi.Comm, _ int) error {
 	c := a.ctx
 	p := c.comm.Proc()
-	if err := c.Arrive(); err != nil {
-		return fmt.Errorf("hybrid: alltoall arrive: %w", err)
-	}
 
 	// Intra-node blocks: every rank pulls its own column from the
 	// node's send matrix — ppn parallel copiers.
-	myFirst := c.nodeFirst[c.myNodeIdx]
+	myFirst, ppn := c.nodeSpan(c.MyNodeIdx())
 	mySlot := c.SlotOf(c.comm.Rank())
-	ppn := c.node.Size()
 	for j := 0; j < ppn; j++ {
-		src := a.sendBlock(j, mySlot)
-		dst := a.recvBlock(c.node.Rank(), myFirst+j)
-		mpi.CopyData(dst, src)
+		mpi.CopyData(a.recvBlock(c.node.Rank(), myFirst+j), a.sendBlock(j, mySlot))
 	}
 	p.Elapse(p.Model().CopyCost(ppn*a.per, ppn))
-
-	// Inter-node blocks: leaders exchange packed submatrices
-	// pairwise over the bridge.
-	if c.bridge != nil && c.bridge.Size() > 1 {
-		if err := a.bridgeExchange(); err != nil {
-			return err
-		}
+	if bridge == nil {
+		return nil
 	}
 
-	if err := c.Release(); err != nil {
-		return fmt.Errorf("hybrid: alltoall release: %w", err)
-	}
-	return nil
-}
-
-// bridgeExchange runs the leader-level pairwise exchange: for each
-// step, pack my node's blocks addressed to the partner node, exchange,
-// and scatter the received submatrix into the recv segment.
-func (a *Alltoaller) bridgeExchange() error {
-	c := a.ctx
-	p := c.comm.Proc()
-	b := c.bridge
-	n := b.Size()
-	me := b.Rank()
-	myPPN := c.nodeSizes[me]
-
+	// Inter-node blocks: leaders exchange packed submatrices pairwise
+	// over the bridge. For each step, pack my node's blocks addressed
+	// to the partner node, exchange, and scatter the received
+	// submatrix into the recv segment.
+	n, me := bridge.Size(), bridge.Rank()
+	pack, unpack := a.stage.Slice(0, a.stage.Len()/2), a.stage.Slice(a.stage.Len()/2, a.stage.Len()/2)
 	for step := 1; step < n; step++ {
 		dst := (me + step) % n
 		src := (me - step + n) % n
-		dstFirst, dstPPN := c.nodeFirst[dst], c.nodeSizes[dst]
-		srcFirst, srcPPN := c.nodeFirst[src], c.nodeSizes[src]
+		dstFirst, dstPPN := c.nodeSpan(dst)
+		srcFirst, srcPPN := c.nodeSpan(src)
 
 		// Pack: rows = my node's local ranks, cols = partner's
 		// slots.
-		packBytes := myPPN * dstPPN * a.per
-		for j := 0; j < myPPN; j++ {
+		packBytes := ppn * dstPPN * a.per
+		for j := 0; j < ppn; j++ {
 			for t := 0; t < dstPPN; t++ {
-				blk := a.sendBlock(j, dstFirst+t)
 				off := (j*dstPPN + t) * a.per
-				mpi.CopyData(a.staging.Slice(off, a.per), blk)
+				mpi.CopyData(pack.Slice(off, a.per), a.sendBlock(j, dstFirst+t))
 			}
 		}
 		p.Elapse(p.Model().CopyCost(packBytes, 1))
 
-		recvBytes := srcPPN * myPPN * a.per
-		recvStage := p.World().NewBuf(recvBytes)
-		if _, err := b.Sendrecv(
-			a.staging.Slice(0, packBytes), dst, tagHyAlltoall,
-			recvStage, src, tagHyAlltoall,
+		recvBytes := srcPPN * ppn * a.per
+		if _, err := bridge.Sendrecv(
+			pack.Slice(0, packBytes), dst, tagHyAlltoall,
+			unpack.Slice(0, recvBytes), src, tagHyAlltoall,
 		); err != nil {
-			return fmt.Errorf("hybrid: alltoall bridge step %d: %w", step, err)
+			return fmt.Errorf("step %d: %w", step, err)
 		}
 
 		// Unpack: the partner packed [its local ranks][my slots];
 		// scatter into my node's recv rows.
 		for j := 0; j < srcPPN; j++ {
-			for t := 0; t < myPPN; t++ {
-				off := (j*myPPN + t) * a.per
-				mpi.CopyData(a.recvBlock(t, srcFirst+j), recvStage.Slice(off, a.per))
+			for t := 0; t < ppn; t++ {
+				off := (j*ppn + t) * a.per
+				mpi.CopyData(a.recvBlock(t, srcFirst+j), unpack.Slice(off, a.per))
 			}
 		}
 		p.Elapse(p.Model().CopyCost(recvBytes, 1))

@@ -12,8 +12,7 @@ import (
 // it, leaders broadcast among themselves on the bridge, children just
 // synchronize and read the shared copy.
 type Bcaster struct {
-	ctx *Ctx
-	win *mpi.Win
+	collective
 	buf mpi.Buf
 }
 
@@ -23,74 +22,28 @@ func (c *Ctx) NewBcaster(size int) (*Bcaster, error) {
 	if size < 0 {
 		return nil, fmt.Errorf("hybrid: negative bcast size %d", size)
 	}
-	win, err := mpi.WinAllocateLeader(c.node, size)
+	buf, err := c.segment(size)
 	if err != nil {
 		return nil, err
 	}
-	return &Bcaster{ctx: c, win: win, buf: win.Query(0).Slice(0, size)}, nil
+	return &Bcaster{collective{c}, buf}, nil
 }
 
 // Buffer returns the node's shared broadcast buffer. The root fills it
 // before Bcast (Fig. 6 lines 1-2); every rank reads it afterwards.
 func (b *Bcaster) Buffer() mpi.Buf { return b.buf }
 
-// ReadFence separates one broadcast epoch's reads from the next one's
-// root write — see Allgatherer.ReadFence for the write-after-read hazard
-// it closes.
-func (b *Bcaster) ReadFence() error { return b.ctx.node.Barrier() }
-
 // Bcast runs the timed operation of Fig. 6: the inter-node broadcast
 // over the bridge (rooted at the root's node) followed by one on-node
-// synchronization so children know the shared data is ready. root is a
-// comm rank; when the root is a child, its leader must additionally
-// wait for the root's write, which costs one extra arrival sync on that
-// node.
+// synchronization so that all on-node processes see the updated shared
+// buffer (lines 7/10/13). root is a comm rank; when the root is a
+// child, its leader must additionally wait for the root's write, which
+// costs one flag hand-off on that node.
 func (b *Bcaster) Bcast(root int) error {
-	c := b.ctx
-	if root < 0 || root >= c.comm.Size() {
-		return fmt.Errorf("hybrid: bcast root %d out of range (size %d)", root, c.comm.Size())
-	}
-	rootSlot := c.SlotOf(root)
-	rootNode := 0
-	for n := 0; n < c.Nodes(); n++ {
-		if rootSlot >= c.nodeFirst[n] && rootSlot < c.nodeFirst[n]+c.nodeSizes[n] {
-			rootNode = n
-			break
+	return b.ctx.epoch("bcast", fromRoot, root, true, func(bridge *mpi.Comm, rootNode int) error {
+		if bridge == nil {
+			return nil
 		}
-	}
-
-	// When the root is not its node's leader, the leader must wait
-	// for the root's write to the shared buffer before sending it
-	// across nodes. A single zero-byte flag message from root to
-	// leader carries exactly that ordering (the "light-weight means"
-	// of Sect. 6) and involves only the two ranks, so the rest of the
-	// node keeps pipelining. (With the paper's root==leader setup
-	// this phase vanishes.)
-	rootIsChild := rootSlot != c.nodeFirst[rootNode]
-	if rootIsChild && c.myNodeIdx == rootNode {
-		switch {
-		case c.comm.Rank() == root:
-			if err := c.node.SendFlag(0, tagHybridFlag); err != nil {
-				return fmt.Errorf("hybrid: bcast root flag: %w", err)
-			}
-		case c.IsLeader():
-			rootNodeRank := rootSlot - c.nodeFirst[rootNode]
-			if err := c.node.RecvFlag(rootNodeRank, tagHybridFlag); err != nil {
-				return fmt.Errorf("hybrid: bcast leader flag: %w", err)
-			}
-		}
-	}
-
-	if c.Nodes() > 1 && c.bridge != nil {
-		if err := coll.Bcast(c.bridge, b.buf, rootNode); err != nil {
-			return fmt.Errorf("hybrid: bcast bridge phase: %w", err)
-		}
-	}
-
-	// Fig. 6 lines 7/10/13: one synchronization so that all on-node
-	// processes see the updated shared buffer.
-	if err := c.Release(); err != nil {
-		return fmt.Errorf("hybrid: bcast release: %w", err)
-	}
-	return nil
+		return coll.Bcast(bridge, b.buf, rootNode)
+	})
 }

@@ -1,6 +1,7 @@
 package hybrid
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/coll"
@@ -41,27 +42,20 @@ func (s SyncMode) String() string {
 // Ctx is one rank's handle on the hybrid MPI+MPI context built over a
 // communicator: the shared-memory and bridge communicators plus the
 // level-sorted global rank array that supports rank placements other
-// than SMP-style (paper Sect. 6 "Rank placement"). It is a thin
-// instantiation of the multi-level composer with a one-level stack: the
-// shared-memory level hosting the window.
+// than SMP-style (paper Sect. 6 "Rank placement"). It is a view of the
+// multi-level composer with a one-level stack — the shared-memory level
+// hosting the window — whose slot order and group tables (shared
+// read-only by every member) are the context's geometry: slot s holds
+// the comm rank stored at position s of every gathered buffer, groups
+// appear in bridge order, ranks within a group in group-comm order.
 type Ctx struct {
 	comm   *mpi.Comm
 	node   *mpi.Comm // the shared-level communicator (per node by default)
 	bridge *mpi.Comm // nil on children
+	comp   *coll.Composer
 
 	sync  SyncMode
 	level string // topology level hosting the shared window
-
-	// Level-sorted rank array: slot s holds the comm rank stored at
-	// position s of every gathered buffer. Groups appear in bridge
-	// order; ranks within a group in group-comm order. Under SMP
-	// placement slotToRank is the identity.
-	slotToRank []int
-	rankToSlot []int
-	nodeSizes  []int // bridge order
-	nodeFirst  []int // first slot of each group
-	myNodeIdx  int
-	smp        bool
 
 	collTuning *coll.Tuning
 }
@@ -97,13 +91,8 @@ func New(comm *mpi.Comm, opts ...Option) (*Ctx, error) {
 	for _, o := range opts {
 		o(ctx)
 	}
-	if ctx.level == "" {
-		if t := coll.TuningFor(comm); t.SharedLevel != "" {
-			ctx.level = t.SharedLevel
-		} else {
-			ctx.level = "node"
-		}
-	}
+	// The option wins, then the tuning's sharedlevel= key, then the node.
+	ctx.level = cmp.Or(ctx.level, coll.TuningFor(comm).SharedLevel, "node")
 	topo := comm.Proc().World().Topology()
 	lvl, ok := topo.LevelIndex(ctx.level)
 	if !ok {
@@ -117,22 +106,15 @@ func New(comm *mpi.Comm, opts ...Option) (*Ctx, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hybrid: %w", err)
 	}
-	node, bridge := comp.Tier(0), comp.Top()
+	ctx.node, ctx.bridge, ctx.comp = comp.Tier(0), comp.Top(), comp
 	if ctx.collTuning != nil {
 		// Attach to the context's own communicators only: the caller's
 		// handle keeps whatever tuning it already carries.
-		node.SetCollConfig(*ctx.collTuning)
-		if bridge != nil {
-			bridge.SetCollConfig(*ctx.collTuning)
+		ctx.node.SetCollConfig(*ctx.collTuning)
+		if ctx.bridge != nil {
+			ctx.bridge.SetCollConfig(*ctx.collTuning)
 		}
 	}
-	ctx.node, ctx.bridge = node, bridge
-	ctx.slotToRank = comp.RanksBySlot()
-	ctx.rankToSlot = comp.SlotsByRank()
-	ctx.nodeSizes = comp.GroupSizes(0)
-	ctx.nodeFirst = comp.GroupFirsts(0)
-	ctx.smp = comp.SMP()
-	ctx.myNodeIdx = comp.MyGroup(0)
 	return ctx, nil
 }
 
@@ -151,29 +133,35 @@ func (c *Ctx) Bridge() *mpi.Comm { return c.bridge }
 func (c *Ctx) IsLeader() bool { return c.node.Rank() == 0 }
 
 // Nodes returns the number of shared-level groups (nodes by default).
-func (c *Ctx) Nodes() int { return len(c.nodeSizes) }
+func (c *Ctx) Nodes() int { return c.comp.Groups(0) }
 
 // SharedLevel returns the topology level name the window sits at.
 func (c *Ctx) SharedLevel() string { return c.level }
 
 // NodeSizes returns ranks per group in bridge order (shared across all
 // ranks; do not modify).
-func (c *Ctx) NodeSizes() []int { return c.nodeSizes }
+func (c *Ctx) NodeSizes() []int { return c.comp.GroupSizes(0) }
 
 // SlotOf maps a comm rank to its slot in gathered buffers. Under
 // SMP-style placement this is the identity; for other placements it
 // realizes the node-sorted global rank array of Sect. 6.
-func (c *Ctx) SlotOf(rank int) int { return c.rankToSlot[rank] }
+func (c *Ctx) SlotOf(rank int) int { return c.comp.SlotOf(rank) }
 
 // RankAt is the inverse of SlotOf.
-func (c *Ctx) RankAt(slot int) int { return c.slotToRank[slot] }
+func (c *Ctx) RankAt(slot int) int { return c.comp.RankAt(slot) }
 
 // SMPPlacement reports whether comm ranks are laid out SMP-style (group
 // blocks contiguous in rank order).
-func (c *Ctx) SMPPlacement() bool { return c.smp }
+func (c *Ctx) SMPPlacement() bool { return c.comp.SMP() }
 
 // Sync returns the configured synchronization flavor.
 func (c *Ctx) Sync() SyncMode { return c.sync }
 
 // MyNodeIdx returns this rank's group position in bridge order.
-func (c *Ctx) MyNodeIdx() int { return c.myNodeIdx }
+func (c *Ctx) MyNodeIdx() int { return c.comp.MyGroup(0) }
+
+// nodeSpan returns the first slot and the rank count of the group at
+// bridge position n.
+func (c *Ctx) nodeSpan(n int) (first, size int) {
+	return c.comp.GroupFirsts(0)[n], c.comp.GroupSizes(0)[n]
+}

@@ -9,9 +9,10 @@
 // A Ctx holds the communicator pair (shared-memory group plus bridge)
 // and the synchronization mode; NewAllgatherer, Allreduce, Bcast,
 // Alltoall and the rooted variants build the paper's Hy_* collectives
-// on top of it. SyncMode selects how children order themselves around
-// the leader's exchange: the paper's barrier pair, or the lighter flag
-// and epoch schemes of Sect. 6.
+// on top of it, each an instance of the one protocol in epoch.go
+// (DESIGN.md, "Hybrid collectives"). SyncMode selects how children order
+// themselves around the leader's exchange: the paper's barrier pair, or
+// the lighter flag and epoch schemes of Sect. 6.
 //
 // With a multi-level topology the shared window (and its sync domain)
 // can sit at any shared-memory level: the paper's node scheme is the

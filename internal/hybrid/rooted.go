@@ -3,265 +3,118 @@ package hybrid
 import (
 	"fmt"
 
-	"repro/internal/coll"
 	"repro/internal/mpi"
 )
 
-// Rooted hybrid collectives: gather, scatter and reduce with a single
-// shared staging segment per node. They complete the collective family
-// along the same single-copy principle as the paper's allgather and
-// broadcast: children write to (or read from) the node segment by
-// load/store; only leaders move bytes between nodes.
+// Rooted hybrid collectives: gather and scatter with a single shared
+// staging segment per node (the rooted reduce lives beside allreduce).
+// They complete the collective family along the same single-copy
+// principle as the paper's allgather and broadcast: children write to
+// (or read from) the node segment by load/store; only leaders move
+// bytes between nodes.
+
+// staging is the node segment both collectives run over: one `per`-byte
+// slot for every comm rank, in slot order.
+type staging struct {
+	collective
+	per int
+	buf mpi.Buf
+}
 
 // Gatherer is the hybrid gather: every rank writes its block into the
 // node's shared staging; leaders forward aggregated node blocks to the
 // root's leader; ranks on the root's node read results in place.
-type Gatherer struct {
-	ctx *Ctx
-	per int
-	win *mpi.Win
-	buf mpi.Buf // node staging: one slot per comm rank (slot order)
+type Gatherer struct{ staging }
+
+// Scatterer is the hybrid scatter: the root writes all blocks into its
+// node's shared staging; leaders receive their node's slice; children
+// read their slot in place.
+type Scatterer struct{ staging }
+
+func (c *Ctx) newStaging(per int) (s staging, err error) {
+	if per < 0 {
+		return s, fmt.Errorf("hybrid: negative block size %d", per)
+	}
+	s = staging{collective: collective{c}, per: per}
+	s.buf, err = c.segment(per * c.comm.Size())
+	return s, err
 }
 
 // NewGatherer prepares a hybrid gather of per bytes per rank (one-off).
 func (c *Ctx) NewGatherer(per int) (*Gatherer, error) {
-	if per < 0 {
-		return nil, fmt.Errorf("hybrid: negative block size %d", per)
-	}
-	total := per * c.comm.Size()
-	win, err := mpi.WinAllocateLeader(c.node, total)
+	s, err := c.newStaging(per)
 	if err != nil {
 		return nil, err
 	}
-	return &Gatherer{ctx: c, per: per, win: win, buf: win.Query(0).Slice(0, total)}, nil
+	return &Gatherer{s}, nil
 }
 
-// Mine returns this rank's input slot.
-func (g *Gatherer) Mine() mpi.Buf {
-	slot := g.ctx.SlotOf(g.ctx.comm.Rank())
-	return g.buf.Slice(slot*g.per, g.per)
+// NewScatterer prepares a hybrid scatter of per bytes per rank.
+func (c *Ctx) NewScatterer(per int) (*Scatterer, error) {
+	s, err := c.newStaging(per)
+	if err != nil {
+		return nil, err
+	}
+	return &Scatterer{s}, nil
+}
+
+// Mine returns this rank's slot: its input block before Gather, its
+// received block after Scatter.
+func (s *staging) Mine() mpi.Buf {
+	return s.buf.Slice(s.ctx.SlotOf(s.ctx.comm.Rank())*s.per, s.per)
 }
 
 // Result returns the gathered buffer (valid on the root's node after
 // Gather; slot order).
 func (g *Gatherer) Result() mpi.Buf { return g.buf }
 
-// Gather runs the timed operation with the given root (comm rank).
-func (g *Gatherer) Gather(root int) error {
-	c := g.ctx
-	if root < 0 || root >= c.comm.Size() {
-		return fmt.Errorf("hybrid: gather root %d out of range", root)
-	}
-	if err := c.Arrive(); err != nil {
-		return fmt.Errorf("hybrid: gather arrive: %w", err)
-	}
-	rootNode := c.nodeOfSlot(c.SlotOf(root))
-	if c.bridge != nil && c.Nodes() > 1 {
-		// Leaders send their node block to the root's leader.
-		counts := make([]int, c.bridge.Size())
-		for n := range counts {
-			counts[n] = c.nodeSizes[n] * g.per
-		}
-		displs := make([]int, c.bridge.Size())
-		for n := range displs {
-			displs[n] = c.nodeFirst[n] * g.per
-		}
-		me := c.bridge.Rank()
-		if me == rootNode {
-			for n := 0; n < c.bridge.Size(); n++ {
-				if n == me {
-					continue
-				}
-				if _, err := c.bridge.Recv(g.buf.Slice(displs[n], counts[n]), n, tagHyAlltoall+1); err != nil {
-					return fmt.Errorf("hybrid: gather bridge recv: %w", err)
-				}
-			}
-		} else {
-			if err := c.bridge.Send(g.buf.Slice(displs[me], counts[me]), rootNode, tagHyAlltoall+1); err != nil {
-				return fmt.Errorf("hybrid: gather bridge send: %w", err)
-			}
-		}
-	}
-	if err := c.Release(); err != nil {
-		return fmt.Errorf("hybrid: gather release: %w", err)
-	}
-	return nil
-}
-
-// nodeOfSlot maps a slot to its node's bridge index.
-func (c *Ctx) nodeOfSlot(slot int) int {
-	for n := 0; n < c.Nodes(); n++ {
-		if slot >= c.nodeFirst[n] && slot < c.nodeFirst[n]+c.nodeSizes[n] {
-			return n
-		}
-	}
-	return 0
-}
-
-// Scatterer is the hybrid scatter: the root writes all blocks into its
-// node's shared staging; leaders receive their node's slice; children
-// read their slot in place.
-type Scatterer struct {
-	ctx *Ctx
-	per int
-	win *mpi.Win
-	buf mpi.Buf
-}
-
-// NewScatterer prepares a hybrid scatter of per bytes per rank.
-func (c *Ctx) NewScatterer(per int) (*Scatterer, error) {
-	if per < 0 {
-		return nil, fmt.Errorf("hybrid: negative block size %d", per)
-	}
-	total := per * c.comm.Size()
-	win, err := mpi.WinAllocateLeader(c.node, total)
-	if err != nil {
-		return nil, err
-	}
-	return &Scatterer{ctx: c, per: per, win: win, buf: win.Query(0).Slice(0, total)}, nil
-}
-
 // Input returns the full input buffer; the root fills it (slot order)
 // before Scatter.
 func (s *Scatterer) Input() mpi.Buf { return s.buf }
 
-// Mine returns this rank's received block (valid after Scatter).
-func (s *Scatterer) Mine() mpi.Buf {
-	slot := s.ctx.SlotOf(s.ctx.comm.Rank())
-	return s.buf.Slice(slot*s.per, s.per)
+// Gather runs the timed operation with the given root (comm rank).
+func (g *Gatherer) Gather(root int) error {
+	return g.ctx.epoch("gather", toLeader, root, true, func(bridge *mpi.Comm, rootNode int) error {
+		return g.forward(bridge, rootNode, true)
+	})
 }
 
 // Scatter runs the timed operation with the given root (comm rank).
 func (s *Scatterer) Scatter(root int) error {
-	c := s.ctx
-	if root < 0 || root >= c.comm.Size() {
-		return fmt.Errorf("hybrid: scatter root %d out of range", root)
+	return s.ctx.epoch("scatter", fromRoot, root, true, func(bridge *mpi.Comm, rootNode int) error {
+		return s.forward(bridge, rootNode, false)
+	})
+}
+
+// forward moves whole node blocks between the root's leader and every
+// other leader, each block at its node's place in the staging: towards
+// the root for a gather, away from it for a scatter.
+func (s *staging) forward(bridge *mpi.Comm, rootNode int, toRoot bool) error {
+	if bridge == nil {
+		return nil
 	}
-	rootSlot := c.SlotOf(root)
-	rootNode := c.nodeOfSlot(rootSlot)
-	// Order the root's writes before the leaders' sends.
-	if c.myNodeIdx == rootNode {
-		if rootSlot != c.nodeFirst[rootNode] {
-			// Root is a child: flag handoff to its leader.
-			switch {
-			case c.comm.Rank() == root:
-				if err := c.node.SendFlag(0, tagHybridFlag); err != nil {
-					return err
-				}
-			case c.IsLeader():
-				if err := c.node.RecvFlag(rootSlot-c.nodeFirst[rootNode], tagHybridFlag); err != nil {
-					return err
-				}
-			}
+	me := bridge.Rank()
+	if me != rootNode {
+		return s.move(bridge, me, rootNode, toRoot)
+	}
+	for n := 0; n < bridge.Size(); n++ {
+		if n == me {
+			continue
 		}
-	}
-	if c.bridge != nil && c.Nodes() > 1 {
-		me := c.bridge.Rank()
-		if me == rootNode {
-			for n := 0; n < c.bridge.Size(); n++ {
-				if n == me {
-					continue
-				}
-				off := c.nodeFirst[n] * s.per
-				cnt := c.nodeSizes[n] * s.per
-				if err := c.bridge.Send(s.buf.Slice(off, cnt), n, tagHyAlltoall+2); err != nil {
-					return fmt.Errorf("hybrid: scatter bridge send: %w", err)
-				}
-			}
-		} else {
-			off := c.nodeFirst[me] * s.per
-			cnt := c.nodeSizes[me] * s.per
-			if _, err := c.bridge.Recv(s.buf.Slice(off, cnt), rootNode, tagHyAlltoall+2); err != nil {
-				return fmt.Errorf("hybrid: scatter bridge recv: %w", err)
-			}
+		if err := s.move(bridge, n, n, !toRoot); err != nil {
+			return err
 		}
-	}
-	if err := c.Release(); err != nil {
-		return fmt.Errorf("hybrid: scatter release: %w", err)
 	}
 	return nil
 }
 
-// Reducer is the hybrid rooted reduce: like Allreducer but the final
-// result lands only on the root's node (leaders run a tree reduce on
-// the bridge instead of an allreduce).
-type Reducer struct {
-	ctx     *Ctx
-	count   int
-	dt      mpi.Datatype
-	inWin   *mpi.Win
-	outWin  *mpi.Win
-	in      mpi.Buf
-	out     mpi.Buf
-	scratch mpi.Buf
-}
-
-// NewReducer prepares a hybrid reduce of count elements of dt.
-func (c *Ctx) NewReducer(count int, dt mpi.Datatype) (*Reducer, error) {
-	if count < 0 {
-		return nil, fmt.Errorf("hybrid: negative element count %d", count)
+// move sends node n's block of the staging to peer, or receives it.
+func (s *staging) move(bridge *mpi.Comm, n, peer int, send bool) error {
+	first, size := s.ctx.nodeSpan(n)
+	blk := s.buf.Slice(first*s.per, size*s.per)
+	if send {
+		return bridge.Send(blk, peer, tagHyRooted)
 	}
-	bytes := count * dt.Size()
-	inWin, err := mpi.WinAllocateLeader(c.node, bytes*c.node.Size())
-	if err != nil {
-		return nil, err
-	}
-	outWin, err := mpi.WinAllocateLeader(c.node, bytes)
-	if err != nil {
-		return nil, err
-	}
-	return &Reducer{
-		ctx:     c,
-		count:   count,
-		dt:      dt,
-		inWin:   inWin,
-		outWin:  outWin,
-		in:      inWin.Query(0).Slice(0, bytes*c.node.Size()),
-		out:     outWin.Query(0).Slice(0, bytes),
-		scratch: c.comm.Proc().World().NewBuf(bytes),
-	}, nil
-}
-
-// Mine returns this rank's input slot.
-func (r *Reducer) Mine() mpi.Buf {
-	bytes := r.count * r.dt.Size()
-	return r.in.Slice(r.ctx.node.Rank()*bytes, bytes)
-}
-
-// Result returns the node result segment (meaningful on the root's node
-// after Reduce).
-func (r *Reducer) Result() mpi.Buf { return r.out }
-
-// Reduce runs the timed operation onto root (comm rank).
-func (r *Reducer) Reduce(op mpi.Op, root int) error {
-	c := r.ctx
-	if root < 0 || root >= c.comm.Size() {
-		return fmt.Errorf("hybrid: reduce root %d out of range", root)
-	}
-	bytes := r.count * r.dt.Size()
-	if err := c.Arrive(); err != nil {
-		return fmt.Errorf("hybrid: reduce arrive: %w", err)
-	}
-	rootNode := c.nodeOfSlot(c.SlotOf(root))
-	if c.IsLeader() {
-		p := c.node.Proc()
-		p.CopyLocal(r.out, r.in.Slice(0, bytes), 1)
-		for rr := 1; rr < c.node.Size(); rr++ {
-			op.Apply(r.out, r.in.Slice(rr*bytes, bytes), r.count, r.dt)
-			p.Compute(float64(r.count))
-			p.TouchAll(bytes, 1)
-		}
-		if c.bridge != nil && c.bridge.Size() > 1 {
-			if err := coll.Reduce(c.bridge, r.out, r.scratch, r.count, r.dt, op, rootNode); err != nil {
-				return fmt.Errorf("hybrid: reduce bridge phase: %w", err)
-			}
-			if c.bridge.Rank() == rootNode {
-				p.CopyLocal(r.out, r.scratch, 1)
-			}
-		}
-	}
-	if err := c.Release(); err != nil {
-		return fmt.Errorf("hybrid: reduce release: %w", err)
-	}
-	return nil
+	_, err := bridge.Recv(blk, peer, tagHyRooted)
+	return err
 }

@@ -29,7 +29,7 @@ func TestHyGather(t *testing.T) {
 						return err
 					}
 					// Every rank on the root's node can read the result.
-					rootNode := ctx.nodeOfSlot(ctx.SlotOf(root))
+					rootNode := ctx.comp.GroupOfSlot(0, ctx.SlotOf(root))
 					if ctx.MyNodeIdx() == rootNode {
 						res := g.Result()
 						for r := 0; r < n; r++ {
@@ -111,7 +111,7 @@ func TestHyReduce(t *testing.T) {
 					if err := r.Reduce(mpi.OpSum, root); err != nil {
 						return err
 					}
-					rootNode := ctx.nodeOfSlot(ctx.SlotOf(root))
+					rootNode := ctx.comp.GroupOfSlot(0, ctx.SlotOf(root))
 					if ctx.MyNodeIdx() == rootNode {
 						for i := 0; i < elems; i++ {
 							want := float64(n*i + n*(n-1)/2)

@@ -82,14 +82,13 @@ func (c *Ctx) arriveFlags() error {
 	// Children: one flag store each.
 	if c.node.Rank() != 0 {
 		p.Elapse(m.MemAlpha)
-		c.publishClock()
+		c.fuseClocks()
 		return nil
 	}
 	// Leader: wait for the latest child store, then pay one
 	// cache-line load per flag (a quarter of a full copy-initiation,
 	// since the line is hot once the child's store arrives).
-	latest := c.collectClocks()
-	p.AwaitTime(latest)
+	p.AwaitTime(c.fuseClocks())
 	p.Elapse(sim.Time(c.node.Size()-1) * m.MemAlpha / 4)
 	return nil
 }
@@ -99,24 +98,19 @@ func (c *Ctx) releaseFlags() error {
 	m := p.Model()
 	if c.node.Rank() == 0 {
 		p.Elapse(m.MemAlpha) // release-flag store
-		c.publishClock()
+		c.fuseClocks()
 		return nil
 	}
-	latest := c.collectClocks()
-	p.AwaitTime(latest)
+	p.AwaitTime(c.fuseClocks())
 	p.Elapse(m.MemAlpha) // flag read observing the new epoch
 	return nil
 }
 
-// publishClock / collectClocks exchange virtual clocks through the
-// untimed coordinator; the *timed* cost is charged explicitly by the
-// callers above. publishClock is called by the signaling side(s),
-// collectClocks by the waiting side; both flavors funnel through one
+// fuseClocks exchanges virtual clocks through the untimed coordinator
+// and returns the latest; the *timed* cost is charged explicitly by the
+// callers above. The signaling side(s) publish their clock and ignore
+// the result, the waiting side collects it; both funnel through one
 // FuseClocks so every member participates exactly once per phase.
-func (c *Ctx) publishClock() {
-	c.node.FuseClocks(c.node.Proc().Clock())
-}
-
-func (c *Ctx) collectClocks() sim.Time {
+func (c *Ctx) fuseClocks() sim.Time {
 	return c.node.FuseClocks(c.node.Proc().Clock())
 }

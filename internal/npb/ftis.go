@@ -77,7 +77,7 @@ func runFT(p *mpi.Proc, cfg Config) (bool, error) {
 		}
 		// Epoch fence for the shared segments before rewriting.
 		if cfg.Hybrid {
-			if err := hctx.Node().Barrier(); err != nil {
+			if err := hyA.ReadFence(); err != nil {
 				return false, err
 			}
 		}
@@ -211,7 +211,7 @@ func runIS(p *mpi.Proc, cfg Config) (bool, error) {
 			}
 		}
 		if cfg.Hybrid {
-			if err := hctx.Node().Barrier(); err != nil {
+			if err := hyA.ReadFence(); err != nil {
 				return false, err
 			}
 		}

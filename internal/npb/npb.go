@@ -119,7 +119,6 @@ func Run(w *mpi.World, cfg Config) (Result, error) {
 type allreducer struct {
 	comm *mpi.Comm
 	hy   *hybrid.Allreducer
-	node *mpi.Comm // for the hybrid epoch fence
 	tmpS mpi.Buf
 	tmpR mpi.Buf
 }
@@ -137,7 +136,6 @@ func newAllreducer(p *mpi.Proc, hybridMode bool, count int) (*allreducer, error)
 			return nil, err
 		}
 		a.hy = red
-		a.node = ctx.Node()
 		return a, nil
 	}
 	a.tmpS = p.World().NewBuf(8 * count)
@@ -155,7 +153,7 @@ func (a *allreducer) sum(p *mpi.Proc, vals []float64) ([]float64, error) {
 		out := make([]float64, len(vals))
 		a.hy.Result().CopyFloat64s(out, 0)
 		// Fence reads before the next epoch's writes.
-		if err := a.node.Barrier(); err != nil {
+		if err := a.hy.ReadFence(); err != nil {
 			return nil, err
 		}
 		return out, nil
