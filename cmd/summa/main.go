@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"repro/internal/bench"
 	"repro/internal/mpi"
@@ -36,8 +37,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	block := fs.Int("block", 0, "per-core block size b (one panel); 0 = the paper's 8, 64, 128, 256")
 	cores := fs.Int("cores", 0, "single point: core count (perfect square); 0 = full sweep")
-	verify := fs.Bool("verify", false, "run with real data and verify the product (small sizes)")
-	machine := fs.String("machine", "hazelhen-cray", "machine profile")
+	verify := fs.Bool("verify", false, "single point: run with real data and verify the product (small sizes)")
+	machine := fs.String("machine", "hazelhen-cray", "single point: machine profile")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -46,6 +47,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *cores != 0 {
 		return runPoint(stdout, *machine, *cores, pick(*block, 64), *verify)
+	}
+	var stray error
+	fs.Visit(func(f *flag.Flag) {
+		if stray == nil && slices.Contains([]string{"verify", "machine"}, f.Name) {
+			stray = fmt.Errorf("-%s is not read by the Fig. 11 sweep (give -cores for a single point)", f.Name)
+		}
+	})
+	if stray != nil {
+		return stray
 	}
 	var blocks []int
 	if *block != 0 {

@@ -37,6 +37,29 @@ func TestBadArgumentsAreErrors(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsSinglePointFlags: the sweep reads neither -verify nor
+// -machine, and says so by name instead of printing another
+// configuration's numbers.
+func TestSweepRejectsSinglePointFlags(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-verify"}, "-verify"},
+		{[]string{"-block", "8", "-verify=false"}, "-verify"},
+		{[]string{"-block", "8", "-machine", "laptop"}, "-machine"},
+	} {
+		var stdout bytes.Buffer
+		err := run(c.args, &stdout, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), c.want+" is not read") {
+			t.Errorf("%v: err = %v, want one naming %s", c.args, err, c.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: printed %q before refusing", c.args, stdout.String())
+		}
+	}
+}
+
 func TestSinglePointVerifies(t *testing.T) {
 	var stdout bytes.Buffer
 	if err := run([]string{"-cores", "4", "-block", "4", "-verify"}, &stdout, io.Discard); err != nil {

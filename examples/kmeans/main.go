@@ -71,10 +71,10 @@ func run(topo *sim.Topology, hy bool) ([]float64, sim.Time, error) {
 		points := myPoints(p.Rank())
 		cents := initialCentroids()
 
-		var ctx *hybrid.Ctx
 		var red *hybrid.Allreducer
 		if hy {
-			if ctx, err = hybrid.New(world); err != nil {
+			ctx, err := hybrid.New(world)
+			if err != nil {
 				return err
 			}
 			if red, err = ctx.NewAllreducer(statZero().Len()/8, mpi.Float64); err != nil {

@@ -1,6 +1,7 @@
 package coll
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/mpi"
@@ -71,5 +72,47 @@ func TestHotExchangesAllocationPins(t *testing.T) {
 			}
 			w.Close()
 		}
+	}
+}
+
+// TestHierSetupAllocationPin pins what NewHier allocates on the
+// benchmark's fig-micro world (64 nodes x 24 ranks, size-only), where
+// 3,072 ranks call it per op: the plan, one slab of composers and one
+// arena of tier communicators per call (mpi.SetupSlab), plus the
+// matcher's queues for the call's 65 fresh contexts — not an object
+// per rank, which was 6,150 more.
+func TestHierSetupAllocationPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	w, err := mpi.NewWorld(sim.HazelHenCray(), sim.MustUniform(64, 24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	run := func() {
+		err := w.Run(func(p *mpi.Proc) error {
+			_, err := NewHier(p.CommWorld())
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		run()
+	}
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	objects := float64(after.Mallocs-before.Mallocs) / runs
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if objects > 330 || bytes > 653_500 {
+		t.Errorf("NewHier on 64x24: %.1f objects, %.0f bytes per world, pinned at 330 and 653,500", objects, bytes)
 	}
 }

@@ -27,7 +27,7 @@ import (
 // Construction is untimed one-off setup.
 type Composer struct {
 	comm  *mpi.Comm
-	level []int       // sim topology level indices, innermost first
+	level []int       // sim topology level indices, innermost first (the geometry's, shared read-only)
 	tiers []*mpi.Comm // tiers[i]: my group comm at stack tier i (nil unless leader of every tier below)
 	top   *mpi.Comm   // outermost leaders (nil on everyone else)
 
@@ -124,21 +124,19 @@ func NewComposer(c *mpi.Comm, levels []int) (*Composer, error) {
 			return nil, fmt.Errorf("coll: composer level %d out of range (topology has %d levels)", l, topo.NumLevels())
 		}
 		if i > 0 && l <= levels[i-1] {
-			return nil, fmt.Errorf("coll: composer levels must be ordered innermost first, got %v", levels)
+			// A copy, so that boxing it here does not move every
+			// caller's level stack to the heap.
+			return nil, fmt.Errorf("coll: composer levels must be ordered innermost first, got %v", slices.Clone(levels))
 		}
 	}
-	k := &Composer{comm: c, level: append([]int(nil), levels...)}
-	if len(levels) <= len(k.tierStore) {
-		k.tiers = k.tierStore[:0:len(levels)]
-	}
-
 	// The whole geometry — tier membership tables, slot order, context
-	// ids — is derived locally and shared through one SetupOnce slot:
-	// the tables come from the cross-world geometry cache, the context
-	// ids are assigned by whichever member builds the per-call plan
-	// first. No exchange runs; construction stays collective (every
-	// member must call, in the same order) but nobody waits on anybody.
-	v, err := mpi.SetupOnce(c, func() (any, error) {
+	// ids — is derived locally and shared through one setup slot, which
+	// also holds every member's Composer: the tables come from the
+	// cross-world geometry cache, the context ids are assigned by
+	// whichever member builds the per-call plan first. No exchange runs;
+	// construction stays collective (every member must call, in the same
+	// order) but nobody waits on anybody.
+	k, v, err := mpi.SetupSlab[Composer](c, func() (any, error) {
 		geom, err := composerGeomFor(topo, c.Ranks(), levels)
 		if err != nil {
 			return nil, err
@@ -147,7 +145,8 @@ func NewComposer(c *mpi.Comm, levels []int) (*Composer, error) {
 		plan := &composerPlan{
 			geom:    geom,
 			tierCtx: make([][]int, len(levels)),
-			arena:   make([]mpi.Comm, geom.handles),
+			// Handle runs for the ranks that execute, as the slab has.
+			arena: make([]mpi.Comm, geom.handleOff[c.ExecSpan()]),
 		}
 		for t := range geom.tierRanks {
 			plan.tierCtx[t] = make([]int, len(geom.tierRanks[t]))
@@ -163,6 +162,10 @@ func NewComposer(c *mpi.Comm, levels []int) (*Composer, error) {
 	}
 	plan := v.(*composerPlan)
 	geom := plan.geom
+	k.comm = c
+	if len(levels) <= len(k.tierStore) {
+		k.tiers = k.tierStore[:0:len(levels)]
+	}
 
 	// Materialize this rank's tier communicators, innermost first, into
 	// this rank's run of the plan's shared handle arena; ranks that are
@@ -183,6 +186,7 @@ func NewComposer(c *mpi.Comm, levels []int) (*Composer, error) {
 	}
 
 	shape := geom.shape
+	k.level = geom.levels
 	k.shape = shape
 	k.mySlot = shape.rankToSlot[me]
 	if len(levels) <= len(k.groupStore) {
@@ -203,13 +207,14 @@ func NewComposerNamed(c *mpi.Comm, names ...string) (*Composer, error) {
 		return nil, fmt.Errorf("coll: NewComposerNamed on nil communicator")
 	}
 	topo := c.Proc().World().Topology()
-	levels := make([]int, len(names))
-	for i, name := range names {
+	var store [4]int // as deep as Composer's inline tiers: stays on the stack
+	levels := store[:0]
+	for _, name := range names {
 		l, ok := topo.LevelIndex(name)
 		if !ok {
 			return nil, fmt.Errorf("coll: topology %s has no level %q", topo, name)
 		}
-		levels[i] = l
+		levels = append(levels, l)
 	}
 	sort.Ints(levels)
 	return NewComposer(c, levels)

@@ -30,8 +30,7 @@ type composerGeom struct {
 	tierGroup [][]int32 // tier -> comm rank -> tier group index (-1 non-member)
 	tierRank  [][]int32 // tier -> comm rank -> rank within tier comm (-1)
 	topRank   []int32   // comm rank -> rank within top comm (-1)
-	handleOff []int32   // comm rank -> first slot in the per-plan Comm arena
-	handles   int       // arena size: total comm handles across all ranks
+	handleOff []int32   // comm rank -> first slot in the per-plan Comm arena; [n] is the total
 }
 
 func (g *composerGeom) matches(topo *sim.Topology, members, levels []int) bool {
@@ -151,7 +150,7 @@ func buildComposerGeom(topo *sim.Topology, members, levels []int) *composerGeom 
 
 	// Arena layout for the per-plan Comm handles: each rank owns a
 	// contiguous run of slots, one per communicator it belongs to.
-	g.handleOff = make([]int32, n)
+	g.handleOff = make([]int32, n+1)
 	off := int32(0)
 	for r := 0; r < n; r++ {
 		g.handleOff[r] = off
@@ -164,7 +163,7 @@ func buildComposerGeom(topo *sim.Topology, members, levels []int) *composerGeom 
 			off++
 		}
 	}
-	g.handles = int(off)
+	g.handleOff[n] = off
 	return g
 }
 

@@ -17,10 +17,9 @@ import (
 // Hier is the thin two-level instantiation of the multi-level Composer:
 // the stack holding only the node level. Deeper machine hierarchies
 // (socket ⊂ node ⊂ group) run through NewHierStack or NewComposer
-// directly.
-type Hier struct {
-	comp *Composer
-}
+// directly. A *Hier is its *Composer under another method set, so the
+// view costs no storage.
+type Hier Composer
 
 // NewHier builds the two-level communicator structure. It requires
 // SMP-style placement (each node's comm ranks contiguous), which is the
@@ -43,27 +42,27 @@ func NewHierStack(c *mpi.Comm, levels ...string) (*Hier, error) {
 	if !comp.SMP() {
 		return nil, fmt.Errorf("coll: NewHier needs SMP-style placement; level blocks not contiguous")
 	}
-	return &Hier{comp: comp}, nil
+	return (*Hier)(comp), nil
 }
 
 // Composer exposes the underlying multi-level composer.
-func (h *Hier) Composer() *Composer { return h.comp }
+func (h *Hier) Composer() *Composer { return (*Composer)(h) }
 
 // Node returns the innermost (shared-memory) communicator.
-func (h *Hier) Node() *mpi.Comm { return h.comp.Tier(0) }
+func (h *Hier) Node() *mpi.Comm { return h.Composer().Tier(0) }
 
 // Bridge returns the outermost leader communicator (nil on children).
-func (h *Hier) Bridge() *mpi.Comm { return h.comp.Top() }
+func (h *Hier) Bridge() *mpi.Comm { return h.Composer().Top() }
 
 // IsLeader reports whether this rank leads its innermost group.
-func (h *Hier) IsLeader() bool { return h.comp.IsLeader() }
+func (h *Hier) IsLeader() bool { return h.Composer().IsLeader() }
 
 // Nodes returns the number of outermost groups under the hierarchy.
-func (h *Hier) Nodes() int { return h.comp.Groups(h.comp.Tiers() - 1) }
+func (h *Hier) Nodes() int { return h.Composer().Groups(len(h.tiers) - 1) }
 
 // NodeCounts returns the number of ranks per outermost group in bridge
 // order (shared across all ranks; do not modify).
-func (h *Hier) NodeCounts() []int { return h.comp.GroupSizes(h.comp.Tiers() - 1) }
+func (h *Hier) NodeCounts() []int { return h.Composer().GroupSizes(len(h.tiers) - 1) }
 
 // Allgather is the paper's pure-MPI baseline allgather (Fig. 3a),
 // generalized to the composed leader tree:
@@ -74,7 +73,7 @@ func (h *Hier) NodeCounts() []int { return h.comp.GroupSizes(h.comp.Tiers() - 1)
 //  3. broadcast the full result down the tree, giving each rank its
 //     own private copy.
 func (h *Hier) Allgather(send, recv mpi.Buf, per int) error {
-	return h.comp.Allgather(send, recv, per)
+	return h.Composer().Allgather(send, recv, per)
 }
 
 // Bcast is the SMP-aware broadcast baseline: the root hands the message
@@ -82,5 +81,5 @@ func (h *Hier) Allgather(send, recv mpi.Buf, per int) error {
 // leader fans out within its group — so every rank again holds a
 // private copy.
 func (h *Hier) Bcast(buf mpi.Buf, root int) error {
-	return h.comp.Bcast(buf, root)
+	return h.Composer().Bcast(buf, root)
 }

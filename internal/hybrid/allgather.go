@@ -78,16 +78,11 @@ func (c *Ctx) NewAllgathererV(counts []int, opts ...AllgatherOption) (*Allgather
 // newAllgatherer builds the allgatherer; counts == nil means a uniform
 // `per` bytes per rank.
 func (c *Ctx) newAllgatherer(counts []int, per int, opts []AllgatherOption) (*Allgatherer, error) {
-	a := &Allgatherer{collective: collective{c}}
-	for _, o := range opts {
-		o(a)
-	}
-
 	// No exchange runs: the plan is fully determined by the context
 	// geometry and the (identical, per MPI_Allgatherv semantics) member
 	// arguments, so it is built once per collective call through the
 	// world's setup slot.
-	v, err := mpi.SetupOnce(c.comm, func() (any, error) {
+	a, v, err := mpi.SetupSlab[Allgatherer](c.comm, func() (any, error) {
 		plan := &agPlan{uniform: per, counts: make([]int, c.comm.Size())}
 		if counts != nil {
 			plan.uniform = -1
@@ -113,6 +108,10 @@ func (c *Ctx) newAllgatherer(counts []int, per int, opts []AllgatherOption) (*Al
 		return nil, err
 	}
 	plan := v.(*agPlan)
+	a.ctx = c
+	for _, o := range opts {
+		o(a)
+	}
 	// Members must have passed the same geometry the plan was built
 	// from; a divergent local vector is an application bug that must
 	// fail loudly, not silently run with the builder's placement. The

@@ -29,11 +29,14 @@ func perRun(n int, run func()) (objects, bytes float64) {
 // TestSetupAllocationPins pins what the constructors allocate on the
 // benchmark's fig-micro world (64 nodes x 24 ranks, size-only): 3,072
 // ranks run them per op and allocs_per_op may move 4%, so one extra
-// object or 64 extra bytes per rank here is a rejected PR. The limits
-// are the values measured before the collectives were rewritten over
-// one segment-and-epoch core (6,465.5 / 9,771.9 / 9,615.7 objects and
-// 955,349 / 1,452,613 / 1,120,862 bytes), rounded up past a
-// run-to-run wobble of an object or two per world.
+// object or 64 extra bytes per rank here is a rejected PR. Handles come
+// from one slab per constructor call (mpi.SetupSlab), so what is left
+// is per call and per node — plans, slabs, setup slots, the matcher's
+// queues for 65 fresh contexts, a window plan per node — not per rank:
+// 327.8 / 692.9 / 541.1 objects and 750,786 / 1,095,085 / 911,142 bytes
+// measured (6,465.5 / 9,771.9 / 9,615.7 objects when every rank made
+// its own), rounded up past a run-to-run wobble of an object or two per
+// world.
 func TestSetupAllocationPins(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless")
@@ -48,9 +51,9 @@ func TestSetupAllocationPins(t *testing.T) {
 		objects, bytes float64
 		build          func(c *Ctx) error
 	}{
-		{"New", 6470, 956_400, func(c *Ctx) error { return nil }},
-		{"New+NewAllgatherer", 9780, 1_453_700, func(c *Ctx) error { _, err := c.NewAllgatherer(4096); return err }},
-		{"New+NewBcaster", 9620, 1_121_900, func(c *Ctx) error { _, err := c.NewBcaster(4096); return err }},
+		{"New", 335, 752_000, func(c *Ctx) error { return nil }},
+		{"New+NewAllgatherer", 700, 1_096_500, func(c *Ctx) error { _, err := c.NewAllgatherer(4096); return err }},
+		{"New+NewBcaster", 548, 912_500, func(c *Ctx) error { _, err := c.NewBcaster(4096); return err }},
 	} {
 		objects, bytes := perRun(10, func() {
 			err := w.Run(func(p *mpi.Proc) error {

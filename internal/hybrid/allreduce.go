@@ -33,38 +33,39 @@ type Allreducer struct{ reduction }
 // the bridge instead of an allreduce).
 type Reducer struct{ reduction }
 
-func (c *Ctx) newReduction(count int, dt mpi.Datatype) (r reduction, err error) {
+// init fills the reduction embedded in a handle cut from a setup slab.
+func (r *reduction) init(c *Ctx, count int, dt mpi.Datatype) (err error) {
 	if count < 0 {
-		return r, fmt.Errorf("hybrid: negative element count %d", count)
+		return fmt.Errorf("hybrid: negative element count %d", count)
 	}
 	bytes := count * dt.Size()
-	r = reduction{collective: collective{c}, count: count, dt: dt}
+	*r = reduction{collective: collective{c}, count: count, dt: dt}
 	if r.in, err = c.segment(bytes * c.node.Size()); err != nil {
-		return r, err
+		return err
 	}
 	if r.out, err = c.segment(bytes); err != nil {
-		return r, err
+		return err
 	}
 	r.scratch = c.comm.Proc().World().NewBuf(bytes)
-	return r, nil
+	return nil
 }
 
 // NewAllreducer prepares a hybrid allreduce of count elements of dt.
 func (c *Ctx) NewAllreducer(count int, dt mpi.Datatype) (*Allreducer, error) {
-	r, err := c.newReduction(count, dt)
-	if err != nil {
+	a, _, _ := mpi.SetupSlab[Allreducer](c.comm, nil)
+	if err := a.init(c, count, dt); err != nil {
 		return nil, err
 	}
-	return &Allreducer{r}, nil
+	return a, nil
 }
 
 // NewReducer prepares a hybrid reduce of count elements of dt.
 func (c *Ctx) NewReducer(count int, dt mpi.Datatype) (*Reducer, error) {
-	r, err := c.newReduction(count, dt)
-	if err != nil {
+	r, _, _ := mpi.SetupSlab[Reducer](c.comm, nil)
+	if err := r.init(c, count, dt); err != nil {
 		return nil, err
 	}
-	return &Reducer{r}, nil
+	return r, nil
 }
 
 // Mine returns this rank's input slot (write your contribution here

@@ -42,7 +42,8 @@ func (c *Ctx) NewAlltoaller(per int) (*Alltoaller, error) {
 	if per < 0 {
 		return nil, fmt.Errorf("hybrid: negative block size %d", per)
 	}
-	a := &Alltoaller{collective: collective{c}, per: per, size: c.comm.Size()}
+	a, _, _ := mpi.SetupSlab[Alltoaller](c.comm, nil)
+	*a = Alltoaller{collective: collective{c}, per: per, size: c.comm.Size()}
 	matrix := c.node.Size() * a.size * per
 	var err error
 	if a.send, err = c.segment(matrix); err != nil {

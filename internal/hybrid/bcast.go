@@ -22,11 +22,13 @@ func (c *Ctx) NewBcaster(size int) (*Bcaster, error) {
 	if size < 0 {
 		return nil, fmt.Errorf("hybrid: negative bcast size %d", size)
 	}
-	buf, err := c.segment(size)
-	if err != nil {
+	b, _, _ := mpi.SetupSlab[Bcaster](c.comm, nil)
+	b.ctx = c
+	var err error
+	if b.buf, err = c.segment(size); err != nil {
 		return nil, err
 	}
-	return &Bcaster{collective{c}, buf}, nil
+	return b, nil
 }
 
 // Buffer returns the node's shared broadcast buffer. The root fills it

@@ -87,7 +87,8 @@ func New(comm *mpi.Comm, opts ...Option) (*Ctx, error) {
 	if comm == nil {
 		return nil, fmt.Errorf("hybrid: New on nil communicator")
 	}
-	ctx := &Ctx{comm: comm}
+	ctx, _, _ := mpi.SetupSlab[Ctx](comm, nil)
+	ctx.comm = comm
 	for _, o := range opts {
 		o(ctx)
 	}

@@ -31,31 +31,32 @@ type Gatherer struct{ staging }
 // read their slot in place.
 type Scatterer struct{ staging }
 
-func (c *Ctx) newStaging(per int) (s staging, err error) {
+// init fills the staging embedded in a handle cut from a setup slab.
+func (s *staging) init(c *Ctx, per int) (err error) {
 	if per < 0 {
-		return s, fmt.Errorf("hybrid: negative block size %d", per)
+		return fmt.Errorf("hybrid: negative block size %d", per)
 	}
-	s = staging{collective: collective{c}, per: per}
+	*s = staging{collective: collective{c}, per: per}
 	s.buf, err = c.segment(per * c.comm.Size())
-	return s, err
+	return err
 }
 
 // NewGatherer prepares a hybrid gather of per bytes per rank (one-off).
 func (c *Ctx) NewGatherer(per int) (*Gatherer, error) {
-	s, err := c.newStaging(per)
-	if err != nil {
+	g, _, _ := mpi.SetupSlab[Gatherer](c.comm, nil)
+	if err := g.init(c, per); err != nil {
 		return nil, err
 	}
-	return &Gatherer{s}, nil
+	return g, nil
 }
 
 // NewScatterer prepares a hybrid scatter of per bytes per rank.
 func (c *Ctx) NewScatterer(per int) (*Scatterer, error) {
-	s, err := c.newStaging(per)
-	if err != nil {
+	s, _, _ := mpi.SetupSlab[Scatterer](c.comm, nil)
+	if err := s.init(c, per); err != nil {
 		return nil, err
 	}
-	return &Scatterer{s}, nil
+	return s, nil
 }
 
 // Mine returns this rank's slot: its input block before Gather, its

@@ -32,7 +32,28 @@ type setupEntry struct {
 	once sync.Once
 	val  any
 	err  error
+	slab any // SetupSlab's []T
 	left atomic.Int32
+}
+
+// setupSlot claims the slot of this member's next collective setup
+// call, has exactly one member fill it, and retires it behind the last
+// member to arrive.
+func (c *Comm) setupSlot(fill func(e *setupEntry)) *setupEntry {
+	key := setupKey{ctx: c.ctx, seq: c.nextSeq()}
+	w := c.p.world
+	v, ok := w.setupSlots.Load(key)
+	if !ok {
+		e := &setupEntry{}
+		e.left.Store(int32(len(c.ranks)))
+		v, _ = w.setupSlots.LoadOrStore(key, e)
+	}
+	e := v.(*setupEntry)
+	e.once.Do(func() { fill(e) })
+	if e.left.Add(-1) == 0 {
+		w.setupSlots.Delete(key)
+	}
+	return e
 }
 
 // SetupOnce runs build exactly once per collective call on the
@@ -44,21 +65,38 @@ type setupEntry struct {
 // read the shared slot and proceed, and the last arrival retires the
 // slot.
 func SetupOnce(c *Comm, build func() (any, error)) (any, error) {
-	key := setupKey{ctx: c.ctx, seq: c.nextSeq()}
-	w := c.p.world
-	v, ok := w.setupSlots.Load(key)
-	if !ok {
-		e := &setupEntry{}
-		e.left.Store(int32(len(c.ranks)))
-		v, _ = w.setupSlots.LoadOrStore(key, e)
+	e := c.setupSlot(func(e *setupEntry) { e.val, e.err = build() })
+	return e.val, e.err
+}
+
+// SetupSlab is SetupOnce for a constructor of per-rank handles: the
+// member that runs build (nil when the handles share no plan) also cuts
+// one []T for the whole call, and every member gets the element at its
+// comm rank beside the plan — one allocation per call, not one per
+// rank. Elements start zero, are written by their rank alone and live
+// as long as any sibling does. The slab is ExecSpan long: an element
+// per rank that executes, not per member of the communicator.
+func SetupSlab[T any](c *Comm, build func() (any, error)) (*T, any, error) {
+	e := c.setupSlot(func(e *setupEntry) {
+		if build != nil {
+			e.val, e.err = build()
+		}
+		e.slab = make([]T, c.ExecSpan())
+	})
+	return &e.slab.([]T)[c.rank], e.val, e.err
+}
+
+// ExecSpan returns how many leading comm ranks cover every member that
+// executes: Size(), or under rank-symmetry folding the ranks up to the
+// last one inside the fold unit (64 of a folded 65,536).
+func (c *Comm) ExecSpan() int {
+	n := len(c.ranks)
+	if u := c.p.world.foldUnit; u > 0 {
+		for n > 0 && c.ranks[n-1] >= u {
+			n--
+		}
 	}
-	e := v.(*setupEntry)
-	e.once.Do(func() { e.val, e.err = build() })
-	val, err := e.val, e.err
-	if e.left.Add(-1) == 0 {
-		w.setupSlots.Delete(key)
-	}
-	return val, err
+	return n
 }
 
 // NewContext issues a fresh communication context id. It exists for

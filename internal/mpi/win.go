@@ -51,7 +51,9 @@ func WinAllocateShared(c *Comm, mySize int) (*Win, error) {
 		return plan
 	})
 	plan := out.(*winPlan)
-	return &Win{comm: c, base: plan.base, offs: plan.offs, sizes: plan.sizes}, nil
+	win, _, _ := SetupSlab[Win](c, nil)
+	*win = Win{comm: c, base: plan.base, offs: plan.offs, sizes: plan.sizes}
+	return win, nil
 }
 
 // winPlan is the shared state of a window: the node segment plus the
@@ -83,7 +85,7 @@ func WinAllocateLeader(c *Comm, total int) (*Win, error) {
 	if err := winCheckSingleNode(c); err != nil {
 		return nil, err
 	}
-	v, err := SetupOnce(c, func() (any, error) {
+	win, v, err := SetupSlab[Win](c, func() (any, error) {
 		plan := &winPlan{
 			total: total,
 			base:  c.p.world.NewBuf(total),
@@ -107,7 +109,8 @@ func WinAllocateLeader(c *Comm, total int) (*Win, error) {
 		return nil, fmt.Errorf("mpi: WinAllocateLeader sizes diverge across ranks (builder has %d, this rank has %d)",
 			plan.total, total)
 	}
-	return &Win{comm: c, base: plan.base, offs: plan.offs, sizes: plan.sizes}, nil
+	*win = Win{comm: c, base: plan.base, offs: plan.offs, sizes: plan.sizes}
+	return win, nil
 }
 
 // winCheckSingleNode verifies every member shares a node (load/store
