@@ -16,8 +16,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -83,10 +85,21 @@ type doc struct {
 }
 
 func main() {
-	root := flag.String("root", ".", "repository root to scan")
-	out := flag.String("out", "", "also write the report to this path")
-	skip := flag.String("skip", "PAPERS.md", "comma-separated machine-imported files exempt from breakage")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "linkcheck:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("linkcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	root := fs.String("root", ".", "repository root to scan")
+	out := fs.String("out", "", "also write the report to this path")
+	skip := fs.String("skip", "PAPERS.md", "comma-separated machine-imported files exempt from breakage")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	exempt := map[string]bool{}
 	for _, s := range strings.Split(*skip, ",") {
@@ -97,8 +110,7 @@ func main() {
 
 	docs, err := scan(*root)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "linkcheck:", err)
-		os.Exit(1)
+		return err
 	}
 
 	var report strings.Builder
@@ -119,17 +131,16 @@ func main() {
 			fmt.Fprintf(&report, "    broken: %s\n", b)
 		}
 	}
-	fmt.Print(report.String())
+	fmt.Fprint(stdout, report.String())
 	if *out != "" {
 		if err := os.WriteFile(*out, []byte(report.String()), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "linkcheck:", err)
-			os.Exit(1)
+			return err
 		}
 	}
 	if broken > 0 {
-		fmt.Fprintf(os.Stderr, "linkcheck: %d broken links\n", broken)
-		os.Exit(1)
+		return fmt.Errorf("%d broken links", broken)
 	}
+	return nil
 }
 
 // scan walks root for Markdown files (skipping dot-directories) and

@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/coll"
+	"repro/internal/hybrid"
+	"repro/internal/mpi"
 	"repro/internal/sim"
 )
 
@@ -166,4 +169,46 @@ func TestFig7SmallRun(t *testing.T) {
 
 func sscan(s string, f *float64) (int, error) {
 	return fmtSscan(s, f)
+}
+
+// HyBcastLatency measures the hybrid broadcast (Fig. 6) including its
+// synchronization.
+func HyBcastLatency(model *sim.CostModel, nodeSizes []int, bytes int, o MicroOpts) (sim.Time, error) {
+	iters := o.iters()
+	t, err := Makespan(model, nodeSizes, func(p *mpi.Proc) error {
+		ctx, err := hybrid.New(p.CommWorld(), hybrid.WithSync(o.Sync))
+		if err != nil {
+			return err
+		}
+		b, err := ctx.NewBcaster(bytes)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < iters; i++ {
+			if err := b.Bcast(0); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	return t / sim.Time(iters), err
+}
+
+// PureBcastLatency measures the SMP-aware pure-MPI broadcast baseline.
+func PureBcastLatency(model *sim.CostModel, nodeSizes []int, bytes int, o MicroOpts) (sim.Time, error) {
+	iters := o.iters()
+	t, err := Makespan(model, nodeSizes, func(p *mpi.Proc) error {
+		h, err := coll.NewHier(p.CommWorld())
+		if err != nil {
+			return err
+		}
+		buf := mpi.Sized(bytes)
+		for i := 0; i < iters; i++ {
+			if err := h.Bcast(buf, 0); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	return t / sim.Time(iters), err
 }

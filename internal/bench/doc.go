@@ -7,9 +7,10 @@
 // cmd/perf -sweep (the Dimensions table: selection crossovers,
 // multi-level topologies, scale-out to 1,048,576 ranks, 4-dim stencil
 // halos, deterministic noise levels, measured tuning) and the tests
-// that pin virtual time to the picosecond: the figure-scale WallCases
-// goldens and the sweep golden in testdata/. Every cross-engine and
-// cross-reuse-path check in the sweeps goes through spec.Referee.
+// that pin virtual time to the picosecond: the figure-scale goldens of
+// determinism_test.go and the sweep golden in testdata/. Every
+// cross-engine and cross-reuse-path check in the sweeps goes through
+// spec.Referee.
 //
 // The package pins virtual time only. How fast the host runs the
 // simulator is measured from outside, with spread, by benchmark/.

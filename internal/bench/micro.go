@@ -66,8 +66,8 @@ func Makespan(model *sim.CostModel, shape []int, body func(p *mpi.Proc) error, o
 
 // HyAllgatherLatency measures the paper's Hy_Allgather: the hybrid
 // allgather including its synchronization calls (setup excluded, as in
-// Sect. 5).
-func HyAllgatherLatency(model *sim.CostModel, nodeSizes []int, bytesPerRank int, o MicroOpts) (sim.Time, error) {
+// Sect. 5). world configures the world it runs on.
+func HyAllgatherLatency(model *sim.CostModel, nodeSizes []int, bytesPerRank int, o MicroOpts, world ...mpi.Option) (sim.Time, error) {
 	iters := o.iters()
 	t, err := Makespan(model, nodeSizes, func(p *mpi.Proc) error {
 		ctx, err := hybrid.New(p.CommWorld(), hybrid.WithSync(o.Sync))
@@ -84,13 +84,13 @@ func HyAllgatherLatency(model *sim.CostModel, nodeSizes []int, bytesPerRank int,
 			}
 		}
 		return nil
-	})
+	}, world...)
 	return t / sim.Time(iters), err
 }
 
 // PureAllgatherLatency measures the paper's baseline Allgather: the
 // SMP-aware pure-MPI MPI_Allgather.
-func PureAllgatherLatency(model *sim.CostModel, nodeSizes []int, bytesPerRank int, o MicroOpts) (sim.Time, error) {
+func PureAllgatherLatency(model *sim.CostModel, nodeSizes []int, bytesPerRank int, o MicroOpts, world ...mpi.Option) (sim.Time, error) {
 	iters := o.iters()
 	t, err := Makespan(model, nodeSizes, func(p *mpi.Proc) error {
 		h, err := coll.NewHier(p.CommWorld())
@@ -105,49 +105,7 @@ func PureAllgatherLatency(model *sim.CostModel, nodeSizes []int, bytesPerRank in
 			}
 		}
 		return nil
-	})
-	return t / sim.Time(iters), err
-}
-
-// HyBcastLatency measures the hybrid broadcast (Fig. 6) including its
-// synchronization.
-func HyBcastLatency(model *sim.CostModel, nodeSizes []int, bytes int, o MicroOpts) (sim.Time, error) {
-	iters := o.iters()
-	t, err := Makespan(model, nodeSizes, func(p *mpi.Proc) error {
-		ctx, err := hybrid.New(p.CommWorld(), hybrid.WithSync(o.Sync))
-		if err != nil {
-			return err
-		}
-		b, err := ctx.NewBcaster(bytes)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < iters; i++ {
-			if err := b.Bcast(0); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	return t / sim.Time(iters), err
-}
-
-// PureBcastLatency measures the SMP-aware pure-MPI broadcast baseline.
-func PureBcastLatency(model *sim.CostModel, nodeSizes []int, bytes int, o MicroOpts) (sim.Time, error) {
-	iters := o.iters()
-	t, err := Makespan(model, nodeSizes, func(p *mpi.Proc) error {
-		h, err := coll.NewHier(p.CommWorld())
-		if err != nil {
-			return err
-		}
-		buf := mpi.Sized(bytes)
-		for i := 0; i < iters; i++ {
-			if err := h.Bcast(buf, 0); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	}, world...)
 	return t / sim.Time(iters), err
 }
 

@@ -35,7 +35,7 @@ func smallCfg(hy, real bool) Config {
 
 func TestSyntheticDataset(t *testing.T) {
 	ds := Synthetic(100, 40, 5, 3, true)
-	if !ds.Materialized() {
+	if ds.UserIdx == nil {
 		t.Fatal("materialize flag ignored")
 	}
 	if ds.Users != 100 || ds.Items != 40 {
@@ -68,7 +68,7 @@ func TestSyntheticDataset(t *testing.T) {
 	}
 	// Shape-only mode carries degrees but no entries.
 	shape := Synthetic(100, 40, 5, 3, false)
-	if shape.Materialized() {
+	if shape.UserIdx != nil {
 		t.Error("shape-only dataset materialized")
 	}
 	if shape.NNZ != ds.NNZ {

@@ -34,9 +34,6 @@ type Dataset struct {
 	ItemVal [][]float64 // ratings per item
 }
 
-// Materialized reports whether the entries exist.
-func (d *Dataset) Materialized() bool { return d.UserIdx != nil }
-
 // Synthetic builds a deterministic chembl_20-shaped dataset. Each user
 // (compound) gets a degree drawn from a heavy-tailed distribution with
 // the given mean; ratings follow a rank-`trueK` model plus Gaussian

@@ -15,7 +15,6 @@ const (
 	tagAllgatherv
 	tagBcast
 	tagGather
-	tagScatter
 	tagReduce
 	tagAllreduce
 	tagAlltoall
@@ -23,7 +22,6 @@ const (
 
 const (
 	tagScan = 1<<25 + 16 + iota
-	tagReduceScatter
 	tagNeighbor
 )
 

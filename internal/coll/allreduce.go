@@ -231,44 +231,3 @@ func ReduceBinomial(c *mpi.Comm, send, recv mpi.Buf, count int, dt mpi.Datatype,
 	p.CopyLocal(recv.Slice(0, bytes), acc, 1)
 	return nil
 }
-
-// ReduceScatterBlock reduces count-per-rank blocks across all ranks and
-// scatters the result: rank r ends with op-reduction of everyone's r-th
-// block. Implemented as pairwise exchange (n-1 balanced steps), the
-// algorithm MPICH uses for commutative ops on non-power-of-two counts.
-func ReduceScatterBlock(c *mpi.Comm, send, recv mpi.Buf, countPer int, dt mpi.Datatype, op mpi.Op) error {
-	n := c.Size()
-	bytes := countPer * dt.Size()
-	switch {
-	case c == nil:
-		return fmt.Errorf("coll: reduce-scatter on nil communicator")
-	case countPer < 0:
-		return fmt.Errorf("coll: negative block count %d", countPer)
-	case send.Len() < bytes*n:
-		return fmt.Errorf("coll: reduce-scatter send buffer %dB < %d blocks", send.Len(), n)
-	case recv.Len() < bytes:
-		return fmt.Errorf("coll: reduce-scatter recv buffer %dB < %dB", recv.Len(), bytes)
-	}
-	p := c.Proc()
-	rank := c.Rank()
-	p.CopyLocal(recv.Slice(0, bytes), send.Slice(rank*bytes, bytes), 1)
-	if n == 1 {
-		return nil
-	}
-	tmp := p.World().NewBuf(bytes)
-	for step := 1; step < n; step++ {
-		dst := (rank + step) % n
-		src := (rank - step + n) % n
-		// Send the block destined for dst, receive my block's
-		// contribution from src.
-		if _, err := c.Sendrecv(
-			send.Slice(dst*bytes, bytes), dst, tagReduceScatter,
-			tmp, src, tagReduceScatter,
-		); err != nil {
-			return fmt.Errorf("coll: reduce-scatter step %d: %w", step, err)
-		}
-		op.Apply(recv, tmp, countPer, dt)
-		p.Compute(float64(countPer))
-	}
-	return nil
-}

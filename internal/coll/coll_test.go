@@ -565,13 +565,16 @@ func TestAlltoall(t *testing.T) {
 }
 
 func TestBarrierCentral(t *testing.T) {
-	w := runWorld(t, sim.Laptop(), []int{2, 2}, func(p *mpi.Proc) error {
+	left := make([]sim.Time, 4)
+	runWorld(t, sim.Laptop(), []int{2, 2}, func(p *mpi.Proc) error {
 		p.Elapse(sim.Time(p.Rank()) * sim.Millisecond)
-		return BarrierCentral(p.CommWorld())
+		err := BarrierCentral(p.CommWorld())
+		left[p.Rank()] = p.Clock()
+		return err
 	})
-	for r := 0; r < 4; r++ {
-		if w.Proc(r).Clock() < 3*sim.Millisecond {
-			t.Errorf("rank %d left central barrier early at %v", r, w.Proc(r).Clock())
+	for r, at := range left {
+		if at < 3*sim.Millisecond {
+			t.Errorf("rank %d left central barrier early at %v", r, at)
 		}
 	}
 }
@@ -639,20 +642,21 @@ func TestHierLeaderStructure(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if h.Nodes() != 2 {
-			t.Errorf("nodes = %d", h.Nodes())
+		k := h.Composer()
+		if k.Groups(0) != 2 {
+			t.Errorf("nodes = %d", k.Groups(0))
 		}
 		wantLeader := p.Rank() == 0 || p.Rank() == 3
-		if h.IsLeader() != wantLeader {
-			t.Errorf("rank %d IsLeader = %v", p.Rank(), h.IsLeader())
+		if leader := k.Tier(0).Rank() == 0; leader != wantLeader {
+			t.Errorf("rank %d leads its node: %v", p.Rank(), leader)
 		}
-		if wantLeader && h.Bridge() == nil {
+		if wantLeader && k.Top() == nil {
 			t.Errorf("leader %d has no bridge", p.Rank())
 		}
-		if !wantLeader && h.Bridge() != nil {
+		if !wantLeader && k.Top() != nil {
 			t.Errorf("child %d has a bridge", p.Rank())
 		}
-		if got := h.NodeCounts(); got[0] != 3 || got[1] != 2 {
+		if got := k.GroupSizes(0); got[0] != 3 || got[1] != 2 {
 			t.Errorf("node counts = %v", got)
 		}
 		return nil
@@ -770,4 +774,86 @@ func TestCollectiveTimingDeterministic(t *testing.T) {
 	if a != b {
 		t.Errorf("hier allgather latency differs across runs: %v vs %v", a, b)
 	}
+}
+
+// Gatherv and Scatter are not collectives the package ships (no
+// workload roots an irregular gather or a scatter): they live here, over
+// the shared root-gather exchange and the binomial-tree helpers, for the
+// tests above.
+
+const tagScatter = 1<<25 + 32
+
+// Gatherv collects variable-size blocks at root (counts in comm rank
+// order), linearly — the irregular gather real libraries run for modest
+// sizes.
+func Gatherv(c *mpi.Comm, send, recv mpi.Buf, counts []int, root int) error {
+	if err := checkRootArgs(c, root); err != nil {
+		return err
+	}
+	if len(counts) != c.Size() {
+		return fmt.Errorf("coll: gatherv got %d counts for %d ranks", len(counts), c.Size())
+	}
+	// Only the root needs (and validates) the gathered layout.
+	var v blocks
+	if c.Rank() == root {
+		if recv.Len() < Total(counts) {
+			return fmt.Errorf("coll: gatherv recv buffer %dB < %dB", recv.Len(), Total(counts))
+		}
+		v = blocks{buf: recv, counts: counts, displs: Displs(counts)}
+		c.Proc().CopyLocal(v.at(root), send.Slice(0, counts[root]), 1)
+	}
+	return gatherAtRoot(c, send.Slice(0, counts[c.Rank()]), v, root, family{name: "gatherv", tag: tagGather})
+}
+
+// Scatter distributes root's per-rank blocks with a binomial tree
+// (reverse of GatherBinomial): interior nodes receive their subtree's
+// range and forward the halves.
+func Scatter(c *mpi.Comm, send, recv mpi.Buf, per, root int) error {
+	if err := checkRootArgs(c, root); err != nil {
+		return err
+	}
+	n := c.Size()
+	p := c.Proc()
+	if c.Rank() == root && send.Len() < per*n {
+		return fmt.Errorf("coll: scatter send buffer %dB < %d x %dB", send.Len(), n, per)
+	}
+	if n == 1 {
+		p.CopyLocal(recv.Slice(0, per), send.Slice(root*per, per), 1)
+		return nil
+	}
+	rel := (c.Rank() - root + n) % n
+
+	tmp := p.World().NewBuf(subtreeSpan(rel, n) * per)
+	have := 0
+	mask := binomialParent(rel, n)
+	if rel == 0 {
+		// Rotate into relative order once (charged), like MPICH's
+		// root-side pack.
+		for i := 0; i < n; i++ {
+			p.CopyLocal(tmp.Slice(i*per, per), send.Slice(((i+root)%n)*per, per), 1)
+		}
+		have = n
+	} else {
+		parent := (rel - mask + root) % n
+		have = subtreeSpan(rel, n)
+		if _, err := c.Recv(tmp.Slice(0, have*per), parent, tagScatter); err != nil {
+			return fmt.Errorf("coll: scatter recv: %w", err)
+		}
+	}
+
+	// Forward the upper halves to children, largest first.
+	for mask >>= 1; mask > 0; mask >>= 1 {
+		if rel+mask < n {
+			cnt := min(subtreeSpan(rel+mask, n), mask, have-mask)
+			if cnt > 0 {
+				child := (rel + mask + root) % n
+				if err := c.Send(tmp.Slice(mask*per, cnt*per), child, tagScatter); err != nil {
+					return fmt.Errorf("coll: scatter send: %w", err)
+				}
+				have = mask
+			}
+		}
+	}
+	p.CopyLocal(recv.Slice(0, per), tmp.Slice(0, per), 1)
+	return nil
 }

@@ -220,12 +220,6 @@ func NewComposerNamed(c *mpi.Comm, names ...string) (*Composer, error) {
 	return NewComposer(c, levels)
 }
 
-// Comm returns the communicator the composer was built over.
-func (k *Composer) Comm() *mpi.Comm { return k.comm }
-
-// Tiers returns the number of stacked levels.
-func (k *Composer) Tiers() int { return len(k.tiers) }
-
 // Tier returns the tier-i communicator (nil on ranks that are not
 // leaders of every tier below i).
 func (k *Composer) Tier(i int) *mpi.Comm { return k.tiers[i] }
@@ -233,26 +227,12 @@ func (k *Composer) Tier(i int) *mpi.Comm { return k.tiers[i] }
 // Top returns the outermost leader communicator (nil on everyone else).
 func (k *Composer) Top() *mpi.Comm { return k.top }
 
-// Level returns the sim topology level index of tier i.
-func (k *Composer) Level(i int) int { return k.level[i] }
-
 // SMP reports whether comm ranks are laid out SMP-style (level-sorted
 // slot order equals comm rank order).
 func (k *Composer) SMP() bool { return k.shape.smp }
 
 // SlotOf maps a comm rank to its slot in level-gathered buffers.
 func (k *Composer) SlotOf(rank int) int { return k.shape.rankToSlot[rank] }
-
-// RankAt is the inverse of SlotOf.
-func (k *Composer) RankAt(slot int) int { return k.shape.slotToRank[slot] }
-
-// RanksBySlot returns the slot -> comm rank table (shared across all
-// ranks; do not modify).
-func (k *Composer) RanksBySlot() []int { return k.shape.slotToRank }
-
-// SlotsByRank returns the comm rank -> slot table (shared across all
-// ranks; do not modify).
-func (k *Composer) SlotsByRank() []int { return k.shape.rankToSlot }
 
 // Groups returns the number of groups at tier i.
 func (k *Composer) Groups(i int) int { return len(k.shape.tiers[i].first) }
@@ -267,10 +247,6 @@ func (k *Composer) GroupFirsts(i int) []int { return k.shape.tiers[i].first }
 
 // MyGroup returns this rank's group index at tier i.
 func (k *Composer) MyGroup(i int) int { return k.myGroup[i] }
-
-// IsLeader reports whether this rank leads its innermost group (and
-// therefore participates in at least tier 1).
-func (k *Composer) IsLeader() bool { return k.tiers[0].Rank() == 0 }
 
 // GroupOfSlot returns the index, in leader order, of the tier-t group
 // containing a slot.

@@ -42,18 +42,15 @@
 //
 // # Nonblocking collectives
 //
-// Iallgather, Iallreduce, Ibcast, Ibarrier and the Ineighbor* variants
-// compile the underlying algorithm into an mpi.Sched — rounds of
-// sends/receives executed by an asynchronous progress engine on its
-// own virtual cursor, so callers overlap local compute between Start
-// and Wait with deterministic timing.
+// Iallreduce compiles the underlying algorithm into an mpi.Sched —
+// rounds of sends/receives executed by an asynchronous progress engine
+// on its own virtual cursor, so callers overlap local compute between
+// Start and Wait with deterministic timing.
 //
 // # Neighborhood collectives
 //
-// NeighborAllgather, NeighborAlltoall and NeighborAlltoallv exchange
-// blocks along the edges of a communicator's process topology
-// (mpi.CartCreate grids or mpi.DistGraphCreate graphs): the sparse
-// halo-exchange pattern of stencil codes, routed through the same
-// registry (a paired per-dimension exchange on grids, a posted-all
-// path for arbitrary graphs).
+// NeighborAlltoall exchanges blocks along the edges of a communicator's
+// process topology (an mpi.CartCreate grid): the sparse halo-exchange
+// pattern of stencil codes, routed through the same registry (a paired
+// per-dimension exchange, or a posted-all path).
 package coll

@@ -220,23 +220,6 @@ func exchVariants() []exchVariant {
 		}
 		return recv, Gather(p.CommWorld(), pattern(p.Rank(), a.per()), recv, a.per(), root)
 	})
-	add("Gatherv", forced(CollGather), func(p *mpi.Proc, a exchArgs) (mpi.Buf, error) {
-		root, counts := a.n/2, a.counts()
-		var recv mpi.Buf
-		if p.Rank() == root {
-			recv = mpi.Bytes(make([]byte, Total(counts)))
-		}
-		return recv, Gatherv(p.CommWorld(), pattern(p.Rank(), counts[p.Rank()]), recv, counts, root)
-	})
-	add("Scatter", forced(CollGather), func(p *mpi.Proc, a exchArgs) (mpi.Buf, error) {
-		root := a.n / 2
-		var send mpi.Buf
-		if p.Rank() == root {
-			send = pattern(root, a.per()*a.n)
-		}
-		recv := mpi.Bytes(make([]byte, a.per()))
-		return recv, Scatter(p.CommWorld(), send, recv, a.per(), root)
-	})
 	add("Allreduce", forced(CollAllreduce, "recdbl", "rabenseifner"), func(p *mpi.Proc, a exchArgs) (mpi.Buf, error) {
 		recv := mpi.Bytes(make([]byte, 8*a.elems()))
 		return recv, Allreduce(p.CommWorld(), nums(p.Rank(), a.elems()), recv, a.elems(), mpi.Float64, mpi.OpSum)
@@ -250,74 +233,25 @@ func exchVariants() []exchVariant {
 		return recv, Reduce(p.CommWorld(), nums(p.Rank(), a.elems()), recv, a.elems(), mpi.Float64, mpi.OpSum, root)
 	})
 
-	// The neighborhood families on a Cartesian grid: the selecting
-	// entry point, the six per-shape wrappers, the nonblocking forms.
-	type nbrFn = func(*mpi.Comm, mpi.Buf, mpi.Buf, int) error
-	nbr := func(name string, gather bool, fn nbrFn) {
-		add(name, forced(CollNeighborAllgather), func(p *mpi.Proc, a exchArgs) (mpi.Buf, error) {
-			cart, err := cartOf(p)
-			if err != nil {
-				return mpi.Buf{}, err
-			}
-			in, out, _ := cart.Neighborhood()
-			sendN := a.per() * len(out)
-			if gather {
-				sendN = a.per()
-			}
-			recv := mpi.Bytes(make([]byte, a.per()*len(in)))
-			return recv, fn(cart, pattern(p.Rank(), sendN), recv, a.per())
-		})
-	}
-	wait := func(start func(*mpi.Comm, mpi.Buf, mpi.Buf, int) (*mpi.Sched, error)) nbrFn {
-		return func(c *mpi.Comm, send, recv mpi.Buf, per int) error {
-			s, err := start(c, send, recv, per)
-			if err != nil {
-				return err
-			}
-			return s.Wait()
-		}
-	}
-	nbr("NeighborAllgather", true, NeighborAllgather)
-	nbr("NeighborAllgatherPairwise", true, NeighborAllgatherPairwise)
-	nbr("NeighborAllgatherLinear", true, NeighborAllgatherLinear)
-	nbr("IneighborAllgather", true, wait(IneighborAllgather))
-	nbr("NeighborAlltoall", false, NeighborAlltoall)
-	nbr("NeighborAlltoallPairwise", false, NeighborAlltoallPairwise)
-	nbr("NeighborAlltoallLinear", false, NeighborAlltoallLinear)
-	nbr("IneighborAlltoall", false, wait(IneighborAlltoall))
-	for name, fn := range map[string]func(*mpi.Comm, mpi.Buf, []int, mpi.Buf, []int) error{
-		"NeighborAlltoallv": NeighborAlltoallv, "NeighborAlltoallvPairwise": NeighborAlltoallvPairwise,
-		"NeighborAlltoallvLinear": NeighborAlltoallvLinear,
+	// The neighborhood exchange on a Cartesian grid: the selecting
+	// entry point and each registered shape forced (their keys predate
+	// the forcing: they were per-shape entry points).
+	for name, force := range map[string]map[Collective]string{
+		"NeighborAlltoall/auto":         nil,
+		"NeighborAlltoallPairwise/auto": {CollNeighborAlltoall: "pairwise"},
+		"NeighborAlltoallLinear/auto":   {CollNeighborAlltoall: "linear"},
 	} {
-		add(name, forced(CollNeighborAlltoallv), func(p *mpi.Proc, a exchArgs) (mpi.Buf, error) {
+		vs = append(vs, exchVariant{name: name, force: force, body: func(p *mpi.Proc, a exchArgs) (mpi.Buf, error) {
 			cart, err := cartOf(p)
 			if err != nil {
 				return mpi.Buf{}, err
 			}
-			// Slot j's block size depends only on the direction of
-			// travel, so both ends of every edge agree on it.
 			in, out, _ := cart.Neighborhood()
-			all := a.counts()
-			sc, rc := make([]int, len(out)), make([]int, len(in))
-			for i := range out {
-				sc[i] = all[i%a.n] + 8*i
-			}
-			for j := range in {
-				rc[j] = all[(j^1)%a.n] + 8*(j^1)
-			}
-			recv := mpi.Bytes(make([]byte, Total(rc)))
-			return recv, fn(cart, pattern(p.Rank(), Total(sc)), sc, recv, rc)
-		})
+			recv := mpi.Bytes(make([]byte, a.per()*len(in)))
+			return recv, NeighborAlltoall(cart, pattern(p.Rank(), a.per()*len(out)), recv, a.per())
+		}})
 	}
 
-	add("Iallgather", forced(CollAllgather), func(p *mpi.Proc, a exchArgs) (mpi.Buf, error) {
-		recv := mpi.Bytes(make([]byte, a.per()*a.n))
-		s, err := Iallgather(p.CommWorld(), pattern(p.Rank(), a.per()), recv, a.per())
-		if err != nil {
-			return recv, err
-		}
-		return recv, s.Wait()
-	})
 	add("Iallreduce", forced(CollAllreduce), func(p *mpi.Proc, a exchArgs) (mpi.Buf, error) {
 		recv := mpi.Bytes(make([]byte, 8*a.elems()))
 		s, err := Iallreduce(p.CommWorld(), nums(p.Rank(), a.elems()), recv, a.elems(), mpi.Float64, mpi.OpSum)
@@ -326,19 +260,6 @@ func exchVariants() []exchVariant {
 		}
 		return recv, s.Wait()
 	})
-	add("Ibcast", forced(CollBcast), func(p *mpi.Proc, a exchArgs) (mpi.Buf, error) {
-		root := a.n / 2
-		buf := mpi.Bytes(make([]byte, a.bcastBytes()))
-		if p.Rank() == root {
-			buf = pattern(root, a.bcastBytes())
-		}
-		s, err := Ibcast(p.CommWorld(), buf, root)
-		if err != nil {
-			return buf, err
-		}
-		return buf, s.Wait()
-	})
-
 	// The composed forms, which reach the shared exchanges through the
 	// hierarchy: the two-level baseline, a three-tier stack (the tier
 	// gather at absolute offsets) and the multi-leader ablation (the

@@ -6,10 +6,10 @@ import (
 
 // This file decides, ahead of world construction, whether a given
 // workload may run under the mpi package's rank-symmetry folding
-// (mpi.WithFold): the caller names the collective it is about to run
+// (mpi.Config.FoldUnit): the caller names the collective it is about to run
 // and the helpers replicate the selection engine's algorithm pick for
 // the cross-unit exchange, then consult the registry's fold metadata
-// (entry.foldable / FoldSafe). Folding is a property of the algorithm
+// (entry.foldable). Folding is a property of the algorithm
 // that actually crosses fold-unit boundaries, not of the collective
 // family — a hierarchical allgather folds exactly when its top
 // (leader-bridge) exchange folds, because every other phase stays
@@ -36,7 +36,7 @@ func foldableUnit(topo *sim.Topology) int {
 	return u
 }
 
-// HierAllgatherFoldUnit reports the fold unit to pass to mpi.WithFold
+// HierAllgatherFoldUnit reports the fold unit to set as mpi.Config.FoldUnit
 // for a size-only hierarchical allgather (Hier.Allgather /
 // Composer.Allgather with per bytes per rank) on the given topology,
 // or 0 when folding must stay disabled. The composed allgather's
@@ -46,7 +46,7 @@ func foldableUnit(topo *sim.Topology) int {
 // engine's in-place pick for that exchange — the leader communicator's
 // size is the number of outermost groups, its block is one whole
 // group's aggregate — and requires the chosen algorithm to be
-// FoldSafe.
+// foldable.
 func HierAllgatherFoldUnit(model *sim.CostModel, topo *sim.Topology, per int, tun Tuning) int {
 	u := foldableUnit(topo)
 	if u == 0 || model == nil {
@@ -66,7 +66,7 @@ func HierAllgatherFoldUnit(model *sim.CostModel, topo *sim.Topology, per int, tu
 // Allreduce over the whole topology (bytes total payload, count
 // elements), or 0 when folding must stay disabled. The flat algorithm
 // itself crosses unit boundaries, so the pick at the full
-// communicator size must be FoldSafe.
+// communicator size must be foldable.
 func AllreduceFoldUnit(model *sim.CostModel, topo *sim.Topology, bytes, count int, tun Tuning) int {
 	u := foldableUnit(topo)
 	if u == 0 || model == nil {

@@ -130,8 +130,18 @@ func TestFoldedHierAllgatherMatchesUnfolded(t *testing.T) {
 	}
 	want := run()
 	for _, e := range []sim.Engine{sim.EngineGoroutine, sim.EngineEvent} {
-		if got := run(mpi.WithEngine(e), mpi.WithFold(u)); got != want {
+		if got := run(mpi.WithEngine(e), func(c *mpi.Config) { c.FoldUnit = u }); got != want {
 			t.Errorf("folded %v: makespan %d ps, want %d ps", e, int64(got), int64(want))
 		}
 	}
+}
+
+// FoldSafe reports whether a registered algorithm carries the
+// rank-symmetry metadata: it is known to execute a
+// translation-class-consistent schedule (safe under mpi.Config.FoldUnit) when
+// the communicator size and the fold unit are both powers of two.
+// Unknown names report false.
+func FoldSafe(cl Collective, name string) bool {
+	en := findEntry(cl, name)
+	return en != nil && en.foldable
 }

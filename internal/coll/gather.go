@@ -116,78 +116,3 @@ func subtreeSpan(rel, n int) int {
 	}
 	return span
 }
-
-// Gatherv collects variable-size blocks at root (counts in comm rank
-// order), linearly — the irregular gather real libraries run for modest
-// sizes.
-func Gatherv(c *mpi.Comm, send, recv mpi.Buf, counts []int, root int) error {
-	if err := checkRootArgs(c, root); err != nil {
-		return err
-	}
-	if len(counts) != c.Size() {
-		return fmt.Errorf("coll: gatherv got %d counts for %d ranks", len(counts), c.Size())
-	}
-	// Only the root needs (and validates) the gathered layout.
-	var v blocks
-	if c.Rank() == root {
-		if recv.Len() < Total(counts) {
-			return fmt.Errorf("coll: gatherv recv buffer %dB < %dB", recv.Len(), Total(counts))
-		}
-		v = blocks{buf: recv, counts: counts, displs: Displs(counts)}
-		c.Proc().CopyLocal(v.at(root), send.Slice(0, counts[root]), 1)
-	}
-	return gatherAtRoot(c, send.Slice(0, counts[c.Rank()]), v, root, family{name: "gatherv", tag: tagGather})
-}
-
-// Scatter distributes root's per-rank blocks with a binomial tree
-// (reverse of GatherBinomial): interior nodes receive their subtree's
-// range and forward the halves.
-func Scatter(c *mpi.Comm, send, recv mpi.Buf, per, root int) error {
-	if err := checkRootArgs(c, root); err != nil {
-		return err
-	}
-	n := c.Size()
-	p := c.Proc()
-	if c.Rank() == root && send.Len() < per*n {
-		return fmt.Errorf("coll: scatter send buffer %dB < %d x %dB", send.Len(), n, per)
-	}
-	if n == 1 {
-		p.CopyLocal(recv.Slice(0, per), send.Slice(root*per, per), 1)
-		return nil
-	}
-	rel := (c.Rank() - root + n) % n
-
-	tmp := p.World().NewBuf(subtreeSpan(rel, n) * per)
-	have := 0
-	mask := binomialParent(rel, n)
-	if rel == 0 {
-		// Rotate into relative order once (charged), like MPICH's
-		// root-side pack.
-		for i := 0; i < n; i++ {
-			p.CopyLocal(tmp.Slice(i*per, per), send.Slice(((i+root)%n)*per, per), 1)
-		}
-		have = n
-	} else {
-		parent := (rel - mask + root) % n
-		have = subtreeSpan(rel, n)
-		if _, err := c.Recv(tmp.Slice(0, have*per), parent, tagScatter); err != nil {
-			return fmt.Errorf("coll: scatter recv: %w", err)
-		}
-	}
-
-	// Forward the upper halves to children, largest first.
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if rel+mask < n {
-			cnt := min(subtreeSpan(rel+mask, n), mask, have-mask)
-			if cnt > 0 {
-				child := (rel + mask + root) % n
-				if err := c.Send(tmp.Slice(mask*per, cnt*per), child, tagScatter); err != nil {
-					return fmt.Errorf("coll: scatter send: %w", err)
-				}
-				have = mask
-			}
-		}
-	}
-	p.CopyLocal(recv.Slice(0, per), tmp.Slice(0, per), 1)
-	return nil
-}

@@ -59,11 +59,18 @@ func TestComposerGeometryGolden(t *testing.T) {
 		for r := range smp {
 			smp[r], reversed[r] = r, n-1-r
 		}
-		// Round-robin: deal the ranks out node by node.
+		// Round-robin: deal the ranks out node by node. A rank's place
+		// on its node is the number of lower ranks sharing it.
+		local := make([]int, n)
+		onNode := map[int]int{}
+		for r := range local {
+			local[r] = onNode[tc.topo.NodeOf(r)]
+			onNode[tc.topo.NodeOf(r)]++
+		}
 		var roundRobin []int
-		for local := 0; len(roundRobin) < n; local++ {
+		for l := 0; len(roundRobin) < n; l++ {
 			for r := 0; r < n; r++ {
-				if tc.topo.LocalRank(r) == local {
+				if local[r] == l {
 					roundRobin = append(roundRobin, r)
 				}
 			}

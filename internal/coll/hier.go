@@ -48,22 +48,6 @@ func NewHierStack(c *mpi.Comm, levels ...string) (*Hier, error) {
 // Composer exposes the underlying multi-level composer.
 func (h *Hier) Composer() *Composer { return (*Composer)(h) }
 
-// Node returns the innermost (shared-memory) communicator.
-func (h *Hier) Node() *mpi.Comm { return h.Composer().Tier(0) }
-
-// Bridge returns the outermost leader communicator (nil on children).
-func (h *Hier) Bridge() *mpi.Comm { return h.Composer().Top() }
-
-// IsLeader reports whether this rank leads its innermost group.
-func (h *Hier) IsLeader() bool { return h.Composer().IsLeader() }
-
-// Nodes returns the number of outermost groups under the hierarchy.
-func (h *Hier) Nodes() int { return h.Composer().Groups(len(h.tiers) - 1) }
-
-// NodeCounts returns the number of ranks per outermost group in bridge
-// order (shared across all ranks; do not modify).
-func (h *Hier) NodeCounts() []int { return h.Composer().GroupSizes(len(h.tiers) - 1) }
-
 // Allgather is the paper's pure-MPI baseline allgather (Fig. 3a),
 // generalized to the composed leader tree:
 //  1. aggregate each group's blocks at its leader (shared-memory

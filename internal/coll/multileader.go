@@ -124,9 +124,6 @@ func groupBounds(nodeSize, groups, g int) (lo, hi int) {
 	return lo, hi
 }
 
-// Leaders returns the number of leader groups per node.
-func (m *MultiLeaderHier) Leaders() int { return m.nLeaders }
-
 // Allgather runs the multi-leader allgather:
 //  1. each group gathers its members' blocks at its group leader
 //     (L concurrent gathers per node),

@@ -20,6 +20,83 @@ func ringWorld(t *testing.T, nodeSizes []int, body func(p *mpi.Proc, ring *mpi.C
 	})
 }
 
+// forcedNeighbor is NeighborAlltoall with one registered shape forced
+// through the tuning, the way a user pins it.
+func forcedNeighbor(shape string) func(*mpi.Comm, mpi.Buf, mpi.Buf, int) error {
+	return func(c *mpi.Comm, send, recv mpi.Buf, per int) error {
+		tun := Tuning{Force: map[Collective]string{CollNeighborAlltoall: shape}}
+		return NeighborAlltoall(WithTuning(c, tun), send, recv, per)
+	}
+}
+
+// neighborShapes are the engine's pick and both registered shapes.
+var neighborShapes = map[string]func(*mpi.Comm, mpi.Buf, mpi.Buf, int) error{
+	"auto":     NeighborAlltoall,
+	"pairwise": forcedNeighbor("pairwise"),
+	"linear":   forcedNeighbor("linear"),
+}
+
+// explicitShapes are the two shapes without the engine's pick.
+var explicitShapes = map[string]func(*mpi.Comm, mpi.Buf, mpi.Buf, int) error{
+	"pairwise": neighborShapes["pairwise"],
+	"linear":   neighborShapes["linear"],
+}
+
+// The neighborhood forms the package does not ship, spelt in terms of
+// the one it does. They exist for the tests below, which check that
+// NeighborAlltoall's machinery (slot addressing, direction tags, the
+// posted-all schedule) carries them.
+
+// neighborAllgather is MPI_Neighbor_allgather: the caller's one block,
+// repeated once per out-neighbor, through alltoall.
+func neighborAllgather(alltoall func(*mpi.Comm, mpi.Buf, mpi.Buf, int) error) func(*mpi.Comm, mpi.Buf, mpi.Buf, int) error {
+	return func(c *mpi.Comm, send, recv mpi.Buf, per int) error {
+		_, out, _ := c.Neighborhood()
+		rep := mpi.Bytes(make([]byte, per*len(out)))
+		for i := range out {
+			mpi.CopyData(rep.Slice(i*per, per), send)
+		}
+		return alltoall(c, rep, recv, per)
+	}
+}
+
+// neighborAlltoallv is MPI_Neighbor_alltoallv with packed
+// displacements: the same call record over per-slot byte counts.
+func neighborAlltoallv(shape func(*neighborCall) error) func(*mpi.Comm, mpi.Buf, []int, mpi.Buf, []int) error {
+	return func(c *mpi.Comm, send mpi.Buf, sendCounts []int, recv mpi.Buf, recvCounts []int) error {
+		in, out, _ := c.Neighborhood()
+		k := &neighborCall{c: c, in: in, out: out,
+			send: blocks{buf: send, counts: sendCounts, displs: Displs(sendCounts)},
+			recv: blocks{buf: recv, counts: recvCounts, displs: Displs(recvCounts)}}
+		for _, n := range sendCounts {
+			k.bytes = max(k.bytes, n)
+		}
+		return shape(k)
+	}
+}
+
+// ineighborAlltoall is MPI_Ineighbor_alltoall: the posted-all exchange
+// as one round of a nonblocking schedule (all receives in slot order,
+// then all sends, relative tags straight from the neighborhood edges).
+func ineighborAlltoall(c *mpi.Comm, send, recv mpi.Buf, per int) (*mpi.Sched, error) {
+	k, err := openNeighbor(c, send, recv, per)
+	if err != nil {
+		return nil, err
+	}
+	var ops []mpi.SchedOp
+	for j, e := range k.in {
+		if e.Peer != mpi.ProcNull {
+			ops = append(ops, mpi.SchedRecv(k.recv.at(j), e.Peer, e.Tag))
+		}
+	}
+	for i, e := range k.out {
+		if e.Peer != mpi.ProcNull {
+			ops = append(ops, mpi.SchedSend(k.send.at(i), e.Peer, e.Tag))
+		}
+	}
+	return c.NewSched([]mpi.Round{{Ops: ops}}), nil
+}
+
 // checkRingAlltoall verifies a ring NeighborAlltoall result: slot 0
 // (negative side) holds the left neighbor's positive-direction block,
 // slot 1 the right neighbor's negative-direction block.
@@ -41,11 +118,7 @@ func checkRingAlltoall(t *testing.T, who string, rank, n int, recv mpi.Buf, elem
 }
 
 func TestNeighborAlltoallOnRing(t *testing.T) {
-	for name, fn := range map[string]func(*mpi.Comm, mpi.Buf, mpi.Buf, int) error{
-		"auto":     NeighborAlltoall,
-		"pairwise": NeighborAlltoallPairwise,
-		"linear":   NeighborAlltoallLinear,
-	} {
+	for name, fn := range neighborShapes {
 		for _, shape := range [][]int{{3, 3}, {2, 2, 2}, {5}} {
 			n := 0
 			for _, s := range shape {
@@ -65,11 +138,8 @@ func TestNeighborAlltoallOnRing(t *testing.T) {
 }
 
 func TestNeighborAllgatherOnRing(t *testing.T) {
-	for name, fn := range map[string]func(*mpi.Comm, mpi.Buf, mpi.Buf, int) error{
-		"auto":     NeighborAllgather,
-		"pairwise": NeighborAllgatherPairwise,
-		"linear":   NeighborAllgatherLinear,
-	} {
+	for name, alltoall := range neighborShapes {
+		fn := neighborAllgather(alltoall)
 		ringWorld(t, []int{3, 3}, func(p *mpi.Proc, ring *mpi.Comm) error {
 			n := p.Size()
 			send := fill(p.Rank(), 4)
@@ -96,10 +166,7 @@ func TestNeighborAllgatherOnRing(t *testing.T) {
 // direction-of-travel tags must keep the two blocks apart (a naive
 // FIFO pairing would swap them).
 func TestNeighborAlltoallTwoWidePeriodic(t *testing.T) {
-	for name, fn := range map[string]func(*mpi.Comm, mpi.Buf, mpi.Buf, int) error{
-		"pairwise": NeighborAlltoallPairwise,
-		"linear":   NeighborAlltoallLinear,
-	} {
+	for name, fn := range explicitShapes {
 		runWorld(t, sim.Laptop(), []int{2}, func(p *mpi.Proc) error {
 			ring, err := p.CommWorld().CartCreate([]int{2}, []bool{true}, false)
 			if err != nil {
@@ -129,10 +196,7 @@ func TestNeighborAlltoallTwoWidePeriodic(t *testing.T) {
 // directions, and the blocks must cross over (a block sent positive
 // arrives on the negative side).
 func TestNeighborAlltoallOneWidePeriodic(t *testing.T) {
-	for name, fn := range map[string]func(*mpi.Comm, mpi.Buf, mpi.Buf, int) error{
-		"pairwise": NeighborAlltoallPairwise,
-		"linear":   NeighborAlltoallLinear,
-	} {
+	for name, fn := range explicitShapes {
 		runWorld(t, sim.Laptop(), []int{4}, func(p *mpi.Proc) error {
 			cart, err := p.CommWorld().CartCreate([]int{1, 4}, []bool{true, true}, false)
 			if err != nil {
@@ -160,10 +224,7 @@ func TestNeighborAlltoallOneWidePeriodic(t *testing.T) {
 // TestNeighborAlltoallNonPeriodicBoundary checks ProcNull handling: the
 // boundary slots stay untouched and no transfer deadlocks.
 func TestNeighborAlltoallNonPeriodicBoundary(t *testing.T) {
-	for name, fn := range map[string]func(*mpi.Comm, mpi.Buf, mpi.Buf, int) error{
-		"pairwise": NeighborAlltoallPairwise,
-		"linear":   NeighborAlltoallLinear,
-	} {
+	for name, fn := range explicitShapes {
 		runWorld(t, sim.Laptop(), []int{5}, func(p *mpi.Proc) error {
 			line, err := p.CommWorld().CartCreate([]int{5}, []bool{false}, false)
 			if err != nil {
@@ -196,9 +257,9 @@ func TestNeighborAlltoallNonPeriodicBoundary(t *testing.T) {
 
 func TestNeighborAlltoallvIrregularBlocks(t *testing.T) {
 	for name, fn := range map[string]func(*mpi.Comm, mpi.Buf, []int, mpi.Buf, []int) error{
-		"auto":     NeighborAlltoallv,
-		"pairwise": NeighborAlltoallvPairwise,
-		"linear":   NeighborAlltoallvLinear,
+		"auto":     neighborAlltoallv((*neighborCall).selected),
+		"pairwise": neighborAlltoallv((*neighborCall).pairwise),
+		"linear":   neighborAlltoallv((*neighborCall).linear),
 	} {
 		ringWorld(t, []int{6}, func(p *mpi.Proc, ring *mpi.Comm) error {
 			n := p.Size()
@@ -232,42 +293,13 @@ func TestNeighborAlltoallvIrregularBlocks(t *testing.T) {
 	}
 }
 
-func TestNeighborAlltoallOnDistGraph(t *testing.T) {
-	// A directed 3-cycle over 6 ranks' even members plus self-declared
-	// spokes: keep it simple — ring graph, so results match the cart
-	// version, but selection must land on "linear".
-	runWorld(t, sim.Laptop(), []int{3, 3}, func(p *mpi.Proc) error {
-		n := p.Size()
-		left, right := (p.Rank()-1+n)%n, (p.Rank()+1)%n
-		g, err := p.CommWorld().DistGraphCreateAdjacent([]int{left, right}, []int{left, right}, false)
-		if err != nil {
-			return err
-		}
-		send := fill(p.Rank(), 4)
-		recv := mpi.Bytes(make([]byte, 4*8))
-		if err := NeighborAlltoall(g, send, recv, 2*8); err != nil {
-			return err
-		}
-		// Slot 0 <- left's block for its right neighbor (slot 1 of its
-		// send buffer: elems 2,3); slot 1 <- right's block for its left
-		// (elems 0,1).
-		if got, want := recv.Float64At(0), float64(left*1_000_000+2); got != want {
-			t.Errorf("rank %d: graph slot 0 = %v, want %v", p.Rank(), got, want)
-		}
-		if got, want := recv.Float64At(2), float64(right*1_000_000+0); got != want {
-			t.Errorf("rank %d: graph slot 1 = %v, want %v", p.Rank(), got, want)
-		}
-		return nil
-	})
-}
-
 func TestNeighborSelectionPolicies(t *testing.T) {
 	cartEnv := Env{Size: 16, Bytes: 1024, Model: sim.Laptop(), Hop: sim.HopNet, Degree: 4, Cart: true}
 	graphEnv := cartEnv
 	graphEnv.Cart = false
 
-	for _, cl := range []Collective{CollNeighborAllgather, CollNeighborAlltoall, CollNeighborAlltoallv} {
-		// Table policy: pairwise on grids, linear on graphs.
+	for _, cl := range []Collective{CollNeighborAlltoall} {
+		// Table policy: pairwise on grids, linear without one.
 		if got, err := Choose(cl, cartEnv, Tuning{}); err != nil || got != "pairwise" {
 			t.Errorf("%s table on cart: %q, %v", cl, got, err)
 		}
@@ -336,14 +368,14 @@ func TestIneighborMatchesBlocking(t *testing.T) {
 			send := fill(p.Rank(), 2*elems)
 			recv := mpi.Bytes(make([]byte, 2*elems*8))
 			if nonblocking {
-				sched, err := IneighborAlltoall(ring, send, recv, elems*8)
+				sched, err := ineighborAlltoall(ring, send, recv, elems*8)
 				if err != nil {
 					return err
 				}
 				if err := sched.Wait(); err != nil {
 					return err
 				}
-			} else if err := NeighborAlltoallLinear(ring, send, recv, elems*8); err != nil {
+			} else if err := forcedNeighbor("linear")(ring, send, recv, elems*8); err != nil {
 				return err
 			}
 			checkRingAlltoall(t, "ineighbor", p.Rank(), p.Size(), recv, elems)
@@ -364,7 +396,12 @@ func TestIneighborAllgatherOverlap(t *testing.T) {
 	ringWorld(t, []int{4}, func(p *mpi.Proc, ring *mpi.Comm) error {
 		send := fill(p.Rank(), 4)
 		recv := mpi.Bytes(make([]byte, 2*4*8))
-		sched, err := IneighborAllgather(ring, send, recv, 4*8)
+		_, out, _ := ring.Neighborhood()
+		rep := mpi.Bytes(make([]byte, 4*8*len(out)))
+		for i := range out {
+			mpi.CopyData(rep.Slice(i*4*8, 4*8), send)
+		}
+		sched, err := ineighborAlltoall(ring, rep, recv, 4*8)
 		if err != nil {
 			return err
 		}

@@ -113,17 +113,20 @@ func TestIbarrierSynchronizes(t *testing.T) {
 			n += s
 		}
 		t.Run(fmt.Sprint(shape), func(t *testing.T) {
-			w := runWorld(t, sim.Laptop(), shape, func(p *mpi.Proc) error {
+			left := make([]sim.Time, n)
+			runWorld(t, sim.Laptop(), shape, func(p *mpi.Proc) error {
 				p.Elapse(sim.Time(p.Rank()) * sim.Millisecond)
 				s, err := Ibarrier(p.CommWorld())
 				if err != nil {
 					return err
 				}
-				return s.Wait()
+				err = s.Wait()
+				left[p.Rank()] = p.Clock()
+				return err
 			})
-			for r := 0; r < n; r++ {
-				if w.Proc(r).Clock() < sim.Time(n-1)*sim.Millisecond {
-					t.Errorf("rank %d left ibarrier at %v, before the slowest entered", r, w.Proc(r).Clock())
+			for r, at := range left {
+				if at < sim.Time(n-1)*sim.Millisecond {
+					t.Errorf("rank %d left ibarrier at %v, before the slowest entered", r, at)
 				}
 			}
 		})
@@ -351,4 +354,112 @@ func TestIallreduceRankFailureEndsWait(t *testing.T) {
 			t.Errorf("engine %v: Iallreduce Wait = %v, want ErrRankFailed", eng, waitErr)
 		}
 	}
+}
+
+// Iallgather, Ibcast and Ibarrier are not collectives the package ships
+// (Iallreduce is the nonblocking form a workload overlaps): they live
+// here as schedule builders for the tests above, which drive mpi.Sched
+// through multi-round, tree-shaped and zero-byte schedules.
+
+// Iallgather starts a nonblocking allgather: recursive doubling on
+// power-of-two communicators, ring otherwise (Bruck's rotated layout
+// has no in-place round structure). recv must stay untouched until
+// Wait.
+func Iallgather(c *mpi.Comm, send, recv mpi.Buf, per int) (*mpi.Sched, error) {
+	if err := checkAllgatherArgs(c, send, recv, per); err != nil {
+		return nil, err
+	}
+	p := c.Proc()
+	model := p.Model()
+	n := c.Size()
+	rank := c.Rank()
+
+	rounds := []mpi.Round{{After: func(now sim.Time) sim.Time {
+		mpi.CopyData(recv.Slice(rank*per, per), send.Slice(0, per))
+		return now + model.CopyCost(per, 1)
+	}}}
+	v := blocks{buf: recv, per: per}
+	switch {
+	case n == 1:
+	case isPow2(n):
+		step := 0
+		for mask := 1; mask < n; mask <<= 1 {
+			partner, have, get := doublingStep(rank, mask)
+			rounds = append(rounds, mpi.Round{Ops: []mpi.SchedOp{
+				mpi.SchedRecv(v.span(get, mask), partner, step),
+				mpi.SchedSend(v.span(have, mask), partner, step),
+			}})
+			step++
+		}
+	default:
+		right := (rank + 1) % n
+		left := (rank - 1 + n) % n
+		for i := 0; i < n-1; i++ {
+			s, r := ringStep(rank, n, i)
+			rounds = append(rounds, mpi.Round{Ops: []mpi.SchedOp{
+				mpi.SchedRecv(v.at(r), left, i),
+				mpi.SchedSend(v.at(s), right, i),
+			}})
+		}
+	}
+	return c.NewSched(rounds), nil
+}
+
+// Ibcast starts a nonblocking binomial-tree broadcast. buf must stay
+// untouched until Wait (on the root it is read, elsewhere written).
+func Ibcast(c *mpi.Comm, buf mpi.Buf, root int) (*mpi.Sched, error) {
+	if err := checkBcastArgs(c, buf, root); err != nil {
+		return nil, err
+	}
+	n := c.Size()
+	var rounds []mpi.Round
+	if n == 1 {
+		return c.NewSched(rounds), nil
+	}
+	rel := (c.Rank() - root + n) % n
+
+	mask := binomialParent(rel, n)
+	if rel != 0 {
+		rounds = append(rounds, mpi.Round{Ops: []mpi.SchedOp{
+			mpi.SchedRecv(buf, (rel-mask+root)%n, 0),
+		}})
+	}
+	// Once the payload is here, the engine fires all child sends
+	// back-to-back in one round.
+	var sends []mpi.SchedOp
+	for mask >>= 1; mask > 0; mask >>= 1 {
+		if rel+mask < n {
+			sends = append(sends, mpi.SchedSend(buf, (rel+mask+root)%n, 0))
+		}
+	}
+	if len(sends) > 0 {
+		rounds = append(rounds, mpi.Round{Ops: sends})
+	}
+	return c.NewSched(rounds), nil
+}
+
+// Ibarrier starts a nonblocking dissemination barrier: ceil(log2 n)
+// rounds of zero-byte exchanges. Unlike the blocking Barrier it never
+// takes the single-node flag fast path — the schedule runs on the
+// message engine — so it costs a little more on one node, like real
+// MPI_Ibarrier implementations.
+func Ibarrier(c *mpi.Comm) (*mpi.Sched, error) {
+	if c == nil {
+		return nil, fmt.Errorf("coll: ibarrier on nil communicator")
+	}
+	n := c.Size()
+	rank := c.Rank()
+	empty := mpi.Sized(0)
+	var rounds []mpi.Round
+	step := 0
+	for k := 1; k < n; k <<= 1 {
+		dst := (rank + k) % n
+		src := (rank - k + n) % n
+		rounds = append(rounds, mpi.Round{Ops: []mpi.SchedOp{
+			mpi.SchedRecv(empty, src, step),
+			mpi.SchedSend(empty, dst, step),
+		}})
+		step++
+	}
+	return c.NewSched(rounds), nil
 }

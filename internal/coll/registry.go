@@ -30,9 +30,7 @@ const (
 	CollAlltoall
 	CollGather
 	CollScan
-	CollNeighborAllgather
 	CollNeighborAlltoall
-	CollNeighborAlltoallv
 	numCollectives
 )
 
@@ -57,12 +55,8 @@ func (cl Collective) String() string {
 		return "gather"
 	case CollScan:
 		return "scan"
-	case CollNeighborAllgather:
-		return "neighborallgather"
 	case CollNeighborAlltoall:
 		return "neighboralltoall"
-	case CollNeighborAlltoallv:
-		return "neighboralltoallv"
 	default:
 		return fmt.Sprintf("Collective(%d)", int(cl))
 	}
@@ -91,8 +85,8 @@ type Env struct {
 	Model *sim.CostModel
 	Hop   sim.HopClass
 
-	// Degree and Cart describe the neighborhood of the Neighbor*
-	// collectives: the larger of the non-null in/out neighbor counts,
+	// Degree and Cart describe the neighborhood of NeighborAlltoall:
+	// the larger of the non-null in/out neighbor counts,
 	// and whether the communicator carries a Cartesian topology (the
 	// pairwise per-dimension exchange needs the grid's paired
 	// direction structure). Zero-valued for the global collectives.
@@ -139,7 +133,7 @@ type entry struct {
 	run any // the runner, of its family's signature above
 
 	// foldable marks algorithms proven safe under the mpi package's
-	// rank-symmetry folding (mpi.WithFold) when the communicator size
+	// rank-symmetry folding (mpi.Config.FoldUnit) when the communicator size
 	// and the fold unit are both powers of two: every rank executes the
 	// same step sequence with rank-translation-consistent partners
 	// (r -> r±s mod n, or r -> r^mask with power-of-two operands), and
@@ -369,33 +363,7 @@ var registry = [numCollectives][]entry{
 			run: gatherFn(GatherLinear),
 		},
 	},
-	CollNeighborAllgather: {
-		{
-			name:    "pairwise",
-			applies: func(e Env) bool { return e.Cart },
-			cost:    neighborPairwiseCost,
-			run:     neighborFn((*neighborCall).pairwise),
-		},
-		{
-			name: "linear",
-			cost: neighborLinearCost,
-			run:  neighborFn((*neighborCall).linear),
-		},
-	},
 	CollNeighborAlltoall: {
-		{
-			name:    "pairwise",
-			applies: func(e Env) bool { return e.Cart },
-			cost:    neighborPairwiseCost,
-			run:     neighborFn((*neighborCall).pairwise),
-		},
-		{
-			name: "linear",
-			cost: neighborLinearCost,
-			run:  neighborFn((*neighborCall).linear),
-		},
-	},
-	CollNeighborAlltoallv: {
 		{
 			name:    "pairwise",
 			applies: func(e Env) bool { return e.Cart },
@@ -478,10 +446,11 @@ func tableChoice(cl Collective, e Env, inPlace bool) string {
 	case CollScan:
 		// The historical Scan was always recursive doubling.
 		return "recdbl"
-	case CollNeighborAllgather, CollNeighborAlltoall, CollNeighborAlltoallv:
+	case CollNeighborAlltoall:
 		// On grids the paired per-dimension exchange mirrors the
 		// hand-rolled halo pattern stencil codes use (and its virtual
-		// timeline); irregular graphs take the posted-all path.
+		// timeline); a neighborhood without that structure takes the
+		// posted-all path.
 		if e.Cart {
 			return "pairwise"
 		}
@@ -578,22 +547,12 @@ func dispatch[F any](c *mpi.Comm, cl Collective, e Env, inPlace bool) (run F, er
 func Registered(cl Collective, name string) bool { return findEntry(cl, name) != nil }
 
 // Available reports whether a registered algorithm can serve the
-// described call (it can run the requested form and its applicability
-// predicate holds). The measured-policy tuner uses it to
-// race only the candidates the engine could actually pick.
-func Available(cl Collective, name string, e Env, inPlace bool) bool {
+// described call (its applicability predicate holds). The
+// measured-policy tuner uses it to race only the candidates the engine
+// could actually pick.
+func Available(cl Collective, name string, e Env) bool {
 	en := findEntry(cl, name)
-	return en != nil && en.available(e, inPlace)
-}
-
-// FoldSafe reports whether a registered algorithm carries the
-// rank-symmetry metadata: it is known to execute a
-// translation-class-consistent schedule (safe under mpi.WithFold) when
-// the communicator size and the fold unit are both powers of two.
-// Unknown names report false.
-func FoldSafe(cl Collective, name string) bool {
-	en := findEntry(cl, name)
-	return en != nil && en.foldable
+	return en != nil && en.available(e, false)
 }
 
 // Algorithms returns the registered algorithm names of a collective in

@@ -79,22 +79,44 @@ func TestCostPolicyTieBreaksByRegistrationOrder(t *testing.T) {
 // deliberately.
 func TestRegistrationOrderPinned(t *testing.T) {
 	want := map[Collective][]string{
-		CollAllgather:         {"recdbl", "bruck", "ring", "neighbor"},
-		CollAllgatherv:        {"recdbl", "ring"},
-		CollAllreduce:         {"recdbl", "rabenseifner"},
-		CollReduce:            {"binomial"},
-		CollBcast:             {"binomial", "scag", "pipelined"},
-		CollBarrier:           {"dissemination", "central"},
-		CollAlltoall:          {"pairwise"},
-		CollGather:            {"binomial", "linear"},
-		CollScan:              {"recdbl", "linear"},
-		CollNeighborAllgather: {"pairwise", "linear"},
-		CollNeighborAlltoall:  {"pairwise", "linear"},
-		CollNeighborAlltoallv: {"pairwise", "linear"},
+		CollAllgather:        {"recdbl", "bruck", "ring", "neighbor"},
+		CollAllgatherv:       {"recdbl", "ring"},
+		CollAllreduce:        {"recdbl", "rabenseifner"},
+		CollReduce:           {"binomial"},
+		CollBcast:            {"binomial", "scag", "pipelined"},
+		CollBarrier:          {"dissemination", "central"},
+		CollAlltoall:         {"pairwise"},
+		CollGather:           {"binomial", "linear"},
+		CollScan:             {"recdbl", "linear"},
+		CollNeighborAlltoall: {"pairwise", "linear"},
 	}
 	for cl, names := range want {
 		if got := Algorithms(cl); !reflect.DeepEqual(got, names) {
 			t.Errorf("%s registration order %v, want %v", cl, got, names)
+		}
+	}
+	// Every family constant is in the table above, round-trips through
+	// its name, and has at least one entry the cost policy can price.
+	for cl := Collective(0); cl < numCollectives; cl++ {
+		if _, ok := want[cl]; !ok {
+			t.Errorf("%s is missing from the pinned registration order", cl)
+		}
+		if back, err := ParseCollective(cl.String()); err != nil || back != cl {
+			t.Errorf("ParseCollective(%q) = %v, %v", cl.String(), back, err)
+		}
+		priced := false
+		for i := range registry[cl] {
+			priced = priced || registry[cl][i].cost != nil
+		}
+		if !priced {
+			t.Errorf("%s has no entry with a cost function", cl)
+		}
+	}
+	// The families this package no longer has are unknown names, like
+	// any misspelling.
+	for _, gone := range []string{"neighborallgather", "neighboralltoallv"} {
+		if _, err := ParseCollective(gone); err == nil {
+			t.Errorf("ParseCollective(%q) still succeeds", gone)
 		}
 	}
 }
@@ -191,16 +213,16 @@ func TestAvailable(t *testing.T) {
 	model := sim.Laptop()
 	pow2 := Env{Size: 8, Bytes: 64, Model: model, Hop: sim.HopNet}
 	odd := Env{Size: 5, Bytes: 64, Model: model, Hop: sim.HopNet}
-	if !Available(CollAllgather, "recdbl", pow2, false) {
+	if !Available(CollAllgather, "recdbl", pow2) {
 		t.Fatal("recdbl must be available on a power-of-two comm")
 	}
-	if Available(CollAllgather, "recdbl", odd, false) {
+	if Available(CollAllgather, "recdbl", odd) {
 		t.Fatal("recdbl must be unavailable on a 5-rank comm")
 	}
-	if Available(CollAllgather, "warp", pow2, false) {
+	if Available(CollAllgather, "warp", pow2) {
 		t.Fatal("unknown algorithm reported available")
 	}
-	if Available(CollAllgather, "bruck", pow2, true) {
+	if findEntry(CollAllgather, "bruck").available(pow2, true) {
 		t.Fatal("bruck has no in-place runner")
 	}
 }

@@ -94,44 +94,3 @@ func ScanLinear(c *mpi.Comm, send, recv mpi.Buf, count int, dt mpi.Datatype, op 
 	}
 	return nil
 }
-
-// Exscan computes the exclusive prefix reduction: rank r's recv holds
-// op(send_0, ..., send_{r-1}); rank 0's recv is left untouched (as in
-// MPI, where it is undefined).
-func Exscan(c *mpi.Comm, send, recv mpi.Buf, count int, dt mpi.Datatype, op mpi.Op) error {
-	if err := checkReduceArgs(c, send, send, count, dt); err != nil {
-		return err
-	}
-	p := c.Proc()
-	bytes := count * dt.Size()
-	if c.Size() == 1 {
-		return nil
-	}
-	acc := p.World().NewBuf(bytes)
-	p.CopyLocal(acc, send.Slice(0, bytes), 1)
-	tmp := p.World().NewBuf(bytes)
-
-	rank, n := c.Rank(), c.Size()
-	seeded := false
-	for mask := 1; mask < n; mask <<= 1 {
-		partner := rank ^ mask
-		if partner >= n {
-			continue
-		}
-		if _, err := c.Sendrecv(acc, partner, tagScan, tmp, partner, tagScan); err != nil {
-			return fmt.Errorf("coll: exscan mask %d: %w", mask, err)
-		}
-		if partner < rank {
-			if !seeded {
-				p.CopyLocal(recv.Slice(0, bytes), tmp, 1)
-				seeded = true
-			} else {
-				op.Apply(recv, tmp, count, dt)
-				p.Compute(float64(count))
-			}
-		}
-		op.Apply(acc, tmp, count, dt)
-		p.Compute(float64(count))
-	}
-	return nil
-}

@@ -251,3 +251,91 @@ func TestMultiLeaderFasterThanSingleForBigNodes(t *testing.T) {
 		t.Errorf("4 leaders (%v) should beat 1 leader (%v) on 24-rank nodes", four, one)
 	}
 }
+
+// Exscan and ReduceScatterBlock are not collectives the package ships
+// (no workload calls them): they live here for the tests above, which
+// check them against Scan and Allreduce.
+
+const tagReduceScatter = 1<<25 + 33
+
+// Exscan computes the exclusive prefix reduction: rank r's recv holds
+// op(send_0, ..., send_{r-1}); rank 0's recv is left untouched (as in
+// MPI, where it is undefined).
+func Exscan(c *mpi.Comm, send, recv mpi.Buf, count int, dt mpi.Datatype, op mpi.Op) error {
+	if err := checkReduceArgs(c, send, send, count, dt); err != nil {
+		return err
+	}
+	p := c.Proc()
+	bytes := count * dt.Size()
+	if c.Size() == 1 {
+		return nil
+	}
+	acc := p.World().NewBuf(bytes)
+	p.CopyLocal(acc, send.Slice(0, bytes), 1)
+	tmp := p.World().NewBuf(bytes)
+
+	rank, n := c.Rank(), c.Size()
+	seeded := false
+	for mask := 1; mask < n; mask <<= 1 {
+		partner := rank ^ mask
+		if partner >= n {
+			continue
+		}
+		if _, err := c.Sendrecv(acc, partner, tagScan, tmp, partner, tagScan); err != nil {
+			return fmt.Errorf("coll: exscan mask %d: %w", mask, err)
+		}
+		if partner < rank {
+			if !seeded {
+				p.CopyLocal(recv.Slice(0, bytes), tmp, 1)
+				seeded = true
+			} else {
+				op.Apply(recv, tmp, count, dt)
+				p.Compute(float64(count))
+			}
+		}
+		op.Apply(acc, tmp, count, dt)
+		p.Compute(float64(count))
+	}
+	return nil
+}
+
+// ReduceScatterBlock reduces count-per-rank blocks across all ranks and
+// scatters the result: rank r ends with op-reduction of everyone's r-th
+// block. Implemented as pairwise exchange (n-1 balanced steps), the
+// algorithm MPICH uses for commutative ops on non-power-of-two counts.
+func ReduceScatterBlock(c *mpi.Comm, send, recv mpi.Buf, countPer int, dt mpi.Datatype, op mpi.Op) error {
+	n := c.Size()
+	bytes := countPer * dt.Size()
+	switch {
+	case c == nil:
+		return fmt.Errorf("coll: reduce-scatter on nil communicator")
+	case countPer < 0:
+		return fmt.Errorf("coll: negative block count %d", countPer)
+	case send.Len() < bytes*n:
+		return fmt.Errorf("coll: reduce-scatter send buffer %dB < %d blocks", send.Len(), n)
+	case recv.Len() < bytes:
+		return fmt.Errorf("coll: reduce-scatter recv buffer %dB < %dB", recv.Len(), bytes)
+	}
+	p := c.Proc()
+	rank := c.Rank()
+	p.CopyLocal(recv.Slice(0, bytes), send.Slice(rank*bytes, bytes), 1)
+	if n == 1 {
+		return nil
+	}
+	tmp := p.World().NewBuf(bytes)
+	for step := 1; step < n; step++ {
+		dst := (rank + step) % n
+		src := (rank - step + n) % n
+		// Send the block destined for dst, receive my block's
+		// contribution from src.
+		if _, err := c.Sendrecv(
+			send.Slice(dst*bytes, bytes), dst, tagReduceScatter,
+			tmp, src, tagReduceScatter,
+		); err != nil {
+			return fmt.Errorf("coll: reduce-scatter step %d: %w", step, err)
+		}
+		op.Apply(recv, tmp, countPer, dt)
+		p.Compute(float64(countPer))
+	}
+	return nil
+}

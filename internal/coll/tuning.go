@@ -46,20 +46,6 @@ func (p Policy) String() string {
 	}
 }
 
-// ParsePolicy is the inverse of String.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "table":
-		return PolicyTable, nil
-	case "cost":
-		return PolicyCost, nil
-	case "measured":
-		return PolicyMeasured, nil
-	default:
-		return 0, fmt.Errorf("coll: unknown policy %q (want table, cost or measured)", s)
-	}
-}
-
 // Tuning configures the collective selection engine. The zero value is
 // the default: table policy, no overrides, node-level hybrid windows.
 //

@@ -20,7 +20,7 @@ import (
 type Allgatherer struct {
 	collective
 	buf   mpi.Buf // the whole shared result buffer (node's single copy)
-	plan  *agPlan // counts and displacements, shared by every member
+	plan  *agPlan // block size and node blocks, shared by every member
 	chunk int     // >0: pipelined bridge exchange for large blocks ([30])
 }
 
@@ -35,72 +35,19 @@ func WithPipelineChunk(chunk int) AllgatherOption {
 }
 
 // NewAllgatherer prepares a hybrid allgather of `per` bytes per rank.
-// The uniform geometry is synthesized directly (no member materializes
-// a full per-rank count vector).
+// The geometry is synthesized from the context's group tables: no
+// member materializes a per-rank count vector, and nothing is
+// exchanged — the plan is built once per collective call through the
+// world's setup slot.
 func (c *Ctx) NewAllgatherer(per int, opts ...AllgatherOption) (*Allgatherer, error) {
 	if per < 0 {
 		return nil, fmt.Errorf("hybrid: negative block size %d", per)
 	}
-	return c.newAllgatherer(nil, per, opts)
-}
-
-// agPlan is the slot-ordered allgather geometry, computed once by
-// whichever member reaches the setup slot first and shared read-only by
-// every member (the count vector must agree across members, as
-// MPI_Allgatherv requires, so the builder's copy is everyone's copy).
-type agPlan struct {
-	uniform    int   // >= 0: every count is this value (O(1) validation)
-	total      int   // sum of counts
-	counts     []int // bytes per rank, slot order
-	displs     []int // byte offset per slot
-	nodeCounts []int // bytes per node, bridge order
-	nodeDispls []int
-}
-
-// NewAllgathererV prepares the irregular variant: counts[r] bytes from
-// comm rank r (an extension beyond the paper, which varies only the
-// per-node rank count).
-func (c *Ctx) NewAllgathererV(counts []int, opts ...AllgatherOption) (*Allgatherer, error) {
-	if len(counts) != c.comm.Size() {
-		return nil, fmt.Errorf("hybrid: got %d counts for %d ranks", len(counts), c.comm.Size())
-	}
-	// Validate the local copy on every member (members must pass
-	// matching vectors, but a corrupt local copy should fail loudly on
-	// the rank that holds it, not silently adopt the builder's geometry).
-	for r, cnt := range counts {
-		if cnt < 0 {
-			return nil, fmt.Errorf("hybrid: negative count %d for rank %d", cnt, r)
-		}
-	}
-	return c.newAllgatherer(counts, 0, opts)
-}
-
-// newAllgatherer builds the allgatherer; counts == nil means a uniform
-// `per` bytes per rank.
-func (c *Ctx) newAllgatherer(counts []int, per int, opts []AllgatherOption) (*Allgatherer, error) {
-	// No exchange runs: the plan is fully determined by the context
-	// geometry and the (identical, per MPI_Allgatherv semantics) member
-	// arguments, so it is built once per collective call through the
-	// world's setup slot.
 	a, v, err := mpi.SetupSlab[Allgatherer](c.comm, func() (any, error) {
-		plan := &agPlan{uniform: per, counts: make([]int, c.comm.Size())}
-		if counts != nil {
-			plan.uniform = -1
-		}
-		for slot := range plan.counts {
-			plan.counts[slot] = per
-			if counts != nil {
-				plan.counts[slot] = counts[c.RankAt(slot)]
-			}
-		}
-		plan.total = coll.Total(plan.counts)
-		plan.displs = coll.Displs(plan.counts)
-		plan.nodeCounts = make([]int, c.Nodes())
-		plan.nodeDispls = make([]int, c.Nodes())
-		for n := 0; n < c.Nodes(); n++ {
+		plan := &agPlan{per: per, nodeCounts: make([]int, c.Nodes()), nodeDispls: make([]int, c.Nodes())}
+		for n := range plan.nodeCounts {
 			first, size := c.nodeSpan(n)
-			plan.nodeDispls[n] = plan.displs[first]
-			plan.nodeCounts[n] = coll.Total(plan.counts[first : first+size])
+			plan.nodeDispls[n], plan.nodeCounts[n] = first*per, size*per
 		}
 		return plan, nil
 	})
@@ -112,30 +59,28 @@ func (c *Ctx) newAllgatherer(counts []int, per int, opts []AllgatherOption) (*Al
 	for _, o := range opts {
 		o(a)
 	}
-	// Members must have passed the same geometry the plan was built
-	// from; a divergent local vector is an application bug that must
-	// fail loudly, not silently run with the builder's placement. The
-	// uniform case compares one value; the irregular variant — and mixed
-	// constructors, where a member passed an explicitly uniform vector
-	// to the V variant, which still agree when every slot holds per —
-	// check the whole vector.
-	if counts != nil || plan.uniform != per {
-		for slot, cnt := range plan.counts {
-			want := per
-			if counts != nil {
-				want = counts[c.RankAt(slot)]
-			}
-			if cnt != want {
-				return nil, fmt.Errorf("hybrid: allgather counts diverge across ranks (slot %d: builder has %d, this rank has %d)",
-					slot, cnt, want)
-			}
-		}
+	// Members must have passed the block size the plan was built from;
+	// a divergent one is an application bug that must fail loudly, not
+	// silently run with the builder's placement.
+	if plan.per != per {
+		return nil, fmt.Errorf("hybrid: allgather block sizes diverge across ranks (builder has %d, this rank has %d)",
+			plan.per, per)
 	}
 	a.plan = plan
-	if a.buf, err = c.segment(plan.total); err != nil {
+	if a.buf, err = c.segment(per * c.comm.Size()); err != nil {
 		return nil, err
 	}
 	return a, nil
+}
+
+// agPlan is the slot-ordered allgather geometry, computed once by
+// whichever member reaches the setup slot first and shared read-only by
+// every member (the block size must agree across members, so the
+// builder's copy is everyone's copy).
+type agPlan struct {
+	per        int   // bytes per rank
+	nodeCounts []int // bytes per node, bridge order
+	nodeDispls []int
 }
 
 // Mine returns this rank's partition of the shared buffer — the
@@ -147,17 +92,12 @@ func (a *Allgatherer) Mine() mpi.Buf { return a.Block(a.ctx.comm.Rank()) }
 // Block returns the partition contributed by a given comm rank (valid
 // after Allgather returns on this rank).
 func (a *Allgatherer) Block(rank int) mpi.Buf {
-	slot := a.ctx.SlotOf(rank)
-	return a.buf.Slice(a.plan.displs[slot], a.plan.counts[slot])
+	return a.buf.Slice(a.ctx.SlotOf(rank)*a.plan.per, a.plan.per)
 }
 
 // Buffer returns the whole gathered result (node-major slot order; use
 // Block for rank addressing under non-SMP placements).
 func (a *Allgatherer) Buffer() mpi.Buf { return a.buf }
-
-// Counts returns the per-slot byte counts (shared across all ranks;
-// do not modify).
-func (a *Allgatherer) Counts() []int { return a.plan.counts }
 
 // Allgather runs the timed operation of Fig. 4 lines 23-39:
 //

@@ -7,13 +7,13 @@ import (
 	"repro/internal/mpi"
 )
 
-// reduction is the segment pair and node-reduction body behind the
-// reducing collectives: every rank writes its contribution into a
-// per-rank slot of a shared input segment; the leader reduces the
-// node's contributions locally, the leaders reduce across the bridge,
-// and the node-shared result segment holds the single on-node copy of
-// the answer.
-type reduction struct {
+// Allreducer extends the paper's approach to MPI_Allreduce (named in its
+// introduction as one of the important collectives, but not evaluated
+// there): every rank writes its contribution into a per-rank slot of a
+// shared input segment; the leader reduces the node's contributions
+// locally, the leaders allreduce across the bridge, and the node-shared
+// result segment holds the single on-node copy of the answer.
+type Allreducer struct {
 	collective
 	count   int
 	dt      mpi.Datatype
@@ -22,31 +22,20 @@ type reduction struct {
 	scratch mpi.Buf
 }
 
-// Allreducer extends the paper's approach to MPI_Allreduce (named in its
-// introduction as one of the important collectives, but not evaluated
-// there): leaders allreduce across the bridge, so every node's result
-// segment holds the answer.
-type Allreducer struct{ reduction }
-
-// Reducer is the hybrid rooted reduce: like Allreducer but the final
-// result lands only on the root's node (leaders run a tree reduce on
-// the bridge instead of an allreduce).
-type Reducer struct{ reduction }
-
-// init fills the reduction embedded in a handle cut from a setup slab.
-func (r *reduction) init(c *Ctx, count int, dt mpi.Datatype) (err error) {
+// init fills a handle cut from a setup slab.
+func (a *Allreducer) init(c *Ctx, count int, dt mpi.Datatype) (err error) {
 	if count < 0 {
 		return fmt.Errorf("hybrid: negative element count %d", count)
 	}
 	bytes := count * dt.Size()
-	*r = reduction{collective: collective{c}, count: count, dt: dt}
-	if r.in, err = c.segment(bytes * c.node.Size()); err != nil {
+	*a = Allreducer{collective: collective{c}, count: count, dt: dt}
+	if a.in, err = c.segment(bytes * c.node.Size()); err != nil {
 		return err
 	}
-	if r.out, err = c.segment(bytes); err != nil {
+	if a.out, err = c.segment(bytes); err != nil {
 		return err
 	}
-	r.scratch = c.comm.Proc().World().NewBuf(bytes)
+	a.scratch = c.comm.Proc().World().NewBuf(bytes)
 	return nil
 }
 
@@ -59,60 +48,46 @@ func (c *Ctx) NewAllreducer(count int, dt mpi.Datatype) (*Allreducer, error) {
 	return a, nil
 }
 
-// NewReducer prepares a hybrid reduce of count elements of dt.
-func (c *Ctx) NewReducer(count int, dt mpi.Datatype) (*Reducer, error) {
-	r, _, _ := mpi.SetupSlab[Reducer](c.comm, nil)
-	if err := r.init(c, count, dt); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
 // Mine returns this rank's input slot (write your contribution here
 // before the timed call).
-func (r *reduction) Mine() mpi.Buf {
-	bytes := r.count * r.dt.Size()
-	return r.in.Slice(r.ctx.node.Rank()*bytes, bytes)
+func (a *Allreducer) Mine() mpi.Buf {
+	bytes := a.count * a.dt.Size()
+	return a.in.Slice(a.ctx.node.Rank()*bytes, bytes)
 }
 
-// Result returns the node-shared result segment (valid after Allreduce;
-// after Reduce, meaningful on the root's node).
-func (r *reduction) Result() mpi.Buf { return r.out }
+// Result returns the node-shared result segment (valid after
+// Allreduce).
+func (a *Allreducer) Result() mpi.Buf { return a.out }
 
 // Allreduce runs the timed operation: arrive-sync, leader-local node
 // reduction (reads every on-node slot once), bridge allreduce, release
 // sync.
-func (a *Allreducer) Allreduce(op mpi.Op) error { return a.reduce("allreduce", op, 0, false) }
-
-// Reduce runs the timed operation onto root (comm rank).
-func (r *Reducer) Reduce(op mpi.Op, root int) error { return r.reduce("reduce", op, root, true) }
-
-func (r *reduction) reduce(name string, op mpi.Op, root int, rooted bool) error {
-	c := r.ctx
-	return c.epoch(name, toLeader, root, rooted, func(bridge *mpi.Comm, rootNode int) error {
-		if !c.IsLeader() {
+func (a *Allreducer) Allreduce(op mpi.Op) error {
+	return a.ctx.epoch("allreduce", toLeader, 0, false, func(bridge *mpi.Comm, _ int) error {
+		if !a.ctx.IsLeader() {
 			return nil
 		}
-		// Fold the node's contributions into the result segment.
-		p, bytes := c.node.Proc(), r.count*r.dt.Size()
-		p.CopyLocal(r.out, r.in.Slice(0, bytes), 1)
-		for i := 1; i < c.node.Size(); i++ {
-			op.Apply(r.out, r.in.Slice(i*bytes, bytes), r.count, r.dt)
-			p.Compute(float64(r.count))
-			p.TouchAll(bytes, 1)
-		}
+		a.foldNode(op)
 		if bridge == nil {
 			return nil
 		}
-		var err error
-		if rooted {
-			err = coll.Reduce(bridge, r.out, r.scratch, r.count, r.dt, op, rootNode)
-		} else {
-			err = coll.Allreduce(bridge, r.out, r.scratch, r.count, r.dt, op)
-		}
-		if err == nil && (!rooted || bridge.Rank() == rootNode) {
-			p.CopyLocal(r.out, r.scratch, 1)
+		err := coll.Allreduce(bridge, a.out, a.scratch, a.count, a.dt, op)
+		if err == nil {
+			a.ctx.node.Proc().CopyLocal(a.out, a.scratch, 1)
 		}
 		return err
 	})
+}
+
+// foldNode reduces the node's contributions into the result segment
+// (leader only).
+func (a *Allreducer) foldNode(op mpi.Op) {
+	node := a.ctx.node
+	p, bytes := node.Proc(), a.count*a.dt.Size()
+	p.CopyLocal(a.out, a.in.Slice(0, bytes), 1)
+	for i := 1; i < node.Size(); i++ {
+		op.Apply(a.out, a.in.Slice(i*bytes, bytes), a.count, a.dt)
+		p.Compute(float64(a.count))
+		p.TouchAll(bytes, 1)
+	}
 }

@@ -8,10 +8,7 @@ import (
 )
 
 // Tags of the leaders' point-to-point bridge phases.
-const (
-	tagHyAlltoall = 1<<25 + 40
-	tagHyRooted   = tagHyAlltoall + 1 // gather and scatter node blocks
-)
+const tagHyAlltoall = 1<<25 + 40
 
 // Alltoaller extends the paper's single-copy-per-node principle to the
 // complete exchange (MPI_Alltoall — called out in the paper's

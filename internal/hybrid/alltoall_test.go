@@ -140,16 +140,20 @@ func TestHyAlltoallWaitsForWriters(t *testing.T) {
 								return err
 							}
 							me, n := comm.Rank(), comm.Size()
+							rankAt := make([]int, n) // the inverse of SlotOf
+							for r := range rankAt {
+								rankAt[ctx.SlotOf(r)] = r
+							}
 							for epoch := 0; epoch < 2; epoch++ {
 								p.Compute(float64(1_000_000 * me))
 								for slot := 0; slot < n; slot++ {
-									a.MineSend().PutFloat64(slot, val(epoch, me, ctx.RankAt(slot)))
+									a.MineSend().PutFloat64(slot, val(epoch, me, rankAt[slot]))
 								}
 								if err := a.Alltoall(); err != nil {
 									return err
 								}
 								for slot := 0; slot < n; slot++ {
-									src := ctx.RankAt(slot)
+									src := rankAt[slot]
 									if got, want := a.MineRecv().Float64At(slot), val(epoch, src, me); got != want {
 										return fmt.Errorf("epoch %d: rank %d from %d got %v want %v", epoch, me, src, got, want)
 									}

@@ -54,10 +54,7 @@ type Ctx struct {
 	bridge *mpi.Comm // nil on children
 	comp   *coll.Composer
 
-	sync  SyncMode
-	level string // topology level hosting the shared window
-
-	collTuning *coll.Tuning
+	sync SyncMode
 }
 
 // Option configures a Ctx.
@@ -66,17 +63,6 @@ type Option func(*Ctx)
 // WithSync selects the synchronization flavor (default SyncBarrier, as
 // in the paper).
 func WithSync(m SyncMode) Option { return func(c *Ctx) { c.sync = m } }
-
-// WithSharedLevel places the shared window (and the sync domain) at the
-// named topology level: "node" (the default), or any level nested
-// inside the node such as "socket" or "numa".
-func WithSharedLevel(level string) Option { return func(c *Ctx) { c.level = level } }
-
-// WithCollTuning routes every collective the hybrid context issues —
-// the bridge exchanges of its leaders in particular — through the
-// given selection-engine tuning. Without it the context inherits
-// whatever tuning the parent communicator (or world) carries.
-func WithCollTuning(t coll.Tuning) Option { return func(c *Ctx) { c.collTuning = &t } }
 
 // New builds the hybrid context over a communicator: the two-level
 // communicator split of Fig. 4 lines 2-10 plus the level-sorted rank
@@ -92,15 +78,16 @@ func New(comm *mpi.Comm, opts ...Option) (*Ctx, error) {
 	for _, o := range opts {
 		o(ctx)
 	}
-	// The option wins, then the tuning's sharedlevel= key, then the node.
-	ctx.level = cmp.Or(ctx.level, coll.TuningFor(comm).SharedLevel, "node")
+	// The shared window sits at the tuning's sharedlevel= level, the
+	// node by default.
+	level := cmp.Or(coll.TuningFor(comm).SharedLevel, "node")
 	topo := comm.Proc().World().Topology()
-	lvl, ok := topo.LevelIndex(ctx.level)
+	lvl, ok := topo.LevelIndex(level)
 	if !ok {
-		return nil, fmt.Errorf("hybrid: topology %s has no level %q", topo, ctx.level)
+		return nil, fmt.Errorf("hybrid: topology %s has no level %q", topo, level)
 	}
 	if lvl > topo.NodeLevel() {
-		return nil, fmt.Errorf("hybrid: shared window cannot sit at level %q outside the node (no load/store reachability)", ctx.level)
+		return nil, fmt.Errorf("hybrid: shared window cannot sit at level %q outside the node (no load/store reachability)", level)
 	}
 
 	comp, err := coll.NewComposer(comm, []int{lvl})
@@ -108,36 +95,14 @@ func New(comm *mpi.Comm, opts ...Option) (*Ctx, error) {
 		return nil, fmt.Errorf("hybrid: %w", err)
 	}
 	ctx.node, ctx.bridge, ctx.comp = comp.Tier(0), comp.Top(), comp
-	if ctx.collTuning != nil {
-		// Attach to the context's own communicators only: the caller's
-		// handle keeps whatever tuning it already carries.
-		ctx.node.SetCollConfig(*ctx.collTuning)
-		if ctx.bridge != nil {
-			ctx.bridge.SetCollConfig(*ctx.collTuning)
-		}
-	}
 	return ctx, nil
 }
-
-// Comm returns the communicator the context was built over.
-func (c *Ctx) Comm() *mpi.Comm { return c.comm }
-
-// Node returns the shared-memory communicator (the shared-level group:
-// the whole node by default, one socket/numa domain when the context
-// was built with a finer shared level).
-func (c *Ctx) Node() *mpi.Comm { return c.node }
-
-// Bridge returns the leader communicator (nil on children).
-func (c *Ctx) Bridge() *mpi.Comm { return c.bridge }
 
 // IsLeader reports whether this rank is its group's leader.
 func (c *Ctx) IsLeader() bool { return c.node.Rank() == 0 }
 
 // Nodes returns the number of shared-level groups (nodes by default).
 func (c *Ctx) Nodes() int { return c.comp.Groups(0) }
-
-// SharedLevel returns the topology level name the window sits at.
-func (c *Ctx) SharedLevel() string { return c.level }
 
 // NodeSizes returns ranks per group in bridge order (shared across all
 // ranks; do not modify).
@@ -147,16 +112,6 @@ func (c *Ctx) NodeSizes() []int { return c.comp.GroupSizes(0) }
 // SMP-style placement this is the identity; for other placements it
 // realizes the node-sorted global rank array of Sect. 6.
 func (c *Ctx) SlotOf(rank int) int { return c.comp.SlotOf(rank) }
-
-// RankAt is the inverse of SlotOf.
-func (c *Ctx) RankAt(slot int) int { return c.comp.RankAt(slot) }
-
-// SMPPlacement reports whether comm ranks are laid out SMP-style (group
-// blocks contiguous in rank order).
-func (c *Ctx) SMPPlacement() bool { return c.comp.SMP() }
-
-// Sync returns the configured synchronization flavor.
-func (c *Ctx) Sync() SyncMode { return c.sync }
 
 // MyNodeIdx returns this rank's group position in bridge order.
 func (c *Ctx) MyNodeIdx() int { return c.comp.MyGroup(0) }

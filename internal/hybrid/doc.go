@@ -7,8 +7,8 @@
 // the leader around the exchange (Figs. 4 and 6 of the paper).
 //
 // A Ctx holds the communicator pair (shared-memory group plus bridge)
-// and the synchronization mode; NewAllgatherer, Allreduce, Bcast,
-// Alltoall and the rooted variants build the paper's Hy_* collectives
+// and the synchronization mode; NewAllgatherer, NewBcaster,
+// NewAllreducer and NewAlltoaller build the paper's Hy_* collectives
 // on top of it, each an instance of the one protocol in epoch.go
 // (DESIGN.md, "Hybrid collectives"). SyncMode selects how children order
 // themselves around the leader's exchange: the paper's barrier pair, or
@@ -18,7 +18,7 @@
 // can sit at any shared-memory level: the paper's node scheme is the
 // default, a socket- or numa-level window turns every socket/numa
 // leader into a bridge participant (more exchange parallelism, smaller
-// windows). The level is selected with WithSharedLevel or the
-// sharedlevel= key of coll.Tuning / REPRO_COLL_TUNING (see TUNING.md
-// at the repository root).
+// windows). The level is selected with the sharedlevel= key of
+// coll.Tuning / REPRO_COLL_TUNING (see TUNING.md at the repository
+// root).
 package hybrid

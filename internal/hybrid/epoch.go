@@ -48,7 +48,7 @@ type visibility int
 
 const (
 	// toLeader: every on-node rank wrote; the leader reads (allgather,
-	// allreduce, reduce, gather). One arrival.
+	// allreduce). One arrival.
 	toLeader visibility = iota
 	// toAll: every on-node rank wrote; every on-node rank reads its
 	// peers' writes (the single-node allgather, alltoall's pull). One
@@ -56,7 +56,7 @@ const (
 	// their arrival tells only the leader — so they need both phases:
 	// the leader's release is what tells a child its peers have written.
 	toAll
-	// fromRoot: only the root wrote; its leader reads (bcast, scatter).
+	// fromRoot: only the root wrote; its leader reads (bcast).
 	// A root that is the leader needs nothing; a child root hands off
 	// with one flag.
 	fromRoot

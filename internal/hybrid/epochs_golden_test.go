@@ -11,6 +11,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/coll"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
@@ -54,16 +55,7 @@ type epochRun struct {
 
 // stagger makes comm rank r arrive r-proportionally late, so the pins
 // hold which ranks an epoch's synchronization waits for.
-func (e epochRun) stagger() { e.p.Compute(float64(4000 * (e.ctx.Comm().Rank() + 1))) }
-
-// onRootNode reports whether this rank shares the root's segment.
-func (e epochRun) onRootNode() bool {
-	slot, node := e.ctx.SlotOf(e.root), 0
-	for first := 0; slot >= first+e.ctx.NodeSizes()[node]; node++ {
-		first += e.ctx.NodeSizes()[node]
-	}
-	return node == e.ctx.MyNodeIdx()
-}
+func (e epochRun) stagger() { e.p.Compute(float64(4000 * (e.ctx.comm.Rank() + 1))) }
 
 // fill writes n bytes naming epoch, owner and position.
 func fill(b mpi.Buf, epoch, owner int) {
@@ -97,7 +89,7 @@ func allgatherEpochs(build func(c *Ctx) (*Allgatherer, error)) func(e epochRun) 
 		}
 		for epoch := 0; epoch < 2; epoch++ {
 			e.stagger()
-			fill(a.Mine(), epoch, e.ctx.Comm().Rank())
+			fill(a.Mine(), epoch, e.ctx.comm.Rank())
 			if err := a.Allgather(); err != nil {
 				return err
 			}
@@ -112,13 +104,6 @@ func allgatherEpochs(build func(c *Ctx) (*Allgatherer, error)) func(e epochRun) 
 
 var epochCollectives = []epochCollective{
 	{name: "Allgatherer", body: allgatherEpochs(func(c *Ctx) (*Allgatherer, error) { return c.NewAllgatherer(40) })},
-	{name: "AllgathererV", body: allgatherEpochs(func(c *Ctx) (*Allgatherer, error) {
-		counts := make([]int, c.Comm().Size())
-		for r := range counts {
-			counts[r] = 8 * ((5*r + 3) % 4)
-		}
-		return c.NewAllgathererV(counts)
-	})},
 	{name: "AllgathererChunked", body: allgatherEpochs(func(c *Ctx) (*Allgatherer, error) {
 		return c.NewAllgatherer(1000, WithPipelineChunk(384))
 	})},
@@ -129,7 +114,7 @@ var epochCollectives = []epochCollective{
 		}
 		for epoch := 0; epoch < 2; epoch++ {
 			e.stagger()
-			if e.ctx.Comm().Rank() == e.root {
+			if e.ctx.comm.Rank() == e.root {
 				fill(b.Buffer(), epoch, e.root)
 			}
 			if err := b.Bcast(e.root); err != nil {
@@ -149,72 +134,12 @@ var epochCollectives = []epochCollective{
 		}
 		for epoch := 0; epoch < 2; epoch++ {
 			e.stagger()
-			fillNums(a.Mine(), epoch, e.ctx.Comm().Rank(), 5)
+			fillNums(a.Mine(), epoch, e.ctx.comm.Rank(), 5)
 			if err := a.Allreduce(mpi.OpSum); err != nil {
 				return err
 			}
 			e.see(a.Result())
 			if err := a.ReadFence(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}},
-	{name: "Reducer", rooted: true, body: func(e epochRun) error {
-		r, err := e.ctx.NewReducer(5, mpi.Float64)
-		if err != nil {
-			return err
-		}
-		for epoch := 0; epoch < 2; epoch++ {
-			e.stagger()
-			fillNums(r.Mine(), epoch, e.ctx.Comm().Rank(), 5)
-			if err := r.Reduce(mpi.OpSum, e.root); err != nil {
-				return err
-			}
-			if e.onRootNode() {
-				e.see(r.Result())
-			}
-			if err := r.ReadFence(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}},
-	{name: "Gatherer", rooted: true, body: func(e epochRun) error {
-		g, err := e.ctx.NewGatherer(24)
-		if err != nil {
-			return err
-		}
-		for epoch := 0; epoch < 2; epoch++ {
-			e.stagger()
-			fill(g.Mine(), epoch, e.ctx.Comm().Rank())
-			if err := g.Gather(e.root); err != nil {
-				return err
-			}
-			if e.onRootNode() {
-				e.see(g.Result())
-			}
-			if err := g.ReadFence(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}},
-	{name: "Scatterer", rooted: true, body: func(e epochRun) error {
-		s, err := e.ctx.NewScatterer(24)
-		if err != nil {
-			return err
-		}
-		for epoch := 0; epoch < 2; epoch++ {
-			e.stagger()
-			if e.ctx.Comm().Rank() == e.root {
-				fill(s.Input(), epoch, e.root)
-			}
-			if err := s.Scatter(e.root); err != nil {
-				return err
-			}
-			e.see(s.Mine())
-			if err := s.ReadFence(); err != nil {
 				return err
 			}
 		}
@@ -227,7 +152,7 @@ var epochCollectives = []epochCollective{
 		}
 		for epoch := 0; epoch < 2; epoch++ {
 			e.stagger()
-			fill(a.MineSend(), epoch, e.ctx.Comm().Rank())
+			fill(a.MineSend(), epoch, e.ctx.comm.Rank())
 			if err := a.Alltoall(); err != nil {
 				return err
 			}
@@ -251,7 +176,18 @@ var epochPlacements = []struct {
 }{
 	{"smp", nil},
 	{"reversed", func(p *mpi.Proc) int { return p.Size() - 1 - p.Rank() }},
-	{"roundrobin", func(p *mpi.Proc) int { return p.LocalRank()*p.Size() + p.Node() }},
+	{"roundrobin", func(p *mpi.Proc) int { return localRank(p)*p.Size() + p.Node() }},
+}
+
+// localRank is a rank's place on its node: the lower ranks sharing it.
+func localRank(p *mpi.Proc) int {
+	topo, n := p.World().Topology(), 0
+	for r := 0; r < p.Rank(); r++ {
+		if topo.SameNode(r, p.Rank()) {
+			n++
+		}
+	}
+	return n
 }
 
 // runEpochs runs one golden case on one engine.
@@ -275,11 +211,10 @@ func runEpochs(cl epochCollective, mode SyncMode, sh epochShape, key func(p *mpi
 			}
 			comm = sub
 		}
-		opts := []Option{WithSync(mode)}
 		if sh.level != "" {
-			opts = append(opts, WithSharedLevel(sh.level))
+			comm = coll.WithTuning(comm, coll.Tuning{SharedLevel: sh.level})
 		}
-		ctx, err := New(comm, opts...)
+		ctx, err := New(comm, WithSync(mode))
 		if err != nil {
 			return err
 		}

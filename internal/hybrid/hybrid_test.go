@@ -34,29 +34,26 @@ func TestCtxStructure(t *testing.T) {
 		if ctx.Nodes() != 2 {
 			t.Errorf("nodes = %d", ctx.Nodes())
 		}
-		if !ctx.SMPPlacement() {
+		if !ctx.comp.SMP() {
 			t.Error("world comm should be SMP placement")
 		}
 		wantLeader := p.Rank() == 0 || p.Rank() == 3
 		if ctx.IsLeader() != wantLeader {
 			t.Errorf("rank %d IsLeader = %v", p.Rank(), ctx.IsLeader())
 		}
-		if wantLeader && ctx.Bridge() == nil {
+		if wantLeader && ctx.bridge == nil {
 			t.Error("leader missing bridge")
 		}
-		if !wantLeader && ctx.Bridge() != nil {
+		if !wantLeader && ctx.bridge != nil {
 			t.Error("child has bridge")
 		}
 		for r := 0; r < 5; r++ {
-			if ctx.SlotOf(r) != r || ctx.RankAt(r) != r {
+			if ctx.SlotOf(r) != r {
 				t.Errorf("SMP slot mapping not identity at %d", r)
 			}
 		}
 		if got := ctx.NodeSizes(); got[0] != 3 || got[1] != 2 {
 			t.Errorf("node sizes = %v", got)
-		}
-		if ctx.Comm() == nil || ctx.Node() == nil {
-			t.Error("accessors returned nil")
 		}
 		return nil
 	})
@@ -157,40 +154,6 @@ func TestHyAllgatherRepeatedCalls(t *testing.T) {
 	})
 }
 
-func TestHyAllgathererV(t *testing.T) {
-	// Irregular per-rank contributions, including zero.
-	counts := []int{24, 0, 8, 16, 8}
-	runWorld(t, []int{3, 2}, func(p *mpi.Proc) error {
-		ctx, err := New(p.CommWorld())
-		if err != nil {
-			return err
-		}
-		a, err := ctx.NewAllgathererV(counts)
-		if err != nil {
-			return err
-		}
-		mine := a.Mine()
-		if mine.Len() != counts[p.Rank()] {
-			t.Errorf("rank %d Mine() length %d, want %d", p.Rank(), mine.Len(), counts[p.Rank()])
-		}
-		for i := 0; i < counts[p.Rank()]/8; i++ {
-			mine.PutFloat64(i, float64(p.Rank()*10+i))
-		}
-		if err := a.Allgather(); err != nil {
-			return err
-		}
-		for r := 0; r < 5; r++ {
-			blk := a.Block(r)
-			for i := 0; i < counts[r]/8; i++ {
-				if got := blk.Float64At(i); got != float64(r*10+i) {
-					t.Errorf("block %d elem %d = %v", r, i, got)
-				}
-			}
-		}
-		return nil
-	})
-}
-
 func TestHyAllgatherNonSMPPlacement(t *testing.T) {
 	// Round-robin placement: comm rank order alternates nodes, so the
 	// node-sorted rank array must kick in (paper Sect. 6).
@@ -206,7 +169,7 @@ func TestHyAllgatherNonSMPPlacement(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if ctx.SMPPlacement() {
+		if ctx.comp.SMP() {
 			t.Error("round-robin comm misdetected as SMP")
 		}
 		a, err := ctx.NewAllgatherer(8)
@@ -401,12 +364,6 @@ func TestValidation(t *testing.T) {
 		}
 		if _, err := ctx.NewAllgatherer(-1); err == nil {
 			t.Error("negative size accepted")
-		}
-		if _, err := ctx.NewAllgathererV([]int{8}); err == nil {
-			t.Error("short count vector accepted")
-		}
-		if _, err := ctx.NewAllgathererV([]int{8, -8}); err == nil {
-			t.Error("negative count accepted")
 		}
 		if _, err := ctx.NewBcaster(-1); err == nil {
 			t.Error("negative bcast size accepted")

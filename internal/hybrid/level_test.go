@@ -21,6 +21,12 @@ func runHierWorld(t *testing.T, topo *sim.Topology, opts []mpi.Option, body func
 	return w
 }
 
+// atLevel is a communicator's handle carrying the sharedlevel= tuning
+// key, which is how a context's window is placed below the node.
+func atLevel(c *mpi.Comm, level string) *mpi.Comm {
+	return coll.WithTuning(c, coll.Tuning{SharedLevel: level})
+}
+
 func socketTopo(t *testing.T) *sim.Topology {
 	t.Helper()
 	topo, err := sim.UniformHier(3,
@@ -43,25 +49,22 @@ func TestSocketLevelHybrid(t *testing.T) {
 			const elems = 6
 			per := 8 * elems
 			runHierWorld(t, topo, nil, func(p *mpi.Proc) error {
-				ctx, err := New(p.CommWorld(), WithSharedLevel("socket"), WithSync(mode))
+				ctx, err := New(atLevel(p.CommWorld(), "socket"), WithSync(mode))
 				if err != nil {
 					return err
 				}
-				if ctx.SharedLevel() != "socket" {
-					return fmt.Errorf("shared level = %q", ctx.SharedLevel())
-				}
-				if ctx.Node().Size() != 3 {
-					return fmt.Errorf("socket comm size = %d, want 3", ctx.Node().Size())
+				if ctx.node.Size() != 3 {
+					return fmt.Errorf("socket comm size = %d, want 3", ctx.node.Size())
 				}
 				if ctx.Nodes() != 4 {
 					return fmt.Errorf("groups = %d, want 4 sockets", ctx.Nodes())
 				}
 				// Socket leaders — one per socket — form the bridge.
-				if p.LocalRankAt(0) == 0 {
-					if ctx.Bridge() == nil || ctx.Bridge().Size() != 4 {
+				if p.Rank()%3 == 0 {
+					if ctx.bridge == nil || ctx.bridge.Size() != 4 {
 						return fmt.Errorf("bridge missing or wrong size on socket leader")
 					}
-				} else if ctx.Bridge() != nil {
+				} else if ctx.bridge != nil {
 					return fmt.Errorf("child rank %d has a bridge handle", p.Rank())
 				}
 
@@ -94,8 +97,8 @@ func TestSocketLevelHybrid(t *testing.T) {
 
 // TestSharedLevelViaTuning threads the shared level through
 // coll.Tuning (the REPRO_COLL_TUNING path): a world configured with
-// sharedlevel=socket builds socket-level contexts with no explicit
-// option.
+// sharedlevel=socket builds socket-level contexts, and a communicator's
+// own tuning wins over the world's.
 func TestSharedLevelViaTuning(t *testing.T) {
 	tun := coll.Tuning{SharedLevel: "socket"}
 	topo := socketTopo(t)
@@ -104,17 +107,15 @@ func TestSharedLevelViaTuning(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if ctx.SharedLevel() != "socket" || ctx.Node().Size() != 3 {
-			return fmt.Errorf("tuning did not select the socket level: %q size %d",
-				ctx.SharedLevel(), ctx.Node().Size())
+		if ctx.node.Size() != 3 {
+			return fmt.Errorf("tuning did not select the socket level: size %d", ctx.node.Size())
 		}
-		// An explicit option still wins over the tuning.
-		ctx2, err := New(p.CommWorld(), WithSharedLevel("node"))
+		ctx2, err := New(atLevel(p.CommWorld(), "node"))
 		if err != nil {
 			return err
 		}
-		if ctx2.Node().Size() != 6 {
-			return fmt.Errorf("explicit node level ignored: size %d", ctx2.Node().Size())
+		if ctx2.node.Size() != 6 {
+			return fmt.Errorf("explicit node level ignored: size %d", ctx2.node.Size())
 		}
 		return nil
 	})
@@ -133,10 +134,10 @@ func TestSharedLevelValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := w.Run(func(p *mpi.Proc) error {
-		if _, err := New(p.CommWorld(), WithSharedLevel("group")); err == nil {
+		if _, err := New(atLevel(p.CommWorld(), "group")); err == nil {
 			return fmt.Errorf("group-level window accepted (no load/store reachability)")
 		}
-		if _, err := New(p.CommWorld(), WithSharedLevel("nosuch")); err == nil {
+		if _, err := New(atLevel(p.CommWorld(), "nosuch")); err == nil {
 			return fmt.Errorf("unknown level accepted")
 		}
 		return nil
@@ -151,7 +152,7 @@ func TestSocketLevelAllreduce(t *testing.T) {
 	topo := socketTopo(t)
 	const elems = 4
 	runHierWorld(t, topo, nil, func(p *mpi.Proc) error {
-		ctx, err := New(p.CommWorld(), WithSharedLevel("socket"))
+		ctx, err := New(atLevel(p.CommWorld(), "socket"))
 		if err != nil {
 			return err
 		}

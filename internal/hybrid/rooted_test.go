@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/coll"
 	"repro/internal/mpi"
 )
 
@@ -165,5 +166,154 @@ func TestRootedValidation(t *testing.T) {
 			t.Error("bad reduce root accepted")
 		}
 		return nil
+	})
+}
+
+// The rooted hybrid collectives — gather, scatter, reduce — are not
+// part of the package: the paper evaluates allgather and broadcast, the
+// workloads add allreduce and alltoall, and nothing roots a gather. They
+// live here, written over the same epoch protocol (Ctx.epoch, the node
+// segment, the toLeader and fromRoot visibilities), for the tests above,
+// which is how those paths are exercised from a root other than the
+// broadcast's.
+
+const tagHyRooted = tagHyAlltoall + 1 // gather and scatter node blocks
+
+// staging is the node segment both collectives run over: one `per`-byte
+// slot for every comm rank, in slot order.
+type staging struct {
+	collective
+	per int
+	buf mpi.Buf
+}
+
+// Gatherer is the hybrid gather: every rank writes its block into the
+// node's shared staging; leaders forward aggregated node blocks to the
+// root's leader; ranks on the root's node read results in place.
+type Gatherer struct{ staging }
+
+// Scatterer is the hybrid scatter: the root writes all blocks into its
+// node's shared staging; leaders receive their node's slice; children
+// read their slot in place.
+type Scatterer struct{ staging }
+
+// init fills the staging embedded in a handle cut from a setup slab.
+func (s *staging) init(c *Ctx, per int) (err error) {
+	if per < 0 {
+		return fmt.Errorf("hybrid: negative block size %d", per)
+	}
+	*s = staging{collective: collective{c}, per: per}
+	s.buf, err = c.segment(per * c.comm.Size())
+	return err
+}
+
+// NewGatherer prepares a hybrid gather of per bytes per rank (one-off).
+func (c *Ctx) NewGatherer(per int) (*Gatherer, error) {
+	g, _, _ := mpi.SetupSlab[Gatherer](c.comm, nil)
+	if err := g.init(c, per); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// NewScatterer prepares a hybrid scatter of per bytes per rank.
+func (c *Ctx) NewScatterer(per int) (*Scatterer, error) {
+	s, _, _ := mpi.SetupSlab[Scatterer](c.comm, nil)
+	if err := s.init(c, per); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Mine returns this rank's slot: its input block before Gather, its
+// received block after Scatter.
+func (s *staging) Mine() mpi.Buf {
+	return s.buf.Slice(s.ctx.SlotOf(s.ctx.comm.Rank())*s.per, s.per)
+}
+
+// Result returns the gathered buffer (valid on the root's node after
+// Gather; slot order).
+func (g *Gatherer) Result() mpi.Buf { return g.buf }
+
+// Input returns the full input buffer; the root fills it (slot order)
+// before Scatter.
+func (s *Scatterer) Input() mpi.Buf { return s.buf }
+
+// Gather runs the timed operation with the given root (comm rank).
+func (g *Gatherer) Gather(root int) error {
+	return g.ctx.epoch("gather", toLeader, root, true, func(bridge *mpi.Comm, rootNode int) error {
+		return g.forward(bridge, rootNode, true)
+	})
+}
+
+// Scatter runs the timed operation with the given root (comm rank).
+func (s *Scatterer) Scatter(root int) error {
+	return s.ctx.epoch("scatter", fromRoot, root, true, func(bridge *mpi.Comm, rootNode int) error {
+		return s.forward(bridge, rootNode, false)
+	})
+}
+
+// forward moves whole node blocks between the root's leader and every
+// other leader, each block at its node's place in the staging: towards
+// the root for a gather, away from it for a scatter.
+func (s *staging) forward(bridge *mpi.Comm, rootNode int, toRoot bool) error {
+	if bridge == nil {
+		return nil
+	}
+	me := bridge.Rank()
+	if me != rootNode {
+		return s.move(bridge, me, rootNode, toRoot)
+	}
+	for n := 0; n < bridge.Size(); n++ {
+		if n == me {
+			continue
+		}
+		if err := s.move(bridge, n, n, !toRoot); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// move sends node n's block of the staging to peer, or receives it.
+func (s *staging) move(bridge *mpi.Comm, n, peer int, send bool) error {
+	first, size := s.ctx.nodeSpan(n)
+	blk := s.buf.Slice(first*s.per, size*s.per)
+	if send {
+		return bridge.Send(blk, peer, tagHyRooted)
+	}
+	_, err := bridge.Recv(blk, peer, tagHyRooted)
+	return err
+}
+
+// Reducer is the hybrid rooted reduce: like Allreducer, but the leaders
+// run a tree reduce on the bridge, so the result lands only on the
+// root's node.
+type Reducer struct{ Allreducer }
+
+// NewReducer prepares a hybrid reduce of count elements of dt.
+func (c *Ctx) NewReducer(count int, dt mpi.Datatype) (*Reducer, error) {
+	r, _, _ := mpi.SetupSlab[Reducer](c.comm, nil)
+	if err := r.init(c, count, dt); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Reduce runs the timed operation onto root (comm rank).
+func (r *Reducer) Reduce(op mpi.Op, root int) error {
+	return r.ctx.epoch("reduce", toLeader, root, true, func(bridge *mpi.Comm, rootNode int) error {
+		if !r.ctx.IsLeader() {
+			return nil
+		}
+		r.foldNode(op)
+		if bridge == nil {
+			return nil
+		}
+		err := coll.Reduce(bridge, r.out, r.scratch, r.count, r.dt, op, rootNode)
+		if err == nil && bridge.Rank() == rootNode {
+			r.ctx.node.Proc().CopyLocal(r.out, r.scratch, 1)
+		}
+		return err
 	})
 }

@@ -26,21 +26,6 @@ func NewMat(rows, cols int) *Mat {
 	return &Mat{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices (all equal length).
-func FromRows(rows [][]float64) (*Mat, error) {
-	if len(rows) == 0 {
-		return NewMat(0, 0), nil
-	}
-	m := NewMat(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			return nil, fmt.Errorf("la: row %d has %d entries, want %d", i, len(r), m.Cols)
-		}
-		copy(m.Data[i*m.Cols:], r)
-	}
-	return m, nil
-}
-
 // At returns element (i, j).
 func (m *Mat) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -58,13 +43,6 @@ func (m *Mat) Clone() *Mat {
 	c := NewMat(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// Zero clears the matrix in place.
-func (m *Mat) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
 }
 
 // Eye returns the n x n identity.
@@ -236,19 +214,6 @@ func SolveUpperT(l *Mat, y []float64) ([]float64, error) {
 		x[i] = s / d
 	}
 	return x, nil
-}
-
-// SolveSPD solves A x = b for SPD A via Cholesky.
-func SolveSPD(a *Mat, b []float64) ([]float64, error) {
-	l, err := Cholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	y, err := SolveLower(l, b)
-	if err != nil {
-		return nil, err
-	}
-	return SolveUpperT(l, y)
 }
 
 // InvSPD inverts an SPD matrix via Cholesky (column-by-column solves).

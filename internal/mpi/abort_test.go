@@ -81,7 +81,7 @@ func TestAbortWakesSplit(t *testing.T) {
 
 func TestAbortWakesRendezvousSend(t *testing.T) {
 	w := newTestWorld(t, 2, 1)
-	big := w.Model().EagerLimit * 2
+	big := w.model.EagerLimit * 2
 	err := w.Run(func(p *Proc) error {
 		if p.Rank() == 1 {
 			return errors.New("receiver died before posting")

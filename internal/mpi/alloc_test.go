@@ -46,8 +46,8 @@ func exerciseEager(c0, c1 *Comm, buf0, buf1 Buf) error {
 
 func TestEagerMatcherPathAllocationFree(t *testing.T) {
 	w := allocWorld(t)
-	c0 := w.Proc(0).CommWorld()
-	c1 := w.Proc(1).CommWorld()
+	c0 := w.procs[0].CommWorld()
+	c1 := w.procs[1].CommWorld()
 	buf := Sized(8)
 
 	// Warm the pools and the queue backing arrays.
@@ -68,8 +68,8 @@ func TestEagerMatcherPathAllocationFree(t *testing.T) {
 
 func TestEagerRealDataAllocationFree(t *testing.T) {
 	w := allocWorld(t, WithRealData())
-	c0 := w.Proc(0).CommWorld()
-	c1 := w.Proc(1).CommWorld()
+	c0 := w.procs[0].CommWorld()
+	c1 := w.procs[1].CommWorld()
 	buf0 := Bytes(make([]byte, 64))
 	buf1 := Bytes(make([]byte, 64))
 
@@ -92,8 +92,8 @@ func TestEagerRealDataAllocationFree(t *testing.T) {
 // blocking Sendrecv must stay allocation-free on the eager path too.
 func TestSendrecvAllocationFree(t *testing.T) {
 	w := allocWorld(t)
-	c0 := w.Proc(0).CommWorld()
-	c1 := w.Proc(1).CommWorld()
+	c0 := w.procs[0].CommWorld()
+	c1 := w.procs[1].CommWorld()
 	buf := Sized(8)
 
 	step := func() {

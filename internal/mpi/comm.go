@@ -36,9 +36,8 @@ type Comm struct {
 	// map at all.
 	cell *cell
 
-	// ptopo is the process topology (Cartesian grid or distributed
-	// graph) attached by CartCreate / DistGraphCreate, nil on plain
-	// communicators. See topo.go.
+	// ptopo is the process topology (a Cartesian grid) attached by
+	// CartCreate, nil on plain communicators. See topo.go.
 	ptopo *procTopo
 
 	oneNode int8 // cached single-node test: 0 unknown, 1 yes, -1 no
@@ -272,10 +271,6 @@ func (c *Comm) CollConfig() any { return c.collCfg }
 // mix algorithms and deadlock.
 func (c *Comm) SetCollConfig(v any) { c.collCfg = v }
 
-// SingleNode reports whether every member of the communicator lives on
-// one node (cached after the first call).
-func (c *Comm) SingleNode() bool { return c.isSingleNode() }
-
 // HopClass returns the hop class that dominates traffic on this
 // communicator: the class of the innermost topology level containing
 // every member, HopNet when the members share no declared level. On a
@@ -328,30 +323,4 @@ func (c *Comm) SplitLevel(l int) (*Comm, error) {
 // first step of the paper's hierarchical communicator setup (Fig. 1a).
 func (c *Comm) SplitTypeShared() (*Comm, error) {
 	return c.SplitLevel(c.p.world.topo.NodeLevel())
-}
-
-// SplitLeaders builds the leader communicator over a sub-communicator
-// partition: the lowest rank of each sub group joins, everyone else
-// gets nil. sub must be a communicator obtained by splitting this one
-// (SplitLevel / SplitTypeShared), and the call is collective over this
-// communicator's members.
-func (c *Comm) SplitLeaders(sub *Comm) (*Comm, error) {
-	color := Undefined
-	if sub.Rank() == 0 {
-		color = 0
-	}
-	return c.Split(color, c.rank)
-}
-
-// SplitBridge builds the paper's bridge communicator (Fig. 2): the
-// lowest rank of each shared-memory group becomes a leader; leaders form
-// the bridge, everyone else gets nil.
-func (c *Comm) SplitBridge(nodeComm *Comm) (*Comm, error) {
-	return c.SplitLeaders(nodeComm)
-}
-
-// Dup duplicates the communicator with a fresh context (MPI_Comm_dup),
-// isolating its traffic from the parent's.
-func (c *Comm) Dup() (*Comm, error) {
-	return c.Split(0, c.rank)
 }

@@ -16,8 +16,8 @@ func TestSplitTypeShared(t *testing.T) {
 		if node.Size() != 4 {
 			t.Errorf("rank %d: node comm size %d", p.Rank(), node.Size())
 		}
-		if node.Rank() != p.LocalRank() {
-			t.Errorf("rank %d: node rank %d != local rank %d", p.Rank(), node.Rank(), p.LocalRank())
+		if node.Rank() != p.Rank()%4 {
+			t.Errorf("rank %d: node rank %d != local rank %d", p.Rank(), node.Rank(), p.Rank()%4)
 		}
 		// Every member must be on my node.
 		for r := 0; r < node.Size(); r++ {
@@ -40,7 +40,13 @@ func TestSplitBridge(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		bridge, err := world.SplitBridge(node)
+		// The paper's bridge communicator (Fig. 2): the lowest rank of
+		// each shared-memory group joins, everyone else opts out.
+		color := Undefined
+		if node.Rank() == 0 {
+			color = 0
+		}
+		bridge, err := world.Split(color, world.Rank())
 		if err != nil {
 			return err
 		}
@@ -128,7 +134,8 @@ func TestSplitCommIsolation(t *testing.T) {
 func TestDup(t *testing.T) {
 	w := newTestWorld(t, 1, 3)
 	err := w.Run(func(p *Proc) error {
-		d, err := p.CommWorld().Dup()
+		// MPI_Comm_dup is a one-color Split keyed by rank.
+		d, err := p.CommWorld().Split(0, p.Rank())
 		if err != nil {
 			return err
 		}
@@ -203,8 +210,8 @@ func TestWinAllocateShared(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if win.Size() != 24 {
-			t.Errorf("window size %d, want 24", win.Size())
+		if win.Whole().Len() != 24 {
+			t.Errorf("window size %d, want 24", win.Whole().Len())
 		}
 		// Each rank writes its slot in the leader's segment.
 		seg := win.Query(0)
@@ -250,7 +257,7 @@ func TestWinPerRankSegments(t *testing.T) {
 		if win.Whole().Len() != 32 {
 			t.Errorf("whole segment %d bytes", win.Whole().Len())
 		}
-		if win.Comm() != node {
+		if win.comm != node {
 			t.Error("win.Comm mismatch")
 		}
 		return nil

@@ -37,7 +37,7 @@ func TestNoLiveRoundAfterCleanRun(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if _, err := sub.Dup(); err != nil {
+		if _, err := sub.Split(0, sub.Rank()); err != nil {
 			return err
 		}
 		node, err := p.CommWorld().SplitTypeShared()
@@ -69,7 +69,7 @@ func TestSetupExchangeAllocationLean(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	c := w.Proc(0).CommWorld()
+	c := w.procs[0].CommWorld()
 	for i := 0; i < 32; i++ {
 		c.exchange(i, nil)
 	}
@@ -132,7 +132,7 @@ func TestShmBarrierWideNodeEnginesAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			for r := 0; r < n; r++ {
-				clocks[i] = append(clocks[i], w.Proc(r).Clock())
+				clocks[i] = append(clocks[i], w.procs[r].Clock())
 			}
 			w.Close()
 		}

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -215,4 +216,178 @@ func TestPackNonSMPUseCase(t *testing.T) {
 	if packed <= direct {
 		t.Errorf("packing penalty missing: packed %v <= direct %v", packed, direct)
 	}
+}
+
+// Derived datatypes, kept as test code. The paper's Sect. 6 names them
+// as one way to support rank placements other than SMP-style ("the MPI
+// derived datatype can be employed [31]; however, the procedures of
+// packing and unpacking always come with performance penalty") only to
+// reject them for the node-sorted rank array internal/hybrid uses, and
+// no workload ever packed anything. The layouts below are what the tests
+// in this file exercise against Buf, CopyData and the copy-cost model.
+
+// Layout describes a derived datatype: a recipe mapping a typed view
+// onto a byte buffer, in the spirit of MPI's derived datatypes.
+type Layout interface {
+	// Extent is the span in bytes from the first to one past the
+	// last byte the layout touches.
+	Extent() int
+	// Size is the number of bytes the layout actually transfers.
+	Size() int
+	// regions yields the (offset, length) runs in extent order.
+	regions(yield func(off, n int) bool)
+}
+
+// Contig is a contiguous run of bytes — MPI_Type_contiguous.
+type Contig struct{ N int }
+
+// Extent implements Layout.
+func (c Contig) Extent() int { return c.N }
+
+// Size implements Layout.
+func (c Contig) Size() int { return c.N }
+
+func (c Contig) regions(yield func(off, n int) bool) {
+	if c.N > 0 {
+		yield(0, c.N)
+	}
+}
+
+// Vector is count blocks of BlockLen bytes separated by Stride bytes —
+// MPI_Type_vector. A column of a row-major matrix is Vector{Count:
+// rows, BlockLen: elemSize, Stride: rowBytes}.
+type Vector struct {
+	Count    int
+	BlockLen int
+	Stride   int
+}
+
+// Extent implements Layout.
+func (v Vector) Extent() int {
+	if v.Count == 0 {
+		return 0
+	}
+	return (v.Count-1)*v.Stride + v.BlockLen
+}
+
+// Size implements Layout.
+func (v Vector) Size() int { return v.Count * v.BlockLen }
+
+func (v Vector) regions(yield func(off, n int) bool) {
+	for i := 0; i < v.Count; i++ {
+		if !yield(i*v.Stride, v.BlockLen) {
+			return
+		}
+	}
+}
+
+// Indexed is an explicit run list — MPI_Type_indexed (byte
+// granularity).
+type Indexed struct {
+	Offsets []int
+	Lengths []int
+}
+
+// Validate checks the run list.
+func (x Indexed) Validate() error {
+	if len(x.Offsets) != len(x.Lengths) {
+		return fmt.Errorf("mpi: indexed layout has %d offsets, %d lengths", len(x.Offsets), len(x.Lengths))
+	}
+	for i := range x.Offsets {
+		if x.Offsets[i] < 0 || x.Lengths[i] < 0 {
+			return fmt.Errorf("mpi: indexed layout run %d negative", i)
+		}
+	}
+	return nil
+}
+
+// Extent implements Layout.
+func (x Indexed) Extent() int {
+	max := 0
+	for i := range x.Offsets {
+		if end := x.Offsets[i] + x.Lengths[i]; end > max {
+			max = end
+		}
+	}
+	return max
+}
+
+// Size implements Layout.
+func (x Indexed) Size() int {
+	s := 0
+	for _, n := range x.Lengths {
+		s += n
+	}
+	return s
+}
+
+func (x Indexed) regions(yield func(off, n int) bool) {
+	for i := range x.Offsets {
+		if !yield(x.Offsets[i], x.Lengths[i]) {
+			return
+		}
+	}
+}
+
+// Pack serializes the laid-out bytes of src into a fresh contiguous
+// buffer, charging the gather-copy cost (the "performance penalty" of
+// Sect. 6). src must cover the layout's extent.
+func (p *Proc) Pack(src Buf, l Layout) (Buf, error) {
+	if src.Len() < l.Extent() {
+		return Buf{}, fmt.Errorf("mpi: pack source %dB < layout extent %dB", src.Len(), l.Extent())
+	}
+	dst := p.world.NewBuf(l.Size())
+	off := 0
+	l.regions(func(o, n int) bool {
+		CopyData(dst.Slice(off, n), src.Slice(o, n))
+		off += n
+		return true
+	})
+	p.advance(p.world.model.CopyCost(l.Size(), 1))
+	p.trace("pack", l.Size(), "")
+	return dst, nil
+}
+
+// Unpack scatters a contiguous buffer back through the layout into dst,
+// charging the scatter-copy cost.
+func (p *Proc) Unpack(src Buf, dst Buf, l Layout) error {
+	if src.Len() < l.Size() {
+		return fmt.Errorf("mpi: unpack source %dB < layout size %dB", src.Len(), l.Size())
+	}
+	if dst.Len() < l.Extent() {
+		return fmt.Errorf("mpi: unpack destination %dB < layout extent %dB", dst.Len(), l.Extent())
+	}
+	off := 0
+	l.regions(func(o, n int) bool {
+		CopyData(dst.Slice(o, n), src.Slice(off, n))
+		off += n
+		return true
+	})
+	p.advance(p.world.model.CopyCost(l.Size(), 1))
+	p.trace("unpack", l.Size(), "")
+	return nil
+}
+
+// SendLayout packs a laid-out region and sends it (convenience for
+// strided transfers such as matrix columns).
+func (c *Comm) SendLayout(src Buf, l Layout, dst, tag int) error {
+	packed, err := c.p.Pack(src, l)
+	if err != nil {
+		return err
+	}
+	return c.Send(packed, dst, tag)
+}
+
+// RecvLayout receives a packed region and scatters it through the
+// layout.
+func (c *Comm) RecvLayout(dst Buf, l Layout, src, tag int) (Status, error) {
+	staging := c.p.world.NewBuf(l.Size())
+	st, err := c.Recv(staging, src, tag)
+	if err != nil {
+		return st, err
+	}
+	if err := c.p.Unpack(staging, dst, l); err != nil {
+		return st, err
+	}
+	return st, nil
 }

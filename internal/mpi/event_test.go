@@ -106,7 +106,7 @@ func perRankClocks(t *testing.T, topo *sim.Topology, e sim.Engine, body func(p *
 	}
 	clocks := make([]sim.Time, topo.Size())
 	for r := range clocks {
-		clocks[r] = w.Proc(r).Clock()
+		clocks[r] = w.procs[r].Clock()
 	}
 	return clocks
 }
@@ -192,10 +192,7 @@ func TestEngineSwitchRerun(t *testing.T) {
 		if err := ref.Run(body); err != nil {
 			t.Fatal(err)
 		}
-		w.SetEngine(e)
-		if got := w.Engine(); got != e {
-			t.Fatalf("run %d: Engine() = %v after SetEngine(%v)", i, got, e)
-		}
+		w.engine = e
 		if err := w.Run(body); err != nil {
 			t.Fatalf("run %d (%v): %v", i, e, err)
 		}
@@ -206,7 +203,7 @@ func TestEngineSwitchRerun(t *testing.T) {
 			t.Fatalf("run %d (%v): %d matcher records still queued", i, e, n)
 		}
 		for r := 0; r < topo.Size(); r++ {
-			if got, want := w.Proc(r).Clock(), ref.Proc(r).Clock(); got != want {
+			if got, want := w.procs[r].Clock(), ref.procs[r].Clock(); got != want {
 				t.Fatalf("run %d (%v): rank %d clock %d ps, want %d ps", i, e, r, int64(got), int64(want))
 			}
 		}

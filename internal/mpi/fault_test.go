@@ -95,13 +95,13 @@ func TestNoiseSlowsThingsDown(t *testing.T) {
 
 func TestNoiseRejectsFoldedAsymmetry(t *testing.T) {
 	_, err := NewWorld(sim.Laptop(), sim.MustUniform(2, 4),
-		WithFold(4), WithNoise(&sim.Noise{Seed: 1, Jitter: 0.1}))
+		withFold(4), WithNoise(&sim.Noise{Seed: 1, Jitter: 0.1}))
 	if !errors.Is(err, ErrFoldUnsafe) {
 		t.Fatalf("jitter+fold accepted: %v", err)
 	}
 	// Congestion preserves rank symmetry and must stay foldable.
 	w, err := NewWorld(sim.Laptop(), sim.MustUniform(2, 4),
-		WithFold(4), WithNoise(&sim.Noise{Congestion: map[sim.HopClass]float64{sim.HopNet: 2}}))
+		withFold(4), WithNoise(&sim.Noise{Congestion: map[sim.HopClass]float64{sim.HopNet: 2}}))
 	if err != nil {
 		t.Fatalf("congestion-only noise rejected under folding: %v", err)
 	}

@@ -52,18 +52,7 @@ import (
 // into the offending rank's Run error.
 var ErrFoldUnsafe = errors.New("mpi: operation requires ranks outside the fold unit (rank-symmetry folding active)")
 
-// FoldUnit returns the configured fold unit, 0 when the world is
-// unfolded.
-func (w *World) FoldUnit() int { return w.foldUnit }
-
-// Folded reports whether rank-symmetry folding is active.
-func (w *World) Folded() bool { return w.foldUnit > 0 }
-
-// ExecRanks returns the number of ranks that actually execute a Run:
-// the fold unit when folding is active, Size() otherwise.
-func (w *World) ExecRanks() int { return w.execN }
-
-// validateFold checks the WithFold configuration against the topology
+// validateFold checks Config.FoldUnit against the topology
 // (called from NewWorld, before any engine state is sized).
 func (w *World) validateFold() error {
 	u := w.foldUnit

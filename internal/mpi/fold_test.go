@@ -38,8 +38,11 @@ func foldSafeBody(iters int) func(p *Proc) error {
 	}
 }
 
+// withFold sets Config.FoldUnit.
+func withFold(u int) Option { return func(c *Config) { c.FoldUnit = u } }
+
 // TestFoldedClocksMatchUnfolded is the core folding guarantee: with
-// WithFold(u) only ranks 0..u-1 execute, yet every rank — including
+// FoldUnit u only ranks 0..u-1 execute, yet every rank — including
 // the non-representative replicas, whose Procs alias their class
 // representative — must report exactly the clock the full-width run
 // produces. Checked on both engines.
@@ -50,7 +53,7 @@ func TestFoldedClocksMatchUnfolded(t *testing.T) {
 	}
 	want := perRankClocks(t, topo, sim.EngineGoroutine, foldSafeBody(3))
 	for _, e := range []sim.Engine{sim.EngineGoroutine, sim.EngineEvent} {
-		got := perRankClocks(t, topo, e, foldSafeBody(3), WithFold(4))
+		got := perRankClocks(t, topo, e, foldSafeBody(3), withFold(4))
 		diffClocks(t, "folded "+e.String(), got, want)
 	}
 }
@@ -59,22 +62,16 @@ func TestFoldedClocksMatchUnfolded(t *testing.T) {
 // executing set collapses to the unit and replica Procs alias their
 // representative.
 func TestFoldedWorldExecRanks(t *testing.T) {
-	w, err := NewWorld(sim.HazelHenCray(), sim.MustUniform(4, 4), WithFold(4))
+	w, err := NewWorld(sim.HazelHenCray(), sim.MustUniform(4, 4), withFold(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if got := w.FoldUnit(); got != 4 {
-		t.Errorf("FoldUnit() = %d, want 4", got)
-	}
-	if !w.Folded() {
-		t.Error("Folded() = false on a folded world")
-	}
-	if got := w.ExecRanks(); got != 4 {
-		t.Errorf("ExecRanks() = %d, want 4", got)
+	if w.foldUnit != 4 || w.execN != 4 {
+		t.Errorf("fold unit %d, %d executing ranks, want 4 and 4", w.foldUnit, w.execN)
 	}
 	for r := 0; r < w.Size(); r++ {
-		if w.Proc(r) != w.Proc(r%4) {
+		if w.procs[r] != w.procs[r%4] {
 			t.Errorf("rank %d does not alias representative %d", r, r%4)
 		}
 	}
@@ -92,10 +89,10 @@ func TestFoldValidation(t *testing.T) {
 		opts []Option
 		want string
 	}{
-		{"negative", sim.MustUniform(4, 4), []Option{WithFold(-1)}, "fold unit"},
-		{"irregular", irregular, []Option{WithFold(4)}, "irregular"},
-		{"not-multiple", sim.MustUniform(4, 4), []Option{WithFold(3)}, "multiple"},
-		{"real-data", sim.MustUniform(4, 4), []Option{WithFold(4), WithRealData()}, "size-only"},
+		{"negative", sim.MustUniform(4, 4), []Option{withFold(-1)}, "fold unit"},
+		{"irregular", irregular, []Option{withFold(4)}, "irregular"},
+		{"not-multiple", sim.MustUniform(4, 4), []Option{withFold(3)}, "multiple"},
+		{"real-data", sim.MustUniform(4, 4), []Option{withFold(4), WithRealData()}, "size-only"},
 	}
 	for _, tc := range cases {
 		w, err := NewWorld(model, tc.topo, tc.opts...)
@@ -115,7 +112,7 @@ func TestFoldValidation(t *testing.T) {
 // fail the Run with ErrFoldUnsafe instead of computing wrong clocks.
 func TestFoldUnsafeSplit(t *testing.T) {
 	for _, e := range []sim.Engine{sim.EngineGoroutine, sim.EngineEvent} {
-		w, err := NewWorld(sim.HazelHenCray(), sim.MustUniform(4, 4), WithEngine(e), WithFold(4))
+		w, err := NewWorld(sim.HazelHenCray(), sim.MustUniform(4, 4), WithEngine(e), withFold(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +133,7 @@ func TestFoldUnsafeSplit(t *testing.T) {
 // unmatched cross-unit traffic behind is not fold-symmetric; the run
 // must fail loudly rather than silently drop the messages.
 func TestFoldAsymmetryTripwire(t *testing.T) {
-	w, err := NewWorld(sim.HazelHenCray(), sim.MustUniform(4, 4), WithEngine(sim.EngineEvent), WithFold(4))
+	w, err := NewWorld(sim.HazelHenCray(), sim.MustUniform(4, 4), WithEngine(sim.EngineEvent), withFold(4))
 	if err != nil {
 		t.Fatal(err)
 	}

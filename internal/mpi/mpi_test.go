@@ -39,8 +39,8 @@ func TestRunBasics(t *testing.T) {
 		if p.Size() != 6 {
 			t.Errorf("rank %d sees size %d", p.Rank(), p.Size())
 		}
-		if p.Node() != p.Rank()/3 || p.LocalRank() != p.Rank()%3 {
-			t.Errorf("rank %d placement wrong: node=%d local=%d", p.Rank(), p.Node(), p.LocalRank())
+		if p.Node() != p.Rank()/3 {
+			t.Errorf("rank %d placement wrong: node=%d", p.Rank(), p.Node())
 		}
 		return nil
 	})
@@ -153,7 +153,7 @@ func TestEagerBufferReuse(t *testing.T) {
 
 func TestRendezvousTiming(t *testing.T) {
 	w := newTestWorld(t, 2, 1)
-	m := w.Model()
+	m := w.model
 	big := m.EagerLimit + 1024
 	err := w.Run(func(p *Proc) error {
 		c := p.CommWorld()
@@ -233,7 +233,7 @@ func TestAnySourceAnyTag(t *testing.T) {
 
 func TestIsendIrecvOverlap(t *testing.T) {
 	w := newTestWorld(t, 2, 1)
-	m := w.Model()
+	m := w.model
 	big := m.EagerLimit * 4
 	err := w.Run(func(p *Proc) error {
 		c := p.CommWorld()
@@ -419,7 +419,7 @@ func TestDeterministicClocks(t *testing.T) {
 		}
 		out := make([]sim.Time, w.Size())
 		for r := range out {
-			out[r] = w.Proc(r).Clock()
+			out[r] = w.procs[r].Clock()
 		}
 		return out
 	}

@@ -101,7 +101,7 @@ func TestDroppedWorldsLeaveNoGoroutines(t *testing.T) {
 // folded world only the executing ranks get one.
 func TestRunHoldsOneGoroutinePerRank(t *testing.T) {
 	for _, fold := range []int{0, 4} {
-		w, err := NewWorld(sim.Laptop(), sim.MustUniform(4, 4), WithFold(fold))
+		w, err := NewWorld(sim.Laptop(), sim.MustUniform(4, 4), withFold(fold))
 		if err != nil {
 			t.Fatal(err)
 		}

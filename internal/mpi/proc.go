@@ -34,15 +34,6 @@ func (p *Proc) Size() int { return p.world.Size() }
 // Node returns the node index hosting this rank.
 func (p *Proc) Node() int { return p.world.topo.NodeOf(p.rank) }
 
-// LocalRank returns the on-node rank.
-func (p *Proc) LocalRank() int { return p.world.topo.LocalRank(p.rank) }
-
-// GroupAt returns the topology group hosting this rank at level l.
-func (p *Proc) GroupAt(l int) int { return p.world.topo.GroupOf(l, p.rank) }
-
-// LocalRankAt returns this rank's local index within its level-l group.
-func (p *Proc) LocalRankAt(l int) int { return p.world.topo.LocalAt(l, p.rank) }
-
 // World returns the owning world.
 func (p *Proc) World() *World { return p.world }
 

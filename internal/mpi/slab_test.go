@@ -84,7 +84,7 @@ func TestExecSpan(t *testing.T) {
 	}{{0, 32, 4}, {4, 4, 4}, {8, 8, 4}} {
 		var opts []Option
 		if c.fold > 0 {
-			opts = append(opts, WithFold(c.fold))
+			opts = append(opts, withFold(c.fold))
 		}
 		w, err := NewWorld(sim.Laptop(), sim.MustUniform(8, 4), opts...)
 		if err != nil {

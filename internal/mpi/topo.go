@@ -2,22 +2,20 @@ package mpi
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/sim"
 )
 
 // This file implements process topologies: Cartesian grids
-// (MPI_Cart_create and its coordinate queries) and distributed graphs
-// (MPI_Dist_graph_create), attached to communicator handles. A
+// (MPI_Cart_create), attached to communicator handles. A
 // topology-carrying communicator exposes a neighborhood — ordered in-
-// and out-edge lists — which internal/coll's neighborhood collectives
-// iterate. The optional Cartesian reorder maps grid bricks onto
+// and out-edge lists — which internal/coll's neighborhood collective
+// iterates. The optional Cartesian reorder maps grid bricks onto
 // machine-topology groups (sim.TileExtents) so grid neighbors land on
 // low hop classes.
 
-// ProcNull is the null process rank (MPI_PROC_NULL): the value
-// CartShift reports past a non-periodic boundary. A neighborhood slot
+// ProcNull is the null process rank (MPI_PROC_NULL): the neighbor past
+// a non-periodic grid boundary. A neighborhood slot
 // whose peer is ProcNull takes part in no transfer, but its buffer
 // block keeps its position.
 const ProcNull = -1
@@ -36,8 +34,7 @@ const MaxCartDims = schedTagStride / 2
 // direction of travel (2*dim for the negative direction, 2*dim+1 for
 // the positive), which keeps blocks unambiguous even when both
 // directions of a dimension reach the same peer (2-wide periodic
-// dims) or the peer is the rank itself (1-wide periodic dims). On
-// graph topologies the tag is 0 and FIFO ordering pairs multi-edges.
+// dims) or the peer is the rank itself (1-wide periodic dims).
 type NeighborEdge struct {
 	Peer int
 	Tag  int
@@ -275,80 +272,11 @@ func cartNeighbor(info *cartInfo, coords []int, dim, delta int) int {
 	return r
 }
 
-// CartDims reports the Cartesian grid attached to the communicator
-// (copies of the extents and periodicity flags), with ok false when
-// the communicator carries no Cartesian topology.
-func (c *Comm) CartDims() (dims []int, periods []bool, ok bool) {
-	if c.ptopo == nil || c.ptopo.cart == nil {
-		return nil, nil, false
-	}
-	info := c.ptopo.cart
-	return append([]int(nil), info.dims...), append([]bool(nil), info.periods...), true
-}
-
-// CartCoords translates a comm rank to grid coordinates
-// (MPI_Cart_coords).
-func (c *Comm) CartCoords(rank int) ([]int, error) {
-	if c.ptopo == nil || c.ptopo.cart == nil {
-		return nil, fmt.Errorf("mpi: CartCoords on a communicator without Cartesian topology")
-	}
-	if err := c.validRank(rank, false); err != nil {
-		return nil, err
-	}
-	info := c.ptopo.cart
-	coords := make([]int, len(info.dims))
-	rowMajorCoords(rank, info.dims, coords)
-	return coords, nil
-}
-
-// CartRank translates grid coordinates to a comm rank (MPI_Cart_rank).
-// Coordinates on periodic dimensions wrap; out-of-range coordinates on
-// non-periodic dimensions are an error.
-func (c *Comm) CartRank(coords []int) (int, error) {
-	if c.ptopo == nil || c.ptopo.cart == nil {
-		return 0, fmt.Errorf("mpi: CartRank on a communicator without Cartesian topology")
-	}
-	info := c.ptopo.cart
-	if len(coords) != len(info.dims) {
-		return 0, fmt.Errorf("mpi: CartRank got %d coordinates for a %d-dim grid", len(coords), len(info.dims))
-	}
-	wrapped := make([]int, len(coords))
-	for d, x := range coords {
-		n := info.dims[d]
-		if info.periods[d] {
-			x = ((x % n) + n) % n
-		} else if x < 0 || x >= n {
-			return 0, fmt.Errorf("mpi: CartRank coordinate %d out of range on non-periodic dim %d (extent %d)", x, d, n)
-		}
-		wrapped[d] = x
-	}
-	return rowMajorRank(wrapped, info.dims), nil
-}
-
-// CartShift reports the calling rank's neighbors displaced by ±disp
-// along dim (MPI_Cart_shift): src is the rank disp steps in the
-// negative direction (the one whose data arrives when everybody sends
-// positive), dst the rank disp steps positive. Past a non-periodic
-// boundary the respective value is ProcNull.
-func (c *Comm) CartShift(dim, disp int) (src, dst int, err error) {
-	if c.ptopo == nil || c.ptopo.cart == nil {
-		return 0, 0, fmt.Errorf("mpi: CartShift on a communicator without Cartesian topology")
-	}
-	info := c.ptopo.cart
-	if dim < 0 || dim >= len(info.dims) {
-		return 0, 0, fmt.Errorf("mpi: CartShift dimension %d out of range on a %d-dim grid", dim, len(info.dims))
-	}
-	coords := make([]int, len(info.dims))
-	rowMajorCoords(c.rank, info.dims, coords)
-	return cartNeighbor(info, coords, dim, -disp), cartNeighbor(info, coords, dim, +disp), nil
-}
-
 // Neighborhood returns the communicator's neighborhood edge lists
 // (read-only, shared): in-edges in receive-slot order and out-edges in
 // send-slot order. ok is false on communicators without a process
 // topology. Cartesian neighborhoods list 2*ndims slots (per dim:
-// negative then positive side) and may contain ProcNull peers; graph
-// neighborhoods list exactly the declared edges.
+// negative then positive side) and may contain ProcNull peers.
 func (c *Comm) Neighborhood() (in, out []NeighborEdge, ok bool) {
 	if c.ptopo == nil {
 		return nil, nil, false
@@ -357,147 +285,5 @@ func (c *Comm) Neighborhood() (in, out []NeighborEdge, ok bool) {
 }
 
 // IsCart reports whether the communicator carries a Cartesian process
-// topology (as opposed to none, or a distributed graph).
+// topology.
 func (c *Comm) IsCart() bool { return c.ptopo != nil && c.ptopo.cart != nil }
-
-// distGraphContrib is one member's edge contribution to
-// DistGraphCreate.
-type distGraphContrib struct {
-	srcs, dsts []int
-}
-
-// distGraphPlan is the assembled adjacency of a DistGraphCreate call,
-// computed by comm rank 0 and shared read-only.
-type distGraphPlan struct {
-	in, out [][]NeighborEdge
-}
-
-// DistGraphCreateAdjacent attaches a distributed-graph topology from
-// adjacent edge lists (MPI_Dist_graph_create_adjacent): sources are
-// the comm ranks this rank receives from, destinations the ranks it
-// sends to, in neighborhood slot order. The edge sets must be
-// mutually consistent across ranks — the k-th occurrence of rank s in
-// my sources pairs with the k-th occurrence of me in s's destinations.
-// reorder is accepted for symmetry with CartCreate but the identity
-// order is always kept (as MPI permits). The call is collective and
-// returns a new communicator.
-func (c *Comm) DistGraphCreateAdjacent(sources, destinations []int, reorder bool) (*Comm, error) {
-	if c == nil {
-		return nil, fmt.Errorf("mpi: DistGraphCreateAdjacent on nil communicator")
-	}
-	for _, r := range sources {
-		if err := c.validRank(r, false); err != nil {
-			return nil, fmt.Errorf("mpi: DistGraphCreateAdjacent source: %w", err)
-		}
-	}
-	for _, r := range destinations {
-		if err := c.validRank(r, false); err != nil {
-			return nil, fmt.Errorf("mpi: DistGraphCreateAdjacent destination: %w", err)
-		}
-	}
-	nc, err := c.dupDerived()
-	if err != nil {
-		return nil, err
-	}
-	nc.ptopo = &procTopo{in: edgeList(sources), out: edgeList(destinations)}
-	return nc, nil
-}
-
-// dupDerived is an exchange-free communicator duplicate: the rank
-// table is inherited and only the fresh context id needs to be agreed,
-// which SetupOnce shares without a rendezvous.
-func (c *Comm) dupDerived() (*Comm, error) {
-	v, err := SetupOnce(c, func() (any, error) { return c.p.world.newContext(), nil })
-	if err != nil {
-		return nil, err
-	}
-	return c.NewGroupComm(v.(int), c.ranks, c.rank), nil
-}
-
-// edgeList wraps plain peer ranks as tag-0 neighborhood edges.
-func edgeList(peers []int) []NeighborEdge {
-	edges := make([]NeighborEdge, len(peers))
-	for i, p := range peers {
-		edges[i] = NeighborEdge{Peer: p}
-	}
-	return edges
-}
-
-// DistGraphCreate attaches a distributed-graph topology from an
-// arbitrary edge contribution (MPI_Dist_graph_create): this rank
-// declares degrees[i] edges from sources[i] to the next entries of
-// destinations — any rank may contribute any edge, and the union over
-// all members forms the graph. Every rank's resulting neighbor lists
-// are sorted by peer rank (a deterministic order MPI leaves
-// implementation-defined), so multi-edges pair by ascending position.
-// The call is collective and returns a new communicator.
-func (c *Comm) DistGraphCreate(sources, degrees, destinations []int, reorder bool) (*Comm, error) {
-	if c == nil {
-		return nil, fmt.Errorf("mpi: DistGraphCreate on nil communicator")
-	}
-	if len(degrees) != len(sources) {
-		return nil, fmt.Errorf("mpi: DistGraphCreate got %d sources but %d degrees", len(sources), len(degrees))
-	}
-	total := 0
-	for i, deg := range degrees {
-		if deg < 0 {
-			return nil, fmt.Errorf("mpi: DistGraphCreate negative degree for source %d", sources[i])
-		}
-		total += deg
-	}
-	if total != len(destinations) {
-		return nil, fmt.Errorf("mpi: DistGraphCreate degrees sum to %d but %d destinations given", total, len(destinations))
-	}
-	for _, r := range sources {
-		if err := c.validRank(r, false); err != nil {
-			return nil, fmt.Errorf("mpi: DistGraphCreate source: %w", err)
-		}
-	}
-	for _, r := range destinations {
-		if err := c.validRank(r, false); err != nil {
-			return nil, fmt.Errorf("mpi: DistGraphCreate destination: %w", err)
-		}
-	}
-	// Flatten this member's contribution into parallel edge arrays.
-	contrib := distGraphContrib{}
-	k := 0
-	for i, src := range sources {
-		for j := 0; j < degrees[i]; j++ {
-			contrib.srcs = append(contrib.srcs, src)
-			contrib.dsts = append(contrib.dsts, destinations[k])
-			k++
-		}
-	}
-	n := len(c.ranks)
-	plan, err := SharePlan(c, contrib, func(vals []any) *distGraphPlan {
-		p := &distGraphPlan{in: make([][]NeighborEdge, n), out: make([][]NeighborEdge, n)}
-		for _, v := range vals {
-			e := v.(distGraphContrib)
-			for i := range e.srcs {
-				src, dst := e.srcs[i], e.dsts[i]
-				p.out[src] = append(p.out[src], NeighborEdge{Peer: dst})
-				p.in[dst] = append(p.in[dst], NeighborEdge{Peer: src})
-			}
-		}
-		for r := 0; r < n; r++ {
-			sortEdges(p.in[r])
-			sortEdges(p.out[r])
-		}
-		return p
-	})
-	if err != nil {
-		return nil, err
-	}
-	nc, err := c.dupDerived()
-	if err != nil {
-		return nil, err
-	}
-	nc.ptopo = &procTopo{in: plan.in[nc.rank], out: plan.out[nc.rank]}
-	return nc, nil
-}
-
-// sortEdges orders a neighbor list ascending by peer rank — the pinned
-// deterministic adjacency order of DistGraphCreate.
-func sortEdges(edges []NeighborEdge) {
-	sort.Slice(edges, func(i, j int) bool { return edges[i].Peer < edges[j].Peer })
-}

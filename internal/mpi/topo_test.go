@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -326,71 +327,63 @@ func TestCartReorderFallsBackToIdentity(t *testing.T) {
 	}
 }
 
-func TestDistGraphCreateAdjacentRing(t *testing.T) {
-	w := newTestWorld(t, 1, 6)
-	err := w.Run(func(p *Proc) error {
-		n := p.Size()
-		left, right := (p.Rank()-1+n)%n, (p.Rank()+1)%n
-		g, err := p.CommWorld().DistGraphCreateAdjacent([]int{left, right}, []int{right, left}, false)
-		if err != nil {
-			return err
-		}
-		in, out, ok := g.Neighborhood()
-		if !ok {
-			t.Fatalf("rank %d: no neighborhood on a graph comm", p.Rank())
-		}
-		if len(in) != 2 || in[0].Peer != left || in[1].Peer != right {
-			t.Errorf("rank %d: in-neighbors %v", p.Rank(), in)
-		}
-		if len(out) != 2 || out[0].Peer != right || out[1].Peer != left {
-			t.Errorf("rank %d: out-neighbors %v", p.Rank(), out)
-		}
-		if g.IsCart() {
-			t.Errorf("rank %d: graph comm claims a Cartesian topology", p.Rank())
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+// The coordinate queries of MPI_Cart_coords, _rank and _shift. No
+// workload asks a grid for coordinates (the neighborhood lists are the
+// whole interface), so they live here, where the tests use them to check
+// cartNeighbor and the reorder permutation from outside.
+
+// CartCoords translates a comm rank to grid coordinates.
+func (c *Comm) CartCoords(rank int) ([]int, error) {
+	if c.ptopo == nil || c.ptopo.cart == nil {
+		return nil, fmt.Errorf("mpi: CartCoords on a communicator without Cartesian topology")
 	}
+	if err := c.validRank(rank, false); err != nil {
+		return nil, err
+	}
+	info := c.ptopo.cart
+	coords := make([]int, len(info.dims))
+	rowMajorCoords(rank, info.dims, coords)
+	return coords, nil
 }
 
-func TestDistGraphCreateAssemblesUnionSorted(t *testing.T) {
-	w := newTestWorld(t, 1, 6)
-	err := w.Run(func(p *Proc) error {
-		// Rank 0 contributes the whole star 0 <-> r for every r; the
-		// others contribute nothing. Everyone must still see the
-		// assembled adjacency, sorted by peer.
-		var sources, degrees, destinations []int
-		if p.Rank() == 0 {
-			for r := 1; r < p.Size(); r++ {
-				sources = append(sources, 0, r)
-				degrees = append(degrees, 1, 1)
-				destinations = append(destinations, r, 0)
-			}
-		}
-		g, err := p.CommWorld().DistGraphCreate(sources, degrees, destinations, false)
-		if err != nil {
-			return err
-		}
-		in, out, _ := g.Neighborhood()
-		if p.Rank() == 0 {
-			if len(in) != 5 || len(out) != 5 {
-				t.Fatalf("rank 0: degree %d/%d, want 5/5", len(in), len(out))
-			}
-			for i := range in {
-				if in[i].Peer != i+1 || out[i].Peer != i+1 {
-					t.Errorf("rank 0: slot %d peers %d/%d, want %d (sorted)", i, in[i].Peer, out[i].Peer, i+1)
-				}
-			}
-		} else {
-			if len(in) != 1 || in[0].Peer != 0 || len(out) != 1 || out[0].Peer != 0 {
-				t.Errorf("rank %d: adjacency %v/%v, want spoke to 0", p.Rank(), in, out)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+// CartRank translates grid coordinates to a comm rank (MPI_Cart_rank).
+// Coordinates on periodic dimensions wrap; out-of-range coordinates on
+// non-periodic dimensions are an error.
+func (c *Comm) CartRank(coords []int) (int, error) {
+	if c.ptopo == nil || c.ptopo.cart == nil {
+		return 0, fmt.Errorf("mpi: CartRank on a communicator without Cartesian topology")
 	}
+	info := c.ptopo.cart
+	if len(coords) != len(info.dims) {
+		return 0, fmt.Errorf("mpi: CartRank got %d coordinates for a %d-dim grid", len(coords), len(info.dims))
+	}
+	wrapped := make([]int, len(coords))
+	for d, x := range coords {
+		n := info.dims[d]
+		if info.periods[d] {
+			x = ((x % n) + n) % n
+		} else if x < 0 || x >= n {
+			return 0, fmt.Errorf("mpi: CartRank coordinate %d out of range on non-periodic dim %d (extent %d)", x, d, n)
+		}
+		wrapped[d] = x
+	}
+	return rowMajorRank(wrapped, info.dims), nil
+}
+
+// CartShift reports the calling rank's neighbors displaced by ±disp
+// along dim (MPI_Cart_shift): src is the rank disp steps in the
+// negative direction (the one whose data arrives when everybody sends
+// positive), dst the rank disp steps positive. Past a non-periodic
+// boundary the respective value is ProcNull.
+func (c *Comm) CartShift(dim, disp int) (src, dst int, err error) {
+	if c.ptopo == nil || c.ptopo.cart == nil {
+		return 0, 0, fmt.Errorf("mpi: CartShift on a communicator without Cartesian topology")
+	}
+	info := c.ptopo.cart
+	if dim < 0 || dim >= len(info.dims) {
+		return 0, 0, fmt.Errorf("mpi: CartShift dimension %d out of range on a %d-dim grid", dim, len(info.dims))
+	}
+	coords := make([]int, len(info.dims))
+	rowMajorCoords(c.rank, info.dims, coords)
+	return cartNeighbor(info, coords, dim, -disp), cartNeighbor(info, coords, dim, +disp), nil
 }

@@ -139,9 +139,3 @@ func (w *Win) Query(rank int) Buf {
 // lowest rank's base — what the paper's children obtain by querying the
 // leader.
 func (w *Win) Whole() Buf { return w.base }
-
-// Size returns the total segment size in bytes.
-func (w *Win) Size() int { return w.base.Len() }
-
-// Comm returns the shared-memory communicator the window lives on.
-func (w *Win) Comm() *Comm { return w.comm }

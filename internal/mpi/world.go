@@ -112,7 +112,7 @@ type Config struct {
 	// Engine selects the execution backend Runs dispatch on:
 	// sim.EngineGoroutine (one goroutine per rank per Run) or
 	// sim.EngineEvent (single-threaded discrete-event scheduler).
-	// DefaultConfig seeds it from the package default (SetDefaultEngine).
+	// The zero value is EngineGoroutine.
 	Engine sim.Engine
 	// FoldUnit enables rank-symmetry folding: only ranks 0..FoldUnit-1
 	// execute, every other rank aliases its class representative (see
@@ -139,9 +139,9 @@ type Config struct {
 }
 
 // DefaultConfig returns the configuration NewWorld starts from before
-// applying options: the package-default engine, no folding, size-only
+// applying options: the goroutine engine, no folding, size-only
 // buffers, no tracer, no collective tuning.
-func DefaultConfig() Config { return Config{Engine: DefaultEngine()} }
+func DefaultConfig() Config { return Config{} }
 
 // Option configures a World at construction by editing its Config.
 type Option func(*Config)
@@ -159,30 +159,11 @@ func WithTracer(t *sim.Tracer) Option { return func(c *Config) { c.Tracer = t } 
 func WithCollConfig(v any) Option { return func(c *Config) { c.CollConfig = v } }
 
 // WithEngine selects the execution backend for this world
-// (Config.Engine), overriding the package default (see
-// SetDefaultEngine).
+// (Config.Engine).
 func WithEngine(e sim.Engine) Option { return func(c *Config) { c.Engine = e } }
-
-// WithFold enables rank-symmetry folding with the given fold unit
-// (Config.FoldUnit).
-func WithFold(unit int) Option { return func(c *Config) { c.FoldUnit = unit } }
 
 // WithNoise attaches a deterministic noise/fault config (Config.Noise).
 func WithNoise(n *sim.Noise) Option { return func(c *Config) { c.Noise = n } }
-
-// defaultEngine holds the package-wide backend worlds are created with
-// when no WithEngine option is given. One test uses it
-// (internal/bench's TestVirtualTimeIdenticalOnEventEngine reruns the
-// figure cases, which build their worlds deep inside closures, on the
-// event engine); everything else threads WithEngine or Config.Engine.
-var defaultEngine atomic.Int32
-
-// SetDefaultEngine sets the execution backend NewWorld uses when no
-// WithEngine option is given. The process default is EngineGoroutine.
-func SetDefaultEngine(e sim.Engine) { defaultEngine.Store(int32(e)) }
-
-// DefaultEngine returns the current package-wide default backend.
-func DefaultEngine() sim.Engine { return sim.Engine(defaultEngine.Load()) }
 
 // NewWorld creates a simulated MPI job on the given topology and machine
 // model, applying the options to DefaultConfig.
@@ -249,24 +230,8 @@ func NewWorldConfig(model *sim.CostModel, topo *sim.Topology, cfg Config) (*Worl
 	return w, nil
 }
 
-// Engine returns the execution backend currently selected for Runs.
-func (w *World) Engine() sim.Engine { return w.engine }
-
-// SetEngine switches the execution backend for subsequent Runs. Both
-// backends may be used on the same World interchangeably (the event
-// scheduler is created at its first Run and kept until Close); virtual
-// clocks are bit-identical either way. Must not be called while a Run
-// is in flight.
-func (w *World) SetEngine(e sim.Engine) {
-	w.assertNotRunning("SetEngine")
-	w.engine = e
-}
-
 // Topology returns the node layout.
 func (w *World) Topology() *sim.Topology { return w.topo }
-
-// Model returns the machine cost model.
-func (w *World) Model() *sim.CostModel { return w.model }
 
 // RealData reports whether buffers carry real bytes.
 func (w *World) RealData() bool { return w.real }
@@ -485,6 +450,3 @@ func (w *World) MaxClock() sim.Time {
 	}
 	return max
 }
-
-// Proc returns the process object for a rank (for post-Run inspection).
-func (w *World) Proc(rank int) *Proc { return w.procs[rank] }

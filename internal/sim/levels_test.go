@@ -17,8 +17,8 @@ func TestHierTopologyShape(t *testing.T) {
 	if topo.NumLevels() != 3 {
 		t.Fatalf("levels = %d, want 3", topo.NumLevels())
 	}
-	if topo.Nodes() != 4 || topo.NodeSize(0) != 6 {
-		t.Fatalf("nodes = %d x %d, want 4 x 6", topo.Nodes(), topo.NodeSize(0))
+	if topo.String() != "4x6 (socket⊂node⊂group)" {
+		t.Fatalf("shape = %s, want 4 nodes of 6", topo)
 	}
 	if l, ok := topo.LevelIndex("socket"); !ok || l != 0 {
 		t.Fatalf("socket level = %d, %v", l, ok)
@@ -73,12 +73,13 @@ func TestHierTopologyIrregular(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if topo.Size() != 9 || topo.Groups(0) != 5 || topo.Nodes() != 2 {
-		t.Fatalf("shape %d ranks, %d sockets, %d nodes", topo.Size(), topo.Groups(0), topo.Nodes())
+	if topo.Size() != 9 || topo.Groups(0) != 5 || topo.Groups(topo.NodeLevel()) != 2 {
+		t.Fatalf("shape %d ranks, %d sockets, %d nodes", topo.Size(), topo.Groups(0), topo.Groups(topo.NodeLevel()))
 	}
-	if topo.GroupLeader(0, 2) != 4 || topo.GroupSize(0, 4) != 1 {
-		t.Errorf("socket leaders/sizes wrong: leader(2)=%d size(4)=%d",
-			topo.GroupLeader(0, 2), topo.GroupSize(0, 4))
+	// Socket 2 starts at rank 4; socket 4 is the single last rank.
+	if topo.GroupOf(0, 3) != 1 || topo.GroupOf(0, 4) != 2 || topo.GroupOf(0, 8) != 4 {
+		t.Errorf("socket of ranks 3, 4, 8 = %d, %d, %d, want 1, 2, 4",
+			topo.GroupOf(0, 3), topo.GroupOf(0, 4), topo.GroupOf(0, 8))
 	}
 	if topo.Hop(0, 3) != HopShm || topo.Hop(0, 2) != HopSocket {
 		t.Errorf("irregular hop classes wrong: %v %v", topo.Hop(0, 3), topo.Hop(0, 2))

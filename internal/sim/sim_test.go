@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -14,12 +13,6 @@ func TestTimeUnits(t *testing.T) {
 	}
 	if got := (2500 * Nanosecond).Us(); got != 2.5 {
 		t.Errorf("2500ns = %vus, want 2.5", got)
-	}
-	if got := FromUs(3.25); got != 3250*Nanosecond {
-		t.Errorf("FromUs(3.25) = %v, want 3.25us", got)
-	}
-	if got := FromSeconds(0.001); got != Millisecond {
-		t.Errorf("FromSeconds(0.001) = %v, want 1ms", got)
 	}
 }
 
@@ -44,9 +37,6 @@ func TestTimeString(t *testing.T) {
 func TestMaxMinTime(t *testing.T) {
 	if MaxTime(1, 2) != 2 || MaxTime(2, 1) != 2 {
 		t.Error("MaxTime broken")
-	}
-	if MinTime(1, 2) != 1 || MinTime(2, 1) != 1 {
-		t.Error("MinTime broken")
 	}
 }
 
@@ -177,20 +167,12 @@ func TestXferCostMonotoneInSizeAndClass(t *testing.T) {
 
 func TestTopologyUniform(t *testing.T) {
 	topo := MustUniform(4, 6)
-	if topo.Size() != 24 || topo.Nodes() != 4 {
-		t.Fatalf("4x6 topology: size=%d nodes=%d", topo.Size(), topo.Nodes())
+	if topo.Size() != 24 || topo.Groups(topo.NodeLevel()) != 4 {
+		t.Fatalf("4x6 topology: size=%d nodes=%d", topo.Size(), topo.Groups(topo.NodeLevel()))
 	}
 	for r := 0; r < topo.Size(); r++ {
 		if got, want := topo.NodeOf(r), r/6; got != want {
 			t.Errorf("NodeOf(%d) = %d, want %d", r, got, want)
-		}
-		if got, want := topo.LocalRank(r), r%6; got != want {
-			t.Errorf("LocalRank(%d) = %d, want %d", r, got, want)
-		}
-	}
-	for n := 0; n < 4; n++ {
-		if got, want := topo.NodeLeader(n), n*6; got != want {
-			t.Errorf("NodeLeader(%d) = %d, want %d", n, got, want)
 		}
 	}
 	if topo.String() != "4x6" {
@@ -207,18 +189,10 @@ func TestTopologyIrregular(t *testing.T) {
 		t.Fatalf("size = %d, want 6", topo.Size())
 	}
 	wantNode := []int{0, 0, 0, 1, 2, 2}
-	wantLocal := []int{0, 1, 2, 0, 0, 1}
 	for r := range wantNode {
-		if topo.NodeOf(r) != wantNode[r] || topo.LocalRank(r) != wantLocal[r] {
-			t.Errorf("rank %d: node=%d local=%d, want %d/%d",
-				r, topo.NodeOf(r), topo.LocalRank(r), wantNode[r], wantLocal[r])
+		if topo.NodeOf(r) != wantNode[r] {
+			t.Errorf("rank %d: node=%d, want %d", r, topo.NodeOf(r), wantNode[r])
 		}
-	}
-	if topo.NodeLeader(2) != 4 {
-		t.Errorf("NodeLeader(2) = %d, want 4", topo.NodeLeader(2))
-	}
-	if topo.MaxNodeSize() != 3 {
-		t.Errorf("MaxNodeSize = %d, want 3", topo.MaxNodeSize())
 	}
 	if !strings.Contains(topo.String(), "3 nodes") {
 		t.Errorf("String() = %q", topo.String())
@@ -278,17 +252,6 @@ func TestTracer(t *testing.T) {
 	if ev[0].At != 10 || ev[1].Rank != 0 || ev[2].Rank != 1 {
 		t.Errorf("events not sorted: %+v", ev)
 	}
-	var buf bytes.Buffer
-	if err := tr.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "send") {
-		t.Errorf("dump missing events: %q", buf.String())
-	}
-	tr.Reset()
-	if len(tr.Events()) != 0 {
-		t.Error("reset did not clear events")
-	}
 }
 
 func TestTracerNilAndDisabled(t *testing.T) {
@@ -300,7 +263,6 @@ func TestTracerNilAndDisabled(t *testing.T) {
 	if tr.Events() != nil {
 		t.Error("nil tracer has events")
 	}
-	tr.Reset() // must not panic
 
 	var off Tracer // zero value records nothing
 	off.Record(Event{At: 1})

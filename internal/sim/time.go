@@ -26,9 +26,6 @@ func (t Time) Us() float64 { return float64(t) / float64(Microsecond) }
 // blocks).
 func (t Time) Ms() float64 { return float64(t) / float64(Millisecond) }
 
-// Seconds reports t in seconds.
-func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
 // String formats t with an adaptive unit, e.g. "12.3us" or "4.56ms".
 func (t Time) String() string {
 	switch {
@@ -41,7 +38,7 @@ func (t Time) String() string {
 	case t < 10*Second:
 		return fmt.Sprintf("%.2fms", t.Ms())
 	default:
-		return fmt.Sprintf("%.3fs", t.Seconds())
+		return fmt.Sprintf("%.3fs", float64(t)/float64(Second))
 	}
 }
 
@@ -52,17 +49,3 @@ func MaxTime(a, b Time) Time {
 	}
 	return b
 }
-
-// MinTime returns the earlier of a and b.
-func MinTime(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// FromUs converts a duration in microseconds into virtual Time.
-func FromUs(us float64) Time { return Time(us * float64(Microsecond)) }
-
-// FromSeconds converts a duration in seconds into virtual Time.
-func FromSeconds(s float64) Time { return Time(s * float64(Second)) }

@@ -394,31 +394,8 @@ func (t *Topology) Groups(l int) int { return len(t.levels[l].sizes) }
 // GroupOf returns the level-l group hosting a global rank.
 func (t *Topology) GroupOf(l, rank int) int { return t.levels[l].group[rank] }
 
-// GroupSize returns the number of ranks in level-l group g.
-func (t *Topology) GroupSize(l, g int) int { return t.levels[l].sizes[g] }
-
-// GroupLeader returns the global rank of the lowest-ranked process in
-// level-l group g — the leader convention at every level.
-func (t *Topology) GroupLeader(l, g int) int { return t.levels[l].base[g] }
-
-// LocalAt returns a rank's local index within its level-l group.
-func (t *Topology) LocalAt(l, rank int) int { return t.levels[l].local[rank] }
-
-// Nodes returns the number of nodes.
-func (t *Topology) Nodes() int { return len(t.levels[t.nodeIdx].sizes) }
-
-// NodeSize returns the number of ranks on node n.
-func (t *Topology) NodeSize(n int) int { return t.levels[t.nodeIdx].sizes[n] }
-
 // NodeOf returns the node index hosting a global rank.
 func (t *Topology) NodeOf(rank int) int { return t.levels[t.nodeIdx].group[rank] }
-
-// LocalRank returns the on-node rank of a global rank.
-func (t *Topology) LocalRank(rank int) int { return t.levels[t.nodeIdx].local[rank] }
-
-// NodeLeader returns the global rank of the lowest-ranked process on
-// node n — the paper's leader convention.
-func (t *Topology) NodeLeader(n int) int { return t.levels[t.nodeIdx].base[n] }
 
 // SameNode reports whether two global ranks share a node — the
 // shared-memory reachability test used by windows and flag signalling.
@@ -462,17 +439,6 @@ func (t *Topology) FoldUnit() int {
 		}
 	}
 	return t.levels[len(t.levels)-1].sizes[0]
-}
-
-// MaxNodeSize returns the largest per-node rank count.
-func (t *Topology) MaxNodeSize() int {
-	max := 0
-	for _, sz := range t.levels[t.nodeIdx].sizes {
-		if sz > max {
-			max = sz
-		}
-	}
-	return max
 }
 
 // String summarizes the topology, e.g. "64x24", "3 nodes [24 24 16]",

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 )
@@ -60,24 +58,4 @@ func (t *Tracer) Events() []Event {
 		return out[i].Rank < out[j].Rank
 	})
 	return out
-}
-
-// Reset discards recorded events.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.events = t.events[:0]
-	t.mu.Unlock()
-}
-
-// Dump writes a human-readable listing of the trace to w.
-func (t *Tracer) Dump(w io.Writer) error {
-	for _, e := range t.Events() {
-		if _, err := fmt.Fprintf(w, "%12s rank=%-5d %-8s %8dB %s\n", e.At, e.Rank, e.Kind, e.Bytes, e.Note); err != nil {
-			return err
-		}
-	}
-	return nil
 }

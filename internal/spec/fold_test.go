@@ -37,7 +37,7 @@ func TestFoldedHierRunStoresExecutingRanksOnly(t *testing.T) {
 	if u != ppn {
 		t.Fatalf("fold unit %d, want %d", u, ppn)
 	}
-	w, err := mpi.NewWorld(model, topo, mpi.WithEngine(sim.EngineEvent), mpi.WithFold(u))
+	w, err := mpi.NewWorldConfig(model, topo, mpi.Config{Engine: sim.EngineEvent, FoldUnit: u})
 	if err != nil {
 		t.Fatal(err)
 	}

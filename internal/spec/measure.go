@@ -190,12 +190,11 @@ func (t *Tuner) measure(req measureReq) {
 	}
 	defer w.Close()
 
-	inPlace := req.cl == coll.CollAllgatherv
 	raced := map[string]int64{}
 	var winner string
 	var winnerPs int64
 	for _, name := range coll.Algorithms(req.cl) {
-		if !coll.Available(req.cl, name, req.env, inPlace) {
+		if !coll.Available(req.cl, name, req.env) {
 			continue
 		}
 		forced := coll.Tuning{Force: map[coll.Collective]string{req.cl: name}}

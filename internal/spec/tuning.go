@@ -162,19 +162,6 @@ func (t Tuning) Coll() (coll.Tuning, error) {
 	return ct, nil
 }
 
-// TuningFromColl converts a runtime coll.Tuning back into the
-// declarative form (the render direction of the round trip).
-func TuningFromColl(ct coll.Tuning) Tuning {
-	t := Tuning{Policy: ct.Policy.String(), SharedLevel: ct.SharedLevel}
-	for cl, algo := range ct.Force {
-		if t.Force == nil {
-			t.Force = map[string]string{}
-		}
-		t.Force[cl.String()] = algo
-	}
-	return t
-}
-
 // InstallEnvTuning applies the REPRO_COLL_TUNING compatibility shim;
 // commands call it first thing in main. A set, well-formed value
 // becomes the process-default coll tuning, and its spec-form
