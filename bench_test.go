@@ -207,3 +207,55 @@ func BenchmarkSyncFlavors(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBPMFReal and BenchmarkSUMMAVerify are the two halves of the
+// repository benchmark's fig-apps op as host-time benchmarks: the real
+// Gibbs sampler at 1200x240, K=10, three iterations on 2x12 ranks, and
+// the verified 4x4 multiply at block 64 on four nodes, Ori then Hy on a
+// fresh real-data world each. `-cpuprofile` / `-memprofile` on these is
+// how the op's la, bpmf and summa time is read.
+func BenchmarkBPMFReal(b *testing.B) {
+	model, topo := sim.HazelHenCray(), sim.MustUniform(2, 12)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var res [2]bpmf.Result
+		for j, hy := range []bool{false, true} {
+			w, err := mpi.NewWorld(model, topo, mpi.WithRealData())
+			if err != nil {
+				b.Fatal(err)
+			}
+			res[j], err = bpmf.Run(w, bpmf.Config{
+				Users: 1200, Items: 240, K: 10, AvgDeg: 4, Iters: 3,
+				Seed: 1, Hybrid: hy, Real: true, RowOverheadFlops: 3e6,
+			})
+			w.Close()
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		if res[0].Checksum != res[1].Checksum {
+			b.Fatalf("Ori and Hy sample different chains: checksum %v vs %v", res[0].Checksum, res[1].Checksum)
+		}
+	}
+}
+
+func BenchmarkSUMMAVerify(b *testing.B) {
+	model, topo := sim.HazelHenCray(), sim.MustUniform(4, 4)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, hy := range []bool{false, true} {
+			w, err := mpi.NewWorld(model, topo, mpi.WithRealData())
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := summa.Run(w, summa.Config{GridDim: 4, BlockDim: 64, Hybrid: hy, Verify: true})
+			w.Close()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !res.Verified {
+				b.Fatalf("hybrid=%v: product not verified", hy)
+			}
+		}
+	}
+}

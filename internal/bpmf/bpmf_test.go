@@ -1,10 +1,15 @@
 package bpmf
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/hybrid"
+	"repro/internal/la"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
@@ -73,6 +78,71 @@ func TestSyntheticDataset(t *testing.T) {
 	}
 	if shape.NNZ != ds.NNZ {
 		t.Error("shape-only NNZ differs")
+	}
+}
+
+// datasetHash digests every field of a Dataset (lengths included, so
+// ragged rows cannot trade entries).
+func datasetHash(d *Dataset) uint64 {
+	h := fnv.New64a()
+	put := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	ints := func(v []int) {
+		put(uint64(len(v)))
+		for _, x := range v {
+			put(uint64(x))
+		}
+	}
+	idx := func(v [][]int32) {
+		put(uint64(len(v)))
+		for _, row := range v {
+			put(uint64(len(row)))
+			for _, x := range row {
+				put(uint64(x))
+			}
+		}
+	}
+	val := func(v [][]float64) {
+		put(uint64(len(v)))
+		for _, row := range v {
+			put(uint64(len(row)))
+			for _, x := range row {
+				put(math.Float64bits(x))
+			}
+		}
+	}
+	put(uint64(d.Users))
+	put(uint64(d.Items))
+	put(uint64(d.NNZ))
+	ints(d.UserDeg)
+	ints(d.ItemDeg)
+	idx(d.UserIdx)
+	val(d.UserVal)
+	idx(d.ItemIdx)
+	val(d.ItemVal)
+	return h.Sum64()
+}
+
+// TestSyntheticPinned holds Synthetic to the datasets it built before it
+// filled arenas: virtual time is charged from these degrees, so not one
+// entry may move.
+func TestSyntheticPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed        int64
+		materialize bool
+		want        uint64
+	}{
+		{1, true, 0xe67f76bcff16c4ea},
+		{1, false, 0x6213c6fbc2fb1211},
+		{7, true, 0xe59b5e428981cf27},
+		{7, false, 0x506d7e75ec573993},
+	} {
+		if got := datasetHash(Synthetic(1200, 240, 4, c.seed, c.materialize)); got != c.want {
+			t.Errorf("Synthetic(1200, 240, 4, %d, %v) hashes to %#x, want %#x", c.seed, c.materialize, got, c.want)
+		}
 	}
 }
 
@@ -246,11 +316,18 @@ func TestRowFlopsMonotone(t *testing.T) {
 	}
 }
 
+// firstDraw is the first uniform of one key's stream.
+func firstDraw(s *sampler, seed int64, iter int, name string, row int) float64 {
+	s.reseed(seed, iter, name, row)
+	return s.rng.Float64()
+}
+
 func TestRNGStreamsIndependent(t *testing.T) {
-	a := rowRNG(1, 0, "items", 5).Float64()
-	b := rowRNG(1, 0, "items", 6).Float64()
-	c := rowRNG(1, 0, "users", 5).Float64()
-	d := rowRNG(1, 1, "items", 5).Float64()
+	s := newSampler(4)
+	a := firstDraw(s, 1, 0, "items", 5)
+	b := firstDraw(s, 1, 0, "items", 6)
+	c := firstDraw(s, 1, 0, "users", 5)
+	d := firstDraw(s, 1, 1, "items", 5)
 	vals := []float64{a, b, c, d}
 	for i := 0; i < len(vals); i++ {
 		for j := i + 1; j < len(vals); j++ {
@@ -259,8 +336,94 @@ func TestRNGStreamsIndependent(t *testing.T) {
 			}
 		}
 	}
-	if x, y := rowRNG(1, 0, "items", 5).Float64(), rowRNG(1, 0, "items", 5).Float64(); x != y {
+	if x, y := firstDraw(s, 1, 0, "items", 5), firstDraw(newSampler(4), 1, 0, "items", 5); x != y || x != a {
 		t.Error("stream not reproducible")
+	}
+}
+
+// TestRowStreamsSound checks what a counter-keyed generator must get
+// right: the streams of consecutive row keys, which differ in one low
+// bit before mixing, are standard normal and uncorrelated with their
+// neighbours.
+func TestRowStreamsSound(t *testing.T) {
+	const rows, k = 10000, 10
+	s := newSampler(k)
+	draws := make([]float64, rows*k)
+	for r := 0; r < rows; r++ {
+		s.reseed(1, 0, "items", r)
+		for c := 0; c < k; c++ {
+			draws[r*k+c] = s.rng.NormFloat64()
+		}
+	}
+	sum, sumSq, cross := 0.0, 0.0, 0.0
+	for i, x := range draws {
+		sum += x
+		sumSq += x * x
+		if i >= k {
+			cross += x * draws[i-k] // same column, previous row
+		}
+	}
+	n := float64(len(draws))
+	mean := sum / n
+	variance := sumSq/n - mean*mean
+	corr := (cross/(n-k) - mean*mean) / variance
+	if math.Abs(mean) >= 0.02 || math.Abs(variance-1) >= 0.03 || math.Abs(corr) >= 0.03 {
+		t.Errorf("first %d normals of %d consecutive row keys: mean %.4f, variance %.4f, lag-1 cross-row correlation %.4f", k, rows, mean, variance, corr)
+	}
+}
+
+func TestSampleRowAllocatesNothing(t *testing.T) {
+	const k, n = 10, 40
+	s := newSampler(k)
+	other := make([]float64, n*k)
+	for i := range other {
+		other[i] = math.Sin(float64(i))
+	}
+	h := hyper{lambda: la.NewMat(k, k), lmu: make([]float64, k)}
+	for i := 0; i < k; i++ {
+		h.lambda.Set(i, i, 2)
+	}
+	idx := []int32{3, 17, 31, 8}
+	val := []float64{0.5, -1, 2, 0.25}
+	allocs := testing.AllocsPerRun(100, func() {
+		s.reseed(1, 0, "items", 5)
+		if err := s.sampleRow(h, other, idx, val); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("sampleRow allocates %v objects per row, want 0", allocs)
+	}
+}
+
+// TestRunAllocationPin pins what one real run at the benchmark's
+// fig-apps configuration allocates: 2x12 ranks sample 4,320 rows, fill
+// 1,440 initial rows and draw 144 hyperparameter sets. 4,230 to 4,310
+// objects measured in either flavor, nearly all of them the 29 small
+// matrices and vectors of a hyperparameter draw; with a generator seeded
+// and eleven slices made per row it was 68,300 to 68,500.
+func TestRunAllocationPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless")
+	}
+	const sampledRows, pin = 3 * (1200 + 240), 4600
+	for _, hy := range []bool{false, true} {
+		cfg := Config{Users: 1200, Items: 240, K: 10, AvgDeg: 4, Iters: 3, Seed: 1, Hybrid: hy, Real: true, RowOverheadFlops: 3e6}
+		run := func() {
+			w := worldFor(t, []int{12, 12}, true)
+			defer w.Close()
+			if _, err := Run(w, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // fill pools and the geometry cache
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		if objects := after.Mallocs - before.Mallocs; objects > pin {
+			t.Errorf("hybrid=%v: bpmf.Run allocates %d objects (%.1f per sampled row), want at most %d", hy, objects, float64(objects)/sampledRows, pin)
+		}
 	}
 }
 

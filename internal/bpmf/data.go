@@ -83,36 +83,53 @@ func Synthetic(users, items, avgDeg int, seed int64, materialize bool) *Dataset 
 		return d
 	}
 
+	// Everything below is sized by users, items and NNZ and made once:
+	// the true factors as flat matrices, one arena per CSR/CSC column.
 	const trueK = 4
-	uTrue := make([][]float64, users)
-	for u := range uTrue {
-		uTrue[u] = normVec(trueK, rng)
-	}
-	vTrue := make([][]float64, items)
-	for j := range vTrue {
-		vTrue[j] = normVec(trueK, rng)
-	}
+	uTrue := normVec(users*trueK, rng)
+	vTrue := normVec(items*trueK, rng)
 
+	// User side, in (u, t) order; seen[j] holds the last user (plus one)
+	// that rated item j.
+	userIdx := make([]int32, d.NNZ)
+	userVal := make([]float64, d.NNZ)
+	seen := make([]int32, items)
 	d.UserIdx = make([][]int32, users)
 	d.UserVal = make([][]float64, users)
-	d.ItemIdx = make([][]int32, items)
-	d.ItemVal = make([][]float64, items)
+	off := 0
 	for u := 0; u < users; u++ {
-		seen := map[int32]bool{}
-		d.UserIdx[u] = make([]int32, 0, degs[u])
-		d.UserVal[u] = make([]float64, 0, degs[u])
-		for t := 0; t < degs[u]; t++ {
+		end := off + degs[u]
+		d.UserIdx[u] = userIdx[off:end:end]
+		d.UserVal[u] = userVal[off:end:end]
+		for t := off; t < end; t++ {
 			j := pickItem()
-			for seen[j] {
+			for seen[j] == int32(u)+1 {
 				j = (j + 1) % int32(items)
 			}
-			seen[j] = true
-			r := dot(uTrue[u], vTrue[j]) + 0.3*rng.NormFloat64()
-			d.UserIdx[u] = append(d.UserIdx[u], j)
-			d.UserVal[u] = append(d.UserVal[u], r)
-			d.ItemIdx[j] = append(d.ItemIdx[j], int32(u))
-			d.ItemVal[j] = append(d.ItemVal[j], r)
+			seen[j] = int32(u) + 1
+			userIdx[t] = j
+			userVal[t] = dot(rowOf(uTrue, trueK, u), rowOf(vTrue, trueK, int(j))) + 0.3*rng.NormFloat64()
 			d.ItemDeg[j]++
+		}
+		off = end
+	}
+
+	// Item side: the same entries in the same (u, t) order, now that
+	// ItemDeg says where each item's run starts.
+	itemIdx := make([]int32, d.NNZ)
+	itemVal := make([]float64, d.NNZ)
+	d.ItemIdx = make([][]int32, items)
+	d.ItemVal = make([][]float64, items)
+	off = 0
+	for j, deg := range d.ItemDeg {
+		d.ItemIdx[j] = itemIdx[off : off : off+deg]
+		d.ItemVal[j] = itemVal[off : off : off+deg]
+		off += deg
+	}
+	for u, row := range d.UserIdx {
+		for t, j := range row {
+			d.ItemIdx[j] = append(d.ItemIdx[j], int32(u))
+			d.ItemVal[j] = append(d.ItemVal[j], d.UserVal[u][t])
 		}
 	}
 	return d
@@ -145,11 +162,4 @@ func Share(count, parts, p int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -3,7 +3,6 @@ package bpmf
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/coll"
 	"repro/internal/hybrid"
@@ -158,17 +157,20 @@ func runRank(proc *mpi.Proc, cfg Config, ds *Dataset) (Result, error) {
 
 	// Initialize latent rows deterministically (each rank fills its
 	// own block; hybrid writes land directly in the shared segment).
-	rowScratch := make([]float64, cfg.K)
+	var ws *sampler
+	if cfg.Real {
+		ws = newSampler(cfg.K)
+	}
 	for _, ph := range []*phase{items, users} {
 		lo, hi := Share(ph.rows, nRanks, rank)
 		if cfg.Real {
 			blk := ph.myBlock(rank, nRanks)
 			for r := lo; r < hi; r++ {
-				rng := rowRNG(cfg.Seed, -1, ph.name, r)
-				for c := 0; c < cfg.K; c++ {
-					rowScratch[c] = 0.3 * rng.NormFloat64()
+				ws.reseed(cfg.Seed, -1, ph.name, r)
+				for c := range ws.mean {
+					ws.mean[c] = 0.3 * ws.rng.NormFloat64()
 				}
-				blk.PutFloat64s((r-lo)*cfg.K, rowScratch)
+				blk.PutFloat64s((r-lo)*cfg.K, ws.mean)
 			}
 		}
 		// The initial gather distributes the starting matrices.
@@ -181,10 +183,10 @@ func runRank(proc *mpi.Proc, cfg Config, ds *Dataset) (Result, error) {
 	for iter := 0; iter < cfg.Iters; iter++ {
 		// Movies region, then users region — each ends in the
 		// all-to-all gather (Sect. 5.2.2).
-		if err := samplePhase(proc, cfg, items, users, iter, hier, rank, nRanks); err != nil {
+		if err := samplePhase(proc, cfg, ws, items, users, iter, hier, rank, nRanks); err != nil {
 			return Result{}, err
 		}
-		if err := samplePhase(proc, cfg, users, items, iter, hier, rank, nRanks); err != nil {
+		if err := samplePhase(proc, cfg, ws, users, items, iter, hier, rank, nRanks); err != nil {
 			return Result{}, err
 		}
 		if cfg.Real && rank == 0 {
@@ -234,8 +236,9 @@ func (ph *phase) gather(proc *mpi.Proc, hier *coll.Hier, rank, nRanks int) error
 }
 
 // samplePhase samples this rank's rows of `side` conditioned on
-// `other`, charges virtual compute, and gathers the results.
-func samplePhase(proc *mpi.Proc, cfg Config, side, other *phase, iter int, hier *coll.Hier, rank, nRanks int) error {
+// `other` (through ws, nil unless cfg.Real), charges virtual compute,
+// and gathers the results.
+func samplePhase(proc *mpi.Proc, cfg Config, ws *sampler, side, other *phase, iter int, hier *coll.Hier, rank, nRanks int) error {
 	lo, hi := Share(side.rows, nRanks, rank)
 
 	// Hyperparameter draw (computed redundantly on every rank from
@@ -246,7 +249,8 @@ func samplePhase(proc *mpi.Proc, cfg Config, side, other *phase, iter int, hier 
 	if cfg.Real {
 		latent := f64s(side.buffer())
 		var err error
-		h, err = sampleHyper(latent, side.rows, cfg.K, phaseRNG(cfg.Seed, iter, side.name))
+		ws.reseed(cfg.Seed, iter, side.name, hyperRow)
+		h, err = ws.sampleHyper(latent, side.rows)
 		if err != nil {
 			return err
 		}
@@ -273,11 +277,11 @@ func samplePhase(proc *mpi.Proc, cfg Config, side, other *phase, iter int, hier 
 	for r := lo; r < hi; r++ {
 		flops += rowFlops(cfg.K, side.deg[r], cfg.RowOverheadFlops)
 		if cfg.Real {
-			row, err := sampleRow(h, otherVals, cfg.K, side.idx[r], side.val[r], rowRNG(cfg.Seed, iter, side.name, r))
-			if err != nil {
+			ws.reseed(cfg.Seed, iter, side.name, r)
+			if err := ws.sampleRow(h, otherVals, side.idx[r], side.val[r]); err != nil {
 				return fmt.Errorf("bpmf: %s row %d: %w", side.name, r, err)
 			}
-			blk.PutFloat64s((r-lo)*cfg.K, row)
+			blk.PutFloat64s((r-lo)*cfg.K, ws.mean)
 		}
 	}
 	proc.Compute(flops)
@@ -306,18 +310,4 @@ func rmse(ds *Dataset, userBuf, itemBuf mpi.Buf, k int) float64 {
 		return 0
 	}
 	return math.Sqrt(sum / float64(n))
-}
-
-// rowRNG / phaseRNG derive deterministic, partition-independent RNG
-// streams.
-func rowRNG(seed int64, iter int, name string, row int) *rand.Rand {
-	h := seed*1_000_003 + int64(iter+2)*7_919
-	for _, c := range name {
-		h = h*131 + int64(c)
-	}
-	return rand.New(rand.NewSource(h*1_000_033 + int64(row)))
-}
-
-func phaseRNG(seed int64, iter int, name string) *rand.Rand {
-	return rowRNG(seed, iter, name, -7)
 }

@@ -91,6 +91,43 @@ func TestGemm(t *testing.T) {
 	}
 }
 
+// TestGemmMatchesNaiveExactly holds the unrolled j loop to the plain
+// triple loop bit for bit, at column counts on both sides of a multiple
+// of four.
+func TestGemmMatchesNaiveExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, dims := range [][3]int{{1, 1, 1}, {3, 5, 2}, {7, 4, 9}, {6, 7, 6}, {16, 16, 16}, {5, 13, 3}} {
+		m, n, kk := dims[0], dims[1], dims[2]
+		a, b := NewMat(m, kk), NewMat(kk, n)
+		for i := range a.Data {
+			a.Data[i] = rng.NormFloat64()
+		}
+		for i := range b.Data {
+			b.Data[i] = rng.NormFloat64()
+		}
+		got, want := NewMat(m, n), NewMat(m, n)
+		for i := range got.Data {
+			got.Data[i] = float64(i) // Gemm accumulates
+			want.Data[i] = float64(i)
+		}
+		if err := Gemm(got, a, b); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < m; i++ {
+			for k := 0; k < kk; k++ {
+				for j := 0; j < n; j++ {
+					want.Add(i, j, a.At(i, k)*b.At(k, j))
+				}
+			}
+		}
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] {
+				t.Fatalf("%dx%dx%d: element %d = %v, naive loop gives %v", m, n, kk, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+}
+
 func TestGemmAssociativityProperty(t *testing.T) {
 	// (A*B)*x == A*(B*x) for random small matrices.
 	rng := rand.New(rand.NewSource(7))
@@ -177,6 +214,26 @@ func TestCholeskyRoundTrip(t *testing.T) {
 	}
 }
 
+func TestCholeskyIntoOverwrites(t *testing.T) {
+	a, _ := FromRows([][]float64{{4, 2}, {2, 5}})
+	want, err := Cholesky(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, _ := FromRows([][]float64{{7, 7}, {7, 7}}) // a reused factor holds the last one
+	if err := CholeskyInto(l, a); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Data {
+		if l.Data[i] != want.Data[i] {
+			t.Errorf("element %d = %v, want %v", i, l.Data[i], want.Data[i])
+		}
+	}
+	if err := CholeskyInto(NewMat(3, 3), a); err == nil {
+		t.Error("destination of another shape accepted")
+	}
+}
+
 func TestCholeskyRejects(t *testing.T) {
 	if _, err := Cholesky(NewMat(2, 3)); err == nil {
 		t.Error("non-square accepted")
@@ -239,17 +296,24 @@ func TestSolveSPDProperty(t *testing.T) {
 
 func TestTriangularSolveErrors(t *testing.T) {
 	l := Eye(2)
-	if _, err := SolveLower(l, []float64{1}); err == nil {
+	x := []float64{1}
+	if err := SolveLowerInto(x, l, x); err == nil {
 		t.Error("bad length accepted")
 	}
-	if _, err := SolveUpperT(l, []float64{1}); err == nil {
+	if err := SolveUpperTInto(x, l, x); err == nil {
 		t.Error("bad length accepted")
+	}
+	if err := SolveLowerInto(make([]float64, 2), l, x); err == nil {
+		t.Error("bad right-hand side accepted")
+	}
+	if err := SolveUpperTInto(x, l, make([]float64, 2)); err == nil {
+		t.Error("bad destination accepted")
 	}
 	sing := NewMat(1, 1)
-	if _, err := SolveLower(sing, []float64{1}); err == nil {
+	if err := SolveLowerInto(x, sing, x); err == nil {
 		t.Error("singular accepted")
 	}
-	if _, err := SolveUpperT(sing, []float64{1}); err == nil {
+	if err := SolveUpperTInto(x, sing, x); err == nil {
 		t.Error("singular accepted")
 	}
 }
@@ -282,6 +346,30 @@ func TestSampleMVNMoments(t *testing.T) {
 			if !almostEq(cc.At(i, j)/nSamp, cov.At(i, j), 0.08) {
 				t.Errorf("sample cov[%d][%d] = %v, want ~%v", i, j, cc.At(i, j)/nSamp, cov.At(i, j))
 			}
+		}
+	}
+}
+
+// TestChiSquareMoments checks the Marsaglia-Tsang draw against the
+// distribution's mean k and variance 2k, at the small dof of the unit
+// tests, at BPMF's two fig-apps row counts, and at the k = 1 boost.
+func TestChiSquareMoments(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const nSamp = 20000
+	for _, dof := range []int{1, 10, 250, 1210} {
+		sum, sumSq := 0.0, 0.0
+		for s := 0; s < nSamp; s++ {
+			x := chiSquare(dof, rng)
+			if x <= 0 {
+				t.Fatalf("dof %d: draw %v", dof, x)
+			}
+			sum += x
+			sumSq += x * x
+		}
+		mean := sum / nSamp
+		variance := sumSq/nSamp - mean*mean
+		if k := float64(dof); math.Abs(mean-k) > 0.02*k || math.Abs(variance-2*k) > 0.10*2*k {
+			t.Errorf("dof %d: mean %.3f (want %d within 2%%), variance %.3f (want %d within 10%%)", dof, mean, dof, variance, 2*dof)
 		}
 	}
 }
@@ -326,9 +414,35 @@ func TestSampleMVNDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// FromRows and SolveSPD are the tests' fixture and referee: no workload
-// builds a matrix from literals or solves one system without keeping the
-// factor (bpmf calls Cholesky, SolveLower and SolveUpperT itself).
+// FromRows, Eye, Add, AddMat and SolveSPD are the tests' fixtures and
+// referee: no workload builds a matrix from literals or an identity,
+// updates one through anything but a row slice, or solves one system
+// without keeping the factor (bpmf calls CholeskyInto, SolveLowerInto
+// and SolveUpperTInto itself, on its own workspace).
+
+// Add increments element (i, j).
+func (m *Mat) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
+
+// Eye returns the n x n identity.
+func Eye(n int) *Mat {
+	m := NewMat(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
+
+// AddMat accumulates a into m element-wise (in place); dimensions must
+// match.
+func (m *Mat) AddMat(a *Mat) error {
+	if m.Rows != a.Rows || m.Cols != a.Cols {
+		return fmt.Errorf("la: AddMat shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, a.Rows, a.Cols)
+	}
+	for i := range m.Data {
+		m.Data[i] += a.Data[i]
+	}
+	return nil
+}
 
 // FromRows builds a matrix from row slices (all equal length).
 func FromRows(rows [][]float64) (*Mat, error) {
@@ -351,9 +465,9 @@ func SolveSPD(a *Mat, b []float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	y, err := SolveLower(l, b)
-	if err != nil {
+	x := make([]float64, len(b))
+	if err := SolveLowerInto(x, l, b); err != nil {
 		return nil, err
 	}
-	return SolveUpperT(l, y)
+	return x, SolveUpperTInto(x, l, x)
 }

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Mat is a dense row-major matrix.
@@ -32,9 +31,6 @@ func (m *Mat) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 // Set assigns element (i, j).
 func (m *Mat) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
-// Add increments element (i, j).
-func (m *Mat) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
-
 // Row returns a view of row i (shared storage).
 func (m *Mat) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
@@ -43,15 +39,6 @@ func (m *Mat) Clone() *Mat {
 	c := NewMat(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// Eye returns the n x n identity.
-func Eye(n int) *Mat {
-	m := NewMat(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
 }
 
 // T returns the transpose as a new matrix.
@@ -73,20 +60,10 @@ func (m *Mat) Scale(s float64) *Mat {
 	return m
 }
 
-// AddMat accumulates a into m element-wise (in place); dimensions must
-// match.
-func (m *Mat) AddMat(a *Mat) error {
-	if m.Rows != a.Rows || m.Cols != a.Cols {
-		return fmt.Errorf("la: AddMat shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, a.Rows, a.Cols)
-	}
-	for i := range m.Data {
-		m.Data[i] += a.Data[i]
-	}
-	return nil
-}
-
-// Gemm computes C += A * B (naive triple loop with ikj order for cache
-// friendliness). Returns an error on dimension mismatch.
+// Gemm computes C += A * B (triple loop in ikj order for cache
+// friendliness, the j loop unrolled four wide; every c[i][j] still
+// accumulates over k in ascending order, so the product does not depend
+// on the unrolling). Returns an error on dimension mismatch.
 func Gemm(c, a, b *Mat) error {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		return fmt.Errorf("la: Gemm shapes %dx%d * %dx%d -> %dx%d",
@@ -101,7 +78,16 @@ func Gemm(c, a, b *Mat) error {
 				continue
 			}
 			brow := b.Row(k)
-			for j := range brow {
+			crow := crow[:len(brow)] // one bounds check, outside the loop
+			j := 0
+			for ; j+4 <= len(brow); j += 4 {
+				c4, b4 := crow[j:j+4:j+4], brow[j:j+4:j+4]
+				c4[0] += aik * b4[0]
+				c4[1] += aik * b4[1]
+				c4[2] += aik * b4[2]
+				c4[3] += aik * b4[3]
+			}
+			for ; j < len(brow); j++ {
 				crow[j] += aik * brow[j]
 			}
 		}
@@ -136,9 +122,10 @@ func SyrkUpper(c *Mat, x []float64) error {
 	if c.Rows != len(x) || c.Cols != len(x) {
 		return fmt.Errorf("la: Syrk %dx%d with %d-vector", c.Rows, c.Cols, len(x))
 	}
-	for i := range x {
-		for j := range x {
-			c.Add(i, j, x[i]*x[j])
+	for i, xi := range x {
+		row := c.Row(i)[:len(x)]
+		for j, xj := range x {
+			row[j] += xi * xj
 		}
 	}
 	return nil
@@ -153,55 +140,72 @@ func Cholesky(a *Mat) (*Mat, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("la: Cholesky of %dx%d", a.Rows, a.Cols)
 	}
-	n := a.Rows
-	l := NewMat(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
-			}
-			if i == j {
-				if s <= 0 {
-					return nil, fmt.Errorf("%w (pivot %d = %g)", ErrNotSPD, i, s)
-				}
-				l.Set(i, i, math.Sqrt(s))
-			} else {
-				l.Set(i, j, s/l.At(j, j))
-			}
-		}
+	l := NewMat(a.Rows, a.Rows)
+	if err := CholeskyInto(l, a); err != nil {
+		return nil, err
 	}
 	return l, nil
 }
 
-// SolveLower solves L y = b for lower-triangular L.
-func SolveLower(l *Mat, b []float64) ([]float64, error) {
-	n := l.Rows
-	if len(b) != n {
-		return nil, fmt.Errorf("la: SolveLower %dx%d with %d-vector", n, l.Cols, len(b))
+// CholeskyInto is Cholesky into a caller-owned l of a's shape, whose
+// previous contents are overwritten (the strict upper triangle with
+// zeros). l must not alias a.
+func CholeskyInto(l, a *Mat) error {
+	n := a.Rows
+	if a.Cols != n || l.Rows != n || l.Cols != n {
+		return fmt.Errorf("la: Cholesky of %dx%d into %dx%d", a.Rows, a.Cols, l.Rows, l.Cols)
 	}
-	y := make([]float64, n)
 	for i := 0; i < n; i++ {
+		li := l.Row(i)
+		for j := 0; j <= i; j++ {
+			lj := l.Row(j)
+			s := a.At(i, j)
+			for k := 0; k < j; k++ {
+				s -= li[k] * lj[k]
+			}
+			if i == j {
+				if s <= 0 {
+					return fmt.Errorf("%w (pivot %d = %g)", ErrNotSPD, i, s)
+				}
+				li[i] = math.Sqrt(s)
+			} else {
+				li[j] = s / lj[j]
+			}
+		}
+		clear(li[i+1:])
+	}
+	return nil
+}
+
+// SolveLowerInto solves L y = b for lower-triangular L into y, which
+// may be b itself.
+func SolveLowerInto(y []float64, l *Mat, b []float64) error {
+	n := l.Rows
+	if len(b) != n || len(y) != n {
+		return fmt.Errorf("la: SolveLower %dx%d with %d-vector into %d", n, l.Cols, len(b), len(y))
+	}
+	for i := 0; i < n; i++ {
+		li := l.Row(i)
 		s := b[i]
 		for k := 0; k < i; k++ {
-			s -= l.At(i, k) * y[k]
+			s -= li[k] * y[k]
 		}
-		d := l.At(i, i)
+		d := li[i]
 		if d == 0 {
-			return nil, fmt.Errorf("la: singular triangular factor at %d", i)
+			return fmt.Errorf("la: singular triangular factor at %d", i)
 		}
 		y[i] = s / d
 	}
-	return y, nil
+	return nil
 }
 
-// SolveUpperT solves Lᵀ x = y given lower-triangular L.
-func SolveUpperT(l *Mat, y []float64) ([]float64, error) {
+// SolveUpperTInto solves Lᵀ x = y given lower-triangular L into x,
+// which may be y itself.
+func SolveUpperTInto(x []float64, l *Mat, y []float64) error {
 	n := l.Rows
-	if len(y) != n {
-		return nil, fmt.Errorf("la: SolveUpperT %dx%d with %d-vector", n, l.Cols, len(y))
+	if len(y) != n || len(x) != n {
+		return fmt.Errorf("la: SolveUpperT %dx%d with %d-vector into %d", n, l.Cols, len(y), len(x))
 	}
-	x := make([]float64, n)
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for k := i + 1; k < n; k++ {
@@ -209,11 +213,11 @@ func SolveUpperT(l *Mat, y []float64) ([]float64, error) {
 		}
 		d := l.At(i, i)
 		if d == 0 {
-			return nil, fmt.Errorf("la: singular triangular factor at %d", i)
+			return fmt.Errorf("la: singular triangular factor at %d", i)
 		}
 		x[i] = s / d
 	}
-	return x, nil
+	return nil
 }
 
 // InvSPD inverts an SPD matrix via Cholesky (column-by-column solves).
@@ -224,18 +228,14 @@ func InvSPD(a *Mat) (*Mat, error) {
 	}
 	n := a.Rows
 	inv := NewMat(n, n)
-	e := make([]float64, n)
+	x := make([]float64, n)
 	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		y, err := SolveLower(l, e)
-		if err != nil {
+		clear(x)
+		x[j] = 1
+		if err := SolveLowerInto(x, l, x); err != nil {
 			return nil, err
 		}
-		x, err := SolveUpperT(l, y)
-		if err != nil {
+		if err := SolveUpperTInto(x, l, x); err != nil {
 			return nil, err
 		}
 		for i := 0; i < n; i++ {
@@ -245,18 +245,20 @@ func InvSPD(a *Mat) (*Mat, error) {
 	return inv, nil
 }
 
+// Source is the generator the samplers draw from; *rand.Rand of
+// math/rand and of math/rand/v2 both are one.
+type Source interface {
+	NormFloat64() float64
+	Float64() float64
+}
+
 // SampleMVN draws x ~ N(mean, cov) using the Cholesky factor of cov:
 // x = mean + L z with z standard normal.
-func SampleMVN(mean []float64, cov *Mat, rng *rand.Rand) ([]float64, error) {
+func SampleMVN(mean []float64, cov *Mat, rng Source) ([]float64, error) {
 	l, err := Cholesky(cov)
 	if err != nil {
 		return nil, err
 	}
-	return SampleMVNChol(mean, l, rng), nil
-}
-
-// SampleMVNChol draws x = mean + L z for a precomputed Cholesky factor.
-func SampleMVNChol(mean []float64, l *Mat, rng *rand.Rand) []float64 {
 	n := len(mean)
 	z := make([]float64, n)
 	for i := range z {
@@ -270,13 +272,41 @@ func SampleMVNChol(mean []float64, l *Mat, rng *rand.Rand) []float64 {
 		}
 		x[i] = s
 	}
-	return x
+	return x, nil
+}
+
+// chiSquare draws from the chi-squared distribution with k >= 1 degrees
+// of freedom as 2*Gamma(k/2) by Marsaglia and Tsang's method: a normal
+// and a uniform per attempt, accepted more than 95% of the time, where
+// summing k squared normals costs k draws (BPMF's k is the row count).
+func chiSquare(k int, rng Source) float64 {
+	alpha := float64(k) / 2
+	boost := 1.0
+	if alpha < 1 {
+		// Gamma(a) = Gamma(a+1) * U^(1/a).
+		boost = math.Pow(rng.Float64(), 1/alpha)
+		alpha++
+	}
+	d := alpha - 1.0/3
+	c := 1 / math.Sqrt(9*d)
+	for {
+		x := rng.NormFloat64()
+		v := 1 + c*x
+		if v <= 0 {
+			continue
+		}
+		v = v * v * v
+		u := rng.Float64()
+		if x2 := x * x; u < 1-0.0331*x2*x2 || math.Log(u) < 0.5*x2+d*(1-v+math.Log(v)) {
+			return 2 * d * v * boost
+		}
+	}
 }
 
 // SampleWishart draws W ~ Wishart(scale, dof) with the Bartlett
 // decomposition: W = L A Aᵀ Lᵀ where scale = L Lᵀ, A lower with
 // chi-distributed diagonal and standard-normal subdiagonal.
-func SampleWishart(scale *Mat, dof int, rng *rand.Rand) (*Mat, error) {
+func SampleWishart(scale *Mat, dof int, rng Source) (*Mat, error) {
 	n := scale.Rows
 	if dof < n {
 		return nil, fmt.Errorf("la: Wishart dof %d < dim %d", dof, n)
@@ -287,14 +317,7 @@ func SampleWishart(scale *Mat, dof int, rng *rand.Rand) (*Mat, error) {
 	}
 	a := NewMat(n, n)
 	for i := 0; i < n; i++ {
-		// chi_k draw via sum of squares of k normals (k is small).
-		k := dof - i
-		s := 0.0
-		for t := 0; t < k; t++ {
-			z := rng.NormFloat64()
-			s += z * z
-		}
-		a.Set(i, i, math.Sqrt(s))
+		a.Set(i, i, math.Sqrt(chiSquare(dof-i, rng)))
 		for j := 0; j < i; j++ {
 			a.Set(i, j, rng.NormFloat64())
 		}

@@ -103,7 +103,7 @@ func runRank(p *mpi.Proc, cfg Config) (bool, error) {
 	blockBytes := 8 * b * b
 	var aBlock, bBlock, cBlock *la.Mat
 	if cfg.Verify {
-		aBlock, bBlock = localBlocks(p.Rank(), dim, b)
+		aBlock, bBlock = localBlocks(p.Rank(), b)
 		cBlock = la.NewMat(b, b)
 	}
 
@@ -213,25 +213,40 @@ func localUpdate(p *mpi.Proc, cfg Config, cBlock *la.Mat, aPanel, bPanel mpi.Buf
 	if !cfg.Verify {
 		return nil
 	}
-	a := unpackMat(aPanel, b)
-	bm := unpackMat(bPanel, b)
-	return la.Gemm(cBlock, a, bm)
+	a, bm := panelMat(aPanel, b), panelMat(bPanel, b)
+	return la.Gemm(cBlock, &a, &bm)
+}
+
+// panelMat is the b x b matrix a travelling panel holds, read in place:
+// a hybrid rank multiplies out of its node's one shared copy. Only a
+// panel with no aligned float64 view is copied out.
+func panelMat(panel mpi.Buf, b int) la.Mat {
+	data := panel.Float64sView()
+	if data == nil {
+		data = panel.Float64s()
+	}
+	return la.Mat{Rows: b, Cols: b, Data: data}
 }
 
 // localBlocks builds deterministic per-rank A and B blocks so that the
 // verification product is reproducible.
-func localBlocks(rank, dim, b int) (*la.Mat, *la.Mat) {
-	a := la.NewMat(b, b)
-	bm := la.NewMat(b, b)
+func localBlocks(rank, b int) (*la.Mat, *la.Mat) {
+	a, bm := la.NewMat(b, b), la.NewMat(b, b)
+	fillBlocks(a, bm, rank, 0, 0, b)
+	return a, bm
+}
+
+// fillBlocks writes rank's A and B blocks into a and bm with their top
+// left corner at (row0, col0).
+func fillBlocks(a, bm *la.Mat, rank, row0, col0, b int) {
 	for i := 0; i < b; i++ {
 		for j := 0; j < b; j++ {
 			// Smooth, rank-dependent values; kept small so the
 			// products stay well-conditioned.
-			a.Set(i, j, math.Sin(float64(rank*31+i*7+j))*0.5)
-			bm.Set(i, j, math.Cos(float64(rank*17+i*3+j*5))*0.5)
+			a.Set(row0+i, col0+j, math.Sin(float64(rank*31+i*7+j))*0.5)
+			bm.Set(row0+i, col0+j, math.Cos(float64(rank*17+i*3+j*5))*0.5)
 		}
 	}
-	return a, bm
 }
 
 // verify gathers C at rank 0 and compares against a serial product.
@@ -261,15 +276,11 @@ func verify(p *mpi.Proc, cfg Config, cBlock *la.Mat) (bool, error) {
 	A, B := la.NewMat(n, n), la.NewMat(n, n)
 	C := la.NewMat(n, n)
 	for r := 0; r < world.Size(); r++ {
-		pr, pc := r/dim, r%dim
-		ab, bb := localBlocks(r, dim, b)
-		cb := unpackMat(recv.Slice(r*blockBytes, blockBytes), b)
+		row0, col0 := r/dim*b, r%dim*b
+		fillBlocks(A, B, r, row0, col0, b)
+		cb := recv.Slice(r*blockBytes, blockBytes)
 		for i := 0; i < b; i++ {
-			for j := 0; j < b; j++ {
-				A.Set(pr*b+i, pc*b+j, ab.At(i, j))
-				B.Set(pr*b+i, pc*b+j, bb.At(i, j))
-				C.Set(pr*b+i, pc*b+j, cb.At(i, j))
-			}
+			cb.CopyFloat64s(C.Row(row0 + i)[col0:col0+b], i*b)
 		}
 	}
 	want := la.NewMat(n, n)
@@ -290,12 +301,4 @@ func packMat(dst mpi.Buf, m *la.Mat) {
 		return
 	}
 	dst.PutFloat64s(0, m.Data)
-}
-
-func unpackMat(src mpi.Buf, b int) *la.Mat {
-	m := la.NewMat(b, b)
-	if src.Real() {
-		src.CopyFloat64s(m.Data, 0)
-	}
-	return m
 }

@@ -2,9 +2,12 @@ package summa
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/hybrid"
+	"repro/internal/la"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
@@ -72,6 +75,80 @@ func TestSummaVerifyHybrid(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSummaHybridMultipliesInPlace runs Hy_SUMMA's verification under
+// every sync flavor at a block size whose panels have a float64 view,
+// and checks on the same Bcaster set-up that the matrix localUpdate
+// multiplies is the node's shared panel itself, not a copy of it.
+func TestSummaHybridMultipliesInPlace(t *testing.T) {
+	const b = 8
+	for _, mode := range []hybrid.SyncMode{hybrid.SyncBarrier, hybrid.SyncP2P, hybrid.SyncSharedFlags} {
+		t.Run(mode.String(), func(t *testing.T) {
+			w := worldFor(t, []int{8, 8}, true)
+			res, err := Run(w, Config{GridDim: 4, BlockDim: b, Hybrid: true, Verify: true, Sync: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Verified {
+				t.Error("hybrid SUMMA result not verified")
+			}
+			err = w.Run(func(p *mpi.Proc) error {
+				ctx, err := hybrid.New(p.CommWorld(), hybrid.WithSync(mode))
+				if err != nil {
+					return err
+				}
+				bc, err := ctx.NewBcaster(8 * b * b)
+				if err != nil {
+					return err
+				}
+				if got, shared := unsafe.Pointer(&panelMat(bc.Buffer(), b).Data[0]), unsafe.Pointer(&bc.Buffer().Raw()[0]); got != shared {
+					return fmt.Errorf("rank %d multiplies out of %p, the shared panel is at %p", p.Rank(), got, shared)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// TestLocalUpdateCopiesMisalignedPanel hands localUpdate panels that
+// start at an odd byte offset, so no float64 view of them exists, and
+// expects the product the aligned panels give, bit for bit.
+func TestLocalUpdateCopiesMisalignedPanel(t *testing.T) {
+	const b = 6
+	aBlock, bBlock := localBlocks(3, b)
+	shifted := func(m *la.Mat) mpi.Buf {
+		buf := mpi.Bytes(make([]byte, 8*b*b+1)).Slice(1, 8*b*b)
+		if buf.Float64sView() != nil {
+			t.Fatal("a panel at an odd offset has a float64 view")
+		}
+		packMat(buf, m)
+		return buf
+	}
+	w := worldFor(t, []int{1}, true)
+	cfg := Config{GridDim: 1, BlockDim: b, Verify: true}
+	var products [2]*la.Mat
+	for i, panels := range [][2]mpi.Buf{
+		{mpi.FromFloat64s(aBlock.Data), mpi.FromFloat64s(bBlock.Data)},
+		{shifted(aBlock), shifted(bBlock)},
+	} {
+		products[i] = la.NewMat(b, b)
+		err := w.Run(func(p *mpi.Proc) error {
+			return localUpdate(p, cfg, products[i], panels[0], panels[1], b)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !slices.Equal(products[0].Data, products[1].Data) {
+		t.Errorf("copied panels give %v, viewed panels %v", products[1].Data, products[0].Data)
+	}
+	if products[0].Data[0] == 0 {
+		t.Error("no product computed")
 	}
 }
 
