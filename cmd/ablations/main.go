@@ -45,15 +45,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	mk, ok := sim.Profiles()[*machine]
-	if !ok {
-		return fmt.Errorf("unknown machine %q", *machine)
+	model, err := sim.Profile(*machine)
+	if err != nil {
+		return err
 	}
 	for _, f := range []func(io.Writer, *sim.CostModel) error{
 		syncFlavors, leaderCounts, allgatherAlgos, pipelined, barriers, npbKernels, noiseDrift,
 		noiseSelection,
 	} {
-		if err := f(stdout, mk()); err != nil {
+		if err := f(stdout, model); err != nil {
 			return err
 		}
 	}

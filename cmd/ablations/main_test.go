@@ -49,7 +49,7 @@ func TestDefaultOutputGolden(t *testing.T) {
 
 func TestUnknownMachineAndFlagAreErrors(t *testing.T) {
 	err := run([]string{"-machine", "abacus"}, io.Discard, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), `unknown machine "abacus"`) {
+	if err == nil || !strings.Contains(err.Error(), `unknown machine "abacus" (profiles: hazelhen-cray, laptop, vulcan-openmpi)`) {
 		t.Errorf("-machine abacus: %v", err)
 	}
 	if err := run([]string{"-nope"}, io.Discard, io.Discard); err == nil {

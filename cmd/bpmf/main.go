@@ -66,9 +66,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 }
 
 func runPoint(out io.Writer, machine string, cores int, real bool, iters int) error {
-	mk, ok := sim.Profiles()[machine]
-	if !ok {
-		return fmt.Errorf("unknown machine %q", machine)
+	model, err := sim.Profile(machine)
+	if err != nil {
+		return err
 	}
 	topo, err := sim.NewTopology(bench.ShapeFor(cores))
 	if err != nil {
@@ -88,7 +88,7 @@ func runPoint(out io.Writer, machine string, cores int, real bool, iters int) er
 		if real {
 			opts = append(opts, mpi.WithRealData())
 		}
-		w, err := mpi.NewWorld(mk(), topo, opts...)
+		w, err := mpi.NewWorld(model, topo, opts...)
 		if err != nil {
 			return err
 		}

@@ -28,10 +28,12 @@ func TestSweepRejectsPointFlags(t *testing.T) {
 			t.Errorf("%v: printed %q before failing", tc.args, stdout.String())
 		}
 	}
-	for _, args := range [][]string{{"-cores", "16", "-machine", "abacus"}, {"-nope"}} {
-		if err := run(args, io.Discard, io.Discard); err == nil {
-			t.Errorf("%v: accepted", args)
-		}
+	if err := run([]string{"-nope"}, io.Discard, io.Discard); err == nil {
+		t.Error("-nope: accepted")
+	}
+	err := run([]string{"-cores", "16", "-machine", "abacus"}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), `unknown machine "abacus" (profiles: hazelhen-cray, laptop, vulcan-openmpi)`) {
+		t.Errorf("-machine abacus: err = %v, want the profile list", err)
 	}
 }
 

@@ -84,7 +84,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 // runTraced repeats the hybrid measurement once with event tracing on
 // and prints the aggregate statistics (message counts and bytes).
 func runTraced(out io.Writer, machine string, nodes, ppn, elems int, syncName string) error {
-	mk := sim.Profiles()[machine]
+	model, err := sim.Profile(machine)
+	if err != nil {
+		return err
+	}
 	syncMode, err := parseSyncMode(syncName)
 	if err != nil {
 		return err
@@ -94,7 +97,7 @@ func runTraced(out io.Writer, machine string, nodes, ppn, elems int, syncName st
 		return err
 	}
 	tr := sim.NewTracer()
-	w, err := mpi.NewWorld(mk(), topo, mpi.WithTracer(tr))
+	w, err := mpi.NewWorld(model, topo, mpi.WithTracer(tr))
 	if err != nil {
 		return err
 	}
@@ -156,15 +159,14 @@ func runFigures(out io.Writer, which string, o bench.FigOpts) error {
 }
 
 func runFreeForm(out io.Writer, machine string, nodes, ppn, elems, iters int, syncName string) error {
-	mk, ok := sim.Profiles()[machine]
-	if !ok {
-		return fmt.Errorf("unknown machine %q (profiles: hazelhen-cray, vulcan-openmpi, laptop)", machine)
+	model, err := sim.Profile(machine)
+	if err != nil {
+		return err
 	}
 	syncMode, err := parseSyncMode(syncName)
 	if err != nil {
 		return err
 	}
-	model := mk()
 	shape := make([]int, nodes)
 	for i := range shape {
 		shape[i] = ppn

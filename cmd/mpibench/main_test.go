@@ -47,6 +47,10 @@ func TestBadArgumentsAreErrors(t *testing.T) {
 			t.Errorf("%v: accepted", args)
 		}
 	}
+	err := run([]string{"-nodes", "2", "-ppn", "2", "-machine", "abacus"}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), `unknown machine "abacus" (profiles: hazelhen-cray, laptop, vulcan-openmpi)`) {
+		t.Errorf("free-form -machine abacus: err = %v, want the profile list", err)
+	}
 }
 
 // TestFreeFormTraced pins the free-form output under a pairwise sync

@@ -156,9 +156,9 @@ func runSweeps(list, machine, tuningSpec, engineSpec string, scaleMax int, seed 
 	if err != nil {
 		return err
 	}
-	mk, ok := sim.Profiles()[machine]
-	if !ok {
-		return fmt.Errorf("unknown machine %q", machine)
+	model, err := sim.Profile(machine)
+	if err != nil {
+		return err
 	}
 	var engines []sim.Engine // empty = both
 	if engineSpec != "both" {
@@ -169,7 +169,7 @@ func runSweeps(list, machine, tuningSpec, engineSpec string, scaleMax int, seed 
 		engines = []sim.Engine{e}
 	}
 	rep, err := bench.RunSweeps(dims, bench.SweepConfig{
-		Model: mk(), Tuning: tun, MaxRanks: scaleMax, Engines: engines, Seed: seed,
+		Model: model, Tuning: tun, MaxRanks: scaleMax, Engines: engines, Seed: seed,
 	}, stdout)
 	if err != nil {
 		return err

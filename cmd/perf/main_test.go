@@ -89,6 +89,15 @@ func TestRemovedSurfaceIsGone(t *testing.T) {
 	}
 }
 
+// TestUnknownMachineListsProfiles: a mistyped -machine is answered with
+// the names that exist (sim.Profile's one error).
+func TestUnknownMachineListsProfiles(t *testing.T) {
+	err := run([]string{"-sweep", "coll", "-machine", "abacus"}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), `unknown machine "abacus" (profiles: hazelhen-cray, laptop, vulcan-openmpi)`) {
+		t.Errorf("-machine abacus: err = %v, want the profile list", err)
+	}
+}
+
 // TestSweepWritesReport drives one cheap dimension end to end.
 func TestSweepWritesReport(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "sweeps.json")

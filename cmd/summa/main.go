@@ -81,9 +81,9 @@ func pick(v, def int) int {
 }
 
 func runPoint(out io.Writer, machine string, cores, block int, verify bool) error {
-	mk, ok := sim.Profiles()[machine]
-	if !ok {
-		return fmt.Errorf("unknown machine %q", machine)
+	model, err := sim.Profile(machine)
+	if err != nil {
+		return err
 	}
 	grid := 1
 	for grid*grid < cores {
@@ -101,7 +101,7 @@ func runPoint(out io.Writer, machine string, cores, block int, verify bool) erro
 		if verify {
 			opts = append(opts, mpi.WithRealData())
 		}
-		w, err := mpi.NewWorld(mk(), topo, opts...)
+		w, err := mpi.NewWorld(model, topo, opts...)
 		if err != nil {
 			return err
 		}

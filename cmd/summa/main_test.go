@@ -28,12 +28,15 @@ func TestBadArgumentsAreErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-block", "-8"},
 		{"-cores", "5"},
-		{"-cores", "4", "-machine", "abacus"},
 		{"-nope"},
 	} {
 		if err := run(args, io.Discard, io.Discard); err == nil {
 			t.Errorf("%v: accepted", args)
 		}
+	}
+	err := run([]string{"-cores", "4", "-machine", "abacus"}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), `unknown machine "abacus" (profiles: hazelhen-cray, laptop, vulcan-openmpi)`) {
+		t.Errorf("-machine abacus: err = %v, want the profile list", err)
 	}
 }
 

@@ -134,7 +134,7 @@ func runTopoPoint(model *sim.CostModel, tun coll.Tuning, st topoStack, nodes, pp
 			return err
 		}
 		if p.Rank() == 0 {
-			ests, _, err := h.Composer().PriceAllgather(bytes, hierTun)
+			ests, _, err := h.PriceAllgather(bytes, hierTun)
 			if err != nil {
 				return err
 			}

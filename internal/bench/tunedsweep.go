@@ -105,11 +105,10 @@ const tunedCongestionNet = 16
 // rerun.
 func RunTunedSweep(machine string, seed int64) (*TunedSweepReport, error) {
 	const nodes, ppn, iters = 8, 8, 2
-	mkModel, ok := sim.Profiles()[machine]
-	if !ok {
-		return nil, fmt.Errorf("bench: tuned sweep: unknown machine %q", machine)
+	model, err := sim.Profile(machine)
+	if err != nil {
+		return nil, fmt.Errorf("bench: tuned sweep: %w", err)
 	}
-	model := mkModel()
 	rep := &TunedSweepReport{
 		Model: machine, Collective: "allreduce",
 		Nodes: nodes, PPN: ppn, Iters: iters,

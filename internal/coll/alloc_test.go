@@ -80,7 +80,10 @@ func TestHotExchangesAllocationPins(t *testing.T) {
 // 3,072 ranks call it per op: the plan, one slab of composers and one
 // arena of tier communicators per call (mpi.SetupSlab), plus the
 // matcher's queues for the call's 65 fresh contexts — not an object
-// per rank, which was 6,150 more.
+// per rank, which was 6,150 more. The contexts are one slab too, and a
+// handle that points at its context's record instead of caching what
+// the record knows is 48 bytes shorter: 321.2 objects and 587,509
+// bytes measured, 322.6 and 652,282 before.
 func TestHierSetupAllocationPin(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless")
@@ -112,7 +115,7 @@ func TestHierSetupAllocationPin(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	objects := float64(after.Mallocs-before.Mallocs) / runs
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	if objects > 330 || bytes > 653_500 {
-		t.Errorf("NewHier on 64x24: %.1f objects, %.0f bytes per world, pinned at 330 and 653,500", objects, bytes)
+	if objects > 328 || bytes > 589_000 {
+		t.Errorf("NewHier on 64x24: %.1f objects, %.0f bytes per world, pinned at 328 and 589,000", objects, bytes)
 	}
 }

@@ -638,11 +638,10 @@ func TestHierBcastCorrect(t *testing.T) {
 
 func TestHierLeaderStructure(t *testing.T) {
 	runWorld(t, sim.Laptop(), []int{3, 2}, func(p *mpi.Proc) error {
-		h, err := NewHier(p.CommWorld())
+		k, err := NewHier(p.CommWorld())
 		if err != nil {
 			return err
 		}
-		k := h.Composer()
 		if k.Groups(0) != 2 {
 			t.Errorf("nodes = %d", k.Groups(0))
 		}

@@ -129,32 +129,39 @@ func NewComposer(c *mpi.Comm, levels []int) (*Composer, error) {
 			return nil, fmt.Errorf("coll: composer levels must be ordered innermost first, got %v", slices.Clone(levels))
 		}
 	}
-	// The whole geometry — tier membership tables, slot order, context
-	// ids — is derived locally and shared through one setup slot, which
-	// also holds every member's Composer: the tables come from the
-	// cross-world geometry cache, the context ids are assigned by
-	// whichever member builds the per-call plan first. No exchange runs;
-	// construction stays collective (every member must call, in the same
-	// order) but nobody waits on anybody.
+	// The whole geometry — tier membership tables, slot order, contexts
+	// — is derived locally and shared through one setup slot, which also
+	// holds every member's Composer: the tables come from the cross-world
+	// geometry cache, the contexts are opened by whichever member builds
+	// the per-call plan first. No exchange runs; construction stays
+	// collective (every member must call, in the same order) but nobody
+	// waits on anybody.
 	k, v, err := mpi.SetupSlab[Composer](c, func() (any, error) {
 		geom, err := composerGeomFor(topo, c.Ranks(), levels)
 		if err != nil {
 			return nil, err
 		}
-		w := c.Proc().World()
+		// Handle runs for the ranks that execute, as the slab has, and
+		// context records for the groups those ranks belong to: every
+		// group unfolded, the leading one or two of a folded 1,024.
+		span := c.ExecSpan()
 		plan := &composerPlan{
 			geom:    geom,
-			tierCtx: make([][]int, len(levels)),
-			// Handle runs for the ranks that execute, as the slab has.
-			arena: make([]mpi.Comm, geom.handleOff[c.ExecSpan()]),
+			tierOff: make([]int, len(levels)+1),
+			arena:   make([]mpi.Comm, geom.handleOff[span]),
 		}
-		for t := range geom.tierRanks {
-			plan.tierCtx[t] = make([]int, len(geom.tierRanks[t]))
-			for g := range plan.tierCtx[t] {
-				plan.tierCtx[t][g] = w.NewContext()
+		for t, group := range geom.tierGroup {
+			plan.tierOff[t+1] = plan.tierOff[t] + int(slices.Max(group[:span])) + 1
+		}
+		top := plan.tierOff[len(levels)]
+		plan.ctxs = make([]mpi.Context, top+1)
+		w := c.Proc().World()
+		for t, tables := range geom.tierRanks {
+			for g := range plan.ctxs[plan.tierOff[t]:plan.tierOff[t+1]] {
+				w.InitContext(&plan.ctxs[plan.tierOff[t]+g], tables[g])
 			}
 		}
-		plan.topCtx = w.NewContext()
+		w.InitContext(&plan.ctxs[top], geom.topRanks)
 		return plan, nil
 	})
 	if err != nil {
@@ -176,13 +183,13 @@ func NewComposer(c *mpi.Comm, levels []int) (*Composer, error) {
 	for t := range levels {
 		var sub *mpi.Comm
 		if gi := geom.tierGroup[t][me]; gi >= 0 {
-			sub = c.InitGroupComm(&plan.arena[slot], plan.tierCtx[t][gi], geom.tierRanks[t][gi], int(geom.tierRank[t][me]))
+			sub = c.InitGroupComm(&plan.arena[slot], &plan.ctxs[plan.tierOff[t]+int(gi)], int(geom.tierRank[t][me]))
 			slot++
 		}
 		k.tiers = append(k.tiers, sub)
 	}
 	if tr := geom.topRank[me]; tr >= 0 {
-		k.top = c.InitGroupComm(&plan.arena[slot], plan.topCtx, geom.topRanks, int(tr))
+		k.top = c.InitGroupComm(&plan.arena[slot], &plan.ctxs[len(plan.ctxs)-1], int(tr))
 	}
 
 	shape := geom.shape
@@ -264,18 +271,19 @@ func (k *Composer) requireSMP(op string) error {
 	return nil
 }
 
-// Allgather runs the composed SMP-aware allgather (the N-level
-// generalization of the paper's Fig. 3a baseline):
+// Allgather runs the composed SMP-aware allgather, the N-level
+// generalization of the paper's pure-MPI baseline allgather (Fig. 3a):
 //
 //  1. every innermost group gathers its members' blocks at the group
-//     leader (linear, the intra-node aggregation phase),
+//     leader (linear, the intra-node aggregation phase over
+//     shared-memory transport),
 //  2. each higher tier gathers the accumulated child-group blocks at
 //     its leader,
-//  3. the outermost leaders exchange whole-group blocks (tuned
-//     MPI_Allgather when uniform, MPI_Allgatherv otherwise — [29],
-//     Fig. 10),
+//  3. the outermost leaders exchange whole-group blocks on the bridge
+//     (tuned MPI_Allgather when uniform, MPI_Allgatherv otherwise —
+//     [29], Fig. 10),
 //  4. the result is broadcast back down the tree, one tier at a time,
-//     so every rank ends with a private full copy.
+//     so every rank ends with its own private full copy.
 //
 // With the one-level stack [node] this is bit-identical to the
 // historical two-level Hier.Allgather.
@@ -354,12 +362,13 @@ func (k *Composer) Allgather(send, recv mpi.Buf, per int) error {
 	return nil
 }
 
-// Bcast runs the composed SMP-aware broadcast: the root hands the
-// message up its leader chain (one send per tier whose leader the chain
-// has not yet reached), the outermost leaders broadcast among
-// themselves, and every tier's leader fans out to its group, outermost
-// first. Per-tier algorithms are chosen through the selection engine at
-// each tier communicator's hop class. With the stack [node] this is
+// Bcast runs the composed SMP-aware broadcast baseline: the root hands
+// the message up its leader chain (one send per tier whose leader the
+// chain has not yet reached), the outermost leaders broadcast among
+// themselves over the bridge, and every tier's leader fans out to its
+// group, outermost first — so every rank again holds a private copy.
+// Per-tier algorithms are chosen through the selection engine at each
+// tier communicator's hop class. With the stack [node] this is
 // bit-identical to the historical Hier.Bcast.
 func (k *Composer) Bcast(buf mpi.Buf, root int) error {
 	if err := checkBcastArgs(k.comm, buf, root); err != nil {

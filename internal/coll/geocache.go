@@ -168,12 +168,12 @@ func buildComposerGeom(topo *sim.Topology, members, levels []int) *composerGeom 
 }
 
 // composerPlan is the per-world completion of a cached geometry: the
-// shared tables plus the context ids this world assigned to the tier
-// communicators. One plan is built per composer call (via
-// mpi.SetupOnce) and shared by all members.
+// shared tables plus the contexts this world opened over them, cut as
+// one slab. One plan is built per composer call (via mpi.SetupOnce) and
+// shared by all members.
 type composerPlan struct {
 	geom    *composerGeom
-	tierCtx [][]int // tier -> group -> context id
-	topCtx  int
-	arena   []mpi.Comm // per-rank handle storage, laid out by geom.handleOff
+	tierOff []int         // tier -> its first record in ctxs; group g's is tierOff[t]+g
+	ctxs    []mpi.Context // the tiers' groups that have an executing member, then the top
+	arena   []mpi.Comm    // per-rank handle storage, laid out by geom.handleOff
 }

@@ -77,7 +77,7 @@ func TestComposerMatchesHistoricalSplitConstruction(t *testing.T) {
 		for i, l := range []int{0, 1} {
 			color := mpi.Undefined
 			if i == 0 || (prev != nil && prev.Rank() == 0) {
-				color = topo.GroupOf(l, c.Global(c.Rank()))
+				color = topo.GroupOf(l, c.Ranks()[c.Rank()])
 			}
 			sub, err := c.Split(color, c.Rank())
 			if err != nil {
@@ -119,8 +119,8 @@ func cmpComms(t *testing.T, rank int, got, want *mpi.Comm) {
 		t.Errorf("rank %d: derived %d/%d, split %d/%d", rank, got.Rank(), got.Size(), want.Rank(), want.Size())
 	}
 	for r := 0; r < got.Size() && r < want.Size(); r++ {
-		if got.Global(r) != want.Global(r) {
-			t.Errorf("rank %d: member %d is global %d (derived) vs %d (split)", rank, r, got.Global(r), want.Global(r))
+		if got.Ranks()[r] != want.Ranks()[r] {
+			t.Errorf("rank %d: member %d is global %d (derived) vs %d (split)", rank, r, got.Ranks()[r], want.Ranks()[r])
 		}
 	}
 }

@@ -33,10 +33,12 @@ func perRun(n int, run func()) (objects, bytes float64) {
 // from one slab per constructor call (mpi.SetupSlab), so what is left
 // is per call and per node — plans, slabs, setup slots, the matcher's
 // queues for 65 fresh contexts, a window plan per node — not per rank:
-// 327.8 / 692.9 / 541.1 objects and 750,786 / 1,095,085 / 911,142 bytes
-// measured (6,465.5 / 9,771.9 / 9,615.7 objects when every rank made
-// its own), rounded up past a run-to-run wobble of an object or two per
-// world.
+// 324.8 / 618.6 / 468.3 objects and 653,171 / 969,224 / 810,440 bytes
+// measured (328.6 / 692.4 / 541.5 and 718,034 / 1,037,821 / 878,310
+// while a setup slot was a sync.Map entry under a boxed key and a
+// handle cached what its context's record now holds; 6,465.5 / 9,771.9
+// / 9,615.7 objects when every rank made its own handles), rounded up
+// past a run-to-run wobble of an object or two per world.
 func TestSetupAllocationPins(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless")
@@ -51,9 +53,9 @@ func TestSetupAllocationPins(t *testing.T) {
 		objects, bytes float64
 		build          func(c *Ctx) error
 	}{
-		{"New", 335, 752_000, func(c *Ctx) error { return nil }},
-		{"New+NewAllgatherer", 700, 1_096_500, func(c *Ctx) error { _, err := c.NewAllgatherer(4096); return err }},
-		{"New+NewBcaster", 548, 912_500, func(c *Ctx) error { _, err := c.NewBcaster(4096); return err }},
+		{"New", 332, 655_000, func(c *Ctx) error { return nil }},
+		{"New+NewAllgatherer", 625, 971_000, func(c *Ctx) error { _, err := c.NewAllgatherer(4096); return err }},
+		{"New+NewBcaster", 475, 812_500, func(c *Ctx) error { _, err := c.NewBcaster(4096); return err }},
 	} {
 		objects, bytes := perRun(10, func() {
 			err := w.Run(func(p *mpi.Proc) error {

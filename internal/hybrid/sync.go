@@ -106,7 +106,7 @@ func (c *Ctx) releaseFlags() error {
 	return nil
 }
 
-// fuseClocks exchanges virtual clocks through the untimed coordinator
+// fuseClocks exchanges virtual clocks through the untimed rendezvous
 // and returns the latest; the *timed* cost is charged explicitly by the
 // callers above. The signaling side(s) publish their clock and ignore
 // the result, the waiting side collects it; both funnel through one

@@ -48,7 +48,7 @@ func TestAbortWakesBlockedBarrier(t *testing.T) {
 }
 
 func TestAbortWakesShmBarrier(t *testing.T) {
-	// Single-node barrier goes through the coordinator (panic path).
+	// Single-node barrier goes through the rendezvous (panic path).
 	w := newTestWorld(t, 1, 4)
 	err := w.Run(func(p *Proc) error {
 		if p.Rank() == 2 {

@@ -31,7 +31,7 @@ func (c *Comm) Barrier() error {
 	if n <= 1 {
 		return nil
 	}
-	if c.isSingleNode() {
+	if c.cx.oneNode {
 		c.shmBarrier()
 		return nil
 	}
@@ -46,26 +46,10 @@ func (c *Comm) Barrier() error {
 	return nil
 }
 
-// isSingleNode reports whether every member lives on one node (cached).
-func (c *Comm) isSingleNode() bool {
-	if c.oneNode == 0 {
-		topo := c.p.world.topo
-		node := topo.NodeOf(c.ranks[0])
-		c.oneNode = 1
-		for _, g := range c.ranks[1:] {
-			if topo.NodeOf(g) != node {
-				c.oneNode = -1
-				break
-			}
-		}
-	}
-	return c.oneNode > 0
-}
-
 // shmBarrier models the flag-based dissemination barrier: every rank
 // leaves once the last rank has arrived, paying ceil(log2 n) rounds of
 // two cache-line operations each. Clocks are fused through the untimed
-// coordinator; the timed cost is charged explicitly, so the result stays
+// rendezvous; the timed cost is charged explicitly, so the result stays
 // deterministic.
 func (c *Comm) shmBarrier() {
 	p := c.p

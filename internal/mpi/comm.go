@@ -14,15 +14,16 @@ import (
 const Undefined = int(^uint(0) >> 1) // MaxInt
 
 // Comm is a communicator handle local to one rank. Handles on different
-// ranks that were created by the same collective call share a context id
-// and a rank translation table.
+// ranks that were created by the same collective call point at one
+// Context (coord.go), which holds everything they share: the rank
+// translation table, the facts derived from it, the revoked flag and the
+// control plane. The handle keeps what is this member's alone.
 type Comm struct {
 	p     *Proc
-	ctx   int
-	ranks []int // comm rank -> global rank (shared, read-only)
-	rank  int   // this process's comm rank
-	seq   int   // sequence number of SetupOnce slots (derive.go)
-	sched int   // sequence number for nonblocking schedule tag windows
+	cx    *Context
+	rank  int // this process's comm rank
+	seq   int // how many SetupOnce slots this member has claimed (derive.go)
+	sched int // sequence number for nonblocking schedule tag windows
 
 	// collCfg carries the collective-tuning configuration attached to
 	// this communicator (opaque here; internal/coll owns the concrete
@@ -31,18 +32,9 @@ type Comm struct {
 	// world or a parent communicator was configured with.
 	collCfg any
 
-	// cell caches the communicator's rendezvous cell (coord.go) after
-	// the first round, so the steady-state fusion path touches no shared
-	// map at all.
-	cell *cell
-
 	// ptopo is the process topology (a Cartesian grid) attached by
 	// CartCreate, nil on plain communicators. See topo.go.
 	ptopo *procTopo
-
-	oneNode int8 // cached single-node test: 0 unknown, 1 yes, -1 no
-	hopCl   int8 // cached comm-wide hop class: 0 unknown, else class+1
-	foldSz  int  // cached folded member count: 0 unknown (see foldSize)
 }
 
 // CommWorld returns this rank's handle on MPI_COMM_WORLD. The handle is
@@ -51,9 +43,9 @@ type Comm struct {
 // sequence counter.
 func (p *Proc) CommWorld() *Comm {
 	if p.commWorld == nil {
-		p.cw = Comm{p: p, ctx: 0, ranks: p.world.identity, rank: p.rank, collCfg: p.world.collCfg}
+		p.cw = Comm{p: p, cx: p.world.worldCx, rank: p.rank, collCfg: p.world.collCfg}
 		p.commWorld = &p.cw
-		p.world.match.reserve(0, p.rank)
+		p.world.match.reserve(p.cw.cx.id, p.rank)
 	}
 	return p.commWorld
 }
@@ -62,27 +54,16 @@ func (p *Proc) CommWorld() *Comm {
 func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the number of ranks in the communicator.
-func (c *Comm) Size() int { return len(c.ranks) }
+func (c *Comm) Size() int { return len(c.cx.ranks) }
 
 // Proc returns the owning process.
 func (c *Comm) Proc() *Proc { return c.p }
 
-// Global translates a comm rank to a global (world) rank.
-func (c *Comm) Global(rank int) int { return c.ranks[rank] }
-
 // Ranks returns the comm-rank -> global-rank table (do not modify).
-func (c *Comm) Ranks() []int { return c.ranks }
-
-// nextSeq issues the next SetupOnce slot number. Untimed collective
-// setup calls must be invoked in the same order by every member, which
-// MPI requires anyway.
-func (c *Comm) nextSeq() int {
-	c.seq++
-	return c.seq
-}
+func (c *Comm) Ranks() []int { return c.cx.ranks }
 
 // exchange performs an untimed allgather of one value per member: one
-// round of the communicator's rendezvous cell (coord.go). It is the
+// round of the communicator's rendezvous (coord.go). It is the
 // building block for communicator and window construction — the
 // "one-off" operations whose cost the paper explicitly excludes from
 // measurements (Sect. 4.1). build runs once over the full contribution
@@ -97,15 +78,12 @@ func (c *Comm) nextSeq() int {
 // Communicators wholly inside the unit — node and tier communicators
 // of the hierarchical collectives — exchange normally.
 func (c *Comm) exchange(val any, build func(vals []any) any) any {
-	if u := c.p.world.foldUnit; u > 0 {
-		for _, g := range c.ranks {
-			if g >= u {
-				panic(fmt.Errorf("%w: exchange on a communicator spanning rank %d (fold unit %d)", ErrFoldUnsafe, g, u))
-			}
-		}
+	ranks := c.cx.ranks
+	if c.cx.exec < len(ranks) {
+		panic(fmt.Errorf("%w: exchange on a communicator spanning rank %d (fold unit %d)", ErrFoldUnsafe, ranks[c.cx.exec], c.p.world.foldUnit))
 	}
 	c.p.maybeFail()
-	_, _, out := c.meet(c.ranks, len(c.ranks), c.rank, c.p.clock, val, build)
+	_, _, out := c.meet(ranks, len(ranks), c.rank, c.p.clock, val, build)
 	return out
 }
 
@@ -129,53 +107,27 @@ func SharePlan[T any](c *Comm, val any, build func(vals []any) *T) (*T, error) {
 // FuseClocks performs an untimed max-reduction of the members' virtual
 // clocks. It is the repeatedly-invoked core of the shared-memory
 // synchronization primitives (flag barriers, epoch counters): a
-// vector-less round of the communicator's rendezvous cell (coord.go),
-// cached on the handle, on every size, both engines, folded worlds and
-// failure configs. Like every collective, all members must call
-// FuseClocks in the same order. The timed cost of the modeled
-// synchronization is charged by the caller.
+// vector-less round of the communicator's rendezvous (coord.go), on
+// every size, both engines, folded worlds and failure configs. Like
+// every collective, all members must call FuseClocks in the same order.
+// The timed cost of the modeled synchronization is charged by the
+// caller.
 func (c *Comm) FuseClocks(t sim.Time) sim.Time {
-	n := len(c.ranks)
-	if c.p.world.foldUnit > 0 {
-		// Only the class representatives execute, and every replica's
-		// clock is (by construction) its representative's, so the max
-		// over the representative members equals the max over all
-		// members. The round just has to count representatives.
-		n = c.foldSize()
-	}
+	// Under folding only the class representatives execute, and every
+	// replica's clock is (by construction) its representative's, so the
+	// max over the representative members equals the max over all
+	// members. The round just has to count representatives.
+	n := c.cx.exec
 	if n == 1 {
 		return t
 	}
 	c.p.maybeFail()
-	max, _, _ := c.meet(c.ranks, n, -1, t, nil, nil)
+	max, _, _ := c.meet(c.cx.ranks, n, -1, t, nil, nil)
 	return max
-}
-
-// foldSize counts the communicator members that execute under folding
-// (global rank below the fold unit), cached on the handle.
-func (c *Comm) foldSize() int {
-	if c.foldSz == 0 {
-		u := c.p.world.foldUnit
-		k := 0
-		for _, g := range c.ranks {
-			if g < u {
-				k++
-			}
-		}
-		c.foldSz = k
-	}
-	return c.foldSz
 }
 
 type splitEntry struct {
 	color, key, globalRank, commRank int
-}
-
-// splitGroup is one color's new communicator shape: the context id and
-// the comm-rank -> global-rank table, shared read-only by all members.
-type splitGroup struct {
-	ctx   int
-	ranks []int
 }
 
 // splitPlan is the full partition of one Split call. One member
@@ -184,14 +136,14 @@ type splitGroup struct {
 // partition, which dominated setup wall-clock time at Fig. 9 scale —
 // 1536 ranks each doing O(n log n) work per Split.)
 type splitPlan struct {
-	groups []*splitGroup
-	byComm []int32 // parent comm rank -> group index, -1 for Undefined
-	rankIn []int32 // parent comm rank -> rank within the new group
+	groups []*Context // one per color, ascending
+	byComm []int32    // parent comm rank -> group index, -1 for Undefined
+	rankIn []int32    // parent comm rank -> rank within the new group
 }
 
 // buildSplitPlan groups the exchanged entries by color (ordering each
-// group by key, then parent rank — MPI_Comm_split) and allocates one
-// context id per color in ascending color order, exactly the assignment
+// group by key, then parent rank — MPI_Comm_split) and opens one
+// context per color in ascending color order, exactly the assignment
 // order the per-rank implementation used.
 func (w *World) buildSplitPlan(vals []any) *splitPlan {
 	n := len(vals)
@@ -221,14 +173,14 @@ func (w *World) buildSplitPlan(vals []any) *splitPlan {
 		for j < len(entries) && entries[j].color == entries[i].color {
 			j++
 		}
-		g := &splitGroup{ctx: w.newContext(), ranks: make([]int, j-i)}
+		ranks := make([]int, j-i)
 		gi := int32(len(plan.groups))
 		for k := i; k < j; k++ {
-			g.ranks[k-i] = entries[k].globalRank
+			ranks[k-i] = entries[k].globalRank
 			plan.byComm[entries[k].commRank] = gi
 			plan.rankIn[entries[k].commRank] = int32(k - i)
 		}
-		plan.groups = append(plan.groups, g)
+		plan.groups = append(plan.groups, w.NewContext(ranks))
 		i = j
 	}
 	return plan
@@ -255,8 +207,7 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 		}
 		return nil, nil
 	}
-	g := plan.groups[gi]
-	return c.NewGroupComm(g.ctx, g.ranks, int(plan.rankIn[c.rank])), nil
+	return c.NewGroupComm(plan.groups[gi], int(plan.rankIn[c.rank])), nil
 }
 
 // CollConfig returns the collective-tuning configuration attached to
@@ -275,30 +226,8 @@ func (c *Comm) SetCollConfig(v any) { c.collCfg = v }
 // communicator: the class of the innermost topology level containing
 // every member, HopNet when the members share no declared level. On a
 // node-level-only topology this is exactly the historical
-// single-node-means-shm / otherwise-net classification. Cached after
-// the first call.
-func (c *Comm) HopClass() sim.HopClass {
-	if c.hopCl == 0 {
-		topo := c.p.world.topo
-		class := sim.HopNet
-		for l := 0; l < topo.NumLevels(); l++ {
-			g := topo.GroupOf(l, c.ranks[0])
-			same := true
-			for _, r := range c.ranks[1:] {
-				if topo.GroupOf(l, r) != g {
-					same = false
-					break
-				}
-			}
-			if same {
-				class = topo.LevelClass(l)
-				break
-			}
-		}
-		c.hopCl = int8(class) + 1
-	}
-	return sim.HopClass(c.hopCl - 1)
-}
+// single-node-means-shm / otherwise-net classification.
+func (c *Comm) HopClass() sim.HopClass { return c.cx.hop }
 
 // SplitLevel splits the communicator into one group per level-l
 // topology group, the level-indexed generalization of
@@ -306,8 +235,8 @@ func (c *Comm) HopClass() sim.HopClass {
 // numa domain, socket, node or network group, ordered by parent rank.
 //
 // The partition is fully determined by the topology and the parent's
-// rank table, so no exchange runs: the shape comes from the cross-world
-// geometry cache and one member assigns the context ids (derive.go).
+// rank table, so no exchange runs: one member derives it and opens the
+// contexts (derive.go).
 // The result is member-for-member identical to the generic
 // Split(GroupOf(l, rank), rank).
 func (c *Comm) SplitLevel(l int) (*Comm, error) {

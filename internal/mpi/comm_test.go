@@ -21,8 +21,8 @@ func TestSplitTypeShared(t *testing.T) {
 		}
 		// Every member must be on my node.
 		for r := 0; r < node.Size(); r++ {
-			if w.Topology().NodeOf(node.Global(r)) != p.Node() {
-				t.Errorf("rank %d: node comm contains foreign rank %d", p.Rank(), node.Global(r))
+			if w.Topology().NodeOf(node.Ranks()[r]) != p.Node() {
+				t.Errorf("rank %d: node comm contains foreign rank %d", p.Rank(), node.Ranks()[r])
 			}
 		}
 		return nil

@@ -6,24 +6,34 @@ import (
 	"repro/internal/sim"
 )
 
-// Coordinator hygiene: a clean Run leaves no rendezvous round live on
-// any cell (the seed's session maps grew without bound across
+// Context hygiene: a clean Run leaves no rendezvous round live on any
+// context (the seed's session maps grew without bound across
 // communicator creations), and both kinds of round must be
 // allocation-lean at steady state.
 
-// liveRounds counts the cells that still hold a round collecting
+// liveRounds counts the contexts that still hold a round collecting
 // arrivals. Only meaningful between Runs.
 func liveRounds(w *World) int {
 	n := 0
-	w.coord.cells.Range(func(_, v any) bool {
-		cl := v.(*cell)
-		cl.mu.Lock()
-		if cl.cur != nil {
+	for _, cx := range w.ctxs {
+		cx.mu.Lock()
+		if cx.cur != nil {
 			n++
 		}
-		cl.mu.Unlock()
-		return true
-	})
+		cx.mu.Unlock()
+	}
+	return n
+}
+
+// liveSlots counts the setup slots no last member has retired, over
+// every context of the world. Only meaningful between Runs.
+func liveSlots(w *World) int {
+	n := 0
+	for _, cx := range w.ctxs {
+		cx.mu.Lock()
+		n += len(cx.slots.items) - cx.slots.head
+		cx.mu.Unlock()
+	}
 	return n
 }
 
@@ -52,8 +62,8 @@ func TestNoLiveRoundAfterCleanRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := liveRounds(w); n != 0 {
-		t.Errorf("%d rendezvous rounds still live after a clean Run", n)
+	if n, slots := liveRounds(w), liveSlots(w); n != 0 || slots != 0 {
+		t.Errorf("%d rendezvous rounds and %d setup slots still live after a clean Run", n, slots)
 	}
 }
 
@@ -141,22 +151,6 @@ func TestShmBarrierWideNodeEnginesAgree(t *testing.T) {
 				t.Fatalf("1x%d rank %d: goroutine %v, event %v, rank 0 %v", n, r, clocks[0][r], clocks[1][r], clocks[0][0])
 			}
 		}
-	}
-}
-
-func TestLevelShapeCachedAcrossWorlds(t *testing.T) {
-	topo := sim.MustUniform(3, 4)
-	s1 := levelShapeFor(topo, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, 0)
-	s2 := levelShapeFor(topo, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, 0)
-	if s1 != s2 {
-		t.Error("identical (topology, membership, level) did not hit the shape cache")
-	}
-	s3 := levelShapeFor(topo, []int{0, 1, 2, 3}, 0)
-	if s3 == s1 {
-		t.Error("different membership shares a cached shape")
-	}
-	if len(s1.groups) != 3 || len(s3.groups) != 1 {
-		t.Errorf("group counts %d/%d, want 3/1", len(s1.groups), len(s3.groups))
 	}
 }
 

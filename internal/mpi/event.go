@@ -13,7 +13,7 @@ import "sync"
 // and resume a stack by hand — but at any moment exactly one of them
 // runs; the rest are parked on per-rank gate channels. What the event
 // core eliminates is everything the parallel engine pays for
-// concurrency: lock contention in the matcher and coordinator, host
+// concurrency: lock contention in the matcher and the rendezvous, host
 // scheduler churn, cache-line traffic between rank stacks, and the
 // nondeterminism of execution order. Combined with rank-symmetry
 // folding (fold logic in world.go/p2p.go), which shrinks the number of
@@ -32,7 +32,7 @@ import "sync"
 // construction.
 //
 // Abort. External goroutines may only close the world's abort channel
-// and poison the matcher and the rendezvous cells (World.Abort) — they
+// and poison the matcher and the live rendezvous rounds (World.Abort) — they
 // never touch scheduler state. When the token holder finds the ready
 // ring empty with ranks still parked, no internal event can ever
 // complete them: it blocks on the abort channel (a genuine deadlock

@@ -191,7 +191,7 @@ func (w *World) killRank(p *Proc) {
 	w.damaged.Store(true)
 	w.match.dead[p.rank].Store(true)
 	w.match.fail(w, failClock, func(_, peer int) bool { return peer == p.rank })
-	w.coord.fail(w, fmt.Errorf("mpi: rank %d failed during a rendezvous: %w", p.rank, ErrRankFailed),
+	w.failRounds(w, fmt.Errorf("mpi: rank %d failed during a rendezvous: %w", p.rank, ErrRankFailed),
 		func(members []int) bool { return slices.Contains(members, p.rank) })
 	if w.tracer.Enabled() {
 		w.tracer.Record(sim.Event{At: p.clock, Rank: p.rank, Kind: "fail", Note: "scheduled rank failure"})
@@ -201,7 +201,7 @@ func (w *World) killRank(p *Proc) {
 
 // stranded reports why a rendezvous over members can never complete:
 // the job aborted, or a member is dead (nil when it still can). meet
-// evaluates it under the cell lock.
+// evaluates it under the context's lock.
 func (w *World) stranded(members []int) error {
 	if w.Aborted() {
 		return ErrAborted
@@ -216,16 +216,6 @@ func (w *World) stranded(members []int) error {
 	return nil
 }
 
-// isRevoked reports whether a context has been revoked (one atomic
-// load on the clean path).
-func (m *matcher) isRevoked(ctx int) bool {
-	if m.nRevoked.Load() == 0 {
-		return false
-	}
-	_, ok := m.revoked.Load(ctx)
-	return ok
-}
-
 // Revoke poisons this communicator on every member — the simulator's
 // MPI_Comm_revoke. Pending and future point-to-point operations on the
 // communicator fail with ErrRevoked on all members, which is how one
@@ -236,15 +226,13 @@ func (m *matcher) isRevoked(ctx int) bool {
 // revoked communicator. Safe from any rank (the event engine's caller
 // is the token holder).
 func (c *Comm) Revoke() {
-	m := c.p.world.match
-	if _, loaded := m.revoked.LoadOrStore(c.ctx, struct{}{}); !loaded {
-		m.nRevoked.Add(1)
-		m.fail(c.p.world, revokedClock, func(ctx, _ int) bool { return ctx == c.ctx })
+	if c.cx.revoked.CompareAndSwap(false, true) {
+		c.p.world.match.fail(c.p.world, revokedClock, func(ctx, _ int) bool { return ctx == c.cx.id })
 	}
 }
 
 // Revoked reports whether this communicator has been revoked.
-func (c *Comm) Revoked() bool { return c.p.world.match.isRevoked(c.ctx) }
+func (c *Comm) Revoked() bool { return c.cx.revoked.Load() }
 
 // liveMembers returns the global ranks of this communicator that have
 // not died, and the caller's index among them: the member table of the
@@ -254,9 +242,9 @@ func (c *Comm) Revoked() bool { return c.p.world.match.isRevoked(c.ctx) }
 // rounds line up across members.
 func (c *Comm) liveMembers() (live []int, idx int) {
 	m := c.p.world.match
-	live = make([]int, 0, len(c.ranks))
+	live = make([]int, 0, len(c.cx.ranks))
 	idx = -1
-	for _, g := range c.ranks {
+	for _, g := range c.cx.ranks {
 		if m.dead != nil && m.dead[g].Load() {
 			continue
 		}
@@ -308,11 +296,10 @@ func (c *Comm) Shrink() (*Comm, error) {
 		return nil, fmt.Errorf("mpi: Shrink on rank %d which is itself dead", c.p.rank)
 	}
 	max, _, out := c.meet(live, len(live), -1, c.p.clock, nil, func([]any) any {
-		return &splitGroup{ctx: c.p.world.newContext(), ranks: live}
+		return c.p.world.NewContext(live)
 	})
-	g := out.(*splitGroup)
 	c.p.syncTo(max + c.recoveryCost(len(live)))
-	return c.NewGroupComm(g.ctx, g.ranks, idx), nil
+	return c.NewGroupComm(out.(*Context), idx), nil
 }
 
 // DeadRanks returns the global ranks that have died so far (tests and

@@ -392,7 +392,7 @@ func TestSchedFailureSentinels(t *testing.T) {
 // at its first operation boundary must all fail with ErrRankFailed,
 // however their arrival interleaves with the death: before the dead
 // flag (the death walk fails their round), after it (the arrival check
-// under the cell lock), never in between. Nobody aborts the job here
+// under the context lock), never in between. Nobody aborts the job here
 // (each survivor keeps its panic to itself), so a survivor the death
 // machinery misses parks for good — which is what the deadline catches.
 func TestRankFailureStrandsNoSetupExchange(t *testing.T) {

@@ -78,22 +78,14 @@ func (w *World) validateFold() error {
 	return nil
 }
 
-// finishFoldedRun is the end-of-Run housekeeping of a folded world.
-//
-// SetupOnce slots created on communicators spanning ranks >= u can
-// never retire on their own: their member countdown starts at the full
-// communicator size but only the representatives ever arrive. They are
-// wiped here so repeated Runs do not accumulate slots (and do not
-// collide with the next Run's identical (ctx, seq) keys).
-//
-// The matcher tripwire then catches workloads that were not actually
-// fold-symmetric: every correct folded run matches all representative
-// sends and receives (each crossed send pairs with the translated
-// receive its destination's representative posted), so leftover queued
-// records mean the pattern was asymmetric and the clocks are not
-// trustworthy. That becomes a Run error and poisons the world.
+// finishFoldedRun is the end-of-Run tripwire of a folded world. It
+// catches workloads that were not actually fold-symmetric: every
+// correct folded run matches all representative sends and receives
+// (each crossed send pairs with the translated receive its
+// destination's representative posted), so leftover queued records mean
+// the pattern was asymmetric and the clocks are not trustworthy. That
+// becomes a Run error and poisons the world.
 func (w *World) finishFoldedRun(runErr error) error {
-	w.setupSlots.Clear()
 	if runErr != nil || w.Aborted() {
 		return runErr
 	}

@@ -153,13 +153,11 @@ type matcher struct {
 	aborted atomic.Bool
 
 	// Fault-injection state (fault.go): per-global-rank death flags
-	// (nil unless the world schedules failures) and the revoked
-	// context set, both checked under the shard lock on posts so a
+	// (nil unless the world schedules failures). Like a context's
+	// revoked flag they are checked under the shard lock on posts so a
 	// post either precedes the corresponding purge walk (which then
 	// fails it) or observes the flag.
-	dead     []atomic.Bool
-	revoked  sync.Map // ctx int -> struct{}
-	nRevoked atomic.Int32
+	dead []atomic.Bool
 
 	// Queue arena: rank queues for all shards are cut from shared
 	// chunks (setup-path only, so one extra mutex is harmless), which
@@ -330,17 +328,17 @@ func (m *matcher) accepts(r *recvReq, msg *message) bool {
 // postSend enqueues a send or pairs it with a waiting receive. It
 // returns the matched receive (nil if queued), or the error of the flag
 // it observed under the shard lock (see fail).
-func (m *matcher) postSend(ctx int, msg *message) (*recvReq, error) {
+func (m *matcher) postSend(cx *Context, msg *message) (*recvReq, error) {
 	s := m.shard(msg.dst)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if m.aborted.Load() {
 		return nil, ErrAborted
 	}
-	if m.isRevoked(ctx) {
+	if cx.revoked.Load() {
 		return nil, ErrRevoked
 	}
-	q := s.queue(m, ctx)
+	q := s.queue(m, cx.id)
 	for i := q.recvs.head; i < len(q.recvs.items); i++ {
 		if r := q.recvs.items[i]; m.accepts(r, msg) {
 			q.recvs.remove(i)
@@ -361,17 +359,17 @@ func (m *matcher) postSend(ctx int, msg *message) (*recvReq, error) {
 // postRecv enqueues a receive or pairs it with a waiting send. It
 // returns the matched send (nil if queued); abort handling matches
 // postSend.
-func (m *matcher) postRecv(ctx, dst int, r *recvReq) (*message, error) {
+func (m *matcher) postRecv(cx *Context, dst int, r *recvReq) (*message, error) {
 	s := m.shard(dst)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if m.aborted.Load() {
 		return nil, ErrAborted
 	}
-	if m.isRevoked(ctx) {
+	if cx.revoked.Load() {
 		return nil, ErrRevoked
 	}
-	q := s.queue(m, ctx)
+	q := s.queue(m, cx.id)
 	for i := q.sends.head; i < len(q.sends.items); i++ {
 		if msg := q.sends.items[i]; m.accepts(r, msg) {
 			q.sends.remove(i)
@@ -394,10 +392,10 @@ func (m *matcher) postRecv(ctx, dst int, r *recvReq) (*message, error) {
 // by the global rank it is waiting on (a receive's source, a send's
 // destination), leaves its queue, and its poster is fed the sentinel at
 // through the channel it is, or will be, parked on. Each caller
-// publishes its flag first (matcher.aborted, dead, revoked), and posts
-// check the flags under the shard lock: a post either lands before the
-// walk locks that shard, which then feeds it, or observes the flag, so a
-// waiter is never stranded.
+// publishes its flag first (matcher.aborted, dead, Context.revoked), and
+// posts check the flags under the shard lock: a post either lands before
+// the walk locks that shard, which then feeds it, or observes the flag,
+// so a waiter is never stranded.
 //
 // The walk selects on what a record waits for, not on who posted it:
 // what a dead rank posted before dying stays matchable (in-flight
@@ -525,13 +523,13 @@ func (c *Comm) SendFlag(dst, tag int) error {
 		return err
 	}
 	w := c.p.world
-	if !w.topo.SameNode(c.p.rank, c.ranks[dst]) {
+	if !w.topo.SameNode(c.p.rank, c.cx.ranks[dst]) {
 		return fmt.Errorf("mpi: SendFlag to rank %d on another node", dst)
 	}
 	msg := getMessage()
 	*msg = message{
 		src:       c.p.rank,
-		dst:       c.ranks[dst],
+		dst:       c.cx.ranks[dst],
 		commSrc:   c.rank,
 		tag:       tag,
 		data:      Sized(0),
@@ -540,7 +538,7 @@ func (c *Comm) SendFlag(dst, tag int) error {
 		postClock: c.p.clock,
 		done:      msg.done,
 	}
-	r, err := w.match.postSend(c.ctx, msg)
+	r, err := w.match.postSend(c.cx, msg)
 	if err != nil {
 		return err
 	}
@@ -557,7 +555,7 @@ func (c *Comm) RecvFlag(src, tag int) error {
 	if err := c.validRank(src, false); err != nil {
 		return err
 	}
-	if !c.p.world.topo.SameNode(c.p.rank, c.ranks[src]) {
+	if !c.p.world.topo.SameNode(c.p.rank, c.cx.ranks[src]) {
 		return fmt.Errorf("mpi: RecvFlag from rank %d on another node", src)
 	}
 	rr, err := c.postRecvReq(Sized(0), src, tag)
@@ -609,8 +607,8 @@ func (c *Comm) validRank(r int, wildcardOK bool) error {
 	if wildcardOK && r == AnySource {
 		return nil
 	}
-	if r < 0 || r >= len(c.ranks) {
-		return fmt.Errorf("mpi: rank %d out of range on %d-rank communicator", r, len(c.ranks))
+	if r < 0 || r >= c.Size() {
+		return fmt.Errorf("mpi: rank %d out of range on %d-rank communicator", r, c.Size())
 	}
 	return nil
 }

@@ -38,12 +38,12 @@ func (c *Comm) postSendAtClock(buf Buf, dst, tag int, at sim.Time, kind string) 
 	}
 	var xscale float64
 	if ns := w.noise; ns != nil {
-		xscale = ns.xferScale(c.p, w.topo.Hop(c.p.rank, c.ranks[dst]))
+		xscale = ns.xferScale(c.p, w.topo.Hop(c.p.rank, c.cx.ranks[dst]))
 	}
 	msg := getMessage()
 	*msg = message{
 		src:       c.p.rank,
-		dst:       c.ranks[dst],
+		dst:       c.cx.ranks[dst],
 		commSrc:   c.rank,
 		tag:       tag,
 		data:      data,
@@ -56,7 +56,7 @@ func (c *Comm) postSendAtClock(buf Buf, dst, tag int, at sim.Time, kind string) 
 	if w.tracer.Enabled() {
 		w.tracer.Record(sim.Event{At: at, Rank: c.p.rank, Kind: kind, Bytes: buf.Len()})
 	}
-	r, err := w.match.postSend(c.ctx, msg)
+	r, err := w.match.postSend(c.cx, msg)
 	if err != nil {
 		putMessage(msg)
 		return nil, err
@@ -97,7 +97,7 @@ func (c *Comm) postRecvReqAt(buf Buf, src, tag int, at sim.Time, kind string) (*
 	c.p.maybeFail()
 	srcGlobal := AnySource
 	if src != AnySource {
-		srcGlobal = c.ranks[src]
+		srcGlobal = c.cx.ranks[src]
 	}
 	w := c.p.world
 	rr := getRecvReq()
@@ -113,7 +113,7 @@ func (c *Comm) postRecvReqAt(buf Buf, src, tag int, at sim.Time, kind string) (*
 	if kind != "" && w.tracer.Enabled() {
 		w.tracer.Record(sim.Event{At: at, Rank: c.p.rank, Kind: kind, Bytes: buf.Len()})
 	}
-	msg, err := w.match.postRecv(c.ctx, c.p.rank, rr)
+	msg, err := w.match.postRecv(c.cx, c.p.rank, rr)
 	if err != nil {
 		putRecvReq(rr)
 		return nil, err

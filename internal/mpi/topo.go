@@ -71,14 +71,13 @@ func rowMajorCoords(rank int, dims, out []int) {
 }
 
 // cartPlan is the shared outcome of one CartCreate call: the grid's
-// context id and rank table plus every parent rank's grid position,
-// computed once by whichever member arrives first (SetupOnce) — the
-// partition is fully determined by world-global data, so no exchange
-// runs.
+// context (its table is grid rank -> global rank) plus every parent
+// rank's grid position, computed once by whichever member arrives first
+// (SetupOnce) — the partition is fully determined by world-global data,
+// so no exchange runs.
 type cartPlan struct {
 	info   *cartInfo
-	ctx    int
-	ranks  []int // grid rank -> global rank
+	cx     Context
 	gridOf []int // parent comm rank -> grid rank, -1 beyond the volume
 }
 
@@ -122,8 +121,8 @@ func (c *Comm) CartCreate(dims []int, periods []bool, reorder bool) (*Comm, erro
 		}
 		vol *= n
 	}
-	if vol > len(c.ranks) {
-		return nil, fmt.Errorf("mpi: CartCreate grid volume %d exceeds communicator size %d", vol, len(c.ranks))
+	if vol > c.Size() {
+		return nil, fmt.Errorf("mpi: CartCreate grid volume %d exceeds communicator size %d", vol, c.Size())
 	}
 
 	v, err := SetupOnce(c, func() (any, error) {
@@ -137,7 +136,7 @@ func (c *Comm) CartCreate(dims []int, periods []bool, reorder bool) (*Comm, erro
 	if g < 0 {
 		return nil, nil
 	}
-	nc := c.NewGroupComm(plan.ctx, plan.ranks, g)
+	nc := c.NewGroupComm(&plan.cx, g)
 	in, out := cartEdges(plan.info, g)
 	nc.ptopo = &procTopo{cart: plan.info, in: in, out: out}
 	return nc, nil
@@ -150,11 +149,10 @@ func buildCartPlan(c *Comm, dims []int, periods []bool, vol int, reorder bool) *
 			dims:    append([]int(nil), dims...),
 			periods: append([]bool(nil), periods...),
 		},
-		ctx:    c.p.world.newContext(),
-		ranks:  make([]int, vol),
-		gridOf: make([]int, len(c.ranks)),
+		gridOf: make([]int, c.Size()),
 	}
-	var perm []int // parent comm rank -> grid rank; nil = identity
+	ranks := make([]int, vol) // grid rank -> global rank
+	var perm []int            // parent comm rank -> grid rank; nil = identity
 	if reorder {
 		perm = cartReorderPlan(c, dims, vol)
 	}
@@ -167,8 +165,9 @@ func buildCartPlan(c *Comm, dims []int, periods []bool, vol int, reorder bool) *
 			g = perm[r]
 		}
 		plan.gridOf[r] = g
-		plan.ranks[g] = c.ranks[r]
+		ranks[g] = c.cx.ranks[r]
 	}
+	c.p.world.InitContext(&plan.cx, ranks)
 	return plan
 }
 
@@ -185,9 +184,10 @@ func cartReorderPlan(c *Comm, dims []int, vol int) []int {
 	topo := c.p.world.topo
 	// Runs of node-sharing members over the first vol parent ranks.
 	ppn := 0
-	runStart, runNode := 0, topo.NodeOf(c.ranks[0])
+	ranks := c.cx.ranks
+	runStart, runNode := 0, topo.NodeOf(ranks[0])
 	for r := 1; r <= vol; r++ {
-		if r == vol || topo.NodeOf(c.ranks[r]) != runNode {
+		if r == vol || topo.NodeOf(ranks[r]) != runNode {
 			runLen := r - runStart
 			if ppn == 0 {
 				ppn = runLen
@@ -195,7 +195,7 @@ func cartReorderPlan(c *Comm, dims []int, vol int) []int {
 				return nil
 			}
 			if r < vol {
-				runStart, runNode = r, topo.NodeOf(c.ranks[r])
+				runStart, runNode = r, topo.NodeOf(ranks[r])
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 )
 
@@ -32,8 +33,8 @@ func WinAllocateShared(c *Comm, mySize int) (*Win, error) {
 	if mySize < 0 {
 		return nil, fmt.Errorf("mpi: negative window size %d", mySize)
 	}
-	if err := winCheckSingleNode(c); err != nil {
-		return nil, err
+	if !c.cx.oneNode {
+		return nil, errWinSpansNodes
 	}
 
 	// One round: the member that completes the sizes exchange lays out
@@ -82,8 +83,8 @@ func WinAllocateLeader(c *Comm, total int) (*Win, error) {
 	if total < 0 {
 		return nil, fmt.Errorf("mpi: negative window size %d", total)
 	}
-	if err := winCheckSingleNode(c); err != nil {
-		return nil, err
+	if !c.cx.oneNode {
+		return nil, errWinSpansNodes
 	}
 	win, v, err := SetupSlab[Win](c, func() (any, error) {
 		plan := &winPlan{
@@ -113,18 +114,9 @@ func WinAllocateLeader(c *Comm, total int) (*Win, error) {
 	return win, nil
 }
 
-// winCheckSingleNode verifies every member shares a node (load/store
-// reachability).
-func winCheckSingleNode(c *Comm) error {
-	node := c.p.world.topo.NodeOf(c.Global(0))
-	for r := 1; r < c.Size(); r++ {
-		if c.p.world.topo.NodeOf(c.Global(r)) != node {
-			return fmt.Errorf("mpi: shared window communicator spans nodes %d and %d",
-				node, c.p.world.topo.NodeOf(c.Global(r)))
-		}
-	}
-	return nil
-}
+// errWinSpansNodes refuses a window whose members do not share a node
+// (load/store reachability).
+var errWinSpansNodes = errors.New("mpi: shared window communicator spans more than one node")
 
 // Mine returns this rank's contributed segment.
 func (w *Win) Mine() Buf { return w.Query(w.comm.Rank()) }

@@ -17,7 +17,9 @@ import (
 )
 
 // World owns one simulated job: the topology, the cost model, the
-// message-matching engine, and the per-rank processes.
+// message-matching engine, the per-rank processes, and the record of
+// every communicator context opened on it (Context, coord.go), which is
+// where all per-communicator state lives.
 type World struct {
 	topo   *sim.Topology
 	model  *sim.CostModel
@@ -25,9 +27,16 @@ type World struct {
 	real   bool // real data movement (tests) vs size-only (big benches)
 
 	match   *matcher
-	coord   *coordinator
-	nextCtx atomic.Int64
 	collCfg any // default collective-tuning config inherited by CommWorld
+
+	// ctxs lists every communicator context opened on the world, the
+	// world communicator's first (worldCx): a context's id is its place
+	// here, and the list is what the poison walks pass over. Appended to
+	// by InitContext under ctxMu; records are never removed, a world's
+	// contexts live as long as it does.
+	ctxMu   sync.Mutex
+	ctxs    []*Context
+	worldCx *Context
 
 	// Deterministic noise/fault layer (fault.go). noise is the compiled
 	// per-world state (nil for a clean world); damaged latches once any
@@ -61,12 +70,6 @@ type World struct {
 	foldUnit int
 	execN    int
 
-	// setupSlots holds the SetupOnce slots: one once-guarded record per
-	// (communicator context, coordination sequence) collective setup
-	// call, through which derived-communicator plans (SplitLevel, the
-	// composer geometry) are shared exchange-free (see derive.go).
-	setupSlots sync.Map
-
 	abortOnce sync.Once
 	abortCh   chan struct{}
 }
@@ -85,14 +88,15 @@ var ErrAborted = errors.New("mpi: job aborted because another rank failed")
 // Every wait is a plain receive on the channel of the record or round
 // the rank waits on (await, event.go), so Abort reaches them all the
 // same way: flag first, then one walk feeds every queued matcher record
-// the abortClock sentinel and one closes every live rendezvous round.
+// the abortClock sentinel and one pass over the world's contexts closes
+// every live rendezvous round.
 // abortCh only serves the event scheduler's empty-ring wait.
 func (w *World) Abort() {
 	w.abortOnce.Do(func() {
 		w.match.aborted.Store(true)
 		close(w.abortCh)
 		w.match.fail(nil, abortClock, func(int, int) bool { return true })
-		w.coord.fail(nil, ErrAborted, func([]int) bool { return true })
+		w.failRounds(nil, ErrAborted, func([]int) bool { return true })
 	})
 }
 
@@ -194,7 +198,6 @@ func NewWorldConfig(model *sim.CostModel, topo *sim.Topology, cfg Config) (*Worl
 		collCfg:  cfg.CollConfig,
 		foldUnit: cfg.FoldUnit,
 		match:    newMatcher(),
-		coord:    new(coordinator),
 		abortCh:  make(chan struct{}),
 	}
 	if err := w.validateFold(); err != nil {
@@ -227,6 +230,7 @@ func NewWorldConfig(model *sim.CostModel, topo *sim.Topology, cfg Config) (*Worl
 		w.identity[r] = r
 		w.procs[r] = &store[r%w.execN]
 	}
+	w.worldCx = w.NewContext(w.identity)
 	return w, nil
 }
 
@@ -241,10 +245,6 @@ func (w *World) Size() int { return w.topo.Size() }
 
 // NewBuf allocates a buffer honoring the world's data mode.
 func (w *World) NewBuf(n int) Buf { return Alloc(n, w.real) }
-
-// newContext issues a fresh communication context id (one per
-// communicator), isolating message matching between communicators.
-func (w *World) newContext() int { return int(w.nextCtx.Add(1)) }
 
 // RankError describes a failure on one rank of a Run.
 type RankError struct {
@@ -341,7 +341,7 @@ func (w *World) runNextRank() {
 }
 
 // runRank executes the Run body on one rank, on either engine: panics
-// are recovered and reported as the rank's error, coordinator aborts
+// are recovered and reported as the rank's error, rendezvous aborts
 // surface as ErrAborted, and a failing rank aborts the job, as mpirun
 // would, so peers blocked in collectives wake up with ErrAborted
 // instead of hanging.
@@ -359,7 +359,7 @@ func (w *World) runRank(p *Proc) {
 }
 
 // recoveredRankError converts a recovered rank panic into the rank's
-// reported error. Coordinator waits signal job aborts by panicking with
+// reported error. Rendezvous waits signal job aborts by panicking with
 // ErrAborted; those are reported cleanly rather than as crashes. Any
 // other panic aborts the job.
 func recoveredRankError(p *Proc, rec any) error {

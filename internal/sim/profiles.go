@@ -1,5 +1,12 @@
 package sim
 
+import (
+	"fmt"
+	"maps"
+	"slices"
+	"strings"
+)
+
 // Machine profiles. The parameters are not calibrated against the real
 // machines (which are unavailable); they are set to the published
 // ballpark characteristics of the two systems in the paper so that the
@@ -159,4 +166,16 @@ func Profiles() map[string]func() *CostModel {
 		"vulcan-openmpi": VulcanOpenMPI,
 		"laptop":         Laptop,
 	}
+}
+
+// Profile instantiates the named machine profile. The error of an
+// unknown name lists the registry, so every -machine flag says the same
+// thing.
+func Profile(name string) (*CostModel, error) {
+	mk, ok := Profiles()[name]
+	if !ok {
+		names := slices.Sorted(maps.Keys(Profiles()))
+		return nil, fmt.Errorf("unknown machine %q (profiles: %s)", name, strings.Join(names, ", "))
+	}
+	return mk(), nil
 }

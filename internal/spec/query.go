@@ -299,9 +299,9 @@ func (q *Query) Fingerprint() (string, error) {
 
 // Model instantiates the query's machine profile.
 func (q *Query) Model() (*sim.CostModel, error) {
-	mk, ok := sim.Profiles()[q.Machine]
-	if !ok {
+	model, err := sim.Profile(q.Machine)
+	if err != nil {
 		return nil, fmt.Errorf("spec: unknown machine %q", q.Machine)
 	}
-	return mk(), nil
+	return model, nil
 }
