@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/hybrid"
@@ -211,7 +212,18 @@ func TestBPMFPartitionInvariance(t *testing.T) {
 	}
 }
 
+// TestBPMFAllSyncModes runs Hy_BPMF under each sync flavor and holds it
+// to Ori_BPMF's chain on the same world: one rank per phase builds the
+// hyperparameter draw every rank samples from, out of its node's shared
+// segment, so a flavor whose gather lets that rank read the segment
+// before the bridge exchange has filled it shows here as a different
+// checksum.
 func TestBPMFAllSyncModes(t *testing.T) {
+	w := worldFor(t, []int{3, 3}, true)
+	ori, err := Run(w, smallCfg(false, true))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, mode := range []hybrid.SyncMode{hybrid.SyncBarrier, hybrid.SyncP2P, hybrid.SyncSharedFlags} {
 		t.Run(mode.String(), func(t *testing.T) {
 			w := worldFor(t, []int{3, 3}, true)
@@ -223,6 +235,9 @@ func TestBPMFAllSyncModes(t *testing.T) {
 			}
 			if res.RMSE[len(res.RMSE)-1] >= res.RMSE[0] {
 				t.Errorf("%v: RMSE did not decrease: %v", mode, res.RMSE)
+			}
+			if res.Checksum != ori.Checksum || !slices.Equal(res.RMSE, ori.RMSE) {
+				t.Errorf("%v: Hy checksum %v, RMSE %v; Ori checksum %v, RMSE %v", mode, res.Checksum, res.RMSE, ori.Checksum, ori.RMSE)
 			}
 		})
 	}
@@ -397,16 +412,19 @@ func TestSampleRowAllocatesNothing(t *testing.T) {
 }
 
 // TestRunAllocationPin pins what one real run at the benchmark's
-// fig-apps configuration allocates: 2x12 ranks sample 4,320 rows, fill
-// 1,440 initial rows and draw 144 hyperparameter sets. 4,230 to 4,310
-// objects measured in either flavor, nearly all of them the 29 small
-// matrices and vectors of a hyperparameter draw; with a generator seeded
-// and eleven slices made per row it was 68,300 to 68,500.
+// fig-apps configuration allocates: 2x12 ranks sample 4,320 rows and
+// fill 1,440 initial rows, and the world draws 6 hyperparameter sets,
+// one per phase. 489 to 539 objects measured in either flavor: about
+// 170 for the 24 sampler workspaces (7 each), 170 for the six draws (28
+// small matrices and vectors each), the rest the communicator set-up,
+// the phase buffers and message records. With every rank repeating the
+// draw it was 4,230 to 4,310; with a generator seeded and eleven slices
+// made per row, 68,300 to 68,500.
 func TestRunAllocationPin(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless")
 	}
-	const sampledRows, pin = 3 * (1200 + 240), 4600
+	const sampledRows, pin = 3 * (1200 + 240), 700
 	for _, hy := range []bool{false, true} {
 		cfg := Config{Users: 1200, Items: 240, K: 10, AvgDeg: 4, Iters: 3, Seed: 1, Hybrid: hy, Real: true, RowOverheadFlops: 3e6}
 		run := func() {

@@ -70,8 +70,9 @@ func mix64(z uint64) uint64 {
 func rowOf(m []float64, k, r int) []float64 { return m[r*k : (r+1)*k] }
 
 // sampleHyper draws the Normal-Wishart conditional given the current
-// latent matrix (flat N x K) from the generator as it stands. Every
-// rank calls it with the same inputs and key and obtains the same draw.
+// latent matrix (flat N x K) from the generator as it stands. One rank
+// per phase calls it, through mpi.SetupOnce, and every rank samples its
+// rows from the returned draw, which nothing writes afterwards.
 func (s *sampler) sampleHyper(latent []float64, n int) (hyper, error) {
 	k := len(s.mean)
 	// Sufficient statistics.

@@ -241,30 +241,39 @@ func (ph *phase) gather(proc *mpi.Proc, hier *coll.Hier, rank, nRanks int) error
 func samplePhase(proc *mpi.Proc, cfg Config, ws *sampler, side, other *phase, iter int, hier *coll.Hier, rank, nRanks int) error {
 	lo, hi := Share(side.rows, nRanks, rank)
 
-	// Hyperparameter draw (computed redundantly on every rank from
-	// the gathered matrix, as in the reference implementation).
+	// Hyperparameter draw. The reference implementation computes it
+	// redundantly on every rank from the gathered matrix, so every rank
+	// is charged for it; the draw is a pure function of (seed, iter,
+	// phase, gathered matrix), so the host computes it once per phase,
+	// on whichever rank reaches the setup slot first, and every rank
+	// reads that one draw (sampleRow copies what it updates).
 	proc.Compute(hyperFlops(side.rows, cfg.K))
 	var h hyper
 	var otherVals []float64
 	if cfg.Real {
-		latent := f64s(side.buffer())
-		var err error
-		ws.reseed(cfg.Seed, iter, side.name, hyperRow)
-		h, err = ws.sampleHyper(latent, side.rows)
+		v, err := mpi.SetupOnce(proc.CommWorld(), func() (any, error) {
+			// The builder reads its own complete copy of `side`: its
+			// private buffer, or its node's segment.
+			ws.reseed(cfg.Seed, iter, side.name, hyperRow)
+			return ws.sampleHyper(f64s(side.buffer()), side.rows)
+		})
 		if err != nil {
 			return err
 		}
-		// Reading the gathered matrices through zero-copy views is
-		// safe: `side` reads complete before the ReadFence below, and
-		// no rank writes `other` until its next phase, which every
-		// on-node peer reaches only after this phase's closing
-		// gather.
+		h = v.(hyper)
+		// Reading `other` through a zero-copy view is safe: no rank
+		// writes it until its next phase, which every on-node peer
+		// reaches only after this phase's closing gather.
 		otherVals = f64s(other.buffer())
 	}
-	// Hybrid flavor: everyone reads the shared gathered matrix for
-	// the hyperparameter statistics, and is about to overwrite its
-	// own rows of the same segment — fence the reads from the writes
-	// (the epoch discipline of hybrid.Allgatherer.ReadFence).
+	// Hybrid flavor: the reference code's ranks each read the shared
+	// segment for the statistics and then overwrite their own rows of
+	// it, so they fence the reads from the writes (the epoch discipline
+	// of hybrid.Allgatherer.ReadFence), and the fence is charged here
+	// as theirs. On the host the one read of the segment is the draw's
+	// build, and SetupOnce returns to no member before the build is
+	// done, so that read already precedes every member's writes; the
+	// fence adds the node rendezvous the model times.
 	if side.hyAg != nil {
 		if err := side.hyAg.ReadFence(); err != nil {
 			return err

@@ -91,40 +91,121 @@ func TestGemm(t *testing.T) {
 	}
 }
 
-// TestGemmMatchesNaiveExactly holds the unrolled j loop to the plain
-// triple loop bit for bit, at column counts on both sides of a multiple
-// of four.
+// naiveGemm is the triple loop Gemm must reproduce bit for bit.
+func naiveGemm(c, a, b *Mat) {
+	for i := 0; i < a.Rows; i++ {
+		for k := 0; k < a.Cols; k++ {
+			for j := 0; j < b.Cols; j++ {
+				c.Add(i, j, a.At(i, k)*b.At(k, j))
+			}
+		}
+	}
+}
+
+// sameBits reports whether two matrices hold the same float64 bit
+// patterns (so -0 differs from +0 and a NaN equals itself).
+func sameBits(x, y *Mat) (int, bool) {
+	for i := range x.Data {
+		if math.Float64bits(x.Data[i]) != math.Float64bits(y.Data[i]) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// TestGemmMatchesNaiveExactly holds the register-tiled kernel to the
+// plain triple loop bit for bit: at every remainder of the 2x4 tile (odd
+// row counts, column counts 1, 2 and 3 past a multiple of four), at a
+// zero inner dimension, at SUMMA's 64-block and the referee's 256 rows,
+// and on the operands where skipping a zero a[i][k] would show: an
+// infinity in B, and a C that starts at -0.
 func TestGemmMatchesNaiveExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, dims := range [][3]int{{1, 1, 1}, {3, 5, 2}, {7, 4, 9}, {6, 7, 6}, {16, 16, 16}, {5, 13, 3}} {
-		m, n, kk := dims[0], dims[1], dims[2]
-		a, b := NewMat(m, kk), NewMat(kk, n)
-		for i := range a.Data {
-			a.Data[i] = rng.NormFloat64()
+	random := func(m, n int) *Mat {
+		x := NewMat(m, n)
+		for i := range x.Data {
+			x.Data[i] = rng.NormFloat64()
 		}
-		for i := range b.Data {
-			b.Data[i] = rng.NormFloat64()
-		}
-		got, want := NewMat(m, n), NewMat(m, n)
-		for i := range got.Data {
-			got.Data[i] = float64(i) // Gemm accumulates
-			want.Data[i] = float64(i)
-		}
-		if err := Gemm(got, a, b); err != nil {
+		return x
+	}
+	check := func(name string, c, a, b *Mat) {
+		t.Helper()
+		want := c.Clone()
+		naiveGemm(want, a, b)
+		if err := Gemm(c, a, b); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < m; i++ {
-			for k := 0; k < kk; k++ {
-				for j := 0; j < n; j++ {
-					want.Add(i, j, a.At(i, k)*b.At(k, j))
+		if i, ok := sameBits(c, want); !ok {
+			t.Fatalf("%s %dx%dx%d: element %d = %v, naive loop gives %v", name, a.Rows, b.Cols, a.Cols, i, c.Data[i], want.Data[i])
+		}
+	}
+	for _, dims := range [][3]int{
+		{1, 1, 1}, {3, 5, 2}, {7, 4, 9}, {6, 7, 6}, {16, 16, 16}, {5, 13, 3},
+		{2, 4, 1}, {3, 1, 4}, {5, 2, 7}, {1, 3, 5}, {9, 6, 2}, {4, 11, 8},
+		{3, 5, 0}, {0, 4, 3}, {10, 10, 10}, {64, 64, 64}, {256, 64, 256},
+	} {
+		m, n, kk := dims[0], dims[1], dims[2]
+		c := NewMat(m, n)
+		for i := range c.Data {
+			c.Data[i] = float64(i) // Gemm accumulates
+		}
+		check("random", c, random(m, kk), random(kk, n))
+	}
+
+	// A zero in A against an infinity in B is NaN, not a skipped term:
+	// zeros in both rows of a tile and in the trailing odd row, against
+	// infinities in tiled and in trailing columns.
+	a, b := random(3, 5), random(5, 6)
+	a.Set(0, 2, 0)
+	a.Set(1, 2, 0)
+	a.Set(2, 4, 0)
+	b.Set(2, 3, math.Inf(1))
+	b.Set(2, 4, math.Inf(1))
+	b.Set(4, 1, math.Inf(-1))
+	b.Set(4, 5, math.Inf(-1))
+	c := NewMat(3, 6)
+	check("inf", c, a, b)
+	for _, at := range [][2]int{{0, 3}, {1, 4}, {2, 1}, {2, 5}} {
+		if x := c.At(at[0], at[1]); !math.IsNaN(x) {
+			t.Errorf("0 * Inf accumulated to C[%d][%d] = %v, want NaN", at[0], at[1], x)
+		}
+	}
+
+	// -0 plus a product +0 is +0: zero A rows (a tile's pair and the
+	// trailing odd row) must still touch C.
+	a, b = random(5, 3), random(3, 7)
+	for k := 0; k < 3; k++ {
+		a.Set(0, k, 0)
+		a.Set(1, k, 0)
+		a.Set(4, k, 0)
+	}
+	c = NewMat(5, 7)
+	for i := range c.Data {
+		c.Data[i] = math.Copysign(0, -1)
+	}
+	check("negzero", c, a, b)
+}
+
+// BenchmarkGemm times the kernel at BPMF's latent dimension (the Wishart
+// draw's two products), SUMMA's fig-apps block and the 256x256 serial
+// referee its verification runs, on operands without zeros, as SUMMA's
+// are.
+func BenchmarkGemm(b *testing.B) {
+	for _, n := range []int{10, 64, 256} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			x, y, c := NewMat(n, n), NewMat(n, n), NewMat(n, n)
+			for i := range x.Data {
+				x.Data[i], y.Data[i] = float64(i%7+1), float64(i%5+1)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := Gemm(c, x, y); err != nil {
+					b.Fatal(err)
 				}
 			}
-		}
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("%dx%dx%d: element %d = %v, naive loop gives %v", m, n, kk, i, got.Data[i], want.Data[i])
-			}
-		}
+			b.ReportMetric(GemmFlops(n, n, n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mflop/s")
+		})
 	}
 }
 

@@ -60,35 +60,80 @@ func (m *Mat) Scale(s float64) *Mat {
 	return m
 }
 
-// Gemm computes C += A * B (triple loop in ikj order for cache
-// friendliness, the j loop unrolled four wide; every c[i][j] still
-// accumulates over k in ascending order, so the product does not depend
-// on the unrolling). Returns an error on dimension mismatch.
+// gemmKC is how many k steps of a 4-column strip of B Gemm copies into
+// its stack buffer at once (2 KiB).
+const gemmKC = 64
+
+// Gemm computes C += A * B with exactly the roundings of the naive
+// loop: every c[i][j] starts from its own value and adds a[i][k]*b[k][j]
+// for k = 0, 1, ... in order, one product at a time, so zeros, signed
+// zeros, infinities and NaNs come out as IEEE arithmetic gives them.
+// The kernel copies a 4-column strip of B, gemmKC rows at a time, into
+// one contiguous stack buffer and runs every pair of A rows over it,
+// holding the 2 x 4 tile of C in registers across the strip's k range;
+// a trailing odd row and the columns past the last multiple of four take
+// the same sums one element at a time. It allocates nothing. Returns an
+// error on dimension mismatch.
 func Gemm(c, a, b *Mat) error {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		return fmt.Errorf("la: Gemm shapes %dx%d * %dx%d -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols)
 	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			aik := arow[k]
-			if aik == 0 {
-				continue
+	m, n, kk := a.Rows, b.Cols, a.Cols
+	bd := b.Data
+	var strip [4 * gemmKC]float64
+	for k0 := 0; k0 < kk; k0 += gemmKC {
+		k1 := min(k0+gemmKC, kk)
+		p := strip[:4*(k1-k0)]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			for q, off := 0, k0*n+j; q < len(p); q, off = q+4, off+n {
+				d, s := p[q:q+4:q+4], bd[off:off+4:off+4]
+				d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
 			}
-			brow := b.Row(k)
-			crow := crow[:len(brow)] // one bounds check, outside the loop
-			j := 0
-			for ; j+4 <= len(brow); j += 4 {
-				c4, b4 := crow[j:j+4:j+4], brow[j:j+4:j+4]
-				c4[0] += aik * b4[0]
-				c4[1] += aik * b4[1]
-				c4[2] += aik * b4[2]
-				c4[3] += aik * b4[3]
+			i := 0
+			for ; i+2 <= m; i += 2 {
+				a0, a1 := a.Row(i)[k0:k1], a.Row(i + 1)[k0:k1]
+				c0, c1 := c.Row(i)[j:j+4:j+4], c.Row(i + 1)[j:j+4:j+4]
+				c00, c01, c02, c03 := c0[0], c0[1], c0[2], c0[3]
+				c10, c11, c12, c13 := c1[0], c1[1], c1[2], c1[3]
+				for k, x := range a0 {
+					y := a1[k]
+					b4 := p[4*k : 4*k+4 : 4*k+4]
+					b0 := b4[0]
+					c00 += x * b0
+					c10 += y * b0
+					b1 := b4[1]
+					c01 += x * b1
+					c11 += y * b1
+					b2 := b4[2]
+					c02 += x * b2
+					c12 += y * b2
+					b3 := b4[3]
+					c03 += x * b3
+					c13 += y * b3
+				}
+				c0[0], c0[1], c0[2], c0[3] = c00, c01, c02, c03
+				c1[0], c1[1], c1[2], c1[3] = c10, c11, c12, c13
 			}
-			for ; j < len(brow); j++ {
-				crow[j] += aik * brow[j]
+			if i < m {
+				a0, c0 := a.Row(i)[k0:k1], c.Row(i)[j:j+4]
+				for q := range c0 {
+					s := c0[q]
+					for k, x := range a0 {
+						s += x * p[4*k+q]
+					}
+					c0[q] = s
+				}
+			}
+		}
+		for ; j < n; j++ {
+			for i := 0; i < m; i++ {
+				a0, s := a.Row(i)[k0:k1], c.At(i, j)
+				for k, x := range a0 {
+					s += x * bd[(k0+k)*n+j]
+				}
+				c.Set(i, j, s)
 			}
 		}
 	}

@@ -237,14 +237,28 @@ func localBlocks(rank, b int) (*la.Mat, *la.Mat) {
 }
 
 // fillBlocks writes rank's A and B blocks into a and bm with their top
-// left corner at (row0, col0).
+// left corner at (row0, col0): smooth, rank-dependent values, kept small
+// so the products stay well-conditioned,
+//
+//	a[i][j] = sin(rank*31 + 7i + j) / 2,  b[i][j] = cos(rank*17 + 3i + 5j) / 2.
+//
+// Both arguments are integers in a window of 8b-7 values above the
+// rank's offset, so one table of each function over its window gives
+// the b² elements from 8b-7 evaluations each.
 func fillBlocks(a, bm *la.Mat, rank, row0, col0, b int) {
+	w := 8*b - 7
+	tab := make([]float64, 2*w)
+	sin, cos := tab[:w], tab[w:]
+	for t := range sin {
+		sin[t] = math.Sin(float64(rank*31+t)) * 0.5
+		cos[t] = math.Cos(float64(rank*17+t)) * 0.5
+	}
 	for i := 0; i < b; i++ {
-		for j := 0; j < b; j++ {
-			// Smooth, rank-dependent values; kept small so the
-			// products stay well-conditioned.
-			a.Set(row0+i, col0+j, math.Sin(float64(rank*31+i*7+j))*0.5)
-			bm.Set(row0+i, col0+j, math.Cos(float64(rank*17+i*3+j*5))*0.5)
+		arow := a.Row(row0 + i)[col0 : col0+b]
+		brow := bm.Row(row0 + i)[col0 : col0+b]
+		for j := range arow {
+			arow[j] = sin[7*i+j]
+			brow[j] = cos[3*i+5*j]
 		}
 	}
 }

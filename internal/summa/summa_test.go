@@ -2,6 +2,7 @@ package summa
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 	"unsafe"
@@ -149,6 +150,31 @@ func TestLocalUpdateCopiesMisalignedPanel(t *testing.T) {
 	}
 	if products[0].Data[0] == 0 {
 		t.Error("no product computed")
+	}
+}
+
+// TestFillBlocksMatchesTrig holds the table lookup to the direct
+// expressions it replaces, bit for bit, at an offset corner of a larger
+// matrix.
+func TestFillBlocksMatchesTrig(t *testing.T) {
+	for _, b := range []int{1, 7, 64} {
+		for rank := 0; rank < 16; rank++ {
+			const row0, col0 = 2, 3
+			a, bm := la.NewMat(b+row0, b+col0+1), la.NewMat(b+row0, b+col0+1)
+			fillBlocks(a, bm, rank, row0, col0, b)
+			for i := 0; i < b; i++ {
+				for j := 0; j < b; j++ {
+					wantA := math.Sin(float64(rank*31+i*7+j)) * 0.5
+					wantB := math.Cos(float64(rank*17+i*3+j*5)) * 0.5
+					if got := a.At(row0+i, col0+j); math.Float64bits(got) != math.Float64bits(wantA) {
+						t.Fatalf("b=%d rank %d: A[%d][%d] = %v, want %v", b, rank, i, j, got, wantA)
+					}
+					if got := bm.At(row0+i, col0+j); math.Float64bits(got) != math.Float64bits(wantB) {
+						t.Fatalf("b=%d rank %d: B[%d][%d] = %v, want %v", b, rank, i, j, got, wantB)
+					}
+				}
+			}
+		}
 	}
 }
 
