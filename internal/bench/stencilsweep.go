@@ -91,8 +91,11 @@ func RunStencilSweep(model *sim.CostModel, maxRanks int) (*StencilSweepReport, e
 }
 
 // runStencilShape measures every halo width on one grid, sharing the
-// world and the Cartesian communicator across widths (clocks reset
-// between widths so each point's virtual makespan stands alone).
+// world across widths (clocks reset between widths so each point's
+// virtual makespan stands alone). Each measured Run builds its own
+// Cartesian communicator, since a handle lives for the Run that built
+// it; construction goes through mpi.SetupOnce and charges no virtual
+// time.
 func runStencilShape(model *sim.CostModel, shape stencilShape) ([]StencilPoint, error) {
 	const iters = 2
 	ranks := shape.nodes * stencilPPN
@@ -118,26 +121,14 @@ func runStencilShape(model *sim.CostModel, shape stencilShape) ([]StencilPoint, 
 	}
 	defer w.Close()
 
-	// One construction pass: build the reordered grid communicator per
-	// rank and keep it for the measured passes.
-	carts := make([]*mpi.Comm, ranks)
-	err = w.Run(func(p *mpi.Proc) error {
-		cart, err := p.CommWorld().CartCreate(shape.dims, periods, true)
-		if err != nil {
-			return err
-		}
-		carts[p.Rank()] = cart
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	var pts []StencilPoint
 	for _, halo := range stencilHaloBytes {
 		w.ResetClocks()
 		err := w.Run(func(p *mpi.Proc) error {
-			cart := carts[p.Rank()]
+			cart, err := p.CommWorld().CartCreate(shape.dims, periods, true)
+			if err != nil {
+				return err
+			}
 			in, _, _ := cart.Neighborhood()
 			send := mpi.Sized(halo * len(in))
 			recv := mpi.Sized(halo * len(in))

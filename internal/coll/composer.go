@@ -154,14 +154,12 @@ func NewComposer(c *mpi.Comm, levels []int) (*Composer, error) {
 			plan.tierOff[t+1] = plan.tierOff[t] + int(slices.Max(group[:span])) + 1
 		}
 		top := plan.tierOff[len(levels)]
-		plan.ctxs = make([]mpi.Context, top+1)
-		w := c.Proc().World()
-		for t, tables := range geom.tierRanks {
-			for g := range plan.ctxs[plan.tierOff[t]:plan.tierOff[t+1]] {
-				w.InitContext(&plan.ctxs[plan.tierOff[t]+g], tables[g])
-			}
+		tables := make([][]int, 0, top+1)
+		for t, groups := range geom.tierRanks {
+			tables = append(tables, groups[:plan.tierOff[t+1]-plan.tierOff[t]]...)
 		}
-		w.InitContext(&plan.ctxs[top], geom.topRanks)
+		plan.ctxs = make([]mpi.Context, top+1)
+		c.Proc().World().InitContexts(plan.ctxs, append(tables, geom.topRanks))
 		return plan, nil
 	})
 	if err != nil {

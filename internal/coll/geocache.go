@@ -169,8 +169,9 @@ func buildComposerGeom(topo *sim.Topology, members, levels []int) *composerGeom 
 
 // composerPlan is the per-world completion of a cached geometry: the
 // shared tables plus the contexts this world opened over them, cut as
-// one slab. One plan is built per composer call (via mpi.SetupOnce) and
-// shared by all members.
+// one slab with their queues cut as one more (mpi.InitContexts). One
+// plan is built per composer call (via mpi.SetupOnce) and shared by all
+// members.
 type composerPlan struct {
 	geom    *composerGeom
 	tierOff []int         // tier -> its first record in ctxs; group g's is tierOff[t]+g

@@ -16,8 +16,9 @@ const Undefined = int(^uint(0) >> 1) // MaxInt
 // Comm is a communicator handle local to one rank. Handles on different
 // ranks that were created by the same collective call point at one
 // Context (coord.go), which holds everything they share: the rank
-// translation table, the facts derived from it, the revoked flag and the
-// control plane. The handle keeps what is this member's alone.
+// translation table, the facts derived from it, the message queues, the
+// state and the control plane. The handle keeps what is this member's
+// alone, and lives for the Run that built it.
 type Comm struct {
 	p     *Proc
 	cx    *Context
@@ -45,7 +46,6 @@ func (p *Proc) CommWorld() *Comm {
 	if p.commWorld == nil {
 		p.cw = Comm{p: p, cx: p.world.worldCx, rank: p.rank, collCfg: p.world.collCfg}
 		p.commWorld = &p.cw
-		p.world.match.reserve(p.cw.cx.id, p.rank)
 	}
 	return p.commWorld
 }
@@ -136,9 +136,9 @@ type splitEntry struct {
 // partition, which dominated setup wall-clock time at Fig. 9 scale —
 // 1536 ranks each doing O(n log n) work per Split.)
 type splitPlan struct {
-	groups []*Context // one per color, ascending
-	byComm []int32    // parent comm rank -> group index, -1 for Undefined
-	rankIn []int32    // parent comm rank -> rank within the new group
+	groups []Context // one per color, ascending
+	byComm []int32   // parent comm rank -> group index, -1 for Undefined
+	rankIn []int32   // parent comm rank -> rank within the new group
 }
 
 // buildSplitPlan groups the exchanged entries by color (ordering each
@@ -168,21 +168,24 @@ func (w *World) buildSplitPlan(vals []any) *splitPlan {
 	for i := range plan.byComm {
 		plan.byComm[i] = -1
 	}
+	var tables [][]int
 	for i := 0; i < len(entries); {
 		j := i
 		for j < len(entries) && entries[j].color == entries[i].color {
 			j++
 		}
 		ranks := make([]int, j-i)
-		gi := int32(len(plan.groups))
+		gi := int32(len(tables))
 		for k := i; k < j; k++ {
 			ranks[k-i] = entries[k].globalRank
 			plan.byComm[entries[k].commRank] = gi
 			plan.rankIn[entries[k].commRank] = int32(k - i)
 		}
-		plan.groups = append(plan.groups, w.NewContext(ranks))
+		tables = append(tables, ranks)
 		i = j
 	}
+	plan.groups = make([]Context, len(tables))
+	w.InitContexts(plan.groups, tables)
 	return plan
 }
 
@@ -191,8 +194,8 @@ func (w *World) buildSplitPlan(vals []any) *splitPlan {
 // receive nil.
 func (c *Comm) Split(color, key int) (*Comm, error) {
 	// One member computes the whole partition (group tables and context
-	// ids, which must be identical across members); everyone else just
-	// looks itself up.
+	// records, which must be identical across members); everyone else
+	// just looks itself up.
 	plan, err := SharePlan(c,
 		splitEntry{color: color, key: key, globalRank: c.p.rank, commRank: c.rank},
 		c.p.world.buildSplitPlan)
@@ -207,7 +210,7 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 		}
 		return nil, nil
 	}
-	return c.NewGroupComm(plan.groups[gi], int(plan.rankIn[c.rank])), nil
+	return c.NewGroupComm(&plan.groups[gi], int(plan.rankIn[c.rank])), nil
 }
 
 // CollConfig returns the collective-tuning configuration attached to

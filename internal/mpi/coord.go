@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -11,42 +12,38 @@ import (
 // A Context is one communicator as the runtime knows it: the record
 // every member's handle points at from construction, so no path ever
 // looks a context up. It carries the member table with the facts that
-// depend on nothing else, the revoked flag, and the untimed control
-// plane: one rendezvous, whose rounds serve both clock fusion
-// (FuseClocks, the on-node synchronisation on the hot path, Sect. 6)
-// and setup exchanges (generic Split, window allocation, Agree/Shrink:
-// the one-offs the paper keeps out of every measurement, Sect. 4.1),
-// and the slots of the exchange-free setup calls (SetupOnce, derive.go).
-// Every member calls the collectives of a communicator in the same
-// order and each rendezvous blocks until its round ends, so a context
-// has at most one round collecting arrivals and rounds need no key.
+// depend on nothing else, the message queues of its executing members,
+// its state, and the untimed control plane: one rendezvous, whose
+// rounds serve both clock fusion (FuseClocks, the on-node
+// synchronisation on the hot path, Sect. 6) and setup exchanges
+// (generic Split, window allocation, Agree/Shrink: the one-offs the
+// paper keeps out of every measurement, Sect. 4.1), and the slots of
+// the exchange-free setup calls (SetupOnce, derive.go). Every member
+// calls the collectives of a communicator in the same order and each
+// rendezvous blocks until its round ends, so a context has at most one
+// round collecting arrivals and rounds need no key.
 //
-// Who writes what: InitContext fills id, ranks, exec, hop and oneNode
-// before any handle exists, and nobody writes them again; revoked is
-// set once, by Revoke, before its matcher walk; cur, slots and base
-// are only touched under mu. The matcher still keys its per-rank queues
-// by id: a rank's shard holds the queues of the two to four contexts
-// that rank belongs to, and that table is the rank's, not the context's.
-//
-// Contexts are not sharded and exchanges have no structure of their
-// own: counted per workload, setup exchanges run 0 times in fig-micro,
-// serve-* and every cmd/perf sweep and at most 13,824 times anywhere
-// (cmd/ablations, 192-rank worlds), while FuseClocks, 9,216 calls per
-// fig-micro op, only ever contends inside one node communicator
-// (DESIGN.md, "Communicator contexts").
+// Who writes what: InitContexts fills ranks, exec, hop, oneNode and
+// queues before any handle exists; a queue's records are touched only
+// under its lock; state goes live -> revoked once (Revoke, before its
+// queue walk) and -> retired when the Run that opened the context ends,
+// so a handle lives for the Run that built it (the world communicator's
+// record, and those opened between Runs, live as long as the world);
+// cur, slots and base are touched only under mu. Why nothing here is
+// sharded: DESIGN.md, "Communicator contexts".
 type Context struct {
-	id    int   // the matcher's key: the context's place in World.ctxs
 	ranks []int // comm rank -> global rank (shared, read-only)
 
 	// The facts of the member table. exec is the one count of members
 	// that execute — all of them, or under rank-symmetry folding those
-	// inside the fold unit — behind ExecSpan, FuseClocks' round size and
-	// the slot countdown alike.
+	// inside the fold unit — behind ExecSpan, FuseClocks' round size,
+	// the slot countdown and the queue count alike.
 	exec    int
 	hop     sim.HopClass // see Comm.HopClass
 	oneNode bool         // every member lives on one node
 
-	revoked atomic.Bool
+	queues []rankQueue  // comm rank -> the queue of messages to it, one per executing member (p2p.go)
+	state  atomic.Int32 // ctxLive, ctxRevoked or ctxRetired
 
 	mu    sync.Mutex
 	cur   *round            // the round still collecting arrivals (or being built), nil between rounds
@@ -54,51 +51,101 @@ type Context struct {
 	base  int
 }
 
-// NewContext opens a communicator context over a member table (comm
-// rank -> global rank, shared read-only from here on). Contexts of one
-// collective call must be opened by one member — inside a SetupOnce
-// build or an exchange's build — so that all members adopt the same
-// records.
-func (w *World) NewContext(ranks []int) *Context { return w.InitContext(new(Context), ranks) }
+// The states of a context.
+const (
+	ctxLive int32 = iota
+	ctxRevoked
+	ctxRetired
+)
 
-// InitContext is NewContext into caller-provided zero storage: a
-// constructor that opens many contexts cuts them from one slab.
-func (w *World) InitContext(cx *Context, ranks []int) *Context {
-	cx.ranks, cx.exec, cx.hop = ranks, len(ranks), sim.HopNet
-	if u := w.foldUnit; u > 0 {
-		cx.exec = 0
-		for i, g := range ranks {
-			if g >= u {
-				continue
+// refusal is why the context refuses a post (posting) or a control-plane
+// call, nil when it does not: recovery (Agree, Shrink) runs on a revoked
+// communicator, nothing runs on a retired one.
+func (cx *Context) refusal(posting bool) error {
+	switch s := cx.state.Load(); {
+	case s == ctxLive, s == ctxRevoked && !posting:
+		return nil
+	case s == ctxRevoked:
+		return ErrRevoked
+	}
+	return fmt.Errorf("mpi: %d-rank communicator was opened in an earlier Run: %w", len(cx.ranks), ErrRevoked)
+}
+
+// NewContext opens one communicator context over a member table (comm
+// rank -> global rank, shared read-only from here on), allocating the
+// record and its queues. Contexts of one collective call must be opened
+// by one member — inside a SetupOnce build or an exchange's build — so
+// that all members adopt the same records.
+func (w *World) NewContext(ranks []int) *Context {
+	cx := make([]Context, 1)
+	w.InitContexts(cx, [][]int{ranks})
+	return &cx[0]
+}
+
+// InitContexts is NewContext for a constructor that opens many contexts
+// at once: ctxs is caller-provided zero storage, ctxs[i] is opened over
+// tables[i], and the queues of all of them are cut from one slab. Under
+// folding the executing members must lead a table and the table must
+// repeat with their count, member i being member i-exec modulo the fold
+// unit, hence member i mod exec (Context.queue relies on it); anything
+// else panics with ErrFoldUnsafe.
+func (w *World) InitContexts(ctxs []Context, tables [][]int) {
+	n := 0
+	for i := range ctxs {
+		cx, ranks := &ctxs[i], tables[i]
+		cx.ranks, cx.exec, cx.hop = ranks, len(ranks), sim.HopNet
+		if u := w.foldUnit; u > 0 {
+			cx.exec = 0
+			for j, g := range ranks {
+				if g < u {
+					if j != cx.exec {
+						// Per-rank setup storage is indexed by comm rank and as
+						// long as the members that execute (SetupSlab).
+						panic(fmt.Errorf("%w: communicator lists rank %d behind ranks outside the fold unit %d", ErrFoldUnsafe, g, u))
+					}
+					cx.exec++
+				} else if e := cx.exec; e > 0 && (g-ranks[j-e])%u != 0 {
+					panic(fmt.Errorf("%w: communicator member %d (rank %d) is not a replica of member %d under fold unit %d", ErrFoldUnsafe, j, g, j%e, u))
+				}
 			}
-			if i != cx.exec {
-				// Per-rank setup storage is indexed by comm rank and as
-				// long as the members that execute (SetupSlab).
-				panic(fmt.Errorf("%w: communicator lists rank %d behind ranks outside the fold unit %d", ErrFoldUnsafe, g, u))
+		}
+		n += cx.exec
+		// The innermost topology level holding every member gives the hop
+		// class, and says whether they share a node (levels nest).
+	levels:
+		for l := 0; l < w.topo.NumLevels(); l++ {
+			g := w.topo.GroupOf(l, ranks[0])
+			for _, r := range ranks[1:] {
+				if w.topo.GroupOf(l, r) != g {
+					continue levels
+				}
 			}
-			cx.exec++
+			cx.hop, cx.oneNode = w.topo.LevelClass(l), l <= w.topo.NodeLevel()
+			break
 		}
 	}
-	// The innermost topology level holding every member gives the hop
-	// class, and says whether they share a node (levels nest).
-levels:
-	for l := 0; l < w.topo.NumLevels(); l++ {
-		g := w.topo.GroupOf(l, ranks[0])
-		for _, r := range ranks[1:] {
-			if w.topo.GroupOf(l, r) != g {
-				continue levels
-			}
-		}
-		cx.hop, cx.oneNode = w.topo.LevelClass(l), l <= w.topo.NodeLevel()
-		break
-	}
-	// The list is what the poison walks pass over (failRounds); its lock
-	// is taken here and there and nowhere else.
+	queues := make([]rankQueue, n)
 	w.ctxMu.Lock()
-	cx.id = len(w.ctxs)
-	w.ctxs = append(w.ctxs, cx)
+	for i := range ctxs {
+		cx := &ctxs[i]
+		cx.queues, queues = queues[:cx.exec:cx.exec], queues[cx.exec:]
+		w.ctxs = append(w.ctxs, cx)
+	}
 	w.ctxMu.Unlock()
-	return cx
+}
+
+// retireSince drops the contexts opened since the list was n long —
+// those of the Run that is ending — and marks them retired, so a handle
+// kept past its Run is refused.
+func (w *World) retireSince(n int) {
+	w.ctxMu.Lock()
+	tail := w.ctxs[n:]
+	for _, cx := range tail {
+		cx.state.Store(ctxRetired)
+	}
+	clear(tail)
+	w.ctxs = w.ctxs[:n]
+	w.ctxMu.Unlock()
 }
 
 // round is one rendezvous. Records are pooled (stragglers of round k may
@@ -135,9 +182,12 @@ var roundPool = sync.Pool{New: func() any { return new(round) }}
 // flags are published before their walk starts (World.Abort,
 // World.killRank), so an arrival either sees the flag here or has joined
 // a round the walk will still find: nobody parks in a round that cannot
-// complete.
+// complete. A context whose Run has ended has no rounds left to join.
 func (c *Comm) meet(members []int, n, idx int, clk sim.Time, val any, build func([]any) any) (sim.Time, []any, any) {
 	p, w, cx := c.p, c.p.world, c.cx
+	if err := cx.refusal(false); err != nil {
+		panic(err)
+	}
 	cx.mu.Lock()
 	if err := w.stranded(members); err != nil {
 		cx.mu.Unlock()
@@ -209,22 +259,21 @@ func (cx *Context) end(w *World, err error) {
 	}
 }
 
-// failRounds poisons the live round of every context whose member
-// table hit picks: its waiters wake and panic with err. Rounds that
-// already ended are left alone (their stragglers only read the finished
-// result), and so is a recovery round over the live set when a death
-// walk asks for the dead rank: the round's own table says it is not
-// waiting for it. A context opened after the walk read the list needs
-// no ordering against it: what the walks publish is re-checked under
-// the context's own lock (see meet). wake is nil in Abort's walk, like
-// matcher.fail's.
-func (w *World) failRounds(wake *World, err error, hit func(members []int) bool) {
+// poison is the one walk behind abort and rank death, over every live
+// context: queued records waiting on a rank hit picks get the sentinel
+// at (Context.fail), and a live round whose table hit picks ends with
+// err. A recovery round over the live set is not waiting on the dead
+// rank, so a death walk leaves it alone. A context opened after the walk
+// (which holds the list's lock) re-checks the published flags under its
+// own locks (postSend, meet). wake is nil in Abort's walk, which may run
+// outside the Run.
+func (w *World) poison(wake *World, at sim.Time, err error, hit func(g int) bool) {
 	w.ctxMu.Lock()
-	all := w.ctxs
-	w.ctxMu.Unlock()
-	for _, cx := range all {
+	defer w.ctxMu.Unlock()
+	for _, cx := range w.ctxs {
+		cx.fail(wake, at, hit)
 		cx.mu.Lock()
-		if cx.cur != nil && hit(cx.cur.members) {
+		if cx.cur != nil && slices.ContainsFunc(cx.cur.members, hit) {
 			cx.end(wake, err)
 		}
 		cx.mu.Unlock()

@@ -34,8 +34,11 @@ type setupEntry struct {
 // one member fill it, and retires it with the last executing member to
 // arrive. Members pass a context's calls in order, so the slot all of
 // them have reached is the oldest live one.
-func (c *Comm) setupSlot(fill func(e *setupEntry)) *setupEntry {
+func (c *Comm) setupSlot(fill func(e *setupEntry)) (*setupEntry, error) {
 	cx := c.cx
+	if err := cx.refusal(false); err != nil {
+		return nil, err
+	}
 	cx.mu.Lock()
 	k := c.seq - cx.base // this call's place among the live slots
 	c.seq++
@@ -49,7 +52,7 @@ func (c *Comm) setupSlot(fill func(e *setupEntry)) *setupEntry {
 	}
 	cx.mu.Unlock()
 	e.once.Do(func() { fill(e) })
-	return e
+	return e, nil
 }
 
 // SetupOnce runs build exactly once per collective call on the
@@ -60,7 +63,10 @@ func (c *Comm) setupSlot(fill func(e *setupEntry)) *setupEntry {
 // it performs no rendezvous: members that arrive after the build simply
 // read the shared slot and proceed.
 func SetupOnce(c *Comm, build func() (any, error)) (any, error) {
-	e := c.setupSlot(func(e *setupEntry) { e.val, e.err = build() })
+	e, err := c.setupSlot(func(e *setupEntry) { e.val, e.err = build() })
+	if err != nil {
+		return nil, err
+	}
 	return e.val, e.err
 }
 
@@ -72,12 +78,15 @@ func SetupOnce(c *Comm, build func() (any, error)) (any, error) {
 // as long as any sibling does. The slab is ExecSpan long: an element
 // per rank that executes, not per member of the communicator.
 func SetupSlab[T any](c *Comm, build func() (any, error)) (*T, any, error) {
-	e := c.setupSlot(func(e *setupEntry) {
+	e, err := c.setupSlot(func(e *setupEntry) {
 		if build != nil {
 			e.val, e.err = build()
 		}
 		e.slab = make([]T, c.ExecSpan())
 	})
+	if err != nil {
+		return nil, nil, err
+	}
 	return &e.slab.([]T)[c.rank], e.val, e.err
 }
 
@@ -90,8 +99,7 @@ func (c *Comm) ExecSpan() int { return c.cx.exec }
 // communicator whose shape was computed deterministically by every
 // member (through SetupOnce): cx from NewContext, rank this member's
 // position in its table. The new handle inherits the parent's collective
-// tuning, and this rank's receive-side match queue for the context is
-// preallocated.
+// tuning.
 func (c *Comm) NewGroupComm(cx *Context, rank int) *Comm {
 	return c.InitGroupComm(new(Comm), cx, rank)
 }
@@ -101,7 +109,6 @@ func (c *Comm) NewGroupComm(cx *Context, rank int) *Comm {
 // per call) cut their handles from one arena instead of allocating each.
 // dst must be written by exactly one rank.
 func (c *Comm) InitGroupComm(dst *Comm, cx *Context, rank int) *Comm {
-	c.p.world.match.reserve(cx.id, c.p.rank)
 	*dst = Comm{p: c.p, cx: cx, rank: rank, collCfg: c.collCfg}
 	return dst
 }
@@ -160,9 +167,7 @@ func (c *Comm) splitLevelDerived(l int) (*Comm, error) {
 	v, err := SetupOnce(c, func() (any, error) {
 		s := buildLevelShape(w.topo, c.cx.ranks, l)
 		s.ctxs = make([]Context, len(s.groups))
-		for g := range s.ctxs {
-			w.InitContext(&s.ctxs[g], s.groups[g])
-		}
+		w.InitContexts(s.ctxs, s.groups)
 		return s, nil
 	})
 	if err != nil {

@@ -199,7 +199,7 @@ func TestEngineSwitchRerun(t *testing.T) {
 		if n := liveRounds(w); n != 0 {
 			t.Fatalf("run %d (%v): %d rendezvous rounds still live", i, e, n)
 		}
-		if n := w.match.pendingRecords(); n != 0 {
+		if n := w.pendingRecords(); n != 0 {
 			t.Fatalf("run %d (%v): %d matcher records still queued", i, e, n)
 		}
 		for r := 0; r < topo.Size(); r++ {

@@ -3,7 +3,6 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/sim"
 )
@@ -178,21 +177,21 @@ func (w *World) Damaged() bool { return w.damaged.Load() }
 
 // killRank executes rank p's scheduled death: it marks the world
 // damaged, publishes the death flag, then fails everything that waits
-// on p — the matcher records whose peer it is and the rendezvous rounds
-// whose member table lists it — and unwinds the rank body with
-// errRankKilled. The one ordering rule: flag first, walks after. A
-// concurrent post or arrival either observes the flag under the lock the
-// walk takes next (and fails on its own) or got in before the walk locks
-// there (and is failed by it). A recovery round over the live set is not
+// on p in one walk over the live contexts — the matcher records whose
+// peer it is and the rendezvous rounds whose member table lists it — and
+// unwinds the rank body with errRankKilled. The one ordering rule: flag
+// first, walk after. A concurrent post or arrival either observes the
+// flag under the lock the walk takes next (and fails on its own) or got
+// in before the walk locks there (and is failed by it). A recovery round
+// over the live set is not
 // waiting on p, so the walk leaves it alone however early a survivor
 // starts it. Runs on the dying rank's own goroutine — which in event
 // mode is the token holder, making the scheduler wakes safe.
 func (w *World) killRank(p *Proc) {
 	w.damaged.Store(true)
 	w.match.dead[p.rank].Store(true)
-	w.match.fail(w, failClock, func(_, peer int) bool { return peer == p.rank })
-	w.failRounds(w, fmt.Errorf("mpi: rank %d failed during a rendezvous: %w", p.rank, ErrRankFailed),
-		func(members []int) bool { return slices.Contains(members, p.rank) })
+	w.poison(w, failClock, fmt.Errorf("mpi: rank %d failed during a rendezvous: %w", p.rank, ErrRankFailed),
+		func(g int) bool { return g == p.rank })
 	if w.tracer.Enabled() {
 		w.tracer.Record(sim.Event{At: p.clock, Rank: p.rank, Kind: "fail", Note: "scheduled rank failure"})
 	}
@@ -226,13 +225,13 @@ func (w *World) stranded(members []int) error {
 // revoked communicator. Safe from any rank (the event engine's caller
 // is the token holder).
 func (c *Comm) Revoke() {
-	if c.cx.revoked.CompareAndSwap(false, true) {
-		c.p.world.match.fail(c.p.world, revokedClock, func(ctx, _ int) bool { return ctx == c.cx.id })
+	if c.cx.state.CompareAndSwap(ctxLive, ctxRevoked) {
+		c.cx.fail(c.p.world, revokedClock, func(int) bool { return true })
 	}
 }
 
 // Revoked reports whether this communicator has been revoked.
-func (c *Comm) Revoked() bool { return c.cx.revoked.Load() }
+func (c *Comm) Revoked() bool { return c.cx.state.Load() == ctxRevoked }
 
 // liveMembers returns the global ranks of this communicator that have
 // not died, and the caller's index among them: the member table of the

@@ -89,7 +89,7 @@ func (w *World) finishFoldedRun(runErr error) error {
 	if runErr != nil || w.Aborted() {
 		return runErr
 	}
-	if pending := w.match.pendingRecords(); pending > 0 {
+	if pending := w.pendingRecords(); pending > 0 {
 		w.Abort()
 		return fmt.Errorf("mpi: folded run left %d unmatched message records — workload is not fold-symmetric for unit %d", pending, w.foldUnit)
 	}

@@ -129,6 +129,38 @@ func TestFoldUnsafeSplit(t *testing.T) {
 	}
 }
 
+// TestFoldRefusesTablesThatDoNotRepeat: a message to a replica member
+// is queued at member dst mod exec of its context, which is its class
+// representative only on a table whose executing members lead it and
+// whose tail repeats them modulo the fold unit. Any other table is
+// refused when the context is opened, instead of stranding a receive.
+func TestFoldRefusesTablesThatDoNotRepeat(t *testing.T) {
+	w, err := NewWorld(sim.HazelHenCray(), sim.MustUniform(4, 4), withFold(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	open := func(ranks []int) (err error) {
+		defer func() {
+			if rec := recover(); rec != nil {
+				err, _ = rec.(error)
+			}
+		}()
+		w.NewContext(ranks)
+		return nil
+	}
+	for _, ranks := range [][]int{{0, 4, 8, 12}, {0, 1, 8, 9, 12, 13}, {4, 5, 6, 7}, w.identity} {
+		if err := open(ranks); err != nil {
+			t.Errorf("table %v refused: %v", ranks, err)
+		}
+	}
+	for _, ranks := range [][]int{{0, 4, 1, 5}, {0, 1, 5, 4}, {0, 6}} {
+		if err := open(ranks); !errors.Is(err, ErrFoldUnsafe) {
+			t.Errorf("table %v: %v, want ErrFoldUnsafe", ranks, err)
+		}
+	}
+}
+
 // TestFoldAsymmetryTripwire: a workload whose representatives leave
 // unmatched cross-unit traffic behind is not fold-symmetric; the run
 // must fail loudly rather than silently drop the messages.

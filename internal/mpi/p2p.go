@@ -135,7 +135,7 @@ func putEagerStore(p *[]byte) { eagerBytesPool.Put(p) }
 // to blocked waiters when the job aborts, the peer they wait on dies, or
 // their communicator is revoked: instead of every wait being a two-way
 // select against the abort channel (the select machinery is measurable
-// on the hot path), matcher.fail walks the queues once and feeds each
+// on the hot path), Context.fail walks the queues once and feeds each
 // parked waiter its sentinel through the channel it is already blocked
 // on. Legitimate completion times are never negative; failErr
 // (fault.go) is the one place that maps the sentinels back to errors.
@@ -145,56 +145,20 @@ const (
 	revokedClock = sim.Time(math.MinInt64 + 2)
 )
 
-// matcher pairs posted sends with posted receives. It is sharded by
-// destination rank so that large jobs do not serialize on one lock.
+// matcher pairs posted sends with posted receives. The queues it
+// matches in are the contexts' own (Context.queues, one per executing
+// member, each with its lock); the matcher holds only what is the
+// world's: the fold unit and the flags every post checks.
 type matcher struct {
-	shards  []matchShard
 	fold    int // rank-symmetry fold unit, 0 when unfolded (fold.go)
 	aborted atomic.Bool
 
 	// Fault-injection state (fault.go): per-global-rank death flags
-	// (nil unless the world schedules failures). Like a context's
-	// revoked flag they are checked under the shard lock on posts so a
-	// post either precedes the corresponding purge walk (which then
-	// fails it) or observes the flag.
+	// (nil unless the world schedules failures). Like a context's state
+	// they are checked under the queue lock on posts so a post either
+	// precedes the corresponding purge walk (which then fails it) or
+	// observes the flag.
 	dead []atomic.Bool
-
-	// Queue arena: rank queues for all shards are cut from shared
-	// chunks (setup-path only, so one extra mutex is harmless), which
-	// turns "one allocation per (rank, communicator)" into a handful
-	// of chunk allocations per world.
-	arenaMu sync.Mutex
-	arena   []rankQueue
-}
-
-// newQueue cuts one rank queue from the arena. Pointers stay valid:
-// chunks are never reallocated, a fresh chunk is cut when one runs out.
-func (m *matcher) newQueue() *rankQueue {
-	m.arenaMu.Lock()
-	if len(m.arena) == 0 {
-		m.arena = make([]rankQueue, 256)
-	}
-	q := &m.arena[0]
-	m.arena = m.arena[1:]
-	m.arenaMu.Unlock()
-	return q
-}
-
-type matchShard struct {
-	mu     sync.Mutex
-	queues []ctxQueue  // tiny per-rank context table, linear scan
-	qstore [3]ctxQueue // its inline backing: no heap for ≤3 comms
-}
-
-// ctxQueue maps one context id to its queue. A rank only ever belongs
-// to a handful of communicators (world, its node/tier comms, maybe a
-// leader comm), so a linear scan over a 2-4 entry slice beats a dense
-// context-indexed array: the seed's byCtx slices re-grew toward the
-// world's highest context id on every shard, which was the single
-// largest allocation source at Fig. 9 scale.
-type ctxQueue struct {
-	ctx int
-	q   *rankQueue
 }
 
 // fifo is a head-indexed queue: the overwhelmingly common FIFO match
@@ -248,53 +212,31 @@ func (q *fifo[T]) filter(keep func(T) bool) {
 }
 
 // rankQueue holds the unmatched sends and receives targeting one
-// (context, destination) pair, in posting order (MPI's non-overtaking
-// rule).
+// (context, destination) pair, under its own lock, in one list in
+// posting order: each kind keeps MPI's non-overtaking order, and a
+// destination that sees a receive wait in one round and a send in the
+// next grows one backing array, not two.
 type rankQueue struct {
-	sends fifo[*message]
-	recvs fifo[*recvReq]
+	mu      sync.Mutex
+	pending fifo[pending]
 }
 
-func newMatcher() *matcher { return &matcher{} }
+// pending is one unmatched record: a send (msg) or a receive (rr).
+type pending struct {
+	msg *message
+	rr  *recvReq
+}
 
-func (m *matcher) shard(dst int) *matchShard {
-	// Folded worlds route messages for a replica rank to its class
-	// representative: the representative posts the translated receive
-	// (see fold.go).
-	if m.fold > 0 && dst >= m.fold {
-		dst %= m.fold
+// queue returns the queue of the member at comm rank dst. Under folding
+// only the leading exec members execute, and a destination past them
+// stands for its class representative, which posts the translated
+// receive (fold.go): on the periodic tables InitContexts admits, that
+// is comm rank dst mod exec.
+func (cx *Context) queue(dst int) *rankQueue {
+	if dst >= cx.exec {
+		dst %= cx.exec
 	}
-	return &m.shards[dst]
-}
-
-// init sizes the shard table once the world size is known. Queues are
-// created per (shard, context) on first use or via reserve.
-func (m *matcher) sizeTo(n int) {
-	m.shards = make([]matchShard, n)
-}
-
-// reserve preallocates the rank queue for a context on one shard. Each
-// rank calls it for its own shard when a communicator is created, so
-// the hot matching path never allocates queue heads.
-func (m *matcher) reserve(ctx, dst int) {
-	s := m.shard(dst)
-	s.mu.Lock()
-	s.queue(m, ctx)
-	s.mu.Unlock()
-}
-
-func (s *matchShard) queue(m *matcher, ctx int) *rankQueue {
-	for i := range s.queues {
-		if s.queues[i].ctx == ctx {
-			return s.queues[i].q
-		}
-	}
-	q := m.newQueue()
-	if s.queues == nil {
-		s.queues = s.qstore[:0:len(s.qstore)]
-	}
-	s.queues = append(s.queues, ctxQueue{ctx: ctx, q: q})
-	return q
+	return &cx.queues[dst]
 }
 
 // matches reports whether a posted receive accepts a message.
@@ -325,23 +267,22 @@ func (m *matcher) accepts(r *recvReq, msg *message) bool {
 	return r.matches(msg)
 }
 
-// postSend enqueues a send or pairs it with a waiting receive. It
-// returns the matched receive (nil if queued), or the error of the flag
-// it observed under the shard lock (see fail).
-func (m *matcher) postSend(cx *Context, msg *message) (*recvReq, error) {
-	s := m.shard(msg.dst)
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// postSend enqueues a send to comm rank dst or pairs it with a waiting
+// receive. It returns the matched receive (nil if queued), or the error
+// of the flag it observed under the queue lock (see fail).
+func (m *matcher) postSend(cx *Context, dst int, msg *message) (*recvReq, error) {
+	q := cx.queue(dst)
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	if m.aborted.Load() {
 		return nil, ErrAborted
 	}
-	if cx.revoked.Load() {
-		return nil, ErrRevoked
+	if cx.state.Load() != ctxLive {
+		return nil, cx.refusal(true)
 	}
-	q := s.queue(m, cx.id)
-	for i := q.recvs.head; i < len(q.recvs.items); i++ {
-		if r := q.recvs.items[i]; m.accepts(r, msg) {
-			q.recvs.remove(i)
+	for i := q.pending.head; i < len(q.pending.items); i++ {
+		if r := q.pending.items[i].rr; r != nil && m.accepts(r, msg) {
+			q.pending.remove(i)
 			return r, nil
 		}
 	}
@@ -352,27 +293,26 @@ func (m *matcher) postSend(cx *Context, msg *message) (*recvReq, error) {
 	if m.dead != nil && m.dead[msg.dst].Load() {
 		return nil, fmt.Errorf("mpi: send to failed rank %d: %w", msg.dst, ErrRankFailed)
 	}
-	q.sends.push(msg)
+	q.pending.push(pending{msg: msg})
 	return nil, nil
 }
 
-// postRecv enqueues a receive or pairs it with a waiting send. It
-// returns the matched send (nil if queued); abort handling matches
-// postSend.
-func (m *matcher) postRecv(cx *Context, dst int, r *recvReq) (*message, error) {
-	s := m.shard(dst)
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// postRecv enqueues a receive posted by comm rank me or pairs it with a
+// waiting send. It returns the matched send (nil if queued); the flags
+// are checked as in postSend.
+func (m *matcher) postRecv(cx *Context, me int, r *recvReq) (*message, error) {
+	q := cx.queue(me)
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	if m.aborted.Load() {
 		return nil, ErrAborted
 	}
-	if cx.revoked.Load() {
-		return nil, ErrRevoked
+	if cx.state.Load() != ctxLive {
+		return nil, cx.refusal(true)
 	}
-	q := s.queue(m, cx.id)
-	for i := q.sends.head; i < len(q.sends.items); i++ {
-		if msg := q.sends.items[i]; m.accepts(r, msg) {
-			q.sends.remove(i)
+	for i := q.pending.head; i < len(q.pending.items); i++ {
+		if msg := q.pending.items[i].msg; msg != nil && m.accepts(r, msg) {
+			q.pending.remove(i)
 			return msg, nil
 		}
 	}
@@ -383,55 +323,55 @@ func (m *matcher) postRecv(cx *Context, dst int, r *recvReq) (*message, error) {
 	if m.dead != nil && r.srcGlobal != AnySource && m.dead[r.srcGlobal].Load() {
 		return nil, fmt.Errorf("mpi: receive from failed rank %d: %w", r.srcGlobal, ErrRankFailed)
 	}
-	q.recvs.push(r)
+	q.pending.push(pending{rr: r})
 	return nil, nil
 }
 
-// fail is the matcher's one sentinel walk, behind abort, rank death and
-// revocation alike. Every queued record sel picks, by its context and
-// by the global rank it is waiting on (a receive's source, a send's
-// destination), leaves its queue, and its poster is fed the sentinel at
-// through the channel it is, or will be, parked on. Each caller
-// publishes its flag first (matcher.aborted, dead, Context.revoked), and
-// posts check the flags under the shard lock: a post either lands before
-// the walk locks that shard, which then feeds it, or observes the flag,
-// so a waiter is never stranded.
+// fail is the sentinel walk over one context's queues, behind abort,
+// rank death and revocation alike: Revoke walks its own record, abort
+// and death walk every live one (World.poison). Every queued record sel
+// picks, by the global rank it is waiting on (a receive's source, a
+// send's destination), leaves its queue, and its poster is fed the
+// sentinel at through the channel it is, or will be, parked on. Each
+// caller publishes its flag first (matcher.aborted, dead,
+// Context.state), and posts check the flags under the queue lock: a
+// post either lands before the walk locks that queue, which then feeds
+// it, or observes the flag, so a waiter is never stranded.
 //
 // The walk selects on what a record waits for, not on who posted it:
 // what a dead rank posted before dying stays matchable (in-flight
 // delivery, as ULFM allows), so whether a peer pairs with it depends
 // only on virtual program order, never on how the peer's post
 // interleaves with the walk in host time. Receives from AnySource wait
-// on no rank and only fail by context.
-func (m *matcher) fail(w *World, at sim.Time, sel func(ctx, peer int) bool) {
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		for _, cq := range s.queues {
-			cq.q.recvs.filter(func(rr *recvReq) bool {
-				if !sel(cq.ctx, rr.srcGlobal) {
+// on no rank and only fail with their context or the job.
+func (cx *Context) fail(w *World, at sim.Time, sel func(peer int) bool) {
+	for i := range cx.queues {
+		q := &cx.queues[i]
+		q.mu.Lock()
+		q.pending.filter(func(e pending) bool {
+			if rr := e.rr; rr != nil {
+				if !sel(rr.srcGlobal) {
 					return true
 				}
 				rr.feed(w, recvResult{at: at})
 				return false
-			})
-			cq.q.sends.filter(func(msg *message) bool {
-				if !sel(cq.ctx, msg.dst) {
-					return true
+			}
+			msg := e.msg
+			if !sel(msg.dst) {
+				return true
+			}
+			if msg.eager {
+				// Fire-and-forget: nobody waits on it, recycle.
+				if msg.store != nil {
+					putEagerStore(msg.store)
 				}
-				if msg.eager {
-					// Fire-and-forget: nobody waits on it, recycle.
-					if msg.store != nil {
-						putEagerStore(msg.store)
-					}
-					putMessage(msg)
-				} else {
-					msg.feed(w, at)
-				}
-				return false
-			})
-		}
-		s.mu.Unlock()
+				putMessage(msg)
+			} else {
+				msg.feed(w, at)
+			}
+			return false
+		})
+		q.mu.Unlock()
 	}
 }
 
@@ -496,19 +436,18 @@ func (w *World) complete(m *message, r *recvReq) {
 	r.feed(w, res)
 }
 
-// pendingRecords counts the unmatched sends and receives queued across
-// all shards — the folded-run tripwire (fold.go) and a test hook. Only
-// meaningful between Runs.
-func (m *matcher) pendingRecords() int {
+// pendingRecords counts the unmatched sends and receives queued on the
+// live contexts — the folded-run tripwire (fold.go) and a test hook.
+// Only meaningful between Runs.
+func (w *World) pendingRecords() int {
+	w.ctxMu.Lock()
+	defer w.ctxMu.Unlock()
 	total := 0
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		for _, cq := range s.queues {
-			total += len(cq.q.sends.items) - cq.q.sends.head
-			total += len(cq.q.recvs.items) - cq.q.recvs.head
+	for _, cx := range w.ctxs {
+		for i := range cx.queues {
+			q := &cx.queues[i].pending
+			total += len(q.items) - q.head
 		}
-		s.mu.Unlock()
 	}
 	return total
 }
@@ -538,7 +477,7 @@ func (c *Comm) SendFlag(dst, tag int) error {
 		postClock: c.p.clock,
 		done:      msg.done,
 	}
-	r, err := w.match.postSend(c.cx, msg)
+	r, err := w.match.postSend(c.cx, dst, msg)
 	if err != nil {
 		return err
 	}

@@ -56,7 +56,7 @@ func (c *Comm) postSendAtClock(buf Buf, dst, tag int, at sim.Time, kind string) 
 	if w.tracer.Enabled() {
 		w.tracer.Record(sim.Event{At: at, Rank: c.p.rank, Kind: kind, Bytes: buf.Len()})
 	}
-	r, err := w.match.postSend(c.cx, msg)
+	r, err := w.match.postSend(c.cx, dst, msg)
 	if err != nil {
 		putMessage(msg)
 		return nil, err
@@ -113,7 +113,7 @@ func (c *Comm) postRecvReqAt(buf Buf, src, tag int, at sim.Time, kind string) (*
 	if kind != "" && w.tracer.Enabled() {
 		w.tracer.Record(sim.Event{At: at, Rank: c.p.rank, Kind: kind, Bytes: buf.Len()})
 	}
-	msg, err := w.match.postRecv(c.cx, c.p.rank, rr)
+	msg, err := w.match.postRecv(c.cx, c.rank, rr)
 	if err != nil {
 		putRecvReq(rr)
 		return nil, err

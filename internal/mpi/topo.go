@@ -77,7 +77,7 @@ func rowMajorCoords(rank int, dims, out []int) {
 // so no exchange runs.
 type cartPlan struct {
 	info   *cartInfo
-	cx     Context
+	cx     *Context
 	gridOf []int // parent comm rank -> grid rank, -1 beyond the volume
 }
 
@@ -136,7 +136,7 @@ func (c *Comm) CartCreate(dims []int, periods []bool, reorder bool) (*Comm, erro
 	if g < 0 {
 		return nil, nil
 	}
-	nc := c.NewGroupComm(&plan.cx, g)
+	nc := c.NewGroupComm(plan.cx, g)
 	in, out := cartEdges(plan.info, g)
 	nc.ptopo = &procTopo{cart: plan.info, in: in, out: out}
 	return nc, nil
@@ -167,7 +167,7 @@ func buildCartPlan(c *Comm, dims []int, periods []bool, vol int, reorder bool) *
 		plan.gridOf[r] = g
 		ranks[g] = c.cx.ranks[r]
 	}
-	c.p.world.InitContext(&plan.cx, ranks)
+	plan.cx = c.p.world.NewContext(ranks)
 	return plan
 }
 

@@ -29,11 +29,10 @@ type World struct {
 	match   *matcher
 	collCfg any // default collective-tuning config inherited by CommWorld
 
-	// ctxs lists every communicator context opened on the world, the
-	// world communicator's first (worldCx): a context's id is its place
-	// here, and the list is what the poison walks pass over. Appended to
-	// by InitContext under ctxMu; records are never removed, a world's
-	// contexts live as long as it does.
+	// ctxs lists the live contexts, the world communicator's first
+	// (worldCx), for the poison walks and the folded-run tripwire. A
+	// context opened inside a Run leaves it when that Run ends, so a
+	// handle lives for the Run that built it.
 	ctxMu   sync.Mutex
 	ctxs    []*Context
 	worldCx *Context
@@ -87,16 +86,15 @@ var ErrAborted = errors.New("mpi: job aborted because another rank failed")
 //
 // Every wait is a plain receive on the channel of the record or round
 // the rank waits on (await, event.go), so Abort reaches them all the
-// same way: flag first, then one walk feeds every queued matcher record
-// the abortClock sentinel and one pass over the world's contexts closes
-// every live rendezvous round.
+// same way: flag first, then one pass over the live contexts feeds every
+// queued matcher record the abortClock sentinel and closes every live
+// rendezvous round.
 // abortCh only serves the event scheduler's empty-ring wait.
 func (w *World) Abort() {
 	w.abortOnce.Do(func() {
 		w.match.aborted.Store(true)
 		close(w.abortCh)
-		w.match.fail(nil, abortClock, func(int, int) bool { return true })
-		w.failRounds(nil, ErrAborted, func([]int) bool { return true })
+		w.poison(nil, abortClock, ErrAborted, func(int) bool { return true })
 	})
 }
 
@@ -197,7 +195,7 @@ func NewWorldConfig(model *sim.CostModel, topo *sim.Topology, cfg Config) (*Worl
 		tracer:   cfg.Tracer,
 		collCfg:  cfg.CollConfig,
 		foldUnit: cfg.FoldUnit,
-		match:    newMatcher(),
+		match:    &matcher{fold: cfg.FoldUnit},
 		abortCh:  make(chan struct{}),
 	}
 	if err := w.validateFold(); err != nil {
@@ -215,8 +213,6 @@ func NewWorldConfig(model *sim.CostModel, topo *sim.Topology, cfg Config) (*Worl
 		w.execN = w.foldUnit
 	}
 	w.rankMain = w.runNextRank
-	w.match.fold = w.foldUnit
-	w.match.sizeTo(w.execN)
 	if w.hasFailures() {
 		w.match.dead = make([]atomic.Bool, topo.Size())
 	}
@@ -285,10 +281,13 @@ type runState struct {
 // error, no abort) is drained — matcher queues empty, no rendezvous
 // round live — and a ResetClocks+Run cycle on it produces
 // virtual times bit-identical to a freshly constructed world of the
-// same shape. Run on an aborted world fails immediately with
-// ErrAborted (the world stays poisoned), and on a closed world with
-// ErrClosed. Calls must not overlap: a second Run while one is in
-// flight panics.
+// same shape. A handle lives for the Run that built it: Run drops the
+// contexts it opened when it returns, so the world holds what it held
+// before, and a handle carried into a later Run (CommWorld's aside) is
+// refused with an error naming its communicator. Run on an aborted
+// world fails immediately with ErrAborted (the world stays poisoned),
+// and on a closed world with ErrClosed. Calls must not overlap: a
+// second Run while one is in flight panics.
 func (w *World) Run(body func(p *Proc) error) error {
 	if w.closed.Load() {
 		return ErrClosed
@@ -301,6 +300,7 @@ func (w *World) Run(body func(p *Proc) error) error {
 	}
 	defer w.running.Store(false)
 
+	held := len(w.ctxs) // the contexts from before this Run; none is being opened now
 	st := &w.run
 	st.body = body
 	if st.errs == nil {
@@ -330,6 +330,7 @@ func (w *World) Run(body func(p *Proc) error) error {
 	if w.foldUnit > 0 {
 		err = w.finishFoldedRun(err)
 	}
+	w.retireSince(held)
 	return err
 }
 

@@ -144,7 +144,6 @@ func (m *metrics) render(w *strings.Builder, cacheLen int, pointCap, sweepCap in
 	fmt.Fprintf(w, "# TYPE repro_world_pool_retired_total counter\n")
 	fmt.Fprintf(w, "repro_world_pool_retired_total{reason=\"evicted\"} %d\n", ps.Evicted)
 	fmt.Fprintf(w, "repro_world_pool_retired_total{reason=\"reaped\"} %d\n", ps.Reaped)
-	fmt.Fprintf(w, "repro_world_pool_retired_total{reason=\"recycled\"} %d\n", ps.Recycled)
 	fmt.Fprintf(w, "repro_world_pool_retired_total{reason=\"discarded\"} %d\n", ps.Discarded)
 
 	fmt.Fprintf(w, "# HELP repro_tune_store_entries Cached measured-policy selection points in the tuning store.\n")

@@ -53,6 +53,28 @@ func TestWorldPoolHitsAcrossQueries(t *testing.T) {
 	}
 }
 
+// TestWorldPoolServesOneShapeFromOneWorld: a world holds after a Run
+// what it held before it, so one resident world serves every query of
+// its shape — no checkout cap retires it — and /metrics has no
+// retirement reason for one.
+func TestWorldPoolServesOneShapeFromOneWorld(t *testing.T) {
+	srv := newTestServer()
+	defer srv.Close()
+	const n = 200
+	for i := 0; i < n; i++ {
+		if rec := do(t, srv, "POST", "/v1/run", poolQuery(64+i*16)); rec.Code != 200 {
+			t.Fatalf("query %d: %d %s", i, rec.Code, rec.Body)
+		}
+	}
+	if s := srv.PoolStats(); s.Misses != 1 || s.Hits != n-1 {
+		t.Errorf("%d same-shape queries: %+v, want 1 miss and %d hits", n, s, n-1)
+	}
+	rec := do(t, srv, "GET", "/metrics", "")
+	if strings.Contains(rec.Body.String(), `reason="recycled"`) {
+		t.Error(`metrics still carry a repro_world_pool_retired_total{reason="recycled"} line`)
+	}
+}
+
 // TestWorldPoolDisabled: a negative rank budget turns pooling off.
 func TestWorldPoolDisabled(t *testing.T) {
 	srv := server.New(server.Config{WorldPoolRanks: -1, Logger: quietLogger()})

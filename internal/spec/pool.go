@@ -57,12 +57,10 @@ type PoolConfig struct {
 	// reaper closes it (default 60s; <= 0 disables the reaper, so
 	// worlds stay resident until evicted or the pool closes).
 	MaxIdle time.Duration
-	// MaxCheckouts caps how many times one world is handed out before
-	// check-in retires it instead of parking it. Every Run appends a
-	// few communicator contexts to the world's matcher tables, so an
-	// immortal world would grow without bound; recycling bounds that
-	// while still amortizing construction across many queries
-	// (default 64).
+	// MaxCheckouts is ignored: a world drops the communicator contexts a
+	// Run opened when that Run ends, so a parked world does not grow and
+	// no checkout cap is needed. The field stays only because the frozen
+	// benchmark/ harness sets it.
 	MaxCheckouts int
 }
 
@@ -77,8 +75,6 @@ type PoolStats struct {
 	Evicted int64
 	// Reaped counts worlds closed by the idle reaper.
 	Reaped int64
-	// Recycled counts worlds retired at the checkout cap.
-	Recycled int64
 	// Discarded counts aborted or post-close worlds closed at check-in.
 	Discarded int64
 	// IdleWorlds is the resident world count awaiting checkout.
@@ -106,8 +102,6 @@ type PooledWorld struct {
 	W *mpi.World
 	// key remembers the shape bucket the world parks under.
 	key ShapeKey
-	// uses counts checkouts of this world, against MaxCheckouts.
-	uses int
 	// last is the park time, consulted by the idle reaper.
 	last time.Time
 	// elem is the world's LRU position while parked.
@@ -120,9 +114,10 @@ type PooledWorld struct {
 // builds one; Checkin parks the world for the next query of the same
 // shape. The pool holds only idle worlds: a checked-out world is
 // exclusively the holder's until it comes back, so the one-Run-at-a-
-// time World contract is structural. Idle residency is bounded three
-// ways — a rank budget with LRU eviction, an idle reaper, and a
-// per-world checkout cap (see PoolConfig) — and Close retires
+// time World contract is structural. Idle residency is bounded two
+// ways — a rank budget with LRU eviction and an idle reaper (see
+// PoolConfig); a world holds after a Run what it held before it, so it
+// is reused for as long as it stays healthy — and Close retires
 // everything, for graceful daemon shutdown.
 type WorldPool struct {
 	cfg PoolConfig
@@ -134,7 +129,7 @@ type WorldPool struct {
 	leased    int
 	closed    bool
 
-	hits, misses, evicted, reaped, recycled, discarded int64
+	hits, misses, evicted, reaped, discarded int64
 
 	reapStop chan struct{}
 	reapDone chan struct{}
@@ -148,9 +143,6 @@ func NewWorldPool(cfg PoolConfig) *WorldPool {
 	}
 	if cfg.MaxIdle == 0 {
 		cfg.MaxIdle = 60 * time.Second
-	}
-	if cfg.MaxCheckouts <= 0 {
-		cfg.MaxCheckouts = 64
 	}
 	p := &WorldPool{
 		cfg:  cfg,
@@ -179,7 +171,6 @@ func (p *WorldPool) Checkout(key ShapeKey, build func() (*mpi.World, error)) (*P
 		p.hits++
 		p.leased++
 		p.mu.Unlock()
-		pw.uses++
 		pw.W.ResetClocks()
 		return pw, nil
 	}
@@ -194,13 +185,13 @@ func (p *WorldPool) Checkout(key ShapeKey, build func() (*mpi.World, error)) (*P
 		p.mu.Unlock()
 		return nil, err
 	}
-	return &PooledWorld{W: w, key: key, uses: 1}, nil
+	return &PooledWorld{W: w, key: key}, nil
 }
 
-// Checkin returns a checked-out world. Poisoned, closed or worn-out
-// worlds are retired; healthy ones park on the shape's idle stack,
-// evicting least-recently-used idle worlds if the rank budget
-// overflows. Always call it exactly once per successful Checkout.
+// Checkin returns a checked-out world. Poisoned or closed worlds are
+// retired; healthy ones park on the shape's idle stack, evicting
+// least-recently-used idle worlds if the rank budget overflows. Always
+// call it exactly once per successful Checkout.
 func (p *WorldPool) Checkin(pw *PooledWorld) {
 	w := pw.W
 	// A damaged world (a scheduled rank failure fired) is permanently
@@ -209,31 +200,27 @@ func (p *WorldPool) Checkin(pw *PooledWorld) {
 
 	p.mu.Lock()
 	p.leased--
-	switch {
-	case p.closed || !healthy:
+	if p.closed || !healthy {
 		p.discarded++
-	case pw.uses >= p.cfg.MaxCheckouts:
-		p.recycled++
-	default:
-		pw.last = time.Now()
-		pw.elem = p.lru.PushFront(pw)
-		p.idle[pw.key] = append(p.idle[pw.key], pw)
-		p.idleRanks += w.Size()
-		var evict []*PooledWorld
-		for p.idleRanks > p.cfg.MaxRanks && p.lru.Len() > 1 {
-			oldest := p.lru.Back().Value.(*PooledWorld)
-			p.popLocked(oldest)
-			p.evicted++
-			evict = append(evict, oldest)
-		}
 		p.mu.Unlock()
-		for _, e := range evict {
-			e.W.Close()
-		}
+		w.Close()
 		return
 	}
+	pw.last = time.Now()
+	pw.elem = p.lru.PushFront(pw)
+	p.idle[pw.key] = append(p.idle[pw.key], pw)
+	p.idleRanks += w.Size()
+	var evict []*PooledWorld
+	for p.idleRanks > p.cfg.MaxRanks && p.lru.Len() > 1 {
+		oldest := p.lru.Back().Value.(*PooledWorld)
+		p.popLocked(oldest)
+		p.evicted++
+		evict = append(evict, oldest)
+	}
 	p.mu.Unlock()
-	w.Close()
+	for _, e := range evict {
+		e.W.Close()
+	}
 }
 
 // popLocked unparks pw: removes it from its shape stack, the LRU list
@@ -332,7 +319,6 @@ func (p *WorldPool) Stats() PoolStats {
 		Misses:     p.misses,
 		Evicted:    p.evicted,
 		Reaped:     p.reaped,
-		Recycled:   p.recycled,
 		Discarded:  p.discarded,
 		IdleWorlds: p.lru.Len(),
 		IdleRanks:  p.idleRanks,

@@ -117,28 +117,6 @@ func TestWorldPoolOversizedWorldStillParks(t *testing.T) {
 	p.Checkin(b)
 }
 
-func TestWorldPoolRecyclesAtCheckoutCap(t *testing.T) {
-	topo := sim.MustUniformHier(4, sim.LevelDim{Name: "node", Arity: 2})
-	p := spec.NewWorldPool(spec.PoolConfig{MaxCheckouts: 2, MaxIdle: -1})
-	defer p.Close()
-	key := poolKey(topo, 0)
-
-	a, _ := p.Checkout(key, poolWorld(t, topo))
-	p.Checkin(a)
-	b, _ := p.Checkout(key, poolWorld(t, topo)) // second use: at the cap
-	if b.W != a.W {
-		t.Fatal("expected a pool hit")
-	}
-	p.Checkin(b)
-	s := p.Stats()
-	if s.Recycled != 1 || s.IdleWorlds != 0 {
-		t.Errorf("after cap: %+v", s)
-	}
-	if !b.W.Closed() {
-		t.Error("recycled world was not closed")
-	}
-}
-
 func TestWorldPoolDiscardsAbortedWorlds(t *testing.T) {
 	topo := sim.MustUniformHier(4, sim.LevelDim{Name: "node", Arity: 2})
 	p := spec.NewWorldPool(spec.PoolConfig{MaxIdle: -1})
@@ -230,8 +208,8 @@ func TestWorldPoolCloseRetiresEverything(t *testing.T) {
 
 // TestWorldPoolConcurrentHammer drives checkout/checkin/eviction from
 // many goroutines at once with a rank budget small enough that parking
-// constantly evicts, plus a fast reaper and a low checkout cap — every
-// retirement path races every other. Run under -race this is the
+// constantly evicts, plus a fast reaper — every retirement path races
+// every other. Run under -race this is the
 // pool's memory-safety proof; the accounting invariants are asserted
 // at the end.
 func TestWorldPoolConcurrentHammer(t *testing.T) {
@@ -241,9 +219,8 @@ func TestWorldPoolConcurrentHammer(t *testing.T) {
 		sim.MustUniformHier(8, sim.LevelDim{Name: "node", Arity: 2}),
 	}
 	p := spec.NewWorldPool(spec.PoolConfig{
-		MaxRanks:     24, // two small worlds at most
-		MaxIdle:      100 * time.Millisecond,
-		MaxCheckouts: 4,
+		MaxRanks: 24, // two small worlds at most
+		MaxIdle:  100 * time.Millisecond,
 	})
 	const goroutines = 16
 	const iters = 40

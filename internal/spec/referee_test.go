@@ -32,9 +32,12 @@ func TestRefereeDemandsPoolHit(t *testing.T) {
 	if s := pool.Stats(); s.Hits == 0 {
 		t.Errorf("warm pool recorded no hit: %+v", s)
 	}
-	// A pool that retires every world at check-in can never serve a
-	// warm one: the verdict would say nothing about reuse.
-	err = referee(spec.NewWorldPool(spec.PoolConfig{MaxIdle: -1, MaxCheckouts: 1}))
+	// A closed pool misses every checkout and retires every world at
+	// check-in, so it can never serve a warm one: the verdict would say
+	// nothing about reuse.
+	closed := spec.NewWorldPool(spec.PoolConfig{MaxIdle: -1})
+	closed.Close()
+	err = referee(closed)
 	if err == nil || !strings.Contains(err.Error(), "share a world pool but none hit it") {
 		t.Errorf("hitless pool: got %v, want the no-warm-world error", err)
 	}
