@@ -1,7 +1,10 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -35,33 +38,50 @@ type metrics struct {
 	histN      atomic.Int64
 
 	mu       sync.Mutex
-	requests map[string]int64 // "endpoint|code" -> count
-	tenants  map[string]int64 // "tenant|outcome" -> count
+	requests map[requestLabels]int64
+	tenants  map[tenantLabels]int64
+}
+
+// requestLabels are the labels of one repro_requests_total series.
+type requestLabels struct {
+	endpoint string
+	code     int
+}
+
+// tenantLabels are the labels of one repro_tenant_requests_total
+// series.
+type tenantLabels struct {
+	name    string
+	allowed bool
+}
+
+// outcomeLabel is the series' outcome label.
+func (l tenantLabels) outcomeLabel() string {
+	if l.allowed {
+		return "allowed"
+	}
+	return "limited"
 }
 
 func newMetrics() *metrics {
 	return &metrics{
 		histCounts: make([]atomic.Int64, len(latencyBuckets)+1),
-		requests:   make(map[string]int64),
-		tenants:    make(map[string]int64),
+		requests:   make(map[requestLabels]int64),
+		tenants:    make(map[tenantLabels]int64),
 	}
 }
 
 // tenant records one rate-limiter decision for the given tenant.
 func (m *metrics) tenant(name string, allowed bool) {
-	outcome := "limited"
-	if allowed {
-		outcome = "allowed"
-	}
 	m.mu.Lock()
-	m.tenants[name+"|"+outcome]++
+	m.tenants[tenantLabels{name, allowed}]++
 	m.mu.Unlock()
 }
 
 // request records one completed request.
 func (m *metrics) request(endpoint string, code int, d time.Duration) {
 	m.mu.Lock()
-	m.requests[fmt.Sprintf("%s|%d", endpoint, code)]++
+	m.requests[requestLabels{endpoint, code}]++
 	m.mu.Unlock()
 	s := d.Seconds()
 	i := sort.SearchFloat64s(latencyBuckets, s)
@@ -77,28 +97,18 @@ func (m *metrics) render(w *strings.Builder, cacheLen int, pointCap, sweepCap in
 	fmt.Fprintf(w, "# HELP repro_requests_total Completed HTTP requests by endpoint and status code.\n")
 	fmt.Fprintf(w, "# TYPE repro_requests_total counter\n")
 	m.mu.Lock()
-	keys := make([]string, 0, len(m.requests))
-	for k := range m.requests {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		endpoint, code, _ := strings.Cut(k, "|")
-		fmt.Fprintf(w, "repro_requests_total{endpoint=%q,code=%q} %d\n", endpoint, code, m.requests[k])
+	for _, l := range slices.SortedFunc(maps.Keys(m.requests), func(a, b requestLabels) int {
+		return cmp.Or(strings.Compare(a.endpoint, b.endpoint), cmp.Compare(a.code, b.code))
+	}) {
+		fmt.Fprintf(w, "repro_requests_total{endpoint=%q,code=\"%d\"} %d\n", l.endpoint, l.code, m.requests[l])
 	}
 	if len(m.tenants) > 0 {
 		fmt.Fprintf(w, "# HELP repro_tenant_requests_total Per-tenant rate-limiter decisions on the query endpoints.\n")
 		fmt.Fprintf(w, "# TYPE repro_tenant_requests_total counter\n")
-		tkeys := make([]string, 0, len(m.tenants))
-		for k := range m.tenants {
-			tkeys = append(tkeys, k)
-		}
-		sort.Strings(tkeys)
-		for _, k := range tkeys {
-			// Split at the LAST separator: the outcome never contains
-			// "|" but a hostile tenant header might.
-			i := strings.LastIndex(k, "|")
-			fmt.Fprintf(w, "repro_tenant_requests_total{tenant=%q,outcome=%q} %d\n", k[:i], k[i+1:], m.tenants[k])
+		for _, l := range slices.SortedFunc(maps.Keys(m.tenants), func(a, b tenantLabels) int {
+			return cmp.Or(strings.Compare(a.name, b.name), strings.Compare(a.outcomeLabel(), b.outcomeLabel()))
+		}) {
+			fmt.Fprintf(w, "repro_tenant_requests_total{tenant=%q,outcome=%q} %d\n", l.name, l.outcomeLabel(), m.tenants[l])
 		}
 	}
 	m.mu.Unlock()

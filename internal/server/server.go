@@ -10,11 +10,12 @@
 // concurrent, one execution:
 //
 //   - identical in-flight queries are coalesced (single-flight): the
-//     first request simulates, the rest park and receive the same
-//     result, so a thundering herd of one hot query costs one run
-//   - completed results live in a fixed-capacity LRU keyed by
-//     fingerprint, so a warm cache answers point queries without
-//     touching the simulator at all
+//     first request simulates (or prices), the rest park and receive
+//     the same result, so a thundering herd of one hot query costs one
+//     run
+//   - completed results stay in the same fixed-capacity LRU, so a warm
+//     cache answers point queries without touching the simulator at
+//     all; finishing a computation is what caches it
 //   - execution is bounded by two worker pools: sweep-class queries
 //     (long ladders or large worlds) compete for a small pool while
 //     point queries keep their own slots, so a batch of sweeps cannot
@@ -74,7 +75,8 @@ type Config struct {
 	// SweepRanks is the world size at which a query counts as a sweep
 	// (default 4096).
 	SweepRanks int
-	// CacheEntries is the result-cache capacity (default 4096).
+	// CacheEntries is the result-cache capacity, /v1/run and /v1/price
+	// answers together (default 4096).
 	CacheEntries int
 	// MaxRanks caps the world size one request may declare; bigger
 	// queries answer 413 before anything is built (default 1<<20,
@@ -133,8 +135,7 @@ type Config struct {
 // cmd/serverd.
 type Server struct {
 	cfg     Config
-	cache   *resultCache
-	flight  *flightGroup
+	cache   *cache
 	met     *metrics
 	mux     *http.ServeMux
 	tenants *tenantLimiter // nil when TenantQPS is 0
@@ -199,8 +200,7 @@ func New(cfg Config) *Server {
 	ctx, stop := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:     cfg,
-		cache:   newResultCache(cfg.CacheEntries),
-		flight:  newFlightGroup(),
+		cache:   newCache(cfg.CacheEntries),
 		met:     newMetrics(),
 		mux:     http.NewServeMux(),
 		points:  make(chan struct{}, cfg.Workers),
@@ -392,21 +392,25 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, code, errorBody{Error: err.Error()})
 }
 
-// readQuery strictly decodes the request body into a canonical Query
-// and applies the service admission caps.
-func (s *Server) readQuery(w http.ResponseWriter, r *http.Request) (*spec.Query, error) {
+// readQuery strictly decodes the request body into a canonical Query,
+// applies the service admission caps and fingerprints it.
+func (s *Server) readQuery(w http.ResponseWriter, r *http.Request) (*spec.Query, string, error) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
-		return nil, &httpError{http.StatusRequestEntityTooLarge, err}
+		return nil, "", &httpError{http.StatusRequestEntityTooLarge, err}
 	}
 	q, err := spec.Parse(body)
 	if err != nil {
-		return nil, &httpError{http.StatusBadRequest, err}
+		return nil, "", &httpError{http.StatusBadRequest, err}
 	}
 	if err := s.admit(q); err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	return q, nil
+	fp, err := q.Fingerprint()
+	if err != nil {
+		return nil, "", &httpError{http.StatusBadRequest, err}
+	}
+	return q, fp, nil
 }
 
 // admit applies the service-level resource caps that spec's own
@@ -455,14 +459,9 @@ func acquire(ctx context.Context, pool chan struct{}) error {
 // spec.Result. The X-Cache response header reports which path answered
 // (hit, miss, coalesced); the body is bit-identical on all three.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	q, err := s.readQuery(w, r)
+	q, fp, err := s.readQuery(w, r)
 	if err != nil {
 		writeError(w, err)
-		return
-	}
-	fp, err := q.Fingerprint()
-	if err != nil {
-		writeError(w, &httpError{http.StatusBadRequest, err})
 		return
 	}
 	// Measured-policy results depend on the tuning store's contents as
@@ -470,62 +469,56 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// store generation: once the tuner learns a point, the next
 	// identical request re-executes against the warmer store instead of
 	// replaying a staler cached answer.
+	key := cacheKey{fp: fp}
 	if q.Tuning.Policy == "measured" {
-		fp += "@g" + strconv.FormatUint(s.tuner.Store().Generation(), 10)
+		key.gen = s.tuner.Store().Generation()
 	}
-	if res, ok := s.cache.get("run:" + fp); ok {
+	switch s.serveCached(w, r, key, func() (any, error) { return s.execute(q) }) {
+	case hit:
 		s.met.cacheHits.Add(1)
-		w.Header().Set("X-Cache", "hit")
-		writeJSON(w, http.StatusOK, res)
-		return
-	}
-	call, leader := s.flight.join(fp)
-	if !leader {
+	case lead:
+		s.met.cacheMiss.Add(1)
+	case follow:
 		s.met.coalesced.Add(1)
-		select {
-		case <-call.done:
-		case <-r.Context().Done():
-			writeError(w, r.Context().Err())
-			return
-		}
-		if call.err != nil {
-			writeError(w, call.err)
-			return
-		}
-		w.Header().Set("X-Cache", "coalesced")
-		writeJSON(w, http.StatusOK, call.val)
-		return
 	}
-
-	s.met.cacheMiss.Add(1)
-	res, err := s.lead(fp, call, q)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	w.Header().Set("X-Cache", "miss")
-	writeJSON(w, http.StatusOK, res)
 }
 
-// lead executes the query as the flight leader. finish is guaranteed
-// even on panic: net/http recovers handler panics, and a leader that
-// never finished would park every future identical query forever — so
-// a panic publishes an error to the followers before propagating. On
-// success the result enters the cache before finish deregisters the
-// flight, so a request arriving after the flight window hits the
-// cache instead of becoming a fresh leader.
-func (s *Server) lead(fp string, call *flightCall, q *spec.Query) (res *spec.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			s.flight.finish(fp, call, nil, fmt.Errorf("server: panic during execution: %v", p))
-			panic(p)
+// serveCached answers a cacheable query. A resident answer is written
+// straight out; a follower waits for the leader's answer or for its own
+// client to give up; a leader computes, and finishing caches the
+// answer. finish runs even if compute panics: net/http recovers handler
+// panics, and a leader that never finished would park every later
+// identical query forever, so the panic is published to the followers
+// as an error before it propagates.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key cacheKey, compute func() (any, error)) outcome {
+	e, o := s.cache.join(key)
+	switch o {
+	case follow:
+		select {
+		case <-e.done:
+		case <-r.Context().Done():
+			writeError(w, r.Context().Err())
+			return o
 		}
-		if err == nil {
-			s.cache.add("run:"+fp, res)
-		}
-		s.flight.finish(fp, call, res, err)
-	}()
-	return s.execute(q)
+	case lead:
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					s.cache.finish(e, nil, fmt.Errorf("server: panic during execution: %v", p))
+					panic(p)
+				}
+			}()
+			val, err := compute()
+			s.cache.finish(e, val, err)
+		}()
+	}
+	if e.err != nil {
+		writeError(w, e.err)
+		return o
+	}
+	w.Header().Set("X-Cache", string(o))
+	writeJSON(w, http.StatusOK, e.val)
+	return o
 }
 
 // execute runs the query under the worker pools and the configured
@@ -549,31 +542,15 @@ func (s *Server) execute(q *spec.Query) (*spec.Result, error) {
 
 // handlePrice is POST /v1/price: run the selection engine over the
 // ladder without simulating. Cheap enough that it bypasses the worker
-// pools; cached under its own key space.
+// pools; cached and coalesced like /v1/run, but not counted in the
+// run cache counters.
 func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
-	q, err := s.readQuery(w, r)
+	q, fp, err := s.readQuery(w, r)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	fp, err := q.Fingerprint()
-	if err != nil {
-		writeError(w, &httpError{http.StatusBadRequest, err})
-		return
-	}
-	if rep, ok := s.cache.get("price:" + fp); ok {
-		w.Header().Set("X-Cache", "hit")
-		writeJSON(w, http.StatusOK, rep)
-		return
-	}
-	rep, err := spec.Price(q)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	s.cache.add("price:"+fp, rep)
-	w.Header().Set("X-Cache", "miss")
-	writeJSON(w, http.StatusOK, rep)
+	s.serveCached(w, r, cacheKey{fp: fp, price: true}, func() (any, error) { return spec.Price(q) })
 }
 
 // canonBody is the POST /v1/canon response: the canonical form and
@@ -587,17 +564,12 @@ type canonBody struct {
 
 // handleCanon is POST /v1/canon: validate, canonicalize, fingerprint.
 func (s *Server) handleCanon(w http.ResponseWriter, r *http.Request) {
-	q, err := s.readQuery(w, r)
+	q, fp, err := s.readQuery(w, r)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	canon, err := q.CanonicalJSON()
-	if err != nil {
-		writeError(w, &httpError{http.StatusBadRequest, err})
-		return
-	}
-	fp, err := q.Fingerprint()
 	if err != nil {
 		writeError(w, &httpError{http.StatusBadRequest, err})
 		return

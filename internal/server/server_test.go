@@ -253,6 +253,53 @@ func TestConcurrentClientsCoalesce(t *testing.T) {
 	t.Logf("hits=%d misses=%d coalesced=%d", hits, misses, coalesced)
 }
 
+// TestConcurrentPriceCoalesces: /v1/price shares the run path's cache,
+// so identical concurrent price queries compute once. Exactly one
+// request answers as the miss, the rest hit or coalesce onto it, and
+// every body is byte-identical.
+func TestConcurrentPriceCoalesces(t *testing.T) {
+	srv := newTestServer()
+	defer srv.Close()
+	const clients = 16
+	body := `{"machine":"hazelhen-cray","topology":{"nodes":64,"ppn":24},"collective":"allreduce",
+		"sizes":[8,16,32,64,128,256,512,1024,2048,4096,8192,16384,32768,65536,131072,262144,
+		524288,1048576,2097152,4194304,8388608,16777216,33554432,67108864]}`
+	start := make(chan struct{})
+	recs := make([]*httptest.ResponseRecorder, clients)
+	var wg sync.WaitGroup
+	for i := range recs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req := httptest.NewRequest("POST", "/v1/price", strings.NewReader(body))
+			recs[i] = httptest.NewRecorder()
+			<-start
+			srv.ServeHTTP(recs[i], req)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	misses := 0
+	for i, rec := range recs {
+		if rec.Code != 200 {
+			t.Fatalf("client %d: %d %s", i, rec.Code, rec.Body)
+		}
+		switch c := rec.Header().Get("X-Cache"); c {
+		case "miss":
+			misses++
+		case "hit", "coalesced":
+		default:
+			t.Errorf("client %d: X-Cache %q", i, c)
+		}
+		if !bytes.Equal(rec.Body.Bytes(), recs[0].Body.Bytes()) {
+			t.Errorf("client %d body differs from client 0", i)
+		}
+	}
+	if misses != 1 {
+		t.Errorf("%d of %d identical price queries computed, want 1", misses, clients)
+	}
+}
+
 // TestExecuteTimeout: a timeout too short to even acquire a slot must
 // surface as 504, not hang.
 func TestExecuteTimeout(t *testing.T) {

@@ -65,17 +65,20 @@ type measureReq struct {
 // every daemon); queries whose tuning policy is "measured" then report
 // their selection misses here. One worker goroutine drains the queue,
 // so measurements never compete with the query worlds for more than
-// one core and each point is measured exactly once (the store's claim
-// set is the singleflight).
+// one core. The tuner, not the store, sees that each point is measured
+// once: a miss for a point already cached or in flight (queued or
+// being measured) is dropped, and a point whose measurement failed may
+// be requested again.
 type Tuner struct {
 	store *tune.Store
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []measureReq
-	busy   bool
-	closed bool
-	done   chan struct{}
+	mu       sync.Mutex
+	cond     *sync.Cond
+	queue    []measureReq
+	inflight map[tune.Key]struct{} // the keys queued or being measured
+	busy     bool
+	closed   bool
+	done     chan struct{}
 
 	errs atomic.Int64
 }
@@ -83,7 +86,7 @@ type Tuner struct {
 // NewTuner starts a tuner over a store and returns it. Close releases
 // its worker.
 func NewTuner(store *tune.Store) *Tuner {
-	t := &Tuner{store: store, done: make(chan struct{})}
+	t := &Tuner{store: store, inflight: map[tune.Key]struct{}{}, done: make(chan struct{})}
 	t.cond = sync.NewCond(&t.mu)
 	go t.worker()
 	return t
@@ -93,25 +96,21 @@ func NewTuner(store *tune.Store) *Tuner {
 func (t *Tuner) Store() *tune.Store { return t.store }
 
 // Errors returns how many measurements failed (world build or run
-// errors); failed points are released for a later retry.
+// errors); a failed point is measured again on a later miss.
 func (t *Tuner) Errors() int64 { return t.errs.Load() }
 
 // request enqueues a measurement unless the point is already cached,
-// already in flight, or the tuner is closed. Never blocks (it runs on
-// simulated ranks' goroutines, under OnMiss).
+// already in flight, or the tuner is closed. Never blocks on a
+// measurement (it runs on simulated ranks' goroutines, under OnMiss).
 func (t *Tuner) request(req measureReq) {
-	if !t.store.Claim(req.key) {
-		return
-	}
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		t.store.Release(req.key)
+	defer t.mu.Unlock()
+	if _, ok := t.inflight[req.key]; ok || t.closed || t.store.Has(req.key) {
 		return
 	}
+	t.inflight[req.key] = struct{}{}
 	t.queue = append(t.queue, req)
 	t.cond.Broadcast()
-	t.mu.Unlock()
 }
 
 // Drain blocks until the measurement queue is empty and no measurement
@@ -126,23 +125,13 @@ func (t *Tuner) Drain() {
 }
 
 // Close stops the worker (waiting for an in-flight measurement to
-// finish), abandons queued requests, and releases their claims.
-// Idempotent.
+// finish) and abandons queued requests. Idempotent.
 func (t *Tuner) Close() {
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		<-t.done
-		return
-	}
 	t.closed = true
-	abandoned := t.queue
-	t.queue = nil
+	t.queue, t.inflight = nil, nil
 	t.cond.Broadcast()
 	t.mu.Unlock()
-	for _, req := range abandoned {
-		t.store.Release(req.key)
-	}
 	<-t.done
 }
 
@@ -168,6 +157,7 @@ func (t *Tuner) worker() {
 		t.measure(req)
 
 		t.mu.Lock()
+		delete(t.inflight, req.key)
 		t.busy = false
 	}
 }
@@ -180,6 +170,11 @@ func (t *Tuner) worker() {
 // draws are keyed by op index and reset with the clocks). Ties break
 // by registration order, matching the cost policy's tie-break.
 func (t *Tuner) measure(req measureReq) {
+	body, err := raceBody(req.cl, req.env)
+	if err != nil {
+		t.fail(req, err)
+		return
+	}
 	w, err := mpi.NewWorldConfig(req.model, req.topo, mpi.Config{
 		Engine: sim.EngineEvent,
 		Noise:  req.noise,
@@ -198,11 +193,6 @@ func (t *Tuner) measure(req measureReq) {
 			continue
 		}
 		forced := coll.Tuning{Force: map[coll.Collective]string{req.cl: name}}
-		body, err := raceBody(req.cl, req.env)
-		if err != nil {
-			t.fail(req, err)
-			return
-		}
 		w.ResetClocks()
 		if err := w.Run(func(p *mpi.Proc) error {
 			coll.WithTuning(p.CommWorld(), forced)
@@ -224,10 +214,8 @@ func (t *Tuner) measure(req measureReq) {
 	t.store.Put(req.key, tune.Entry{Algorithm: winner, WinnerPs: winnerPs, RacedPs: raced})
 }
 
-// fail releases the point's claim (a later miss may retry) and counts
-// the error.
+// fail counts and logs a failed measurement.
 func (t *Tuner) fail(req measureReq, err error) {
-	t.store.Release(req.key)
 	t.errs.Add(1)
 	slog.Debug("tune measurement failed",
 		"collective", req.key.Collective, "bytes", req.key.Bytes, "error", err)
@@ -236,58 +224,22 @@ func (t *Tuner) fail(req measureReq, err error) {
 // raceBody builds the single-operation measurement body of one
 // selection point: the flat collective at the point's message size on
 // the world communicator (the only communicators measured — see the
-// file comment). Size-only buffers, one iteration: the race ranks
-// candidates by the virtual makespan of exactly the call that missed.
+// file comment). One iteration: the race ranks candidates by the
+// virtual makespan of exactly the call that missed. The reducing
+// collectives' Bytes is 8*Count, which flatCalls turns back into Count
+// float64s.
 func raceBody(cl coll.Collective, e coll.Env) (func(p *mpi.Proc) error, error) {
-	b, n := e.Bytes, e.Count
-	switch cl {
-	case coll.CollAllgather:
-		return func(p *mpi.Proc) error {
-			return coll.Allgather(p.CommWorld(), mpi.Sized(b), mpi.Sized(b*p.Size()), b)
-		}, nil
-	case coll.CollAllgatherv:
-		// The missed environment's Bytes is the total result; race a
-		// uniform split of it (the closest expressible call).
-		return func(p *mpi.Proc) error {
-			c := p.CommWorld()
-			per := b / max(c.Size(), 1)
-			counts := make([]int, c.Size())
-			for i := range counts {
-				counts[i] = per
-			}
-			return coll.Allgatherv(c, mpi.Sized(per), mpi.Sized(per*c.Size()), counts)
-		}, nil
-	case coll.CollAllreduce:
-		return func(p *mpi.Proc) error {
-			return coll.Allreduce(p.CommWorld(), mpi.Sized(n*8), mpi.Sized(n*8), n, mpi.Float64, mpi.OpSum)
-		}, nil
-	case coll.CollReduce:
-		return func(p *mpi.Proc) error {
-			return coll.Reduce(p.CommWorld(), mpi.Sized(n*8), mpi.Sized(n*8), n, mpi.Float64, mpi.OpSum, 0)
-		}, nil
-	case coll.CollScan:
-		return func(p *mpi.Proc) error {
-			return coll.Scan(p.CommWorld(), mpi.Sized(n*8), mpi.Sized(n*8), n, mpi.Float64, mpi.OpSum)
-		}, nil
-	case coll.CollBcast:
-		return func(p *mpi.Proc) error {
-			return coll.Bcast(p.CommWorld(), mpi.Sized(b), 0)
-		}, nil
-	case coll.CollBarrier:
-		return func(p *mpi.Proc) error { return coll.Barrier(p.CommWorld()) }, nil
-	case coll.CollAlltoall:
-		return func(p *mpi.Proc) error {
-			c := p.CommWorld()
-			return coll.Alltoall(c, mpi.Sized(b*c.Size()), mpi.Sized(b*c.Size()), b)
-		}, nil
-	case coll.CollGather:
-		return func(p *mpi.Proc) error {
-			c := p.CommWorld()
-			return coll.Gather(c, mpi.Sized(b), mpi.Sized(b*c.Size()), b, 0)
-		}, nil
-	default:
+	call, ok := flatCalls[cl]
+	if !ok {
 		return nil, fmt.Errorf("collective %s is not measurable", cl)
 	}
+	b := e.Bytes
+	if cl == coll.CollAllgatherv {
+		// The missed environment's Bytes is the total result; race a
+		// uniform split of it (the closest expressible call).
+		b /= max(e.Size, 1)
+	}
+	return func(p *mpi.Proc) error { return call(p.CommWorld(), b) }, nil
 }
 
 // installMeasured wires a query's compiled coll tuning to the tuner:

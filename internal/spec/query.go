@@ -210,7 +210,7 @@ func (q *Query) Canonicalize() error {
 	if err != nil {
 		return fmt.Errorf("spec: %w", err)
 	}
-	if _, ok := runBodies[cl]; !ok {
+	if _, ok := flatCalls[cl]; !ok {
 		return fmt.Errorf("spec: collective %q is not expressible in a query", q.Collective)
 	}
 	if cl == coll.CollBarrier {

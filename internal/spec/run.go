@@ -55,11 +55,6 @@ type Result struct {
 	Points []Point `json:"points"`
 }
 
-// runBody executes iters operations of one collective at ladder size b
-// on one rank. Buffers are size-only (no data movement): a Query
-// measures virtual time, not payload contents.
-type runBody func(p *mpi.Proc, b, iters int) error
-
 // elems converts a byte size into whole float64 elements for the
 // reducing collectives (at least one).
 func elems(b int) int {
@@ -69,107 +64,71 @@ func elems(b int) int {
 	return b / 8
 }
 
-// runBodies maps every collective expressible in a Query to its
-// executor. Canonicalize consults the key set, so adding an entry here
-// is all it takes to open a collective to the Spec API.
-var runBodies = map[coll.Collective]runBody{
-	coll.CollAllgather: func(p *mpi.Proc, b, iters int) error {
-		// The hierarchical (node+bridge) allgather — the paper's
-		// canonical what-if subject and the scale sweep's workload.
-		h, err := coll.NewHier(p.CommWorld())
-		if err != nil {
-			return err
-		}
-		send, recv := mpi.Sized(b), mpi.Sized(b*p.Size())
-		for i := 0; i < iters; i++ {
-			if err := h.Allgather(send, recv, b); err != nil {
-				return err
-			}
-		}
-		return nil
+// flatCalls issues one operation of every collective expressible in a
+// Query, flat on c, at size b: the per-rank block of the gathering
+// collectives and of alltoall, the payload of the others (the reducing
+// ones reduce elems(b) float64s). Buffers are size-only (no data
+// movement): a Query measures virtual time, not payload contents.
+// Canonicalize consults the key set, so adding an entry here is all it
+// takes to open a collective to the Spec API.
+var flatCalls = map[coll.Collective]func(c *mpi.Comm, b int) error{
+	coll.CollAllgather: func(c *mpi.Comm, b int) error {
+		return coll.Allgather(c, mpi.Sized(b), mpi.Sized(b*c.Size()), b)
 	},
-	coll.CollAllgatherv: func(p *mpi.Proc, b, iters int) error {
-		c := p.CommWorld()
+	coll.CollAllgatherv: func(c *mpi.Comm, b int) error {
 		counts := make([]int, c.Size())
 		for i := range counts {
 			counts[i] = b
 		}
+		return coll.Allgatherv(c, mpi.Sized(b), mpi.Sized(b*c.Size()), counts)
+	},
+	coll.CollAllreduce: func(c *mpi.Comm, b int) error {
+		n := elems(b)
+		return coll.Allreduce(c, mpi.Sized(n*8), mpi.Sized(n*8), n, mpi.Float64, mpi.OpSum)
+	},
+	coll.CollReduce: func(c *mpi.Comm, b int) error {
+		n := elems(b)
+		return coll.Reduce(c, mpi.Sized(n*8), mpi.Sized(n*8), n, mpi.Float64, mpi.OpSum, 0)
+	},
+	coll.CollScan: func(c *mpi.Comm, b int) error {
+		n := elems(b)
+		return coll.Scan(c, mpi.Sized(n*8), mpi.Sized(n*8), n, mpi.Float64, mpi.OpSum)
+	},
+	coll.CollBcast: func(c *mpi.Comm, b int) error {
+		return coll.Bcast(c, mpi.Sized(b), 0)
+	},
+	coll.CollBarrier: func(c *mpi.Comm, _ int) error {
+		return coll.Barrier(c)
+	},
+	coll.CollAlltoall: func(c *mpi.Comm, b int) error {
+		return coll.Alltoall(c, mpi.Sized(b*c.Size()), mpi.Sized(b*c.Size()), b)
+	},
+	coll.CollGather: func(c *mpi.Comm, b int) error {
+		return coll.Gather(c, mpi.Sized(b), mpi.Sized(b*c.Size()), b, 0)
+	},
+}
+
+// runOps executes iters operations of cl at ladder size b on one rank.
+// Allgather runs the hierarchical (node+bridge) composition — the
+// paper's canonical what-if subject and the scale sweep's workload;
+// every other collective runs its flat call.
+func runOps(p *mpi.Proc, cl coll.Collective, b, iters int) error {
+	c, call := p.CommWorld(), flatCalls[cl]
+	op := func() error { return call(c, b) }
+	if cl == coll.CollAllgather {
+		h, err := coll.NewHier(c)
+		if err != nil {
+			return err
+		}
 		send, recv := mpi.Sized(b), mpi.Sized(b*c.Size())
-		for i := 0; i < iters; i++ {
-			if err := coll.Allgatherv(c, send, recv, counts); err != nil {
-				return err
-			}
+		op = func() error { return h.Allgather(send, recv, b) }
+	}
+	for i := 0; i < iters; i++ {
+		if err := op(); err != nil {
+			return err
 		}
-		return nil
-	},
-	coll.CollAllreduce: func(p *mpi.Proc, b, iters int) error {
-		c, n := p.CommWorld(), elems(b)
-		send, recv := mpi.Sized(n*8), mpi.Sized(n*8)
-		for i := 0; i < iters; i++ {
-			if err := coll.Allreduce(c, send, recv, n, mpi.Float64, mpi.OpSum); err != nil {
-				return err
-			}
-		}
-		return nil
-	},
-	coll.CollReduce: func(p *mpi.Proc, b, iters int) error {
-		c, n := p.CommWorld(), elems(b)
-		send, recv := mpi.Sized(n*8), mpi.Sized(n*8)
-		for i := 0; i < iters; i++ {
-			if err := coll.Reduce(c, send, recv, n, mpi.Float64, mpi.OpSum, 0); err != nil {
-				return err
-			}
-		}
-		return nil
-	},
-	coll.CollScan: func(p *mpi.Proc, b, iters int) error {
-		c, n := p.CommWorld(), elems(b)
-		send, recv := mpi.Sized(n*8), mpi.Sized(n*8)
-		for i := 0; i < iters; i++ {
-			if err := coll.Scan(c, send, recv, n, mpi.Float64, mpi.OpSum); err != nil {
-				return err
-			}
-		}
-		return nil
-	},
-	coll.CollBcast: func(p *mpi.Proc, b, iters int) error {
-		c, buf := p.CommWorld(), mpi.Sized(b)
-		for i := 0; i < iters; i++ {
-			if err := coll.Bcast(c, buf, 0); err != nil {
-				return err
-			}
-		}
-		return nil
-	},
-	coll.CollBarrier: func(p *mpi.Proc, _, iters int) error {
-		c := p.CommWorld()
-		for i := 0; i < iters; i++ {
-			if err := coll.Barrier(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	},
-	coll.CollAlltoall: func(p *mpi.Proc, b, iters int) error {
-		c := p.CommWorld()
-		send, recv := mpi.Sized(b*c.Size()), mpi.Sized(b*c.Size())
-		for i := 0; i < iters; i++ {
-			if err := coll.Alltoall(c, send, recv, b); err != nil {
-				return err
-			}
-		}
-		return nil
-	},
-	coll.CollGather: func(p *mpi.Proc, b, iters int) error {
-		c := p.CommWorld()
-		send, recv := mpi.Sized(b), mpi.Sized(b*c.Size())
-		for i := 0; i < iters; i++ {
-			if err := coll.Gather(c, send, recv, b, 0); err != nil {
-				return err
-			}
-		}
-		return nil
-	},
+	}
+	return nil
 }
 
 // autoFoldUnit resolves the rank-symmetry fold unit of a ladder point
@@ -271,10 +230,6 @@ func (e *Exec) RunContext(ctx context.Context, q *Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	body, ok := runBodies[cl]
-	if !ok {
-		return nil, fmt.Errorf("spec: collective %q is not expressible in a query", q.Collective)
-	}
 	collTun, err := q.Tuning.Coll()
 	if err != nil {
 		return nil, err
@@ -326,7 +281,7 @@ func (e *Exec) RunContext(ctx context.Context, q *Query) (*Result, error) {
 	}
 	env := groupEnv{
 		exec: e, model: model, topo: topo, engine: engine,
-		tun: collTun, body: body, machine: q.Machine,
+		tun: collTun, cl: cl, machine: q.Machine,
 		tuning: q.Tuning.Spec(), sizes: q.Sizes, iters: q.Iters,
 		noise: noise, noiseKey: nk, tuneGen: tuneGen,
 	}
@@ -364,7 +319,7 @@ type groupEnv struct {
 	topo     *sim.Topology
 	engine   sim.Engine
 	tun      coll.Tuning
-	body     runBody
+	cl       coll.Collective
 	machine  string
 	tuning   string
 	sizes    []int
@@ -526,7 +481,7 @@ func runPointOn(ctx context.Context, w *mpi.World, env groupEnv, fold, i int, po
 		}
 	}()
 	w.ResetClocks()
-	err := w.Run(func(p *mpi.Proc) error { return env.body(p, b, env.iters) })
+	err := w.Run(func(p *mpi.Proc) error { return runOps(p, env.cl, b, env.iters) })
 	close(stop)
 	<-done
 	if err != nil {

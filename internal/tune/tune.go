@@ -8,10 +8,10 @@
 // is a concurrency-safe map with a schema-versioned on-disk form (the
 // JSON-lines format documented in TUNING.md), an atomic
 // temp-file+rename save, a generation counter bumped on every insert
-// (the world pool keys pooled worlds by it), and a singleflight claim
-// set so each missing point is measured exactly once. internal/spec
-// owns the measurement side (spec.Tuner); internal/coll consumes
-// lookups through the closure fields of coll.Tuning.
+// (the world pool keys pooled worlds by it) and hit, miss and insert
+// counters. spec.Tuner fills it, and deduplicates its own
+// measurements; internal/coll consumes lookups through the closure
+// fields of coll.Tuning.
 //
 // Loading is strict: a file whose header, schema version, or any line
 // fails validation is rejected as a whole and the caller starts from a
@@ -149,7 +149,6 @@ type record struct {
 type Store struct {
 	mu      sync.Mutex
 	entries map[Key]Entry
-	pending map[Key]struct{}
 	gen     uint64
 
 	hits     atomic.Int64
@@ -159,7 +158,7 @@ type Store struct {
 
 // NewStore returns an empty store at generation 0.
 func NewStore() *Store {
-	return &Store{entries: map[Key]Entry{}, pending: map[Key]struct{}{}}
+	return &Store{entries: map[Key]Entry{}}
 }
 
 // Load reads a store file. A missing file is not an error: Load
@@ -327,41 +326,23 @@ func (s *Store) Lookup(k Key) (Entry, bool) {
 	return e, ok
 }
 
-// Put records a measured winner, releases any measurement claim on the
-// key, bumps the generation and the measurement counter.
+// Has reports whether a winner is cached for a key, without counting a
+// hit or miss.
+func (s *Store) Has(k Key) bool {
+	s.mu.Lock()
+	_, ok := s.entries[k]
+	s.mu.Unlock()
+	return ok
+}
+
+// Put records a measured winner, bumps the generation and the
+// measurement counter.
 func (s *Store) Put(k Key, e Entry) {
 	s.mu.Lock()
-	delete(s.pending, k)
 	s.entries[k] = e
 	s.gen++
 	s.mu.Unlock()
 	s.measured.Add(1)
-}
-
-// Claim reserves a key for measurement. It returns false — measure
-// nothing — when the key is already cached or another measurement of
-// it is in flight: the singleflight guarantee that each point is
-// measured exactly once. A successful claim must be resolved by Put or
-// Release.
-func (s *Store) Claim(k Key) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.entries[k]; ok {
-		return false
-	}
-	if _, ok := s.pending[k]; ok {
-		return false
-	}
-	s.pending[k] = struct{}{}
-	return true
-}
-
-// Release abandons a claim without recording a winner (a failed
-// measurement); a later miss may claim the key again.
-func (s *Store) Release(k Key) {
-	s.mu.Lock()
-	delete(s.pending, k)
-	s.mu.Unlock()
 }
 
 // Len returns the number of cached points.

@@ -180,47 +180,6 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 }
 
-// TestClaimSingleflight pins the exactly-once measurement contract:
-// one claim per key until resolved, cached keys unclaimable.
-func TestClaimSingleflight(t *testing.T) {
-	s := NewStore()
-	k := sampleKey(0)
-	if !s.Claim(k) {
-		t.Fatal("first claim refused")
-	}
-	if s.Claim(k) {
-		t.Fatal("double claim granted")
-	}
-	s.Release(k)
-	if !s.Claim(k) {
-		t.Fatal("claim after release refused")
-	}
-	s.Put(k, Entry{Algorithm: "recdbl", WinnerPs: 1})
-	if s.Claim(k) {
-		t.Fatal("claim granted for cached key")
-	}
-	// And concurrently: exactly one of N claimants wins.
-	k2 := sampleKey(1)
-	var wg sync.WaitGroup
-	var wins int64
-	var mu sync.Mutex
-	for range 32 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if s.Claim(k2) {
-				mu.Lock()
-				wins++
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if wins != 1 {
-		t.Fatalf("%d concurrent claims won, want exactly 1", wins)
-	}
-}
-
 // TestSnapshotImmutable: a snapshot keeps serving its generation's
 // view while the store learns, and the generation counter moves.
 func TestSnapshotImmutable(t *testing.T) {

@@ -80,7 +80,8 @@ serverd_stop
 # the tracer on and its fine size grid; the cost policy installed from
 # the environment (the commands, not the examples, read
 # REPRO_COLL_TUNING), which prices the neighborhood shapes the table
-# never asks about; serverd's per-tenant limiter, a malformed request,
+# never asks about; serverd's per-tenant limiter and its /metrics
+# series, a malformed request,
 # an explicit engine+fold, a forced algorithm (the one registry entry no
 # policy picks by itself) and a barrier under the cost policy.
 export GOCOVERDIR=audit/cov-flags
@@ -90,6 +91,7 @@ audit/cmd/mpibench -fig 7 -fine >/dev/null
 REPRO_COLL_TUNING=policy=cost audit/cmd/perf -sweep stencil -scalemax 4096 >/dev/null
 serverd_start -tenant-qps 1000
 curl -sf -o /dev/null -H 'X-Tenant: audit' "http://$addr/v1/run" -d "$q"
+curl -sf -o /dev/null "http://$addr/metrics"
 code=$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/v1/run" -d '{"machine":')
 [ "$code" = 400 ]
 post /v1/run '{"machine":"laptop","topology":{"nodes":4,"ppn":4},"collective":"allgather","sizes":[1024],"engine":"event","fold":"4"}'
