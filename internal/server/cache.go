@@ -15,15 +15,23 @@ type cacheKey struct {
 	price bool
 }
 
+// rawKey identifies one exact request body on one endpoint: the SHA-256
+// of its bytes and whether it was sent to /v1/price.
+type rawKey struct {
+	sum   [32]byte
+	price bool
+}
+
 // cacheEntry is one key's answer. While it is in flight, done is open
 // and elem is nil; once resident, done is closed and elem is its place
-// on the LRU list. val and err are written once, under the cache lock,
-// before done closes.
+// on the LRU list. body (the encoded answer) and err are written once,
+// under the cache lock, before done closes.
 type cacheEntry struct {
 	key  cacheKey
+	raw  rawKey // the body spelling that aliases the entry, if any
 	done chan struct{}
 	elem *list.Element
-	val  any
+	body []byte
 	err  error
 }
 
@@ -41,25 +49,39 @@ const (
 // in flight or resident, and one lookup under one lock says which. A
 // key is resident exactly when its computation succeeded, so a request
 // arriving after the leader finished hits. Only resident entries count
-// toward cap; in-flight ones are never evicted. The values are the
-// executors' result structs, immutable once published, so every reader
-// shares them. (The standard library has neither an LRU nor a
-// single-flight, and the repository takes no third-party dependencies.)
+// toward cap; in-flight ones are never evicted. The answers are encoded
+// bytes, immutable once published, and one raw body aliases each. (The
+// standard library has neither an LRU nor a single-flight, and the
+// repository takes no third-party dependencies.)
 type cache struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[cacheKey]*cacheEntry
-	lru     *list.List // resident entries, front = most recently used
+	aliases map[rawKey]*cacheEntry // at most one per resident entry
+	lru     *list.List             // resident entries, front = most recently used
 }
 
 func newCache(capacity int) *cache {
-	return &cache{cap: capacity, entries: make(map[cacheKey]*cacheEntry), lru: list.New()}
+	return &cache{cap: capacity, entries: make(map[cacheKey]*cacheEntry),
+		aliases: make(map[rawKey]*cacheEntry), lru: list.New()}
 }
 
-// join looks key up once. A resident entry is a hit and moves to the
-// front; an in-flight one is followed; otherwise join registers a new
-// in-flight entry, and the caller leads: it must call finish.
-func (c *cache) join(key cacheKey) (*cacheEntry, outcome) {
+// lookup returns the resident entry raw aliases, moved to the front, or nil.
+func (c *cache) lookup(raw rawKey) *cacheEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.aliases[raw]
+	if e != nil {
+		c.lru.MoveToFront(e.elem)
+	}
+	return e
+}
+
+// join looks key up once. A resident entry is a hit, moves to the
+// front and takes raw (unless zero) as its one alias; an in-flight one
+// is followed; otherwise join registers a new in-flight entry for raw,
+// and the caller leads: it must call finish.
+func (c *cache) join(key cacheKey, raw rawKey) (*cacheEntry, outcome) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {
@@ -67,25 +89,34 @@ func (c *cache) join(key cacheKey) (*cacheEntry, outcome) {
 			return e, follow
 		}
 		c.lru.MoveToFront(e.elem)
+		if raw != (rawKey{}) {
+			delete(c.aliases, e.raw)
+			e.raw, c.aliases[raw] = raw, e
+		}
 		return e, hit
 	}
-	e := &cacheEntry{key: key, done: make(chan struct{})}
+	e := &cacheEntry{key: key, raw: raw, done: make(chan struct{})}
 	c.entries[key] = e
 	return e, lead
 }
 
 // finish publishes the leader's outcome and wakes its followers. A
-// success becomes resident, evicting least recently used entries past
-// cap; a failure is forgotten, so the next request for the key leads.
-func (c *cache) finish(e *cacheEntry, val any, err error) {
+// success becomes resident under its alias, evicting least recently used
+// entries past cap; a failure is forgotten, so the next request leads.
+func (c *cache) finish(e *cacheEntry, body []byte, err error) {
 	c.mu.Lock()
-	e.val, e.err = val, err
+	e.body, e.err = body, err
 	if err != nil {
 		delete(c.entries, e.key)
 	} else {
 		e.elem = c.lru.PushFront(e)
+		if e.raw != (rawKey{}) {
+			c.aliases[e.raw] = e
+		}
 		for c.lru.Len() > c.cap {
-			delete(c.entries, c.lru.Remove(c.lru.Back()).(*cacheEntry).key)
+			old := c.lru.Remove(c.lru.Back()).(*cacheEntry)
+			delete(c.entries, old.key)
+			delete(c.aliases, old.raw)
 		}
 	}
 	c.mu.Unlock()

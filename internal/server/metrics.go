@@ -94,8 +94,7 @@ func (m *metrics) request(endpoint string, code int, d time.Duration) {
 // cacheLen and the world-pool and tuning-store snapshots are sampled by
 // the caller at scrape time.
 func (m *metrics) render(w *strings.Builder, cacheLen int, pointCap, sweepCap int, ps spec.PoolStats, ts tune.Stats) {
-	fmt.Fprintf(w, "# HELP repro_requests_total Completed HTTP requests by endpoint and status code.\n")
-	fmt.Fprintf(w, "# TYPE repro_requests_total counter\n")
+	family(w, "repro_requests_total", "counter", "Completed HTTP requests by endpoint and status code.")
 	m.mu.Lock()
 	for _, l := range slices.SortedFunc(maps.Keys(m.requests), func(a, b requestLabels) int {
 		return cmp.Or(strings.Compare(a.endpoint, b.endpoint), cmp.Compare(a.code, b.code))
@@ -103,8 +102,7 @@ func (m *metrics) render(w *strings.Builder, cacheLen int, pointCap, sweepCap in
 		fmt.Fprintf(w, "repro_requests_total{endpoint=%q,code=\"%d\"} %d\n", l.endpoint, l.code, m.requests[l])
 	}
 	if len(m.tenants) > 0 {
-		fmt.Fprintf(w, "# HELP repro_tenant_requests_total Per-tenant rate-limiter decisions on the query endpoints.\n")
-		fmt.Fprintf(w, "# TYPE repro_tenant_requests_total counter\n")
+		family(w, "repro_tenant_requests_total", "counter", "Per-tenant rate-limiter decisions on the query endpoints.")
 		for _, l := range slices.SortedFunc(maps.Keys(m.tenants), func(a, b tenantLabels) int {
 			return cmp.Or(strings.Compare(a.name, b.name), strings.Compare(a.outcomeLabel(), b.outcomeLabel()))
 		}) {
@@ -114,67 +112,39 @@ func (m *metrics) render(w *strings.Builder, cacheLen int, pointCap, sweepCap in
 	m.mu.Unlock()
 
 	hits, miss := m.cacheHits.Load(), m.cacheMiss.Load()
-	fmt.Fprintf(w, "# HELP repro_cache_hits_total Run results served from the LRU cache.\n")
-	fmt.Fprintf(w, "# TYPE repro_cache_hits_total counter\nrepro_cache_hits_total %d\n", hits)
-	fmt.Fprintf(w, "# HELP repro_cache_misses_total Run queries that had to simulate.\n")
-	fmt.Fprintf(w, "# TYPE repro_cache_misses_total counter\nrepro_cache_misses_total %d\n", miss)
-	ratio := 0.0
-	if hits+miss > 0 {
-		ratio = float64(hits) / float64(hits+miss)
-	}
-	fmt.Fprintf(w, "# HELP repro_cache_hit_ratio Fraction of run lookups served from cache.\n")
-	fmt.Fprintf(w, "# TYPE repro_cache_hit_ratio gauge\nrepro_cache_hit_ratio %g\n", ratio)
-	fmt.Fprintf(w, "# HELP repro_cache_entries Resident result-cache entries.\n")
-	fmt.Fprintf(w, "# TYPE repro_cache_entries gauge\nrepro_cache_entries %d\n", cacheLen)
-	fmt.Fprintf(w, "# HELP repro_coalesced_total Requests that joined an identical in-flight query.\n")
-	fmt.Fprintf(w, "# TYPE repro_coalesced_total counter\nrepro_coalesced_total %d\n", m.coalesced.Load())
+	single(w, "repro_cache_hits_total", "counter", "Run results served from the LRU cache.", hits)
+	single(w, "repro_cache_misses_total", "counter", "Run queries that had to simulate.", miss)
+	single(w, "repro_cache_hit_ratio", "gauge", "Fraction of run lookups served from cache.", ratio(hits, miss))
+	single(w, "repro_cache_entries", "gauge", "Resident result-cache entries.", cacheLen)
+	single(w, "repro_coalesced_total", "counter", "Requests that joined an identical in-flight query.", m.coalesced.Load())
 
-	fmt.Fprintf(w, "# HELP repro_pool_busy Worker slots currently executing, by class.\n")
-	fmt.Fprintf(w, "# TYPE repro_pool_busy gauge\n")
+	family(w, "repro_pool_busy", "gauge", "Worker slots currently executing, by class.")
 	fmt.Fprintf(w, "repro_pool_busy{class=\"point\"} %d\n", m.pointBusy.Load())
 	fmt.Fprintf(w, "repro_pool_busy{class=\"sweep\"} %d\n", m.sweepBusy.Load())
-	fmt.Fprintf(w, "# HELP repro_pool_capacity Worker slots configured, by class.\n")
-	fmt.Fprintf(w, "# TYPE repro_pool_capacity gauge\n")
+	family(w, "repro_pool_capacity", "gauge", "Worker slots configured, by class.")
 	fmt.Fprintf(w, "repro_pool_capacity{class=\"point\"} %d\n", pointCap)
 	fmt.Fprintf(w, "repro_pool_capacity{class=\"sweep\"} %d\n", sweepCap)
 
-	fmt.Fprintf(w, "# HELP repro_world_pool_hits_total World checkouts served by a resident warm world.\n")
-	fmt.Fprintf(w, "# TYPE repro_world_pool_hits_total counter\nrepro_world_pool_hits_total %d\n", ps.Hits)
-	fmt.Fprintf(w, "# HELP repro_world_pool_misses_total World checkouts that had to build a world.\n")
-	fmt.Fprintf(w, "# TYPE repro_world_pool_misses_total counter\nrepro_world_pool_misses_total %d\n", ps.Misses)
-	fmt.Fprintf(w, "# HELP repro_world_pool_hit_ratio Fraction of world checkouts served warm.\n")
-	fmt.Fprintf(w, "# TYPE repro_world_pool_hit_ratio gauge\nrepro_world_pool_hit_ratio %g\n", ps.HitRatio())
-	fmt.Fprintf(w, "# HELP repro_world_pool_resident_worlds Resident simulated worlds, by state.\n")
-	fmt.Fprintf(w, "# TYPE repro_world_pool_resident_worlds gauge\n")
+	single(w, "repro_world_pool_hits_total", "counter", "World checkouts served by a resident warm world.", ps.Hits)
+	single(w, "repro_world_pool_misses_total", "counter", "World checkouts that had to build a world.", ps.Misses)
+	single(w, "repro_world_pool_hit_ratio", "gauge", "Fraction of world checkouts served warm.", ps.HitRatio())
+	family(w, "repro_world_pool_resident_worlds", "gauge", "Resident simulated worlds, by state.")
 	fmt.Fprintf(w, "repro_world_pool_resident_worlds{state=\"idle\"} %d\n", ps.IdleWorlds)
 	fmt.Fprintf(w, "repro_world_pool_resident_worlds{state=\"leased\"} %d\n", ps.Leased)
-	fmt.Fprintf(w, "# HELP repro_world_pool_resident_ranks Rank total across idle resident worlds.\n")
-	fmt.Fprintf(w, "# TYPE repro_world_pool_resident_ranks gauge\nrepro_world_pool_resident_ranks %d\n", ps.IdleRanks)
-	fmt.Fprintf(w, "# HELP repro_world_pool_retired_total Pooled worlds closed, by reason.\n")
-	fmt.Fprintf(w, "# TYPE repro_world_pool_retired_total counter\n")
+	single(w, "repro_world_pool_resident_ranks", "gauge", "Rank total across idle resident worlds.", ps.IdleRanks)
+	family(w, "repro_world_pool_retired_total", "counter", "Pooled worlds closed, by reason.")
 	fmt.Fprintf(w, "repro_world_pool_retired_total{reason=\"evicted\"} %d\n", ps.Evicted)
 	fmt.Fprintf(w, "repro_world_pool_retired_total{reason=\"reaped\"} %d\n", ps.Reaped)
 	fmt.Fprintf(w, "repro_world_pool_retired_total{reason=\"discarded\"} %d\n", ps.Discarded)
 
-	fmt.Fprintf(w, "# HELP repro_tune_store_entries Cached measured-policy selection points in the tuning store.\n")
-	fmt.Fprintf(w, "# TYPE repro_tune_store_entries gauge\nrepro_tune_store_entries %d\n", ts.Entries)
-	fmt.Fprintf(w, "# HELP repro_tune_store_generation Tuning-store insert counter (grows with every measured winner).\n")
-	fmt.Fprintf(w, "# TYPE repro_tune_store_generation gauge\nrepro_tune_store_generation %d\n", ts.Generation)
-	fmt.Fprintf(w, "# HELP repro_tune_hits_total Measured-policy selections served from the tuning store.\n")
-	fmt.Fprintf(w, "# TYPE repro_tune_hits_total counter\nrepro_tune_hits_total %d\n", ts.Hits)
-	fmt.Fprintf(w, "# HELP repro_tune_misses_total Measured-policy selections that fell back to the cost prior.\n")
-	fmt.Fprintf(w, "# TYPE repro_tune_misses_total counter\nrepro_tune_misses_total %d\n", ts.Misses)
-	tuneRatio := 0.0
-	if ts.Hits+ts.Misses > 0 {
-		tuneRatio = float64(ts.Hits) / float64(ts.Hits+ts.Misses)
-	}
-	fmt.Fprintf(w, "# HELP repro_tune_hit_ratio Fraction of measured-policy selections served from the store.\n")
-	fmt.Fprintf(w, "# TYPE repro_tune_hit_ratio gauge\nrepro_tune_hit_ratio %g\n", tuneRatio)
-	fmt.Fprintf(w, "# HELP repro_tune_measurements_total Background candidate races completed by the tuner.\n")
-	fmt.Fprintf(w, "# TYPE repro_tune_measurements_total counter\nrepro_tune_measurements_total %d\n", ts.Measured)
+	single(w, "repro_tune_store_entries", "gauge", "Cached measured-policy selection points in the tuning store.", ts.Entries)
+	single(w, "repro_tune_store_generation", "gauge", "Tuning-store insert counter (grows with every measured winner).", ts.Generation)
+	single(w, "repro_tune_hits_total", "counter", "Measured-policy selections served from the tuning store.", ts.Hits)
+	single(w, "repro_tune_misses_total", "counter", "Measured-policy selections that fell back to the cost prior.", ts.Misses)
+	single(w, "repro_tune_hit_ratio", "gauge", "Fraction of measured-policy selections served from the store.", ratio(ts.Hits, ts.Misses))
+	single(w, "repro_tune_measurements_total", "counter", "Background candidate races completed by the tuner.", ts.Measured)
 
-	fmt.Fprintf(w, "# HELP repro_request_seconds Request latency.\n")
-	fmt.Fprintf(w, "# TYPE repro_request_seconds histogram\n")
+	family(w, "repro_request_seconds", "histogram", "Request latency.")
 	cum := int64(0)
 	for i, ub := range latencyBuckets {
 		cum += m.histCounts[i].Load()
@@ -184,6 +154,25 @@ func (m *metrics) render(w *strings.Builder, cacheLen int, pointCap, sweepCap in
 	fmt.Fprintf(w, "repro_request_seconds_bucket{le=\"+Inf\"} %d\n", cum)
 	fmt.Fprintf(w, "repro_request_seconds_sum %g\n", float64(m.histSumNs.Load())/1e9)
 	fmt.Fprintf(w, "repro_request_seconds_count %d\n", m.histN.Load())
+}
+
+// family writes a metric family's HELP and TYPE lines.
+func family(w *strings.Builder, name, typ, help string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
+// single writes a family of one unlabelled series; v prints as %d or %g.
+func single(w *strings.Builder, name, typ, help string, v any) {
+	family(w, name, typ, help)
+	fmt.Fprintf(w, "%s %v\n", name, v)
+}
+
+// ratio is hits/(hits+misses), 0 before the first lookup.
+func ratio(hits, misses int64) float64 {
+	if hits+misses == 0 {
+		return 0
+	}
+	return float64(hits) / float64(hits+misses)
 }
 
 // snapshot returns (hits, misses, coalesced) for tests and the service

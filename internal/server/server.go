@@ -15,7 +15,8 @@
 //     run
 //   - completed results stay in the same fixed-capacity LRU, so a warm
 //     cache answers point queries without touching the simulator at
-//     all; finishing a computation is what caches it
+//     all; finishing a computation caches it encoded, and a repeat of
+//     the exact body last seen for it is answered before any parsing
 //   - execution is bounded by two worker pools: sweep-class queries
 //     (long ladders or large worlds) compete for a small pool while
 //     point queries keep their own slots, so a batch of sweeps cannot
@@ -42,6 +43,7 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -317,9 +319,11 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		h(sw, r)
 		d := time.Since(start)
 		s.met.request(endpoint, sw.code, d)
-		s.cfg.Logger.Debug("request",
-			"endpoint", endpoint, "code", sw.code, "duration", d,
-			"cache", sw.Header().Get("X-Cache"))
+		if s.cfg.Logger.Enabled(r.Context(), slog.LevelDebug) {
+			s.cfg.Logger.Debug("request",
+				"endpoint", endpoint, "code", sw.code, "duration", d,
+				"cache", sw.Header().Get("X-Cache"))
+		}
 	}
 }
 
@@ -362,11 +366,25 @@ func (s *Server) rateLimit(h http.HandlerFunc) http.HandlerFunc {
 
 // writeJSON writes v as the JSON response body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	b, _ := encode(v, nil)
+	writeBytes(w, code, b)
+}
+
+// writeBytes writes an encoded JSON response body.
+func writeBytes(w http.ResponseWriter, code int, b []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone is the only failure
+	w.Write(b) //nolint:errcheck // client gone is the only failure
+}
+
+// encode is the one JSON encoding of every response body, indented and
+// newline-terminated; a computed answer is cached as these bytes.
+func encode(v any, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	b, err := json.MarshalIndent(v, "", "  ")
+	return append(b, '\n'), err
 }
 
 // errorBody is the JSON error envelope.
@@ -392,13 +410,18 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, code, errorBody{Error: err.Error()})
 }
 
-// readQuery strictly decodes the request body into a canonical Query,
-// applies the service admission caps and fingerprints it.
-func (s *Server) readQuery(w http.ResponseWriter, r *http.Request) (*spec.Query, string, error) {
+// readBody reads the request body under the MaxBodyBytes cap.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
-		return nil, "", &httpError{http.StatusRequestEntityTooLarge, err}
+		return nil, &httpError{http.StatusRequestEntityTooLarge, err}
 	}
+	return body, nil
+}
+
+// parseQuery strictly decodes a request body into a canonical Query,
+// applies the service admission caps and fingerprints it.
+func (s *Server) parseQuery(body []byte) (*spec.Query, string, error) {
 	q, err := spec.Parse(body)
 	if err != nil {
 		return nil, "", &httpError{http.StatusBadRequest, err}
@@ -437,43 +460,12 @@ func (s *Server) admit(q *spec.Query) error {
 	return nil
 }
 
-// sweepClass reports whether the query competes for the sweep pool:
-// long ladders and large worlds are the workloads that would otherwise
-// occupy every slot.
-func (s *Server) sweepClass(q *spec.Query) bool {
-	return len(q.Sizes) >= s.cfg.SweepSizes || q.Topology.Ranks() >= s.cfg.SweepRanks
-}
-
-// acquire takes one slot from pool, honoring ctx while waiting.
-func acquire(ctx context.Context, pool chan struct{}) error {
-	select {
-	case pool <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // handleRun is POST /v1/run: execute the query (or serve it from the
 // cache / an identical in-flight execution) and return the
 // spec.Result. The X-Cache response header reports which path answered
 // (hit, miss, coalesced); the body is bit-identical on all three.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	q, fp, err := s.readQuery(w, r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	// Measured-policy results depend on the tuning store's contents as
-	// well as the query, so their cache and coalescing key carries the
-	// store generation: once the tuner learns a point, the next
-	// identical request re-executes against the warmer store instead of
-	// replaying a staler cached answer.
-	key := cacheKey{fp: fp}
-	if q.Tuning.Policy == "measured" {
-		key.gen = s.tuner.Store().Generation()
-	}
-	switch s.serveCached(w, r, key, func() (any, error) { return s.execute(q) }) {
+	switch s.serveCached(w, r, false, func(q *spec.Query) ([]byte, error) { return encode(s.execute(q)) }) {
 	case hit:
 		s.met.cacheHits.Add(1)
 	case lead:
@@ -483,15 +475,42 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// serveCached answers a cacheable query. A resident answer is written
-// straight out; a follower waits for the leader's answer or for its own
-// client to give up; a leader computes, and finishing caches the
-// answer. finish runs even if compute panics: net/http recovers handler
-// panics, and a leader that never finished would park every later
-// identical query forever, so the panic is published to the followers
-// as an error before it propagates.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key cacheKey, compute func() (any, error)) outcome {
-	e, o := s.cache.join(key)
+// serveCached answers /v1/run's query (price false) or /v1/price's and
+// reports how ("" when the body fails to read, parse or pass admission).
+// A body aliasing a resident entry is answered from its bytes: Parse is
+// a pure function and the caps are fixed at New, so those bytes passed
+// both before. Otherwise a follower waits for the leader or for its own
+// client to give up, and a leader computes; finish runs even if compute
+// panics, or every later identical query would park forever.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, price bool, compute func(*spec.Query) ([]byte, error)) outcome {
+	body, err := s.readBody(w, r)
+	if err != nil {
+		writeError(w, err)
+		return ""
+	}
+	raw := rawKey{sha256.Sum256(body), price}
+	if e := s.cache.lookup(raw); e != nil {
+		w.Header().Set("X-Cache", string(hit))
+		writeBytes(w, http.StatusOK, e.body)
+		return hit
+	}
+	q, fp, err := s.parseQuery(body)
+	if err != nil {
+		writeError(w, err)
+		return ""
+	}
+	// Measured-policy results depend on the tuning store's contents as
+	// well as the query, so their bytes are never aliased and a run's
+	// key carries the store generation: once the tuner learns a point,
+	// the next identical request re-executes against the warmer store.
+	key := cacheKey{fp: fp, price: price}
+	if q.Tuning.Policy == "measured" {
+		raw = rawKey{}
+		if !price {
+			key.gen = s.tuner.Store().Generation()
+		}
+	}
+	e, o := s.cache.join(key, raw)
 	switch o {
 	case follow:
 		select {
@@ -508,8 +527,8 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key cacheKe
 					panic(p)
 				}
 			}()
-			val, err := compute()
-			s.cache.finish(e, val, err)
+			body, err := compute(q)
+			s.cache.finish(e, body, err)
 		}()
 	}
 	if e.err != nil {
@@ -517,23 +536,27 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key cacheKe
 		return o
 	}
 	w.Header().Set("X-Cache", string(o))
-	writeJSON(w, http.StatusOK, e.val)
+	writeBytes(w, http.StatusOK, e.body)
 	return o
 }
 
 // execute runs the query under the worker pools and the configured
-// timeout. The execution context descends from the server's base
-// context, not the requester's: coalesced followers must receive the
-// result even if the leader's client disconnects.
+// timeout. Long ladders and large worlds compete for the sweep pool,
+// which would otherwise leave point queries no slot. The execution
+// context descends from the server's base context, not the requester's:
+// coalesced followers must receive the result even if the leader's
+// client disconnects.
 func (s *Server) execute(q *spec.Query) (*spec.Result, error) {
 	pool, busy := s.points, &s.met.pointBusy
-	if s.sweepClass(q) {
+	if len(q.Sizes) >= s.cfg.SweepSizes || q.Topology.Ranks() >= s.cfg.SweepRanks {
 		pool, busy = s.sweeps, &s.met.sweepBusy
 	}
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.Timeout)
 	defer cancel()
-	if err := acquire(ctx, pool); err != nil {
-		return nil, fmt.Errorf("server: waiting for a worker slot: %w", err)
+	select {
+	case pool <- struct{}{}:
+	case <-ctx.Done():
+		return nil, fmt.Errorf("server: waiting for a worker slot: %w", ctx.Err())
 	}
 	busy.Add(1)
 	defer func() { busy.Add(-1); <-pool }()
@@ -542,15 +565,10 @@ func (s *Server) execute(q *spec.Query) (*spec.Result, error) {
 
 // handlePrice is POST /v1/price: run the selection engine over the
 // ladder without simulating. Cheap enough that it bypasses the worker
-// pools; cached and coalesced like /v1/run, but not counted in the
-// run cache counters.
+// pools; cached, coalesced and aliased like /v1/run, but not counted in
+// the run cache counters.
 func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
-	q, fp, err := s.readQuery(w, r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	s.serveCached(w, r, cacheKey{fp: fp, price: true}, func() (any, error) { return spec.Price(q) })
+	s.serveCached(w, r, true, func(q *spec.Query) ([]byte, error) { return encode(spec.Price(q)) })
 }
 
 // canonBody is the POST /v1/canon response: the canonical form and
@@ -564,7 +582,12 @@ type canonBody struct {
 
 // handleCanon is POST /v1/canon: validate, canonicalize, fingerprint.
 func (s *Server) handleCanon(w http.ResponseWriter, r *http.Request) {
-	q, fp, err := s.readQuery(w, r)
+	body, err := s.readBody(w, r)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	q, fp, err := s.parseQuery(body)
 	if err != nil {
 		writeError(w, err)
 		return

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -45,46 +46,49 @@ func do(t *testing.T, h http.Handler, method, path, body string) *httptest.Respo
 const pointBody = `{"machine":"laptop","topology":{"nodes":2,"ppn":2},
 	"collective":"allgather","sizes":[64,4096],"tuning":{"policy":"cost"}}`
 
+// goldenCases is TestHandlerGolden's table, and the seed corpus of
+// FuzzRepeatAnswersAlike. It is ordered: the repeated run must be the
+// cache hit, with a body byte-identical to the miss.
+var goldenCases = []struct {
+	name      string
+	method    string
+	path      string
+	body      string
+	wantCode  int
+	wantCache string
+}{
+	{"run_point", "POST", "/v1/run", pointBody, 200, "miss"},
+	{"run_point", "POST", "/v1/run", pointBody, 200, "hit"},
+	{"run_barrier", "POST", "/v1/run",
+		`{"machine":"laptop","topology":{"nodes":2,"ppn":2},"collective":"barrier","sizes":[1,2,3]}`,
+		200, "miss"},
+	{"price_allgather", "POST", "/v1/price",
+		`{"machine":"hazelhen-cray","topology":{"nodes":8,"ppn":8},"collective":"allgather","sizes":[64,1048576]}`,
+		200, "miss"},
+	{"canon_shorthand", "POST", "/v1/canon",
+		`{"machine":"laptop","topology":{"nodes":2,"ppn":2},"collective":"bcast","sizes":[8]}`,
+		200, ""},
+	{"canon_stack", "POST", "/v1/canon",
+		`{"engine":"goroutine","machine":"laptop","collective":"bcast","sizes":[8],
+			  "topology":{"per_leaf":2,"levels":[{"name":"node","arity":2}]}}`,
+		200, ""},
+	{"err_unknown_field", "POST", "/v1/run",
+		`{"machine":"laptop","topology":{"nodes":2,"ppn":2},"collective":"bcast","sizes":[8],"warp":9}`,
+		400, ""},
+	{"err_bad_machine", "POST", "/v1/run",
+		`{"machine":"cray-3","topology":{"nodes":2,"ppn":2},"collective":"bcast","sizes":[8]}`,
+		400, ""},
+	{"healthz", "GET", "/healthz", "", 200, ""},
+}
+
 // TestHandlerGolden drives every JSON endpoint through one server and
 // compares full response bodies against testdata goldens (regenerate
-// with -update). The table is ordered: the repeated run must be the
-// cache hit, with a body byte-identical to the miss.
+// with -update).
 func TestHandlerGolden(t *testing.T) {
 	srv := newTestServer()
 	defer srv.Close()
-	cases := []struct {
-		name      string
-		method    string
-		path      string
-		body      string
-		wantCode  int
-		wantCache string
-	}{
-		{"run_point", "POST", "/v1/run", pointBody, 200, "miss"},
-		{"run_point", "POST", "/v1/run", pointBody, 200, "hit"},
-		{"run_barrier", "POST", "/v1/run",
-			`{"machine":"laptop","topology":{"nodes":2,"ppn":2},"collective":"barrier","sizes":[1,2,3]}`,
-			200, "miss"},
-		{"price_allgather", "POST", "/v1/price",
-			`{"machine":"hazelhen-cray","topology":{"nodes":8,"ppn":8},"collective":"allgather","sizes":[64,1048576]}`,
-			200, "miss"},
-		{"canon_shorthand", "POST", "/v1/canon",
-			`{"machine":"laptop","topology":{"nodes":2,"ppn":2},"collective":"bcast","sizes":[8]}`,
-			200, ""},
-		{"canon_stack", "POST", "/v1/canon",
-			`{"engine":"goroutine","machine":"laptop","collective":"bcast","sizes":[8],
-			  "topology":{"per_leaf":2,"levels":[{"name":"node","arity":2}]}}`,
-			200, ""},
-		{"err_unknown_field", "POST", "/v1/run",
-			`{"machine":"laptop","topology":{"nodes":2,"ppn":2},"collective":"bcast","sizes":[8],"warp":9}`,
-			400, ""},
-		{"err_bad_machine", "POST", "/v1/run",
-			`{"machine":"cray-3","topology":{"nodes":2,"ppn":2},"collective":"bcast","sizes":[8]}`,
-			400, ""},
-		{"healthz", "GET", "/healthz", "", 200, ""},
-	}
 	bodies := map[string][]byte{}
-	for i, tc := range cases {
+	for i, tc := range goldenCases {
 		rec := do(t, srv, tc.method, tc.path, tc.body)
 		if rec.Code != tc.wantCode {
 			t.Fatalf("case %d %s: code %d, want %d: %s", i, tc.name, rec.Code, tc.wantCode, rec.Body)
@@ -456,4 +460,87 @@ func TestAdmissionCaps(t *testing.T) {
 	if rec := do(t, srv, "POST", "/v1/run", inCap); rec.Code != 200 {
 		t.Errorf("in-cap goroutine query: code %d, want 200: %s", rec.Code, rec.Body)
 	}
+}
+
+// replayWriter is the reusable http.ResponseWriter of TestWarmHitAllocs.
+type replayWriter struct {
+	header http.Header
+	code   int
+	body   []byte
+}
+
+func (w *replayWriter) Header() http.Header  { return w.header }
+func (w *replayWriter) WriteHeader(code int) { w.code = code }
+func (w *replayWriter) Write(p []byte) (int, error) {
+	w.body = append(w.body, p...)
+	return len(p), nil
+}
+
+// TestWarmHitAllocs pins what a warm /v1/run hit allocates when it is
+// sent as the serve-warm benchmark sends it: one request replayed by
+// rewinding its body into one writer reset between answers. A hit
+// answered from its stored bytes allocates a handful of objects; one
+// that parses, fingerprints and encodes again allocates about forty.
+func TestWarmHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	srv := newTestServer()
+	defer srv.Close()
+	raw := []byte(pointBody)
+	var body bytes.Reader
+	req, err := http.NewRequest("POST", "/v1/run", io.NopCloser(&body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &replayWriter{header: http.Header{}, body: make([]byte, 0, 4096)}
+	send := func() {
+		body.Reset(raw)
+		clear(w.header)
+		w.code, w.body = 0, w.body[:0]
+		srv.ServeHTTP(w, req)
+	}
+	send()
+	send()
+	if w.code != 200 || w.header.Get("X-Cache") != "hit" {
+		t.Fatalf("warm request: code %d, X-Cache %q: %s", w.code, w.header.Get("X-Cache"), w.body)
+	}
+	if n := testing.AllocsPerRun(200, send); n > 5 {
+		t.Errorf("a warm hit allocates %.1f objects, want at most 5", n)
+	}
+}
+
+// FuzzRepeatAnswersAlike: any body sent twice to a query endpoint gets
+// the same status and the same bytes both times, and when the first
+// answer was a miss the second is a hit. The seeds are the bodies of
+// TestHandlerGolden. Measured-policy bodies are skipped: their answer
+// may move with the tuning store between the two sends.
+func FuzzRepeatAnswersAlike(f *testing.F) {
+	endpoints := []string{"/v1/run", "/v1/price", "/v1/canon"}
+	for _, tc := range goldenCases {
+		if i := slices.Index(endpoints, tc.path); i >= 0 {
+			f.Add(uint8(i), tc.body)
+		}
+	}
+	srv := server.New(server.Config{
+		Workers: 2, SweepWorkers: 1,
+		MaxRanks: 256, MaxWork: 1 << 16,
+		Timeout: 10 * time.Second,
+		Logger:  quietLogger(),
+	})
+	defer srv.Close()
+	f.Fuzz(func(t *testing.T, endpoint uint8, body string) {
+		if q, err := spec.Parse([]byte(body)); err == nil && q.Tuning.Policy == "measured" {
+			t.Skip("measured policy")
+		}
+		path := endpoints[int(endpoint)%len(endpoints)]
+		first := do(t, srv, "POST", path, body)
+		again := do(t, srv, "POST", path, body)
+		if first.Code != again.Code || !bytes.Equal(first.Body.Bytes(), again.Body.Bytes()) {
+			t.Fatalf("%s %q answered %d then %d:\n%s\n%s", path, body, first.Code, again.Code, first.Body, again.Body)
+		}
+		if first.Header().Get("X-Cache") == "miss" && again.Header().Get("X-Cache") != "hit" {
+			t.Fatalf("%s %q: a miss was followed by X-Cache %q", path, body, again.Header().Get("X-Cache"))
+		}
+	})
 }

@@ -33,15 +33,12 @@ type tenantBucket struct {
 }
 
 // newTenantLimiter builds a limiter admitting qps requests per second
-// per tenant with the given burst capacity (minimum 1 token).
+// per tenant with the given burst capacity (New defaults it to at least
+// 1 token).
 func newTenantLimiter(qps float64, burst int) *tenantLimiter {
-	b := float64(burst)
-	if b < 1 {
-		b = 1
-	}
 	return &tenantLimiter{
 		qps:     qps,
-		burst:   b,
+		burst:   float64(burst),
 		buckets: make(map[string]*tenantBucket),
 	}
 }

@@ -37,16 +37,17 @@ func TestTuneStoreSharedAcrossDaemons(t *testing.T) {
 
 	warm := newTunedServer(path)
 	rec := do(t, warm, "POST", "/v1/run", measuredBody)
-	if rec.Code != 200 {
-		t.Fatalf("warm-up run: code %d: %s", rec.Code, rec.Body)
+	if rec.Code != 200 || rec.Header().Get("X-Cache") != "miss" {
+		t.Fatalf("warm-up run: code %d, X-Cache %q: %s", rec.Code, rec.Header().Get("X-Cache"), rec.Body)
 	}
 	warm.DrainTuner()
 	if st := warm.TuneStats(); st.Measured == 0 {
 		t.Fatal("warm daemon measured nothing")
 	}
-	// The result cache key carries the store generation, so the
-	// now-warm store must produce a fresh simulation, not replay the
-	// cold run's cost fallback from cache.
+	// The result cache key carries the store generation, and the bytes
+	// of a measured-policy body never alias a cached answer, so the
+	// identical body sent again must produce a fresh simulation on the
+	// now-warm store, not replay the cold run's cost fallback.
 	rec = do(t, warm, "POST", "/v1/run", measuredBody)
 	if got := rec.Header().Get("X-Cache"); got != "miss" {
 		t.Errorf("post-measurement rerun: X-Cache %q, want miss (stale-generation replay)", got)
