@@ -4,9 +4,10 @@ package repro
 // Latencies in the simulator are *virtual* and deterministic, so each
 // benchmark runs its measurement once and reports the figure's key
 // series through b.ReportMetric (unit suffix "vus" = virtual
-// microseconds). The full sweeps live in cmd/experiments; these
-// benchmarks cover each figure's most telling points so that
-// `go test -bench=.` regenerates the headline numbers quickly.
+// microseconds). The full sweeps are printed by cmd/experiments alone,
+// whose report go test pins; these benchmarks cover each figure's most
+// telling points so that `go test -bench=.` regenerates the headline
+// numbers quickly.
 
 import (
 	"fmt"

@@ -1,16 +1,15 @@
-// Command bpmf runs the BPMF application benchmark (Fig. 12): the
-// TotalTime ratio of Ori_BPMF (pure-MPI allgather) to Hy_BPMF (hybrid
-// allgather) over 20 Gibbs iterations on a chembl_20-shaped synthetic
-// dataset.
+// Command bpmf runs one point of the BPMF application benchmark
+// (Fig. 12): the TotalTime of Ori_BPMF (pure-MPI allgather) and Hy_BPMF
+// (hybrid allgather) over 20 Gibbs iterations on a chembl_20-shaped
+// synthetic dataset. The default point, 240 cores on the Cray profile,
+// is a row of cmd/experiments' Fig. 12 report, which prints the whole
+// sweep.
 //
 // Usage:
 //
-//	bpmf                    # the full Fig. 12 sweep
-//	bpmf -cores 240         # one point
+//	bpmf                    # 240 cores
+//	bpmf -cores 1024
 //	bpmf -cores 16 -real    # actually sample (small scale), report RMSE
-//
-// The sweep runs the paper's configuration: -machine, -real and -iters
-// belong to a single point and are errors without -cores.
 package main
 
 import (
@@ -19,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 
 	"repro/internal/bench"
 	"repro/internal/bpmf"
@@ -39,30 +37,20 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("bpmf", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	cores := fs.Int("cores", 0, "single point: core count; 0 = full Fig. 12 sweep")
-	real := fs.Bool("real", false, "single point: run the actual Gibbs sampler (small scale) and report RMSE")
-	iters := fs.Int("iters", 0, "single point: Gibbs iterations (default 20, the paper's setting)")
-	machine := fs.String("machine", "hazelhen-cray", "single point: machine profile")
+	cores := fs.Int("cores", 240, "core count")
+	real := fs.Bool("real", false, "run the actual Gibbs sampler (small scale) and report RMSE")
+	iters := fs.Int("iters", 0, "Gibbs iterations (0 = 20, the paper's setting; 5 with -real)")
+	machine := fs.String("machine", "hazelhen-cray", "machine profile")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *cores != 0 {
-		return runPoint(stdout, *machine, *cores, *real, *iters)
+	if *cores <= 0 {
+		return fmt.Errorf("-cores %d: must be positive", *cores)
 	}
-	var stray error
-	fs.Visit(func(f *flag.Flag) {
-		if stray == nil && slices.Contains([]string{"real", "iters", "machine"}, f.Name) {
-			stray = fmt.Errorf("-%s is not read by the Fig. 12 sweep (give -cores for a single point)", f.Name)
-		}
-	})
-	if stray != nil {
-		return stray
+	if *iters < 0 {
+		return fmt.Errorf("-iters %d: must not be negative", *iters)
 	}
-	t, err := bench.Fig12(bench.FigOpts{})
-	if err != nil {
-		return err
-	}
-	return t.Fprint(stdout)
+	return runPoint(stdout, *machine, *cores, *real, *iters)
 }
 
 func runPoint(out io.Writer, machine string, cores int, real bool, iters int) error {

@@ -2,38 +2,67 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"os"
 	"strings"
 	"testing"
 )
 
-// TestSweepRejectsPointFlags: without -cores the command runs the whole
-// Fig. 12 sweep on the paper's configuration; -machine, -real and -iters
-// used to be ignored there (`bpmf -machine bogus` exited 0).
-func TestSweepRejectsPointFlags(t *testing.T) {
+// TestDefaultPointIsAReportRow: bpmf with no flags prints the 240-core
+// row of cmd/experiments' pinned Fig. 12 report.
+func TestDefaultPointIsAReportRow(t *testing.T) {
+	var stdout bytes.Buffer
+	if err := run(nil, &stdout, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	row := reportRow(t, "Figure 12", "240") // cores, Ori_ms, Hy_ms, ratio
+	want := fmt.Sprintf("Ori_BPMF  cores=240 iters=20: TotalTime %10s ms\nHy_BPMF   cores=240 iters=20: TotalTime %10s ms\n", row[1], row[2])
+	if stdout.String() != want {
+		t.Errorf("output:\n%s\nwant:\n%s", stdout.String(), want)
+	}
+}
+
+// reportRow returns the fields of the first row starting with first
+// after the report title containing table.
+func reportRow(t *testing.T, table, first string) []string {
+	t.Helper()
+	b, err := os.ReadFile("../experiments/testdata/report.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, after, _ := strings.Cut(string(b), table)
+	for _, line := range strings.Split(after, "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == first {
+			return f
+		}
+	}
+	t.Fatalf("report has no row %q under %q", first, table)
+	return nil
+}
+
+// TestBadArgumentsAreErrors: a bad flag value is one error naming the
+// flag, printed before anything runs. A negative -iters used to run
+// the default iteration count and exit 0.
+func TestBadArgumentsAreErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
-		flag string
+		want string
 	}{
-		{[]string{"-machine", "bogus"}, "-machine"},
-		{[]string{"-real"}, "-real"},
-		{[]string{"-iters", "3"}, "-iters"},
+		{[]string{"-cores", "0"}, "-cores 0"},
+		{[]string{"-cores", "-24"}, "-cores -24"},
+		{[]string{"-cores", "16", "-iters", "-1"}, "-iters -1"},
+		{[]string{"-nope"}, "-nope"},
+		{[]string{"-cores", "16", "-machine", "abacus"}, `unknown machine "abacus" (profiles: hazelhen-cray, laptop, vulcan-openmpi)`},
 	} {
 		var stdout bytes.Buffer
 		err := run(tc.args, &stdout, io.Discard)
-		if err == nil || !strings.Contains(err.Error(), tc.flag+" ") {
-			t.Errorf("%v: err = %v, want an error naming %s", tc.args, err, tc.flag)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want one containing %q", tc.args, err, tc.want)
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("%v: printed %q before failing", tc.args, stdout.String())
 		}
-	}
-	if err := run([]string{"-nope"}, io.Discard, io.Discard); err == nil {
-		t.Error("-nope: accepted")
-	}
-	err := run([]string{"-cores", "16", "-machine", "abacus"}, io.Discard, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), `unknown machine "abacus" (profiles: hazelhen-cray, laptop, vulcan-openmpi)`) {
-		t.Errorf("-machine abacus: err = %v, want the profile list", err)
 	}
 }
 

@@ -7,28 +7,28 @@ import (
 	"testing"
 )
 
-// TestUnreadFlagsAreErrors: a flag the selected mode does not read is an
-// error naming it. Before, figure mode printed the barrier-flavor figure
-// under `-fig 7 -sync p2p` (or `-sync bogus`) and exited 0, and
-// free-form mode ignored -fine.
-func TestUnreadFlagsAreErrors(t *testing.T) {
+// TestBadArgumentsAreErrors: a bad flag value is one error naming the
+// flag, printed before anything runs. A negative -iters used to run
+// the default five iterations and exit 0, and a negative -elems to fail
+// once per rank with "negative block size".
+func TestBadArgumentsAreErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
-		flag string
+		want string
 	}{
-		{[]string{"-fig", "7", "-sync", "bogus"}, "-sync"},
-		{[]string{"-fig", "7", "-sync", "p2p"}, "-sync"},
-		{[]string{"-fig", "7", "-trace"}, "-trace"},
-		{[]string{"-fig", "8", "-nodes", "2"}, "-nodes"},
-		{[]string{"-fig", "9", "-ppn", "2"}, "-ppn"},
-		{[]string{"-fig", "10", "-elems", "8"}, "-elems"},
-		{[]string{"-fig", "all", "-machine", "laptop"}, "-machine"},
-		{[]string{"-nodes", "2", "-ppn", "2", "-fine"}, "-fine"},
+		{[]string{"-sync", "bogus"}, `unknown sync flavor "bogus"`},
+		{[]string{"-machine", "abacus"}, `unknown machine "abacus" (profiles: hazelhen-cray, laptop, vulcan-openmpi)`},
+		{[]string{"-nope"}, "-nope"},
+		{[]string{"-fig", "7"}, "-fig"},
+		{[]string{"-iters", "-3"}, "-iters -3"},
+		{[]string{"-elems", "-1"}, "-elems -1"},
+		{[]string{"-nodes", "-1"}, "-nodes -1"},
+		{[]string{"-ppn", "0"}, "-ppn 0"},
 	} {
 		var stdout bytes.Buffer
 		err := run(tc.args, &stdout, io.Discard)
-		if err == nil || !strings.Contains(err.Error(), tc.flag+" ") {
-			t.Errorf("%v: err = %v, want an error naming %s", tc.args, err, tc.flag)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want one containing %q", tc.args, err, tc.want)
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("%v: printed %q before failing", tc.args, stdout.String())
@@ -36,24 +36,7 @@ func TestUnreadFlagsAreErrors(t *testing.T) {
 	}
 }
 
-func TestBadArgumentsAreErrors(t *testing.T) {
-	for _, args := range [][]string{
-		{"-fig", "11"},
-		{"-sync", "bogus"},
-		{"-machine", "abacus"},
-		{"-nope"},
-	} {
-		if err := run(args, io.Discard, io.Discard); err == nil {
-			t.Errorf("%v: accepted", args)
-		}
-	}
-	err := run([]string{"-nodes", "2", "-ppn", "2", "-machine", "abacus"}, io.Discard, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), `unknown machine "abacus" (profiles: hazelhen-cray, laptop, vulcan-openmpi)`) {
-		t.Errorf("free-form -machine abacus: err = %v, want the profile list", err)
-	}
-}
-
-// TestFreeFormTraced pins the free-form output under a pairwise sync
+// TestFreeFormTraced pins the point's output under a pairwise sync
 // flavor with the event trace on (identical to the parent commit's).
 func TestFreeFormTraced(t *testing.T) {
 	var stdout, stderr bytes.Buffer

@@ -12,9 +12,9 @@
 //	  "topology":{"nodes":4,"ppn":4},"collective":"allgather",
 //	  "sizes":[1024]}'
 //
-// Every flag also reads an environment-variable default (REPRO_ADDR,
-// REPRO_WORKERS, ... — see API.md), so the container image configures
-// the daemon without wrapping the command line. See API.md for every
+// Every flag -some-name also reads an environment-variable default,
+// REPRO_SOME_NAME (see API.md), so the container image configures the
+// daemon without wrapping the command line. See API.md for every
 // endpoint, the full Query schema and more examples. Shutdown is
 // graceful: on SIGINT/SIGTERM the listener closes, in-flight requests
 // get -drain to finish (then their worlds are aborted) and the warm
@@ -27,13 +27,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
+	"strings"
 	"syscall"
 	"time"
 
@@ -41,134 +42,101 @@ import (
 	"repro/internal/spec"
 )
 
-// envString, envInt, envInt64 and envDuration resolve a flag's default
-// from the environment (the container-config path): the variable wins
-// over the built-in default, the flag wins over both. A malformed
-// variable is a startup error, not a silent fallback.
-func envString(key, def string) string {
-	if v, ok := os.LookupEnv(key); ok {
-		return v
-	}
-	return def
+// options is serverd's parsed configuration: the service's Config plus
+// what only the daemon itself reads.
+type options struct {
+	server.Config
+	addr, pprof string
+	drain       time.Duration
 }
 
-func envInt(key string, def int) int {
-	v, ok := os.LookupEnv(key)
-	if !ok {
-		return def
+// parse reads serverd's flags over the environment. Every flag -name
+// takes its default from REPRO_NAME (upper case, '-' as '_') when
+// lookupEnv has it: the flag beats the variable, the variable beats the
+// built-in default, and a malformed variable is an error naming it, not
+// a silent fallback. The logger writes to logOut.
+func parse(args []string, lookupEnv func(string) (string, bool), logOut io.Writer) (options, error) {
+	var o options
+	c := &o.Config
+	fs := flag.NewFlagSet("serverd", flag.ContinueOnError)
+	fs.SetOutput(logOut)
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&c.Workers, "workers", 0, "max concurrent point queries (0 = GOMAXPROCS)")
+	fs.IntVar(&c.SweepWorkers, "sweep-workers", 0, "max concurrent sweep queries (0 = workers/4)")
+	fs.IntVar(&c.CacheEntries, "cache", 0, "result cache capacity (0 = default 4096)")
+	fs.IntVar(&c.MaxRanks, "max-ranks", 0, "admission cap on a query's world size (0 = default 2^20)")
+	fs.IntVar(&c.MaxGoroutineRanks, "max-goroutine-ranks", 0, "tighter world-size cap for goroutine-engine queries (0 = default 2^16)")
+	fs.Int64Var(&c.MaxWork, "max-work", 0, "admission cap on ranks x sizes x iters per query (0 = default 2^28)")
+	fs.IntVar(&c.WorldPoolRanks, "pool-ranks", 0, "warm world pool rank budget (0 = default 2^20, negative disables pooling)")
+	fs.DurationVar(&c.WorldPoolIdle, "pool-idle", 0, "close pooled worlds idle this long (0 = default 60s)")
+	fs.IntVar(&c.GroupParallelism, "group-parallel", 0, "max concurrent ladder groups per query (0 = default 4)")
+	fs.StringVar(&c.TuneStorePath, "tune-store", "", "path of the persisted measured-policy tuning store (empty = in-memory only)")
+	fs.Float64Var(&c.TenantQPS, "tenant-qps", 0, "per-tenant rate limit on query endpoints, requests/s by X-Tenant header (0 = unlimited)")
+	fs.IntVar(&c.TenantBurst, "tenant-burst", 0, "per-tenant burst capacity (0 = 2x tenant-qps)")
+	fs.DurationVar(&c.Timeout, "timeout", 60*time.Second, "per-request execution budget")
+	fs.DurationVar(&o.drain, "drain", 10*time.Second, "graceful-shutdown budget for in-flight requests")
+	fs.StringVar(&o.pprof, "pprof", "", "serve net/http/pprof on this extra loopback address (e.g. 127.0.0.1:6060; empty = off)")
+	var level slog.Level
+	fs.TextVar(&level, "log-level", slog.LevelInfo, "log level: debug, info, warn or error")
+
+	var envErr error
+	fs.VisitAll(func(f *flag.Flag) {
+		key := "REPRO_" + strings.ToUpper(strings.ReplaceAll(f.Name, "-", "_"))
+		if v, ok := lookupEnv(key); ok && envErr == nil {
+			if err := f.Value.Set(v); err != nil {
+				envErr = fmt.Errorf("%s=%q: %w", key, v, err)
+			}
+		}
+	})
+	if envErr != nil {
+		return o, envErr
 	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		fatal(fmt.Errorf("%s=%q: %w", key, v, err))
+	if err := fs.Parse(args); err != nil {
+		return o, err
 	}
-	return n
+	c.Logger = slog.New(slog.NewTextHandler(logOut, &slog.HandlerOptions{Level: level}))
+	return o, nil
 }
 
-func envInt64(key string, def int64) int64 {
-	v, ok := os.LookupEnv(key)
-	if !ok {
-		return def
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		fatal(fmt.Errorf("%s=%q: %w", key, v, err))
-	}
-	return n
-}
-
-func envFloat(key string, def float64) float64 {
-	v, ok := os.LookupEnv(key)
-	if !ok {
-		return def
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		fatal(fmt.Errorf("%s=%q: %w", key, v, err))
-	}
-	return f
-}
-
-func envDuration(key string, def time.Duration) time.Duration {
-	v, ok := os.LookupEnv(key)
-	if !ok {
-		return def
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil {
-		fatal(fmt.Errorf("%s=%q: %w", key, v, err))
-	}
-	return d
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "serverd:", err)
-	os.Exit(2)
+// pprofMux serves net/http/pprof. It is deliberately a handler of its
+// own, never mounted on the service's: -pprof puts it on a separate
+// listener, so bound to loopback the debug surface stays host-local
+// even when -addr is public.
+func pprofMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 func main() {
 	spec.InstallEnvTuning()
-	addr := flag.String("addr", envString("REPRO_ADDR", ":8080"), "listen address")
-	workers := flag.Int("workers", envInt("REPRO_WORKERS", 0), "max concurrent point queries (0 = GOMAXPROCS)")
-	sweepWorkers := flag.Int("sweep-workers", envInt("REPRO_SWEEP_WORKERS", 0), "max concurrent sweep queries (0 = workers/4)")
-	cacheEntries := flag.Int("cache", envInt("REPRO_CACHE", 0), "result cache capacity (0 = default 4096)")
-	maxRanks := flag.Int("max-ranks", envInt("REPRO_MAX_RANKS", 0), "admission cap on a query's world size (0 = default 2^20)")
-	maxGoroutineRanks := flag.Int("max-goroutine-ranks", envInt("REPRO_MAX_GOROUTINE_RANKS", 0), "tighter world-size cap for goroutine-engine queries (0 = default 2^16)")
-	maxWork := flag.Int64("max-work", envInt64("REPRO_MAX_WORK", 0), "admission cap on ranks x sizes x iters per query (0 = default 2^28)")
-	poolRanks := flag.Int("pool-ranks", envInt("REPRO_POOL_RANKS", 0), "warm world pool rank budget (0 = default 2^20, negative disables pooling)")
-	poolIdle := flag.Duration("pool-idle", envDuration("REPRO_POOL_IDLE", 0), "close pooled worlds idle this long (0 = default 60s)")
-	groupParallel := flag.Int("group-parallel", envInt("REPRO_GROUP_PARALLEL", 0), "max concurrent ladder groups per query (0 = default 4)")
-	tuneStore := flag.String("tune-store", envString("REPRO_TUNE_STORE", ""), "path of the persisted measured-policy tuning store (empty = in-memory only)")
-	tenantQPS := flag.Float64("tenant-qps", envFloat("REPRO_TENANT_QPS", 0), "per-tenant rate limit on query endpoints, requests/s by X-Tenant header (0 = unlimited)")
-	tenantBurst := flag.Int("tenant-burst", envInt("REPRO_TENANT_BURST", 0), "per-tenant burst capacity (0 = 2x tenant-qps)")
-	timeout := flag.Duration("timeout", envDuration("REPRO_TIMEOUT", 60*time.Second), "per-request execution budget")
-	drain := flag.Duration("drain", envDuration("REPRO_DRAIN", 10*time.Second), "graceful-shutdown budget for in-flight requests")
-	pprofAddr := flag.String("pprof", envString("REPRO_PPROF", ""), "serve net/http/pprof on this extra loopback address (e.g. 127.0.0.1:6060; empty = off)")
-	logLevel := flag.String("log-level", envString("REPRO_LOG_LEVEL", "info"), "log level: debug, info, warn or error")
-	flag.Parse()
-
-	var level slog.Level
-	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
-		fatal(err)
+	o, err := parse(os.Args[1:], os.LookupEnv, os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
 	}
-	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "serverd:", err)
+		os.Exit(2)
+	}
+	logger := o.Logger
 	slog.SetDefault(logger)
 
-	svc := server.New(server.Config{
-		Workers:           *workers,
-		SweepWorkers:      *sweepWorkers,
-		CacheEntries:      *cacheEntries,
-		MaxRanks:          *maxRanks,
-		MaxGoroutineRanks: *maxGoroutineRanks,
-		MaxWork:           *maxWork,
-		WorldPoolRanks:    *poolRanks,
-		WorldPoolIdle:     *poolIdle,
-		GroupParallelism:  *groupParallel,
-		TuneStorePath:     *tuneStore,
-		TenantQPS:         *tenantQPS,
-		TenantBurst:       *tenantBurst,
-		Timeout:           *timeout,
-		Logger:            logger,
-	})
+	svc := server.New(o.Config)
 	httpSrv := &http.Server{
-		Addr:              *addr,
+		Addr:              o.addr,
 		Handler:           svc,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
-	// Profiling is opt-in and deliberately on its own listener, so the
-	// service port never exposes pprof: bind -pprof to loopback and
-	// the debug surface stays host-local even when -addr is public.
 	var pprofSrv *http.Server
-	if *pprofAddr != "" {
-		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		pprofSrv = &http.Server{Addr: *pprofAddr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+	if o.pprof != "" {
+		pprofSrv = &http.Server{Addr: o.pprof, Handler: pprofMux(), ReadHeaderTimeout: 10 * time.Second}
 		go func() {
-			logger.Info("pprof listening", "addr", *pprofAddr)
+			logger.Info("pprof listening", "addr", o.pprof)
 			if err := pprofSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				logger.Error("pprof listener failed", "err", err)
 			}
@@ -180,7 +148,7 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	logger.Info("serverd listening", "addr", *addr, "timeout", *timeout)
+	logger.Info("serverd listening", "addr", o.addr, "timeout", o.Timeout)
 
 	select {
 	case err := <-errCh:
@@ -189,8 +157,8 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	logger.Info("shutting down", "drain", *drain)
-	shutCtx, cancel := context.WithTimeout(context.Background(), *drain)
+	logger.Info("shutting down", "drain", o.drain)
+	shutCtx, cancel := context.WithTimeout(context.Background(), o.drain)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logger.Warn("shutdown", "err", err)

@@ -1,12 +1,14 @@
-// Command summa runs the SUMMA application benchmark (Fig. 11):
-// Ori_SUMMA (pure-MPI broadcasts) vs Hy_SUMMA (hybrid broadcasts) on the
-// simulated Cray profile.
+// Command summa runs one point of the SUMMA application benchmark
+// (Fig. 11): Ori_SUMMA (pure-MPI broadcasts) vs Hy_SUMMA (hybrid
+// broadcasts). The default point, 64 cores with 64x64 blocks on the
+// Cray profile, is a row of cmd/experiments' Fig. 11 report, which
+// prints the whole sweep.
 //
 // Usage:
 //
-//	summa                # the full Fig. 11 sweep (all four panels)
-//	summa -block 64      # one panel
-//	summa -cores 256 -block 128 -verify=false   # one point
+//	summa                                  # 64 cores, 64x64 blocks
+//	summa -cores 256 -block 128
+//	summa -cores 4 -block 4 -verify        # real data, checked product
 package main
 
 import (
@@ -15,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 
 	"repro/internal/bench"
 	"repro/internal/mpi"
@@ -35,49 +36,20 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("summa", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	block := fs.Int("block", 0, "per-core block size b (one panel); 0 = the paper's 8, 64, 128, 256")
-	cores := fs.Int("cores", 0, "single point: core count (perfect square); 0 = full sweep")
-	verify := fs.Bool("verify", false, "single point: run with real data and verify the product (small sizes)")
-	machine := fs.String("machine", "hazelhen-cray", "single point: machine profile")
+	cores := fs.Int("cores", 64, "core count (a perfect square: the process grid)")
+	block := fs.Int("block", 64, "per-core block size b")
+	verify := fs.Bool("verify", false, "run with real data and verify the product (small sizes)")
+	machine := fs.String("machine", "hazelhen-cray", "machine profile")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *block < 0 {
-		return fmt.Errorf("-block %d: block size must be positive (0 = all four panels)", *block)
+	if *cores <= 0 {
+		return fmt.Errorf("-cores %d: must be positive", *cores)
 	}
-	if *cores != 0 {
-		return runPoint(stdout, *machine, *cores, pick(*block, 64), *verify)
+	if *block <= 0 {
+		return fmt.Errorf("-block %d: must be positive", *block)
 	}
-	var stray error
-	fs.Visit(func(f *flag.Flag) {
-		if stray == nil && slices.Contains([]string{"verify", "machine"}, f.Name) {
-			stray = fmt.Errorf("-%s is not read by the Fig. 11 sweep (give -cores for a single point)", f.Name)
-		}
-	})
-	if stray != nil {
-		return stray
-	}
-	var blocks []int
-	if *block != 0 {
-		blocks = []int{*block}
-	}
-	tables, err := bench.Fig11(bench.FigOpts{}, blocks)
-	if err != nil {
-		return err
-	}
-	for _, t := range tables {
-		if err := t.Fprint(stdout); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func pick(v, def int) int {
-	if v == 0 {
-		return def
-	}
-	return v
+	return runPoint(stdout, *machine, *cores, *block, *verify)
 }
 
 func runPoint(out io.Writer, machine string, cores, block int, verify bool) error {

@@ -2,63 +2,65 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"os"
 	"strings"
 	"testing"
 )
 
-// TestBlockRunsOnePanel: -block B runs exactly the B panel, for any
-// positive B — not the whole sweep filtered by title, which printed
-// nothing (and exited 0) for a B outside the paper's four.
-func TestBlockRunsOnePanel(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-block", "7"}, &stdout, &stderr); err != nil {
+// TestDefaultPointIsAReportRow: summa with no flags prints the 64-core
+// row of Fig. 11's 64x64 panel in cmd/experiments' pinned report.
+func TestDefaultPointIsAReportRow(t *testing.T) {
+	var stdout bytes.Buffer
+	if err := run(nil, &stdout, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	out := stdout.String()
-	if got := strings.Count(out, "== Figure 11 "); got != 1 || !strings.Contains(out, "== Figure 11 (7x7 blocks)") {
-		t.Errorf("-block 7 printed %d panels, want the one 7x7 panel:\n%s", got, out)
+	row := reportRow(t, "Figure 11 (64x64 blocks)", "64") // cores, Ori_us, Hy_us, ratio
+	want := fmt.Sprintf("Ori_SUMMA  cores=64 b=64: %12s us\nHy_SUMMA   cores=64 b=64: %12s us\n", row[1], row[2])
+	if stdout.String() != want {
+		t.Errorf("output:\n%s\nwant:\n%s", stdout.String(), want)
 	}
-	if stderr.Len() != 0 {
-		t.Errorf("stderr: %q", stderr.String())
+}
+
+// reportRow returns the fields of the first row starting with first
+// after the report title containing table.
+func reportRow(t *testing.T, table, first string) []string {
+	t.Helper()
+	b, err := os.ReadFile("../experiments/testdata/report.golden")
+	if err != nil {
+		t.Fatal(err)
 	}
+	_, after, _ := strings.Cut(string(b), table)
+	for _, line := range strings.Split(after, "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == first {
+			return f
+		}
+	}
+	t.Fatalf("report has no row %q under %q", first, table)
+	return nil
 }
 
 func TestBadArgumentsAreErrors(t *testing.T) {
-	for _, args := range [][]string{
-		{"-block", "-8"},
-		{"-cores", "5"},
-		{"-nope"},
-	} {
-		if err := run(args, io.Discard, io.Discard); err == nil {
-			t.Errorf("%v: accepted", args)
-		}
-	}
-	err := run([]string{"-cores", "4", "-machine", "abacus"}, io.Discard, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), `unknown machine "abacus" (profiles: hazelhen-cray, laptop, vulcan-openmpi)`) {
-		t.Errorf("-machine abacus: err = %v, want the profile list", err)
-	}
-}
-
-// TestSweepRejectsSinglePointFlags: the sweep reads neither -verify nor
-// -machine, and says so by name instead of printing another
-// configuration's numbers.
-func TestSweepRejectsSinglePointFlags(t *testing.T) {
-	for _, c := range []struct {
+	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-verify"}, "-verify"},
-		{[]string{"-block", "8", "-verify=false"}, "-verify"},
-		{[]string{"-block", "8", "-machine", "laptop"}, "-machine"},
+		{[]string{"-block", "-8"}, "-block -8"},
+		{[]string{"-block", "0"}, "-block 0"},
+		{[]string{"-cores", "0"}, "-cores 0"},
+		{[]string{"-cores", "-4"}, "-cores -4"},
+		{[]string{"-cores", "5"}, "cores 5 is not a perfect square"},
+		{[]string{"-nope"}, "-nope"},
+		{[]string{"-cores", "4", "-machine", "abacus"}, `unknown machine "abacus" (profiles: hazelhen-cray, laptop, vulcan-openmpi)`},
 	} {
 		var stdout bytes.Buffer
-		err := run(c.args, &stdout, io.Discard)
-		if err == nil || !strings.Contains(err.Error(), c.want+" is not read") {
-			t.Errorf("%v: err = %v, want one naming %s", c.args, err, c.want)
+		err := run(tc.args, &stdout, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want one containing %q", tc.args, err, tc.want)
 		}
 		if stdout.Len() != 0 {
-			t.Errorf("%v: printed %q before refusing", c.args, stdout.String())
+			t.Errorf("%v: printed %q before failing", tc.args, stdout.String())
 		}
 	}
 }

@@ -12,8 +12,9 @@
 // paper's hybrid MPI+MPI collectives (internal/hybrid), dense linear
 // algebra (internal/la), and the two application benchmarks, SUMMA
 // (internal/summa) and BPMF (internal/bpmf) — plus a harness that
-// regenerates every figure of the evaluation (internal/bench,
-// cmd/experiments).
+// regenerates every figure of the evaluation: internal/bench computes
+// the tables, and cmd/experiments, the one program that prints them,
+// pins its report in cmd/experiments/testdata/report.golden.
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured

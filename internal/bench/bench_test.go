@@ -138,7 +138,7 @@ func TestMicroLatencyDeterministic(t *testing.T) {
 func TestFig7SmallRun(t *testing.T) {
 	// A coarse Fig. 7 run must keep the paper's two properties:
 	// hybrid below pure at every size, and hybrid flat.
-	tab, err := Fig7(FigOpts{Iters: 1})
+	tab, err := Fig7(FigOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

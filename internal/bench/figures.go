@@ -13,8 +13,7 @@ import (
 // FigOpts tunes the sweeps; the zero value reproduces the paper's
 // parameters at a coarser element grid (use Fine for the full grid).
 type FigOpts struct {
-	Fine  bool // full 2^0..2^15 element sweep instead of every 4th
-	Iters int  // timed iterations per point
+	Fine bool // full 2^0..2^15 element sweep instead of every 4th
 }
 
 func (o FigOpts) elems() []int {
@@ -27,28 +26,41 @@ func (o FigOpts) elems() []int {
 // Fig7 reproduces the single-full-node comparison: Hy_Allgather vs
 // Allgather on 24 ranks of one node, for both library stacks.
 func Fig7(o FigOpts) (*Table, error) {
-	t := &Table{
+	return sizeSweep(&Table{
 		Name:   "Figure 7: allgather within one full node (24 ranks), time in us",
 		Note:   "Paper: Hy_Allgather is flat (one node barrier) and always below Allgather.",
 		Header: []string{"elems", "Hy+OpenMPI", "Ag+OpenMPI", "Hy+CrayMPI", "Ag+CrayMPI"},
-	}
-	shape := []int{CoresPerNode}
+	}, []int{CoresPerNode}, o)
+}
+
+// sizeSweep fills t with one row per element count: both machines'
+// Hy_Allgather and Allgather latencies on shape.
+func sizeSweep(t *Table, shape []int, o FigOpts) (*Table, error) {
 	for _, elems := range o.elems() {
 		row := []string{fmt.Sprint(elems)}
 		for _, m := range Machines() {
-			hy, err := HyAllgatherLatency(m, shape, 8*elems, MicroOpts{Iters: o.Iters})
-			if err != nil {
+			var err error
+			if row, err = hyPure(row, m, shape, elems); err != nil {
 				return nil, err
 			}
-			pure, err := PureAllgatherLatency(m, shape, 8*elems, MicroOpts{Iters: o.Iters})
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmtUs(hy), fmtUs(pure))
 		}
 		t.AddRow(row...)
 	}
 	return t, nil
+}
+
+// hyPure appends the Hy_Allgather and pure Allgather latencies of
+// elems doubles per rank on shape to row.
+func hyPure(row []string, m *sim.CostModel, shape []int, elems int) ([]string, error) {
+	hy, err := HyAllgatherLatency(m, shape, 8*elems, MicroOpts{})
+	if err != nil {
+		return nil, err
+	}
+	pure, err := PureAllgatherLatency(m, shape, 8*elems, MicroOpts{})
+	if err != nil {
+		return nil, err
+	}
+	return append(row, fmtUs(hy), fmtUs(pure)), nil
 }
 
 // Fig8 reproduces the one-rank-per-node comparison over 4, 16 and 64
@@ -65,25 +77,25 @@ func Fig8(o FigOpts) ([]*Table, error) {
 		for _, elems := range o.elems() {
 			row := []string{fmt.Sprint(elems)}
 			for _, nodes := range []int{4, 16, 64} {
-				shape := make([]int, nodes)
-				for i := range shape {
-					shape[i] = 1
-				}
-				hy, err := HyAllgatherLatency(m, shape, 8*elems, MicroOpts{Iters: o.Iters})
-				if err != nil {
+				var err error
+				if row, err = hyPure(row, m, uniform(nodes, 1), elems); err != nil {
 					return nil, err
 				}
-				pure, err := PureAllgatherLatency(m, shape, 8*elems, MicroOpts{Iters: o.Iters})
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, fmtUs(hy), fmtUs(pure))
 			}
 			t.AddRow(row...)
 		}
 		tables = append(tables, t)
 	}
 	return tables, nil
+}
+
+// uniform is nodes nodes of ppn ranks each.
+func uniform(nodes, ppn int) []int {
+	shape := make([]int, nodes)
+	for i := range shape {
+		shape[i] = ppn
+	}
+	return shape
 }
 
 // Fig9 reproduces the ppn scaling on 64 nodes for 512 and 16384
@@ -98,21 +110,12 @@ func Fig9(o FigOpts) ([]*Table, error) {
 				"Hy+OpenMPI", "Ag+OpenMPI", "Hy+CrayMPI", "Ag+CrayMPI"},
 		}
 		for ppn := 3; ppn <= 24; ppn += 3 {
-			shape := make([]int, 64)
-			for i := range shape {
-				shape[i] = ppn
-			}
 			row := []string{fmt.Sprint(ppn)}
 			for _, m := range Machines() {
-				hy, err := HyAllgatherLatency(m, shape, 8*elems, MicroOpts{Iters: o.Iters})
-				if err != nil {
+				var err error
+				if row, err = hyPure(row, m, uniform(64, ppn), elems); err != nil {
 					return nil, err
 				}
-				pure, err := PureAllgatherLatency(m, shape, 8*elems, MicroOpts{Iters: o.Iters})
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, fmtUs(hy), fmtUs(pure))
 			}
 			t.AddRow(row...)
 		}
@@ -123,39 +126,15 @@ func Fig9(o FigOpts) ([]*Table, error) {
 
 // Fig10Shape is the irregular population of Fig. 10: 42 nodes with 24
 // ranks plus one node with 16 ranks (1024 ranks total).
-func Fig10Shape() []int {
-	shape := make([]int, 43)
-	for i := 0; i < 42; i++ {
-		shape[i] = 24
-	}
-	shape[42] = 16
-	return shape
-}
+func Fig10Shape() []int { return append(uniform(42, 24), 16) }
 
 // Fig10 reproduces the irregularly-populated-nodes comparison.
 func Fig10(o FigOpts) (*Table, error) {
-	t := &Table{
+	return sizeSweep(&Table{
 		Name:   "Figure 10: allgather on irregularly populated nodes (42x24 + 1x16 = 1024 ranks), time in us",
 		Note:   "Paper: Hy_Allgather keeps consistently lower latency.",
 		Header: []string{"elems", "Hy+OpenMPI", "Ag+OpenMPI", "Hy+CrayMPI", "Ag+CrayMPI"},
-	}
-	shape := Fig10Shape()
-	for _, elems := range o.elems() {
-		row := []string{fmt.Sprint(elems)}
-		for _, m := range Machines() {
-			hy, err := HyAllgatherLatency(m, shape, 8*elems, MicroOpts{Iters: o.Iters})
-			if err != nil {
-				return nil, err
-			}
-			pure, err := PureAllgatherLatency(m, shape, 8*elems, MicroOpts{Iters: o.Iters})
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmtUs(hy), fmtUs(pure))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	}, Fig10Shape(), o)
 }
 
 // Fig11Cores is the core-count sweep of the SUMMA figures; each count
@@ -166,15 +145,11 @@ func Fig11Cores() []int { return []int{4, 16, 64, 256, 1024} }
 func Fig11Blocks() []int { return []int{8, 64, 128, 256} }
 
 // Fig11 reproduces the SUMMA comparison (Ori_SUMMA vs Hy_SUMMA and
-// their ratio) on the Cray profile, one table per block size in blocks
-// (nil = Fig11Blocks, the paper's four panels).
-func Fig11(o FigOpts, blocks []int) ([]*Table, error) {
-	model := sim.HazelHenCray()
-	if blocks == nil {
-		blocks = Fig11Blocks()
-	}
+// their ratio) on the Cray profile, one table per block size of
+// Fig11Blocks (the paper's four panels).
+func Fig11(o FigOpts) ([]*Table, error) {
 	var tables []*Table
-	for _, b := range blocks {
+	for _, b := range Fig11Blocks() {
 		t := &Table{
 			Name:   fmt.Sprintf("Figure 11 (%dx%d blocks): SUMMA on Cray profile", b, b),
 			Note:   "Paper: ratio > 1 everywhere; largest for small blocks on one node, shrinking as compute grows.",
@@ -185,26 +160,12 @@ func Fig11(o FigOpts, blocks []int) ([]*Table, error) {
 			for grid*grid < cores {
 				grid++
 			}
-			topo, err := sim.NewTopology(ShapeFor(cores))
+			ori, hy, err := oriHy(cores, func(w *mpi.World, hy bool) (sim.Time, error) {
+				res, err := summa.Run(w, summa.Config{GridDim: grid, BlockDim: b, Hybrid: hy})
+				return res.Makespan, err
+			})
 			if err != nil {
 				return nil, err
-			}
-			var ori, hy sim.Time
-			for _, hybridRun := range []bool{false, true} {
-				w, err := mpi.NewWorld(model, topo)
-				if err != nil {
-					return nil, err
-				}
-				res, err := summa.Run(w, summa.Config{GridDim: grid, BlockDim: b, Hybrid: hybridRun})
-				w.Close()
-				if err != nil {
-					return nil, err
-				}
-				if hybridRun {
-					hy = res.Makespan
-				} else {
-					ori = res.Makespan
-				}
 			}
 			t.AddRow(fmt.Sprint(cores), fmtUs(ori), fmtUs(hy),
 				fmt.Sprintf("%.2f", float64(ori)/float64(hy)))
@@ -212,6 +173,29 @@ func Fig11(o FigOpts, blocks []int) ([]*Table, error) {
 		tables = append(tables, t)
 	}
 	return tables, nil
+}
+
+// oriHy runs one application point on the Cray profile over cores
+// ranks laid out by ShapeFor: the pure-MPI flavor, then the hybrid one,
+// each on a fresh world. It returns both makespans.
+func oriHy(cores int, run func(w *mpi.World, hy bool) (sim.Time, error)) (ori, hy sim.Time, err error) {
+	topo, err := sim.NewTopology(ShapeFor(cores))
+	if err != nil {
+		return 0, 0, err
+	}
+	var t [2]sim.Time
+	for i, h := range []bool{false, true} {
+		w, err := mpi.NewWorld(sim.HazelHenCray(), topo)
+		if err != nil {
+			return 0, 0, err
+		}
+		t[i], err = run(w, h)
+		w.Close()
+		if err != nil {
+			return 0, 0, err
+		}
+	}
+	return t[0], t[1], nil
 }
 
 // Fig12Cores is the BPMF core sweep.
@@ -231,36 +215,20 @@ func Fig12Config() bpmf.Config {
 
 // Fig12 reproduces the BPMF TotalTime ratio sweep on the Cray profile.
 func Fig12(o FigOpts) (*Table, error) {
-	model := sim.HazelHenCray()
 	t := &Table{
 		Name:   "Figure 12: BPMF TotalTime ratio Ori_BPMF/Hy_BPMF (20 iterations, chembl_20-shaped synthetic data)",
 		Note:   "Paper: ratio above 1, slowly rising with core count (up to ~1.1 at 1024 cores).",
 		Header: []string{"cores", "Ori_ms", "Hy_ms", "ratio"},
 	}
-	base := Fig12Config()
 	for _, cores := range Fig12Cores() {
-		topo, err := sim.NewTopology(ShapeFor(cores))
+		ori, hy, err := oriHy(cores, func(w *mpi.World, hy bool) (sim.Time, error) {
+			cfg := Fig12Config()
+			cfg.Hybrid = hy
+			res, err := bpmf.Run(w, cfg)
+			return res.Makespan, err
+		})
 		if err != nil {
 			return nil, err
-		}
-		var ori, hy sim.Time
-		for _, hybridRun := range []bool{false, true} {
-			w, err := mpi.NewWorld(model, topo)
-			if err != nil {
-				return nil, err
-			}
-			cfg := base
-			cfg.Hybrid = hybridRun
-			res, err := bpmf.Run(w, cfg)
-			w.Close()
-			if err != nil {
-				return nil, err
-			}
-			if hybridRun {
-				hy = res.Makespan
-			} else {
-				ori = res.Makespan
-			}
 		}
 		t.AddRow(fmt.Sprint(cores),
 			fmt.Sprintf("%.1f", ori.Ms()), fmt.Sprintf("%.1f", hy.Ms()),

@@ -10,15 +10,16 @@ import (
 
 // The paper's Hy_Allgather: each node holds one shared copy of the
 // result, every rank writes its partition in place, and only the
-// leaders exchange node blocks over the bridge. Rank 3 (on node 1)
-// reads rank 0's block straight out of its node's shared window.
+// leaders exchange node blocks over the bridge. Rank 3, the first rank
+// of node 1 and so its leader, reads rank 0's block straight out of its
+// node's shared window.
 func ExampleCtx_NewAllgatherer() {
 	topo := sim.MustUniform(2, 3) // two nodes, three ranks each
 	w, err := mpi.NewWorld(sim.Laptop(), topo, mpi.WithRealData())
 	if err != nil {
 		panic(err)
 	}
-	var seen float64
+	var line string
 	err = w.Run(func(p *mpi.Proc) error {
 		ctx, err := hybrid.New(p.CommWorld())
 		if err != nil {
@@ -33,14 +34,15 @@ func ExampleCtx_NewAllgatherer() {
 			return err
 		}
 		if p.Rank() == 3 {
-			seen = ag.Block(0).Float64At(0)
+			line = fmt.Sprintf("rank %d (node %d, leader=%v) read rank 0's block: %g",
+				p.Rank(), p.Node(), ctx.IsLeader(), ag.Block(0).Float64At(0))
 		}
 		return ag.ReadFence()
 	})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("rank 3 read rank 0's block: %g\n", seen)
+	fmt.Println(line)
 	// Output:
-	// rank 3 read rank 0's block: 100
+	// rank 3 (node 1, leader=true) read rank 0's block: 100
 }

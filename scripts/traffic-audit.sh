@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Which internal/ functions does no shipped binary execute?
 #
-# Builds every cmd/*, examples/* and the benchmark with coverage
-# counters, runs each with small arguments (defaults first, then what is
-# one flag, one env var or one request field away), merges the counters
-# and lists the internal/ functions at 0%. The list is a gate by name,
+# Builds every cmd/* and the benchmark with coverage counters, runs each
+# with small arguments (defaults first, then what is one flag, one env
+# var or one request field away), runs every Example of internal/ with
+# the same counters (an Example is a program `go test` runs and pins),
+# merges the counters and lists the internal/ functions at 0%. The list is a gate by name,
 # not by count: it must equal scripts/traffic-audit.allow, where every
 # survivor is written down with the reason it stays. A function that is
 # unexecuted and not listed fails the audit; so does a listed function
@@ -20,15 +21,13 @@ addr=127.0.0.1:8080
 q='{"machine":"laptop","topology":{"nodes":4,"ppn":4},"collective":"allgather","sizes":[1024]}'
 
 rm -rf audit
-mkdir -p audit/cmd audit/examples audit/cov audit/cov-flags
+mkdir -p audit/cmd audit/cov audit/cov-flags
 
 # The pattern must be repro/... : -coverpkg=./internal/... or
 # repro/internal/... leaves package main uninstrumented and, on go1.24,
-# the binaries then write no counter files at all. cmd/ and examples/
-# both have a `summa`, hence two directories.
+# the binaries then write no counter files at all.
 cover="-cover -covermode=atomic -coverpkg=repro/..."
 go build $cover -o audit/cmd/ ./cmd/...
-go build $cover -o audit/examples/ ./examples/...
 go build $cover -o audit/benchmark ./benchmark
 
 # serverd writes its counters at exit, so every session ends with a
@@ -56,14 +55,14 @@ post() { curl -sf -o /dev/null "http://$addr$1" -d "$2"; }
 export GOCOVERDIR=audit/cov
 audit/cmd/perf -sweep all -scalemax 4096 -out audit/sweeps.json >/dev/null
 audit/cmd/ablations >/dev/null
-audit/cmd/mpibench -fig all >/dev/null
-audit/cmd/summa -block 8 >/dev/null
+audit/cmd/mpibench >/dev/null
+audit/cmd/summa -cores 4 -block 4 -verify >/dev/null
 audit/cmd/bpmf -cores 16 -real >/dev/null
 audit/cmd/linkcheck >/dev/null
-audit/cmd/experiments >/dev/null
-for e in faulttol halo kmeans quickstart summa; do
-	audit/examples/$e >/dev/null
-done
+audit/cmd/experiments 2>/dev/null >/dev/null
+# Each test binary runs in its package directory, hence the absolute
+# counter directory.
+go test -count=1 -run '^Example' $cover ./internal/... -args -test.gocoverdir="$PWD/audit/cov" >/dev/null
 for w in fig-micro fig-apps serve-cold serve-warm; do
 	audit/benchmark -workload $w -seed 1 -seconds 2 -trace 0 >/dev/null
 done
@@ -76,18 +75,17 @@ serverd_stop
 
 # --- one flag away ----------------------------------------------------
 # Code the default runs never take but a user reaches without writing
-# Go: mpibench's free-form mode under both pairwise sync flavors with
-# the tracer on and its fine size grid; the cost policy installed from
-# the environment (the commands, not the examples, read
-# REPRO_COLL_TUNING), which prices the neighborhood shapes the table
-# never asks about; serverd's per-tenant limiter and its /metrics
+# Go: mpibench's point under both pairwise sync flavors with the
+# tracer on; the full figure grid; the cost policy installed from the environment (the commands, not the
+# Examples, read REPRO_COLL_TUNING), which prices the neighborhood
+# shapes the table never asks about; serverd's per-tenant limiter and its /metrics
 # series, a malformed request,
 # an explicit engine+fold, a forced algorithm (the one registry entry no
 # policy picks by itself) and a barrier under the cost policy.
 export GOCOVERDIR=audit/cov-flags
 audit/cmd/mpibench -nodes 2 -ppn 4 -elems 64 -sync p2p -trace >/dev/null
 audit/cmd/mpibench -nodes 2 -ppn 4 -sync sharedflags >/dev/null
-audit/cmd/mpibench -fig 7 -fine >/dev/null
+audit/cmd/experiments -fine 2>/dev/null >/dev/null
 REPRO_COLL_TUNING=policy=cost audit/cmd/perf -sweep stencil -scalemax 4096 >/dev/null
 serverd_start -tenant-qps 1000
 curl -sf -o /dev/null -H 'X-Tenant: audit' "http://$addr/v1/run" -d "$q"
