@@ -2,7 +2,11 @@ package mpi
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // Failure injection: a rank that errors out must not strand peers that
@@ -93,17 +97,35 @@ func TestAbortWakesRendezvousSend(t *testing.T) {
 	}
 }
 
+// TestAbortFromPanic runs on both engines: on the event engine the panic
+// is raised inside the rank's coroutine, and must still be reported as
+// that rank's error, abort its peers, and leave nothing running once the
+// world is closed.
 func TestAbortFromPanic(t *testing.T) {
-	w := newTestWorld(t, 1, 3)
-	err := w.Run(func(p *Proc) error {
-		if p.Rank() == 0 {
-			panic("kaboom")
+	for _, e := range []sim.Engine{sim.EngineGoroutine, sim.EngineEvent} {
+		base := runtime.NumGoroutine()
+		w, err := NewWorld(sim.Laptop(), sim.MustUniform(1, 3), WithRealData(), WithEngine(e))
+		if err != nil {
+			t.Fatal(err)
 		}
-		_, err := p.CommWorld().Recv(Sized(8), 0, 0)
-		return err
-	})
-	if err == nil || !errors.Is(err, ErrAborted) {
-		t.Fatalf("panic did not abort peers: %v", err)
+		err = w.Run(func(p *Proc) error {
+			if p.Rank() == 0 {
+				panic("kaboom")
+			}
+			_, err := p.CommWorld().Recv(Sized(8), 0, 0)
+			return err
+		})
+		if err == nil || !errors.Is(err, ErrAborted) {
+			t.Fatalf("%v: panic did not abort peers: %v", e, err)
+		}
+		var re *RankError
+		if !errors.As(err, &re) || re.Rank != 0 || !strings.HasPrefix(re.Err.Error(), "panic: kaboom") {
+			t.Errorf("%v: panic not reported as rank 0's error: %v", e, err)
+		}
+		w.Close()
+		if !settlesTo(base) {
+			t.Errorf("%v: %d goroutines after Close, want %d", e, runtime.NumGoroutine(), base)
+		}
 	}
 }
 

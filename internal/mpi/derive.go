@@ -160,8 +160,9 @@ func buildLevelShape(topo *sim.Topology, members []int, level int) *levelShape {
 // arrives first derives the partition and opens its contexts, and every
 // other member only performs O(1) lookups. Each collective call yields
 // a fresh plan (fresh contexts), exactly like the exchange-based Split
-// did. The partition is not cached across worlds: the call's one
-// non-test site is examples/halo's single SplitTypeShared.
+// did. The partition is not cached across worlds: SplitTypeShared has
+// no non-test caller, and its one caller outside this package is coll's
+// Example_halo.
 func (c *Comm) splitLevelDerived(l int) (*Comm, error) {
 	w := c.p.world
 	v, err := SetupOnce(c, func() (any, error) {

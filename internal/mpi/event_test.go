@@ -2,7 +2,9 @@ package mpi
 
 import (
 	"errors"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -211,9 +213,9 @@ func TestEngineSwitchRerun(t *testing.T) {
 }
 
 // TestEventEngineRunAllocationLean pins the steady-state allocation
-// cost of an event-engine Run: dispatch rides the pre-spawned workers
-// and pooled matcher records, so repeated Runs must not accumulate
-// per-rank state.
+// cost of an event-engine Run: the driver resumes the rank coroutines
+// the first Run created, and messages ride pooled matcher records, so
+// repeated Runs must not accumulate per-rank state.
 func TestEventEngineRunAllocationLean(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless")
@@ -246,5 +248,43 @@ func TestEventEngineRunAllocationLean(t *testing.T) {
 	})
 	if avg >= 24 {
 		t.Errorf("event-engine Run allocates %.1f objects/op in steady state, want < 24", avg)
+	}
+}
+
+// TestEventDeadlockReturnsErrDeadlock runs a ring where every rank
+// receives on a tag nobody sends: once the sends have gone out, every
+// rank is parked and no event can wake one. The Run must return an
+// ErrDeadlock naming each parked rank instead of hanging, and leave the
+// world poisoned so no pool reuses it.
+func TestEventDeadlockReturnsErrDeadlock(t *testing.T) {
+	w, err := NewWorld(sim.HazelHenCray(), sim.MustUniform(2, 4), WithEngine(sim.EngineEvent))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	start := time.Now()
+	err = w.Run(func(p *Proc) error {
+		c := p.CommWorld()
+		n, rank := c.Size(), c.Rank()
+		if err := c.Send(Sized(8), (rank+1)%n, 1); err != nil {
+			return err
+		}
+		_, err := c.Recv(Sized(8), (rank-1+n)%n, 2)
+		return err
+	})
+	if took := time.Since(start); took > 500*time.Millisecond {
+		t.Errorf("deadlocked Run took %v to return", took)
+	}
+	if !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("deadlocked Run returned %v, want ErrDeadlock", err)
+	}
+	if !strings.Contains(err.Error(), "ranks [0 1 2 3 4 5 6 7] parked") {
+		t.Errorf("deadlock report does not name all 8 parked ranks: %v", err)
+	}
+	if !w.Aborted() {
+		t.Error("deadlocked world is not poisoned")
+	}
+	if err := w.Run(func(p *Proc) error { return nil }); !errors.Is(err, ErrAborted) {
+		t.Errorf("Run after deadlock returned %v, want ErrAborted", err)
 	}
 }

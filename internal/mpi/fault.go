@@ -36,7 +36,7 @@ import (
 //     communicator so every member's pending and future p2p ops fail),
 //     Comm.Agree (fault-aware agreement over the live members) and
 //     Comm.Shrink (build a live-ranks communicator) to recover —
-//     see examples/faulttol.
+//     see ExampleComm_Shrink.
 //
 // Failure limitations (documented contract): a second rank death while
 // survivors are inside Agree/Shrink aborts the job rather than
@@ -186,7 +186,8 @@ func (w *World) Damaged() bool { return w.damaged.Load() }
 // over the live set is not
 // waiting on p, so the walk leaves it alone however early a survivor
 // starts it. Runs on the dying rank's own goroutine — which in event
-// mode is the token holder, making the scheduler wakes safe.
+// mode is the rank the driver is running, making the scheduler wakes
+// safe.
 func (w *World) killRank(p *Proc) {
 	w.damaged.Store(true)
 	w.match.dead[p.rank].Store(true)
@@ -222,8 +223,8 @@ func (w *World) stranded(members []int) error {
 // communicating with the dead rank. Revocation is permanent and
 // idempotent; recovery continues on the communicator returned by
 // Shrink. Coordination-plane calls (Agree, Shrink) still work on a
-// revoked communicator. Safe from any rank (the event engine's caller
-// is the token holder).
+// revoked communicator. Safe from any rank (on the event engine the
+// caller is the rank the driver is running).
 func (c *Comm) Revoke() {
 	if c.cx.state.CompareAndSwap(ctxLive, ctxRevoked) {
 		c.cx.fail(c.p.world, revokedClock, func(int) bool { return true })

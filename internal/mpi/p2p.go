@@ -134,7 +134,7 @@ func putEagerStore(p *[]byte) { eagerBytesPool.Put(p) }
 // abortClock, failClock and revokedClock are the poison timestamps fed
 // to blocked waiters when the job aborts, the peer they wait on dies, or
 // their communicator is revoked: instead of every wait being a two-way
-// select against the abort channel (the select machinery is measurable
+// select against an abort signal (the select machinery is measurable
 // on the hot path), Context.fail walks the queues once and feeds each
 // parked waiter its sentinel through the channel it is already blocked
 // on. Legitimate completion times are never negative; failErr

@@ -70,7 +70,6 @@ type World struct {
 	execN    int
 
 	abortOnce sync.Once
-	abortCh   chan struct{}
 }
 
 // ErrAborted is returned from blocking operations when another rank of
@@ -89,11 +88,9 @@ var ErrAborted = errors.New("mpi: job aborted because another rank failed")
 // same way: flag first, then one pass over the live contexts feeds every
 // queued matcher record the abortClock sentinel and closes every live
 // rendezvous round.
-// abortCh only serves the event scheduler's empty-ring wait.
 func (w *World) Abort() {
 	w.abortOnce.Do(func() {
 		w.match.aborted.Store(true)
-		close(w.abortCh)
 		w.poison(nil, abortClock, ErrAborted, func(int) bool { return true })
 	})
 }
@@ -196,7 +193,6 @@ func NewWorldConfig(model *sim.CostModel, topo *sim.Topology, cfg Config) (*Worl
 		collCfg:  cfg.CollConfig,
 		foldUnit: cfg.FoldUnit,
 		match:    &matcher{fold: cfg.FoldUnit},
-		abortCh:  make(chan struct{}),
 	}
 	if err := w.validateFold(); err != nil {
 		return nil, err
@@ -269,10 +265,12 @@ type runState struct {
 // Run executes body once per executing rank and waits for all of them.
 // On the goroutine engine it spawns one goroutine per rank and joins
 // them, so a world holds no goroutine between Runs; on the event engine
-// it dispatches to the scheduler's continuation goroutines, which live
-// until Close. Panics inside a rank are recovered and reported as that
-// rank's error. The returned error joins every failing rank's error
-// (errors.Join), nil if all ranks succeeded.
+// the caller drives the scheduler's rank coroutines, which live until
+// Close. Panics inside a rank are recovered and reported as that rank's
+// error. The returned error joins every failing rank's error
+// (errors.Join), nil if all ranks succeeded; on the event engine a
+// deadlock adds an ErrDeadlock naming the parked ranks, and leaves the
+// world aborted.
 //
 // Run may be called repeatedly on the same World; clocks continue from
 // where the previous Run left them (use ResetClocks between independent
@@ -308,14 +306,13 @@ func (w *World) Run(body func(p *Proc) error) error {
 	} else {
 		clear(st.errs)
 	}
+	var deadlock error // the event driver's report, when it had to break one
 	if w.engine == sim.EngineEvent {
 		if w.ev == nil {
 			w.ev = newEvSched(w, w.execN)
 		}
 		w.evLive = true
-		w.ev.begin()
-		w.ev.dispatchNext()
-		<-w.ev.ctrl
+		deadlock = w.ev.run()
 		w.evLive = false
 	} else {
 		st.next.Store(0)
@@ -326,7 +323,7 @@ func (w *World) Run(body func(p *Proc) error) error {
 		st.wg.Wait()
 	}
 	st.body = nil
-	err := errors.Join(st.errs...)
+	err := errors.Join(deadlock, errors.Join(st.errs...))
 	if w.foldUnit > 0 {
 		err = w.finishFoldedRun(err)
 	}
@@ -398,10 +395,10 @@ func recoveredRankError(p *Proc, rec any) error {
 }
 
 // Close retires the world: later Run calls fail with ErrClosed, and an
-// event-engine world's continuation goroutines wake up and exit. A
-// world that only ever ran on the goroutine engine holds no goroutine
-// between Runs, so for it Close only latches the flag; a world that ran
-// on the event engine must be closed to release its scheduler. Close is
+// event-engine world's rank coroutines are stopped. A world that only
+// ever ran on the goroutine engine holds no goroutine between Runs, so
+// for it Close only latches the flag; a world that ran on the event
+// engine must be closed to release its scheduler. Close is
 // idempotent and safe on a world that never ran; it must not be called
 // while a Run is in flight.
 func (w *World) Close() {
