@@ -15,11 +15,13 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"repro/internal/bench"
 	"repro/internal/coll"
@@ -66,6 +68,34 @@ func uniformShape(nodes, ppn int) []int {
 		s[i] = ppn
 	}
 	return s
+}
+
+// newWorld builds a size-only world of the given shape.
+func newWorld(model *sim.CostModel, shape []int, opts ...mpi.Option) (*mpi.World, error) {
+	topo, err := sim.NewTopology(shape)
+	if err != nil {
+		return nil, err
+	}
+	return mpi.NewWorld(model, topo, opts...)
+}
+
+// race times every algorithm of cl that can serve e over body on w
+// (coll.Race) and returns the times by algorithm name.
+func race(w *mpi.World, cl coll.Collective, e coll.Env, body func(*mpi.Comm) error) (map[string]sim.Time, error) {
+	laps, err := coll.Race(w, cl, e, body)
+	byName := make(map[string]sim.Time, len(laps))
+	for _, l := range laps {
+		byName[l.Name] = l.Time
+	}
+	return byName, err
+}
+
+// timed runs body once on w's world communicator from zeroed clocks
+// and returns the makespan.
+func timed(w *mpi.World, body func(*mpi.Comm) error) (sim.Time, error) {
+	w.ResetClocks()
+	err := w.Run(func(p *mpi.Proc) error { return body(p.CommWorld()) })
+	return w.MaxClock(), err
 }
 
 func syncFlavors(out io.Writer, model *sim.CostModel) error {
@@ -134,23 +164,26 @@ func allgatherAlgos(out io.Writer, model *sim.CostModel) error {
 		Note:   "The classic family [28]; the tuned selector picks per size.",
 		Header: []string{"elems", "ring", "recdbl", "bruck", "neighbor", "auto"},
 	}
-	shape := uniformShape(16, 1)
+	w, err := newWorld(model, uniformShape(16, 1))
+	if err != nil {
+		return err
+	}
+	defer w.Close()
 	for _, elems := range []int{1, 64, 4096, 65536} {
 		per := 8 * elems
-		row := []string{fmt.Sprint(elems)}
-		algos := []func(c *mpi.Comm, s, r mpi.Buf, per int) error{
-			coll.AllgatherRing, coll.AllgatherRecDbl, coll.AllgatherBruck,
-			coll.AllgatherNeighbor, coll.Allgather,
+		body := func(c *mpi.Comm) error {
+			return coll.Allgather(c, mpi.Sized(per), mpi.Sized(per*c.Size()), per)
 		}
-		for _, fn := range algos {
-			f := fn
-			lat, err := bench.Makespan(model, shape, func(p *mpi.Proc) error {
-				return f(p.CommWorld(), mpi.Sized(per), mpi.Sized(per*p.Size()), per)
-			})
-			if err != nil {
-				return err
-			}
-			row = append(row, fmt.Sprintf("%.2f", lat.Us()))
+		lat, err := race(w, coll.CollAllgather, coll.Env{Size: w.Size(), Bytes: per}, body)
+		if err != nil {
+			return err
+		}
+		if lat["auto"], err = timed(w, body); err != nil {
+			return err
+		}
+		row := []string{fmt.Sprint(elems)}
+		for _, col := range t.Header[1:] {
+			row = append(row, fmt.Sprintf("%.2f", lat[col].Us()))
 		}
 		t.AddRow(row...)
 	}
@@ -204,11 +237,7 @@ func npbKernels(out io.Writer, model *sim.CostModel) error {
 	for _, kernel := range []npb.Kernel{npb.CG, npb.FT, npb.IS, npb.EP} {
 		var times [2]sim.Time
 		for i, hy := range []bool{false, true} {
-			topo, err := sim.NewTopology(shape)
-			if err != nil {
-				return err
-			}
-			w, err := mpi.NewWorld(model, topo)
+			w, err := newWorld(model, shape)
 			if err != nil {
 				return err
 			}
@@ -228,11 +257,11 @@ func npbKernels(out io.Writer, model *sim.CostModel) error {
 
 // allreduces is the rank body of the two noise tables: iters
 // back-to-back float64 sum allreduces of elems elements.
-func allreduces(elems, iters int) func(p *mpi.Proc) error {
-	return func(p *mpi.Proc) error {
+func allreduces(elems, iters int) func(c *mpi.Comm) error {
+	return func(c *mpi.Comm) error {
 		send, recv := mpi.Sized(elems*8), mpi.Sized(elems*8)
 		for i := 0; i < iters; i++ {
-			if err := coll.Allreduce(p.CommWorld(), send, recv, elems, mpi.Float64, mpi.OpSum); err != nil {
+			if err := coll.Allreduce(c, send, recv, elems, mpi.Float64, mpi.OpSum); err != nil {
 				return err
 			}
 		}
@@ -266,8 +295,10 @@ func noiseDrift(out io.Writer, model *sim.CostModel) error {
 				Congestion: map[sim.HopClass]float64{sim.HopNet: 2}}
 		}},
 	}
+	body := allreduces(elems, iters)
 	measure := func(n *sim.Noise) (sim.Time, error) {
-		lat, err := bench.Makespan(model, uniformShape(8, 8), allreduces(elems, iters), mpi.WithNoise(n))
+		lat, err := bench.Makespan(model, uniformShape(8, 8),
+			func(p *mpi.Proc) error { return body(p.CommWorld()) }, mpi.WithNoise(n))
 		return lat / iters, err
 	}
 	var clean float64
@@ -309,11 +340,11 @@ func noiseDrift(out io.Writer, model *sim.CostModel) error {
 // noiseSelection answers the ROADMAP drift question: the selection
 // engine prices a CLEAN machine, so how far do its table/cost picks sit
 // from the per-seed optimal once the world is noisy? Per noise level
-// and seed, every registered allreduce algorithm is forced in turn; the
-// seed's optimal is the fastest forced run, and each policy's drift is
-// its own virtual time over that optimum. Because the noise draws are
+// and seed, selectionPoint races every allreduce algorithm; the seed's
+// optimal is the fastest lap, and each policy's drift is its own
+// virtual time over that optimum. Because the noise draws are
 // seed-deterministic, a policy run's time equals its chosen algorithm's
-// forced time exactly, which is how the pick columns are recovered.
+// lap exactly, which is how the pick columns are recovered.
 func noiseSelection(out io.Writer, model *sim.CostModel) error {
 	t := &bench.Table{
 		Name: "Ablation: selection drift under noise (8 nodes x 8 ranks allreduce, mean of 5 seeds)",
@@ -323,7 +354,6 @@ func noiseSelection(out io.Writer, model *sim.CostModel) error {
 			"the store-served pick really reproduces the optimum. Picks shown for seed 1.",
 		Header: []string{"elems", "noise", "table_pick", "cost_pick", "measured_pick", "optimal", "table_drift", "cost_drift", "measured_drift"},
 	}
-	const iters = 2
 	levels := []struct {
 		label string
 		mk    func(seed int64) *sim.Noise
@@ -343,82 +373,71 @@ func noiseSelection(out io.Writer, model *sim.CostModel) error {
 				Congestion: map[sim.HopClass]float64{sim.HopNet: 4}}
 		}},
 	}
-	measure := func(elems int, n *sim.Noise, tun coll.Tuning) (sim.Time, error) {
-		return bench.Makespan(model, uniformShape(8, 8), allreduces(elems, iters),
-			mpi.WithNoise(n), mpi.WithCollConfig(tun))
-	}
-	algos := coll.Algorithms(coll.CollAllreduce)
-	pickOf := func(forced map[string]sim.Time, lat sim.Time) string {
-		for _, name := range algos {
-			if forced[name] == lat {
-				return name
-			}
-		}
-		return "?"
-	}
 	for _, elems := range []int{128, 2048, 16384} {
 		for _, lvl := range levels {
 			seeds := []int64{1, 2, 3, 4, 5}
 			if lvl.label == "clean" {
 				seeds = seeds[:1] // seeds only key noise draws
 			}
-			var tableDrift, costDrift, measuredDrift float64
-			var tablePick, costPick, measuredPick, optPick string
+			row := []string{fmt.Sprint(elems), lvl.label}
+			var drift [3]float64
 			for _, seed := range seeds {
-				n := lvl.mk(seed)
-				forced := make(map[string]sim.Time, len(algos))
-				var best sim.Time
-				bestName := ""
-				for _, name := range algos {
-					lat, err := measure(elems, n, coll.Tuning{
-						Force: map[coll.Collective]string{coll.CollAllreduce: name}})
-					if err != nil {
-						return fmt.Errorf("noise selection %q forced %s: %w", lvl.label, name, err)
-					}
-					forced[name] = lat
-					if bestName == "" || lat < best {
-						best, bestName = lat, name
-					}
-				}
-				tl, err := measure(elems, n, coll.Tuning{Policy: coll.PolicyTable})
+				laps, best, pol, err := selectionPoint(model, lvl.mk(seed), elems)
 				if err != nil {
-					return err
+					return fmt.Errorf("noise selection %q seed %d: %w", lvl.label, seed, err)
 				}
-				cl, err := measure(elems, n, coll.Tuning{Policy: coll.PolicyCost})
-				if err != nil {
-					return err
+				for i, lat := range pol {
+					drift[i] += float64(lat)/float64(best.Time) - 1
 				}
-				// The measured policy with a warm store: serve the
-				// per-seed race winner (the forced runs above ARE the
-				// tuner's candidate race — same seed, strict < in
-				// registration order) through the real Lookup path.
-				ml, err := measure(elems, n, coll.Tuning{
-					Policy: coll.PolicyMeasured,
-					Lookup: func(cl coll.Collective, e coll.Env) (string, bool) {
-						if cl == coll.CollAllreduce && e.Size == 64 {
-							return bestName, true
+				if seed != seeds[0] {
+					continue
+				}
+				for _, lat := range pol {
+					pick := "?"
+					for _, l := range laps {
+						if l.Time == lat {
+							pick = l.Name
+							break
 						}
-						return "", false
-					},
-				})
-				if err != nil {
-					return err
+					}
+					row = append(row, pick)
 				}
-				tableDrift += float64(tl)/float64(best) - 1
-				costDrift += float64(cl)/float64(best) - 1
-				measuredDrift += float64(ml)/float64(best) - 1
-				if seed == seeds[0] {
-					optPick, tablePick, costPick = bestName, pickOf(forced, tl), pickOf(forced, cl)
-					measuredPick = pickOf(forced, ml)
-				}
+				row = append(row, best.Name)
 			}
-			t.AddRow(fmt.Sprint(elems), lvl.label, tablePick, costPick, measuredPick, optPick,
-				fmt.Sprintf("%+.1f%%", tableDrift/float64(len(seeds))*100),
-				fmt.Sprintf("%+.1f%%", costDrift/float64(len(seeds))*100),
-				fmt.Sprintf("%+.1f%%", measuredDrift/float64(len(seeds))*100))
+			for _, d := range drift {
+				row = append(row, fmt.Sprintf("%+.1f%%", d/float64(len(seeds))*100))
+			}
+			t.AddRow(row...)
 		}
 	}
 	return t.Fprint(out)
+}
+
+// selectionPoint races every allreduce algorithm at elems on one 8x8
+// world under noise n (the measured policy's candidate race: the first
+// fastest lap in registration order is best), then times the table, cost and
+// measured policies on the same world, the last serving best through
+// the real Lookup path as a warm tuning store would.
+func selectionPoint(model *sim.CostModel, n *sim.Noise, elems int) (laps []coll.Lap, best coll.Lap, pol [3]sim.Time, err error) {
+	w, err := newWorld(model, uniformShape(8, 8), mpi.WithNoise(n))
+	if err != nil {
+		return nil, best, pol, err
+	}
+	defer w.Close()
+	body := allreduces(elems, 2)
+	if laps, err = coll.Race(w, coll.CollAllreduce, coll.Env{Size: w.Size(), Count: elems}, body); err != nil {
+		return nil, best, pol, err
+	}
+	best = slices.MinFunc(laps, func(a, b coll.Lap) int { return cmp.Compare(a.Time, b.Time) })
+	measured := coll.Tuning{Policy: coll.PolicyMeasured, Lookup: func(cl coll.Collective, e coll.Env) (string, bool) {
+		return best.Name, cl == coll.CollAllreduce && e.Size == w.Size()
+	}}
+	for i, tun := range []coll.Tuning{{Policy: coll.PolicyTable}, {Policy: coll.PolicyCost}, measured} {
+		if pol[i], err = timed(w, func(c *mpi.Comm) error { return body(coll.WithTuning(c, tun)) }); err != nil {
+			return nil, best, pol, err
+		}
+	}
+	return laps, best, pol, nil
 }
 
 func barriers(out io.Writer, model *sim.CostModel) error {
@@ -428,29 +447,23 @@ func barriers(out io.Writer, model *sim.CostModel) error {
 		Header: []string{"shape", "dissemination", "central"},
 	}
 	for _, shape := range [][]int{{24}, uniformShape(8, 24)} {
-		row := []string{fmt.Sprint(shape)}
-		for _, central := range []bool{false, true} {
-			cen := central
-			lat, err := bench.Makespan(model, shape, func(p *mpi.Proc) error {
-				for i := 0; i < 4; i++ {
-					var err error
-					if cen {
-						err = coll.BarrierCentral(p.CommWorld())
-					} else {
-						err = coll.Barrier(p.CommWorld())
-					}
-					if err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			row = append(row, fmt.Sprintf("%.2f", (lat/4).Us()))
+		w, err := newWorld(model, shape)
+		if err != nil {
+			return err
 		}
-		t.AddRow(row...)
+		lat, err := race(w, coll.CollBarrier, coll.Env{Size: w.Size()}, func(c *mpi.Comm) error {
+			for i := 0; i < 4; i++ {
+				if err := coll.Barrier(c); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		w.Close()
+		if err != nil {
+			return err
+		}
+		t.AddRow(fmt.Sprint(shape), fmt.Sprintf("%.2f", (lat["dissemination"]/4).Us()), fmt.Sprintf("%.2f", (lat["central"]/4).Us()))
 	}
 	return t.Fprint(out)
 }

@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"repro/internal/server"
-	"repro/internal/spec"
 )
 
 // options is serverd's parsed configuration: the service's Config plus
@@ -113,7 +112,6 @@ func pprofMux() *http.ServeMux {
 }
 
 func main() {
-	spec.InstallEnvTuning()
 	o, err := parse(os.Args[1:], os.LookupEnv, os.Stderr)
 	if errors.Is(err, flag.ErrHelp) {
 		os.Exit(0)

@@ -53,8 +53,8 @@ func Allgather(c *mpi.Comm, send, recv mpi.Buf, per int) error {
 // placed at its slot of recv, selecting among the in-place-capable
 // algorithms (Bruck's rotated layout rules it out). The hierarchical
 // baselines use this on their bridge communicators, which makes it the
-// form the figure workloads actually run; the regular ring and
-// recursive-doubling forms are "place own block, then this".
+// form the figure workloads actually run; a regular Allgather that
+// picks ring or recursive doubling is "place own block, then this".
 func AllgatherInPlace(c *mpi.Comm, recv mpi.Buf, per int) error {
 	if err := checkInPlaceArgs(c, recv, per); err != nil {
 		return err
@@ -94,35 +94,14 @@ func placeOwn(c *mpi.Comm, send, recv mpi.Buf, per int) {
 	c.Proc().CopyLocal(recv.Slice(c.Rank()*per, per), send.Slice(0, per), 1)
 }
 
-// AllgatherRing is the bandwidth-optimal ring: n-1 steps, each rank
-// forwarding the block it received in the previous step to its right
-// neighbour. Latency grows linearly in n, so libraries use it only for
-// large totals.
-func AllgatherRing(c *mpi.Comm, send, recv mpi.Buf, per int) error {
-	if err := checkAllgatherArgs(c, send, recv, per); err != nil {
-		return err
-	}
-	placeOwn(c, send, recv, per)
-	return allgatherRing(c, blocks{buf: recv, per: per}, famAllgather)
-}
-
-// AllgatherRecDbl is recursive doubling: log2(n) exchange steps that
-// double the gathered range each time. Requires a power-of-two size.
-func AllgatherRecDbl(c *mpi.Comm, send, recv mpi.Buf, per int) error {
-	if err := checkAllgatherArgs(c, send, recv, per); err != nil {
-		return err
-	}
-	if !isPow2(c.Size()) {
-		return fmt.Errorf("coll: recursive doubling needs power-of-two size, got %d", c.Size())
-	}
-	placeOwn(c, send, recv, per)
-	return allgatherRecDbl(c, blocks{buf: recv, per: per}, famAllgather)
-}
-
 // allgatherRing and allgatherRecDbl are the two exchanges over the
 // whole communicator, as the allgather and allgatherv registry entries
 // run them (the selector guarantees recursive doubling a power-of-two
-// size).
+// size). The ring is bandwidth-optimal: n-1 steps, each rank
+// forwarding the block it received in the previous step to its right
+// neighbour, so its latency grows linearly in n and libraries use it
+// only for large totals. Recursive doubling takes log2(n) exchange
+// steps that double the gathered range each time.
 func allgatherRing(c *mpi.Comm, v blocks, f family) error {
 	return ringExchange(c, v, c.Rank(), f)
 }
@@ -131,13 +110,10 @@ func allgatherRecDbl(c *mpi.Comm, v blocks, f family) error {
 	return doublingExchange(c, v, c.Rank(), c.Size(), 0, f)
 }
 
-// AllgatherBruck is Bruck's algorithm: ceil(log2 n) steps on any size,
+// allgatherBruck is Bruck's algorithm: ceil(log2 n) steps on any size,
 // at the price of a final local reordering pass (the rotation), which is
 // why libraries prefer recursive doubling when n is a power of two.
-func AllgatherBruck(c *mpi.Comm, send, recv mpi.Buf, per int) error {
-	if err := checkAllgatherArgs(c, send, recv, per); err != nil {
-		return err
-	}
+func allgatherBruck(c *mpi.Comm, send, recv mpi.Buf, per int) error {
 	n := c.Size()
 	p := c.Proc()
 	rank := c.Rank()
@@ -170,20 +146,13 @@ func AllgatherBruck(c *mpi.Comm, send, recv mpi.Buf, per int) error {
 	return nil
 }
 
-// AllgatherNeighbor is the neighbor-exchange allgather (Chen et al.):
+// allgatherNeighbor is the neighbor-exchange allgather (Chen et al.):
 // n/2 + 1 steps of pairwise exchanges with alternating neighbours,
 // transferring two blocks per step. Even communicator sizes only; it
 // trades latency against ring for medium messages and completes the
 // classic algorithm family for the ablation sweep.
-func AllgatherNeighbor(c *mpi.Comm, send, recv mpi.Buf, per int) error {
-	if err := checkAllgatherArgs(c, send, recv, per); err != nil {
-		return err
-	}
+func allgatherNeighbor(c *mpi.Comm, send, recv mpi.Buf, per int) error {
 	n := c.Size()
-	if n == 1 {
-		placeOwn(c, send, recv, per)
-		return nil
-	}
 	if n%2 != 0 {
 		return fmt.Errorf("coll: neighbor-exchange needs an even size, got %d", n)
 	}

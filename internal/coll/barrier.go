@@ -21,11 +21,11 @@ func Barrier(c *mpi.Comm) error {
 	return run(c)
 }
 
-// BarrierCentral is the naive central-counter barrier: gather
+// barrierCentral is the naive central-counter barrier: gather
 // zero-byte tokens at rank 0, then broadcast a release. It exists as an
 // ablation against the dissemination barrier (2(n-1) serialized hops vs
 // log2(n) balanced rounds).
-func BarrierCentral(c *mpi.Comm) error {
+func barrierCentral(c *mpi.Comm) error {
 	n := c.Size()
 	if n <= 1 {
 		return nil

@@ -50,11 +50,22 @@ func runWorld(t *testing.T, model *sim.CostModel, nodeSizes []int, body func(p *
 	return w
 }
 
+// allgatherAs is Allgather forced to one registered algorithm; the
+// communicator's own tuning is restored afterwards.
+func allgatherAs(alg string) func(*mpi.Comm, mpi.Buf, mpi.Buf, int) error {
+	forced := Tuning{Force: map[Collective]string{CollAllgather: alg}}
+	return func(c *mpi.Comm, send, recv mpi.Buf, per int) error {
+		prev := c.CollConfig()
+		defer c.SetCollConfig(prev)
+		return Allgather(WithTuning(c, forced), send, recv, per)
+	}
+}
+
 func TestAllgatherAlgorithmsCorrect(t *testing.T) {
 	algos := map[string]func(*mpi.Comm, mpi.Buf, mpi.Buf, int) error{
-		"ring":   AllgatherRing,
-		"recdbl": AllgatherRecDbl,
-		"bruck":  AllgatherBruck,
+		"ring":   allgatherAs("ring"),
+		"recdbl": allgatherAs("recdbl"),
+		"bruck":  allgatherAs("bruck"),
 		"auto":   Allgather,
 	}
 	for name, fn := range algos {
@@ -86,7 +97,7 @@ func TestAllgatherBruckNonPow2(t *testing.T) {
 			runWorld(t, sim.Laptop(), []int{n}, func(p *mpi.Proc) error {
 				c := p.CommWorld()
 				recv := mpi.Bytes(make([]byte, 8*elems*n))
-				if err := AllgatherBruck(c, fill(p.Rank(), elems), recv, 8*elems); err != nil {
+				if err := allgatherBruck(c, fill(p.Rank(), elems), recv, 8*elems); err != nil {
 					return err
 				}
 				checkGathered(t, "bruck", recv, n, elems)
@@ -94,17 +105,6 @@ func TestAllgatherBruckNonPow2(t *testing.T) {
 			})
 		})
 	}
-}
-
-func TestAllgatherRecDblRejectsNonPow2(t *testing.T) {
-	runWorld(t, sim.Laptop(), []int{3}, func(p *mpi.Proc) error {
-		c := p.CommWorld()
-		recv := mpi.Bytes(make([]byte, 8*3))
-		if err := AllgatherRecDbl(c, fill(p.Rank(), 1), recv, 8); err == nil {
-			t.Error("recursive doubling accepted size 3")
-		}
-		return nil
-	})
 }
 
 func TestAllgatherArgValidation(t *testing.T) {
@@ -568,7 +568,7 @@ func TestBarrierCentral(t *testing.T) {
 	left := make([]sim.Time, 4)
 	runWorld(t, sim.Laptop(), []int{2, 2}, func(p *mpi.Proc) error {
 		p.Elapse(sim.Time(p.Rank()) * sim.Millisecond)
-		err := BarrierCentral(p.CommWorld())
+		err := barrierCentral(p.CommWorld())
 		left[p.Rank()] = p.Clock()
 		return err
 	})
@@ -695,17 +695,20 @@ func latencyOf(t *testing.T, model *sim.CostModel, shape []int, body func(p *mpi
 }
 
 func TestRingSlowerThanRecDblForSmall(t *testing.T) {
-	model := sim.HazelHenCray()
-	shape := []int{1, 1, 1, 1, 1, 1, 1, 1} // 8 nodes x 1 rank
+	w := sizedWorld(t, sim.HazelHenCray(), []int{1, 1, 1, 1, 1, 1, 1, 1}) // 8 nodes x 1 rank
 	small := 64
-	ring := latencyOf(t, model, shape, func(p *mpi.Proc) error {
-		return AllgatherRing(p.CommWorld(), mpi.Sized(small), mpi.Sized(8*small), small)
+	laps, err := Race(w, CollAllgather, Env{Size: 8, Bytes: small}, func(c *mpi.Comm) error {
+		return Allgather(c, mpi.Sized(small), mpi.Sized(8*small), small)
 	})
-	recdbl := latencyOf(t, model, shape, func(p *mpi.Proc) error {
-		return AllgatherRecDbl(p.CommWorld(), mpi.Sized(small), mpi.Sized(8*small), small)
-	})
-	if recdbl >= ring {
-		t.Errorf("recursive doubling (%v) should beat ring (%v) for small messages", recdbl, ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat := map[string]sim.Time{}
+	for _, l := range laps {
+		lat[l.Name] = l.Time
+	}
+	if lat["recdbl"] >= lat["ring"] {
+		t.Errorf("recursive doubling (%v) should beat ring (%v) for small messages", lat["recdbl"], lat["ring"])
 	}
 }
 

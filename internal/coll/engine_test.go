@@ -205,7 +205,7 @@ func TestTuningInheritedThroughSplit(t *testing.T) {
 
 // TestForcedBarrierMatchesCentral checks that routing Barrier through
 // the registry actually changes the executed algorithm: under the
-// central force, the virtual time equals BarrierCentral's and differs
+// central force, the virtual time equals barrierCentral's and differs
 // from the native dissemination barrier's.
 func TestForcedBarrierMatchesCentral(t *testing.T) {
 	model := sim.HazelHenCray()
@@ -226,12 +226,12 @@ func TestForcedBarrierMatchesCentral(t *testing.T) {
 	defTime := run(nil, nil)
 	dissTime := run(nil, func(c *mpi.Comm) error { return c.Barrier() })
 	forcedTime := run(&Tuning{Force: map[Collective]string{CollBarrier: "central"}}, nil)
-	centralTime := run(nil, BarrierCentral)
+	centralTime := run(nil, barrierCentral)
 	if defTime != dissTime {
 		t.Errorf("default Barrier (%v) != native dissemination (%v)", defTime, dissTime)
 	}
 	if forcedTime != centralTime {
-		t.Errorf("forced central Barrier (%v) != BarrierCentral (%v)", forcedTime, centralTime)
+		t.Errorf("forced central Barrier (%v) != barrierCentral (%v)", forcedTime, centralTime)
 	}
 	if forcedTime == dissTime {
 		t.Errorf("central and dissemination barriers indistinguishable (%v)", forcedTime)
@@ -253,7 +253,7 @@ func TestEveryAlgorithmMatchesReference(t *testing.T) {
 			elems := elems
 			t.Run(fmt.Sprintf("shape%v/e%d", shape, elems), func(t *testing.T) {
 				t.Run("allgather", func(t *testing.T) {
-					for _, alg := range Algorithms(CollAllgather) {
+					for _, alg := range namesOf(CollAllgather) {
 						if (alg == "recdbl" && !isPow2(n)) || (alg == "neighbor" && n%2 != 0) {
 							continue
 						}
@@ -270,7 +270,7 @@ func TestEveryAlgorithmMatchesReference(t *testing.T) {
 					}
 				})
 				t.Run("allreduce", func(t *testing.T) {
-					for _, alg := range Algorithms(CollAllreduce) {
+					for _, alg := range namesOf(CollAllreduce) {
 						tun := Tuning{Force: map[Collective]string{CollAllreduce: alg}}
 						runWorld(t, sim.Laptop(), shape, func(p *mpi.Proc) error {
 							c := WithTuning(p.CommWorld(), tun)
@@ -294,7 +294,7 @@ func TestEveryAlgorithmMatchesReference(t *testing.T) {
 					}
 				})
 				t.Run("bcast", func(t *testing.T) {
-					for _, alg := range Algorithms(CollBcast) {
+					for _, alg := range namesOf(CollBcast) {
 						tun := Tuning{Force: map[Collective]string{CollBcast: alg}}
 						runWorld(t, sim.Laptop(), shape, func(p *mpi.Proc) error {
 							c := WithTuning(p.CommWorld(), tun)
@@ -319,7 +319,7 @@ func TestEveryAlgorithmMatchesReference(t *testing.T) {
 					}
 				})
 				t.Run("barrier", func(t *testing.T) {
-					for _, alg := range Algorithms(CollBarrier) {
+					for _, alg := range namesOf(CollBarrier) {
 						tun := Tuning{Force: map[Collective]string{CollBarrier: alg}}
 						left := make([]sim.Time, n)
 						runWorld(t, sim.Laptop(), shape, func(p *mpi.Proc) error {

@@ -44,7 +44,7 @@ func TestQuickAllgatherFamilyAgree(t *testing.T) {
 			c := p.CommWorld()
 			send := fill(p.Rank(), per/8)
 			ref := mpi.Bytes(make([]byte, per*n))
-			if err := AllgatherRing(c, send, ref, per); err != nil {
+			if err := allgatherAs("ring")(c, send, ref, per); err != nil {
 				return err
 			}
 			check := func(name string, fn func() (mpi.Buf, error)) {
@@ -62,18 +62,18 @@ func TestQuickAllgatherFamilyAgree(t *testing.T) {
 			}
 			check("bruck", func() (mpi.Buf, error) {
 				out := mpi.Bytes(make([]byte, per*n))
-				return out, AllgatherBruck(c, send, out, per)
+				return out, allgatherBruck(c, send, out, per)
 			})
 			if pow2 {
 				check("recdbl", func() (mpi.Buf, error) {
 					out := mpi.Bytes(make([]byte, per*n))
-					return out, AllgatherRecDbl(c, send, out, per)
+					return out, allgatherAs("recdbl")(c, send, out, per)
 				})
 			}
 			if even {
 				check("neighbor", func() (mpi.Buf, error) {
 					out := mpi.Bytes(make([]byte, per*n))
-					return out, AllgatherNeighbor(c, send, out, per)
+					return out, allgatherNeighbor(c, send, out, per)
 				})
 			}
 			check("hier", func() (mpi.Buf, error) {

@@ -194,7 +194,7 @@ var registry = [numCollectives][]entry{
 					timesT(bisection, betaT(e, (e.Size-1)*e.Bytes)) +
 					e.Model.CopyCost(e.Size*e.Bytes, 1)
 			},
-			run: allgatherFn(AllgatherBruck),
+			run: allgatherFn(allgatherBruck),
 		},
 		{
 			name: "ring",
@@ -213,7 +213,7 @@ var registry = [numCollectives][]entry{
 				// bandwidth.
 				return timesT(e.Size/2, alphaT(e)) + betaT(e, e.Size*e.Bytes)
 			},
-			run: allgatherFn(AllgatherNeighbor),
+			run: allgatherFn(allgatherNeighbor),
 		},
 	},
 	CollAllgatherv: {
@@ -327,7 +327,7 @@ var registry = [numCollectives][]entry{
 			cost: func(e Env) sim.Time {
 				return timesT(2*(e.Size-1), alphaT(e))
 			},
-			run: barrierFn(BarrierCentral),
+			run: barrierFn(barrierCentral),
 		},
 	},
 	CollAlltoall: {
@@ -546,26 +546,6 @@ func dispatch[F any](c *mpi.Comm, cl Collective, e Env, inPlace bool) (run F, er
 // Registered reports whether an algorithm name exists for a collective.
 func Registered(cl Collective, name string) bool { return findEntry(cl, name) != nil }
 
-// Available reports whether a registered algorithm can serve the
-// described call (its applicability predicate holds). The
-// measured-policy tuner uses it to race only the candidates the engine
-// could actually pick.
-func Available(cl Collective, name string, e Env) bool {
-	en := findEntry(cl, name)
-	return en != nil && en.available(e, false)
-}
-
-// Algorithms returns the registered algorithm names of a collective in
-// registration order.
-func Algorithms(cl Collective) []string {
-	ents := registry[cl]
-	names := make([]string, len(ents))
-	for i := range ents {
-		names[i] = ents[i].name
-	}
-	return names
-}
-
 // Choose returns the name of the algorithm the engine would run for
 // the described call under the given tuning — the introspection hook
 // the selection tests and the bench coll-sweep build on.
@@ -597,4 +577,46 @@ func Candidates(cl Collective, e Env) []Candidate {
 		}
 	}
 	return out
+}
+
+// Lap is one candidate of a Race: the algorithm's name and the virtual
+// makespan the raced body reached under it.
+type Lap struct {
+	Name string
+	Time sim.Time
+}
+
+// Race times every registered algorithm of a collective that can serve
+// the described call, in registration order, on one world: for each
+// candidate it resets the clocks and runs body on every rank's world
+// communicator forced to that algorithm (the communicator's own
+// configuration is restored afterwards). ResetClocks also restarts the
+// noise draws, so each lap equals a fresh world's run of the same body
+// (the warm-world contract). Communicators the body derives inherit
+// the force; where the candidate cannot serve a call (another size, the
+// in-place form), the policy picks instead, as Tuning.Force does
+// everywhere.
+func Race(w *mpi.World, cl Collective, e Env, body func(*mpi.Comm) error) ([]Lap, error) {
+	var laps []Lap
+	ents := registry[cl]
+	for i := range ents {
+		en := &ents[i]
+		if !en.available(e, false) {
+			continue
+		}
+		forced := Tuning{Force: map[Collective]string{cl: en.name}}
+		w.ResetClocks()
+		err := w.Run(func(p *mpi.Proc) error {
+			c := p.CommWorld()
+			prev := c.CollConfig()
+			c.SetCollConfig(forced)
+			defer c.SetCollConfig(prev)
+			return body(c)
+		})
+		if err != nil {
+			return laps, fmt.Errorf("coll: racing %s %s: %w", cl, en.name, err)
+		}
+		laps = append(laps, Lap{Name: en.name, Time: w.MaxClock()})
+	}
+	return laps, nil
 }

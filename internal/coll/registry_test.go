@@ -1,9 +1,13 @@
 package coll
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/mpi"
 	"repro/internal/sim"
 )
 
@@ -58,7 +62,7 @@ func TestCostPolicyTieBreaksByRegistrationOrder(t *testing.T) {
 					t.Fatalf("not a tie: %s prices %v", tc.cl, prices)
 				}
 			}
-			if got := Algorithms(tc.cl)[0]; got != tc.want {
+			if got := namesOf(tc.cl)[0]; got != tc.want {
 				t.Fatalf("expected winner %q is not first-registered (%q)", tc.want, got)
 			}
 			got, err := Choose(tc.cl, tc.e, Tuning{Policy: PolicyCost})
@@ -91,7 +95,7 @@ func TestRegistrationOrderPinned(t *testing.T) {
 		CollNeighborAlltoall: {"pairwise", "linear"},
 	}
 	for cl, names := range want {
-		if got := Algorithms(cl); !reflect.DeepEqual(got, names) {
+		if got := namesOf(cl); !reflect.DeepEqual(got, names) {
 			t.Errorf("%s registration order %v, want %v", cl, got, names)
 		}
 	}
@@ -208,21 +212,139 @@ func TestMeasuredPolicyPick(t *testing.T) {
 	}
 }
 
-// TestAvailable pins the introspection hook the tuner races with.
+// TestAvailable pins the applicability check Race filters its
+// candidates with.
 func TestAvailable(t *testing.T) {
 	model := sim.Laptop()
 	pow2 := Env{Size: 8, Bytes: 64, Model: model, Hop: sim.HopNet}
 	odd := Env{Size: 5, Bytes: 64, Model: model, Hop: sim.HopNet}
-	if !Available(CollAllgather, "recdbl", pow2) {
+	recdbl := findEntry(CollAllgather, "recdbl")
+	if !recdbl.available(pow2, false) {
 		t.Fatal("recdbl must be available on a power-of-two comm")
 	}
-	if Available(CollAllgather, "recdbl", odd) {
+	if recdbl.available(odd, false) {
 		t.Fatal("recdbl must be unavailable on a 5-rank comm")
 	}
-	if Available(CollAllgather, "warp", pow2) {
-		t.Fatal("unknown algorithm reported available")
+	if findEntry(CollAllgather, "warp") != nil {
+		t.Fatal("unknown algorithm registered")
 	}
 	if findEntry(CollAllgather, "bruck").available(pow2, true) {
 		t.Fatal("bruck has no in-place runner")
 	}
+}
+
+// namesOf lists a family's registered algorithms in registration
+// order.
+func namesOf(cl Collective) []string {
+	var names []string
+	for _, en := range registry[cl] {
+		names = append(names, en.name)
+	}
+	return names
+}
+
+// sizedWorld builds a size-only world of the shape, closed when the
+// test ends.
+func sizedWorld(t *testing.T, model *sim.CostModel, shape []int, opts ...mpi.Option) *mpi.World {
+	t.Helper()
+	topo, err := sim.NewTopology(shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := mpi.NewWorld(model, topo, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	return w
+}
+
+// TestRace pins coll.Race: a candidate that cannot serve the call is
+// skipped, laps come in registration order, each lap equals a fresh
+// world's run forced to that algorithm (clean and under noise), the
+// world communicator's own tuning is back in force after the race, and
+// a failing body names the candidate it failed under.
+func TestRace(t *testing.T) {
+	model := sim.HazelHenCray()
+	t.Run("skips inapplicable", func(t *testing.T) {
+		const per = 64
+		w := sizedWorld(t, model, []int{4, 4, 4})
+		laps, err := Race(w, CollAllgather, Env{Size: 12, Bytes: per}, func(c *mpi.Comm) error {
+			return Allgather(c, mpi.Sized(per), mpi.Sized(per*c.Size()), per)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, l := range laps {
+			got = append(got, l.Name)
+		}
+		if want := []string{"bruck", "ring", "neighbor"}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("12-rank allgather raced %v, want %v", got, want)
+		}
+	})
+
+	noises := map[string]*sim.Noise{
+		"clean":     nil,
+		"jitter":    {Seed: 3, Jitter: 0.5},
+		"straggler": {Seed: 3, Stragglers: []int{0}, StragglerFactor: 8},
+		"mixed": {Seed: 3, Jitter: 0.2, Stragglers: []int{0}, StragglerFactor: 4,
+			Congestion: map[sim.HopClass]float64{sim.HopNet: 4}},
+	}
+	shape := []int{8, 8, 8, 8, 8, 8, 8, 8}
+	for label, noise := range noises {
+		for _, elems := range []int{128, 2048, 16384} {
+			t.Run(fmt.Sprintf("%s/%d", label, elems), func(t *testing.T) {
+				body := func(c *mpi.Comm) error {
+					send, recv := mpi.Sized(8*elems), mpi.Sized(8*elems)
+					for i := 0; i < 2; i++ {
+						if err := Allreduce(c, send, recv, elems, mpi.Float64, mpi.OpSum); err != nil {
+							return err
+						}
+					}
+					return nil
+				}
+				run := func(w *mpi.World) sim.Time {
+					t.Helper()
+					w.ResetClocks()
+					if err := w.Run(func(p *mpi.Proc) error { return body(p.CommWorld()) }); err != nil {
+						t.Fatal(err)
+					}
+					return w.MaxClock()
+				}
+				w := sizedWorld(t, model, shape, mpi.WithNoise(noise))
+				laps, err := Race(w, CollAllreduce, Env{Size: 64, Count: elems}, body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(laps) != 2 || laps[0].Name != "recdbl" || laps[1].Name != "rabenseifner" {
+					t.Fatalf("laps %+v, want recdbl then rabenseifner", laps)
+				}
+				for _, l := range laps {
+					forced := Tuning{Force: map[Collective]string{CollAllreduce: l.Name}}
+					fresh := run(sizedWorld(t, model, shape, mpi.WithNoise(noise), mpi.WithCollConfig(forced)))
+					if l.Time != fresh {
+						t.Errorf("%s lap %v != fresh forced world %v", l.Name, l.Time, fresh)
+					}
+				}
+				if after, fresh := run(w), run(sizedWorld(t, model, shape, mpi.WithNoise(noise))); after != fresh {
+					t.Errorf("policy run after the race %v != fresh world %v", after, fresh)
+				}
+			})
+		}
+	}
+
+	t.Run("names the failing candidate", func(t *testing.T) {
+		boom := errors.New("boom")
+		w := sizedWorld(t, model, []int{2, 2})
+		_, err := Race(w, CollBarrier, Env{Size: 4}, func(c *mpi.Comm) error {
+			if TuningFor(c).Force[CollBarrier] == "central" {
+				return boom
+			}
+			return Barrier(c)
+		})
+		if !errors.Is(err, boom) || !strings.Contains(err.Error(), "central") {
+			t.Fatalf("err = %v, want boom under central", err)
+		}
+	})
 }

@@ -143,7 +143,7 @@ func TestAllgatherNeighbor(t *testing.T) {
 			runWorld(t, sim.Laptop(), []int{n}, func(p *mpi.Proc) error {
 				c := p.CommWorld()
 				recv := mpi.Bytes(make([]byte, 8*elems*n))
-				if err := AllgatherNeighbor(c, fill(p.Rank(), elems), recv, 8*elems); err != nil {
+				if err := allgatherNeighbor(c, fill(p.Rank(), elems), recv, 8*elems); err != nil {
 					return err
 				}
 				checkGathered(t, "neighbor", recv, n, elems)
@@ -156,7 +156,7 @@ func TestAllgatherNeighbor(t *testing.T) {
 func TestAllgatherNeighborRejectsOdd(t *testing.T) {
 	runWorld(t, sim.Laptop(), []int{3}, func(p *mpi.Proc) error {
 		c := p.CommWorld()
-		if err := AllgatherNeighbor(c, fill(p.Rank(), 1), mpi.Sized(24), 8); err == nil {
+		if err := allgatherNeighbor(c, fill(p.Rank(), 1), mpi.Sized(24), 8); err == nil {
 			t.Error("odd size accepted")
 		}
 		return nil

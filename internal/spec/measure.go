@@ -1,8 +1,10 @@
 package spec
 
 import (
+	"cmp"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -163,12 +165,10 @@ func (t *Tuner) worker() {
 }
 
 // measure races every applicable registered algorithm of the missed
-// point on one world — the query's topology, machine and noise, on the
-// discrete-event engine with folding off — and records the winner.
-// Candidates run back-to-back with ResetClocks between them, so each
-// timing starts from operation zero exactly like a fresh world (noise
-// draws are keyed by op index and reset with the clocks). Ties break
-// by registration order, matching the cost policy's tie-break.
+// point through coll.Race on one world — the query's topology, machine
+// and noise, on the discrete-event engine with folding off — and
+// records the winner. Ties break by registration order (MinFunc keeps
+// the first of equal laps), matching the cost policy's tie-break.
 func (t *Tuner) measure(req measureReq) {
 	body, err := raceBody(req.cl, req.env)
 	if err != nil {
@@ -185,33 +185,21 @@ func (t *Tuner) measure(req measureReq) {
 	}
 	defer w.Close()
 
-	raced := map[string]int64{}
-	var winner string
-	var winnerPs int64
-	for _, name := range coll.Algorithms(req.cl) {
-		if !coll.Available(req.cl, name, req.env) {
-			continue
-		}
-		forced := coll.Tuning{Force: map[coll.Collective]string{req.cl: name}}
-		w.ResetClocks()
-		if err := w.Run(func(p *mpi.Proc) error {
-			coll.WithTuning(p.CommWorld(), forced)
-			return body(p)
-		}); err != nil {
-			t.fail(req, fmt.Errorf("racing %s: %w", name, err))
-			return
-		}
-		ps := int64(w.MaxClock())
-		raced[name] = ps
-		if winner == "" || ps < winnerPs {
-			winner, winnerPs = name, ps
-		}
+	laps, err := coll.Race(w, req.cl, req.env, body)
+	if err != nil {
+		t.fail(req, err)
+		return
 	}
-	if winner == "" {
+	if len(laps) == 0 {
 		t.fail(req, fmt.Errorf("no applicable candidate"))
 		return
 	}
-	t.store.Put(req.key, tune.Entry{Algorithm: winner, WinnerPs: winnerPs, RacedPs: raced})
+	win := slices.MinFunc(laps, func(a, b coll.Lap) int { return cmp.Compare(a.Time, b.Time) })
+	raced := make(map[string]int64, len(laps))
+	for _, l := range laps {
+		raced[l.Name] = int64(l.Time)
+	}
+	t.store.Put(req.key, tune.Entry{Algorithm: win.Name, WinnerPs: int64(win.Time), RacedPs: raced})
 }
 
 // fail counts and logs a failed measurement.
@@ -228,7 +216,7 @@ func (t *Tuner) fail(req measureReq, err error) {
 // virtual makespan of exactly the call that missed. The reducing
 // collectives' Bytes is 8*Count, which flatCalls turns back into Count
 // float64s.
-func raceBody(cl coll.Collective, e coll.Env) (func(p *mpi.Proc) error, error) {
+func raceBody(cl coll.Collective, e coll.Env) (func(*mpi.Comm) error, error) {
 	call, ok := flatCalls[cl]
 	if !ok {
 		return nil, fmt.Errorf("collective %s is not measurable", cl)
@@ -239,7 +227,7 @@ func raceBody(cl coll.Collective, e coll.Env) (func(p *mpi.Proc) error, error) {
 		// uniform split of it (the closest expressible call).
 		b /= max(e.Size, 1)
 	}
-	return func(p *mpi.Proc) error { return call(p.CommWorld(), b) }, nil
+	return func(c *mpi.Comm) error { return call(c, b) }, nil
 }
 
 // installMeasured wires a query's compiled coll tuning to the tuner:

@@ -98,6 +98,36 @@ func TestInstallEnvTuning(t *testing.T) {
 	}
 }
 
+// TestQueryIgnoresProcessDefaultTuning: every world a Query builds
+// carries the query's own tuning, so SetDefaultTuning (what
+// REPRO_COLL_TUNING feeds) moves no answer, while the same force
+// written into the query does.
+func TestQueryIgnoresProcessDefaultTuning(t *testing.T) {
+	defer coll.SetDefaultTuning(coll.DefaultTuning())
+	const base = `{"machine":"hazelhen-cray","topology":{"nodes":8,"ppn":8},"collective":"allreduce","sizes":[65536],"engine":"event"`
+	virtualPs := func(js string) int64 {
+		t.Helper()
+		q, err := spec.Parse([]byte(js))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := spec.Run(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Points[0].VirtualPs
+	}
+	coll.SetDefaultTuning(coll.Tuning{})
+	clean := virtualPs(base + `}`)
+	coll.SetDefaultTuning(coll.Tuning{Force: map[coll.Collective]string{coll.CollAllreduce: "recdbl"}})
+	if got := virtualPs(base + `}`); got != clean {
+		t.Errorf("process-default force moved the query: %d ps, want %d", got, clean)
+	}
+	if forced := virtualPs(base + `,"tuning":{"force":{"allreduce":"recdbl"}}}`); forced == clean {
+		t.Errorf("the query's own force left the answer at %d ps", forced)
+	}
+}
+
 // TestTuningCollConversion checks the declarative -> runtime
 // conversion.
 func TestTuningCollConversion(t *testing.T) {

@@ -46,7 +46,7 @@ const EnvVar = "REPRO_COLL_TUNING"
 //	policy=cost,allreduce=rabenseifner,barrier=central
 //
 // The same syntax is accepted by the REPRO_COLL_TUNING environment
-// variable and the command-line -tuning flags. The grammar lived in
+// variable and cmd/perf's -tuning flag. The grammar lived in
 // internal/coll before the Spec API redesign; it round-trips through
 // Tuning.Spec (parse -> Tuning -> render -> parse is the identity on
 // canonical values).
@@ -167,7 +167,8 @@ func (t Tuning) Coll() (coll.Tuning, error) {
 // becomes the process-default coll tuning, and its spec-form
 // equivalent (textual and JSON) is logged so users can migrate to the
 // Spec API. A malformed value is logged and ignored rather than
-// failing every collective in the job.
+// failing every collective in the job. The default reaches only worlds
+// built without a tuning: a Query's worlds carry the query's own.
 func InstallEnvTuning() {
 	s := os.Getenv(EnvVar)
 	if s == "" {
