@@ -29,11 +29,9 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/npb"
 	"repro/internal/sim"
-	"repro/internal/spec"
 )
 
 func main() {
-	spec.InstallEnvTuning()
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "ablations:", err)
 		os.Exit(1)

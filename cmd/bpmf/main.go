@@ -23,11 +23,9 @@ import (
 	"repro/internal/bpmf"
 	"repro/internal/mpi"
 	"repro/internal/sim"
-	"repro/internal/spec"
 )
 
 func main() {
-	spec.InstallEnvTuning()
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "bpmf:", err)
 		os.Exit(1)

@@ -21,11 +21,9 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/spec"
 )
 
 func main() {
-	spec.InstallEnvTuning()
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)

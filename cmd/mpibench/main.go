@@ -20,11 +20,9 @@ import (
 	"repro/internal/hybrid"
 	"repro/internal/mpi"
 	"repro/internal/sim"
-	"repro/internal/spec"
 )
 
 func main() {
-	spec.InstallEnvTuning()
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "mpibench:", err)
 		os.Exit(1)

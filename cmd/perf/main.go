@@ -60,7 +60,6 @@ import (
 )
 
 func main() {
-	spec.InstallEnvTuning()
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "perf:", err)
 		os.Exit(1)
@@ -77,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	engineSpec := fs.String("engine", "both",
 		"execution backend for the scale sweep and query mode: goroutine, event or both (cross-checked)")
 	tuningSpec := fs.String("tuning", "policy=cost",
-		"coll tuning spec for the coll/topo sweeps and flag-built queries (see REPRO_COLL_TUNING)")
+		"coll tuning spec for the coll/topo sweeps and flag-built queries (see TUNING.md)")
 	machine := fs.String("machine", "hazelhen-cray", "machine profile")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this path")

@@ -149,27 +149,6 @@ func TestMainExitsTwoOnBadEnv(t *testing.T) {
 	}
 }
 
-// TestMainInstallsNoEnvTuning: every world a query builds carries the
-// query's own tuning, so REPRO_COLL_TUNING could move no answer and
-// serverd must not claim to have installed it.
-func TestMainInstallsNoEnvTuning(t *testing.T) {
-	if os.Getenv("SERVERD_TEST_MAIN") == "1" {
-		os.Args = []string{"serverd", "-h"}
-		main()
-		return
-	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestMainInstallsNoEnvTuning$")
-	cmd.Env = append(os.Environ(), "SERVERD_TEST_MAIN=1", "REPRO_COLL_TUNING=allreduce=recdbl")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("serverd -h: %v; stderr:\n%s", err, stderr.String())
-	}
-	if strings.Contains(stderr.String(), "REPRO_COLL_TUNING installed") {
-		t.Errorf("serverd claims to have installed REPRO_COLL_TUNING:\n%s", stderr.String())
-	}
-}
-
 // TestPprofOnlyOnItsOwnMux: the service handler has no /debug/pprof/
 // route; the handler -pprof serves does.
 func TestPprofOnlyOnItsOwnMux(t *testing.T) {

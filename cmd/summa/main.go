@@ -21,12 +21,10 @@ import (
 	"repro/internal/bench"
 	"repro/internal/mpi"
 	"repro/internal/sim"
-	"repro/internal/spec"
 	"repro/internal/summa"
 )
 
 func main() {
-	spec.InstallEnvTuning()
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "summa:", err)
 		os.Exit(1)

@@ -147,7 +147,7 @@ func runTopoPoint(model *sim.CostModel, tun coll.Tuning, st topoStack, nodes, pp
 	pt.HierUs = w.MaxClock().Us()
 
 	// Hybrid allgather with the window at the stack's shared level,
-	// selected through the tuning (the REPRO_COLL_TUNING path).
+	// selected through the world's tuning (coll.Tuning.SharedLevel).
 	hyTun := tun
 	hyTun.SharedLevel = st.shared
 	w2, err := mpi.NewWorld(model, topo, mpi.WithCollConfig(hyTun))

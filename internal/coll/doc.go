@@ -24,10 +24,11 @@
 // bit-identity contract (a tie that broke differently across two runs
 // would change virtual times) and is pinned by an explicit test. A
 // Tuning value (policy, forced algorithms, the measurement-cache
-// hooks, the hybrid window level) threads through mpi.Comm handles and
-// is inherited by derived communicators; the REPRO_COLL_TUNING
-// environment variable configures the process default. TUNING.md at
-// the repository root documents the grammar and the measured policy's
+// hooks, the hybrid window level) comes from the world (mpi.Config's
+// CollConfig) or the communicator handle (WithTuning) and is inherited
+// by derived communicators; a communicator with neither runs the zero
+// Tuning, the table policy. Nothing is process-wide. TUNING.md at the
+// repository root documents the grammar and the measured policy's
 // on-disk store format.
 //
 // # Hierarchical composition

@@ -152,25 +152,6 @@ func TestForceOverride(t *testing.T) {
 	}
 }
 
-// TestDefaultTuning covers the settable process default — the hook the
-// internal/spec REPRO_COLL_TUNING compatibility shim feeds. (The
-// textual grammar itself is owned and tested by internal/spec.)
-func TestDefaultTuning(t *testing.T) {
-	defer SetDefaultTuning(Tuning{})
-	if got := DefaultTuning(); got.Policy != PolicyTable || got.Force != nil {
-		t.Errorf("initial default = %+v", got)
-	}
-	SetDefaultTuning(Tuning{Policy: PolicyCost, Force: map[Collective]string{CollBarrier: "central"}})
-	got := DefaultTuning()
-	if got.Policy != PolicyCost || got.Force[CollBarrier] != "central" {
-		t.Errorf("installed default = %+v", got)
-	}
-	SetDefaultTuning(Tuning{})
-	if got := DefaultTuning(); got.Policy != PolicyTable || got.Force != nil {
-		t.Errorf("reset default = %+v", got)
-	}
-}
-
 // TestTuningInheritedThroughSplit checks the configuration threads from
 // the world through CommWorld and Split — the path the hybrid layer's
 // bridge communicators take.
@@ -186,14 +167,14 @@ func TestTuningInheritedThroughSplit(t *testing.T) {
 	}
 	err = w.Run(func(p *mpi.Proc) error {
 		c := p.CommWorld()
-		if got := tuningOf(c); got.Force[CollBarrier] != "central" {
+		if got := TuningFor(c); got.Force[CollBarrier] != "central" {
 			t.Errorf("world tuning not on CommWorld: %v", got)
 		}
 		child, err := c.Split(0, c.Rank())
 		if err != nil {
 			return err
 		}
-		if got := tuningOf(child); got.Force[CollBarrier] != "central" {
+		if got := TuningFor(child); got.Force[CollBarrier] != "central" {
 			t.Errorf("tuning not inherited through Split: %v", got)
 		}
 		return nil

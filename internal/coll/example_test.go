@@ -46,13 +46,33 @@ func ExampleNeighborAlltoall() {
 	// rank 3 got left=2 right=0
 }
 
-// Tuning values configure the selection engine; the textual grammar
-// the REPRO_COLL_TUNING environment variable accepts is parsed by
-// internal/spec (see TUNING.md and spec.ParseTuning).
+// A tuning attached with WithTuning steers every collective on the
+// handle. The same 64-byte halo exchange on a periodic 4x4 grid (4
+// nodes x 4 ranks) runs under the table policy (the zero Tuning) and
+// under the cost policy, which prices both neighborhood algorithms and
+// picks the cheaper.
 func ExampleWithTuning() {
-	tun := coll.Tuning{Policy: coll.PolicyCost,
-		Force: map[coll.Collective]string{coll.CollAllreduce: "rabenseifner"}}
-	fmt.Println(tun.Policy, tun.Force[coll.CollAllreduce])
+	const halo = 64
+	for _, tun := range []coll.Tuning{{}, {Policy: coll.PolicyCost}} {
+		w, err := mpi.NewWorld(sim.HazelHenCray(), sim.MustUniform(4, 4))
+		if err != nil {
+			panic(err)
+		}
+		err = w.Run(func(p *mpi.Proc) error {
+			grid, err := p.CommWorld().CartCreate([]int{4, 4}, []bool{true, true}, false)
+			if err != nil {
+				return err
+			}
+			// One block to each of the four grid neighbors.
+			return coll.NeighborAlltoall(coll.WithTuning(grid, tun), mpi.Sized(4*halo), mpi.Sized(4*halo), halo)
+		})
+		if err != nil {
+			panic(err)
+		}
+		fmt.Printf("%s: %.2f us\n", tun.Policy, w.MaxClock().Us())
+		w.Close()
+	}
 	// Output:
-	// cost rabenseifner
+	// table: 6.43 us
+	// cost: 2.21 us
 }

@@ -536,7 +536,7 @@ func pick(cl Collective, e Env, tun Tuning, inPlace bool) (*entry, error) {
 // runner as the family's signature F: the one place every entry point's
 // selection passes through.
 func dispatch[F any](c *mpi.Comm, cl Collective, e Env, inPlace bool) (run F, err error) {
-	en, err := pick(cl, e, tuningOf(c), inPlace)
+	en, err := pick(cl, e, TuningFor(c), inPlace)
 	if err != nil {
 		return run, err
 	}

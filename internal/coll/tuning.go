@@ -2,7 +2,6 @@ package coll
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/mpi"
 )
@@ -48,13 +47,15 @@ func (p Policy) String() string {
 
 // Tuning configures the collective selection engine. The zero value is
 // the default: table policy, no overrides, node-level hybrid windows.
+// A call's tuning comes from its communicator: WithTuning attaches one
+// to a handle, mpi.WithCollConfig to every handle of a world, and
+// derived communicators inherit it. A communicator with neither runs
+// the zero value.
 //
-// The textual key=value grammar historically parsed here (the
-// REPRO_COLL_TUNING environment variable and the -tuning flags) is
-// owned by internal/spec since the Spec API redesign: spec.ParseTuning
-// parses it, spec.Tuning round-trips it, and a command that calls
-// spec.InstallEnvTuning() gets the environment compatibility shim that
-// feeds SetDefaultTuning (importing internal/spec installs nothing).
+// The textual key=value grammar (cmd/perf's -tuning flag) and the
+// declarative form (a Query's tuning object) are owned by
+// internal/spec: spec.ParseTuning parses the text, and spec.Tuning
+// converts to this type.
 type Tuning struct {
 	Policy Policy
 	// Force pins a collective to a named algorithm regardless of
@@ -84,26 +85,6 @@ type Tuning struct {
 	OnMiss func(Collective, Env)
 }
 
-// defaultTun holds the process-wide default tuning (nil = zero Tuning).
-var defaultTun atomic.Pointer[Tuning]
-
-// SetDefaultTuning installs the process-wide default tuning returned by
-// DefaultTuning — the fallback for every communicator with no attached
-// configuration. internal/spec calls it from its REPRO_COLL_TUNING
-// compatibility shim; tests and harnesses may call it directly. The
-// value is copied.
-func SetDefaultTuning(t Tuning) { defaultTun.Store(&t) }
-
-// DefaultTuning returns the process-wide default tuning: the zero
-// Tuning unless SetDefaultTuning installed another (internal/spec does
-// so from REPRO_COLL_TUNING when that variable is set).
-func DefaultTuning() Tuning {
-	if t := defaultTun.Load(); t != nil {
-		return *t
-	}
-	return Tuning{}
-}
-
 // WithTuning attaches a tuning configuration to a communicator handle
 // and returns the same handle; derived communicators inherit it. All
 // members must configure the same value (the usual MPI collective
@@ -114,21 +95,10 @@ func WithTuning(c *mpi.Comm, t Tuning) *mpi.Comm {
 }
 
 // TuningFor resolves the tuning in effect for calls on a communicator:
-// the handle's attached configuration if any, the process default
-// otherwise. internal/hybrid uses it to pick up SharedLevel.
-func TuningFor(c *mpi.Comm) Tuning { return tuningOf(c) }
-
-// tuningOf resolves the tuning for a call on the communicator: the
-// handle's attached configuration if any, the process default
-// otherwise.
-func tuningOf(c *mpi.Comm) Tuning {
-	switch t := c.CollConfig().(type) {
-	case Tuning:
-		return t
-	case *Tuning:
-		if t != nil {
-			return *t
-		}
-	}
-	return DefaultTuning()
+// the configuration attached to the handle (or inherited from its
+// world), the zero Tuning (table policy) when there is none.
+// internal/hybrid uses it to pick up SharedLevel.
+func TuningFor(c *mpi.Comm) Tuning {
+	t, _ := c.CollConfig().(Tuning)
+	return t
 }

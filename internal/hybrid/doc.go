@@ -18,7 +18,7 @@
 // can sit at any shared-memory level: the paper's node scheme is the
 // default, a socket- or numa-level window turns every socket/numa
 // leader into a bridge participant (more exchange parallelism, smaller
-// windows). The level is selected with the sharedlevel= key of
-// coll.Tuning / REPRO_COLL_TUNING (see TUNING.md at the repository
-// root).
+// windows). The level is coll.Tuning's SharedLevel, attached to the
+// world (mpi.WithCollConfig) or the communicator (coll.WithTuning) like
+// any tuning (see TUNING.md at the repository root).
 package hybrid

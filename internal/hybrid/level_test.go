@@ -96,7 +96,7 @@ func TestSocketLevelHybrid(t *testing.T) {
 }
 
 // TestSharedLevelViaTuning threads the shared level through
-// coll.Tuning (the REPRO_COLL_TUNING path): a world configured with
+// coll.Tuning (the world's CollConfig): a world configured with
 // sharedlevel=socket builds socket-level contexts, and a communicator's
 // own tuning wins over the world's.
 func TestSharedLevelViaTuning(t *testing.T) {

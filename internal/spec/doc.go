@@ -18,9 +18,9 @@
 // alpha-beta-gamma estimates, returning every candidate algorithm's
 // price without simulating.
 //
-// The package also owns the textual tuning grammar historically parsed
-// by internal/coll ("policy=cost,allreduce=rabenseifner,..."):
-// ParseTuning parses it, Tuning.Spec renders it back canonically, and
-// InstallEnvTuning applies the REPRO_COLL_TUNING environment
-// compatibility shim (see EnvVar).
+// The package also owns the textual tuning grammar
+// ("policy=cost,allreduce=rabenseifner,...", cmd/perf's -tuning flag):
+// ParseTuning parses it and Tuning.Spec renders it back canonically. A
+// tuning reaches a run only through the world the run builds; the
+// package reads no environment and installs no process-wide default.
 package spec

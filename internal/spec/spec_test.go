@@ -27,10 +27,22 @@ func TestParseTuningGrammar(t *testing.T) {
 	if tun, err := spec.ParseTuning(""); err != nil || tun.Policy != "table" || tun.Force != nil {
 		t.Errorf("empty spec: %+v %v", tun, err)
 	}
-	for _, bad := range []string{"policy=fast", "allgather=quantum", "warp=9", "nokey", "sharedlevel="} {
+	for _, bad := range []string{
+		"policy=fast", "allgather=quantum", "warp=9", "nokey", "sharedlevel=",
+		// An empty policy and a repeated key are text Spec never renders.
+		"policy=", "policy=cost,policy=table", "allreduce=recdbl,allreduce=rabenseifner",
+	} {
 		if _, err := spec.ParseTuning(bad); err == nil {
 			t.Errorf("ParseTuning(%q) accepted", bad)
 		}
+	}
+	// The JSON form is not the grammar: there an empty policy is the
+	// Query default, table.
+	q, err := spec.Parse([]byte(strings.Replace(pointQuery, `"policy": "cost"`, `"policy": ""`, 1)))
+	if err != nil {
+		t.Errorf(`"policy": "" in a query: %v`, err)
+	} else if q.Tuning.Policy != "table" {
+		t.Errorf(`"policy": "" in a query canonicalized to %q, want "table"`, q.Tuning.Policy)
 	}
 	// A family the registry no longer has is rejected exactly like a
 	// misspelt one: with coll.ParseCollective's error.
@@ -71,39 +83,9 @@ func TestTuningRoundTrip(t *testing.T) {
 	}
 }
 
-// TestInstallEnvTuning pins the REPRO_COLL_TUNING shim's three cases:
-// a well-formed value becomes the process default, an unset variable
-// leaves the default alone, and a malformed one is ignored.
-func TestInstallEnvTuning(t *testing.T) {
-	defer coll.SetDefaultTuning(coll.DefaultTuning())
-	coll.SetDefaultTuning(coll.Tuning{})
-
-	t.Setenv(spec.EnvVar, "")
-	spec.InstallEnvTuning()
-	if got := coll.DefaultTuning(); got.Policy != coll.PolicyTable || got.Force != nil {
-		t.Errorf("unset variable changed the default: %+v", got)
-	}
-	t.Setenv(spec.EnvVar, "policy=cost,allreduce=rabenseifner,sharedlevel=socket")
-	spec.InstallEnvTuning()
-	got := coll.DefaultTuning()
-	if got.Policy != coll.PolicyCost || got.Force[coll.CollAllreduce] != "rabenseifner" || got.SharedLevel != "socket" {
-		t.Errorf("well-formed variable installed %+v", got)
-	}
-	for _, bad := range []string{"policy=fastest", "allreduce=nosuchalgo", "nokeyvalue"} {
-		t.Setenv(spec.EnvVar, bad)
-		spec.InstallEnvTuning()
-		if now := coll.DefaultTuning(); now.Policy != coll.PolicyCost || now.SharedLevel != "socket" {
-			t.Errorf("malformed %q replaced the default: %+v", bad, now)
-		}
-	}
-}
-
-// TestQueryIgnoresProcessDefaultTuning: every world a Query builds
-// carries the query's own tuning, so SetDefaultTuning (what
-// REPRO_COLL_TUNING feeds) moves no answer, while the same force
-// written into the query does.
-func TestQueryIgnoresProcessDefaultTuning(t *testing.T) {
-	defer coll.SetDefaultTuning(coll.DefaultTuning())
+// TestQueryForceMovesAnswer: a force written into the query reaches
+// the world the query builds and moves the 8x8 allreduce's virtual time.
+func TestQueryForceMovesAnswer(t *testing.T) {
 	const base = `{"machine":"hazelhen-cray","topology":{"nodes":8,"ppn":8},"collective":"allreduce","sizes":[65536],"engine":"event"`
 	virtualPs := func(js string) int64 {
 		t.Helper()
@@ -117,12 +99,7 @@ func TestQueryIgnoresProcessDefaultTuning(t *testing.T) {
 		}
 		return res.Points[0].VirtualPs
 	}
-	coll.SetDefaultTuning(coll.Tuning{})
 	clean := virtualPs(base + `}`)
-	coll.SetDefaultTuning(coll.Tuning{Force: map[coll.Collective]string{coll.CollAllreduce: "recdbl"}})
-	if got := virtualPs(base + `}`); got != clean {
-		t.Errorf("process-default force moved the query: %d ps, want %d", got, clean)
-	}
 	if forced := virtualPs(base + `,"tuning":{"force":{"allreduce":"recdbl"}}}`); forced == clean {
 		t.Errorf("the query's own force left the answer at %d ps", forced)
 	}
@@ -166,6 +143,9 @@ func FuzzParseTuning(f *testing.F) {
 	f.Add("policy=measured")
 	f.Add("policy=measured,allreduce=recdbl,sharedlevel=numa")
 	f.Add("policy=measured,store=ignored")
+	f.Add("policy=")
+	f.Add("policy=cost,policy=table")
+	f.Add("allreduce=recdbl,allreduce=rabenseifner")
 	f.Fuzz(func(t *testing.T, s string) {
 		tun, err := spec.ParseTuning(s)
 		if err != nil {

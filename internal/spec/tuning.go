@@ -1,10 +1,7 @@
 package spec
 
 import (
-	"encoding/json"
 	"fmt"
-	"log/slog"
-	"os"
 	"sort"
 	"strings"
 
@@ -31,25 +28,18 @@ type Tuning struct {
 	SharedLevel string `json:"shared_level,omitempty"`
 }
 
-// EnvVar is the environment variable the process-default tuning is
-// read from — kept as a compatibility shim: InstallEnvTuning parses
-// it, installs the result via coll.SetDefaultTuning, and logs its
-// spec-form equivalent.
-const EnvVar = "REPRO_COLL_TUNING"
-
 // ParseTuning parses the textual tuning grammar of comma-separated
 // key=value pairs: "policy" takes "table", "cost" or "measured";
-// "sharedlevel"
-// takes a topology level name; a collective name (allgather,
-// allreduce, bcast, ...) takes the algorithm to force, e.g.
+// "sharedlevel" takes a topology level name; a collective name
+// (allgather, allreduce, bcast, ...) takes the algorithm to force, e.g.
 //
 //	policy=cost,allreduce=rabenseifner,barrier=central
 //
-// The same syntax is accepted by the REPRO_COLL_TUNING environment
-// variable and cmd/perf's -tuning flag. The grammar lived in
-// internal/coll before the Spec API redesign; it round-trips through
-// Tuning.Spec (parse -> Tuning -> render -> parse is the identity on
-// canonical values).
+// Each key appears at most once and every value is non-empty: the
+// grammar is what Tuning.Spec renders, so parse -> render -> parse is
+// the identity on canonical values. cmd/perf's -tuning flag is its
+// one textual input; a Query carries the same tuning as a JSON object,
+// where an empty policy means "table".
 func ParseTuning(s string) (Tuning, error) {
 	var t Tuning
 	s = strings.TrimSpace(s)
@@ -62,8 +52,14 @@ func ParseTuning(s string) (Tuning, error) {
 			return t, fmt.Errorf("spec: tuning entry %q is not key=value", part)
 		}
 		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
+		if _, forced := t.Force[key]; forced || key == "policy" && t.Policy != "" || key == "sharedlevel" && t.SharedLevel != "" {
+			return t, fmt.Errorf("spec: tuning key %q given twice", key)
+		}
 		switch key {
 		case "policy":
+			if val == "" {
+				return t, fmt.Errorf("spec: policy needs a value (table, cost or measured)")
+			}
 			t.Policy = val
 		case "sharedlevel":
 			if val == "" {
@@ -160,32 +156,4 @@ func (t Tuning) Coll() (coll.Tuning, error) {
 		ct.Force[cl] = algo
 	}
 	return ct, nil
-}
-
-// InstallEnvTuning applies the REPRO_COLL_TUNING compatibility shim;
-// commands call it first thing in main. A set, well-formed value
-// becomes the process-default coll tuning, and its spec-form
-// equivalent (textual and JSON) is logged so users can migrate to the
-// Spec API. A malformed value is logged and ignored rather than
-// failing every collective in the job. The default reaches only worlds
-// built without a tuning: a Query's worlds carry the query's own.
-func InstallEnvTuning() {
-	s := os.Getenv(EnvVar)
-	if s == "" {
-		return
-	}
-	t, err := ParseTuning(s)
-	if err != nil {
-		slog.Warn("ignoring "+EnvVar, "error", err)
-		return
-	}
-	ct, err := t.Coll()
-	if err != nil {
-		slog.Warn("ignoring "+EnvVar, "error", err)
-		return
-	}
-	coll.SetDefaultTuning(ct)
-	js, _ := json.Marshal(t)
-	slog.Info(EnvVar+" installed as the process-default tuning",
-		"spec", t.Spec(), "spec_json", string(js))
 }

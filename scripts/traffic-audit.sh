@@ -76,9 +76,7 @@ serverd_stop
 # --- one flag away ----------------------------------------------------
 # Code the default runs never take but a user reaches without writing
 # Go: mpibench's point under both pairwise sync flavors with the
-# tracer on; the full figure grid; the cost policy installed from the environment (the commands, not the
-# Examples, read REPRO_COLL_TUNING), which prices the neighborhood
-# shapes the table never asks about; serverd's per-tenant limiter and its /metrics
+# tracer on; the full figure grid; serverd's per-tenant limiter and its /metrics
 # series, a malformed request,
 # an explicit engine+fold, a forced algorithm (the one registry entry no
 # policy picks by itself) and a barrier under the cost policy.
@@ -86,7 +84,6 @@ export GOCOVERDIR=audit/cov-flags
 audit/cmd/mpibench -nodes 2 -ppn 4 -elems 64 -sync p2p -trace >/dev/null
 audit/cmd/mpibench -nodes 2 -ppn 4 -sync sharedflags >/dev/null
 audit/cmd/experiments -fine 2>/dev/null >/dev/null
-REPRO_COLL_TUNING=policy=cost audit/cmd/perf -sweep stencil -scalemax 4096 >/dev/null
 serverd_start -tenant-qps 1000
 curl -sf -o /dev/null -H 'X-Tenant: audit' "http://$addr/v1/run" -d "$q"
 curl -sf -o /dev/null "http://$addr/metrics"
