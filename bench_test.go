@@ -213,8 +213,11 @@ func BenchmarkSyncFlavors(b *testing.B) {
 // repository benchmark's fig-apps op as host-time benchmarks: the real
 // Gibbs sampler at 1200x240, K=10, three iterations on 2x12 ranks, and
 // the verified 4x4 multiply at block 64 on four nodes, Ori then Hy on a
-// fresh real-data world each. `-cpuprofile` / `-memprofile` on these is
-// how the op's la, bpmf and summa time is read.
+// fresh real-data world each; each verified Run computes its 256x256
+// reference product on host goroutines while the ranks run, so run it
+// at -cpu 1 as well to see the multiply without that overlap.
+// `-cpuprofile` / `-memprofile` on these is how the op's la, bpmf and
+// summa time is read.
 func BenchmarkBPMFReal(b *testing.B) {
 	model, topo := sim.HazelHenCray(), sim.MustUniform(2, 12)
 	b.ReportAllocs()

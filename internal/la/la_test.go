@@ -187,9 +187,9 @@ func TestGemmMatchesNaiveExactly(t *testing.T) {
 }
 
 // BenchmarkGemm times the kernel at BPMF's latent dimension (the Wishart
-// draw's two products), SUMMA's fig-apps block and the 256x256 serial
-// referee its verification runs, on operands without zeros, as SUMMA's
-// are.
+// draw's two products), SUMMA's fig-apps block and the order 256 of the
+// reference product its verification computes (in 64-row bands), on
+// operands without zeros, as SUMMA's are.
 func BenchmarkGemm(b *testing.B) {
 	for _, n := range []int{10, 64, 256} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -13,11 +13,17 @@
 // A, B and C, and iteration k broadcasts A's column-k panel along rows
 // and B's row-k panel along columns before the local rank-b update —
 // exactly the structure of Sect. 5.2.1.
+//
+// A verified run checks the gathered C bit for bit against the reference
+// product A x B, which host goroutines compute in block-row bands while
+// the simulated ranks run.
 package summa
 
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"repro/internal/coll"
 	"repro/internal/hybrid"
@@ -35,8 +41,9 @@ type Config struct {
 	BlockDim int
 	// Hybrid selects Hy_SUMMA (hybrid broadcasts) over Ori_SUMMA.
 	Hybrid bool
-	// Verify runs with real data and checks C = A x B against a
-	// serial product on rank 0 (small configurations only).
+	// Verify runs with real data and checks the C gathered at rank 0
+	// against the reference product A x B, computed on the host beside
+	// the simulation (small configurations only).
 	Verify bool
 	// Sync selects the hybrid synchronization flavor (Hybrid only).
 	Sync hybrid.SyncMode
@@ -62,6 +69,9 @@ func (cfg Config) validate(worldSize int) error {
 	return nil
 }
 
+// gather is coll.Gather; a test plants a wrong element through it.
+var gather = coll.Gather
+
 // Run executes SUMMA on the world and returns the virtual makespan.
 func Run(w *mpi.World, cfg Config) (Result, error) {
 	if err := cfg.validate(w.Size()); err != nil {
@@ -70,22 +80,38 @@ func Run(w *mpi.World, cfg Config) (Result, error) {
 	if cfg.Verify && !w.RealData() {
 		return Result{}, fmt.Errorf("summa: Verify needs a world with real data (mpi.WithRealData)")
 	}
+	var ref *reference
+	if cfg.Verify {
+		ref = startReference(cfg)
+	}
 	w.ResetClocks()
-	verified := make([]bool, w.Size())
+	var c mpi.Buf
 	err := w.Run(func(p *mpi.Proc) error {
-		ok, err := runRank(p, cfg)
-		verified[p.Rank()] = ok
+		gathered, err := runRank(p, cfg)
+		if p.Rank() == 0 {
+			c = gathered
+		}
 		return err
 	})
+	if ref != nil {
+		ref.done.Wait()
+	}
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{Makespan: w.MaxClock(), Verified: cfg.Verify && verified[0]}, nil
+	res := Result{Makespan: w.MaxClock()}
+	if ref != nil {
+		if err := ref.check(c); err != nil {
+			return Result{}, err
+		}
+		res.Verified = true
+	}
+	return res, nil
 }
 
-// runRank is the per-rank SUMMA body; it returns whether verification
-// (rank 0 only) succeeded.
-func runRank(p *mpi.Proc, cfg Config) (bool, error) {
+// runRank is the per-rank SUMMA body; under Verify it returns the C
+// gathered at rank 0 (and an empty buffer elsewhere).
+func runRank(p *mpi.Proc, cfg Config) (mpi.Buf, error) {
 	dim, b := cfg.GridDim, cfg.BlockDim
 	world := p.CommWorld()
 	myRow := world.Rank() / dim
@@ -93,11 +119,11 @@ func runRank(p *mpi.Proc, cfg Config) (bool, error) {
 
 	rowComm, err := world.Split(myRow, myCol)
 	if err != nil {
-		return false, err
+		return mpi.Buf{}, err
 	}
 	colComm, err := world.Split(myCol+dim, myRow) // offset colors to taste
 	if err != nil {
-		return false, err
+		return mpi.Buf{}, err
 	}
 
 	blockBytes := 8 * b * b
@@ -108,14 +134,19 @@ func runRank(p *mpi.Proc, cfg Config) (bool, error) {
 	}
 
 	if cfg.Hybrid {
-		return runHybrid(p, cfg, rowComm, colComm, aBlock, bBlock, cBlock, blockBytes, myRow, myCol)
+		err = runHybrid(p, cfg, rowComm, colComm, aBlock, bBlock, cBlock, blockBytes, myRow, myCol)
+	} else {
+		err = runPure(p, cfg, rowComm, colComm, aBlock, bBlock, cBlock, blockBytes, myRow, myCol)
 	}
-	return runPure(p, cfg, rowComm, colComm, aBlock, bBlock, cBlock, blockBytes, myRow, myCol)
+	if err != nil || !cfg.Verify {
+		return mpi.Buf{}, err
+	}
+	return gatherC(world, cBlock, blockBytes)
 }
 
 // runPure is Ori_SUMMA: plain MPI_Bcast on row and column communicators.
 func runPure(p *mpi.Proc, cfg Config, rowComm, colComm *mpi.Comm,
-	aBlock, bBlock, cBlock *la.Mat, blockBytes, myRow, myCol int) (bool, error) {
+	aBlock, bBlock, cBlock *la.Mat, blockBytes, myRow, myCol int) error {
 
 	dim, b := cfg.GridDim, cfg.BlockDim
 	aPanel := p.World().NewBuf(blockBytes)
@@ -127,20 +158,20 @@ func runPure(p *mpi.Proc, cfg Config, rowComm, colComm *mpi.Comm,
 			packMat(aPanel, aBlock)
 		}
 		if err := coll.Bcast(rowComm, aPanel, k); err != nil {
-			return false, fmt.Errorf("summa: row bcast k=%d: %w", k, err)
+			return fmt.Errorf("summa: row bcast k=%d: %w", k, err)
 		}
 		// Column broadcast: owner of row k ships its B block.
 		if myRow == k {
 			packMat(bPanel, bBlock)
 		}
 		if err := coll.Bcast(colComm, bPanel, k); err != nil {
-			return false, fmt.Errorf("summa: col bcast k=%d: %w", k, err)
+			return fmt.Errorf("summa: col bcast k=%d: %w", k, err)
 		}
 		if err := localUpdate(p, cfg, cBlock, aPanel, bPanel, b); err != nil {
-			return false, err
+			return err
 		}
 	}
-	return verify(p, cfg, cBlock)
+	return nil
 }
 
 // runHybrid is Hy_SUMMA: hybrid broadcasts into one shared panel per
@@ -149,24 +180,24 @@ func runPure(p *mpi.Proc, cfg Config, rowComm, colComm *mpi.Comm,
 // fences: the Release synchronization of broadcast k+1 orders every
 // on-node read of panel k before the k+2 root overwrites that buffer.
 func runHybrid(p *mpi.Proc, cfg Config, rowComm, colComm *mpi.Comm,
-	aBlock, bBlock, cBlock *la.Mat, blockBytes, myRow, myCol int) (bool, error) {
+	aBlock, bBlock, cBlock *la.Mat, blockBytes, myRow, myCol int) error {
 
 	dim, b := cfg.GridDim, cfg.BlockDim
 	rowCtx, err := hybrid.New(rowComm, hybrid.WithSync(cfg.Sync))
 	if err != nil {
-		return false, err
+		return err
 	}
 	colCtx, err := hybrid.New(colComm, hybrid.WithSync(cfg.Sync))
 	if err != nil {
-		return false, err
+		return err
 	}
 	var rowB, colB [2]*hybrid.Bcaster
 	for i := 0; i < 2; i++ {
 		if rowB[i], err = rowCtx.NewBcaster(blockBytes); err != nil {
-			return false, err
+			return err
 		}
 		if colB[i], err = colCtx.NewBcaster(blockBytes); err != nil {
-			return false, err
+			return err
 		}
 	}
 
@@ -176,19 +207,19 @@ func runHybrid(p *mpi.Proc, cfg Config, rowComm, colComm *mpi.Comm,
 			packMat(rb.Buffer(), aBlock)
 		}
 		if err := rb.Bcast(k); err != nil {
-			return false, fmt.Errorf("summa: hybrid row bcast k=%d: %w", k, err)
+			return fmt.Errorf("summa: hybrid row bcast k=%d: %w", k, err)
 		}
 		if myRow == k {
 			packMat(cb.Buffer(), bBlock)
 		}
 		if err := cb.Bcast(k); err != nil {
-			return false, fmt.Errorf("summa: hybrid col bcast k=%d: %w", k, err)
+			return fmt.Errorf("summa: hybrid col bcast k=%d: %w", k, err)
 		}
 		// Ranks compute straight out of the node-shared panels —
 		// the "parallel computation without any data movement in
 		// between" of Sect. 5.2.1.
 		if err := localUpdate(p, cfg, cBlock, rb.Buffer(), cb.Buffer(), b); err != nil {
-			return false, err
+			return err
 		}
 		// With the barrier flavor, the Release of broadcast k+1 is
 		// a full node rendezvous, which (with double buffering)
@@ -197,14 +228,14 @@ func runHybrid(p *mpi.Proc, cfg Config, rowComm, colComm *mpi.Comm,
 		// independently, so the epoch fence must be explicit.
 		if cfg.Sync != hybrid.SyncBarrier {
 			if err := rb.ReadFence(); err != nil {
-				return false, err
+				return err
 			}
 			if err := cb.ReadFence(); err != nil {
-				return false, err
+				return err
 			}
 		}
 	}
-	return verify(p, cfg, cBlock)
+	return nil
 }
 
 // localUpdate performs (or models) C += Apanel x Bpanel.
@@ -263,51 +294,85 @@ func fillBlocks(a, bm *la.Mat, rank, row0, col0, b int) {
 	}
 }
 
-// verify gathers C at rank 0 and compares against a serial product.
-func verify(p *mpi.Proc, cfg Config, cBlock *la.Mat) (bool, error) {
-	if !cfg.Verify {
-		return false, nil
-	}
-	dim, b := cfg.GridDim, cfg.BlockDim
-	world := p.CommWorld()
-	blockBytes := 8 * b * b
+// gatherC gathers every rank's C block at rank 0, in rank order, and
+// returns the gathered buffer there.
+func gatherC(world *mpi.Comm, cBlock *la.Mat, blockBytes int) (mpi.Buf, error) {
 	recv := mpi.Buf{}
 	if world.Rank() == 0 {
 		recv = mpi.Bytes(make([]byte, blockBytes*world.Size()))
 	}
 	send := mpi.Bytes(make([]byte, blockBytes))
 	packMat(send, cBlock)
-	if err := coll.Gather(world, send, recv, blockBytes, 0); err != nil {
-		return false, err
+	if err := gather(world, send, recv, blockBytes, 0); err != nil {
+		return mpi.Buf{}, err
 	}
-	if world.Rank() != 0 {
-		return true, nil
-	}
+	return recv, nil
+}
 
-	// Assemble the distributed operands and the gathered C, then
-	// check against a serial multiplication.
+// reference is the product A x B of the assembled operands, n =
+// GridDim*BlockDim, computed by host goroutines while the simulated
+// ranks run.
+type reference struct {
+	cfg  Config
+	c    *la.Mat
+	done sync.WaitGroup // every goroutine has finished its bands
+}
+
+// startReference starts min(GOMAXPROCS, GridDim) goroutines. Each one
+// fills its block rows of A and B with fillBlocks, waits until every
+// block row is filled, then computes its block rows of C with la.Gemm
+// on row-band views; goroutine g takes block rows g, g+G, g+2G, ...
+func startReference(cfg Config) *reference {
+	dim, b := cfg.GridDim, cfg.BlockDim
 	n := dim * b
-	A, B := la.NewMat(n, n), la.NewMat(n, n)
-	C := la.NewMat(n, n)
-	for r := 0; r < world.Size(); r++ {
+	a, bm := la.NewMat(n, n), la.NewMat(n, n)
+	ref := &reference{cfg: cfg, c: la.NewMat(n, n)}
+	band := func(m *la.Mat, row int) *la.Mat {
+		return &la.Mat{Rows: b, Cols: n, Data: m.Data[row*b*n : (row+1)*b*n]}
+	}
+	g := min(runtime.GOMAXPROCS(0), dim)
+	var filled sync.WaitGroup
+	filled.Add(g)
+	ref.done.Add(g)
+	for w := range g {
+		go func() {
+			defer ref.done.Done()
+			for row := w; row < dim; row += g {
+				for col := range dim {
+					fillBlocks(a, bm, row*dim+col, row*b, col*b, b)
+				}
+			}
+			filled.Done()
+			filled.Wait()
+			for row := w; row < dim; row += g {
+				if err := la.Gemm(band(ref.c, row), band(a, row), bm); err != nil {
+					panic(err) // b x n times n x n by construction
+				}
+			}
+		}()
+	}
+	return ref
+}
+
+// check compares the gathered C, rank r's block at r*b*b, with the
+// reference bit for bit, in place. Both sum the same products in the
+// same ascending-k order (la.Gemm's contract), so any difference is an
+// error.
+func (ref *reference) check(c mpi.Buf) error {
+	dim, b := ref.cfg.GridDim, ref.cfg.BlockDim
+	for r := range dim * dim {
 		row0, col0 := r/dim*b, r%dim*b
-		fillBlocks(A, B, r, row0, col0, b)
-		cb := recv.Slice(r*blockBytes, blockBytes)
-		for i := 0; i < b; i++ {
-			cb.CopyFloat64s(C.Row(row0 + i)[col0:col0+b], i*b)
+		for i := range b {
+			want := ref.c.Row(row0 + i)[col0 : col0+b]
+			for j, x := range want {
+				if got := c.Float64At((r*b+i)*b + j); got != x {
+					return fmt.Errorf("summa: verification failed at C[%d][%d]: got %g, want %g",
+						row0+i, col0+j, got, x)
+				}
+			}
 		}
 	}
-	want := la.NewMat(n, n)
-	if err := la.Gemm(want, A, B); err != nil {
-		return false, err
-	}
-	for i := range want.Data {
-		if math.Abs(want.Data[i]-C.Data[i]) > 1e-9*(1+math.Abs(want.Data[i])) {
-			return false, fmt.Errorf("summa: verification failed at element %d: got %g, want %g",
-				i, C.Data[i], want.Data[i])
-		}
-	}
-	return true, nil
+	return nil
 }
 
 func packMat(dst mpi.Buf, m *la.Mat) {

@@ -1,12 +1,18 @@
 package summa
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 	"unsafe"
 
+	"repro/internal/coll"
 	"repro/internal/hybrid"
 	"repro/internal/la"
 	"repro/internal/mpi"
@@ -180,7 +186,7 @@ func TestFillBlocksMatchesTrig(t *testing.T) {
 
 func TestSummaPureHybridSameProduct(t *testing.T) {
 	// Both flavors must compute the same (correct) product — the
-	// verification already pins them to the serial reference; this
+	// verification already pins them to the reference product; this
 	// locks in that both pass on an irregular topology too.
 	w := worldFor(t, []int{5, 4}, true)
 	for _, hy := range []bool{false, true} {
@@ -267,4 +273,111 @@ func TestSummaDeterministic(t *testing.T) {
 	if a.Makespan != b.Makespan {
 		t.Errorf("nondeterministic makespan: %v vs %v", a.Makespan, b.Makespan)
 	}
+}
+
+// TestVerifyCatchesOneUlp plants a one-ulp error in one element of the
+// C gathered at rank 0 and expects Run to name that element, for both
+// flavors.
+func TestVerifyCatchesOneUlp(t *testing.T) {
+	const dim, b, rank, i, j = 3, 4, 5, 2, 1
+	t.Cleanup(func() { gather = coll.Gather })
+	gather = func(c *mpi.Comm, send, recv mpi.Buf, per, root int) error {
+		if err := coll.Gather(c, send, recv, per, root); err != nil || c.Rank() != root {
+			return err
+		}
+		k := (rank*b+i)*b + j
+		recv.PutFloat64(k, math.Nextafter(recv.Float64At(k), math.Inf(1)))
+		return nil
+	}
+	want := fmt.Sprintf("C[%d][%d]", rank/dim*b+i, rank%dim*b+j)
+	for _, hy := range []bool{false, true} {
+		w := worldFor(t, []int{5, 4}, true)
+		res, err := Run(w, Config{GridDim: dim, BlockDim: b, Hybrid: hy, Verify: true})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("hybrid=%v: err = %v, want one naming %s", hy, err, want)
+		}
+		if res.Verified {
+			t.Errorf("hybrid=%v: a wrong product verified", hy)
+		}
+	}
+}
+
+// settled fails if a reference goroutine is still at work, filling or
+// multiplying, and then waits until the goroutine count is back to
+// baseline: a goroutine that has signalled its WaitGroup may still be
+// on its way out, so the count is polled for a while.
+func settled(t *testing.T, baseline int) {
+	t.Helper()
+	stacks := make([]byte, 1<<20)
+	stacks = stacks[:runtime.Stack(stacks, true)]
+	for _, g := range strings.Split(string(stacks), "\n\n") {
+		if strings.Contains(g, "created by repro/internal/summa.startReference") &&
+			(strings.Contains(g, "la.Gemm") || strings.Contains(g, "summa.fillBlocks") || strings.Contains(g, "WaitGroup")) {
+			t.Errorf("a reference goroutine is still at work after Run:\n%s", g)
+		}
+	}
+	deadline := time.Now().Add(time.Second)
+	n := runtime.NumGoroutine()
+	for n > baseline && time.Now().Before(deadline) {
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	if n > baseline {
+		t.Errorf("%d goroutines outlive Run (baseline %d)", n-baseline, baseline)
+	}
+}
+
+// TestVerifiedRunLeavesNoGoroutine checks that the reference product's
+// goroutines end with Run: after a verified Run, after one that fails
+// on a closed world, and after two verified Runs on separate worlds at
+// once. The block is fig-apps' 64, so the reference is still working
+// when a Run that forgot to wait returned.
+func TestVerifiedRunLeavesNoGoroutine(t *testing.T) {
+	cfg := Config{GridDim: 4, BlockDim: 64, Verify: true}
+	t.Run("verified", func(t *testing.T) {
+		w := worldFor(t, []int{8, 8}, true)
+		defer w.Close()
+		baseline := runtime.NumGoroutine()
+		res, err := Run(w, cfg)
+		if err != nil || !res.Verified {
+			t.Fatalf("verified=%v, err %v", res.Verified, err)
+		}
+		settled(t, baseline)
+	})
+	t.Run("closed", func(t *testing.T) {
+		w := worldFor(t, []int{8, 8}, true)
+		w.Close()
+		baseline := runtime.NumGoroutine()
+		if _, err := Run(w, cfg); !errors.Is(err, mpi.ErrClosed) {
+			t.Fatalf("Run on a closed world: err = %v, want mpi.ErrClosed", err)
+		}
+		settled(t, baseline)
+	})
+	t.Run("concurrent", func(t *testing.T) {
+		worlds := []*mpi.World{worldFor(t, []int{8, 8}, true), worldFor(t, []int{16}, true)}
+		baseline := runtime.NumGoroutine()
+		errs := make([]error, len(worlds))
+		var wg sync.WaitGroup
+		for k, w := range worlds {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := Run(w, Config{GridDim: 4, BlockDim: 64, Hybrid: k == 1, Verify: true})
+				if err == nil && !res.Verified {
+					err = errors.New("not verified")
+				}
+				errs[k] = err
+			}()
+		}
+		wg.Wait()
+		for k, err := range errs {
+			if err != nil {
+				t.Errorf("world %d: %v", k, err)
+			}
+		}
+		settled(t, baseline)
+		for _, w := range worlds {
+			w.Close()
+		}
+	})
 }
