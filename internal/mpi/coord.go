@@ -215,7 +215,7 @@ func (c *Comm) meet(members []int, n, idx int, clk sim.Time, val any, build func
 		}
 		done := r.done
 		cx.mu.Unlock()
-		await(p, done)
+		awaitClose(p, done, r)
 	} else {
 		if build != nil {
 			// Built outside the lock with the round still current: a
@@ -242,6 +242,23 @@ func (c *Comm) meet(members []int, n, idx int, clk sim.Time, val any, build func
 		roundPool.Put(r)
 	}
 	return max, vals, out
+}
+
+// awaitClose is the wait of a rendezvous round's member: rank p blocks
+// until done is closed, by the last arrival or a poison walk. The event
+// engine polls, parks and re-checks on every wake; after an abort it
+// receives directly, since the abort walk closes every live round.
+func awaitClose(p *Proc, done <-chan struct{}, on *round) {
+	w := p.world
+	for w.evLive && !w.Aborted() {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		w.ev.park(p.rank, on)
+	}
+	<-done
 }
 
 // end closes the context's current round, completed (err nil) or

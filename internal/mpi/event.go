@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"strconv"
+	"strings"
 )
 
 // This file is the discrete-event execution backend (sim.EngineEvent):
@@ -12,25 +14,30 @@ import (
 // runtime schedule all ranks in parallel (sim.EngineGoroutine). Each
 // executing rank is a coroutine (iter.Pull), and the goroutine that
 // called World.Run is the one driver: it pops the ring, resumes that
-// rank, and gets control back when the rank parks (await), yields (a
-// Test poll) or finishes its body. A completer puts the rank it
-// satisfied on the ring (wake). Control passes by coroutine switch
-// alone, so all scheduler state is touched by one logical thread, and
-// each switch is a happens-before edge for the race detector. What this
-// saves is what the parallel engine pays for concurrency: lock
-// contention, host scheduler churn, and a nondeterministic execution
-// order. With rank-symmetry folding (fold.go), which shrinks the
-// executing ranks to the distinct rank behaviors, it is what makes
-// million-rank worlds affordable.
+// rank, and gets control back when the rank parks (awaitSlot,
+// awaitClose), yields (a Test poll) or finishes its body. A completer
+// feeds the record's slot and puts the rank it satisfied on the ring
+// (wake); a live, unaborted engine never touches a record's channel,
+// since a parked rank re-checks its slot's state word when resumed.
+// Control passes by coroutine switch alone, so all scheduler state is
+// touched by one logical thread, and each switch is a happens-before
+// edge for the race detector. What this saves is what the parallel
+// engine pays for concurrency: lock contention, host scheduler churn,
+// and a nondeterministic execution order. With rank-symmetry folding
+// (fold.go), which shrinks the executing ranks to the distinct rank
+// behaviors, it is what makes million-rank worlds affordable.
 //
 // Abort and deadlock. External goroutines may only poison the matcher
 // and the live rendezvous rounds (World.Abort); they never touch
 // scheduler state. A ready ring that runs dry with ranks still parked
 // means nothing inside the world can wake them. If the world was
 // aborted, the driver readies them so each can observe its sentinel or
-// closed round. If not, the run is deadlocked: the driver names the
-// parked ranks in an ErrDeadlock, aborts the world and unwinds them the
-// same way, so the Run returns and the world stays poisoned.
+// closed round; a rank that finds its record not yet fed by an outside
+// abort walk sleeps on the record's channel, on the driver thread, until
+// the walk feeds it. If not aborted, the run is deadlocked: the driver
+// names each parked rank and the record it waits on in an ErrDeadlock,
+// aborts the world and unwinds them the same way, so the Run returns and
+// the world stays poisoned.
 
 // ErrDeadlock is joined into a Run's error when the event engine finds
 // every unfinished rank parked with nothing left to wake them.
@@ -42,7 +49,7 @@ const (
 	evIdle    int32 = iota // between Runs
 	evReady                // enqueued on the ready ring
 	evRunning              // resumed by the driver (at most one rank)
-	evParked               // blocked in await
+	evParked               // blocked in awaitSlot or awaitClose
 	evDone                 // body finished this Run
 )
 
@@ -61,12 +68,14 @@ type evSched struct {
 
 // evRank is one rank's coroutine: next resumes it (driver only), yield
 // suspends it back to the driver (the rank itself only), stop ends it
-// (Close only).
+// (Close only). on is the record the rank last parked on (a *message, a
+// *recvReq or a *round), for the deadlock report.
 type evRank struct {
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
 	state int32
+	on    any
 }
 
 // newEvSched builds the scheduler and one coroutine per rank, each
@@ -109,20 +118,16 @@ func (ev *evSched) run() error {
 	for ev.done < ev.n {
 		if ev.rlen == 0 {
 			if !ev.w.Aborted() { // deadlock: every unfinished rank is parked
-				var parked []int
-				for r := range ev.n {
-					if ev.ranks[r].state == evParked {
-						parked = append(parked, r)
-					}
-				}
-				deadlock = fmt.Errorf("%w: ranks %v parked with no event left to wake them", ErrDeadlock, parked)
+				deadlock = ev.deadlock()
 				ev.w.Abort()
 			}
 			ev.wakeAllParked()
 			continue
 		}
 		r := ev.ready[ev.rhead]
-		ev.rhead = (ev.rhead + 1) % ev.n
+		if ev.rhead++; ev.rhead == ev.n {
+			ev.rhead = 0
+		}
 		ev.rlen--
 		ev.ranks[r].state = evRunning
 		ev.ranks[r].next()
@@ -134,8 +139,41 @@ func (ev *evSched) run() error {
 }
 
 func (ev *evSched) pushReady(r int) {
-	ev.ready[(ev.rhead+ev.rlen)%ev.n] = int32(r)
+	i := ev.rhead + ev.rlen
+	if i >= ev.n {
+		i -= ev.n
+	}
+	ev.ready[i] = int32(r)
 	ev.rlen++
+}
+
+// deadlock is the report of a dry ring: the parked ranks, then one line
+// per parked rank naming the record it waits on, in global ranks.
+func (ev *evSched) deadlock() error {
+	id := func(v, wild int) string {
+		if v == wild {
+			return "any"
+		}
+		return strconv.Itoa(v)
+	}
+	var parked []int
+	var lines strings.Builder
+	for r := range ev.n {
+		if ev.ranks[r].state != evParked {
+			continue
+		}
+		parked = append(parked, r)
+		fmt.Fprintf(&lines, "\n\trank %d: ", r)
+		switch rec := ev.ranks[r].on.(type) {
+		case *recvReq:
+			fmt.Fprintf(&lines, "recv from %s tag %s", id(rec.srcGlobal, AnySource), id(rec.tag, AnyTag))
+		case *message:
+			fmt.Fprintf(&lines, "send to %d tag %d", rec.dst, rec.tag)
+		case *round:
+			lines.WriteString("rendezvous round")
+		}
+	}
+	return fmt.Errorf("%w: ranks %v parked with no event left to wake them:%s", ErrDeadlock, parked, lines.String())
 }
 
 // wakeAllParked readies every parked rank after an abort, so each can
@@ -159,11 +197,12 @@ func (ev *evSched) wake(r int) {
 	}
 }
 
-// park suspends the calling rank back to the driver until a wake. The
-// caller must re-check its wait condition on resume (wakes can be
-// spurious, see wake).
-func (ev *evSched) park(r int) {
+// park suspends the calling rank back to the driver until a wake; on is
+// the record it waits on. The caller must re-check its wait condition
+// on resume (wakes can be spurious, see wake).
+func (ev *evSched) park(r int, on any) {
 	ev.ranks[r].state = evParked
+	ev.ranks[r].on = on
 	ev.ranks[r].yield(struct{}{})
 }
 
@@ -184,11 +223,12 @@ func (ev *evSched) shutdown() {
 	}
 }
 
-// wake readies a rank whose awaited channel was just fed: a no-op on the
-// goroutine engine, where feeding the channel is the wake. The receiver
-// is nil in Abort's walks — Abort may run on a goroutine outside the Run
-// (spec's cancellation watcher) and must not touch scheduler state; the
-// driver readies every parked rank once it finds the world aborted.
+// wake readies a rank whose awaited record was just completed: a no-op
+// on the goroutine engine, where the slot's feed (or the round's close)
+// is the wake. The receiver is nil in Abort's walks — Abort may run on
+// a goroutine outside the Run (spec's cancellation watcher) and must not
+// touch scheduler state; the driver readies every parked rank once it
+// finds the world aborted.
 func (w *World) wake(rank int) {
 	if w != nil && w.evLive {
 		w.ev.wake(rank)
@@ -203,25 +243,27 @@ func (p *Proc) yield() {
 	}
 }
 
-// await is the one park of the runtime: rank p blocks until ch yields.
-// Whatever ends the wait — completion, abort, a peer's death, revocation
-// — arrives through ch itself (a value, a sentinel, a close), so the
-// goroutine engine takes a plain receive, never a select against an
-// abort signal. The event engine polls, parks and re-checks on every
-// wake; after an abort it receives directly, since the poison walks feed
-// every queued record and close every live round.
-func await[T any](p *Proc, ch <-chan T) T {
+// awaitSlot is the wait on a record's slot (message.done,
+// recvReq.result): rank p returns as soon as it loads fed. Whatever ends
+// the wait — completion, abort, a peer's death, revocation — is fed
+// through the slot itself, so no wait selects against an abort signal.
+// A live, unaborted event engine parks the rank on the ring and
+// re-checks on every wake, touching no channel. The goroutine engine,
+// and the event engine after an abort (whose walks, possibly on a
+// goroutine outside the Run, feed every queued record), announce a
+// sleeper and block on the slot's channel unless the CAS finds the slot
+// already fed. on is the record, for the deadlock report.
+func awaitSlot[T any](p *Proc, s *slot[T], on any) T {
 	w := p.world
-	if !w.evLive {
-		return <-ch
-	}
-	for {
-		if v, ok := take(p, ch, false); ok {
-			return v
+	for !s.fed() {
+		if w.evLive && !w.Aborted() {
+			w.ev.park(p.rank, on)
+			continue
 		}
-		if w.Aborted() {
-			return <-ch
+		if s.state.CompareAndSwap(slotEmpty, slotSleeper) {
+			<-s.wake
 		}
-		w.ev.park(p.rank)
+		break
 	}
+	return s.take()
 }

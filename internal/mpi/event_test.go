@@ -2,7 +2,10 @@ package mpi
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -251,19 +254,16 @@ func TestEventEngineRunAllocationLean(t *testing.T) {
 	}
 }
 
-// TestEventDeadlockReturnsErrDeadlock runs a ring where every rank
-// receives on a tag nobody sends: once the sends have gone out, every
-// rank is parked and no event can wake one. The Run must return an
-// ErrDeadlock naming each parked rank instead of hanging, and leave the
-// world poisoned so no pool reuses it.
+// TestEventDeadlockReturnsErrDeadlock runs programs in which every
+// unfinished rank ends up parked with no event left to wake it: a ring
+// where every rank receives on a tag nobody sends, and a rank blocked in
+// a rendezvous Send nobody receives while the others wait for it in a
+// clock fusion's rendezvous round. The Run must return an ErrDeadlock
+// naming each parked rank, with one line per rank saying what it waits
+// on, instead of hanging, and leave the world poisoned so no pool reuses
+// it.
 func TestEventDeadlockReturnsErrDeadlock(t *testing.T) {
-	w, err := NewWorld(sim.HazelHenCray(), sim.MustUniform(2, 4), WithEngine(sim.EngineEvent))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	start := time.Now()
-	err = w.Run(func(p *Proc) error {
+	ring := func(p *Proc) error {
 		c := p.CommWorld()
 		n, rank := c.Size(), c.Rank()
 		if err := c.Send(Sized(8), (rank+1)%n, 1); err != nil {
@@ -271,20 +271,218 @@ func TestEventDeadlockReturnsErrDeadlock(t *testing.T) {
 		}
 		_, err := c.Recv(Sized(8), (rank-1+n)%n, 2)
 		return err
-	})
-	if took := time.Since(start); took > 500*time.Millisecond {
-		t.Errorf("deadlocked Run took %v to return", took)
 	}
-	if !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("deadlocked Run returned %v, want ErrDeadlock", err)
+	ringLines := make([]string, 8)
+	for r := range ringLines {
+		ringLines[r] = fmt.Sprintf("rank %d: recv from %d tag 2", r, (r+7)%8)
 	}
-	if !strings.Contains(err.Error(), "ranks [0 1 2 3 4 5 6 7] parked") {
-		t.Errorf("deadlock report does not name all 8 parked ranks: %v", err)
+	sendThenRound := func(p *Proc) error {
+		c := p.CommWorld()
+		if c.Rank() == 0 {
+			return c.Send(Sized(2*p.World().model.EagerLimit), 1, 3)
+		}
+		c.FuseClocks(p.Clock())
+		return nil
 	}
-	if !w.Aborted() {
-		t.Error("deadlocked world is not poisoned")
+	for _, tc := range []struct {
+		name   string
+		topo   *sim.Topology
+		body   func(p *Proc) error
+		parked string
+		lines  []string
+	}{
+		{"recv ring", sim.MustUniform(2, 4), ring, "ranks [0 1 2 3 4 5 6 7] parked", ringLines},
+		{"send and round", sim.MustUniform(1, 4), sendThenRound, "ranks [0 1 2 3] parked",
+			[]string{"rank 0: send to 1 tag 3", "rank 1: rendezvous round", "rank 2: rendezvous round", "rank 3: rendezvous round"}},
+	} {
+		w, err := NewWorld(sim.HazelHenCray(), tc.topo, WithEngine(sim.EngineEvent))
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		err = w.Run(tc.body)
+		if took := time.Since(start); took > 500*time.Millisecond {
+			t.Errorf("%s: deadlocked Run took %v to return", tc.name, took)
+		}
+		if !errors.Is(err, ErrDeadlock) {
+			t.Fatalf("%s: deadlocked Run returned %v, want ErrDeadlock", tc.name, err)
+		}
+		if !strings.Contains(err.Error(), tc.parked) {
+			t.Errorf("%s: deadlock report does not name every parked rank: %v", tc.name, err)
+		}
+		for _, line := range tc.lines {
+			if !strings.Contains(err.Error(), "\n\t"+line) {
+				t.Errorf("%s: deadlock report lacks %q: %v", tc.name, line, err)
+			}
+		}
+		if !w.Aborted() {
+			t.Errorf("%s: deadlocked world is not poisoned", tc.name)
+		}
+		if err := w.Run(func(p *Proc) error { return nil }); !errors.Is(err, ErrAborted) {
+			t.Errorf("%s: Run after deadlock returned %v, want ErrAborted", tc.name, err)
+		}
+		w.Close()
 	}
-	if err := w.Run(func(p *Proc) error { return nil }); !errors.Is(err, ErrAborted) {
-		t.Errorf("Run after deadlock returned %v, want ErrAborted", err)
+}
+
+// TestAbortFromOutside aborts a Run from a goroutine outside it while
+// ranks wait in every kind of p2p wait: a blocking Recv, a rendezvous
+// Send, Irecv+Wait, a Sched.Wait, and a Test polling loop that keeps the
+// event engine's ready ring busy so its driver cannot call the run a
+// deadlock first. The abort walk feeds the poller's record (queue 0)
+// first and its rendezvous Isend to rank 7 (queue 7) last, behind the
+// backlog ranks 5 and 6 left in their queues; the poller Waits on that
+// Isend as soon as its poll fails, so on the event engine it finds the
+// world aborted and its record not yet fed (in about nine runs of ten
+// on a 2-vCPU host), and sleeps on the record's channel on the driver
+// thread until the walk gets there.
+func TestAbortFromOutside(t *testing.T) {
+	const backlog = 4096 // unmatched receives each of ranks 5 and 6 leaves queued
+	for _, e := range []sim.Engine{sim.EngineGoroutine, sim.EngineEvent} {
+		base := runtime.NumGoroutine()
+		w, err := NewWorld(sim.HazelHenCray(), sim.MustUniform(2, 4), WithEngine(e))
+		if err != nil {
+			t.Fatal(err)
+		}
+		big := Sized(2 * w.model.EagerLimit)
+		var posted atomic.Int32 // ranks 0..6 count in once their waits are posted
+		var pollErr error
+		aborted := make(chan time.Time)
+		go func() {
+			for posted.Load() < 7 {
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(10 * time.Millisecond) // let the waiters block
+			at := time.Now()
+			w.Abort()
+			aborted <- at
+		}()
+		err = w.Run(func(p *Proc) error {
+			c := p.CommWorld()
+			switch p.Rank() {
+			case 0:
+				rq, err := c.Irecv(Sized(8), 7, 0)
+				if err != nil {
+					return err
+				}
+				sq, err := c.Isend(big, 7, 0)
+				if err != nil {
+					return err
+				}
+				posted.Add(1)
+				for {
+					ok, _, err := rq.Test()
+					if err != nil {
+						pollErr = err
+						break
+					}
+					if ok {
+						return errors.New("poll completed without a sender")
+					}
+				}
+				_, err = sq.Wait()
+				return err
+			case 1:
+				posted.Add(1)
+				_, err := c.Recv(Sized(8), 7, 1)
+				return err
+			case 2:
+				posted.Add(1)
+				return c.Send(big, 7, 2)
+			case 3:
+				rq, err := c.Irecv(big, 7, 3)
+				if err != nil {
+					return err
+				}
+				posted.Add(1)
+				_, err = rq.Wait()
+				return err
+			case 4:
+				s := c.NewSched([]Round{{Ops: []SchedOp{SchedRecv(Sized(8), 7, 4)}}})
+				if err := s.Start(); err != nil {
+					return err
+				}
+				posted.Add(1)
+				return s.Wait()
+			case 5, 6:
+				for range backlog {
+					if _, err := c.Irecv(Sized(8), 7, 5); err != nil {
+						return err
+					}
+				}
+				posted.Add(1)
+			}
+			return nil
+		})
+		at := <-aborted
+		if took := time.Since(at); took > time.Second {
+			t.Errorf("%v: Run returned %v after the outside Abort", e, took)
+		}
+		if !errors.Is(err, ErrAborted) || errors.Is(err, ErrDeadlock) {
+			t.Errorf("%v: Run returned %v, want ErrAborted and no deadlock", e, err)
+		}
+		for r := range 5 {
+			if !strings.Contains(err.Error(), fmt.Sprintf("rank %d: ", r)) {
+				t.Errorf("%v: rank %d not unwound with its own error: %v", e, r, err)
+			}
+		}
+		if !errors.Is(pollErr, ErrAborted) {
+			t.Errorf("%v: Test poll returned %v, want ErrAborted", e, pollErr)
+		}
+		w.Close()
+		if !settlesTo(base) {
+			t.Errorf("%v: %d goroutines after Close, want %d", e, runtime.NumGoroutine(), base)
+		}
 	}
+}
+
+// TestLostWakeupStressMatchesEventEngine hammers the slot protocol on
+// the goroutine engine, where completer and waiter race for real: a
+// 64-rank ring of rendezvous Sendrecvs mixed with Isend/Irecv pairs
+// completed through a Test poll. A lost wakeup hangs the Run; a value
+// read before its feed shows up as a clock that differs from the event
+// engine's, where the same program runs one rank at a time.
+func TestLostWakeupStressMatchesEventEngine(t *testing.T) {
+	const iters = 2000
+	topo := sim.MustUniform(4, 16)
+	body := func(p *Proc) error {
+		c := p.CommWorld()
+		n, rank := c.Size(), c.Rank()
+		right, left := (rank+1)%n, (rank-1+n)%n
+		big := p.World().model.EagerLimit + 1
+		for i := range iters {
+			size := big + (i%7)*64
+			if _, err := c.Sendrecv(Sized(size), right, 1, Sized(size), left, 1); err != nil {
+				return err
+			}
+			if i%2 == 1 {
+				size = 64 // eager: the Isend completes at post
+			}
+			rq, err := c.Irecv(Sized(size), left, 2)
+			if err != nil {
+				return err
+			}
+			sq, err := c.Isend(Sized(size), right, 2)
+			if err != nil {
+				return err
+			}
+			for {
+				ok, _, err := rq.Test()
+				if err != nil {
+					return err
+				}
+				if ok {
+					break
+				}
+				runtime.Gosched() // 64 spinning ranks share GOMAXPROCS
+			}
+			if _, err := sq.Wait(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	want := perRankClocks(t, topo, sim.EngineEvent, body)
+	got := perRankClocks(t, topo, sim.EngineGoroutine, body)
+	diffClocks(t, "goroutine vs event", got, want)
 }

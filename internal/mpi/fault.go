@@ -319,7 +319,7 @@ func (w *World) DeadRanks() []int {
 }
 
 // failErr maps a sentinel completion time delivered through a matcher
-// record's channel to its error (nil for a legitimate completion
+// record's slot to its error (nil for a legitimate completion
 // time). Sentinels are the most negative Times; legitimate completions
 // are never negative.
 func failErr(at sim.Time) error {

@@ -31,10 +31,10 @@ type message struct {
 	data      Buf
 	store     *[]byte // pooled backing of an eager payload snapshot, if any
 	eager     bool
-	flag      bool          // shared-memory flag signal (store/poll, not transport)
-	xferScale float64       // noise transfer multiplier; 0 = unscaled (fault.go)
-	postClock sim.Time      // sender clock when the send was posted
-	done      chan sim.Time // sender completion time (rendezvous)
+	flag      bool           // shared-memory flag signal (store/poll, not transport)
+	xferScale float64        // noise transfer multiplier; 0 = unscaled (fault.go)
+	postClock sim.Time       // sender clock when the send was posted
+	done      slot[sim.Time] // sender completion time (rendezvous)
 }
 
 // recvReq is a posted receive waiting to be matched.
@@ -44,7 +44,7 @@ type recvReq struct {
 	dst       int // posting rank (event-engine wake routing)
 	buf       Buf
 	postClock sim.Time
-	result    chan recvResult
+	result    slot[recvResult]
 }
 
 type recvResult struct {
@@ -54,42 +54,93 @@ type recvResult struct {
 	tag    int
 }
 
+// slot is a record's completion: the value its completer feeds, a state
+// word, and a channel that is only used when the waiter really sleeps.
+// It follows the futex pattern: the completer stores the value, then
+// swaps the state to fed, and sends on the channel only if the waiter
+// had announced itself as a sleeper; the waiter returns as soon as it
+// loads fed, and otherwise moves the state from empty to sleeper before
+// it blocks on the channel. No wakeup can be lost: the value is stored
+// before the swap, and the waiter's CAS either finds fed (and reads the
+// value without blocking) or leaves sleeper for the completer's swap to
+// find. Exactly one completer feeds a slot per use, and its one waiter
+// empties it again when it takes the value (take), so a recycled record
+// holds an empty slot and a drained channel.
+type slot[T any] struct {
+	val   T
+	state atomic.Int32
+	wake  chan struct{} // buffer 1: the completer's send never blocks
+}
+
+// Slot states.
+const (
+	slotEmpty   int32 = iota // not completed, no sleeper
+	slotFed                  // val holds the completion
+	slotSleeper              // the waiter is blocked on wake
+)
+
+// feed completes the slot. The record may be recycled by its waiter as
+// soon as the swap lands, unless the waiter sleeps, in which case it is
+// still blocked on wake until the send.
+func (s *slot[T]) feed(v T) {
+	s.val = v
+	if s.state.Swap(slotFed) == slotSleeper {
+		s.wake <- struct{}{}
+	}
+}
+
+// fed reports whether the slot holds its completion.
+func (s *slot[T]) fed() bool { return s.state.Load() == slotFed }
+
+// take returns the completion of a fed slot and empties it for the
+// record's next use.
+func (s *slot[T]) take() T {
+	s.state.Store(slotEmpty)
+	return s.val
+}
+
 // Object pools for the matcher fast path. A large run posts millions of
 // sends and receives; recycling the request records (each carrying its
-// buffered rendezvous channel) and the eager-send payload snapshots
-// keeps the steady state allocation-free. Pooled channels are reused
-// only after being drained (or, for fire-and-forget eager sends, never
-// written), so a recycled object's channel is always empty.
+// slot's buffered channel) and the eager-send payload snapshots keeps
+// the steady state allocation-free. A record is recycled only after its
+// waiter took the completion (or, for fire-and-forget eager sends,
+// never fed), so a recycled record's slot is empty and its channel
+// drained.
 var (
 	msgPool = sync.Pool{New: func() any {
-		return &message{done: make(chan sim.Time, 1)}
+		m := new(message)
+		m.done.wake = make(chan struct{}, 1)
+		return m
 	}}
 	recvReqPool = sync.Pool{New: func() any {
-		return &recvReq{result: make(chan recvResult, 1)}
+		r := new(recvReq)
+		r.result.wake = make(chan struct{}, 1)
+		return r
 	}}
 	eagerBytesPool sync.Pool // of *[]byte
 )
 
 // feed delivers a rendezvous send's completion time (or a sentinel)
-// through its done channel and readies the sender. The rank is read
-// first: once the value is in the channel the poster owns the record
-// again and may already be recycling it.
+// through its slot and readies the sender. The rank is read first: once
+// the slot is fed the poster owns the record again and may already be
+// recycling it.
 func (m *message) feed(w *World, at sim.Time) {
 	src := m.src
-	m.done <- at
+	m.done.feed(at)
 	w.wake(src)
 }
 
 // feed is message.feed for a receive record.
 func (r *recvReq) feed(w *World, res recvResult) {
 	dst := r.dst
-	r.result <- res
+	r.result.feed(res)
 	w.wake(dst)
 }
 
 func getMessage() *message { return msgPool.Get().(*message) }
 
-// putMessage recycles a message whose done channel is known empty.
+// putMessage recycles a message whose slot is empty: never fed (an
+// eager send), or taken by its waiter.
 func putMessage(m *message) {
 	m.data = Buf{}
 	m.store = nil
@@ -98,7 +149,7 @@ func putMessage(m *message) {
 
 func getRecvReq() *recvReq { return recvReqPool.Get().(*recvReq) }
 
-// putRecvReq recycles a receive record whose result channel was drained.
+// putRecvReq recycles a receive record whose completion was taken.
 func putRecvReq(r *recvReq) {
 	r.buf = Buf{}
 	recvReqPool.Put(r)
@@ -136,8 +187,8 @@ func putEagerStore(p *[]byte) { eagerBytesPool.Put(p) }
 // their communicator is revoked: instead of every wait being a two-way
 // select against an abort signal (the select machinery is measurable
 // on the hot path), Context.fail walks the queues once and feeds each
-// parked waiter its sentinel through the channel it is already blocked
-// on. Legitimate completion times are never negative; failErr
+// parked waiter its sentinel through the slot it already waits on.
+// Legitimate completion times are never negative; failErr
 // (fault.go) is the one place that maps the sentinels back to errors.
 const (
 	abortClock   = sim.Time(math.MinInt64)
@@ -332,8 +383,8 @@ func (m *matcher) postRecv(cx *Context, me int, r *recvReq) (*message, error) {
 // and death walk every live one (World.poison). Every queued record sel
 // picks, by the global rank it is waiting on (a receive's source, a
 // send's destination), leaves its queue, and its poster is fed the
-// sentinel at through the channel it is, or will be, parked on. Each
-// caller publishes its flag first (matcher.aborted, dead,
+// sentinel at through the record's slot, which it waits on now or will.
+// Each caller publishes its flag first (matcher.aborted, dead,
 // Context.state), and posts check the flags under the queue lock: a
 // post either lands before the walk locks that queue, which then feeds
 // it, or observes the flag, so a waiter is never stranded.
@@ -380,10 +431,10 @@ func (cx *Context) fail(w *World, at sim.Time, sel func(peer int) bool) {
 // per pair (whichever posted second), so no further locking is needed.
 //
 // Eager messages (including flag signals) are fire-and-forget: the
-// sender already charged its completion at post time and never reads
-// the done channel, so complete owns the message afterwards and
-// recycles it (and any pooled payload snapshot). Rendezvous messages
-// stay live until the sender's wait drains done.
+// sender already charged its completion at post time and never waits on
+// the done slot, so complete owns the message afterwards and recycles
+// it (and any pooled payload snapshot). Rendezvous messages stay live
+// until the sender's wait takes the completion off done.
 func (w *World) complete(m *message, r *recvReq) {
 	if m.flag {
 		// Shared-memory flag: the signaler paid one store at post;
@@ -466,17 +517,10 @@ func (c *Comm) SendFlag(dst, tag int) error {
 		return fmt.Errorf("mpi: SendFlag to rank %d on another node", dst)
 	}
 	msg := getMessage()
-	*msg = message{
-		src:       c.p.rank,
-		dst:       c.cx.ranks[dst],
-		commSrc:   c.rank,
-		tag:       tag,
-		data:      Sized(0),
-		eager:     true,
-		flag:      true,
-		postClock: c.p.clock,
-		done:      msg.done,
-	}
+	msg.src, msg.dst, msg.commSrc, msg.tag = c.p.rank, c.cx.ranks[dst], c.rank, tag
+	msg.data, msg.store = Sized(0), nil
+	msg.eager, msg.flag = true, true
+	msg.xferScale, msg.postClock = 0, c.p.clock
 	r, err := w.match.postSend(c.cx, dst, msg)
 	if err != nil {
 		return err

@@ -40,19 +40,12 @@ func (c *Comm) postSendAtClock(buf Buf, dst, tag int, at sim.Time, kind string) 
 	if ns := w.noise; ns != nil {
 		xscale = ns.xferScale(c.p, w.topo.Hop(c.p.rank, c.cx.ranks[dst]))
 	}
+	// Field by field: a literal would overwrite the pooled slot.
 	msg := getMessage()
-	*msg = message{
-		src:       c.p.rank,
-		dst:       c.cx.ranks[dst],
-		commSrc:   c.rank,
-		tag:       tag,
-		data:      data,
-		store:     store,
-		eager:     eager,
-		xferScale: xscale,
-		postClock: at,
-		done:      msg.done,
-	}
+	msg.src, msg.dst, msg.commSrc, msg.tag = c.p.rank, c.cx.ranks[dst], c.rank, tag
+	msg.data, msg.store = data, store
+	msg.eager, msg.flag = eager, false
+	msg.xferScale, msg.postClock = xscale, at
 	if w.tracer.Enabled() {
 		w.tracer.Record(sim.Event{At: at, Rank: c.p.rank, Kind: kind, Bytes: buf.Len()})
 	}
@@ -101,15 +94,8 @@ func (c *Comm) postRecvReqAt(buf Buf, src, tag int, at sim.Time, kind string) (*
 	}
 	w := c.p.world
 	rr := getRecvReq()
-	*rr = recvReq{
-		src:       src,
-		tag:       tag,
-		srcGlobal: srcGlobal,
-		dst:       c.p.rank,
-		buf:       buf,
-		postClock: at,
-		result:    rr.result,
-	}
+	rr.src, rr.tag, rr.srcGlobal, rr.dst = src, tag, srcGlobal, c.p.rank
+	rr.buf, rr.postClock = buf, at
 	if kind != "" && w.tracer.Enabled() {
 		w.tracer.Record(sim.Event{At: at, Rank: c.p.rank, Kind: kind, Bytes: buf.Len()})
 	}
@@ -129,24 +115,23 @@ func (c *Comm) postRecvReq(buf Buf, src, tag int) (*recvReq, error) {
 	return c.postRecvReqAt(buf, src, tag, c.p.clock, "")
 }
 
-// take receives from a record's channel: blocking through await, or,
-// for the Test flavors, only what has already arrived.
-func take[T any](p *Proc, ch <-chan T, block bool) (v T, ok bool) {
+// take takes the completion off a record's slot: blocking through
+// awaitSlot, or, for the Test flavors, only one that has already been
+// fed. on is the record, for the event engine's deadlock report.
+func take[T any](p *Proc, s *slot[T], on any, block bool) (v T, ok bool) {
 	if block {
-		return await(p, ch), true
+		return awaitSlot(p, s, on), true
 	}
-	select {
-	case v = <-ch:
-		return v, true
-	default:
+	if !s.fed() {
 		return v, false
 	}
+	return s.take(), true
 }
 
 // waitSendMsg blocks until a rendezvous send completes.
-func (p *Proc) waitSendMsg(m *message) error { return p.finishSend(m, await(p, m.done)) }
+func (p *Proc) waitSendMsg(m *message) error { return p.finishSend(m, awaitSlot(p, &m.done, m)) }
 
-// finishSend consumes what a rendezvous send's done channel produced —
+// finishSend consumes what a rendezvous send's done slot produced —
 // its completion time, or the sentinel that ended the wait: the message
 // is recycled and the clock advances.
 func (p *Proc) finishSend(m *message, at sim.Time) error {
@@ -160,10 +145,10 @@ func (p *Proc) finishSend(m *message, at sim.Time) error {
 
 // waitRecvReq blocks until a receive completes. A receive whose send
 // was already queued completed synchronously inside postRecv, so the
-// result is often sitting in the buffered channel and the receive
-// doesn't even park.
+// result is often sitting in the slot already and the receive doesn't
+// even park.
 func (p *Proc) waitRecvReq(rr *recvReq) (Status, error) {
-	return p.finishRecv(rr, await(p, rr.result))
+	return p.finishRecv(rr, awaitSlot(p, &rr.result, rr))
 }
 
 // finishRecv is finishSend for a receive record.
@@ -222,7 +207,7 @@ func (r *Request) Test() (bool, Status, error) {
 }
 
 // progress is Wait (block) and Test (poll) in one: they differ only in
-// how the record's channel is read.
+// how the record's slot is read.
 func (r *Request) progress(block bool) (bool, Status, error) {
 	if r.err != nil || r.done {
 		return r.err == nil, r.status, r.err
@@ -233,13 +218,13 @@ func (r *Request) progress(block bool) (bool, Status, error) {
 		// Completion time was already charged at post.
 	case r.isSend:
 		var at sim.Time
-		if at, ok = take(r.p, r.msg.done, block); ok {
+		if at, ok = take(r.p, &r.msg.done, r.msg, block); ok {
 			r.err = r.p.finishSend(r.msg, at)
 			r.msg = nil
 		}
 	default:
 		var res recvResult
-		if res, ok = take(r.p, r.rr.result, block); ok {
+		if res, ok = take(r.p, &r.rr.result, r.rr, block); ok {
 			r.status, r.err = r.p.finishRecv(r.rr, res)
 			r.rr = nil
 		}

@@ -189,13 +189,13 @@ func (s *Sched) settle(block bool) (bool, error) {
 		op := &s.pend[i]
 		ok := true
 		if op.msg != nil {
-			if op.at, ok = take(p, op.msg.done, block); ok {
+			if op.at, ok = take(p, &op.msg.done, op.msg, block); ok {
 				putMessage(op.msg)
 				op.msg = nil
 			}
 		} else if op.rr != nil {
 			var res recvResult
-			if res, ok = take(p, op.rr.result, block); ok {
+			if res, ok = take(p, &op.rr.result, op.rr, block); ok {
 				putRecvReq(op.rr)
 				op.rr, op.at = nil, res.at
 			}

@@ -51,8 +51,8 @@ type World struct {
 	// lazily created), the reusable per-Run dispatch record, and the Run
 	// gate that enforces the one-Run-at-a-time /
 	// no-clock-reads-during-Run contract. evLive is set only while an
-	// event-engine Run is in flight; only wake, yield and await
-	// (event.go) branch on it.
+	// event-engine Run is in flight; only wake, yield, awaitSlot
+	// (event.go) and awaitClose (coord.go) branch on it.
 	engine   sim.Engine
 	ev       *evSched
 	evLive   bool
@@ -83,11 +83,11 @@ var ErrAborted = errors.New("mpi: job aborted because another rank failed")
 // it directly for failure injection. A world stays poisoned after
 // Abort.
 //
-// Every wait is a plain receive on the channel of the record or round
-// the rank waits on (await, event.go), so Abort reaches them all the
-// same way: flag first, then one pass over the live contexts feeds every
-// queued matcher record the abortClock sentinel and closes every live
-// rendezvous round.
+// Every wait is on the slot of the record (awaitSlot, event.go) or the
+// channel of the round (awaitClose, coord.go) the rank waits on, so
+// Abort reaches them all the same way: flag first, then one pass over
+// the live contexts feeds every queued matcher record the abortClock
+// sentinel and closes every live rendezvous round.
 func (w *World) Abort() {
 	w.abortOnce.Do(func() {
 		w.match.aborted.Store(true)
