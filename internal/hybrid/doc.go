@@ -7,12 +7,14 @@
 // the leader around the exchange (Figs. 4 and 6 of the paper).
 //
 // A Ctx holds the communicator pair (shared-memory group plus bridge)
-// and the synchronization mode; NewAllgatherer, NewBcaster,
-// NewAllreducer and NewAlltoaller build the paper's Hy_* collectives
-// on top of it, each an instance of the one protocol in epoch.go
-// (DESIGN.md, "Hybrid collectives"). SyncMode selects how children order
-// themselves around the leader's exchange: the paper's barrier pair, or
-// the lighter flag and epoch schemes of Sect. 6.
+// and the synchronization mode; NewAllgatherer, NewBcaster and
+// NewAllreducer build the paper's Hy_* collectives on top of it, and
+// NewAlltoaller carries the scheme over to the complete exchange, a
+// measured negative result on large blocks (EXPERIMENTS.md). Each is an
+// instance of the one protocol in epoch.go (DESIGN.md, "Hybrid
+// collectives"). SyncMode selects how children order themselves around
+// the leader's exchange: the paper's barrier pair, or the lighter flag
+// and epoch schemes of Sect. 6.
 //
 // With a multi-level topology the shared window (and its sync domain)
 // can sit at any shared-memory level: the paper's node scheme is the

@@ -170,23 +170,6 @@ func (b Buf) PutFloat64s(i int, v []float64) {
 	}
 }
 
-// CopyFloat64s bulk-loads len(dst) elements starting at element index i
-// into dst, with per-element bounds semantics like PutFloat64s.
-// Size-only buffers yield zeros.
-func (b Buf) CopyFloat64s(dst []float64, i int) {
-	if b.b == nil {
-		clear(dst)
-		return
-	}
-	if src := b.Float64sView(); src != nil {
-		copy(dst, src[i:i+len(dst)])
-		return
-	}
-	for j := range dst {
-		dst[j] = b.Float64At(i + j)
-	}
-}
-
 // FromFloat64s packs a float64 slice into a fresh real buffer.
 func FromFloat64s(v []float64) Buf {
 	b := Bytes(make([]byte, 8*len(v)))
@@ -195,9 +178,16 @@ func FromFloat64s(v []float64) Buf {
 }
 
 // Float64s unpacks the buffer into a fresh float64 slice (length
-// Len()/8). Size-only buffers produce zeros.
+// Len()/8), through one memmove where the buffer has a typed view and
+// the per-element codec otherwise. Size-only buffers produce zeros.
 func (b Buf) Float64s() []float64 {
 	out := make([]float64, b.n/8)
-	b.CopyFloat64s(out, 0)
+	if src := b.Float64sView(); src != nil {
+		copy(out, src)
+		return out
+	}
+	for i := range out {
+		out[i] = b.Float64At(i)
+	}
 	return out
 }

@@ -44,7 +44,7 @@ func TestViewUnavailableCases(t *testing.T) {
 	}
 }
 
-// TestBulkFloat64sMatchPerElement proves PutFloat64s/CopyFloat64s
+// TestBulkFloat64sMatchPerElement proves PutFloat64s and Float64s
 // byte-identical to the per-element accessors, on buffers that take the
 // view path and buffers that fall back to the codec.
 func TestBulkFloat64sMatchPerElement(t *testing.T) {
@@ -56,15 +56,9 @@ func TestBulkFloat64sMatchPerElement(t *testing.T) {
 	vals[7] = math.NaN()
 	vals[11] = math.Inf(-1)
 
-	mk := func(aligned bool) (bulk, ref Buf) {
-		if aligned {
-			return Bytes(make([]byte, 8*40)), Bytes(make([]byte, 8*40))
-		}
-		return Bytes(make([]byte, 8*40+4)).Slice(4, 8*40),
-			Bytes(make([]byte, 8*40+4)).Slice(4, 8*40)
-	}
 	for _, aligned := range []bool{true, false} {
-		bulk, ref := mk(aligned)
+		view := aligned && nativeIsLE
+		bulk, ref := bufWithView(8*40, view), bufWithView(8*40, view)
 		bulk.PutFloat64s(5, vals)
 		for j, v := range vals {
 			ref.PutFloat64(5+j, v)
@@ -76,26 +70,42 @@ func TestBulkFloat64sMatchPerElement(t *testing.T) {
 			}
 		}
 
-		got := make([]float64, len(vals))
-		bulk.CopyFloat64s(got, 5)
+		got := bulk.Slice(8*5, 8*len(vals)).Float64s()
+		if len(got) != len(vals) {
+			t.Fatalf("aligned=%v: Float64s returned %d elems, want %d", aligned, len(got), len(vals))
+		}
 		for j := range vals {
 			if math.Float64bits(got[j]) != math.Float64bits(vals[j]) {
-				t.Fatalf("aligned=%v: CopyFloat64s elem %d = %v, want %v", aligned, j, got[j], vals[j])
+				t.Fatalf("aligned=%v: Float64s elem %d = %v, want %v", aligned, j, got[j], vals[j])
 			}
 		}
 	}
 }
 
-// TestBulkFloat64sSizeOnly: writes are ignored, reads yield zeros (the
-// destination is cleared, matching what Float64s always returned).
+// bufWithView returns an n-byte real buffer that has a typed view
+// (view) or has none because its first byte is not 8-byte aligned
+// (!view). The offset is searched, not assumed: a byte slice the
+// compiler keeps on the stack need not start 8-byte aligned.
+func bufWithView(n int, view bool) Buf {
+	raw := Bytes(make([]byte, n+8))
+	for off := 0; ; off++ {
+		if b := raw.Slice(off, n); (b.Float64sView() != nil) == view {
+			return b
+		}
+	}
+}
+
+// TestBulkFloat64sSizeOnly: writes are ignored, reads yield zeros.
 func TestBulkFloat64sSizeOnly(t *testing.T) {
 	b := Sized(64)
 	b.PutFloat64s(0, []float64{1, 2, 3}) // must not panic
-	got := []float64{9, 9, 9}
-	b.CopyFloat64s(got, 2)
+	got := b.Slice(8*2, 8*3).Float64s()
+	if len(got) != 3 {
+		t.Fatalf("size-only Float64s returned %d elems, want 3", len(got))
+	}
 	for i, v := range got {
 		if v != 0 {
-			t.Errorf("size-only CopyFloat64s elem %d = %v, want 0", i, v)
+			t.Errorf("size-only Float64s elem %d = %v, want 0", i, v)
 		}
 	}
 }

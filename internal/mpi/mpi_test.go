@@ -473,23 +473,3 @@ func TestComputeAndCopyCharges(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestRNGDeterministicPerRank(t *testing.T) {
-	w := newTestWorld(t, 1, 2)
-	vals := make([]float64, 2)
-	_ = w.Run(func(p *Proc) error {
-		vals[p.Rank()] = p.RNG(1).Float64()
-		return nil
-	})
-	if vals[0] == vals[1] {
-		t.Error("ranks share an RNG stream")
-	}
-	again := make([]float64, 2)
-	_ = w.Run(func(p *Proc) error {
-		again[p.Rank()] = p.RNG(1).Float64()
-		return nil
-	})
-	if vals[0] != again[0] {
-		t.Error("RNG not reproducible")
-	}
-}

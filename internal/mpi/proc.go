@@ -1,10 +1,6 @@
 package mpi
 
-import (
-	"math/rand"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Proc is one MPI rank: a goroutine-local handle carrying the rank's
 // virtual clock. A Proc's clock is only ever touched from its own
@@ -95,12 +91,6 @@ func (p *Proc) CopyLocal(dst, src Buf, concurrent int) {
 func (p *Proc) TouchAll(n, concurrent int) {
 	p.advance(p.world.model.CopyCost(n, concurrent))
 	p.trace("touch", n, "")
-}
-
-// RNG returns a deterministic per-rank random generator; seed selects
-// independent streams (benchmark repetitions, apps).
-func (p *Proc) RNG(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed*1_000_003 + int64(p.rank) + 1))
 }
 
 // trace records an event if tracing is enabled.
