@@ -76,7 +76,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "machine=%s nodes=%d ppn=%d elems=%d sync=%s\n", *machine, *nodes, *ppn, *elems, *sync)
 	fmt.Fprintf(stdout, "Hy_Allgather: %10.2f us\n", hy.Us())
 	fmt.Fprintf(stdout, "Allgather:    %10.2f us\n", pure.Us())
-	fmt.Fprintf(stdout, "ratio:        %10.2f\n", float64(pure)/float64(hy))
+	if hy == 0 {
+		// One rank moving zero elements: no time to divide by.
+		fmt.Fprintf(stdout, "ratio:        %10s\n", "n/a")
+	} else {
+		fmt.Fprintf(stdout, "ratio:        %10.2f\n", float64(pure)/float64(hy))
+	}
 	if !*trace {
 		return nil
 	}

@@ -60,3 +60,21 @@ trace: 8 events over 3.82us
 		t.Errorf("stderr: %q", stderr.String())
 	}
 }
+
+// TestZeroHybridMakespanHasNoRatio: one rank moving zero elements
+// finishes its hybrid allgather at 0 us, and the ratio is "n/a", not
+// the +Inf of dividing by it.
+func TestZeroHybridMakespanHasNoRatio(t *testing.T) {
+	var stdout bytes.Buffer
+	if err := run([]string{"-nodes", "1", "-ppn", "1", "-elems", "0"}, &stdout, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	const want = `machine=hazelhen-cray nodes=1 ppn=1 elems=0 sync=barrier
+Hy_Allgather:       0.00 us
+Allgather:          0.08 us
+ratio:               n/a
+`
+	if stdout.String() != want {
+		t.Errorf("output:\n%s\nwant:\n%s", stdout.String(), want)
+	}
+}

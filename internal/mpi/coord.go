@@ -46,8 +46,8 @@ type Context struct {
 	state  atomic.Int32 // ctxLive, ctxRevoked or ctxRetired
 
 	mu    sync.Mutex
-	cur   *round            // the round still collecting arrivals (or being built), nil between rounds
-	slots fifo[*setupEntry] // live setup slots, oldest first: calls base, base+1, ...
+	cur   *round      // the round still collecting arrivals (or being built), nil between rounds
+	slots *setupEntry // live setup slots, linked oldest first: calls base, base+1, ...
 	base  int
 }
 

@@ -31,7 +31,9 @@ func liveSlots(w *World) int {
 	n := 0
 	for _, cx := range w.ctxs {
 		cx.mu.Lock()
-		n += len(cx.slots.items) - cx.slots.head
+		for e := cx.slots; e != nil; e = e.next {
+			n++
+		}
 		cx.mu.Unlock()
 	}
 	return n

@@ -16,16 +16,17 @@ import (
 // such computation per collective call among the members.
 
 // setupEntry is the once-guarded slot one SetupOnce call shares. left
-// counts the members that have not arrived yet (under the context's
-// lock); the last one takes the slot off the context, so setup plans
-// don't accumulate on the world (the same hygiene the pooled rounds
-// get).
+// counts the members that have not arrived yet and next links the
+// context's next live slot (both under the context's lock); the last
+// member to arrive takes the slot off the context, so setup plans don't
+// accumulate on the world (the same hygiene the pooled rounds get).
 type setupEntry struct {
 	once sync.Once
 	val  any
 	err  error
 	slab any // SetupSlab's []T
 	left int
+	next *setupEntry
 }
 
 // setupSlot claims the slot of this member's next collective setup call
@@ -40,14 +41,18 @@ func (c *Comm) setupSlot(fill func(e *setupEntry)) (*setupEntry, error) {
 		return nil, err
 	}
 	cx.mu.Lock()
-	k := c.seq - cx.base // this call's place among the live slots
-	c.seq++
-	if k == len(cx.slots.items)-cx.slots.head {
-		cx.slots.push(&setupEntry{left: cx.exec})
+	link := &cx.slots
+	for k := c.seq - cx.base; k > 0; k-- { // this call's place among the live slots
+		link = &(*link).next
 	}
-	e := cx.slots.items[cx.slots.head+k]
+	c.seq++
+	e := *link
+	if e == nil {
+		e = &setupEntry{left: cx.exec}
+		*link = e
+	}
 	if e.left--; e.left == 0 {
-		cx.slots.remove(cx.slots.head) // k is 0, see above
+		cx.slots, e.next = e.next, nil // e is the oldest, see above
 		cx.base++
 	}
 	cx.mu.Unlock()

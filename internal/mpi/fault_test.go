@@ -2,7 +2,9 @@ package mpi
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -178,6 +180,142 @@ func TestRankFailurePreDeathSendStillDelivered(t *testing.T) {
 	}
 	if got != 42 {
 		t.Fatalf("pre-death payload lost: got %d", got)
+	}
+}
+
+// queued lists the {source, tag} of every record queued for comm rank
+// dst of cx, in list order — a send's sender and tag, a receive's
+// expected source and tag — and fails unless the queue's tail is the
+// last link.
+func queued(cx *Context, dst int) ([][2]int, error) {
+	q := cx.queue(dst)
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	var recs [][2]int
+	var last *qnode
+	for n := q.head; n != nil; last, n = n, n.next {
+		if n.msg != nil {
+			recs = append(recs, [2]int{n.msg.src, n.msg.tag})
+		} else {
+			recs = append(recs, [2]int{n.rr.srcGlobal, n.rr.tag})
+		}
+	}
+	if q.tail != last {
+		return recs, fmt.Errorf("queue %v: tail is not the last link", recs)
+	}
+	return recs, nil
+}
+
+// TestRankQueuePostingOrder pins the unmatched-record list of one rank
+// queue on both engines: a receive matches from the middle, unlinking
+// the tail leaves the next post reachable, and a death walk removes
+// adjacent and non-adjacent records (the tail among them) while the
+// survivors keep their posting order and still match.
+func TestRankQueuePostingOrder(t *testing.T) {
+	for _, eng := range []sim.Engine{sim.EngineGoroutine, sim.EngineEvent} {
+		w := noisyWorld(t, &sim.Noise{Failures: []sim.Failure{{Rank: 2, At: sim.Millisecond}}}, WithEngine(eng))
+		expect := func(want ...[2]int) error {
+			got, err := queued(w.worldCx, 0)
+			if err == nil && !slices.Equal(got, want) {
+				err = fmt.Errorf("rank 0's queue holds %v, want %v", got, want)
+			}
+			return err
+		}
+		matched := func(req *Request, src, tag int) error {
+			st, err := req.Wait()
+			if err == nil && (st.Source != src || st.Tag != tag) {
+				err = fmt.Errorf("receive matched rank %d tag %d, want rank %d tag %d", st.Source, st.Tag, src, tag)
+			}
+			return err
+		}
+		err := w.Run(func(p *Proc) error {
+			c := p.CommWorld()
+			recv := func(src, tag int) *Request {
+				req, err := c.Irecv(w.NewBuf(8), src, tag)
+				if err != nil {
+					panic(err)
+				}
+				return req
+			}
+			send := func(dst int, tags ...int) {
+				for _, tag := range tags {
+					if err := c.Send(w.NewBuf(8), dst, tag); err != nil { // eager
+						panic(err)
+					}
+				}
+			}
+			switch p.Rank() {
+			case 0:
+				// Rank 0's queue is its own until it signals: ranks 1 to
+				// 3 first wait on a flag, which queues on their own ranks.
+				send(0, 1, 2, 3, 4)
+				if err := matched(recv(0, 2), 0, 2); err != nil { // from the middle
+					return err
+				}
+				if err := expect([2]int{0, 1}, [2]int{0, 3}, [2]int{0, 4}); err != nil {
+					return err
+				}
+				if err := matched(recv(0, 4), 0, 4); err != nil { // the tail
+					return err
+				}
+				send(0, 5)
+				if err := expect([2]int{0, 1}, [2]int{0, 3}, [2]int{0, 5}); err != nil {
+					return err
+				}
+				for _, tag := range []int{1, 3, 5} {
+					if err := matched(recv(0, AnyTag), 0, tag); err != nil {
+						return err
+					}
+				}
+				if err := expect(); err != nil {
+					return err
+				}
+
+				// Receives from 1, 2, 2, 1, 3, 2: rank 2's death takes two
+				// adjacent ones and the tail.
+				a, dead1, dead2, b, c3, dead3 := recv(1, AnyTag), recv(2, 20), recv(2, 21), recv(1, AnyTag), recv(3, 30), recv(2, 22)
+				if err := c.SendFlag(2, 9); err != nil {
+					return err
+				}
+				for _, req := range []*Request{dead1, dead2, dead3} {
+					if _, err := req.Wait(); !errors.Is(err, ErrRankFailed) {
+						return fmt.Errorf("receive from the dead rank: %v, want ErrRankFailed", err)
+					}
+				}
+				if err := expect([2]int{1, AnyTag}, [2]int{1, AnyTag}, [2]int{3, 30}); err != nil {
+					return err
+				}
+				for _, r := range []int{1, 3} {
+					if err := c.SendFlag(r, 9); err != nil {
+						return err
+					}
+				}
+				return errors.Join(matched(a, 1, 11), matched(b, 1, 12), matched(c3, 3, 30))
+			case 1, 2, 3:
+				if err := c.RecvFlag(0, 9); err != nil {
+					return err
+				}
+				switch p.Rank() {
+				case 1:
+					send(0, 11, 12, 13, 14) // the last two stay unreceived
+				case 2:
+					p.Elapse(2 * sim.Millisecond)
+					p.Compute(1) // past the deadline: dies
+				case 3:
+					send(0, 30)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%v engine: %v", eng, err)
+		}
+		if err := expect([2]int{1, 13}, [2]int{1, 14}); err != nil {
+			t.Errorf("%v engine, after the Run: %v", eng, err)
+		}
+		if n := w.pendingRecords(); n != 2 {
+			t.Errorf("%v engine: pendingRecords is %d after the Run, want the 2 unreceived sends", eng, n)
+		}
 	}
 }
 

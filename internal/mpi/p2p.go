@@ -35,6 +35,7 @@ type message struct {
 	xferScale float64        // noise transfer multiplier; 0 = unscaled (fault.go)
 	postClock sim.Time       // sender clock when the send was posted
 	done      slot[sim.Time] // sender completion time (rendezvous)
+	q         qnode          // link in the destination's rank queue while unmatched
 }
 
 // recvReq is a posted receive waiting to be matched.
@@ -45,6 +46,7 @@ type recvReq struct {
 	buf       Buf
 	postClock sim.Time
 	result    slot[recvResult]
+	q         qnode // link in the poster's rank queue while unmatched
 }
 
 type recvResult struct {
@@ -101,20 +103,22 @@ func (s *slot[T]) take() T {
 
 // Object pools for the matcher fast path. A large run posts millions of
 // sends and receives; recycling the request records (each carrying its
-// slot's buffered channel) and the eager-send payload snapshots keeps
-// the steady state allocation-free. A record is recycled only after its
-// waiter took the completion (or, for fire-and-forget eager sends,
-// never fed), so a recycled record's slot is empty and its channel
-// drained.
+// slot's buffered channel and its queue link) and the eager-send
+// payload snapshots keeps the steady state allocation-free. A record is
+// recycled only after its waiter took the completion (or, for
+// fire-and-forget eager sends, never fed), so a recycled record's slot
+// is empty and its channel drained.
 var (
 	msgPool = sync.Pool{New: func() any {
 		m := new(message)
 		m.done.wake = make(chan struct{}, 1)
+		m.q.msg = m
 		return m
 	}}
 	recvReqPool = sync.Pool{New: func() any {
 		r := new(recvReq)
 		r.result.wake = make(chan struct{}, 1)
+		r.q.rr = r
 		return r
 	}}
 	eagerBytesPool sync.Pool // of *[]byte
@@ -212,70 +216,48 @@ type matcher struct {
 	dead []atomic.Bool
 }
 
-// fifo is a head-indexed queue: the overwhelmingly common FIFO match
-// pops the head in O(1) without shifting the slice, and the backing
-// array is reused across the life of the communicator.
-type fifo[T any] struct {
-	items []T
-	head  int
-}
-
-func (q *fifo[T]) push(v T) {
-	if q.head > 0 && len(q.items) == cap(q.items) {
-		n := copy(q.items, q.items[q.head:])
-		clear(q.items[n:])
-		q.items = q.items[:n]
-		q.head = 0
-	}
-	q.items = append(q.items, v)
-}
-
-// remove deletes index i (>= head). The head case is O(1); middle
-// deletion (wildcard/tag skips) shifts, which is rare.
-func (q *fifo[T]) remove(i int) {
-	var zero T
-	if i == q.head {
-		q.items[i] = zero
-		q.head++
-		if q.head == len(q.items) {
-			q.items = q.items[:0]
-			q.head = 0
-		}
-		return
-	}
-	copy(q.items[i:], q.items[i+1:])
-	q.items[len(q.items)-1] = zero
-	q.items = q.items[:len(q.items)-1]
-}
-
-// filter keeps the items keep accepts, in order, compacting in place
-// (writes trail reads on the shared backing array).
-func (q *fifo[T]) filter(keep func(T) bool) {
-	all := q.items
-	q.items = q.items[:0]
-	for _, v := range all[q.head:] {
-		if keep(v) {
-			q.items = append(q.items, v)
-		}
-	}
-	q.head = 0
-	clear(all[len(q.items):])
-}
-
 // rankQueue holds the unmatched sends and receives targeting one
 // (context, destination) pair, under its own lock, in one list in
-// posting order: each kind keeps MPI's non-overtaking order, and a
-// destination that sees a receive wait in one round and a send in the
-// next grows one backing array, not two.
+// posting order: each kind keeps MPI's non-overtaking order. The list
+// runs through the records themselves (qnode), so a queue that lives
+// for one collective call costs no storage beyond its two ends.
 type rankQueue struct {
-	mu      sync.Mutex
-	pending fifo[pending]
+	mu         sync.Mutex
+	head, tail *qnode
 }
 
-// pending is one unmatched record: a send (msg) or a receive (rr).
-type pending struct {
-	msg *message
-	rr  *recvReq
+// qnode is an unmatched record's link in its rank queue: next is the
+// record posted after it (nil while the record is in no queue), and
+// exactly one of msg and rr points back at the record that embeds the
+// node. The back pointer is set once, when the pool makes the record; a
+// record sits in at most one queue.
+type qnode struct {
+	next *qnode
+	msg  *message
+	rr   *recvReq
+}
+
+// push appends n, which is in no queue, at the tail.
+func (q *rankQueue) push(n *qnode) {
+	if q.tail == nil {
+		q.head = n
+	} else {
+		q.tail.next = n
+	}
+	q.tail = n
+}
+
+// unlink removes n, whose predecessor is prev (nil when n is the head).
+func (q *rankQueue) unlink(prev, n *qnode) {
+	if prev == nil {
+		q.head = n.next
+	} else {
+		prev.next = n.next
+	}
+	if q.tail == n {
+		q.tail = prev
+	}
+	n.next = nil
 }
 
 // queue returns the queue of the member at comm rank dst. Under folding
@@ -331,9 +313,10 @@ func (m *matcher) postSend(cx *Context, dst int, msg *message) (*recvReq, error)
 	if cx.state.Load() != ctxLive {
 		return nil, cx.refusal(true)
 	}
-	for i := q.pending.head; i < len(q.pending.items); i++ {
-		if r := q.pending.items[i].rr; r != nil && m.accepts(r, msg) {
-			q.pending.remove(i)
+	var prev *qnode
+	for n := q.head; n != nil; prev, n = n, n.next {
+		if r := n.rr; r != nil && m.accepts(r, msg) {
+			q.unlink(prev, n)
 			return r, nil
 		}
 	}
@@ -344,7 +327,7 @@ func (m *matcher) postSend(cx *Context, dst int, msg *message) (*recvReq, error)
 	if m.dead != nil && m.dead[msg.dst].Load() {
 		return nil, fmt.Errorf("mpi: send to failed rank %d: %w", msg.dst, ErrRankFailed)
 	}
-	q.pending.push(pending{msg: msg})
+	q.push(&msg.q)
 	return nil, nil
 }
 
@@ -361,9 +344,10 @@ func (m *matcher) postRecv(cx *Context, me int, r *recvReq) (*message, error) {
 	if cx.state.Load() != ctxLive {
 		return nil, cx.refusal(true)
 	}
-	for i := q.pending.head; i < len(q.pending.items); i++ {
-		if msg := q.pending.items[i].msg; msg != nil && m.accepts(r, msg) {
-			q.pending.remove(i)
+	var prev *qnode
+	for n := q.head; n != nil; prev, n = n, n.next {
+		if msg := n.msg; msg != nil && m.accepts(r, msg) {
+			q.unlink(prev, n)
 			return msg, nil
 		}
 	}
@@ -374,7 +358,7 @@ func (m *matcher) postRecv(cx *Context, me int, r *recvReq) (*message, error) {
 	if m.dead != nil && r.srcGlobal != AnySource && m.dead[r.srcGlobal].Load() {
 		return nil, fmt.Errorf("mpi: receive from failed rank %d: %w", r.srcGlobal, ErrRankFailed)
 	}
-	q.pending.push(pending{rr: r})
+	q.push(&r.q)
 	return nil, nil
 }
 
@@ -399,29 +383,30 @@ func (cx *Context) fail(w *World, at sim.Time, sel func(peer int) bool) {
 	for i := range cx.queues {
 		q := &cx.queues[i]
 		q.mu.Lock()
-		q.pending.filter(func(e pending) bool {
-			if rr := e.rr; rr != nil {
-				if !sel(rr.srcGlobal) {
-					return true
-				}
+		var prev *qnode
+		for n := q.head; n != nil; {
+			// Unlink before feeding: a fed record may be recycled at once,
+			// so neither it nor its link is touched after the feed.
+			next := n.next
+			if rr := n.rr; rr != nil && sel(rr.srcGlobal) {
+				q.unlink(prev, n)
 				rr.feed(w, recvResult{at: at})
-				return false
-			}
-			msg := e.msg
-			if !sel(msg.dst) {
-				return true
-			}
-			if msg.eager {
-				// Fire-and-forget: nobody waits on it, recycle.
-				if msg.store != nil {
-					putEagerStore(msg.store)
+			} else if msg := n.msg; msg != nil && sel(msg.dst) {
+				q.unlink(prev, n)
+				if msg.eager {
+					// Fire-and-forget: nobody waits on it, recycle.
+					if msg.store != nil {
+						putEagerStore(msg.store)
+					}
+					putMessage(msg)
+				} else {
+					msg.feed(w, at)
 				}
-				putMessage(msg)
 			} else {
-				msg.feed(w, at)
+				prev = n
 			}
-			return false
-		})
+			n = next
+		}
 		q.mu.Unlock()
 	}
 }
@@ -496,8 +481,9 @@ func (w *World) pendingRecords() int {
 	total := 0
 	for _, cx := range w.ctxs {
 		for i := range cx.queues {
-			q := &cx.queues[i].pending
-			total += len(q.items) - q.head
+			for n := cx.queues[i].head; n != nil; n = n.next {
+				total++
+			}
 		}
 	}
 	return total

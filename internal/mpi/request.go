@@ -40,7 +40,7 @@ func (c *Comm) postSendAtClock(buf Buf, dst, tag int, at sim.Time, kind string) 
 	if ns := w.noise; ns != nil {
 		xscale = ns.xferScale(c.p, w.topo.Hop(c.p.rank, c.cx.ranks[dst]))
 	}
-	// Field by field: a literal would overwrite the pooled slot.
+	// Field by field: a literal would overwrite the pooled slot and link.
 	msg := getMessage()
 	msg.src, msg.dst, msg.commSrc, msg.tag = c.p.rank, c.cx.ranks[dst], c.rank, tag
 	msg.data, msg.store = data, store
