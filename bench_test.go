@@ -15,105 +15,65 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/bpmf"
+	"repro/internal/hybrid"
 	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/summa"
 )
 
-func reportPair(b *testing.B, label string, hy, pure sim.Time) {
+// reportPairs runs the Hy_Allgather and pure Allgather series of one
+// machine and shape as spec Queries (bench.AllgatherQuery) and reports
+// each point's per-op virtual times and their ratio under label(elems).
+func reportPairs(b *testing.B, machine string, topo spec.Topology, elems []int, label func(e int) string) {
 	b.Helper()
-	b.ReportMetric(hy.Us(), label+"_hy_vus")
-	b.ReportMetric(pure.Us(), label+"_pure_vus")
+	var res [2]*spec.Result
+	for i, hy := range []bool{true, false} {
+		var err error
+		if res[i], err = spec.Run(bench.AllgatherQuery(machine, topo, elems, hy)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i, e := range elems {
+		hy, pure := res[0].Points[i].VirtualUsPerOp, res[1].Points[i].VirtualUsPerOp
+		b.ReportMetric(hy, label(e)+"_hy_vus")
+		b.ReportMetric(pure, label(e)+"_pure_vus")
+		b.ReportMetric(pure/hy, label(e)+"_ratio")
+	}
 }
+
+func byElems(e int) string { return fmt.Sprintf("e%d", e) }
 
 // BenchmarkFig7 measures the single-full-node allgather (24 ranks) at a
 // small and a large message size on the Cray profile.
 func BenchmarkFig7(b *testing.B) {
-	model := sim.HazelHenCray()
-	shape := []int{bench.CoresPerNode}
 	for i := 0; i < b.N; i++ {
-		for _, elems := range []int{1, 32768} {
-			hy, err := bench.HyAllgatherLatency(model, shape, 8*elems, bench.MicroOpts{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			pure, err := bench.PureAllgatherLatency(model, shape, 8*elems, bench.MicroOpts{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				reportPair(b, fmt.Sprintf("e%d", elems), hy, pure)
-			}
-		}
+		reportPairs(b, "hazelhen-cray", spec.Topology{Nodes: 1, PPN: bench.CoresPerNode}, []int{1, 32768}, byElems)
 	}
 }
 
 // BenchmarkFig8 measures the one-rank-per-node case at 64 nodes.
 func BenchmarkFig8(b *testing.B) {
-	model := sim.VulcanOpenMPI()
-	shape := make([]int, 64)
-	for i := range shape {
-		shape[i] = 1
-	}
 	for i := 0; i < b.N; i++ {
-		for _, elems := range []int{64, 16384} {
-			hy, err := bench.HyAllgatherLatency(model, shape, 8*elems, bench.MicroOpts{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			pure, err := bench.PureAllgatherLatency(model, shape, 8*elems, bench.MicroOpts{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				reportPair(b, fmt.Sprintf("e%d", elems), hy, pure)
-			}
-		}
+		reportPairs(b, "vulcan-openmpi", spec.Topology{Nodes: 64, PPN: 1}, []int{64, 16384}, byElems)
 	}
 }
 
 // BenchmarkFig9 measures the 64-node, 24-ranks-per-node point (the
 // paper's rightmost, largest-advantage configuration) at 512 elements.
 func BenchmarkFig9(b *testing.B) {
-	model := sim.HazelHenCray()
-	shape := make([]int, 64)
-	for i := range shape {
-		shape[i] = 24
-	}
 	for i := 0; i < b.N; i++ {
-		hy, err := bench.HyAllgatherLatency(model, shape, 8*512, bench.MicroOpts{Iters: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		pure, err := bench.PureAllgatherLatency(model, shape, 8*512, bench.MicroOpts{Iters: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportPair(b, "ppn24", hy, pure)
-			b.ReportMetric(float64(pure)/float64(hy), "ratio")
-		}
+		reportPairs(b, "hazelhen-cray", spec.Topology{Nodes: 64, PPN: 24}, []int{512},
+			func(int) string { return "ppn24" })
 	}
 }
 
 // BenchmarkFig10 measures the irregularly populated configuration
 // (42x24 + 1x16) at 1024 elements.
 func BenchmarkFig10(b *testing.B) {
-	model := sim.HazelHenCray()
-	shape := bench.Fig10Shape()
 	for i := 0; i < b.N; i++ {
-		hy, err := bench.HyAllgatherLatency(model, shape, 8*1024, bench.MicroOpts{Iters: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		pure, err := bench.PureAllgatherLatency(model, shape, 8*1024, bench.MicroOpts{Iters: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportPair(b, "irregular", hy, pure)
-			b.ReportMetric(float64(pure)/float64(hy), "ratio")
-		}
+		reportPairs(b, "hazelhen-cray", spec.Topology{NodeSizes: bench.Fig10Shape()}, []int{1024},
+			func(int) string { return "irregular" })
 	}
 }
 
@@ -148,7 +108,8 @@ func BenchmarkFig11(b *testing.B) {
 			}
 			if i == 0 {
 				label := fmt.Sprintf("c%db%d", c.cores, c.block)
-				reportPair(b, label, times[1], times[0])
+				b.ReportMetric(times[1].Us(), label+"_hy_vus")
+				b.ReportMetric(times[0].Us(), label+"_pure_vus")
 				b.ReportMetric(float64(times[0])/float64(times[1]), label+"_ratio")
 			}
 		}
@@ -188,22 +149,35 @@ func BenchmarkFig12(b *testing.B) {
 
 // BenchmarkSyncFlavors is the ablation behind the paper's Sect. 6
 // synchronization discussion: the hybrid allgather under the three sync
-// flavors on one full node.
+// flavors on one full node. A sync flavor is not a Query option, so it
+// runs its own body over bench.Makespan.
 func BenchmarkSyncFlavors(b *testing.B) {
 	model := sim.HazelHenCray()
-	shape := []int{bench.CoresPerNode}
-	flavors := []struct {
-		name string
-		mode int
-	}{{"barrier", 0}, {"p2p", 1}, {"sharedflags", 2}}
+	topo := sim.MustUniform(1, bench.CoresPerNode)
+	const per, iters = 8 * 512, 5
 	for i := 0; i < b.N; i++ {
-		for _, f := range flavors {
-			t, err := bench.HyAllgatherLatency(model, shape, 8*512, bench.MicroOpts{Sync: syncFromInt(f.mode)})
+		for _, mode := range []hybrid.SyncMode{hybrid.SyncBarrier, hybrid.SyncP2P, hybrid.SyncSharedFlags} {
+			t, err := bench.Makespan(model, topo, func(p *mpi.Proc) error {
+				ctx, err := hybrid.New(p.CommWorld(), hybrid.WithSync(mode))
+				if err != nil {
+					return err
+				}
+				a, err := ctx.NewAllgatherer(per)
+				if err != nil {
+					return err
+				}
+				for j := 0; j < iters; j++ {
+					if err := a.Allgather(); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
 			if i == 0 {
-				b.ReportMetric(t.Us(), f.name+"_vus")
+				b.ReportMetric((t / iters).Us(), mode.String()+"_vus")
 			}
 		}
 	}

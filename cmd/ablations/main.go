@@ -34,6 +34,7 @@ import (
 	"repro/internal/hybrid"
 	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/spec"
 )
 
 func main() {
@@ -65,23 +66,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-func uniformShape(nodes, ppn int) []int {
-	s := make([]int, nodes)
-	for i := range s {
-		s[i] = ppn
-	}
-	return s
-}
-
-// newWorld builds a size-only world of the given shape.
-func newWorld(model *sim.CostModel, shape []int, opts ...mpi.Option) (*mpi.World, error) {
-	topo, err := sim.NewTopology(shape)
-	if err != nil {
-		return nil, err
-	}
-	return mpi.NewWorld(model, topo, opts...)
-}
-
 // race times every algorithm of cl that can serve e over body on w
 // (coll.Race) and returns the times by algorithm name.
 func race(w *mpi.World, cl coll.Collective, e coll.Env, body func(*mpi.Comm) error) (map[string]sim.Time, error) {
@@ -101,6 +85,28 @@ func timed(w *mpi.World, body func(*mpi.Comm) error) (sim.Time, error) {
 	return w.MaxClock(), err
 }
 
+// hyAllgathers is the rank body of the tables that set what a Query
+// cannot state: iters hybrid allgathers of per bytes under sync, the
+// bridge exchange chunked at chunk bytes (0: plain); setup untimed.
+func hyAllgathers(per, iters int, sync hybrid.SyncMode, chunk int) func(p *mpi.Proc) error {
+	return func(p *mpi.Proc) error {
+		ctx, err := hybrid.New(p.CommWorld(), hybrid.WithSync(sync))
+		if err != nil {
+			return err
+		}
+		a, err := ctx.NewAllgatherer(per, hybrid.WithPipelineChunk(chunk))
+		if err != nil {
+			return err
+		}
+		for i := 0; i < iters; i++ {
+			if err := a.Allgather(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
 func syncFlavors(out io.Writer, model *sim.CostModel) error {
 	t := &bench.Table{
 		Name:   "Ablation: hybrid allgather synchronization flavor (8 nodes x 24 ranks, us per op)",
@@ -110,11 +116,11 @@ func syncFlavors(out io.Writer, model *sim.CostModel) error {
 	for _, elems := range []int{1, 512, 16384} {
 		row := []string{fmt.Sprint(elems)}
 		for _, mode := range []hybrid.SyncMode{hybrid.SyncBarrier, hybrid.SyncP2P, hybrid.SyncSharedFlags} {
-			lat, err := bench.HyAllgatherLatency(model, uniformShape(8, 24), 8*elems, bench.MicroOpts{Sync: mode})
+			lat, err := bench.Makespan(model, sim.MustUniform(8, 24), hyAllgathers(8*elems, 5, mode, 0))
 			if err != nil {
 				return err
 			}
-			row = append(row, fmt.Sprintf("%.2f", lat.Us()))
+			row = append(row, fmt.Sprintf("%.2f", (lat/5).Us()))
 		}
 		t.AddRow(row...)
 	}
@@ -127,14 +133,19 @@ func leaderCounts(out io.Writer, model *sim.CostModel) error {
 		Note:   "Multi-leader [14] parallelizes the intra-node phases; the hybrid scheme removes them.",
 		Header: []string{"elems", "1-leader", "2-leader", "4-leader", "8-leader", "hybrid"},
 	}
-	shape := uniformShape(8, 24)
-	for _, elems := range []int{64, 2048, 16384} {
+	topo, elemsList := sim.MustUniform(8, 24), []int{64, 2048, 16384}
+	hyq := bench.AllgatherQuery(model.Name, spec.Topology{Nodes: 8, PPN: 24}, elemsList, true)
+	hyq.Iters = 3
+	hy, err := spec.Run(hyq)
+	if err != nil {
+		return err
+	}
+	for i, elems := range elemsList {
 		per := 8 * elems
 		row := []string{fmt.Sprint(elems)}
 		for _, leaders := range []int{1, 2, 4, 8} {
-			l := leaders
-			lat, err := bench.Makespan(model, shape, func(p *mpi.Proc) error {
-				m, err := coll.NewMultiLeaderHier(p.CommWorld(), l)
+			lat, err := bench.Makespan(model, topo, func(p *mpi.Proc) error {
+				m, err := coll.NewMultiLeaderHier(p.CommWorld(), leaders)
 				if err != nil {
 					return err
 				}
@@ -151,11 +162,7 @@ func leaderCounts(out io.Writer, model *sim.CostModel) error {
 			}
 			row = append(row, fmt.Sprintf("%.2f", (lat/3).Us()))
 		}
-		hy, err := bench.HyAllgatherLatency(model, shape, per, bench.MicroOpts{Iters: 3})
-		if err != nil {
-			return err
-		}
-		row = append(row, fmt.Sprintf("%.2f", hy.Us()))
+		row = append(row, fmt.Sprintf("%.2f", hy.Points[i].VirtualUsPerOp))
 		t.AddRow(row...)
 	}
 	return t.Fprint(out)
@@ -167,7 +174,7 @@ func allgatherAlgos(out io.Writer, model *sim.CostModel) error {
 		Note:   "The classic family [28]; the tuned selector picks per size.",
 		Header: []string{"elems", "ring", "recdbl", "bruck", "neighbor", "auto"},
 	}
-	w, err := newWorld(model, uniformShape(16, 1))
+	w, err := mpi.NewWorld(model, sim.MustUniform(16, 1))
 	if err != nil {
 		return err
 	}
@@ -199,27 +206,12 @@ func pipelined(out io.Writer, model *sim.CostModel) error {
 		Note:   "Negative result: a ring is already pipelined at block granularity; chunking only adds latency.",
 		Header: []string{"block_KiB", "plain_us", "chunked128K_us"},
 	}
-	shape := uniformShape(8, 4)
+	topo := sim.MustUniform(8, 4)
 	for _, kib := range []int{128, 512, 2048} {
 		per := kib << 10
 		row := []string{fmt.Sprint(kib)}
 		for _, chunk := range []int{0, 128 << 10} {
-			ch := chunk
-			lat, err := bench.Makespan(model, shape, func(p *mpi.Proc) error {
-				ctx, err := hybrid.New(p.CommWorld())
-				if err != nil {
-					return err
-				}
-				var opts []hybrid.AllgatherOption
-				if ch > 0 {
-					opts = append(opts, hybrid.WithPipelineChunk(ch))
-				}
-				a, err := ctx.NewAllgatherer(per, opts...)
-				if err != nil {
-					return err
-				}
-				return a.Allgather()
-			})
+			lat, err := bench.Makespan(model, topo, hyAllgathers(per, 1, hybrid.SyncBarrier, chunk))
 			if err != nil {
 				return err
 			}
@@ -272,7 +264,7 @@ func noiseDrift(out io.Writer, model *sim.CostModel) error {
 	}
 	body := allreduces(elems, iters)
 	measure := func(n *sim.Noise) (sim.Time, error) {
-		lat, err := bench.Makespan(model, uniformShape(8, 8),
+		lat, err := bench.Makespan(model, sim.MustUniform(8, 8),
 			func(p *mpi.Proc) error { return body(p.CommWorld()) }, mpi.WithNoise(n))
 		return lat / iters, err
 	}
@@ -394,7 +386,7 @@ func noiseSelection(out io.Writer, model *sim.CostModel) error {
 // measured policies on the same world, the last serving best through
 // the real Lookup path as a warm tuning store would.
 func selectionPoint(model *sim.CostModel, n *sim.Noise, elems int) (laps []coll.Lap, best coll.Lap, pol [3]sim.Time, err error) {
-	w, err := newWorld(model, uniformShape(8, 8), mpi.WithNoise(n))
+	w, err := mpi.NewWorld(model, sim.MustUniform(8, 8), mpi.WithNoise(n))
 	if err != nil {
 		return nil, best, pol, err
 	}
@@ -421,8 +413,12 @@ func barriers(out io.Writer, model *sim.CostModel) error {
 		Note:   "Dissemination (runtime default) vs central counter; single-node barriers take the shm fast path.",
 		Header: []string{"shape", "dissemination", "central"},
 	}
-	for _, shape := range [][]int{{24}, uniformShape(8, 24)} {
-		w, err := newWorld(model, shape)
+	for _, shape := range [][]int{{24}, slices.Repeat([]int{24}, 8)} {
+		topo, err := sim.NewTopology(shape)
+		if err != nil {
+			return err
+		}
+		w, err := mpi.NewWorld(model, topo)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/hybrid"
 	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/spec"
 )
 
 func fmtSscan(s string, f *float64) (int, error) { return fmt.Sscan(s, f) }
@@ -93,24 +95,24 @@ func TestTableFprint(t *testing.T) {
 }
 
 func TestMicroLatenciesBasic(t *testing.T) {
-	model := sim.Laptop()
-	shape := []int{4, 4}
-	hy, err := HyAllgatherLatency(model, shape, 1024, MicroOpts{Iters: 2})
+	topo := spec.Topology{NodeSizes: []int{4, 4}}
+	for _, hy := range []bool{true, false} {
+		q := AllgatherQuery("laptop", topo, []int{128}, hy)
+		q.Iters = 2
+		res, err := spec.Run(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := res.Points[0]; p.VirtualPs <= 0 {
+			t.Errorf("hybrid=%v: latency must be positive: %+v", hy, p)
+		}
+	}
+	model, world := sim.Laptop(), sim.MustUniform(2, 4)
+	hb, err := HyBcastLatency(model, world, 1024, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pure, err := PureAllgatherLatency(model, shape, 1024, MicroOpts{Iters: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hy <= 0 || pure <= 0 {
-		t.Errorf("latencies must be positive: hy=%v pure=%v", hy, pure)
-	}
-	hb, err := HyBcastLatency(model, shape, 1024, MicroOpts{Iters: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := PureBcastLatency(model, shape, 1024, MicroOpts{Iters: 2})
+	pb, err := PureBcastLatency(model, world, 1024, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,18 +122,9 @@ func TestMicroLatenciesBasic(t *testing.T) {
 }
 
 func TestMicroLatencyDeterministic(t *testing.T) {
-	model := sim.HazelHenCray()
-	shape := []int{8, 8}
-	a, err := HyAllgatherLatency(model, shape, 4096, MicroOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := HyAllgatherLatency(model, shape, 4096, MicroOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("latency not deterministic: %v vs %v", a, b)
+	q := AllgatherQuery("hazelhen-cray", spec.Topology{Nodes: 8, PPN: 8}, []int{512}, true)
+	if _, err := spec.Referee(context.Background(), q, spec.Path{Name: "first"}, spec.Path{Name: "second"}); err != nil {
+		t.Errorf("latency not deterministic: %v", err)
 	}
 }
 
@@ -172,11 +165,10 @@ func sscan(s string, f *float64) (int, error) {
 }
 
 // HyBcastLatency measures the hybrid broadcast (Fig. 6) including its
-// synchronization.
-func HyBcastLatency(model *sim.CostModel, nodeSizes []int, bytes int, o MicroOpts) (sim.Time, error) {
-	iters := o.iters()
-	t, err := Makespan(model, nodeSizes, func(p *mpi.Proc) error {
-		ctx, err := hybrid.New(p.CommWorld(), hybrid.WithSync(o.Sync))
+// synchronization, per op over iters.
+func HyBcastLatency(model *sim.CostModel, topo *sim.Topology, bytes, iters int) (sim.Time, error) {
+	t, err := Makespan(model, topo, func(p *mpi.Proc) error {
+		ctx, err := hybrid.New(p.CommWorld())
 		if err != nil {
 			return err
 		}
@@ -194,10 +186,10 @@ func HyBcastLatency(model *sim.CostModel, nodeSizes []int, bytes int, o MicroOpt
 	return t / sim.Time(iters), err
 }
 
-// PureBcastLatency measures the SMP-aware pure-MPI broadcast baseline.
-func PureBcastLatency(model *sim.CostModel, nodeSizes []int, bytes int, o MicroOpts) (sim.Time, error) {
-	iters := o.iters()
-	t, err := Makespan(model, nodeSizes, func(p *mpi.Proc) error {
+// PureBcastLatency measures the SMP-aware pure-MPI broadcast baseline,
+// per op over iters.
+func PureBcastLatency(model *sim.CostModel, topo *sim.Topology, bytes, iters int) (sim.Time, error) {
+	t, err := Makespan(model, topo, func(p *mpi.Proc) error {
 		h, err := coll.NewHier(p.CommWorld())
 		if err != nil {
 			return err

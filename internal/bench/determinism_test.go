@@ -7,6 +7,7 @@ import (
 	"repro/internal/coll"
 	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/summa"
 )
 
@@ -30,7 +31,7 @@ func TestVirtualTimeUnchangedByDataPlane(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure-scale runs in -short mode")
 	}
-	for _, c := range wallCases() {
+	for _, c := range wallCases(sim.EngineGoroutine) {
 		want, ok := goldenVirtualPs[c.Name]
 		if !ok {
 			t.Errorf("%s: no golden virtual time recorded; add it when adding cases", c.Name)
@@ -56,7 +57,7 @@ func TestVirtualTimeIdenticalOnEventEngine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure-scale runs in -short mode")
 	}
-	for _, c := range wallCases(mpi.WithEngine(sim.EngineEvent)) {
+	for _, c := range wallCases(sim.EngineEvent) {
 		want, ok := goldenVirtualPs[c.Name]
 		if !ok {
 			// Golden coverage is enforced by TestVirtualTimeUnchangedByDataPlane.
@@ -82,13 +83,30 @@ type wallCase struct {
 	Run  func() (sim.Time, error)
 }
 
-// wallCases returns the standard figure-scale workload set: the paper's
-// Fig. 7 (one full node), Fig. 9 (64 nodes x 24 ranks — 1536 rank
-// goroutines), and Fig. 11 (SUMMA) scale points, plus a small-message
-// ping-pong that isolates the p2p matcher fast path. Every world the
-// cases build takes opts, which is how a test picks the engine.
-func wallCases(opts ...mpi.Option) []wallCase {
+// wallCases returns the standard figure-scale workload set on engine:
+// the paper's Fig. 7 (one full node) and Fig. 9 (64 nodes x 24 ranks —
+// 1536 ranks) allgather pairs as the figures run them (spec Queries,
+// fold auto), the Fig. 11 (SUMMA) and Fig. 12 (BPMF) scale points, a
+// 4-dim stencil halo, and a small-message ping-pong that isolates the
+// p2p matcher fast path.
+func wallCases(engine sim.Engine) []wallCase {
 	cray := sim.HazelHenCray()
+	opts := []mpi.Option{mpi.WithEngine(engine)}
+	// pair is one op's Hy_Allgather plus pure Allgather virtual time at
+	// 512 elements per rank, each averaged over iters operations.
+	pair := func(topo spec.Topology, iters int) (sim.Time, error) {
+		var sum sim.Time
+		for _, hy := range []bool{true, false} {
+			q := AllgatherQuery(cray.Name, topo, []int{512}, hy)
+			q.Iters, q.Engine = iters, engine.String()
+			res, err := spec.Run(q)
+			if err != nil {
+				return 0, err
+			}
+			sum += sim.Time(res.Points[0].VirtualPs) / sim.Time(iters)
+		}
+		return sum, nil
+	}
 	return []wallCase{
 		{
 			Name: "p2p/pingpong_2x1_8B",
@@ -98,35 +116,11 @@ func wallCases(opts ...mpi.Option) []wallCase {
 		},
 		{
 			Name: "fig7/allgather_1x24_e512",
-			Run: func() (sim.Time, error) {
-				hy, err := HyAllgatherLatency(cray, []int{CoresPerNode}, 8*512, MicroOpts{}, opts...)
-				if err != nil {
-					return 0, err
-				}
-				pure, err := PureAllgatherLatency(cray, []int{CoresPerNode}, 8*512, MicroOpts{}, opts...)
-				if err != nil {
-					return 0, err
-				}
-				return hy + pure, nil
-			},
+			Run:  func() (sim.Time, error) { return pair(spec.Topology{Nodes: 1, PPN: CoresPerNode}, 5) },
 		},
 		{
 			Name: "fig9/allgather_64x24_e512",
-			Run: func() (sim.Time, error) {
-				shape := make([]int, 64)
-				for i := range shape {
-					shape[i] = 24
-				}
-				hy, err := HyAllgatherLatency(cray, shape, 8*512, MicroOpts{Iters: 2}, opts...)
-				if err != nil {
-					return 0, err
-				}
-				pure, err := PureAllgatherLatency(cray, shape, 8*512, MicroOpts{Iters: 2}, opts...)
-				if err != nil {
-					return 0, err
-				}
-				return hy + pure, nil
-			},
+			Run:  func() (sim.Time, error) { return pair(spec.Topology{Nodes: 64, PPN: 24}, 2) },
 		},
 		{
 			Name: "stencil/halo4d_256_e64",

@@ -1,7 +1,8 @@
 // Package bench is the experiment harness: it regenerates every table
 // and figure of the paper's evaluation (Figs. 7-12) on the simulated
-// cluster, printing the same series the paper plots. See DESIGN.md's
-// per-experiment index and EXPERIMENTS.md for paper-vs-measured notes.
+// cluster, printing the same series the paper plots; Figs. 7-10 run as
+// spec.Query ladders (AllgatherQuery). See DESIGN.md's per-experiment
+// index and EXPERIMENTS.md for paper-vs-measured notes.
 //
 // Beyond the figures, the package carries the sweep dimensions behind
 // cmd/perf -sweep (the Dimensions table: selection crossovers,

@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"repro/internal/bpmf"
-	"repro/internal/sim"
-	"repro/internal/summa"
-
 	"repro/internal/mpi"
+	"repro/internal/sim"
+	"repro/internal/spec"
+	"repro/internal/summa"
 )
 
 // FigOpts tunes the sweeps; the zero value reproduces the paper's
@@ -23,6 +23,47 @@ func (o FigOpts) elems() []int {
 	return Elems()
 }
 
+// AllgatherQuery is one series of Figs. 7-10: the allgather ladder of
+// elems doubles per rank on machine over topo, Hy_Allgather (force
+// allgather=hybrid) when hybrid, else the SMP-aware pure MPI_Allgather.
+// Five operations per point: the OSU benchmark averages 10,000, but
+// virtual time is deterministic, so a handful gives the same mean.
+func AllgatherQuery(machine string, topo spec.Topology, elems []int, hybrid bool) *spec.Query {
+	q := &spec.Query{Machine: machine, Topology: topo, Collective: "allgather", Iters: 5}
+	for _, e := range elems {
+		q.Sizes = append(q.Sizes, 8*e)
+	}
+	if hybrid {
+		q.Tuning.Force = map[string]string{"allgather": "hybrid"}
+	}
+	return q
+}
+
+// addPair appends machine m's Hy_Allgather and pure Allgather
+// latencies over topo, in us per op, to rows: row i gets the pair at
+// elems[i] (ascending).
+func addPair(rows [][]string, m *sim.CostModel, topo spec.Topology, elems []int) error {
+	for _, hy := range []bool{true, false} {
+		res, err := spec.Run(AllgatherQuery(m.Name, topo, elems, hy))
+		if err != nil {
+			return err
+		}
+		for i, p := range res.Points {
+			rows[i] = append(rows[i], fmt.Sprintf("%.2f", p.VirtualUsPerOp))
+		}
+	}
+	return nil
+}
+
+// labelRows returns one row per label, each holding only its label.
+func labelRows(labels []int) [][]string {
+	rows := make([][]string, len(labels))
+	for i, l := range labels {
+		rows[i] = []string{fmt.Sprint(l)}
+	}
+	return rows
+}
+
 // Fig7 reproduces the single-full-node comparison: Hy_Allgather vs
 // Allgather on 24 ranks of one node, for both library stacks.
 func Fig7(o FigOpts) (*Table, error) {
@@ -30,37 +71,19 @@ func Fig7(o FigOpts) (*Table, error) {
 		Name:   "Figure 7: allgather within one full node (24 ranks), time in us",
 		Note:   "Paper: Hy_Allgather is flat (one node barrier) and always below Allgather.",
 		Header: []string{"elems", "Hy+OpenMPI", "Ag+OpenMPI", "Hy+CrayMPI", "Ag+CrayMPI"},
-	}, []int{CoresPerNode}, o)
+	}, spec.Topology{Nodes: 1, PPN: CoresPerNode}, o)
 }
 
 // sizeSweep fills t with one row per element count: both machines'
-// Hy_Allgather and Allgather latencies on shape.
-func sizeSweep(t *Table, shape []int, o FigOpts) (*Table, error) {
-	for _, elems := range o.elems() {
-		row := []string{fmt.Sprint(elems)}
-		for _, m := range Machines() {
-			var err error
-			if row, err = hyPure(row, m, shape, elems); err != nil {
-				return nil, err
-			}
+// Hy_Allgather and Allgather latencies on topo.
+func sizeSweep(t *Table, topo spec.Topology, o FigOpts) (*Table, error) {
+	t.Rows = labelRows(o.elems())
+	for _, m := range Machines() {
+		if err := addPair(t.Rows, m, topo, o.elems()); err != nil {
+			return nil, err
 		}
-		t.AddRow(row...)
 	}
 	return t, nil
-}
-
-// hyPure appends the Hy_Allgather and pure Allgather latencies of
-// elems doubles per rank on shape to row.
-func hyPure(row []string, m *sim.CostModel, shape []int, elems int) ([]string, error) {
-	hy, err := HyAllgatherLatency(m, shape, 8*elems, MicroOpts{})
-	if err != nil {
-		return nil, err
-	}
-	pure, err := PureAllgatherLatency(m, shape, 8*elems, MicroOpts{})
-	if err != nil {
-		return nil, err
-	}
-	return append(row, fmtUs(hy), fmtUs(pure)), nil
 }
 
 // Fig8 reproduces the one-rank-per-node comparison over 4, 16 and 64
@@ -73,60 +96,48 @@ func Fig8(o FigOpts) ([]*Table, error) {
 			Note: "Paper: Hy_Allgather (MPI_Allgatherv) is slightly slower; the gap narrows at 64 nodes.",
 			Header: []string{"elems",
 				"Hy4", "Ag4", "Hy16", "Ag16", "Hy64", "Ag64"},
+			Rows: labelRows(o.elems()),
 		}
-		for _, elems := range o.elems() {
-			row := []string{fmt.Sprint(elems)}
-			for _, nodes := range []int{4, 16, 64} {
-				var err error
-				if row, err = hyPure(row, m, uniform(nodes, 1), elems); err != nil {
-					return nil, err
-				}
+		for _, nodes := range []int{4, 16, 64} {
+			if err := addPair(t.Rows, m, spec.Topology{Nodes: nodes, PPN: 1}, o.elems()); err != nil {
+				return nil, err
 			}
-			t.AddRow(row...)
 		}
 		tables = append(tables, t)
 	}
 	return tables, nil
 }
 
-// uniform is nodes nodes of ppn ranks each.
-func uniform(nodes, ppn int) []int {
-	shape := make([]int, nodes)
-	for i := range shape {
-		shape[i] = ppn
-	}
-	return shape
-}
-
 // Fig9 reproduces the ppn scaling on 64 nodes for 512 and 16384
-// elements.
+// elements: one table per element count, both counts on one ladder.
 func Fig9(o FigOpts) ([]*Table, error) {
+	elems := []int{512, 16384}
 	var tables []*Table
-	for _, elems := range []int{512, 16384} {
-		t := &Table{
-			Name: fmt.Sprintf("Figure 9: allgather across 64 nodes, %d elements, time in us", elems),
+	for _, e := range elems {
+		tables = append(tables, &Table{
+			Name: fmt.Sprintf("Figure 9: allgather across 64 nodes, %d elements, time in us", e),
 			Note: "Paper: the Hy_Allgather advantage grows with ranks per node.",
 			Header: []string{"ppn",
 				"Hy+OpenMPI", "Ag+OpenMPI", "Hy+CrayMPI", "Ag+CrayMPI"},
-		}
-		for ppn := 3; ppn <= 24; ppn += 3 {
-			row := []string{fmt.Sprint(ppn)}
-			for _, m := range Machines() {
-				var err error
-				if row, err = hyPure(row, m, uniform(64, ppn), elems); err != nil {
-					return nil, err
-				}
+		})
+	}
+	for ppn := 3; ppn <= 24; ppn += 3 {
+		rows := labelRows([]int{ppn, ppn}) // one row per entry of elems
+		for _, m := range Machines() {
+			if err := addPair(rows, m, spec.Topology{Nodes: 64, PPN: ppn}, elems); err != nil {
+				return nil, err
 			}
-			t.AddRow(row...)
 		}
-		tables = append(tables, t)
+		for i, t := range tables {
+			t.AddRow(rows[i]...)
+		}
 	}
 	return tables, nil
 }
 
 // Fig10Shape is the irregular population of Fig. 10: 42 nodes with 24
 // ranks plus one node with 16 ranks (1024 ranks total).
-func Fig10Shape() []int { return append(uniform(42, 24), 16) }
+func Fig10Shape() []int { return ShapeFor(1024) }
 
 // Fig10 reproduces the irregularly-populated-nodes comparison.
 func Fig10(o FigOpts) (*Table, error) {
@@ -134,7 +145,7 @@ func Fig10(o FigOpts) (*Table, error) {
 		Name:   "Figure 10: allgather on irregularly populated nodes (42x24 + 1x16 = 1024 ranks), time in us",
 		Note:   "Paper: Hy_Allgather keeps consistently lower latency.",
 		Header: []string{"elems", "Hy+OpenMPI", "Ag+OpenMPI", "Hy+CrayMPI", "Ag+CrayMPI"},
-	}, Fig10Shape(), o)
+	}, spec.Topology{NodeSizes: Fig10Shape()}, o)
 }
 
 // Fig11Cores is the core-count sweep of the SUMMA figures; each count

@@ -101,14 +101,14 @@ func TestTraceStatsOnCollective(t *testing.T) {
 // against the profile: a self-calibration that guards against cost
 // accounting regressions in the p2p engine.
 func PingPong(model *sim.CostModel, sameNode bool, bytes, iters int, opts ...mpi.Option) (sim.Time, error) {
-	shape := []int{1, 1}
+	topo := sim.MustUniform(2, 1)
 	if sameNode {
-		shape = []int{2}
+		topo = sim.MustUniform(1, 2)
 	}
 	if iters <= 0 {
 		iters = 4
 	}
-	t, err := Makespan(model, shape, func(p *mpi.Proc) error {
+	t, err := Makespan(model, topo, func(p *mpi.Proc) error {
 		c := p.CommWorld()
 		buf := mpi.Sized(bytes)
 		for i := 0; i < iters; i++ {

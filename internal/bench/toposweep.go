@@ -5,16 +5,16 @@ import (
 	"io"
 
 	"repro/internal/coll"
-	"repro/internal/hybrid"
 	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/spec"
 )
 
 // The topology sweep is the multi-level dimension of cmd/perf -sweep:
 // for each level stack (node-only, socket ⊂ node, socket ⊂ node ⊂
 // group) and ranks-per-node count it runs the composed pure-MPI
-// allgather and the hybrid allgather (window at the stack's innermost
-// shared level, threaded through coll.Tuning.SharedLevel), records the
+// allgather and the hybrid allgather (a spec.Query with allgather=hybrid
+// and the window at the stack's innermost shared level), records the
 // virtual makespans and the priced per-tier composition. The sweep
 // golden pins the table, so a PR that moves a per-level crossover or a
 // topology's virtual time shows up in review.
@@ -54,39 +54,33 @@ type topoStack struct {
 	name   string
 	levels []string // composer stack, innermost first
 	shared string   // hybrid window level
-	build  func(nodes, ppn int) (*sim.Topology, error)
+	build  func(nodes, ppn int) spec.Topology
 }
 
-func topoStacks() []topoStack {
-	return []topoStack{
-		{
-			name:   "node",
-			levels: []string{"node"},
-			shared: "node",
-			build:  func(nodes, ppn int) (*sim.Topology, error) { return sim.Uniform(nodes, ppn) },
+var topoStacks = []topoStack{
+	{
+		name:   "node",
+		levels: []string{"node"},
+		shared: "node",
+		build:  func(nodes, ppn int) spec.Topology { return spec.Topology{Nodes: nodes, PPN: ppn} },
+	},
+	{
+		name:   "socket+node",
+		levels: []string{"socket", "node"},
+		shared: "socket",
+		build: func(nodes, ppn int) spec.Topology {
+			return spec.Topology{PerLeaf: ppn / 2, Levels: []spec.Level{{Name: "socket", Arity: 2}, {Name: "node", Arity: nodes}}}
 		},
-		{
-			name:   "socket+node",
-			levels: []string{"socket", "node"},
-			shared: "socket",
-			build: func(nodes, ppn int) (*sim.Topology, error) {
-				return sim.UniformHier(ppn/2,
-					sim.LevelDim{Name: "socket", Arity: 2},
-					sim.LevelDim{Name: "node", Arity: nodes})
-			},
+	},
+	{
+		name:   "socket+node+group",
+		levels: []string{"socket", "node", "group"},
+		shared: "socket",
+		build: func(nodes, ppn int) spec.Topology {
+			return spec.Topology{PerLeaf: ppn / 2, Levels: []spec.Level{
+				{Name: "socket", Arity: 2}, {Name: "node", Arity: nodes / 2}, {Name: "group", Arity: 2}}}
 		},
-		{
-			name:   "socket+node+group",
-			levels: []string{"socket", "node", "group"},
-			shared: "socket",
-			build: func(nodes, ppn int) (*sim.Topology, error) {
-				return sim.UniformHier(ppn/2,
-					sim.LevelDim{Name: "socket", Arity: 2},
-					sim.LevelDim{Name: "node", Arity: nodes / 2},
-					sim.LevelDim{Name: "group", Arity: 2})
-			},
-		},
-	}
+	},
 }
 
 // RunTopoSweep measures the topology dimension: levels x ppn at a
@@ -94,7 +88,7 @@ func topoStacks() []topoStack {
 func RunTopoSweep(model *sim.CostModel, tun coll.Tuning) (*TopoSweepReport, error) {
 	rep := &TopoSweepReport{Model: model.Name, Policy: tun.Policy.String()}
 	const nodes = 8
-	for _, st := range topoStacks() {
+	for _, st := range topoStacks {
 		for _, ppn := range []int{8, 24} {
 			for _, bytes := range []int{4 << 10, 512 << 10} {
 				pt, err := runTopoPoint(model, tun, st, nodes, ppn, bytes)
@@ -109,18 +103,31 @@ func RunTopoSweep(model *sim.CostModel, tun coll.Tuning) (*TopoSweepReport, erro
 }
 
 func runTopoPoint(model *sim.CostModel, tun coll.Tuning, st topoStack, nodes, ppn, bytes int) (TopoPoint, error) {
-	topo, err := st.build(nodes, ppn)
+	// Hybrid allgather with the window at the stack's shared level: the
+	// spec.Query forcing allgather=hybrid under the sweep's tuning.
+	force := map[string]string{}
+	for cl, algo := range tun.Force {
+		force[cl.String()] = algo
+	}
+	force["allgather"] = "hybrid"
+	q := &spec.Query{Machine: model.Name, Topology: st.build(nodes, ppn), Collective: "allgather", Sizes: []int{bytes},
+		Tuning: spec.Tuning{Policy: tun.Policy.String(), Force: force, SharedLevel: st.shared}}
+	hy, err := spec.Run(q)
+	if err != nil {
+		return TopoPoint{}, err
+	}
+	topo, err := q.Topology.Build()
 	if err != nil {
 		return TopoPoint{}, err
 	}
 	pt := TopoPoint{
 		Stack: st.name, Levels: topo.NumLevels(),
 		Nodes: nodes, PPN: ppn, Bytes: bytes, SharedLevel: st.shared,
+		HybridUs: hy.Points[0].VirtualUsPerOp,
 	}
 
 	// Composed pure-MPI allgather over the whole stack.
-	hierTun := tun
-	w, err := mpi.NewWorld(model, topo, mpi.WithCollConfig(hierTun))
+	w, err := mpi.NewWorld(model, topo, mpi.WithCollConfig(tun))
 	if err != nil {
 		return TopoPoint{}, err
 	}
@@ -134,7 +141,7 @@ func runTopoPoint(model *sim.CostModel, tun coll.Tuning, st topoStack, nodes, pp
 			return err
 		}
 		if p.Rank() == 0 {
-			ests, _, err := h.PriceAllgather(bytes, hierTun)
+			ests, _, err := h.PriceAllgather(bytes, tun)
 			if err != nil {
 				return err
 			}
@@ -145,29 +152,5 @@ func runTopoPoint(model *sim.CostModel, tun coll.Tuning, st topoStack, nodes, pp
 		return TopoPoint{}, err
 	}
 	pt.HierUs = w.MaxClock().Us()
-
-	// Hybrid allgather with the window at the stack's shared level,
-	// selected through the world's tuning (coll.Tuning.SharedLevel).
-	hyTun := tun
-	hyTun.SharedLevel = st.shared
-	w2, err := mpi.NewWorld(model, topo, mpi.WithCollConfig(hyTun))
-	if err != nil {
-		return TopoPoint{}, err
-	}
-	defer w2.Close()
-	if err := w2.Run(func(p *mpi.Proc) error {
-		ctx, err := hybrid.New(p.CommWorld())
-		if err != nil {
-			return err
-		}
-		a, err := ctx.NewAllgatherer(bytes)
-		if err != nil {
-			return err
-		}
-		return a.Allgather()
-	}); err != nil {
-		return TopoPoint{}, err
-	}
-	pt.HybridUs = w2.MaxClock().Us()
 	return pt, nil
 }

@@ -71,12 +71,6 @@ type Config struct {
 	// (default: Workers/4, at least 1). Kept strictly below Workers so
 	// sweeps cannot occupy every slot.
 	SweepWorkers int
-	// SweepSizes is the ladder length at which a query counts as a
-	// sweep (default 4).
-	SweepSizes int
-	// SweepRanks is the world size at which a query counts as a sweep
-	// (default 4096).
-	SweepRanks int
 	// CacheEntries is the result-cache capacity, /v1/run and /v1/price
 	// answers together (default 4096).
 	CacheEntries int
@@ -132,6 +126,10 @@ type Config struct {
 	Logger *slog.Logger
 }
 
+// A query with at least sweepSizes ladder entries or sweepRanks ranks
+// is sweep-class: it runs under SweepWorkers.
+const sweepSizes, sweepRanks = 4, 4096
+
 // Server is the what-if service. It implements http.Handler; hosting
 // (listening, TLS, graceful shutdown) belongs to the caller — see
 // cmd/serverd.
@@ -159,12 +157,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.SweepWorkers < 1 {
 		cfg.SweepWorkers = 1
-	}
-	if cfg.SweepSizes <= 0 {
-		cfg.SweepSizes = 4
-	}
-	if cfg.SweepRanks <= 0 {
-		cfg.SweepRanks = 4096
 	}
 	if cfg.CacheEntries <= 0 {
 		cfg.CacheEntries = 4096
@@ -548,7 +540,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, price bool,
 // client disconnects.
 func (s *Server) execute(q *spec.Query) (*spec.Result, error) {
 	pool, busy := s.points, &s.met.pointBusy
-	if len(q.Sizes) >= s.cfg.SweepSizes || q.Topology.Ranks() >= s.cfg.SweepRanks {
+	if len(q.Sizes) >= sweepSizes || q.Topology.Ranks() >= sweepRanks {
 		pool, busy = s.sweeps, &s.met.sweepBusy
 	}
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.Timeout)

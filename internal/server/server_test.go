@@ -197,6 +197,51 @@ func TestHTTPMatchesCLI(t *testing.T) {
 	}
 }
 
+// TestHybridQueryOverHTTP: /v1/run and /v1/price answer the paper's
+// subject — allgather=hybrid on an irregular node_sizes machine — and
+// the run matches the CLI path bit for bit.
+func TestHybridQueryOverHTTP(t *testing.T) {
+	const body = `{"machine":"hazelhen-cray","topology":{"node_sizes":[4,4,2]},
+		"collective":"allgather","sizes":[64,4096],"tuning":{"force":{"allgather":"hybrid"}}}`
+	q, err := spec.Parse([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := spec.Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newTestServer()
+	defer srv.Close()
+	rec := do(t, srv, "POST", "/v1/run", body)
+	if rec.Code != 200 {
+		t.Fatalf("http run: %d %s", rec.Code, rec.Body)
+	}
+	var run spec.Result
+	if err := jsonUnmarshalStrict(rec.Body.Bytes(), &run); err != nil {
+		t.Fatal(err)
+	}
+	if err := spec.Agree("http", &run, direct); err != nil {
+		t.Error(err)
+	}
+	if run.Tuning != "policy=table,allgather=hybrid" || run.Topology != "3 nodes [4 4 2]" {
+		t.Errorf("run answered tuning %q on %q", run.Tuning, run.Topology)
+	}
+	rec = do(t, srv, "POST", "/v1/price", body)
+	if rec.Code != 200 {
+		t.Fatalf("http price: %d %s", rec.Code, rec.Body)
+	}
+	var price spec.PriceReport
+	if err := jsonUnmarshalStrict(rec.Body.Bytes(), &price); err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range price.Points {
+		if pt.Chosen != "hybrid" {
+			t.Errorf("price at %d B chose %q, want hybrid", pt.Bytes, pt.Chosen)
+		}
+	}
+}
+
 // TestConcurrentClientsCoalesce hammers one fingerprint from many
 // goroutines (run under -race in CI): every response must be 200 with
 // a byte-identical body, and the server must have simulated the query

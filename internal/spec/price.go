@@ -23,7 +23,7 @@ type PriceCandidate struct {
 type PricePoint struct {
 	// Bytes is the ladder entry.
 	Bytes int `json:"bytes"`
-	// Chosen is the algorithm the query's tuning policy selects.
+	// Chosen is the algorithm the query's tuning selects, or "hybrid".
 	Chosen string `json:"chosen"`
 	// Candidates lists every registered algorithm's estimate, in
 	// registration order.
@@ -113,7 +113,9 @@ func Price(q *Query) (*PriceReport, error) {
 		// sub-8-byte ladder entries.
 		e := coll.Env{Size: topo.Size(), Bytes: b, Count: elems(b), Model: model, Hop: hop}
 		pt := PricePoint{Bytes: b}
-		if chosen, err := coll.Choose(cl, e, collTun); err == nil {
+		if q.Tuning.hybrid(cl) {
+			pt.Chosen = "hybrid"
+		} else if chosen, err := coll.Choose(cl, e, collTun); err == nil {
 			pt.Chosen = chosen
 		}
 		for _, c := range coll.Candidates(cl, e) {

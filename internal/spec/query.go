@@ -2,10 +2,12 @@ package spec
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -24,11 +26,12 @@ type Level struct {
 	Arity int `json:"arity"`
 }
 
-// Topology declares the simulated machine shape. Two input forms are
-// accepted — the nodes x ppn shorthand, or an explicit uniform level
-// stack (per-leaf ranks plus levels, innermost first) — and
-// canonicalization rewrites the shorthand into the stack form, so a
-// canonical Topology always carries PerLeaf and Levels only.
+// Topology declares the simulated machine shape. Three input forms are
+// accepted — the nodes x ppn shorthand, an explicit uniform level
+// stack (per-leaf ranks plus levels, innermost first), or a per-node
+// rank list — and canonicalization rewrites the shorthand and any
+// uniform rank list into the stack form, so a canonical Topology
+// carries either PerLeaf and Levels or an irregular NodeSizes.
 type Topology struct {
 	// Nodes and PPN are the single-level shorthand: Nodes nodes of PPN
 	// ranks. Mutually exclusive with PerLeaf/Levels; cleared by
@@ -42,6 +45,10 @@ type Topology struct {
 	// Levels is the uniform level stack, innermost first, e.g.
 	// [{socket 2} {node 64}] for 64 nodes of 2 sockets.
 	Levels []Level `json:"levels,omitempty"`
+	// NodeSizes lists the ranks of each node, placed SMP-style, for
+	// irregular machines such as Fig. 10's 42x24 + 1x16. Mutually
+	// exclusive with the other two forms.
+	NodeSizes []int `json:"node_sizes,omitempty"`
 }
 
 // maxRanks bounds the total rank count a Query may declare — a
@@ -50,13 +57,21 @@ type Topology struct {
 const maxRanks = 1 << 27
 
 // Canonicalize validates the topology and rewrites the nodes x ppn
-// shorthand into the canonical stack form. Idempotent.
+// shorthand and a uniform node_sizes list into the canonical stack
+// form. Idempotent.
 func (t *Topology) Canonicalize() error {
 	shorthand := t.Nodes != 0 || t.PPN != 0
 	stack := t.PerLeaf != 0 || len(t.Levels) != 0
 	switch {
-	case shorthand && stack:
-		return fmt.Errorf("spec: topology declares both nodes/ppn and per_leaf/levels")
+	case shorthand && stack || (shorthand || stack) && t.NodeSizes != nil:
+		return fmt.Errorf("spec: topology declares more than one of nodes/ppn, per_leaf/levels and node_sizes")
+	case t.NodeSizes != nil:
+		if t.Ranks() <= 0 {
+			return fmt.Errorf("spec: topology node_sizes needs at least one node, every node at least one rank, and at most %d ranks in all", maxRanks)
+		}
+		if !slices.ContainsFunc(t.NodeSizes, func(n int) bool { return n != t.NodeSizes[0] }) { // uniform
+			t.PerLeaf, t.Levels, t.NodeSizes = t.NodeSizes[0], []Level{{Name: sim.NodeLevelName, Arity: len(t.NodeSizes)}}, nil
+		}
 	case shorthand:
 		if t.Nodes <= 0 || t.PPN <= 0 {
 			return fmt.Errorf("spec: topology needs nodes>0 and ppn>0, got %dx%d", t.Nodes, t.PPN)
@@ -88,7 +103,7 @@ func (t *Topology) Canonicalize() error {
 			return fmt.Errorf("spec: topology needs exactly one %q level, got %d", sim.NodeLevelName, node)
 		}
 	default:
-		return fmt.Errorf("spec: topology is empty (give nodes+ppn or per_leaf+levels)")
+		return fmt.Errorf("spec: topology is empty (give nodes+ppn, per_leaf+levels or node_sizes)")
 	}
 	if t.Ranks() <= 0 {
 		return fmt.Errorf("spec: topology declares more than %d ranks", maxRanks)
@@ -97,10 +112,20 @@ func (t *Topology) Canonicalize() error {
 }
 
 // Ranks returns the total rank count of a canonicalized topology, or
-// -1 when the product leaves (0, maxRanks]. Each multiply is
-// overflow-checked against the cap first, so a crafted arity cannot
-// wrap the total back into range.
+// -1 when the total leaves (0, maxRanks]. Each multiply and add is
+// overflow-checked against the cap first, so a crafted arity or node
+// size cannot wrap the total back into range.
 func (t *Topology) Ranks() int {
+	if t.NodeSizes != nil {
+		total := 0
+		for _, n := range t.NodeSizes {
+			if n <= 0 || n > maxRanks-total {
+				return -1
+			}
+			total += n
+		}
+		return cmp.Or(total, -1)
+	}
 	total := t.PerLeaf
 	if total <= 0 || total > maxRanks {
 		return -1
@@ -115,8 +140,11 @@ func (t *Topology) Ranks() int {
 }
 
 // Build materializes the canonical topology through the interned
-// sim.Topology constructor.
+// sim.Topology constructors.
 func (t *Topology) Build() (*sim.Topology, error) {
+	if t.NodeSizes != nil {
+		return sim.NewTopology(t.NodeSizes)
+	}
 	dims := make([]sim.LevelDim, len(t.Levels))
 	for i, l := range t.Levels {
 		dims[i] = sim.LevelDim{Name: l.Name, Arity: l.Arity}
@@ -154,7 +182,8 @@ type Query struct {
 	Engine string `json:"engine,omitempty"`
 	// Fold selects rank-symmetry folding: "auto" (default; fold on the
 	// event engine whenever the coll fold helpers approve the
-	// workload), "off", or an explicit positive fold unit.
+	// workload), "off", or an explicit positive fold unit. The hybrid
+	// allgather always runs unfolded.
 	Fold string `json:"fold,omitempty"`
 	// Tuning configures the collective selection engine.
 	Tuning Tuning `json:"tuning"`
@@ -260,12 +289,15 @@ func (q *Query) Canonicalize() error {
 		return err
 	}
 	q.Noise = noise
-	if q.Noise.BreaksSymmetry() && q.Fold != "auto" && q.Fold != "off" {
-		// Asymmetric noise (jitter, stragglers, failures) invalidates
-		// rank-symmetry folding; "auto" quietly resolves to unfolded,
-		// but an explicit unit is a contradiction worth rejecting here
-		// rather than at world construction.
+	// Asymmetric noise (jitter, stragglers, failures) invalidates
+	// rank-symmetry folding, and no fold helper covers the hybrid
+	// scheme; "auto" quietly resolves to unfolded, but an explicit unit
+	// is a contradiction worth rejecting here rather than at world
+	// construction.
+	if unit := q.Fold != "auto" && q.Fold != "off"; unit && q.Noise.BreaksSymmetry() {
 		return fmt.Errorf("spec: fold %q incompatible with noise that breaks rank symmetry", q.Fold)
+	} else if unit && q.Tuning.hybrid(cl) {
+		return fmt.Errorf("spec: fold %q incompatible with allgather=hybrid, which runs unfolded", q.Fold)
 	}
 	return q.Tuning.Canonicalize()
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/coll"
+	"repro/internal/hybrid"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
@@ -109,13 +110,25 @@ var flatCalls = map[coll.Collective]func(c *mpi.Comm, b int) error{
 }
 
 // runOps executes iters operations of cl at ladder size b on one rank.
-// Allgather runs the hierarchical (node+bridge) composition — the
-// paper's canonical what-if subject and the scale sweep's workload;
-// every other collective runs its flat call.
-func runOps(p *mpi.Proc, cl coll.Collective, b, iters int) error {
+// Allgather runs one side of the paper's comparison: Hy_Allgather when
+// hy (setup untimed, as in Sect. 5), else the SMP-aware pure
+// MPI_Allgather, the hierarchical (node+bridge) composition. Every
+// other collective runs its flat call.
+func runOps(p *mpi.Proc, cl coll.Collective, hy bool, b, iters int) error {
 	c, call := p.CommWorld(), flatCalls[cl]
 	op := func() error { return call(c, b) }
-	if cl == coll.CollAllgather {
+	switch {
+	case hy:
+		ctx, err := hybrid.New(c)
+		if err != nil {
+			return err
+		}
+		a, err := ctx.NewAllgatherer(b)
+		if err != nil {
+			return err
+		}
+		op = a.Allgather
+	case cl == coll.CollAllgather:
 		h, err := coll.NewHier(c)
 		if err != nil {
 			return err
@@ -133,12 +146,14 @@ func runOps(p *mpi.Proc, cl coll.Collective, b, iters int) error {
 
 // autoFoldUnit resolves the rank-symmetry fold unit of a ladder point
 // under fold "auto": the coll fold helpers' approval for the workloads
-// they cover, 0 (unfolded) otherwise.
-func autoFoldUnit(model *sim.CostModel, topo *sim.Topology, cl coll.Collective, b int, tun coll.Tuning) int {
-	switch cl {
-	case coll.CollAllgather:
+// they cover, 0 (unfolded) otherwise — the hybrid scheme among them.
+func autoFoldUnit(model *sim.CostModel, topo *sim.Topology, cl coll.Collective, hy bool, b int, tun coll.Tuning) int {
+	switch {
+	case hy:
+		return 0
+	case cl == coll.CollAllgather:
 		return coll.HierAllgatherFoldUnit(model, topo, b, tun)
-	case coll.CollAllreduce:
+	case cl == coll.CollAllreduce:
 		n := elems(b)
 		return coll.AllreduceFoldUnit(model, topo, n*8, n, tun)
 	}
@@ -234,6 +249,7 @@ func (e *Exec) RunContext(ctx context.Context, q *Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	hy := q.Tuning.hybrid(cl)
 	noise, err := q.Noise.ToSim()
 	if err != nil {
 		return nil, err
@@ -257,14 +273,10 @@ func (e *Exec) RunContext(ctx context.Context, q *Query) (*Result, error) {
 		case "off":
 		case "auto":
 			if engine == sim.EngineEvent && !noise.BreaksSymmetry() {
-				folds[i] = autoFoldUnit(model, topo, cl, b, collTun)
+				folds[i] = autoFoldUnit(model, topo, cl, hy, b, collTun)
 			}
 		default:
-			u, err := strconv.Atoi(q.Fold)
-			if err != nil || u <= 0 {
-				return nil, fmt.Errorf("spec: fold %q is not auto, off or a positive unit", q.Fold)
-			}
-			folds[i] = u
+			folds[i], _ = strconv.Atoi(q.Fold) // a positive unit: Canonicalize checked it
 		}
 	}
 	groups := groupByFold(folds)
@@ -281,7 +293,7 @@ func (e *Exec) RunContext(ctx context.Context, q *Query) (*Result, error) {
 	}
 	env := groupEnv{
 		exec: e, model: model, topo: topo, engine: engine,
-		tun: collTun, cl: cl, machine: q.Machine,
+		tun: collTun, cl: cl, hybrid: hy, machine: q.Machine,
 		tuning: q.Tuning.Spec(), sizes: q.Sizes, iters: q.Iters,
 		noise: noise, noiseKey: nk, tuneGen: tuneGen,
 	}
@@ -320,6 +332,7 @@ type groupEnv struct {
 	engine   sim.Engine
 	tun      coll.Tuning
 	cl       coll.Collective
+	hybrid   bool
 	machine  string
 	tuning   string
 	sizes    []int
@@ -481,7 +494,7 @@ func runPointOn(ctx context.Context, w *mpi.World, env groupEnv, fold, i int, po
 		}
 	}()
 	w.ResetClocks()
-	err := w.Run(func(p *mpi.Proc) error { return runOps(p, env.cl, b, env.iters) })
+	err := w.Run(func(p *mpi.Proc) error { return runOps(p, env.cl, env.hybrid, b, env.iters) })
 	close(stop)
 	<-done
 	if err != nil {

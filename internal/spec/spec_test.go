@@ -67,6 +67,7 @@ func TestTuningRoundTrip(t *testing.T) {
 		"policy=measured,allreduce=recdbl",
 		"sharedlevel=socket,gather=linear,scan=linear",
 		"bcast=binomial,policy=cost,sharedlevel=numa",
+		"allgather=hybrid,sharedlevel=socket",
 	} {
 		tun, err := spec.ParseTuning(s)
 		if err != nil {
@@ -119,6 +120,19 @@ func TestTuningCollConversion(t *testing.T) {
 	if ct.Policy != coll.PolicyCost || ct.Force[coll.CollAllreduce] != "rabenseifner" || ct.SharedLevel != "socket" {
 		t.Fatalf("converted %+v", ct)
 	}
+	// The hybrid scheme is no coll algorithm: runOps selects it, the
+	// selection engine never sees it.
+	ht, err := spec.ParseTuning("allgather=hybrid,allreduce=recdbl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hct, err := ht.Coll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := hct.Force[coll.CollAllgather]; ok || hct.Force[coll.CollAllreduce] != "recdbl" {
+		t.Fatalf("allgather=hybrid,allreduce=recdbl converted to force %v", hct.Force)
+	}
 	mt, err := spec.ParseTuning("policy=measured")
 	if err != nil {
 		t.Fatal(err)
@@ -146,6 +160,8 @@ func FuzzParseTuning(f *testing.F) {
 	f.Add("policy=")
 	f.Add("policy=cost,policy=table")
 	f.Add("allreduce=recdbl,allreduce=rabenseifner")
+	f.Add("allgather=hybrid,sharedlevel=socket")
+	f.Add("bcast=hybrid")
 	f.Fuzz(func(t *testing.T, s string) {
 		tun, err := spec.ParseTuning(s)
 		if err != nil {
@@ -264,6 +280,11 @@ func FuzzParseQuery(f *testing.F) {
 	f.Add([]byte(`{"machine":"laptop","topology":{"nodes":8,"ppn":8},"collective":"allreduce","sizes":[1024,16384],"tuning":{"policy":"measured"},"noise":{"seed":1,"congestion":{"net":16}}}`))
 	f.Add([]byte(`{"machine":"laptop","topology":{"nodes":2,"ppn":2},"collective":"allreduce","sizes":[8],"tuning":{"policy":"measured","force":{"allreduce":"recdbl"}}}`))
 	f.Add([]byte(`{"machine":"laptop","topology":{"nodes":2,"ppn":2},"collective":"allreduce","sizes":[8],"tuning":{"policy":"measured","store":"/tmp/x"}}`))
+	f.Add([]byte(`{"machine":"hazelhen-cray","topology":{"node_sizes":[24,24,16]},"collective":"allgather","sizes":[8,4096],"tuning":{"force":{"allgather":"hybrid"}}}`))
+	f.Add([]byte(`{"machine":"laptop","topology":{"node_sizes":[4,4,4]},"collective":"allgather","sizes":[64],"engine":"event","tuning":{"force":{"allgather":"hybrid"},"shared_level":"node"}}`))
+	f.Add([]byte(`{"machine":"laptop","topology":{"node_sizes":[]},"collective":"bcast","sizes":[8]}`))
+	f.Add([]byte(`{"machine":"laptop","topology":{"node_sizes":[2,0]},"collective":"bcast","sizes":[8]}`))
+	f.Add([]byte(`{"machine":"laptop","topology":{"nodes":2,"ppn":2},"collective":"allgather","sizes":[8],"fold":"2","tuning":{"force":{"allgather":"hybrid"}}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, err := spec.Parse(data)
 		if err != nil {

@@ -21,19 +21,30 @@ type Tuning struct {
 	Policy string `json:"policy,omitempty"`
 	// Force pins collectives to named algorithms, e.g.
 	// {"allreduce": "rabenseifner"}. Keys are collective names, values
-	// registered algorithm names.
+	// registered algorithm names, or "hybrid" for allgather: the
+	// paper's Hy_Allgather in place of the pure MPI_Allgather.
 	Force map[string]string `json:"force,omitempty"`
 	// SharedLevel names the topology level hosting the hybrid shared
 	// window: "node" (default when empty) or a level inside the node.
+	// Only a run forcing allgather=hybrid builds a window.
 	SharedLevel string `json:"shared_level,omitempty"`
+}
+
+// hybrid reports whether the tuning forces cl to "hybrid": the hybrid
+// MPI+MPI scheme (internal/hybrid) in place of a coll algorithm, which
+// only allgather has.
+func (t Tuning) hybrid(cl coll.Collective) bool {
+	return cl == coll.CollAllgather && t.Force[cl.String()] == "hybrid"
 }
 
 // ParseTuning parses the textual tuning grammar of comma-separated
 // key=value pairs: "policy" takes "table", "cost" or "measured";
 // "sharedlevel" takes a topology level name; a collective name
-// (allgather, allreduce, bcast, ...) takes the algorithm to force, e.g.
+// (allgather, allreduce, bcast, ...) takes the algorithm to force, or
+// "hybrid" for allgather, e.g.
 //
 //	policy=cost,allreduce=rabenseifner,barrier=central
+//	allgather=hybrid,sharedlevel=socket
 //
 // Each key appears at most once and every value is non-empty: the
 // grammar is what Tuning.Spec renders, so parse -> render -> parse is
@@ -99,7 +110,7 @@ func (t *Tuning) Canonicalize() error {
 		if err != nil {
 			return fmt.Errorf("spec: tuning force: %w", err)
 		}
-		if !coll.Registered(cl, algo) {
+		if !coll.Registered(cl, algo) && !t.hybrid(cl) {
 			return fmt.Errorf("spec: no algorithm %q registered for %s", algo, cl)
 		}
 	}
@@ -149,6 +160,9 @@ func (t Tuning) Coll() (coll.Tuning, error) {
 		cl, err := coll.ParseCollective(name)
 		if err != nil {
 			return coll.Tuning{}, err
+		}
+		if t.hybrid(cl) {
+			continue // runOps runs the scheme; coll never sees it
 		}
 		if ct.Force == nil {
 			ct.Force = map[coll.Collective]string{}
