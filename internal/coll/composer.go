@@ -21,25 +21,17 @@ import (
 // Geometry is derived, not exchanged: the tier membership tables and
 // the level-sorted slot order are a pure function of the topology and
 // the communicator's rank table, so whichever member arrives first
-// computes them (mpi.SetupOnce, backed by the cross-world geometry
+// computes them (mpi.SetupSlab, backed by the cross-world geometry
 // cache) and every member adopts the same read-only tables. Hier,
 // MultiLeaderHier and hybrid.Ctx all take their node shape from here.
 // Construction is untimed one-off setup.
+//
+// A rank's Composer holds only what differs per rank — its
+// communicator and the shared plan — and reads everything else (tier
+// handles, groups, slots, the level stack) from the plan by its rank.
 type Composer struct {
-	comm  *mpi.Comm
-	level []int       // sim topology level indices, innermost first (the geometry's, shared read-only)
-	tiers []*mpi.Comm // tiers[i]: my group comm at stack tier i (nil unless leader of every tier below)
-	top   *mpi.Comm   // outermost leaders (nil on everyone else)
-
-	shape   *compShape
-	myGroup []int // my group index per tier
-	mySlot  int   // my position in the level-sorted slot order
-
-	// Inline backing for the per-tier slices: stacks deeper than four
-	// levels (more than any machine hierarchy here declares) spill to
-	// the heap, everything else allocates nothing.
-	tierStore  [4]*mpi.Comm
-	groupStore [4]int
+	comm *mpi.Comm
+	plan *composerPlan
 }
 
 // tierShape describes every group of one tier, in leader (slot) order.
@@ -167,41 +159,28 @@ func NewComposer(c *mpi.Comm, levels []int) (*Composer, error) {
 	}
 	plan := v.(*composerPlan)
 	geom := plan.geom
-	k.comm = c
-	if len(levels) <= len(k.tierStore) {
-		k.tiers = k.tierStore[:0:len(levels)]
-	}
 
 	// Materialize this rank's tier communicators, innermost first, into
-	// this rank's run of the plan's shared handle arena; ranks that are
-	// not leaders of the tier below hold nil handles, exactly as the
-	// split-based construction produced.
+	// this rank's run of the plan's shared handle arena. Membership is a
+	// prefix — a tier-t member leads a group at every tier below — so
+	// the run is the rank's tiers, innermost first, then the top; ranks
+	// that are not leaders of the tier below get no handle, and Tier
+	// reports nil for them, exactly as the split-based construction
+	// produced.
 	me := c.Rank()
 	slot := geom.handleOff[me]
 	for t := range levels {
-		var sub *mpi.Comm
-		if gi := geom.tierGroup[t][me]; gi >= 0 {
-			sub = c.InitGroupComm(&plan.arena[slot], &plan.ctxs[plan.tierOff[t]+int(gi)], int(geom.tierRank[t][me]))
-			slot++
+		gi := geom.tierGroup[t][me]
+		if gi < 0 {
+			break
 		}
-		k.tiers = append(k.tiers, sub)
+		c.InitGroupComm(&plan.arena[slot], &plan.ctxs[plan.tierOff[t]+int(gi)], int(geom.tierRank[t][me]))
+		slot++
 	}
 	if tr := geom.topRank[me]; tr >= 0 {
-		k.top = c.InitGroupComm(&plan.arena[slot], &plan.ctxs[len(plan.ctxs)-1], int(tr))
+		c.InitGroupComm(&plan.arena[slot], &plan.ctxs[len(plan.ctxs)-1], int(tr))
 	}
-
-	shape := geom.shape
-	k.level = geom.levels
-	k.shape = shape
-	k.mySlot = shape.rankToSlot[me]
-	if len(levels) <= len(k.groupStore) {
-		k.myGroup = k.groupStore[:len(levels)]
-	} else {
-		k.myGroup = make([]int, len(levels))
-	}
-	for t := range levels {
-		k.myGroup[t] = k.GroupOfSlot(t, k.mySlot)
-	}
+	*k = Composer{comm: c, plan: plan}
 	return k, nil
 }
 
@@ -225,45 +204,69 @@ func NewComposerNamed(c *mpi.Comm, names ...string) (*Composer, error) {
 	return NewComposer(c, levels)
 }
 
-// Tier returns the tier-i communicator (nil on ranks that are not
-// leaders of every tier below i).
-func (k *Composer) Tier(i int) *mpi.Comm { return k.tiers[i] }
+// Comm returns the communicator the composer was built over.
+func (k *Composer) Comm() *mpi.Comm { return k.comm }
 
-// Top returns the outermost leader communicator (nil on everyone else).
-func (k *Composer) Top() *mpi.Comm { return k.top }
+// Tier returns the tier-i communicator (nil on ranks that are not
+// leaders of every tier below i): slot i of this rank's run of the
+// plan's handle arena, since tier membership is a prefix.
+func (k *Composer) Tier(i int) *mpi.Comm {
+	g, me := k.plan.geom, k.comm.Rank()
+	if g.tierGroup[i][me] < 0 {
+		return nil
+	}
+	return &k.plan.arena[int(g.handleOff[me])+i]
+}
+
+// Top returns the outermost leader communicator (nil on everyone
+// else): the arena slot after the last tier's, as the outermost
+// leaders belong to every tier.
+func (k *Composer) Top() *mpi.Comm {
+	g, me := k.plan.geom, k.comm.Rank()
+	if g.topRank[me] < 0 {
+		return nil
+	}
+	return &k.plan.arena[int(g.handleOff[me])+len(g.levels)]
+}
+
+// depth returns the number of tiers: the length of the level stack.
+func (k *Composer) depth() int { return len(k.plan.geom.levels) }
+
+// shape returns the shared level-sorted geometry.
+func (k *Composer) shape() *compShape { return k.plan.geom.shape }
 
 // SMP reports whether comm ranks are laid out SMP-style (level-sorted
 // slot order equals comm rank order).
-func (k *Composer) SMP() bool { return k.shape.smp }
+func (k *Composer) SMP() bool { return k.shape().smp }
 
 // SlotOf maps a comm rank to its slot in level-gathered buffers.
-func (k *Composer) SlotOf(rank int) int { return k.shape.rankToSlot[rank] }
+func (k *Composer) SlotOf(rank int) int { return k.shape().rankToSlot[rank] }
 
 // Groups returns the number of groups at tier i.
-func (k *Composer) Groups(i int) int { return len(k.shape.tiers[i].first) }
+func (k *Composer) Groups(i int) int { return len(k.shape().tiers[i].first) }
 
 // GroupSizes returns ranks per tier-i group in leader order (shared
 // across all ranks; do not modify).
-func (k *Composer) GroupSizes(i int) []int { return k.shape.tiers[i].size }
+func (k *Composer) GroupSizes(i int) []int { return k.shape().tiers[i].size }
 
 // GroupFirsts returns the first slot of each tier-i group in leader
 // order (shared across all ranks; do not modify).
-func (k *Composer) GroupFirsts(i int) []int { return k.shape.tiers[i].first }
+func (k *Composer) GroupFirsts(i int) []int { return k.shape().tiers[i].first }
 
 // MyGroup returns this rank's group index at tier i.
-func (k *Composer) MyGroup(i int) int { return k.myGroup[i] }
+func (k *Composer) MyGroup(i int) int { return k.GroupOfSlot(i, k.SlotOf(k.comm.Rank())) }
 
 // GroupOfSlot returns the index, in leader order, of the tier-t group
 // containing a slot.
 func (k *Composer) GroupOfSlot(t, slot int) int {
-	ts := &k.shape.tiers[t]
+	ts := &k.shape().tiers[t]
 	return sort.SearchInts(ts.first, slot+1) - 1
 }
 
 // requireSMP guards the composed collectives, which address recv
 // buffers by comm rank: slot order must equal rank order.
 func (k *Composer) requireSMP(op string) error {
-	if !k.shape.smp {
+	if !k.SMP() {
 		return fmt.Errorf("coll: composed %s needs SMP-style placement (level blocks contiguous in rank order)", op)
 	}
 	return nil
@@ -292,26 +295,27 @@ func (k *Composer) Allgather(send, recv mpi.Buf, per int) error {
 	if err := k.requireSMP("allgather"); err != nil {
 		return err
 	}
-	shape := k.shape
+	shape, depth := k.shape(), k.depth()
 
 	// Up phase, tier 0: linear gather at the leader, directly into the
 	// group's slice of the final buffer.
 	t0 := &shape.tiers[0]
-	g0 := k.myGroup[0]
+	g0 := k.MyGroup(0)
 	base0 := t0.first[g0] * per
-	if err := GatherLinear(k.tiers[0], send.Slice(0, per), recv.Slice(base0, t0.size[g0]*per), per, 0); err != nil {
+	if err := GatherLinear(k.Tier(0), send.Slice(0, per), recv.Slice(base0, t0.size[g0]*per), per, 0); err != nil {
 		return fmt.Errorf("coll: composed allgather gather phase: %w", err)
 	}
 	// Up phase, higher tiers: leaders forward their accumulated child
 	// blocks (irregular in general, so a linear gatherv at absolute
 	// offsets; the root's own block is already in place).
-	for t := 1; t < len(k.tiers); t++ {
-		if k.tiers[t] == nil {
+	for t := 1; t < depth; t++ {
+		tier := k.Tier(t)
+		if tier == nil {
 			break
 		}
 		ts := &shape.tiers[t]
 		below := &shape.tiers[t-1]
-		g := k.myGroup[t]
+		g := k.MyGroup(t)
 		counts := make([]int, ts.childN[g])
 		offs := make([]int, ts.childN[g])
 		for j := 0; j < ts.childN[g]; j++ {
@@ -322,8 +326,8 @@ func (k *Composer) Allgather(send, recv mpi.Buf, per int) error {
 		// The root's own block is already in place (the tier below put
 		// it there), so unlike Gatherv no self-copy is charged.
 		v := blocks{buf: recv, counts: counts, displs: offs}
-		mine := v.at(k.tiers[t].Rank())
-		if err := gatherAtRoot(k.tiers[t], mine, v, 0, family{name: "in-place gather", tag: tagGather}); err != nil {
+		mine := v.at(tier.Rank())
+		if err := gatherAtRoot(tier, mine, v, 0, family{name: "in-place gather", tag: tagGather}); err != nil {
 			return fmt.Errorf("coll: composed allgather tier %d gather: %w", t, err)
 		}
 	}
@@ -331,16 +335,16 @@ func (k *Composer) Allgather(send, recv mpi.Buf, per int) error {
 	// Top exchange: outermost leaders trade whole-group blocks.
 	// Uniform group sizes use the tuned MPI_Allgather path; irregular
 	// populations force the weaker MPI_Allgatherv ([29], Fig. 10).
-	if k.top != nil && k.top.Size() > 1 {
-		last := &shape.tiers[len(k.tiers)-1]
+	if top := k.Top(); top != nil && top.Size() > 1 {
+		last := &shape.tiers[depth-1]
 		if slices.Min(last.size) == slices.Max(last.size) {
 			blk := last.size[0] * per
-			if err := AllgatherInPlace(k.top, recv, blk); err != nil {
+			if err := AllgatherInPlace(top, recv, blk); err != nil {
 				return fmt.Errorf("coll: composed allgather top exchange: %w", err)
 			}
 		} else {
 			counts := scale(last.size, per)
-			if err := AllgathervInPlace(k.top, recv, counts); err != nil {
+			if err := AllgathervInPlace(top, recv, counts); err != nil {
 				return fmt.Errorf("coll: composed allgather top exchange: %w", err)
 			}
 		}
@@ -349,11 +353,12 @@ func (k *Composer) Allgather(send, recv mpi.Buf, per int) error {
 	// Down phase: every tier's leader broadcasts the full result to
 	// its group, outermost tier first.
 	total := len(shape.slotToRank) * per
-	for t := len(k.tiers) - 1; t >= 0; t-- {
-		if k.tiers[t] == nil {
+	for t := depth - 1; t >= 0; t-- {
+		tier := k.Tier(t)
+		if tier == nil {
 			continue
 		}
-		if err := BcastBinomial(k.tiers[t], recv.Slice(0, total), 0); err != nil {
+		if err := BcastBinomial(tier, recv.Slice(0, total), 0); err != nil {
 			return fmt.Errorf("coll: composed allgather tier %d bcast: %w", t, err)
 		}
 	}
@@ -375,25 +380,25 @@ func (k *Composer) Bcast(buf mpi.Buf, root int) error {
 	if err := k.requireSMP("bcast"); err != nil {
 		return err
 	}
-	shape := k.shape
+	shape, depth := k.shape(), k.depth()
 	me := k.comm.Rank()
 
 	// Up the leader chain: rep is the comm rank currently holding the
 	// payload on root's branch; it forwards to each tier's group
 	// leader in turn.
 	rep := root
-	for t := 0; t < len(k.tiers); t++ {
+	for t := 0; t < depth; t++ {
 		g := k.GroupOfSlot(t, root) // slot == comm rank under SMP
 		leader := shape.tiers[t].first[g]
 		if rep != leader {
 			if me == rep {
-				if err := k.tiers[t].Send(buf, 0, tagBcast); err != nil {
+				if err := k.Tier(t).Send(buf, 0, tagBcast); err != nil {
 					return fmt.Errorf("coll: composed bcast tier %d hand-off: %w", t, err)
 				}
 			}
 			if me == leader {
 				src := k.tierRankOf(t, rep)
-				if _, err := k.tiers[t].Recv(buf, src, tagBcast); err != nil {
+				if _, err := k.Tier(t).Recv(buf, src, tagBcast); err != nil {
 					return fmt.Errorf("coll: composed bcast tier %d hand-off: %w", t, err)
 				}
 			}
@@ -402,18 +407,19 @@ func (k *Composer) Bcast(buf mpi.Buf, root int) error {
 	}
 
 	// Outermost leaders broadcast across groups.
-	if k.top != nil && k.top.Size() > 1 {
-		rootTop := k.GroupOfSlot(len(k.tiers)-1, root)
-		if err := Bcast(k.top, buf, rootTop); err != nil {
+	if top := k.Top(); top != nil && top.Size() > 1 {
+		rootTop := k.GroupOfSlot(depth-1, root)
+		if err := Bcast(top, buf, rootTop); err != nil {
 			return fmt.Errorf("coll: composed bcast top phase: %w", err)
 		}
 	}
 	// Leaders fan out, outermost tier first.
-	for t := len(k.tiers) - 1; t >= 0; t-- {
-		if k.tiers[t] == nil {
+	for t := depth - 1; t >= 0; t-- {
+		tier := k.Tier(t)
+		if tier == nil {
 			continue
 		}
-		if err := Bcast(k.tiers[t], buf, 0); err != nil {
+		if err := Bcast(tier, buf, 0); err != nil {
 			return fmt.Errorf("coll: composed bcast tier %d phase: %w", t, err)
 		}
 	}
@@ -425,7 +431,7 @@ func (k *Composer) Bcast(buf mpi.Buf, root int) error {
 // the group, above that the index of its child group within the parent.
 func (k *Composer) tierRankOf(t, commRank int) int {
 	slot := commRank // SMP guaranteed by callers
-	ts := &k.shape.tiers[t]
+	ts := &k.shape().tiers[t]
 	g := k.GroupOfSlot(t, slot)
 	if t == 0 {
 		return slot - ts.first[g]
@@ -483,28 +489,29 @@ func (k *Composer) PriceAllgather(per int, tun Tuning) ([]TierEstimate, sim.Time
 		return nil
 	}
 
-	ranks := len(k.shape.slotToRank)
+	shape, levels := k.shape(), k.plan.geom.levels
+	ranks := len(shape.slotToRank)
 	// Up phases: per-tier linear gathers (what Allgather runs) at the
 	// tier's hop class, sized by the largest group — the chain that
 	// bounds the makespan.
 	carried := per
-	for t := range k.tiers {
-		ts := &k.shape.tiers[t]
+	for t := range levels {
+		ts := &shape.tiers[t]
 		size := slices.Max(ts.size)
 		members := size
 		if t > 0 {
 			members = slices.Max(ts.childN)
 			carried = size * per / max(members, 1)
 		}
-		e := Env{Size: members, Bytes: carried, Model: model, Hop: topo.LevelClass(k.level[t])}
-		if err := add(topo.LevelName(k.level[t]), "gather", "linear", e, CollGather); err != nil {
+		e := Env{Size: members, Bytes: carried, Model: model, Hop: topo.LevelClass(levels[t])}
+		if err := add(topo.LevelName(levels[t]), "gather", "linear", e, CollGather); err != nil {
 			return nil, 0, err
 		}
 		carried = size * per
 	}
 	// Top exchange across the outermost groups: the selection-driven
 	// phase.
-	last := &k.shape.tiers[len(k.tiers)-1]
+	last := &shape.tiers[len(levels)-1]
 	if len(last.size) > 1 {
 		e := Env{Size: len(last.size), Bytes: slices.Max(last.size) * per, Model: model, Hop: sim.HopNet}
 		cl := CollAllgather
@@ -518,14 +525,14 @@ func (k *Composer) PriceAllgather(per int, tun Tuning) ([]TierEstimate, sim.Time
 	}
 	// Down phases: full-result binomial broadcasts (what Allgather
 	// runs), outermost tier first.
-	for t := len(k.tiers) - 1; t >= 0; t-- {
-		ts := &k.shape.tiers[t]
+	for t := len(levels) - 1; t >= 0; t-- {
+		ts := &shape.tiers[t]
 		members := slices.Max(ts.size)
 		if t > 0 {
 			members = slices.Max(ts.childN)
 		}
-		e := Env{Size: members, Bytes: ranks * per, Model: model, Hop: topo.LevelClass(k.level[t])}
-		if err := add(topo.LevelName(k.level[t]), "bcast", "binomial", e, CollBcast); err != nil {
+		e := Env{Size: members, Bytes: ranks * per, Model: model, Hop: topo.LevelClass(levels[t])}
+		if err := add(topo.LevelName(levels[t]), "bcast", "binomial", e, CollBcast); err != nil {
 			return nil, 0, err
 		}
 	}

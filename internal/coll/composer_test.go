@@ -137,7 +137,7 @@ func TestComposerThreeLevelAllgather(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				if got := len(h.tiers); got != len(tc.levels) {
+				if got := h.depth(); got != len(tc.levels) {
 					return fmt.Errorf("composer has %d tiers, want %d", got, len(tc.levels))
 				}
 				recv := mpi.Bytes(make([]byte, per*p.Size()))

@@ -54,7 +54,7 @@ var composerGeomCache = sim.NewShapeCache[*composerGeom](256)
 
 // composerGeomFor returns the cached geometry for (topo, members,
 // levels), building it on miss. Callers reach it once per (world,
-// composer call) through mpi.SetupOnce, so the O(members) verification
+// composer call) through mpi.SetupSlab, so the O(members) verification
 // never lands on the per-rank path.
 func composerGeomFor(topo *sim.Topology, members, levels []int) (*composerGeom, error) {
 	h := topo.Fingerprint()
@@ -169,12 +169,13 @@ func buildComposerGeom(topo *sim.Topology, members, levels []int) *composerGeom 
 
 // composerPlan is the per-world completion of a cached geometry: the
 // shared tables plus the contexts this world opened over them, cut as
-// one slab with their queues cut as one more (mpi.InitContexts). One
-// plan is built per composer call (via mpi.SetupOnce) and shared by all
-// members.
+// one slab with their queues cut as one more (mpi.InitContexts), and
+// every executing rank's tier handles. One plan is built per composer
+// call (via mpi.SetupSlab) and shared by all members, whose Composers
+// read everything but their communicator from it.
 type composerPlan struct {
 	geom    *composerGeom
 	tierOff []int         // tier -> its first record in ctxs; group g's is tierOff[t]+g
 	ctxs    []mpi.Context // the tiers' groups that have an executing member, then the top
-	arena   []mpi.Comm    // per-rank handle storage, laid out by geom.handleOff
+	arena   []mpi.Comm    // per-rank tier handles then the top's, laid out by geom.handleOff
 }

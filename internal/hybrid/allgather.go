@@ -43,7 +43,7 @@ func (c *Ctx) NewAllgatherer(per int, opts ...AllgatherOption) (*Allgatherer, er
 	if per < 0 {
 		return nil, fmt.Errorf("hybrid: negative block size %d", per)
 	}
-	a, v, err := mpi.SetupSlab[Allgatherer](c.comm, func() (any, error) {
+	a, v, err := mpi.SetupSlab[Allgatherer](c.comm(), func() (any, error) {
 		plan := &agPlan{per: per, nodeCounts: make([]int, c.Nodes()), nodeDispls: make([]int, c.Nodes())}
 		for n := range plan.nodeCounts {
 			first, size := c.nodeSpan(n)
@@ -67,7 +67,7 @@ func (c *Ctx) NewAllgatherer(per int, opts ...AllgatherOption) (*Allgatherer, er
 			plan.per, per)
 	}
 	a.plan = plan
-	if a.buf, err = c.segment(per * c.comm.Size()); err != nil {
+	if a.buf, err = c.segment(per * c.comm().Size()); err != nil {
 		return nil, err
 	}
 	return a, nil
@@ -87,7 +87,7 @@ type agPlan struct {
 // "private data" each rank initializes independently (Fig. 4 lines
 // 21-22). Writing here is writing the final result location: the hybrid
 // scheme has no send buffer at all.
-func (a *Allgatherer) Mine() mpi.Buf { return a.Block(a.ctx.comm.Rank()) }
+func (a *Allgatherer) Mine() mpi.Buf { return a.Block(a.ctx.comm().Rank()) }
 
 // Block returns the partition contributed by a given comm rank (valid
 // after Allgather returns on this rank).

@@ -33,16 +33,20 @@ func perRun(n int, run func()) (objects, bytes float64) {
 // from one slab per constructor call (mpi.SetupSlab), so what is left
 // is per call and per node — plans, slabs, setup slots, one queue slab
 // for 65 fresh contexts, a window plan per node — not per rank: 13.5 /
-// 403.0 / 400.0 objects and 485,542 / 761,608 / 735,944 bytes measured
-// (467.0 / 464.0 objects for the last two and 511,398 / 787,976 /
-// 762,312 bytes while queues and setup slots kept their records in
-// slices, whose backing arrays a fresh context grew on first use;
-// 324.8 / 618.6 / 468.3 and 653,171 / 969,224 / 810,440 while every
-// rank's matcher shard kept a growing table of the queues of every
-// context it ever joined, whose growth these Runs paid for depending on
-// when the tables doubled; 6,465.5 / 9,771.9 / 9,615.7 objects when
-// every rank made its own handles), rounded up past a run-to-run wobble
-// of an object or two per world.
+// 275.0 / 272.0 objects and 212,390 / 341,000 / 315,336 bytes measured
+// now that a rank's Ctx, composer and window are two words each
+// (403.0 / 400.0 objects for the last two and 485,542 / 761,608 /
+// 735,944 bytes while they copied the plan's tier handles, groups, slot
+// and window tables back into themselves, and a leader window's plan
+// built two comm-size tables per node; 467.0 / 464.0 objects and
+// 511,398 / 787,976 / 762,312 bytes while queues and setup slots kept
+// their records in slices, whose backing arrays a fresh context grew on
+// first use; 324.8 / 618.6 / 468.3 and 653,171 / 969,224 / 810,440
+// while every rank's matcher shard kept a growing table of the queues
+// of every context it ever joined, whose growth these Runs paid for
+// depending on when the tables doubled; 6,465.5 / 9,771.9 / 9,615.7
+// objects when every rank made its own handles), rounded up past a
+// run-to-run wobble of an object or two per world.
 func TestSetupAllocationPins(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless")
@@ -57,9 +61,9 @@ func TestSetupAllocationPins(t *testing.T) {
 		objects, bytes float64
 		build          func(c *Ctx) error
 	}{
-		{"New", 16, 488_000, func(c *Ctx) error { return nil }},
-		{"New+NewAllgatherer", 406, 764_000, func(c *Ctx) error { _, err := c.NewAllgatherer(4096); return err }},
-		{"New+NewBcaster", 403, 738_500, func(c *Ctx) error { _, err := c.NewBcaster(4096); return err }},
+		{"New", 16, 214_800, func(c *Ctx) error { return nil }},
+		{"New+NewAllgatherer", 278, 343_400, func(c *Ctx) error { _, err := c.NewAllgatherer(4096); return err }},
+		{"New+NewBcaster", 275, 317_800, func(c *Ctx) error { _, err := c.NewBcaster(4096); return err }},
 	} {
 		objects, bytes := perRun(10, func() {
 			err := w.Run(func(p *mpi.Proc) error {

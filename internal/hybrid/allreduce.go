@@ -29,19 +29,19 @@ func (a *Allreducer) init(c *Ctx, count int, dt mpi.Datatype) (err error) {
 	}
 	bytes := count * dt.Size()
 	*a = Allreducer{collective: collective{c}, count: count, dt: dt}
-	if a.in, err = c.segment(bytes * c.node.Size()); err != nil {
+	if a.in, err = c.segment(bytes * c.node().Size()); err != nil {
 		return err
 	}
 	if a.out, err = c.segment(bytes); err != nil {
 		return err
 	}
-	a.scratch = c.comm.Proc().World().NewBuf(bytes)
+	a.scratch = c.comm().Proc().World().NewBuf(bytes)
 	return nil
 }
 
 // NewAllreducer prepares a hybrid allreduce of count elements of dt.
 func (c *Ctx) NewAllreducer(count int, dt mpi.Datatype) (*Allreducer, error) {
-	a, _, _ := mpi.SetupSlab[Allreducer](c.comm, nil)
+	a, _, _ := mpi.SetupSlab[Allreducer](c.comm(), nil)
 	if err := a.init(c, count, dt); err != nil {
 		return nil, err
 	}
@@ -52,7 +52,7 @@ func (c *Ctx) NewAllreducer(count int, dt mpi.Datatype) (*Allreducer, error) {
 // before the timed call).
 func (a *Allreducer) Mine() mpi.Buf {
 	bytes := a.count * a.dt.Size()
-	return a.in.Slice(a.ctx.node.Rank()*bytes, bytes)
+	return a.in.Slice(a.ctx.node().Rank()*bytes, bytes)
 }
 
 // Result returns the node-shared result segment (valid after
@@ -73,7 +73,7 @@ func (a *Allreducer) Allreduce(op mpi.Op) error {
 		}
 		err := coll.Allreduce(bridge, a.out, a.scratch, a.count, a.dt, op)
 		if err == nil {
-			a.ctx.node.Proc().CopyLocal(a.out, a.scratch, 1)
+			a.ctx.node().Proc().CopyLocal(a.out, a.scratch, 1)
 		}
 		return err
 	})
@@ -82,7 +82,7 @@ func (a *Allreducer) Allreduce(op mpi.Op) error {
 // foldNode reduces the node's contributions into the result segment
 // (leader only).
 func (a *Allreducer) foldNode(op mpi.Op) {
-	node := a.ctx.node
+	node := a.ctx.node()
 	p, bytes := node.Proc(), a.count*a.dt.Size()
 	p.CopyLocal(a.out, a.in.Slice(0, bytes), 1)
 	for i := 1; i < node.Size(); i++ {

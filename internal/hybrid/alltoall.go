@@ -39,9 +39,9 @@ func (c *Ctx) NewAlltoaller(per int) (*Alltoaller, error) {
 	if per < 0 {
 		return nil, fmt.Errorf("hybrid: negative block size %d", per)
 	}
-	a, _, _ := mpi.SetupSlab[Alltoaller](c.comm, nil)
-	*a = Alltoaller{collective: collective{c}, per: per, size: c.comm.Size()}
-	matrix := c.node.Size() * a.size * per
+	a, _, _ := mpi.SetupSlab[Alltoaller](c.comm(), nil)
+	*a = Alltoaller{collective: collective{c}, per: per, size: c.comm().Size()}
+	matrix := c.node().Size() * a.size * per
 	var err error
 	if a.send, err = c.segment(matrix); err != nil {
 		return nil, err
@@ -50,7 +50,7 @@ func (c *Ctx) NewAlltoaller(per int) (*Alltoaller, error) {
 		return nil, err
 	}
 	if c.IsLeader() {
-		a.stage = c.comm.Proc().World().NewBuf(2 * c.node.Size() * slices.Max(c.NodeSizes()) * per)
+		a.stage = c.comm().Proc().World().NewBuf(2 * c.node().Size() * slices.Max(c.NodeSizes()) * per)
 	}
 	return a, nil
 }
@@ -60,14 +60,14 @@ func (c *Ctx) NewAlltoaller(per int) (*Alltoaller, error) {
 // placement). Write it before calling Alltoall.
 func (a *Alltoaller) MineSend() mpi.Buf {
 	row := a.size * a.per
-	return a.send.Slice(a.ctx.node.Rank()*row, row)
+	return a.send.Slice(a.ctx.node().Rank()*row, row)
 }
 
 // MineRecv returns this rank's receive row: the block from every source
 // comm rank, in slot order (valid after Alltoall).
 func (a *Alltoaller) MineRecv() mpi.Buf {
 	row := a.size * a.per
-	return a.recv.Slice(a.ctx.node.Rank()*row, row)
+	return a.recv.Slice(a.ctx.node().Rank()*row, row)
 }
 
 // sendBlock returns the block source local rank j addressed to slot s.
@@ -91,14 +91,14 @@ func (a *Alltoaller) Alltoall() error {
 // through the leaders.
 func (a *Alltoaller) exchange(bridge *mpi.Comm, _ int) error {
 	c := a.ctx
-	p := c.comm.Proc()
+	p := c.comm().Proc()
 
 	// Intra-node blocks: every rank pulls its own column from the
 	// node's send matrix — ppn parallel copiers.
 	myFirst, ppn := c.nodeSpan(c.MyNodeIdx())
-	mySlot := c.SlotOf(c.comm.Rank())
+	mySlot, myRow := c.SlotOf(c.comm().Rank()), c.node().Rank()
 	for j := 0; j < ppn; j++ {
-		mpi.CopyData(a.recvBlock(c.node.Rank(), myFirst+j), a.sendBlock(j, mySlot))
+		mpi.CopyData(a.recvBlock(myRow, myFirst+j), a.sendBlock(j, mySlot))
 	}
 	p.Elapse(p.Model().CopyCost(ppn*a.per, ppn))
 	if bridge == nil {

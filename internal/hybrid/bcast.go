@@ -22,7 +22,7 @@ func (c *Ctx) NewBcaster(size int) (*Bcaster, error) {
 	if size < 0 {
 		return nil, fmt.Errorf("hybrid: negative bcast size %d", size)
 	}
-	b, _, _ := mpi.SetupSlab[Bcaster](c.comm, nil)
+	b, _, _ := mpi.SetupSlab[Bcaster](c.comm(), nil)
 	b.ctx = c
 	var err error
 	if b.buf, err = c.segment(size); err != nil {

@@ -48,12 +48,11 @@ func (s SyncMode) String() string {
 // read-only by every member) are the context's geometry: slot s holds
 // the comm rank stored at position s of every gathered buffer, groups
 // appear in bridge order, ranks within a group in group-comm order.
+//
+// A rank's Ctx holds only the composer and its sync flavor: the
+// communicators (comm, node, bridge) are the composer's, read through it.
 type Ctx struct {
-	comm   *mpi.Comm
-	node   *mpi.Comm // the shared-level communicator (per node by default)
-	bridge *mpi.Comm // nil on children
-	comp   *coll.Composer
-
+	comp *coll.Composer
 	sync SyncMode
 }
 
@@ -74,7 +73,6 @@ func New(comm *mpi.Comm, opts ...Option) (*Ctx, error) {
 		return nil, fmt.Errorf("hybrid: New on nil communicator")
 	}
 	ctx, _, _ := mpi.SetupSlab[Ctx](comm, nil)
-	ctx.comm = comm
 	for _, o := range opts {
 		o(ctx)
 	}
@@ -94,12 +92,21 @@ func New(comm *mpi.Comm, opts ...Option) (*Ctx, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hybrid: %w", err)
 	}
-	ctx.node, ctx.bridge, ctx.comp = comp.Tier(0), comp.Top(), comp
+	ctx.comp = comp
 	return ctx, nil
 }
 
+// comm returns the communicator the context was built over.
+func (c *Ctx) comm() *mpi.Comm { return c.comp.Comm() }
+
+// node returns the shared-level communicator (per node by default).
+func (c *Ctx) node() *mpi.Comm { return c.comp.Tier(0) }
+
+// bridge returns the group leaders' communicator (nil on children).
+func (c *Ctx) bridge() *mpi.Comm { return c.comp.Top() }
+
 // IsLeader reports whether this rank is its group's leader.
-func (c *Ctx) IsLeader() bool { return c.node.Rank() == 0 }
+func (c *Ctx) IsLeader() bool { return c.node().Rank() == 0 }
 
 // Nodes returns the number of shared-level groups (nodes by default).
 func (c *Ctx) Nodes() int { return c.comp.Groups(0) }

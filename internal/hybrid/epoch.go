@@ -18,7 +18,7 @@ import (
 // level (Fig. 4 lines 13-16: only the leader asks for the contiguous
 // memory, children query its base) and returns the node's single copy.
 func (c *Ctx) segment(n int) (mpi.Buf, error) {
-	win, err := mpi.WinAllocateLeader(c.node, n)
+	win, err := mpi.WinAllocateLeader(c.node(), n)
 	if err != nil {
 		return mpi.Buf{}, err
 	}
@@ -40,7 +40,7 @@ type collective struct{ ctx *Ctx }
 // result and before the next write, or peers may observe the next
 // epoch's data early. One-shot callers (and the OSU-style latency loop,
 // which never reads between operations) do not need it.
-func (k collective) ReadFence() error { return k.ctx.node.Barrier() }
+func (k collective) ReadFence() error { return k.ctx.node().Barrier() }
 
 // visibility names which on-node writes an epoch's arrival must make
 // visible, and to whom, before its phase may read the segment.
@@ -75,8 +75,8 @@ const (
 func (c *Ctx) epoch(name string, vis visibility, root int, rooted bool, phase func(bridge *mpi.Comm, rootNode int) error) error {
 	rootNode := -1
 	if rooted {
-		if root < 0 || root >= c.comm.Size() {
-			return fmt.Errorf("hybrid: %s root %d out of range (size %d)", name, root, c.comm.Size())
+		if root < 0 || root >= c.comm().Size() {
+			return fmt.Errorf("hybrid: %s root %d out of range (size %d)", name, root, c.comm().Size())
 		}
 		rootNode = c.comp.GroupOfSlot(0, c.SlotOf(root))
 	}
@@ -99,7 +99,7 @@ func (c *Ctx) epoch(name string, vis visibility, root int, rooted bool, phase fu
 		return nil
 	}
 
-	bridge := c.bridge
+	bridge := c.bridge()
 	if c.Nodes() == 1 {
 		bridge = nil
 	}
@@ -126,10 +126,10 @@ func (c *Ctx) handOff(root, rootNode int) error {
 		return nil
 	}
 	switch {
-	case c.comm.Rank() == root:
-		return c.node.SendFlag(0, tagHybridFlag)
+	case c.comm().Rank() == root:
+		return c.node().SendFlag(0, tagHybridFlag)
 	case c.IsLeader():
-		return c.node.RecvFlag(local, tagHybridFlag)
+		return c.node().RecvFlag(local, tagHybridFlag)
 	}
 	return nil
 }

@@ -55,7 +55,7 @@ type epochRun struct {
 
 // stagger makes comm rank r arrive r-proportionally late, so the pins
 // hold which ranks an epoch's synchronization waits for.
-func (e epochRun) stagger() { e.p.Compute(float64(4000 * (e.ctx.comm.Rank() + 1))) }
+func (e epochRun) stagger() { e.p.Compute(float64(4000 * (e.ctx.comm().Rank() + 1))) }
 
 // fill writes n bytes naming epoch, owner and position.
 func fill(b mpi.Buf, epoch, owner int) {
@@ -89,7 +89,7 @@ func allgatherEpochs(build func(c *Ctx) (*Allgatherer, error)) func(e epochRun) 
 		}
 		for epoch := 0; epoch < 2; epoch++ {
 			e.stagger()
-			fill(a.Mine(), epoch, e.ctx.comm.Rank())
+			fill(a.Mine(), epoch, e.ctx.comm().Rank())
 			if err := a.Allgather(); err != nil {
 				return err
 			}
@@ -114,7 +114,7 @@ var epochCollectives = []epochCollective{
 		}
 		for epoch := 0; epoch < 2; epoch++ {
 			e.stagger()
-			if e.ctx.comm.Rank() == e.root {
+			if e.ctx.comm().Rank() == e.root {
 				fill(b.Buffer(), epoch, e.root)
 			}
 			if err := b.Bcast(e.root); err != nil {
@@ -134,7 +134,7 @@ var epochCollectives = []epochCollective{
 		}
 		for epoch := 0; epoch < 2; epoch++ {
 			e.stagger()
-			fillNums(a.Mine(), epoch, e.ctx.comm.Rank(), 5)
+			fillNums(a.Mine(), epoch, e.ctx.comm().Rank(), 5)
 			if err := a.Allreduce(mpi.OpSum); err != nil {
 				return err
 			}
@@ -152,7 +152,7 @@ var epochCollectives = []epochCollective{
 		}
 		for epoch := 0; epoch < 2; epoch++ {
 			e.stagger()
-			fill(a.MineSend(), epoch, e.ctx.comm.Rank())
+			fill(a.MineSend(), epoch, e.ctx.comm().Rank())
 			if err := a.Alltoall(); err != nil {
 				return err
 			}

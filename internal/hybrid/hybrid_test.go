@@ -41,10 +41,10 @@ func TestCtxStructure(t *testing.T) {
 		if ctx.IsLeader() != wantLeader {
 			t.Errorf("rank %d IsLeader = %v", p.Rank(), ctx.IsLeader())
 		}
-		if wantLeader && ctx.bridge == nil {
+		if wantLeader && ctx.bridge() == nil {
 			t.Error("leader missing bridge")
 		}
-		if !wantLeader && ctx.bridge != nil {
+		if !wantLeader && ctx.bridge() != nil {
 			t.Error("child has bridge")
 		}
 		for r := 0; r < 5; r++ {

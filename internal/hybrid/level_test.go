@@ -53,18 +53,18 @@ func TestSocketLevelHybrid(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				if ctx.node.Size() != 3 {
-					return fmt.Errorf("socket comm size = %d, want 3", ctx.node.Size())
+				if ctx.node().Size() != 3 {
+					return fmt.Errorf("socket comm size = %d, want 3", ctx.node().Size())
 				}
 				if ctx.Nodes() != 4 {
 					return fmt.Errorf("groups = %d, want 4 sockets", ctx.Nodes())
 				}
 				// Socket leaders — one per socket — form the bridge.
 				if p.Rank()%3 == 0 {
-					if ctx.bridge == nil || ctx.bridge.Size() != 4 {
+					if ctx.bridge() == nil || ctx.bridge().Size() != 4 {
 						return fmt.Errorf("bridge missing or wrong size on socket leader")
 					}
-				} else if ctx.bridge != nil {
+				} else if ctx.bridge() != nil {
 					return fmt.Errorf("child rank %d has a bridge handle", p.Rank())
 				}
 
@@ -107,15 +107,15 @@ func TestSharedLevelViaTuning(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if ctx.node.Size() != 3 {
-			return fmt.Errorf("tuning did not select the socket level: size %d", ctx.node.Size())
+		if ctx.node().Size() != 3 {
+			return fmt.Errorf("tuning did not select the socket level: size %d", ctx.node().Size())
 		}
 		ctx2, err := New(atLevel(p.CommWorld(), "node"))
 		if err != nil {
 			return err
 		}
-		if ctx2.node.Size() != 6 {
-			return fmt.Errorf("explicit node level ignored: size %d", ctx2.node.Size())
+		if ctx2.node().Size() != 6 {
+			return fmt.Errorf("explicit node level ignored: size %d", ctx2.node().Size())
 		}
 		return nil
 	})

@@ -203,13 +203,13 @@ func (s *staging) init(c *Ctx, per int) (err error) {
 		return fmt.Errorf("hybrid: negative block size %d", per)
 	}
 	*s = staging{collective: collective{c}, per: per}
-	s.buf, err = c.segment(per * c.comm.Size())
+	s.buf, err = c.segment(per * c.comm().Size())
 	return err
 }
 
 // NewGatherer prepares a hybrid gather of per bytes per rank (one-off).
 func (c *Ctx) NewGatherer(per int) (*Gatherer, error) {
-	g, _, _ := mpi.SetupSlab[Gatherer](c.comm, nil)
+	g, _, _ := mpi.SetupSlab[Gatherer](c.comm(), nil)
 	if err := g.init(c, per); err != nil {
 		return nil, err
 	}
@@ -218,7 +218,7 @@ func (c *Ctx) NewGatherer(per int) (*Gatherer, error) {
 
 // NewScatterer prepares a hybrid scatter of per bytes per rank.
 func (c *Ctx) NewScatterer(per int) (*Scatterer, error) {
-	s, _, _ := mpi.SetupSlab[Scatterer](c.comm, nil)
+	s, _, _ := mpi.SetupSlab[Scatterer](c.comm(), nil)
 	if err := s.init(c, per); err != nil {
 		return nil, err
 	}
@@ -228,7 +228,7 @@ func (c *Ctx) NewScatterer(per int) (*Scatterer, error) {
 // Mine returns this rank's slot: its input block before Gather, its
 // received block after Scatter.
 func (s *staging) Mine() mpi.Buf {
-	return s.buf.Slice(s.ctx.SlotOf(s.ctx.comm.Rank())*s.per, s.per)
+	return s.buf.Slice(s.ctx.SlotOf(s.ctx.comm().Rank())*s.per, s.per)
 }
 
 // Result returns the gathered buffer (valid on the root's node after
@@ -293,7 +293,7 @@ type Reducer struct{ Allreducer }
 
 // NewReducer prepares a hybrid reduce of count elements of dt.
 func (c *Ctx) NewReducer(count int, dt mpi.Datatype) (*Reducer, error) {
-	r, _, _ := mpi.SetupSlab[Reducer](c.comm, nil)
+	r, _, _ := mpi.SetupSlab[Reducer](c.comm(), nil)
 	if err := r.init(c, count, dt); err != nil {
 		return nil, err
 	}
@@ -312,7 +312,7 @@ func (r *Reducer) Reduce(op mpi.Op, root int) error {
 		}
 		err := coll.Reduce(bridge, r.out, r.scratch, r.count, r.dt, op, rootNode)
 		if err == nil && bridge.Rank() == rootNode {
-			r.ctx.node.Proc().CopyLocal(r.out, r.scratch, 1)
+			r.ctx.node().Proc().CopyLocal(r.out, r.scratch, 1)
 		}
 		return err
 	})

@@ -3,10 +3,21 @@ package hybrid
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
+
+// TestCtxHandleSize pins a rank's Ctx at two words, its composer and
+// its sync flavor: the communicators are the composer's, and anything
+// else a rank keeps is shared state copied back into every element of
+// the setup slab.
+func TestCtxHandleSize(t *testing.T) {
+	if got, want := unsafe.Sizeof(Ctx{}), 2*unsafe.Sizeof(uintptr(0)); got != want {
+		t.Errorf("Ctx is %d bytes, want %d (a composer and a sync flavor)", got, want)
+	}
+}
 
 // TestHandlesComeFromPerCallSlabs drives every constructor that cuts
 // its handle from a setup slab (mpi.SetupSlab) — the context with its
@@ -89,10 +100,10 @@ func buildAll(c *mpi.Comm, mark float64) ([]any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ctx.comm != c || ctx.node.Proc() != c.Proc() {
+	if ctx.comm() != c || ctx.node().Proc() != c.Proc() {
 		return nil, fmt.Errorf("context bound to another rank's communicator")
 	}
-	win, err := mpi.WinAllocateShared(ctx.node, 8)
+	win, err := mpi.WinAllocateShared(ctx.node(), 8)
 	if err != nil {
 		return nil, err
 	}

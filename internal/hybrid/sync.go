@@ -16,7 +16,7 @@ const tagHybridFlag = 1<<24 + 7
 func (c *Ctx) Arrive() error {
 	switch c.sync {
 	case SyncBarrier:
-		return c.node.Barrier()
+		return c.node().Barrier()
 	case SyncP2P:
 		return c.arriveP2P()
 	case SyncSharedFlags:
@@ -32,7 +32,7 @@ func (c *Ctx) Arrive() error {
 func (c *Ctx) Release() error {
 	switch c.sync {
 	case SyncBarrier:
-		return c.node.Barrier()
+		return c.node().Barrier()
 	case SyncP2P:
 		return c.releaseP2P()
 	case SyncSharedFlags:
@@ -46,11 +46,12 @@ func (c *Ctx) Release() error {
 // (the paper's "pairs of MPI point-to-point communications", realized
 // through the shm flag path).
 func (c *Ctx) arriveP2P() error {
-	if c.node.Rank() != 0 {
-		return c.node.SendFlag(0, tagHybridFlag)
+	node := c.node()
+	if node.Rank() != 0 {
+		return node.SendFlag(0, tagHybridFlag)
 	}
-	for r := 1; r < c.node.Size(); r++ {
-		if err := c.node.RecvFlag(r, tagHybridFlag); err != nil {
+	for r := 1; r < node.Size(); r++ {
+		if err := node.RecvFlag(r, tagHybridFlag); err != nil {
 			return err
 		}
 	}
@@ -59,15 +60,16 @@ func (c *Ctx) arriveP2P() error {
 
 // releaseP2P: the leader signals every child.
 func (c *Ctx) releaseP2P() error {
-	if c.node.Rank() == 0 {
-		for r := 1; r < c.node.Size(); r++ {
-			if err := c.node.SendFlag(r, tagHybridFlag); err != nil {
+	node := c.node()
+	if node.Rank() == 0 {
+		for r := 1; r < node.Size(); r++ {
+			if err := node.SendFlag(r, tagHybridFlag); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	return c.node.RecvFlag(0, tagHybridFlag)
+	return node.RecvFlag(0, tagHybridFlag)
 }
 
 // Shared-flag synchronization ([8]): each rank owns an epoch counter in
@@ -77,10 +79,11 @@ func (c *Ctx) releaseP2P() error {
 // a store costs MemAlpha and the spinner leaves as soon as the last
 // store lands plus one cache-line read per flag.
 func (c *Ctx) arriveFlags() error {
-	p := c.node.Proc()
+	node := c.node()
+	p := node.Proc()
 	m := p.Model()
 	// Children: one flag store each.
-	if c.node.Rank() != 0 {
+	if node.Rank() != 0 {
 		p.Elapse(m.MemAlpha)
 		c.fuseClocks()
 		return nil
@@ -89,14 +92,15 @@ func (c *Ctx) arriveFlags() error {
 	// cache-line load per flag (a quarter of a full copy-initiation,
 	// since the line is hot once the child's store arrives).
 	p.AwaitTime(c.fuseClocks())
-	p.Elapse(sim.Time(c.node.Size()-1) * m.MemAlpha / 4)
+	p.Elapse(sim.Time(node.Size()-1) * m.MemAlpha / 4)
 	return nil
 }
 
 func (c *Ctx) releaseFlags() error {
-	p := c.node.Proc()
+	node := c.node()
+	p := node.Proc()
 	m := p.Model()
-	if c.node.Rank() == 0 {
+	if node.Rank() == 0 {
 		p.Elapse(m.MemAlpha) // release-flag store
 		c.fuseClocks()
 		return nil
@@ -112,5 +116,6 @@ func (c *Ctx) releaseFlags() error {
 // the result, the waiting side collects it; both funnel through one
 // FuseClocks so every member participates exactly once per phase.
 func (c *Ctx) fuseClocks() sim.Time {
-	return c.node.FuseClocks(c.node.Proc().Clock())
+	node := c.node()
+	return node.FuseClocks(node.Proc().Clock())
 }

@@ -43,11 +43,10 @@ type Comm struct {
 // communicator handle, so every call site must observe the same
 // sequence counter.
 func (p *Proc) CommWorld() *Comm {
-	if p.commWorld == nil {
+	if p.cw.p == nil {
 		p.cw = Comm{p: p, cx: p.world.worldCx, rank: p.rank, collCfg: p.world.collCfg}
-		p.commWorld = &p.cw
 	}
-	return p.commWorld
+	return &p.cw
 }
 
 // Rank returns the calling process's rank within the communicator.

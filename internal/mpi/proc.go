@@ -17,8 +17,7 @@ type Proc struct {
 	// sequence is identical on both engines and across warm reruns.
 	noiseOps uint64
 
-	commWorld *Comm // cached singleton handle (see CommWorld)
-	cw        Comm  // its embedded storage: no per-rank allocation
+	cw Comm // the MPI_COMM_WORLD handle, set up on first use (see CommWorld)
 }
 
 // Rank returns the global rank (MPI_COMM_WORLD rank).

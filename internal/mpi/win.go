@@ -14,11 +14,12 @@ import (
 // In the paper's allgather (Fig. 4) only the node leader contributes a
 // non-zero size and every child queries the leader's base pointer —
 // exactly the pattern WinAllocateShared + Query support here.
+//
+// A rank's Win holds only its communicator and the plan every member
+// shares; views are read from the plan.
 type Win struct {
-	comm  *Comm
-	base  Buf   // the whole node segment
-	offs  []int // comm rank -> offset into base
-	sizes []int // comm rank -> contributed bytes
+	comm *Comm
+	plan *winPlan
 }
 
 // WinAllocateShared collectively allocates a shared segment over a
@@ -53,29 +54,31 @@ func WinAllocateShared(c *Comm, mySize int) (*Win, error) {
 	})
 	plan := out.(*winPlan)
 	win, _, _ := SetupSlab[Win](c, nil)
-	*win = Win{comm: c, base: plan.base, offs: plan.offs, sizes: plan.sizes}
+	*win = Win{comm: c, plan: plan}
 	return win, nil
 }
 
 // winPlan is the shared state of a window: the node segment plus the
-// offset/size tables every member adopts. The leader pattern keeps total
-// for validation — members must have passed the same size, or whichever
-// member built the plan would silently decide the geometry.
+// offset/size tables every member adopts. The leader pattern needs no
+// tables — rank 0 holds the whole segment, everyone else an empty view
+// at its end — so its plan leaves them nil and keeps only total, which
+// also validates that members passed the same size (or whichever member
+// built the plan would silently decide the geometry).
 type winPlan struct {
 	total int
 	base  Buf
-	offs  []int
-	sizes []int
+	offs  []int // comm rank -> offset into base (nil: the leader pattern)
+	sizes []int // comm rank -> contributed bytes (nil: the leader pattern)
 }
 
 // WinAllocateLeader allocates a shared window in the paper's dominant
 // pattern: comm rank 0 contributes total bytes, every other member
 // zero. The geometry is fully determined by (comm size, total), so
 // unlike the general WinAllocateShared no sizes exchange runs: one
-// member allocates the segment and publishes it through the world's
-// setup slot (SetupOnce), and everyone else adopts it. Semantically
-// identical to every member calling WinAllocateShared with
-// mySize = total on rank 0 and 0 elsewhere.
+// member allocates the segment and publishes it through the
+// communicator's setup slot (SetupSlab), and everyone else adopts it.
+// Semantically identical to every member calling WinAllocateShared
+// with mySize = total on rank 0 and 0 elsewhere.
 func WinAllocateLeader(c *Comm, total int) (*Win, error) {
 	if c == nil {
 		return nil, fmt.Errorf("mpi: WinAllocateLeader on nil communicator")
@@ -87,17 +90,7 @@ func WinAllocateLeader(c *Comm, total int) (*Win, error) {
 		return nil, errWinSpansNodes
 	}
 	win, v, err := SetupSlab[Win](c, func() (any, error) {
-		plan := &winPlan{
-			total: total,
-			base:  c.p.world.NewBuf(total),
-			offs:  make([]int, c.Size()),
-			sizes: make([]int, c.Size()),
-		}
-		plan.sizes[0] = total
-		for r := 1; r < c.Size(); r++ {
-			plan.offs[r] = total
-		}
-		return plan, nil
+		return &winPlan{total: total, base: c.p.world.NewBuf(total)}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -110,7 +103,7 @@ func WinAllocateLeader(c *Comm, total int) (*Win, error) {
 		return nil, fmt.Errorf("mpi: WinAllocateLeader sizes diverge across ranks (builder has %d, this rank has %d)",
 			plan.total, total)
 	}
-	*win = Win{comm: c, base: plan.base, offs: plan.offs, sizes: plan.sizes}
+	*win = Win{comm: c, plan: plan}
 	return win, nil
 }
 
@@ -124,10 +117,17 @@ func (w *Win) Mine() Buf { return w.Query(w.comm.Rank()) }
 // Query returns the segment contributed by a comm rank
 // (MPI_Win_shared_query).
 func (w *Win) Query(rank int) Buf {
-	return w.base.Slice(w.offs[rank], w.sizes[rank])
+	p := w.plan
+	if p.offs == nil { // the leader pattern
+		if rank == 0 {
+			return p.base.Slice(0, p.total)
+		}
+		return p.base.Slice(p.total, 0)
+	}
+	return p.base.Slice(p.offs[rank], p.sizes[rank])
 }
 
 // Whole returns the entire contiguous node segment starting at the
 // lowest rank's base — what the paper's children obtain by querying the
 // leader.
-func (w *Win) Whole() Buf { return w.base }
+func (w *Win) Whole() Buf { return w.plan.base }
