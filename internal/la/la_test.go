@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -91,15 +92,30 @@ func TestGemm(t *testing.T) {
 	}
 }
 
-// naiveGemm is the triple loop Gemm must reproduce bit for bit.
+// naiveGemm is the triple loop Gemm must reproduce bit for bit. The
+// conversion rounds each product before its sum on every platform, as
+// Gemm does; without it arm64 compilers fuse the two.
 func naiveGemm(c, a, b *Mat) {
 	for i := 0; i < a.Rows; i++ {
 		for k := 0; k < a.Cols; k++ {
 			for j := 0; j < b.Cols; j++ {
-				c.Add(i, j, a.At(i, k)*b.At(k, j))
+				c.Add(i, j, float64(a.At(i, k)*b.At(k, j)))
 			}
 		}
 	}
+}
+
+// eachKernel calls f once per kernel Gemm can run on this host, named
+// "kernel=avx" or "kernel=go", with gemmAVX set to select it, and
+// restores gemmAVX afterwards.
+func eachKernel(f func(kernel string)) {
+	host := gemmAVX
+	defer func() { gemmAVX = host }()
+	if host {
+		f("kernel=avx")
+	}
+	gemmAVX = false
+	f("kernel=go")
 }
 
 // sameBits reports whether two matrices hold the same float64 bit
@@ -113,13 +129,21 @@ func sameBits(x, y *Mat) (int, bool) {
 	return 0, true
 }
 
-// TestGemmMatchesNaiveExactly holds the register-tiled kernel to the
-// plain triple loop bit for bit: at every remainder of the 2x4 tile (odd
-// row counts, column counts 1, 2 and 3 past a multiple of four), at a
-// zero inner dimension, at SUMMA's 64-block and the referee's 256 rows,
-// and on the operands where skipping a zero a[i][k] would show: an
-// infinity in B, and a C that starts at -0.
+// TestGemmMatchesNaiveExactly holds both kernels to the plain triple
+// loop bit for bit: at every remainder of the AVX 4x8 tile (row counts
+// 1-3 past a multiple of four, column counts 1-7 past a multiple of
+// eight) and of the Go 2x4 tile, at inner dimensions that cross one and
+// two packed blocks of gemmKC, at a zero inner dimension, at SUMMA's
+// 64-block and the referee's 256 rows, and on the operands where
+// skipping a zero a[i][k] would show: an infinity in B, and a C that
+// starts at -0, in full 4x8 tiles and in every remainder path.
 func TestGemmMatchesNaiveExactly(t *testing.T) {
+	eachKernel(func(kernel string) {
+		t.Run(kernel, testGemmMatchesNaive)
+	})
+}
+
+func testGemmMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	random := func(m, n int) *Mat {
 		x := NewMat(m, n)
@@ -143,6 +167,11 @@ func TestGemmMatchesNaiveExactly(t *testing.T) {
 		{1, 1, 1}, {3, 5, 2}, {7, 4, 9}, {6, 7, 6}, {16, 16, 16}, {5, 13, 3},
 		{2, 4, 1}, {3, 1, 4}, {5, 2, 7}, {1, 3, 5}, {9, 6, 2}, {4, 11, 8},
 		{3, 5, 0}, {0, 4, 3}, {10, 10, 10}, {64, 64, 64}, {256, 64, 256},
+		// m mod 4 = 1-3 against n mod 8 = 1-7, k inside one block and
+		// crossing one and two of them.
+		{4, 8, 1}, {5, 9, 65}, {6, 10, 130}, {7, 11, 5}, {9, 12, 64},
+		{10, 13, 65}, {11, 14, 130}, {13, 15, 3}, {8, 17, 129}, {12, 23, 66},
+		{4, 8, 130}, {17, 31, 65},
 	} {
 		m, n, kk := dims[0], dims[1], dims[2]
 		c := NewMat(m, n)
@@ -152,61 +181,153 @@ func TestGemmMatchesNaiveExactly(t *testing.T) {
 		check("random", c, random(m, kk), random(kk, n))
 	}
 
+	// The 7x13 product runs every path: rows 0-3 and columns 0-7 are
+	// one 4x8 tile, rows 4-5 a Go pair and row 6 a trailing odd row,
+	// columns 8-11 a 4-column strip and column 12 a single column.
+
 	// A zero in A against an infinity in B is NaN, not a skipped term:
-	// zeros in both rows of a tile and in the trailing odd row, against
-	// infinities in tiled and in trailing columns.
-	a, b := random(3, 5), random(5, 6)
+	// zeros in the tile's first and last rows, the pair and the odd
+	// row, against infinities in both halves of the 8-column strip, the
+	// 4-column strip and the single column.
+	a, b := random(7, 5), random(5, 13)
 	a.Set(0, 2, 0)
-	a.Set(1, 2, 0)
-	a.Set(2, 4, 0)
+	a.Set(3, 2, 0)
+	a.Set(4, 2, 0)
+	a.Set(6, 4, 0)
 	b.Set(2, 3, math.Inf(1))
-	b.Set(2, 4, math.Inf(1))
+	b.Set(2, 6, math.Inf(1))
+	b.Set(2, 9, math.Inf(1))
 	b.Set(4, 1, math.Inf(-1))
-	b.Set(4, 5, math.Inf(-1))
-	c := NewMat(3, 6)
+	b.Set(4, 12, math.Inf(-1))
+	c := NewMat(7, 13)
 	check("inf", c, a, b)
-	for _, at := range [][2]int{{0, 3}, {1, 4}, {2, 1}, {2, 5}} {
+	for _, at := range [][2]int{{0, 3}, {3, 6}, {0, 9}, {4, 3}, {4, 9}, {6, 1}, {6, 12}} {
 		if x := c.At(at[0], at[1]); !math.IsNaN(x) {
 			t.Errorf("0 * Inf accumulated to C[%d][%d] = %v, want NaN", at[0], at[1], x)
 		}
 	}
 
-	// -0 plus a product +0 is +0: zero A rows (a tile's pair and the
-	// trailing odd row) must still touch C.
-	a, b = random(5, 3), random(3, 7)
-	for k := 0; k < 3; k++ {
-		a.Set(0, k, 0)
-		a.Set(1, k, 0)
-		a.Set(4, k, 0)
-	}
-	c = NewMat(5, 7)
+	// -0 plus a product +0 is +0: a zero A (a whole 4x8 tile's rows, the
+	// pair and the trailing odd row) must still touch C.
+	a, b = NewMat(7, 3), random(3, 13)
+	c = NewMat(7, 13)
 	for i := range c.Data {
 		c.Data[i] = math.Copysign(0, -1)
 	}
 	check("negzero", c, a, b)
 }
 
-// BenchmarkGemm times the kernel at BPMF's latent dimension (the Wishart
-// draw's two products), SUMMA's fig-apps block and the order 256 of the
-// reference product its verification computes (in 64-row bands), on
-// operands without zeros, as SUMMA's are.
-func BenchmarkGemm(b *testing.B) {
-	for _, n := range []int{10, 64, 256} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			x, y, c := NewMat(n, n), NewMat(n, n), NewMat(n, n)
-			for i := range x.Data {
-				x.Data[i], y.Data[i] = float64(i%7+1), float64(i%5+1)
+// TestGemmShortDataPanicsInGo gives each operand of a full 4x8 tile one
+// element too few: the index Gemm takes before the assembly call must
+// panic with a Go bounds error instead of letting the tile read or write
+// past the slice.
+func TestGemmShortDataPanicsInGo(t *testing.T) {
+	eachKernel(func(kernel string) {
+		for _, short := range []string{"a", "b", "c"} {
+			a, b, c := NewMat(4, 3), NewMat(3, 8), NewMat(4, 8)
+			switch short {
+			case "a":
+				a.Data = a.Data[: len(a.Data)-1 : len(a.Data)-1]
+			case "b":
+				b.Data = b.Data[: len(b.Data)-1 : len(b.Data)-1]
+			case "c":
+				c.Data = c.Data[: len(c.Data)-1 : len(c.Data)-1]
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := Gemm(c, x, y); err != nil {
-					b.Fatal(err)
+			func() {
+				defer func() {
+					if _, ok := recover().(runtime.Error); !ok {
+						t.Errorf("%s: Gemm with a short %s did not panic with a runtime error", kernel, short)
+					}
+				}()
+				_ = Gemm(c, a, b)
+			}()
+		}
+	})
+}
+
+// gemmSpecials are the values FuzzGemmMatchesNaive places into its
+// operands: signed zeros and infinities, a NaN, the extremes of the
+// normal and subnormal ranges, and ones.
+var gemmSpecials = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+	math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64,
+	-0x1p-1022, 1, -1,
+}
+
+// FuzzGemmMatchesNaive holds both kernels to the naive loop on shapes
+// and values the fuzzer picks: m and n up to 40, k up to 2*gemmKC+11 so
+// it crosses one and two packed blocks, operands drawn from a normal
+// generator the fuzzer seeds, and special values (gemmSpecials) at
+// positions it picks, three bytes each: a little-endian position into
+// A, then B, then C, and the special's index. Results must match bit
+// for bit, except that any two NaNs are equal: which operand's payload
+// a NaN product carries depends on the order the compiler puts a
+// multiply's operands in.
+func FuzzGemmMatchesNaive(f *testing.F) {
+	f.Add(uint8(4), uint8(8), uint8(3), uint64(1), []byte{})
+	f.Add(uint8(7), uint8(13), uint8(65), uint64(2), []byte{2, 0, 0, 40, 0, 2, 200, 0, 1})
+	f.Fuzz(func(t *testing.T, mb, nb, kb uint8, seed uint64, specials []byte) {
+		m, n, kk := int(mb%41), int(nb%41), int(kb)%(2*gemmKC+12)
+		a, b, c := NewMat(m, kk), NewMat(kk, n), NewMat(m, n)
+		rng := rand.New(rand.NewSource(int64(seed)))
+		operands := [][]float64{a.Data, b.Data, c.Data}
+		for _, x := range operands {
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+		}
+		if total := len(a.Data) + len(b.Data) + len(c.Data); total > 0 {
+			for s := specials; len(s) >= 3; s = s[3:] {
+				at := (int(s[0]) | int(s[1])<<8) % total
+				for _, x := range operands {
+					if at < len(x) {
+						x[at] = gemmSpecials[int(s[2])%len(gemmSpecials)]
+						break
+					}
+					at -= len(x)
 				}
 			}
-			b.ReportMetric(GemmFlops(n, n, n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mflop/s")
+		}
+		want := c.Clone()
+		naiveGemm(want, a, b)
+		eachKernel(func(kernel string) {
+			got := c.Clone()
+			if err := Gemm(got, a, b); err != nil {
+				t.Fatal(err)
+			}
+			for i, x := range got.Data {
+				y := want.Data[i]
+				if math.Float64bits(x) != math.Float64bits(y) && !(math.IsNaN(x) && math.IsNaN(y)) {
+					t.Fatalf("%s %dx%dx%d: element %d = %v, naive loop gives %v", kernel, m, n, kk, i, x, y)
+				}
+			}
 		})
-	}
+	})
+}
+
+// BenchmarkGemm times both kernels at BPMF's latent dimension (the
+// Wishart draw's two products), SUMMA's fig-apps block and the order
+// 256 of the reference product its verification computes (in 64-row
+// bands), on operands without zeros, as SUMMA's are.
+func BenchmarkGemm(b *testing.B) {
+	eachKernel(func(kernel string) {
+		for _, n := range []int{10, 64, 256} {
+			b.Run(fmt.Sprintf("%s/n=%d", kernel, n), func(b *testing.B) {
+				x, y, c := NewMat(n, n), NewMat(n, n), NewMat(n, n)
+				for i := range x.Data {
+					x.Data[i], y.Data[i] = float64(i%7+1), float64(i%5+1)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := Gemm(c, x, y); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(GemmFlops(n, n, n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mflop/s")
+			})
+		}
+	})
 }
 
 func TestGemmAssociativityProperty(t *testing.T) {

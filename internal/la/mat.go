@@ -60,84 +60,128 @@ func (m *Mat) Scale(s float64) *Mat {
 	return m
 }
 
-// gemmKC is how many k steps of a 4-column strip of B Gemm copies into
-// its stack buffer at once (2 KiB).
+// gemmKC is how many k rows of an 8- or 4-column strip of B Gemm packs
+// into its stack buffer at once (4 KiB at the wider strip).
 const gemmKC = 64
 
 // Gemm computes C += A * B with exactly the roundings of the naive
 // loop: every c[i][j] starts from its own value and adds a[i][k]*b[k][j]
-// for k = 0, 1, ... in order, one product at a time, so zeros, signed
-// zeros, infinities and NaNs come out as IEEE arithmetic gives them.
-// The kernel copies a 4-column strip of B, gemmKC rows at a time, into
-// one contiguous stack buffer and runs every pair of A rows over it,
-// holding the 2 x 4 tile of C in registers across the strip's k range;
-// a trailing odd row and the columns past the last multiple of four take
-// the same sums one element at a time. It allocates nothing. Returns an
-// error on dimension mismatch.
+// for k = 0, 1, ... in order, one product at a time, each product and
+// each sum rounded on its own (never fused), so zeros, signed zeros,
+// infinities and NaNs come out as IEEE arithmetic gives them, on every
+// platform. c must not share storage with a or b: the kernels hold a
+// tile of C in registers across gemmKC steps of k.
+//
+// On amd64 with AVX, the kernel packs an 8-column strip of B, gemmKC
+// rows at a time, into one contiguous stack buffer and runs every group
+// of four A rows over it with an assembly 4 x 8 tile (multiply, then
+// add; no FMA). Elsewhere, and for the rows and columns that tile
+// leaves, the Go kernel packs 4-column strips and runs pairs of A rows
+// as a 2 x 4 tile; a trailing odd row and the columns past the last
+// multiple of four take the same sums one element at a time. It
+// allocates nothing. Returns an error on dimension mismatch.
 func Gemm(c, a, b *Mat) error {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		return fmt.Errorf("la: Gemm shapes %dx%d * %dx%d -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols)
 	}
 	m, n, kk := a.Rows, b.Cols, a.Cols
-	bd := b.Data
-	var strip [4 * gemmKC]float64
+	var strip [8 * gemmKC]float64
 	for k0 := 0; k0 < kk; k0 += gemmKC {
 		k1 := min(k0+gemmKC, kk)
-		p := strip[:4*(k1-k0)]
 		j := 0
+		if gemmAVX {
+			for ; j+8 <= n; j += 8 {
+				gemmTiles(c, a, gemmPack(strip[:8*(k1-k0)], b.Data[k0*n+j:], n, 8), k0, k1, j)
+			}
+		}
 		for ; j+4 <= n; j += 4 {
-			for q, off := 0, k0*n+j; q < len(p); q, off = q+4, off+n {
-				d, s := p[q:q+4:q+4], bd[off:off+4:off+4]
-				d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
-			}
-			i := 0
-			for ; i+2 <= m; i += 2 {
-				a0, a1 := a.Row(i)[k0:k1], a.Row(i + 1)[k0:k1]
-				c0, c1 := c.Row(i)[j:j+4:j+4], c.Row(i + 1)[j:j+4:j+4]
-				c00, c01, c02, c03 := c0[0], c0[1], c0[2], c0[3]
-				c10, c11, c12, c13 := c1[0], c1[1], c1[2], c1[3]
-				for k, x := range a0 {
-					y := a1[k]
-					b4 := p[4*k : 4*k+4 : 4*k+4]
-					b0 := b4[0]
-					c00 += x * b0
-					c10 += y * b0
-					b1 := b4[1]
-					c01 += x * b1
-					c11 += y * b1
-					b2 := b4[2]
-					c02 += x * b2
-					c12 += y * b2
-					b3 := b4[3]
-					c03 += x * b3
-					c13 += y * b3
-				}
-				c0[0], c0[1], c0[2], c0[3] = c00, c01, c02, c03
-				c1[0], c1[1], c1[2], c1[3] = c10, c11, c12, c13
-			}
-			if i < m {
-				a0, c0 := a.Row(i)[k0:k1], c.Row(i)[j:j+4]
-				for q := range c0 {
-					s := c0[q]
-					for k, x := range a0 {
-						s += x * p[4*k+q]
-					}
-					c0[q] = s
-				}
-			}
+			gemmRows(c, a, gemmPack(strip[:4*(k1-k0)], b.Data[k0*n+j:], n, 4), 4, 0, k0, k1, j)
 		}
 		for ; j < n; j++ {
 			for i := 0; i < m; i++ {
 				a0, s := a.Row(i)[k0:k1], c.At(i, j)
 				for k, x := range a0 {
-					s += x * bd[(k0+k)*n+j]
+					s += float64(x * b.Data[(k0+k)*n+j])
 				}
 				c.Set(i, j, s)
 			}
 		}
 	}
 	return nil
+}
+
+// gemmPack copies the first w columns of len(p)/w rows of B, which start
+// ldb elements apart at b[0], into p one row after the other.
+func gemmPack(p, b []float64, ldb, w int) []float64 {
+	for q, off := 0, 0; q < len(p); q, off = q+w, off+ldb {
+		copy(p[q:q+w], b[off:off+w])
+	}
+	return p
+}
+
+// gemmTiles adds A's columns k0..k1 times the 8 columns of B packed at
+// p (row k at p[8*k:8*k+8]) to columns j..j+7 of C: the AVX tile takes
+// every group of four rows, the Go kernel the rows left over.
+func gemmTiles(c, a *Mat, p []float64, k0, k1, j int) {
+	m, n, kk, kc := a.Rows, c.Cols, a.Cols, k1-k0
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		ai, ci := i*kk+k0, i*n+j
+		// The last element of A, the strip and C the tile touches: a bad
+		// shape panics here, not in assembly.
+		_, _, _ = a.Data[ai+3*kk+kc-1], p[8*kc-1], c.Data[ci+3*n+7]
+		gemm4x8(kc, &a.Data[ai], kk, &p[0], &c.Data[ci], n)
+	}
+	gemmRows(c, a, p, 8, i, k0, k1, j)
+	gemmRows(c, a, p[4:], 8, i, k0, k1, j+4)
+}
+
+// gemmRows is Gemm's Go kernel: it adds A's columns k0..k1 times four
+// packed columns of B (row k at p[w*k:w*k+4]) to columns j..j+3 of C's
+// rows from i0 on, as 2 x 4 tiles held in locals across the k range and
+// a trailing odd row one element at a time. Every product is rounded
+// before its sum (the float64 conversions), which keeps compilers that
+// fuse a multiply and an add, arm64's for one, from doing so here.
+func gemmRows(c, a *Mat, p []float64, w, i0, k0, k1, j int) {
+	m := a.Rows
+	i := i0
+	for ; i+2 <= m; i += 2 {
+		a0, a1 := a.Row(i)[k0:k1], a.Row(i + 1)[k0:k1]
+		c0, c1 := c.Row(i)[j:j+4:j+4], c.Row(i + 1)[j:j+4:j+4]
+		c00, c01, c02, c03 := c0[0], c0[1], c0[2], c0[3]
+		c10, c11, c12, c13 := c1[0], c1[1], c1[2], c1[3]
+		q := 0
+		for k, x := range a0 {
+			y := a1[k]
+			b4 := p[q : q+4 : q+4]
+			q += w
+			b0 := b4[0]
+			c00 += float64(x * b0)
+			c10 += float64(y * b0)
+			b1 := b4[1]
+			c01 += float64(x * b1)
+			c11 += float64(y * b1)
+			b2 := b4[2]
+			c02 += float64(x * b2)
+			c12 += float64(y * b2)
+			b3 := b4[3]
+			c03 += float64(x * b3)
+			c13 += float64(y * b3)
+		}
+		c0[0], c0[1], c0[2], c0[3] = c00, c01, c02, c03
+		c1[0], c1[1], c1[2], c1[3] = c10, c11, c12, c13
+	}
+	if i < m {
+		a0, c0 := a.Row(i)[k0:k1], c.Row(i)[j:j+4]
+		for q := range c0 {
+			s := c0[q]
+			for k, x := range a0 {
+				s += float64(x * p[w*k+q])
+			}
+			c0[q] = s
+		}
+	}
 }
 
 // GemmFlops returns the flop count of a gemm of the given shape
