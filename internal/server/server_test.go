@@ -72,6 +72,13 @@ var goldenCases = []struct {
 		`{"engine":"goroutine","machine":"laptop","collective":"bcast","sizes":[8],
 			  "topology":{"per_leaf":2,"levels":[{"name":"node","arity":2}]}}`,
 		200, ""},
+	{"canon_noise", "POST", "/v1/canon",
+		`{"machine":"laptop","collective":"allreduce","sizes":[64],
+			  "topology":{"per_leaf":2,"levels":[{"name":"socket","arity":2},{"name":"node","arity":2},{"name":"group","arity":2}]},
+			  "noise":{"seed":5,"jitter":0.25,"stragglers":[9,3,9,0],"straggler_factor":3,
+			    "congestion":{"shm":1.5,"net":4},
+			    "failures":[{"rank":12,"at_ps":900},{"rank":2,"at_ps":400},{"rank":7,"at_ps":100}]}}`,
+		200, ""},
 	{"err_unknown_field", "POST", "/v1/run",
 		`{"machine":"laptop","topology":{"nodes":2,"ppn":2},"collective":"bcast","sizes":[8],"warp":9}`,
 		400, ""},
