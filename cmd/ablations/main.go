@@ -222,7 +222,7 @@ func pipelined(out io.Writer, model *sim.CostModel) error {
 	return t.Fprint(out)
 }
 
-// allreduces is the rank body of the two noise tables: iters
+// allreduces is the rank body of the noise-selection race: iters
 // back-to-back float64 sum allreduces of elems elements.
 func allreduces(elems, iters int) func(c *mpi.Comm) error {
 	return func(c *mpi.Comm) error {
@@ -262,11 +262,19 @@ func noiseDrift(out io.Writer, model *sim.CostModel) error {
 				Congestion: map[sim.HopClass]float64{sim.HopNet: 2}}
 		}},
 	}
-	body := allreduces(elems, iters)
-	measure := func(n *sim.Noise) (sim.Time, error) {
-		lat, err := bench.Makespan(model, sim.MustUniform(8, 8),
-			func(p *mpi.Proc) error { return body(p.CommWorld()) }, mpi.WithNoise(n))
-		return lat / iters, err
+	measure := func(n *sim.Noise) (float64, error) {
+		res, err := spec.Run(&spec.Query{
+			Machine:    model.Name,
+			Topology:   spec.Topology{Nodes: 8, PPN: 8},
+			Collective: "allreduce",
+			Sizes:      []int{8 * elems},
+			Iters:      iters,
+			Noise:      n,
+		})
+		if err != nil {
+			return 0, err
+		}
+		return res.Points[0].VirtualUsPerOp, nil
 	}
 	var clean float64
 	for _, lvl := range levels {
@@ -280,7 +288,7 @@ func noiseDrift(out io.Writer, model *sim.CostModel) error {
 			if err != nil {
 				return fmt.Errorf("noise drift %q seed %d: %w", lvl.label, seed, err)
 			}
-			lats = append(lats, lat.Us())
+			lats = append(lats, lat)
 		}
 		minL, maxL, sum := lats[0], lats[0], 0.0
 		for _, l := range lats {

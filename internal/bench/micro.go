@@ -26,8 +26,8 @@ func ShapeFor(cores int) []int {
 // Makespan runs body on every rank of a fresh world over topo and
 // returns the run's virtual makespan. It serves the measurements a
 // spec.Query cannot state — a hybrid sync flavor or pipeline chunk, a
-// world option such as a tracer; the figures' allgather series run as
-// Queries (AllgatherQuery).
+// world option such as a tracer, a multi-leader hierarchy; the figures'
+// allgather series run as Queries (AllgatherQuery).
 func Makespan(model *sim.CostModel, topo *sim.Topology, body func(p *mpi.Proc) error, opts ...mpi.Option) (sim.Time, error) {
 	w, err := mpi.NewWorld(model, topo, opts...)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/sim"
 	"repro/internal/spec"
 )
 
@@ -64,7 +65,7 @@ func (s *NoiseSweepReport) Fprint(w io.Writer) {
 // noiseLevel is one rung of the noise ladder.
 type noiseLevel struct {
 	label string
-	noise *spec.Noise
+	noise *sim.Noise
 }
 
 // noiseLevels is the standard ladder: clean, two congestion factors,
@@ -72,13 +73,13 @@ type noiseLevel struct {
 func noiseLevels(seed int64) []noiseLevel {
 	return []noiseLevel{
 		{"clean", nil},
-		{"congestion net=2", &spec.Noise{Seed: seed, Congestion: map[string]float64{"net": 2}}},
-		{"congestion net=8", &spec.Noise{Seed: seed, Congestion: map[string]float64{"net": 8}}},
-		{"jitter=0.1", &spec.Noise{Seed: seed, Jitter: 0.1}},
-		{"jitter=0.5", &spec.Noise{Seed: seed, Jitter: 0.5}},
-		{"straggler x8", &spec.Noise{Seed: seed, Stragglers: []int{0}, StragglerFactor: 8}},
-		{"mixed", &spec.Noise{Seed: seed, Jitter: 0.3, Stragglers: []int{0}, StragglerFactor: 4,
-			Congestion: map[string]float64{"net": 2, "shm": 1.5}}},
+		{"congestion net=2", &sim.Noise{Seed: seed, Congestion: map[sim.HopClass]float64{sim.HopNet: 2}}},
+		{"congestion net=8", &sim.Noise{Seed: seed, Congestion: map[sim.HopClass]float64{sim.HopNet: 8}}},
+		{"jitter=0.1", &sim.Noise{Seed: seed, Jitter: 0.1}},
+		{"jitter=0.5", &sim.Noise{Seed: seed, Jitter: 0.5}},
+		{"straggler x8", &sim.Noise{Seed: seed, Stragglers: []int{0}, StragglerFactor: 8}},
+		{"mixed", &sim.Noise{Seed: seed, Jitter: 0.3, Stragglers: []int{0}, StragglerFactor: 4,
+			Congestion: map[sim.HopClass]float64{sim.HopNet: 2, sim.HopShm: 1.5}}},
 	}
 }
 

@@ -69,7 +69,7 @@ var topoStacks = []topoStack{
 		levels: []string{"socket", "node"},
 		shared: "socket",
 		build: func(nodes, ppn int) spec.Topology {
-			return spec.Topology{PerLeaf: ppn / 2, Levels: []spec.Level{{Name: "socket", Arity: 2}, {Name: "node", Arity: nodes}}}
+			return spec.Topology{PerLeaf: ppn / 2, Levels: []sim.LevelDim{{Name: "socket", Arity: 2}, {Name: "node", Arity: nodes}}}
 		},
 	},
 	{
@@ -77,7 +77,7 @@ var topoStacks = []topoStack{
 		levels: []string{"socket", "node", "group"},
 		shared: "socket",
 		build: func(nodes, ppn int) spec.Topology {
-			return spec.Topology{PerLeaf: ppn / 2, Levels: []spec.Level{
+			return spec.Topology{PerLeaf: ppn / 2, Levels: []sim.LevelDim{
 				{Name: "socket", Arity: 2}, {Name: "node", Arity: nodes / 2}, {Name: "group", Arity: 2}}}
 		},
 	},

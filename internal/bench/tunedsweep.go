@@ -122,7 +122,7 @@ func RunTunedSweep(machine string, seed int64) (*TunedSweepReport, error) {
 			Collective: "allreduce",
 			Sizes:      tunedSweepSizes,
 			Iters:      iters,
-			Noise:      &spec.Noise{Seed: seed, Congestion: map[string]float64{"net": tunedCongestionNet}},
+			Noise:      &sim.Noise{Seed: seed, Congestion: map[sim.HopClass]float64{sim.HopNet: tunedCongestionNet}},
 			Tuning:     spec.Tuning{Policy: policy},
 		}
 	}

@@ -1,9 +1,10 @@
 // Package mpi is an MPI-like message-passing runtime over the simulated
-// cluster of internal/sim. Each rank is a goroutine; communicators,
-// point-to-point messaging, and MPI-3-style shared-memory windows follow
-// the MPI-3 semantics the paper relies on (MPI_Comm_split_type,
-// MPI_Win_allocate_shared, MPI_Win_shared_query, ...), while all timing
-// is virtual and deterministic.
+// cluster of internal/sim. Each rank runs as a goroutine (the goroutine
+// engine) or as a coroutine the Run's caller resumes (the event
+// engine); communicators, point-to-point messaging, and MPI-3-style
+// shared-memory windows follow the MPI-3 semantics the paper relies on
+// (MPI_Comm_split_type, MPI_Win_allocate_shared, MPI_Win_shared_query,
+// ...), while all timing is virtual and deterministic.
 package mpi
 
 import (

@@ -45,6 +45,23 @@ func (h HopClass) String() string {
 	}
 }
 
+// MarshalText encodes the class by name, so a map keyed by HopClass
+// (Noise.Congestion) has the class names as its JSON keys.
+func (h HopClass) MarshalText() ([]byte, error) { return []byte(h.String()), nil }
+
+// UnmarshalText resolves a class from its name (self, shm, net, numa,
+// socket, group). Names are only decoded as congestion keys, so the
+// error names the noise block.
+func (h *HopClass) UnmarshalText(name []byte) error {
+	for c := HopSelf; c <= HopGroup; c++ {
+		if c.String() == string(name) {
+			*h = c
+			return nil
+		}
+	}
+	return fmt.Errorf("noise congestion: unknown hop class %q (want self, shm, net, numa, socket or group)", name)
+}
+
 // SharedMemory reports whether the hop class stays within one node's
 // load/store domain.
 func (h HopClass) SharedMemory() bool {

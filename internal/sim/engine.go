@@ -10,10 +10,9 @@ import "fmt"
 type Engine int
 
 const (
-	// EngineGoroutine is the parallel backend: one long-lived goroutine
-	// per rank, parked on mailboxes between runs (the scale-out engine
-	// of the 100k-rank sweeps). It exploits host cores but pays per-rank
-	// stacks and scheduler traffic.
+	// EngineGoroutine is the parallel backend: each Run spawns one
+	// goroutine per rank, gone when the Run returns. It exploits host
+	// cores but pays per-rank stacks and scheduler traffic.
 	EngineGoroutine Engine = iota
 	// EngineEvent is the discrete-event backend: a cooperative
 	// single-threaded scheduler that runs exactly one ready rank at a

@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Noise configures the deterministic noise-and-failure layer of a
@@ -16,47 +17,49 @@ import (
 // bit-identical virtual times on the goroutine and discrete-event
 // engines and across warm/pooled world reuse.
 //
-// The zero value (and a nil *Noise) means a perfectly clean world.
+// The zero value (and a nil *Noise) means a perfectly clean world. The
+// JSON form is the noise block of a spec.Query.
 type Noise struct {
 	// Seed keys every draw. Two worlds with equal Noise configs and
 	// equal seeds are bit-identical; different seeds diverge.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 
 	// Jitter is the per-operation noise amplitude: each compute span
 	// and each transfer is stretched by a factor drawn uniformly from
-	// [1, 1+Jitter). Zero disables jitter.
-	Jitter float64
+	// [1, 1+Jitter). Zero disables jitter; at most 16.
+	Jitter float64 `json:"jitter,omitempty"`
 
 	// Stragglers lists ranks whose compute runs StragglerFactor times
 	// slower (a persistently slow node, as opposed to Jitter's
 	// transient noise).
-	Stragglers []int
+	Stragglers []int `json:"stragglers,omitempty"`
 
 	// StragglerFactor is the compute slowdown applied to straggler
-	// ranks. Must be >= 1 when Stragglers is non-empty.
-	StragglerFactor float64
+	// ranks, in [1, 1024]; required when Stragglers is non-empty.
+	StragglerFactor float64 `json:"straggler_factor,omitempty"`
 
 	// Congestion multiplies transfer costs per hop class (e.g. 1.5
-	// on HopNet models a persistently congested interconnect). Values
-	// must be >= 1; a missing class (or 1.0) is unscaled. Congestion
-	// applies uniformly to every rank, so unlike the other knobs it
-	// preserves rank symmetry.
-	Congestion map[HopClass]float64
+	// on HopNet models a persistently congested interconnect), keyed
+	// in JSON by the class name. Values lie in [1, 1024]; a missing
+	// class (or 1.0) is unscaled. Congestion applies uniformly to every
+	// rank, so unlike the other knobs it preserves rank symmetry.
+	Congestion map[HopClass]float64 `json:"congestion,omitempty"`
 
 	// Failures schedules rank deaths: each listed rank permanently
 	// stops executing at the first operation boundary at or after its
 	// virtual-time deadline, and peers observe its death through the
-	// mpi layer's fault machinery (ErrRankFailed, Shrink, Agree).
-	Failures []Failure
+	// mpi layer's fault machinery (ErrRankFailed, Shrink, Agree). A
+	// rank listed twice dies at its earliest deadline.
+	Failures []Failure `json:"failures,omitempty"`
 }
 
 // Failure schedules the death of one rank at a virtual-time deadline.
 type Failure struct {
 	// Rank is the world rank that dies.
-	Rank int
+	Rank int `json:"rank"`
 	// At is the virtual time at or after which the rank stops. The
 	// rank dies at its first operation boundary with clock >= At.
-	At Time
+	At Time `json:"at_ps"`
 }
 
 // Validate checks the config against a world of the given size.
@@ -118,9 +121,10 @@ func (n *Noise) Enabled() bool {
 	return n.Jitter > 0 || len(n.Stragglers) > 0 || len(n.Failures) > 0 || len(n.Congestion) > 0
 }
 
-// Clone returns a deep copy, with Stragglers sorted/deduplicated and
-// Failures sorted by (rank, time) so that semantically equal configs
-// compare equal field-by-field.
+// Clone returns a deep copy in canonical form, so that semantically
+// equal configs compare equal field-by-field: Stragglers sorted and
+// deduplicated, congestion factors of exactly 1 dropped, and Failures
+// sorted by rank with only each rank's earliest deadline kept.
 func (n *Noise) Clone() *Noise {
 	if n == nil {
 		return nil
@@ -131,31 +135,22 @@ func (n *Noise) Clone() *Noise {
 		StragglerFactor: n.StragglerFactor,
 	}
 	if len(n.Stragglers) > 0 {
-		c.Stragglers = append([]int(nil), n.Stragglers...)
-		sort.Ints(c.Stragglers)
-		w := 1
-		for i := 1; i < len(c.Stragglers); i++ {
-			if c.Stragglers[i] != c.Stragglers[w-1] {
-				c.Stragglers[w] = c.Stragglers[i]
-				w++
-			}
-		}
-		c.Stragglers = c.Stragglers[:w]
+		c.Stragglers = slices.Compact(slices.Sorted(slices.Values(n.Stragglers)))
 	}
-	if len(n.Congestion) > 0 {
-		c.Congestion = make(map[HopClass]float64, len(n.Congestion))
-		for k, v := range n.Congestion {
-			c.Congestion[k] = v
+	for k, v := range n.Congestion {
+		if v == 1 {
+			continue
 		}
+		if c.Congestion == nil {
+			c.Congestion = make(map[HopClass]float64, len(n.Congestion))
+		}
+		c.Congestion[k] = v
 	}
 	if len(n.Failures) > 0 {
-		c.Failures = append([]Failure(nil), n.Failures...)
-		sort.Slice(c.Failures, func(i, j int) bool {
-			if c.Failures[i].Rank != c.Failures[j].Rank {
-				return c.Failures[i].Rank < c.Failures[j].Rank
-			}
-			return c.Failures[i].At < c.Failures[j].At
+		c.Failures = slices.SortedFunc(slices.Values(n.Failures), func(a, b Failure) int {
+			return cmp.Or(cmp.Compare(a.Rank, b.Rank), cmp.Compare(a.At, b.At))
 		})
+		c.Failures = slices.CompactFunc(c.Failures, func(a, b Failure) bool { return a.Rank == b.Rank })
 	}
 	return c
 }
@@ -185,15 +180,4 @@ func NoiseU01(seed int64, rank int, op uint64, class HopClass) float64 {
 	h = mix64(h ^ op)
 	h = mix64(h ^ uint64(class))
 	return float64(h>>11) / (1 << 53)
-}
-
-// ParseHopClass resolves a HopClass from its String() name
-// (self, shm, net, numa, socket, group).
-func ParseHopClass(name string) (HopClass, error) {
-	for c := HopSelf; c <= HopGroup; c++ {
-		if c.String() == name {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown hop class %q (want self, shm, net, numa, socket or group)", name)
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -99,29 +100,44 @@ func TestNoiseBreaksSymmetry(t *testing.T) {
 func TestNoiseClone(t *testing.T) {
 	n := &Noise{Seed: 9, Stragglers: []int{3, 1, 3, 2},
 		StragglerFactor: 2,
-		Failures:        []Failure{{Rank: 2, At: 10}, {Rank: 0, At: 5}}}
+		Congestion:      map[HopClass]float64{HopNet: 1, HopShm: 2},
+		Failures:        []Failure{{Rank: 2, At: 200}, {Rank: 0, At: 5}, {Rank: 2, At: 10}}}
 	c := n.Clone()
 	if got := c.Stragglers; len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("stragglers not sorted/deduped: %v", got)
 	}
-	if c.Failures[0].Rank != 0 || c.Failures[1].Rank != 2 {
-		t.Fatalf("failures not sorted: %v", c.Failures)
+	// The simulator ignores a factor of 1 and all but a rank's earliest
+	// deadline, so the canonical copy drops them.
+	if len(c.Congestion) != 1 || c.Congestion[HopShm] != 2 {
+		t.Fatalf("congestion factor 1 kept: %v", c.Congestion)
+	}
+	if want := []Failure{{Rank: 0, At: 5}, {Rank: 2, At: 10}}; !slices.Equal(c.Failures, want) {
+		t.Fatalf("failures = %v, want sorted with the earliest deadline per rank %v", c.Failures, want)
+	}
+	if c := (&Noise{Congestion: map[HopClass]float64{HopNet: 1}}).Clone(); c.Congestion != nil {
+		t.Fatalf("all-unit congestion kept as %v, want nil", c.Congestion)
 	}
 	// Deep copy: mutating the clone must not touch the original.
 	c.Stragglers[0] = 99
-	if n.Stragglers[0] == 99 {
-		t.Fatal("clone shares straggler slice")
+	c.Failures[0].At = 99
+	if n.Stragglers[0] == 99 || n.Failures[1].At == 99 {
+		t.Fatal("clone shares a slice with the original")
 	}
 }
 
-func TestParseHopClass(t *testing.T) {
+func TestHopClassText(t *testing.T) {
 	for c := HopSelf; c <= HopGroup; c++ {
-		got, err := ParseHopClass(c.String())
-		if err != nil || got != c {
-			t.Fatalf("ParseHopClass(%q) = %v, %v", c.String(), got, err)
+		text, err := c.MarshalText()
+		if err != nil || string(text) != c.String() {
+			t.Fatalf("%v.MarshalText() = %q, %v", c, text, err)
+		}
+		var got HopClass
+		if err := got.UnmarshalText(text); err != nil || got != c {
+			t.Fatalf("UnmarshalText(%q) = %v, %v", text, got, err)
 		}
 	}
-	if _, err := ParseHopClass("warp"); err == nil {
+	var h HopClass
+	if err := h.UnmarshalText([]byte("warp")); err == nil {
 		t.Fatal("unknown class accepted")
 	}
 }

@@ -292,10 +292,11 @@ func NewTopology(nodeSizes []int) (*Topology, error) {
 
 // LevelDim sizes one uniform level for UniformHier: Arity groups of this
 // level per group of the next (outer) level; the outermost level's Arity
-// is its total group count.
+// is its total group count. The JSON form is one level of a
+// spec.Topology stack.
 type LevelDim struct {
-	Name  string
-	Arity int
+	Name  string `json:"name"`
+	Arity int    `json:"arity"`
 }
 
 // UniformHier builds a regular multi-level topology: perLeaf ranks per

@@ -2,125 +2,24 @@ package spec
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/sim"
 )
 
-// Noise is the declarative noise-and-fault block of a Query: the JSON
-// form of sim.Noise. A nil (absent) block — or one whose every field is
-// zero — means a clean world; Canonicalize rewrites the all-zero form
-// to nil so that a query with an empty noise object fingerprints
-// identically to one without the block.
-type Noise struct {
-	// Seed keys every noise draw; equal configs with equal seeds are
-	// bit-identical, different seeds diverge.
-	Seed int64 `json:"seed,omitempty"`
-	// Jitter stretches each compute span and transfer by a factor drawn
-	// uniformly from [1, 1+jitter). Must lie in [0, 16].
-	Jitter float64 `json:"jitter,omitempty"`
-	// Stragglers lists ranks slowed by StragglerFactor.
-	Stragglers []int `json:"stragglers,omitempty"`
-	// StragglerFactor is the compute slowdown of straggler ranks, in
-	// [1, 1024]; required when stragglers is non-empty.
-	StragglerFactor float64 `json:"straggler_factor,omitempty"`
-	// Congestion multiplies transfer costs per hop class, keyed by the
-	// class name (self, shm, net, numa, socket, group); factors in
-	// [1, 1024].
-	Congestion map[string]float64 `json:"congestion,omitempty"`
-	// Failures schedules rank deaths at virtual-time deadlines.
-	Failures []Failure `json:"failures,omitempty"`
-}
-
-// Failure schedules the death of one rank (see sim.Failure).
-type Failure struct {
-	// Rank is the world rank that dies.
-	Rank int `json:"rank"`
-	// AtPs is the virtual-time deadline in picoseconds: the rank dies
-	// at its first operation boundary with clock >= at_ps.
-	AtPs int64 `json:"at_ps"`
-}
-
-// zero reports whether the block configures nothing.
-func (n *Noise) zero() bool {
-	return n.Seed == 0 && n.Jitter == 0 && len(n.Stragglers) == 0 &&
-		n.StragglerFactor == 0 && len(n.Congestion) == 0 && len(n.Failures) == 0
-}
-
-// ToSim converts the block to the simulator's config. Nil-safe.
-func (n *Noise) ToSim() (*sim.Noise, error) {
-	if n == nil {
-		return nil, nil
-	}
-	out := &sim.Noise{
-		Seed:            n.Seed,
-		Jitter:          n.Jitter,
-		Stragglers:      append([]int(nil), n.Stragglers...),
-		StragglerFactor: n.StragglerFactor,
-	}
-	if len(n.Congestion) > 0 {
-		out.Congestion = make(map[sim.HopClass]float64, len(n.Congestion))
-		for name, f := range n.Congestion {
-			c, err := sim.ParseHopClass(name)
-			if err != nil {
-				return nil, fmt.Errorf("spec: noise congestion: %w", err)
-			}
-			out.Congestion[c] = f
-		}
-	}
-	for _, fl := range n.Failures {
-		out.Failures = append(out.Failures, sim.Failure{Rank: fl.Rank, At: sim.Time(fl.AtPs)})
-	}
-	return out, nil
-}
-
-// canonicalize validates the block against the topology's rank count
-// and rewrites it into canonical form: stragglers sorted and deduped,
-// failures sorted by (rank, time). encoding/json already emits map keys
-// sorted, so Congestion needs no reordering. Returns the canonical
-// block (nil when the input is nil or all-zero) — the caller stores the
-// result back into the query.
-func (n *Noise) canonicalize(ranks int) (*Noise, error) {
-	if n == nil || n.zero() {
-		return nil, nil
-	}
-	sn, err := n.ToSim()
-	if err != nil {
-		return nil, err
-	}
-	if err := sn.Validate(ranks); err != nil {
+// canonicalNoise validates a query's noise block against the topology's
+// rank count and returns its canonical form, sim.Noise.Clone: declaration
+// order sorted away, and what the simulator ignores (congestion factors
+// of 1, all but a rank's earliest failure) dropped. encoding/json emits
+// the congestion keys sorted. A block that configures nothing is nil,
+// so a query with an empty noise object fingerprints like one without
+// the block.
+func canonicalNoise(n *sim.Noise, ranks int) (*sim.Noise, error) {
+	if err := n.Validate(ranks); err != nil {
 		return nil, fmt.Errorf("spec: %w", err)
 	}
-	sn = sn.Clone() // sorts and dedupes
-	c := &Noise{
-		Seed:            sn.Seed,
-		Jitter:          sn.Jitter,
-		Stragglers:      sn.Stragglers,
-		StragglerFactor: sn.StragglerFactor,
+	c := n.Clone()
+	if c == nil || c.Seed == 0 && c.StragglerFactor == 0 && !c.Enabled() {
+		return nil, nil
 	}
-	if len(sn.Congestion) > 0 {
-		c.Congestion = make(map[string]float64, len(sn.Congestion))
-		for cl, f := range sn.Congestion {
-			c.Congestion[cl.String()] = f
-		}
-	}
-	for _, fl := range sn.Failures {
-		c.Failures = append(c.Failures, Failure{Rank: fl.Rank, AtPs: int64(fl.At)})
-	}
-	sort.Slice(c.Failures, func(i, j int) bool {
-		if c.Failures[i].Rank != c.Failures[j].Rank {
-			return c.Failures[i].Rank < c.Failures[j].Rank
-		}
-		return c.Failures[i].AtPs < c.Failures[j].AtPs
-	})
 	return c, nil
-}
-
-// BreaksSymmetry reports whether the block invalidates rank-symmetry
-// folding (see sim.Noise.BreaksSymmetry). Nil-safe.
-func (n *Noise) BreaksSymmetry() bool {
-	if n == nil {
-		return false
-	}
-	return n.Jitter > 0 || len(n.Stragglers) > 0 || len(n.Failures) > 0
 }

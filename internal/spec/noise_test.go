@@ -106,7 +106,9 @@ func TestNoiseZeroBlockCanonicalizesAway(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, block := range []string{`{}`, `{"seed":0}`, `{"jitter":0,"congestion":{}}`} {
+	// A congestion factor of exactly 1 scales nothing, so a block of
+	// only such entries configures nothing either.
+	for _, block := range []string{`{}`, `{"seed":0}`, `{"jitter":0,"congestion":{}}`, `{"congestion":{"net":1}}`} {
 		q, err := spec.Parse([]byte(base + `,"noise":` + block + `}`))
 		if err != nil {
 			t.Fatalf("noise %s: %v", block, err)
@@ -145,8 +147,9 @@ func TestNoiseZeroBlockCanonicalizesAway(t *testing.T) {
 }
 
 // TestNoiseCanonicalOrdering: stragglers are sorted and deduped and
-// failures sorted by (rank, time), so declaration order cannot leak
-// into the fingerprint.
+// failures sorted by rank with only each rank's earliest deadline kept
+// (the one the simulator honors), so declaration order and ignored
+// entries cannot leak into the fingerprint.
 func TestNoiseCanonicalOrdering(t *testing.T) {
 	mk := func(noise string) string {
 		q, err := spec.Parse([]byte(`{"machine":"laptop","topology":{"nodes":2,"ppn":4},
@@ -166,6 +169,10 @@ func TestNoiseCanonicalOrdering(t *testing.T) {
 		"failures":[{"rank":0,"at_ps":100},{"rank":3,"at_ps":50},{"rank":3,"at_ps":200}]}`)
 	if a != b {
 		t.Errorf("declaration order leaked into the fingerprint: %s vs %s", a, b)
+	}
+	if a, b := mk(`{"failures":[{"rank":3,"at_ps":50},{"rank":3,"at_ps":200}]}`),
+		mk(`{"failures":[{"rank":3,"at_ps":50}]}`); a != b {
+		t.Errorf("a rank's second deadline leaked into the fingerprint: %s vs %s", a, b)
 	}
 }
 

@@ -71,39 +71,20 @@ func commWideHop(t *sim.Topology) sim.HopClass {
 // policy picks and each registered candidate's price. The query is
 // canonicalized in place.
 func Price(q *Query) (*PriceReport, error) {
-	if err := q.Canonicalize(); err != nil {
-		return nil, err
-	}
-	fp, err := q.Fingerprint()
+	c, err := compile(q)
 	if err != nil {
 		return nil, err
 	}
-	model, err := q.Model()
-	if err != nil {
-		return nil, err
-	}
-	topo, err := q.Topology.Build()
-	if err != nil {
-		return nil, err
-	}
-	cl, err := coll.ParseCollective(q.Collective)
-	if err != nil {
-		return nil, err
-	}
-	collTun, err := q.Tuning.Coll()
-	if err != nil {
-		return nil, err
-	}
-	hop := commWideHop(topo)
+	hop := commWideHop(c.topo)
 
 	rep := &PriceReport{
-		Fingerprint: fp,
+		Fingerprint: c.fp,
 		Machine:     q.Machine,
-		Topology:    topo.String(),
-		Ranks:       topo.Size(),
+		Topology:    c.topo.String(),
+		Ranks:       c.topo.Size(),
 		Collective:  q.Collective,
 		Hop:         hop.String(),
-		Policy:      collTun.Policy.String(),
+		Policy:      c.tun.Policy.String(),
 	}
 	for _, b := range q.Sizes {
 		// Env conventions (see coll.Env): Bytes is the per-rank block
@@ -111,18 +92,18 @@ func Price(q *Query) (*PriceReport, error) {
 		// feeds the reduction gamma term and uses the same whole-element
 		// floor as the run path, so /v1/price and /v1/run agree on
 		// sub-8-byte ladder entries.
-		e := coll.Env{Size: topo.Size(), Bytes: b, Count: elems(b), Model: model, Hop: hop}
+		e := coll.Env{Size: c.topo.Size(), Bytes: b, Count: elems(b), Model: c.model, Hop: hop}
 		pt := PricePoint{Bytes: b}
-		if q.Tuning.hybrid(cl) {
+		if c.hybrid {
 			pt.Chosen = "hybrid"
-		} else if chosen, err := coll.Choose(cl, e, collTun); err == nil {
+		} else if chosen, err := coll.Choose(c.cl, e, c.tun); err == nil {
 			pt.Chosen = chosen
 		}
-		for _, c := range coll.Candidates(cl, e) {
+		for _, cand := range coll.Candidates(c.cl, e) {
 			pt.Candidates = append(pt.Candidates, PriceCandidate{
-				Name:       c.Name,
-				Applicable: c.Applicable,
-				EstUs:      c.Est.Us(),
+				Name:       cand.Name,
+				Applicable: cand.Applicable,
+				EstUs:      cand.Est.Us(),
 			})
 		}
 		rep.Points = append(rep.Points, pt)

@@ -15,17 +15,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Level is one uniform nesting level of a Topology stack: Arity groups
-// of this level per group of the next (outer) level; the outermost
-// level's Arity is its total group count (sim.LevelDim).
-type Level struct {
-	// Name is the level's name; exactly one level must be "node" (the
-	// shared-memory boundary).
-	Name string `json:"name"`
-	// Arity is the number of groups of this level per outer group.
-	Arity int `json:"arity"`
-}
-
 // Topology declares the simulated machine shape. Three input forms are
 // accepted — the nodes x ppn shorthand, an explicit uniform level
 // stack (per-leaf ranks plus levels, innermost first), or a per-node
@@ -43,8 +32,11 @@ type Topology struct {
 	// canonical stack form.
 	PerLeaf int `json:"per_leaf,omitempty"`
 	// Levels is the uniform level stack, innermost first, e.g.
-	// [{socket 2} {node 64}] for 64 nodes of 2 sockets.
-	Levels []Level `json:"levels,omitempty"`
+	// [{socket 2} {node 64}] for 64 nodes of 2 sockets: Arity groups of
+	// a level per group of the next, the outermost level's Arity its
+	// total group count. Exactly one level is "node" (the shared-memory
+	// boundary).
+	Levels []sim.LevelDim `json:"levels,omitempty"`
 	// NodeSizes lists the ranks of each node, placed SMP-style, for
 	// irregular machines such as Fig. 10's 42x24 + 1x16. Mutually
 	// exclusive with the other two forms.
@@ -70,13 +62,13 @@ func (t *Topology) Canonicalize() error {
 			return fmt.Errorf("spec: topology node_sizes needs at least one node, every node at least one rank, and at most %d ranks in all", maxRanks)
 		}
 		if !slices.ContainsFunc(t.NodeSizes, func(n int) bool { return n != t.NodeSizes[0] }) { // uniform
-			t.PerLeaf, t.Levels, t.NodeSizes = t.NodeSizes[0], []Level{{Name: sim.NodeLevelName, Arity: len(t.NodeSizes)}}, nil
+			t.PerLeaf, t.Levels, t.NodeSizes = t.NodeSizes[0], []sim.LevelDim{{Name: sim.NodeLevelName, Arity: len(t.NodeSizes)}}, nil
 		}
 	case shorthand:
 		if t.Nodes <= 0 || t.PPN <= 0 {
 			return fmt.Errorf("spec: topology needs nodes>0 and ppn>0, got %dx%d", t.Nodes, t.PPN)
 		}
-		t.PerLeaf, t.Levels = t.PPN, []Level{{Name: sim.NodeLevelName, Arity: t.Nodes}}
+		t.PerLeaf, t.Levels = t.PPN, []sim.LevelDim{{Name: sim.NodeLevelName, Arity: t.Nodes}}
 		t.Nodes, t.PPN = 0, 0
 	case stack:
 		if t.PerLeaf <= 0 || len(t.Levels) == 0 {
@@ -145,11 +137,7 @@ func (t *Topology) Build() (*sim.Topology, error) {
 	if t.NodeSizes != nil {
 		return sim.NewTopology(t.NodeSizes)
 	}
-	dims := make([]sim.LevelDim, len(t.Levels))
-	for i, l := range t.Levels {
-		dims[i] = sim.LevelDim{Name: l.Name, Arity: l.Arity}
-	}
-	return sim.UniformHier(t.PerLeaf, dims...)
+	return sim.UniformHier(t.PerLeaf, t.Levels...)
 }
 
 // Query is the declarative description of one what-if run: everything
@@ -191,7 +179,7 @@ type Query struct {
 	// jitter, stragglers, link congestion, scheduled rank failures).
 	// Absent means a clean world; an all-zero block canonicalizes to
 	// absent, keeping noise-free fingerprints stable.
-	Noise *Noise `json:"noise,omitempty"`
+	Noise *sim.Noise `json:"noise,omitempty"`
 }
 
 // maxSizeBytes bounds one ladder entry (1 GiB per rank).
@@ -284,11 +272,9 @@ func (q *Query) Canonicalize() error {
 		}
 		q.Fold = strconv.Itoa(u)
 	}
-	noise, err := q.Noise.canonicalize(q.Topology.Ranks())
-	if err != nil {
+	if q.Noise, err = canonicalNoise(q.Noise, q.Topology.Ranks()); err != nil {
 		return err
 	}
-	q.Noise = noise
 	// Asymmetric noise (jitter, stragglers, failures) invalidates
 	// rank-symmetry folding, and no fold helper covers the hybrid
 	// scheme; "auto" quietly resolves to unfolded, but an explicit unit
@@ -310,7 +296,7 @@ func (q *Query) Canonicalize() error {
 func (q *Query) CanonicalJSON() ([]byte, error) {
 	c := *q
 	c.Sizes = append([]int(nil), q.Sizes...)
-	c.Topology.Levels = append([]Level(nil), q.Topology.Levels...)
+	c.Topology.Levels = slices.Clone(q.Topology.Levels)
 	if err := c.Canonicalize(); err != nil {
 		return nil, err
 	}

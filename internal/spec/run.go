@@ -222,35 +222,11 @@ type pointGroup struct {
 // (each blocked rank wakes with an error) and the context's error is
 // returned.
 func (e *Exec) RunContext(ctx context.Context, q *Query) (*Result, error) {
-	if err := q.Canonicalize(); err != nil {
-		return nil, err
-	}
-	fp, err := q.Fingerprint()
-	if err != nil {
-		return nil, err
-	}
-	model, err := q.Model()
-	if err != nil {
-		return nil, err
-	}
-	topo, err := q.Topology.Build()
+	c, err := compile(q)
 	if err != nil {
 		return nil, err
 	}
 	engine, err := sim.ParseEngine(q.Engine)
-	if err != nil {
-		return nil, err
-	}
-	cl, err := coll.ParseCollective(q.Collective)
-	if err != nil {
-		return nil, err
-	}
-	collTun, err := q.Tuning.Coll()
-	if err != nil {
-		return nil, err
-	}
-	hy := q.Tuning.hybrid(cl)
-	noise, err := q.Noise.ToSim()
 	if err != nil {
 		return nil, err
 	}
@@ -260,8 +236,8 @@ func (e *Exec) RunContext(ctx context.Context, q *Query) (*Result, error) {
 	// anything (fold resolution included) consults the tuning, so the
 	// fold units and the worlds' picks always agree.
 	var tuneGen uint64
-	if collTun.Policy == coll.PolicyMeasured && e.Tuner != nil {
-		tuneGen = installMeasured(&collTun, e.Tuner, model, topo, noise, nk)
+	if c.tun.Policy == coll.PolicyMeasured && e.Tuner != nil {
+		tuneGen = installMeasured(&c.tun, e.Tuner, c.model, c.topo, q.Noise, nk)
 	}
 
 	// Resolve every point's fold unit up front: the grouping key.
@@ -272,8 +248,8 @@ func (e *Exec) RunContext(ctx context.Context, q *Query) (*Result, error) {
 		switch q.Fold {
 		case "off":
 		case "auto":
-			if engine == sim.EngineEvent && !noise.BreaksSymmetry() {
-				folds[i] = autoFoldUnit(model, topo, cl, hy, b, collTun)
+			if engine == sim.EngineEvent && !q.Noise.BreaksSymmetry() {
+				folds[i] = autoFoldUnit(c.model, c.topo, c.cl, c.hybrid, b, c.tun)
 			}
 		default:
 			folds[i], _ = strconv.Atoi(q.Fold) // a positive unit: Canonicalize checked it
@@ -282,20 +258,19 @@ func (e *Exec) RunContext(ctx context.Context, q *Query) (*Result, error) {
 	groups := groupByFold(folds)
 
 	res := &Result{
-		Fingerprint: fp,
+		Fingerprint: c.fp,
 		Machine:     q.Machine,
-		Topology:    topo.String(),
-		Ranks:       topo.Size(),
+		Topology:    c.topo.String(),
+		Ranks:       c.topo.Size(),
 		Collective:  q.Collective,
 		Engine:      q.Engine,
 		Iters:       q.Iters,
 		Tuning:      q.Tuning.Spec(),
 	}
 	env := groupEnv{
-		exec: e, model: model, topo: topo, engine: engine,
-		tun: collTun, cl: cl, hybrid: hy, machine: q.Machine,
+		exec: e, compiled: c, engine: engine, machine: q.Machine,
 		tuning: q.Tuning.Spec(), sizes: q.Sizes, iters: q.Iters,
-		noise: noise, noiseKey: nk, tuneGen: tuneGen,
+		noise: q.Noise, noiseKey: nk, tuneGen: tuneGen,
 	}
 	points := make([]Point, len(q.Sizes))
 	if err := e.runGroups(ctx, env, groups, points); err != nil {
@@ -324,15 +299,50 @@ func groupByFold(folds []int) []pointGroup {
 	return groups
 }
 
+// compiled is what RunContext and Price both resolve from a query.
+type compiled struct {
+	fp     string
+	model  *sim.CostModel
+	topo   *sim.Topology
+	cl     coll.Collective
+	tun    coll.Tuning
+	hybrid bool // allgather runs the hybrid scheme (Tuning.hybrid)
+}
+
+// compile canonicalizes q in place and resolves its fingerprint, cost
+// model, topology, collective and coll tuning.
+func compile(q *Query) (compiled, error) {
+	if err := q.Canonicalize(); err != nil {
+		return compiled{}, err
+	}
+	fp, err := q.Fingerprint()
+	if err != nil {
+		return compiled{}, err
+	}
+	model, err := q.Model()
+	if err != nil {
+		return compiled{}, err
+	}
+	topo, err := q.Topology.Build()
+	if err != nil {
+		return compiled{}, err
+	}
+	cl, err := coll.ParseCollective(q.Collective)
+	if err != nil {
+		return compiled{}, err
+	}
+	tun, err := q.Tuning.Coll()
+	if err != nil {
+		return compiled{}, err
+	}
+	return compiled{fp: fp, model: model, topo: topo, cl: cl, tun: tun, hybrid: q.Tuning.hybrid(cl)}, nil
+}
+
 // groupEnv carries the compiled query pieces every group shares.
 type groupEnv struct {
+	compiled
 	exec     *Exec
-	model    *sim.CostModel
-	topo     *sim.Topology
 	engine   sim.Engine
-	tun      coll.Tuning
-	cl       coll.Collective
-	hybrid   bool
 	machine  string
 	tuning   string
 	sizes    []int
@@ -345,7 +355,7 @@ type groupEnv struct {
 // noiseKey renders a canonical noise block as the pool ShapeKey's noise
 // component ("" for a clean world): the canonical JSON is stable field
 // order with sorted map keys, so equal configs key equal.
-func noiseKey(n *Noise) string {
+func noiseKey(n *sim.Noise) string {
 	if n == nil {
 		return ""
 	}

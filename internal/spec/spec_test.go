@@ -278,6 +278,8 @@ func FuzzParseQuery(f *testing.F) {
 	f.Add([]byte(`{"machine":"laptop","topology":{"nodes":2,"ppn":2},"collective":"bcast","sizes":[8],"noise":{}}`))
 	f.Add([]byte(`{"machine":"laptop","topology":{"nodes":2,"ppn":2},"collective":"bcast","sizes":[8],"noise":{"congestion":{"group":1024}}}`))
 	f.Add([]byte(`{"machine":"laptop","topology":{"nodes":8,"ppn":8},"collective":"allreduce","sizes":[1024,16384],"tuning":{"policy":"measured"},"noise":{"seed":1,"congestion":{"net":16}}}`))
+	f.Add([]byte(`{"machine":"laptop","topology":{"nodes":2,"ppn":2},"collective":"bcast","sizes":[8],"noise":{"congestion":{"net":1}}}`))
+	f.Add([]byte(`{"machine":"laptop","topology":{"nodes":2,"ppn":4},"collective":"bcast","sizes":[8],"noise":{"failures":[{"rank":3,"at_ps":200},{"rank":3,"at_ps":50}]}}`))
 	f.Add([]byte(`{"machine":"laptop","topology":{"nodes":2,"ppn":2},"collective":"allreduce","sizes":[8],"tuning":{"policy":"measured","force":{"allreduce":"recdbl"}}}`))
 	f.Add([]byte(`{"machine":"laptop","topology":{"nodes":2,"ppn":2},"collective":"allreduce","sizes":[8],"tuning":{"policy":"measured","store":"/tmp/x"}}`))
 	f.Add([]byte(`{"machine":"hazelhen-cray","topology":{"node_sizes":[24,24,16]},"collective":"allgather","sizes":[8,4096],"tuning":{"force":{"allgather":"hybrid"}}}`))
@@ -387,7 +389,7 @@ func TestPrice(t *testing.T) {
 // and Canonicalize rejects any arity above the cap outright.
 func TestTopologyRanksOverflow(t *testing.T) {
 	huge := math.MaxInt/(1<<27) + 2 // (1<<27) * huge wraps past MaxInt
-	top := spec.Topology{PerLeaf: 1 << 27, Levels: []spec.Level{{Name: "node", Arity: huge}}}
+	top := spec.Topology{PerLeaf: 1 << 27, Levels: []sim.LevelDim{{Name: "node", Arity: huge}}}
 	if r := top.Ranks(); r != -1 {
 		t.Errorf("Ranks() = %d on an overflowing stack, want -1", r)
 	}
@@ -401,7 +403,7 @@ func TestTopologyRanksOverflow(t *testing.T) {
 	}
 	// Multi-level wrap with every arity individually modest enough to
 	// pass a naive per-field glance: 2^10 per leaf, levels of 2^10.
-	deep := spec.Topology{PerLeaf: 1 << 10, Levels: []spec.Level{
+	deep := spec.Topology{PerLeaf: 1 << 10, Levels: []sim.LevelDim{
 		{Name: "socket", Arity: 1 << 10}, {Name: "node", Arity: 1 << 10}, {Name: "rack", Arity: 1 << 10}}}
 	if r := deep.Ranks(); r != -1 {
 		t.Errorf("Ranks() = %d for 2^40 ranks, want -1", r)
