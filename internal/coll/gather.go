@@ -52,8 +52,13 @@ func GatherLinear(c *mpi.Comm, send, recv mpi.Buf, per, root int) error {
 
 // GatherBinomial aggregates subtrees up a binomial tree: log2(n) rounds,
 // interior nodes forwarding their accumulated range. Blocks travel in
-// relative-rank order through a scratch buffer and are unrotated at the
-// root (charged), as in MPICH.
+// relative-rank order and are unrotated at the root (charged), as in
+// MPICH. As there, a range is staged in place where it can be: a leaf
+// sends straight from its send block, and root 0, whose relative order
+// is the rank order, receives straight into recv. Interior ranks, and a
+// root other than 0, stage in scratch. The copies into a range staged in
+// place stay, self to self, so the charges and clocks are those of
+// staging everything in scratch.
 func GatherBinomial(c *mpi.Comm, send, recv mpi.Buf, per, root int) error {
 	if err := checkRootArgs(c, root); err != nil {
 		return err
@@ -70,7 +75,15 @@ func GatherBinomial(c *mpi.Comm, send, recv mpi.Buf, per, root int) error {
 	rel := (c.Rank() - root + n) % n
 
 	// tmp holds the relative range [rel, rel+have).
-	tmp := p.World().NewBuf(subtreeSpan(rel, n) * per)
+	var tmp mpi.Buf
+	switch span := subtreeSpan(rel, n); {
+	case span == 1:
+		tmp = send.Slice(0, per)
+	case rel == 0 && root == 0:
+		tmp = recv.Slice(0, n*per)
+	default:
+		tmp = p.World().NewBuf(span * per)
+	}
 	p.CopyLocal(tmp.Slice(0, per), send.Slice(0, per), 1)
 	have := 1
 

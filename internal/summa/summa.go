@@ -14,9 +14,12 @@
 // and B's row-k panel along columns before the local rank-b update —
 // exactly the structure of Sect. 5.2.1.
 //
-// A verified run checks the gathered C bit for bit against the reference
-// product A x B, which host goroutines compute in block-row bands while
-// the simulated ranks run.
+// A verified run allocates only the buffers the algorithm owns: a rank
+// writes its A and B blocks straight into the panel it broadcasts, and
+// accumulates C in the block the final gather sends. It checks the
+// gathered C bit for bit against the reference product A x B, which
+// host goroutines compute in block-row bands while the simulated ranks
+// run.
 package summa
 
 import (
@@ -127,26 +130,26 @@ func runRank(p *mpi.Proc, cfg Config) (mpi.Buf, error) {
 	}
 
 	blockBytes := 8 * b * b
-	var aBlock, bBlock, cBlock *la.Mat
+	var send, recv mpi.Buf
+	var cBlock *la.Mat
 	if cfg.Verify {
-		aBlock, bBlock = localBlocks(p.Rank(), b)
-		cBlock = la.NewMat(b, b)
+		send, recv, cBlock = gatherBlocks(p, world, b)
 	}
 
 	if cfg.Hybrid {
-		err = runHybrid(p, cfg, rowComm, colComm, aBlock, bBlock, cBlock, blockBytes, myRow, myCol)
+		err = runHybrid(p, cfg, rowComm, colComm, cBlock, blockBytes, myRow, myCol)
 	} else {
-		err = runPure(p, cfg, rowComm, colComm, aBlock, bBlock, cBlock, blockBytes, myRow, myCol)
+		err = runPure(p, cfg, rowComm, colComm, cBlock, blockBytes, myRow, myCol)
 	}
 	if err != nil || !cfg.Verify {
 		return mpi.Buf{}, err
 	}
-	return gatherC(world, cBlock, blockBytes)
+	return gatherC(world, send, recv, cBlock)
 }
 
 // runPure is Ori_SUMMA: plain MPI_Bcast on row and column communicators.
 func runPure(p *mpi.Proc, cfg Config, rowComm, colComm *mpi.Comm,
-	aBlock, bBlock, cBlock *la.Mat, blockBytes, myRow, myCol int) error {
+	cBlock *la.Mat, blockBytes, myRow, myCol int) error {
 
 	dim, b := cfg.GridDim, cfg.BlockDim
 	aPanel := p.World().NewBuf(blockBytes)
@@ -154,15 +157,15 @@ func runPure(p *mpi.Proc, cfg Config, rowComm, colComm *mpi.Comm,
 
 	for k := 0; k < dim; k++ {
 		// Row broadcast: owner of column k ships its A block.
-		if myCol == k {
-			packMat(aPanel, aBlock)
+		if myCol == k && cfg.Verify {
+			fillPanel(aPanel, fillA, p.Rank(), b)
 		}
 		if err := coll.Bcast(rowComm, aPanel, k); err != nil {
 			return fmt.Errorf("summa: row bcast k=%d: %w", k, err)
 		}
 		// Column broadcast: owner of row k ships its B block.
-		if myRow == k {
-			packMat(bPanel, bBlock)
+		if myRow == k && cfg.Verify {
+			fillPanel(bPanel, fillB, p.Rank(), b)
 		}
 		if err := coll.Bcast(colComm, bPanel, k); err != nil {
 			return fmt.Errorf("summa: col bcast k=%d: %w", k, err)
@@ -180,7 +183,7 @@ func runPure(p *mpi.Proc, cfg Config, rowComm, colComm *mpi.Comm,
 // fences: the Release synchronization of broadcast k+1 orders every
 // on-node read of panel k before the k+2 root overwrites that buffer.
 func runHybrid(p *mpi.Proc, cfg Config, rowComm, colComm *mpi.Comm,
-	aBlock, bBlock, cBlock *la.Mat, blockBytes, myRow, myCol int) error {
+	cBlock *la.Mat, blockBytes, myRow, myCol int) error {
 
 	dim, b := cfg.GridDim, cfg.BlockDim
 	rowCtx, err := hybrid.New(rowComm, hybrid.WithSync(cfg.Sync))
@@ -203,14 +206,16 @@ func runHybrid(p *mpi.Proc, cfg Config, rowComm, colComm *mpi.Comm,
 
 	for k := 0; k < dim; k++ {
 		rb, cb := rowB[k%2], colB[k%2]
-		if myCol == k {
-			packMat(rb.Buffer(), aBlock)
+		// The owner writes its block straight into the node's shared
+		// panel.
+		if myCol == k && cfg.Verify {
+			fillPanel(rb.Buffer(), fillA, p.Rank(), b)
 		}
 		if err := rb.Bcast(k); err != nil {
 			return fmt.Errorf("summa: hybrid row bcast k=%d: %w", k, err)
 		}
-		if myRow == k {
-			packMat(cb.Buffer(), bBlock)
+		if myRow == k && cfg.Verify {
+			fillPanel(cb.Buffer(), fillB, p.Rank(), b)
 		}
 		if err := cb.Bcast(k); err != nil {
 			return fmt.Errorf("summa: hybrid col bcast k=%d: %w", k, err)
@@ -259,51 +264,81 @@ func panelMat(panel mpi.Buf, b int) la.Mat {
 	return la.Mat{Rows: b, Cols: b, Data: data}
 }
 
-// localBlocks builds deterministic per-rank A and B blocks so that the
-// verification product is reproducible.
-func localBlocks(rank, b int) (*la.Mat, *la.Mat) {
-	a, bm := la.NewMat(b, b), la.NewMat(b, b)
-	fillBlocks(a, bm, rank, 0, 0, b)
-	return a, bm
+// fillPanel writes rank's b x b block of one operand into panel through
+// its float64 view. A panel with no view (a misaligned sub-slice, or any
+// panel on a big-endian host) gets the block built aside and stored
+// through the byte codec.
+func fillPanel(panel mpi.Buf, fill func(m *la.Mat, rank, row0, col0, b int), rank, b int) {
+	m := la.Mat{Rows: b, Cols: b, Data: panel.Float64sView()}
+	if m.Data == nil {
+		m.Data = make([]float64, b*b)
+		defer panel.PutFloat64s(0, m.Data)
+	}
+	fill(&m, rank, 0, 0, b)
 }
 
-// fillBlocks writes rank's A and B blocks into a and bm with their top
-// left corner at (row0, col0): smooth, rank-dependent values, kept small
-// so the products stay well-conditioned,
+// fillA and fillB write rank's A and B blocks into m with their top left
+// corner at (row0, col0): smooth, rank-dependent values, kept small so
+// the products stay well-conditioned,
 //
 //	a[i][j] = sin(rank*31 + 7i + j) / 2,  b[i][j] = cos(rank*17 + 3i + 5j) / 2.
 //
-// Both arguments are integers in a window of 8b-7 values above the
-// rank's offset, so one table of each function over its window gives
-// the b² elements from 8b-7 evaluations each.
-func fillBlocks(a, bm *la.Mat, rank, row0, col0, b int) {
-	w := 8*b - 7
-	tab := make([]float64, 2*w)
-	sin, cos := tab[:w], tab[w:]
+// Each argument is an integer in a window of 8b-7 values above the
+// rank's offset, so one table of the function over its window gives the
+// b² elements from 8b-7 evaluations.
+func fillA(m *la.Mat, rank, row0, col0, b int) {
+	sin := make([]float64, 8*b-7)
 	for t := range sin {
 		sin[t] = math.Sin(float64(rank*31+t)) * 0.5
-		cos[t] = math.Cos(float64(rank*17+t)) * 0.5
 	}
 	for i := 0; i < b; i++ {
-		arow := a.Row(row0 + i)[col0 : col0+b]
-		brow := bm.Row(row0 + i)[col0 : col0+b]
-		for j := range arow {
-			arow[j] = sin[7*i+j]
-			brow[j] = cos[3*i+5*j]
+		row := m.Row(row0 + i)[col0 : col0+b]
+		for j := range row {
+			row[j] = sin[7*i+j]
 		}
 	}
 }
 
+// fillB is fillA's counterpart for B.
+func fillB(m *la.Mat, rank, row0, col0, b int) {
+	cos := make([]float64, 8*b-7)
+	for t := range cos {
+		cos[t] = math.Cos(float64(rank*17+t)) * 0.5
+	}
+	for i := 0; i < b; i++ {
+		row := m.Row(row0 + i)[col0 : col0+b]
+		for j := range row {
+			row[j] = cos[3*i+5*j]
+		}
+	}
+}
+
+// gatherBlocks allocates the buffers of the final gather and the C block
+// that accumulates in the send block: the send block itself where it has
+// a float64 view, a matrix stored into it by gatherC otherwise. Rank 0,
+// the root, sends block 0 of its receive buffer, as MPI_IN_PLACE would.
+func gatherBlocks(p *mpi.Proc, world *mpi.Comm, b int) (send, recv mpi.Buf, cBlock *la.Mat) {
+	blockBytes := 8 * b * b
+	if world.Rank() == 0 {
+		recv = p.World().NewBuf(blockBytes * world.Size())
+		send = recv.Slice(0, blockBytes)
+	} else {
+		send = p.World().NewBuf(blockBytes)
+	}
+	cBlock = &la.Mat{Rows: b, Cols: b, Data: send.Float64sView()}
+	if cBlock.Data == nil {
+		cBlock.Data = make([]float64, b*b)
+	}
+	return send, recv, cBlock
+}
+
 // gatherC gathers every rank's C block at rank 0, in rank order, and
 // returns the gathered buffer there.
-func gatherC(world *mpi.Comm, cBlock *la.Mat, blockBytes int) (mpi.Buf, error) {
-	recv := mpi.Buf{}
-	if world.Rank() == 0 {
-		recv = mpi.Bytes(make([]byte, blockBytes*world.Size()))
+func gatherC(world *mpi.Comm, send, recv mpi.Buf, cBlock *la.Mat) (mpi.Buf, error) {
+	if send.Float64sView() == nil {
+		send.PutFloat64s(0, cBlock.Data)
 	}
-	send := mpi.Bytes(make([]byte, blockBytes))
-	packMat(send, cBlock)
-	if err := gather(world, send, recv, blockBytes, 0); err != nil {
+	if err := gather(world, send, recv, send.Len(), 0); err != nil {
 		return mpi.Buf{}, err
 	}
 	return recv, nil
@@ -311,7 +346,8 @@ func gatherC(world *mpi.Comm, cBlock *la.Mat, blockBytes int) (mpi.Buf, error) {
 
 // reference is the product A x B of the assembled operands, n =
 // GridDim*BlockDim, computed by host goroutines while the simulated
-// ranks run.
+// ranks run. It holds B and C in full and A one block-row band per
+// goroutine.
 type reference struct {
 	cfg  Config
 	c    *la.Mat
@@ -319,17 +355,15 @@ type reference struct {
 }
 
 // startReference starts min(GOMAXPROCS, GridDim) goroutines. Each one
-// fills its block rows of A and B with fillBlocks, waits until every
-// block row is filled, then computes its block rows of C with la.Gemm
-// on row-band views; goroutine g takes block rows g, g+G, g+2G, ...
+// fills its block rows of B with fillB and waits until every block row
+// is filled. Then, for each of its block rows, it fills its b x n band
+// of A with fillA and computes that block row of C with la.Gemm on a
+// row-band view; goroutine g takes block rows g, g+G, g+2G, ...
 func startReference(cfg Config) *reference {
 	dim, b := cfg.GridDim, cfg.BlockDim
 	n := dim * b
-	a, bm := la.NewMat(n, n), la.NewMat(n, n)
+	bm := la.NewMat(n, n)
 	ref := &reference{cfg: cfg, c: la.NewMat(n, n)}
-	band := func(m *la.Mat, row int) *la.Mat {
-		return &la.Mat{Rows: b, Cols: n, Data: m.Data[row*b*n : (row+1)*b*n]}
-	}
 	g := min(runtime.GOMAXPROCS(0), dim)
 	var filled sync.WaitGroup
 	filled.Add(g)
@@ -339,13 +373,18 @@ func startReference(cfg Config) *reference {
 			defer ref.done.Done()
 			for row := w; row < dim; row += g {
 				for col := range dim {
-					fillBlocks(a, bm, row*dim+col, row*b, col*b, b)
+					fillB(bm, row*dim+col, row*b, col*b, b)
 				}
 			}
 			filled.Done()
 			filled.Wait()
+			a := la.NewMat(b, n)
 			for row := w; row < dim; row += g {
-				if err := la.Gemm(band(ref.c, row), band(a, row), bm); err != nil {
+				for col := range dim {
+					fillA(a, row*dim+col, 0, col*b, b)
+				}
+				c := &la.Mat{Rows: b, Cols: n, Data: ref.c.Data[row*b*n : (row+1)*b*n]}
+				if err := la.Gemm(c, a, bm); err != nil {
 					panic(err) // b x n times n x n by construction
 				}
 			}
@@ -373,11 +412,4 @@ func (ref *reference) check(c mpi.Buf) error {
 		}
 	}
 	return nil
-}
-
-func packMat(dst mpi.Buf, m *la.Mat) {
-	if m == nil || !dst.Real() {
-		return
-	}
-	dst.PutFloat64s(0, m.Data)
 }

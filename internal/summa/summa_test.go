@@ -122,18 +122,35 @@ func TestSummaHybridMultipliesInPlace(t *testing.T) {
 	}
 }
 
+// misaligned is a b x b panel that starts off an 8-byte boundary, so no
+// float64 view of it exists. A tiny allocation need not start on an
+// 8-byte boundary (under the race detector it may not), so the offset is
+// picked against the address.
+func misaligned(t *testing.T, b int) mpi.Buf {
+	t.Helper()
+	raw := make([]byte, 8*b*b+2)
+	off := 1
+	if uintptr(unsafe.Pointer(&raw[off]))%8 == 0 {
+		off = 2
+	}
+	buf := mpi.Bytes(raw).Slice(off, 8*b*b)
+	if buf.Float64sView() != nil {
+		t.Fatal("a panel at an odd offset has a float64 view")
+	}
+	return buf
+}
+
 // TestLocalUpdateCopiesMisalignedPanel hands localUpdate panels that
 // start at an odd byte offset, so no float64 view of them exists, and
 // expects the product the aligned panels give, bit for bit.
 func TestLocalUpdateCopiesMisalignedPanel(t *testing.T) {
 	const b = 6
-	aBlock, bBlock := localBlocks(3, b)
+	aBlock, bBlock := la.NewMat(b, b), la.NewMat(b, b)
+	fillA(aBlock, 3, 0, 0, b)
+	fillB(bBlock, 3, 0, 0, b)
 	shifted := func(m *la.Mat) mpi.Buf {
-		buf := mpi.Bytes(make([]byte, 8*b*b+1)).Slice(1, 8*b*b)
-		if buf.Float64sView() != nil {
-			t.Fatal("a panel at an odd offset has a float64 view")
-		}
-		packMat(buf, m)
+		buf := misaligned(t, b)
+		buf.PutFloat64s(0, m.Data)
 		return buf
 	}
 	w := worldFor(t, []int{1}, true)
@@ -159,15 +176,16 @@ func TestLocalUpdateCopiesMisalignedPanel(t *testing.T) {
 	}
 }
 
-// TestFillBlocksMatchesTrig holds the table lookup to the direct
-// expressions it replaces, bit for bit, at an offset corner of a larger
-// matrix.
+// TestFillBlocksMatchesTrig holds fillA's and fillB's table lookups to
+// the direct expressions they replace, bit for bit, at an offset corner
+// of a larger matrix.
 func TestFillBlocksMatchesTrig(t *testing.T) {
 	for _, b := range []int{1, 7, 64} {
 		for rank := 0; rank < 16; rank++ {
 			const row0, col0 = 2, 3
 			a, bm := la.NewMat(b+row0, b+col0+1), la.NewMat(b+row0, b+col0+1)
-			fillBlocks(a, bm, rank, row0, col0, b)
+			fillA(a, rank, row0, col0, b)
+			fillB(bm, rank, row0, col0, b)
 			for i := 0; i < b; i++ {
 				for j := 0; j < b; j++ {
 					wantA := math.Sin(float64(rank*31+i*7+j)) * 0.5
@@ -178,6 +196,32 @@ func TestFillBlocksMatchesTrig(t *testing.T) {
 					if got := bm.At(row0+i, col0+j); math.Float64bits(got) != math.Float64bits(wantB) {
 						t.Fatalf("b=%d rank %d: B[%d][%d] = %v, want %v", b, rank, i, j, got, wantB)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestOperandFillIntoUnviewedPanel fills both operands of every rank of
+// a 4x4 grid into panels with a float64 view and into misaligned ones,
+// which take fillPanel's build-and-store fallback, and expects the same
+// bytes.
+func TestOperandFillIntoUnviewedPanel(t *testing.T) {
+	for _, b := range []int{1, 6, 64} {
+		for rank := 0; rank < 16; rank++ {
+			for name, fill := range map[string]func(*la.Mat, int, int, int, int){"A": fillA, "B": fillB} {
+				viewed := mpi.Bytes(make([]byte, 8*b*b))
+				if viewed.Float64sView() == nil {
+					t.Skip("no float64 view on this host")
+				}
+				unviewed := misaligned(t, b)
+				fillPanel(viewed, fill, rank, b)
+				fillPanel(unviewed, fill, rank, b)
+				if !slices.Equal(viewed.Raw(), unviewed.Raw()) {
+					t.Fatalf("b=%d rank %d: %s filled through the fallback differs from the viewed fill", b, rank, name)
+				}
+				if b > 1 && slices.Equal(viewed.Raw(), make([]byte, 8*b*b)) {
+					t.Fatalf("b=%d rank %d: %s left the panel zero", b, rank, name)
 				}
 			}
 		}
@@ -302,17 +346,18 @@ func TestVerifyCatchesOneUlp(t *testing.T) {
 	}
 }
 
-// settled fails if a reference goroutine is still at work, filling or
-// multiplying, and then waits until the goroutine count is back to
-// baseline: a goroutine that has signalled its WaitGroup may still be
-// on its way out, so the count is polled for a while.
+// settled fails if a reference goroutine is still at work, filling,
+// multiplying or waiting at the fill barrier, and then waits until the
+// goroutine count is back to baseline: a goroutine that has signalled
+// its WaitGroup may still be on its way out, inside that Done, so its
+// stack is not held against it and the count is polled for a while.
 func settled(t *testing.T, baseline int) {
 	t.Helper()
 	stacks := make([]byte, 1<<20)
 	stacks = stacks[:runtime.Stack(stacks, true)]
 	for _, g := range strings.Split(string(stacks), "\n\n") {
 		if strings.Contains(g, "created by repro/internal/summa.startReference") &&
-			(strings.Contains(g, "la.Gemm") || strings.Contains(g, "summa.fillBlocks") || strings.Contains(g, "WaitGroup")) {
+			(strings.Contains(g, "la.Gemm") || strings.Contains(g, "summa.fill") || strings.Contains(g, "sync.(*WaitGroup).Wait")) {
 			t.Errorf("a reference goroutine is still at work after Run:\n%s", g)
 		}
 	}
@@ -380,4 +425,58 @@ func TestVerifiedRunLeavesNoGoroutine(t *testing.T) {
 			w.Close()
 		}
 	})
+}
+
+// TestVerifiedRunAllocationPin pins what one verified run at the
+// benchmark's fig-apps point allocates (4x4 grid, b=64, four nodes of
+// four, GOMAXPROCS 2, so two reference bands), averaged over five runs
+// on fresh worlds. What the run owns: the 16 ranks' two panels each
+// (1 MB), the gather's send blocks, receive buffer and interior scratch
+// (1.7 MB), the reference's B, C and two A bands (1.3 MB) and the fill
+// tables. Measured over 24 averages: 4.48-4.55 MB in 349-384 objects
+// for Ori, 4.75-4.85 MB in 668-734 for Hy; the ceilings sit about 2%
+// above the mean bytes and the highest object count (pool refills after
+// a GC move the count by a few percent). It was 7.21 MB in 450 objects
+// and 7.51 MB in 790 while every rank kept private A, B and C blocks
+// and copied them into its panels and send block, the reference held
+// all of A, and the binomial gather staged every range in scratch.
+func TestVerifiedRunAllocationPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, tc := range []struct {
+		hybrid         bool
+		bytes, objects uint64
+	}{
+		{false, 4_620_000, 395},
+		{true, 4_930_000, 750},
+	} {
+		cfg := Config{GridDim: 4, BlockDim: 64, Hybrid: tc.hybrid, Verify: true}
+		measure := func() (bytes, objects uint64) {
+			w := worldFor(t, []int{4, 4, 4, 4}, true)
+			defer w.Close()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := Run(w, cfg)
+			runtime.ReadMemStats(&after)
+			if err != nil || !res.Verified {
+				t.Fatalf("hybrid=%v: verified=%v, err %v", tc.hybrid, res.Verified, err)
+			}
+			return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+		}
+		measure() // fill pools and the geometry cache
+		const runs = 5
+		var bytes, objects uint64
+		for i := 0; i < runs; i++ {
+			b, o := measure()
+			bytes, objects = bytes+b, objects+o
+		}
+		bytes, objects = bytes/runs, objects/runs
+		t.Logf("hybrid=%v: %d bytes, %d objects per verified run", tc.hybrid, bytes, objects)
+		if bytes > tc.bytes || objects > tc.objects {
+			t.Errorf("hybrid=%v: a verified run allocates %d bytes in %d objects, pinned at %d and %d",
+				tc.hybrid, bytes, objects, tc.bytes, tc.objects)
+		}
+	}
 }
