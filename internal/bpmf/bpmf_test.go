@@ -316,6 +316,40 @@ func TestBPMFDeterministicTiming(t *testing.T) {
 	}
 }
 
+// TestSampledBitsPinned pins every sampled value a real run reports, as
+// float64 bits, at the benchmark's fig-apps configuration (2x12 ranks,
+// 1200x240, K = 10, three iterations) for two seeds, in both flavors: a
+// kernel change in la or in the row draw that is meant to be exact must
+// leave the checksum and each RMSE entry bit for bit where they are.
+func TestSampledBitsPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed     int64
+		checksum uint64
+		rmse     [3]uint64
+	}{
+		{1, 0xc050803931be9095, [3]uint64{0x3fecd5e3187377bd, 0x3fea2129d5b80602, 0x3fe81c123abd2520}},
+		{7, 0x405c9cf55577c46f, [3]uint64{0x3fedeb4448c702a4, 0x3fea2048a841ea8e, 0x3fe83d5c5c32acac}},
+	} {
+		for _, hy := range []bool{false, true} {
+			cfg := Config{Users: 1200, Items: 240, K: 10, AvgDeg: 4, Iters: 3, Seed: c.seed, Hybrid: hy, Real: true, RowOverheadFlops: 3e6}
+			w := worldFor(t, []int{12, 12}, true)
+			res, err := Run(w, cfg)
+			w.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := math.Float64bits(res.Checksum); got != c.checksum {
+				t.Errorf("seed %d hybrid=%v: checksum %#x (%v), want %#x", c.seed, hy, got, res.Checksum, c.checksum)
+			}
+			for i, want := range c.rmse {
+				if got := math.Float64bits(res.RMSE[i]); got != want {
+					t.Errorf("seed %d hybrid=%v: RMSE[%d] %#x (%v), want %#x", c.seed, hy, i, got, res.RMSE[i], want)
+				}
+			}
+		}
+	}
+}
+
 func TestRowFlopsMonotone(t *testing.T) {
 	if rowFlops(8, 10, 0) <= rowFlops(8, 1, 0) {
 		t.Error("rowFlops not monotone in degree")
