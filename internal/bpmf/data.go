@@ -108,7 +108,7 @@ func Synthetic(users, items, avgDeg int, seed int64, materialize bool) *Dataset 
 			}
 			seen[j] = int32(u) + 1
 			userIdx[t] = j
-			userVal[t] = dot(rowOf(uTrue, trueK, u), rowOf(vTrue, trueK, int(j))) + 0.3*rng.NormFloat64()
+			userVal[t] = dot(rowOf(uTrue, trueK, u), rowOf(vTrue, trueK, int(j))) + float64(0.3*rng.NormFloat64())
 			d.ItemDeg[j]++
 		}
 		off = end
@@ -146,7 +146,7 @@ func normVec(n int, rng *rand.Rand) []float64 {
 func dot(a, b []float64) float64 {
 	s := 0.0
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }

@@ -11,7 +11,9 @@ import (
 // the per-row conditional draws of BPMF [26]. All draws are keyed by
 // (seed, iteration, phase, row), never by rank, so a run partitioned
 // over any number of processes produces bit-identical samples — the
-// property the pure-vs-hybrid equivalence tests rely on.
+// property the pure-vs-hybrid equivalence tests rely on. As in la, a
+// product that feeds a sum is written float64(x * y), so no platform
+// fuses the two and every draw rounds alike everywhere.
 
 const (
 	alphaPrec = 2.0 // observation precision (paper-standard)
@@ -28,7 +30,8 @@ type hyper struct {
 // sampler is one rank's workspace, built once in runRank, so that a row
 // draw allocates nothing and seeds nothing but sixteen bytes: the row's
 // precision and its Cholesky factor, two K-vectors, and the one
-// generator every draw of the rank comes from, re-keyed in place.
+// generator every draw of the rank comes from, re-keyed in place. Once
+// a row's precision is factored, its upper triangle holds Lᵀ.
 type sampler struct {
 	prec, chol *la.Mat    // K x K
 	mean, dev  []float64  // K each, halves of one slice
@@ -144,41 +147,80 @@ func (s *sampler) sampleHyper(latent []float64, n int) (hyper, error) {
 // as it stands: given the other side's latent matrix `other` (flat, K
 // columns), the row's observed column indices and values, and the phase
 // hyperparameters.
+//
+// The row precision and right-hand side take the observations four at
+// a time: each element is loaded once per four and adds its four
+// products in observation order, p + x0 + x1 + x2 + x3, the roundings of
+// four += steps. la.CholeskyInto factors the precision's lower triangle
+// into s.chol and writes Lᵀ over the precision's upper triangle, which
+// nothing reads again; the forward solve runs over L's rows, and the
+// mean's and the noise's back-solves share one pass over Lᵀ's rows.
 func (s *sampler) sampleRow(h hyper, other []float64, idx []int32, val []float64) error {
 	b := s.mean
 	k := len(b)
 	copy(s.prec.Data, h.lambda.Data)
 	copy(b, h.lmu)
-	for t, j := range idx {
-		o := rowOf(other, k, int(j))
-		for i, oi := range o {
-			b[i] += alphaPrec * val[t] * oi
+	t := 0
+	for ; t+4 <= len(idx); t += 4 {
+		o0, o1 := rowOf(other, k, int(idx[t])), rowOf(other, k, int(idx[t+1]))
+		o2, o3 := rowOf(other, k, int(idx[t+2])), rowOf(other, k, int(idx[t+3]))
+		v0, v1, v2, v3 := alphaPrec*val[t], alphaPrec*val[t+1], alphaPrec*val[t+2], alphaPrec*val[t+3]
+		for i := range b {
+			x0, x1, x2, x3 := o0[i], o1[i], o2[i], o3[i]
+			b[i] = b[i] + float64(v0*x0) + float64(v1*x1) + float64(v2*x2) + float64(v3*x3)
+			a0, a1, a2, a3 := alphaPrec*x0, alphaPrec*x1, alphaPrec*x2, alphaPrec*x3
 			// The factorization reads the lower triangle only.
 			prow := s.prec.Row(i)[:i+1]
-			for c := range prow {
-				prow[c] += alphaPrec * oi * o[c]
+			q0, q1, q2, q3 := o0[:len(prow)], o1[:len(prow)], o2[:len(prow)], o3[:len(prow)]
+			for c, p := range prow {
+				prow[c] = p + float64(a0*q0[c]) + float64(a1*q1[c]) + float64(a2*q2[c]) + float64(a3*q3[c])
 			}
 		}
 	}
-	if err := la.CholeskyInto(s.chol, s.prec); err != nil {
+	for ; t < len(idx); t++ {
+		o := rowOf(other, k, int(idx[t]))
+		v := alphaPrec * val[t]
+		for i, oi := range o {
+			b[i] += float64(v * oi)
+			a := alphaPrec * oi
+			prow := s.prec.Row(i)[:i+1]
+			for c, x := range o[:len(prow)] {
+				prow[c] += float64(a * x)
+			}
+		}
+	}
+	lt := s.prec
+	if err := la.CholeskyInto(s.chol, lt, lt); err != nil {
 		return fmt.Errorf("bpmf: row precision not SPD: %w", err)
 	}
-	// mean = prec^-1 b, solved in place.
-	if err := la.SolveLowerInto(b, s.chol, b); err != nil {
-		return err
+	// mean = prec^-1 b, solved in place; the sample is mean + L^-T z
+	// (covariance prec^-1), with z drawn into s.dev. Each normal is
+	// drawn beside a step of the forward solve, whose divisions it
+	// does not wait for.
+	dev := s.dev
+	for i := range b {
+		dev[i] = s.rng.NormFloat64()
+		li := s.chol.Row(i)[:i+1]
+		sb := b[i]
+		for c, x := range b[:i] {
+			sb -= float64(li[c] * x)
+		}
+		b[i] = sb / li[i]
 	}
-	if err := la.SolveUpperTInto(b, s.chol, b); err != nil {
-		return err
-	}
-	// Sample = mean + L^-T z (covariance = prec^-1).
-	for i := range s.dev {
-		s.dev[i] = s.rng.NormFloat64()
-	}
-	if err := la.SolveUpperTInto(s.dev, s.chol, s.dev); err != nil {
-		return err
+	for i := k - 1; i >= 0; i-- {
+		u := lt.Row(i)[i:]
+		d, u := u[0], u[1:]
+		bt, dt := b[i+1:], dev[i+1:]
+		bt, dt = bt[:len(u)], dt[:len(u)]
+		sb, sd := b[i], dev[i]
+		for c, x := range u {
+			sb -= float64(x * bt[c])
+			sd -= float64(x * dt[c])
+		}
+		b[i], dev[i] = sb/d, sd/d
 	}
 	for i := range b {
-		b[i] += s.dev[i]
+		b[i] += dev[i]
 	}
 	return nil
 }
@@ -191,12 +233,12 @@ func (s *sampler) sampleRow(h hyper, other []float64, idx []int32, val []float64
 // recorded in EXPERIMENTS.md.
 func rowFlops(k, deg int, overhead float64) float64 {
 	kf := float64(k)
-	return kf*kf*kf/3 + float64(deg)*(kf*kf+kf) + 3*kf*kf + overhead
+	return kf*kf*kf/3 + float64(float64(deg)*(float64(kf*kf)+kf)) + float64(3*kf*kf) + overhead
 }
 
 // hyperFlops is the virtual-compute charge of the hyperparameter draw
 // over an n x k latent matrix (covariance accumulation dominates).
 func hyperFlops(n, k int) float64 {
 	kf := float64(k)
-	return float64(n)*(kf*kf+kf) + 10*kf*kf*kf
+	return float64(float64(n)*(float64(kf*kf)+kf)) + float64(10*kf*kf*kf)
 }

@@ -311,7 +311,7 @@ func rmse(ds *Dataset, userBuf, itemBuf mpi.Buf, k int) float64 {
 		urow := rowOf(u, k, uu)
 		for t, j := range ds.UserIdx[uu] {
 			d := ds.UserVal[uu][t] - dot(urow, rowOf(v, k, int(j)))
-			sum += d * d
+			sum += float64(d * d)
 			n++
 		}
 	}

@@ -1,10 +1,12 @@
 package la
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -105,17 +107,19 @@ func naiveGemm(c, a, b *Mat) {
 	}
 }
 
-// eachKernel calls f once per kernel Gemm can run on this host, named
-// "kernel=avx" or "kernel=go", with gemmAVX set to select it, and
-// restores gemmAVX afterwards.
+// kernelNames are the subtest names of the Gemm kernels, by level.
+var kernelNames = [...]string{gemmGo: "kernel=go", gemmAVX: "kernel=avx", gemmAVX512: "kernel=avx512"}
+
+// eachKernel calls f once per kernel Gemm can run on this host, widest
+// first, named as in kernelNames, with gemmLevel lowered to select it,
+// and restores gemmLevel afterwards.
 func eachKernel(f func(kernel string)) {
-	host := gemmAVX
-	defer func() { gemmAVX = host }()
-	if host {
-		f("kernel=avx")
+	host := gemmLevel
+	defer func() { gemmLevel = host }()
+	for level := host; level >= gemmGo; level-- {
+		gemmLevel = level
+		f(kernelNames[level])
 	}
-	gemmAVX = false
-	f("kernel=go")
 }
 
 // sameBits reports whether two matrices hold the same float64 bit
@@ -129,14 +133,16 @@ func sameBits(x, y *Mat) (int, bool) {
 	return 0, true
 }
 
-// TestGemmMatchesNaiveExactly holds both kernels to the plain triple
-// loop bit for bit: at every remainder of the AVX 4x8 tile (row counts
-// 1-3 past a multiple of four, column counts 1-7 past a multiple of
-// eight) and of the Go 2x4 tile, at inner dimensions that cross one and
-// two packed blocks of gemmKC, at a zero inner dimension, at SUMMA's
-// 64-block and the referee's 256 rows, and on the operands where
-// skipping a zero a[i][k] would show: an infinity in B, and a C that
-// starts at -0, in full 4x8 tiles and in every remainder path.
+// TestGemmMatchesNaiveExactly holds every kernel to the plain triple
+// loop bit for bit: at every remainder of the AVX-512 4x16 tile (column
+// counts 1-15 past a multiple of sixteen), of the AVX 4x8 tile (row
+// counts 1-3 past a multiple of four, column counts 1-7 past a multiple
+// of eight) and of the Go 2x4 tile, at inner dimensions that cross one
+// and two packed blocks of every strip width (32, 64 and 128 k rows at
+// 16, 8 and 4 columns), at a zero inner dimension, at SUMMA's 64-block
+// and the referee's 256 rows, and on the operands where skipping a zero
+// a[i][k] would show: an infinity in B, and a C that starts at -0, in
+// full 4x16 and 4x8 tiles and in every remainder path.
 func TestGemmMatchesNaiveExactly(t *testing.T) {
 	eachKernel(func(kernel string) {
 		t.Run(kernel, testGemmMatchesNaive)
@@ -172,6 +178,12 @@ func testGemmMatchesNaive(t *testing.T) {
 		{4, 8, 1}, {5, 9, 65}, {6, 10, 130}, {7, 11, 5}, {9, 12, 64},
 		{10, 13, 65}, {11, 14, 130}, {13, 15, 3}, {8, 17, 129}, {12, 23, 66},
 		{4, 8, 130}, {17, 31, 65},
+		// n mod 16 = 1-15 at both m mod 4 = 0 and 1-3, with k inside a
+		// 16-wide block (32 rows) and crossing one and two of them.
+		{4, 17, 31}, {5, 18, 33}, {6, 19, 65}, {7, 20, 32}, {8, 21, 97},
+		{9, 22, 1}, {10, 23, 64}, {11, 24, 129}, {12, 25, 33}, {13, 26, 7},
+		{14, 27, 66}, {15, 28, 32}, {16, 29, 95}, {17, 30, 34}, {18, 31, 257},
+		{4, 32, 64}, {8, 48, 130}, {5, 47, 40},
 	} {
 		m, n, kk := dims[0], dims[1], dims[2]
 		c := NewMat(m, n)
@@ -181,9 +193,10 @@ func testGemmMatchesNaive(t *testing.T) {
 		check("random", c, random(m, kk), random(kk, n))
 	}
 
-	// The 7x13 product runs every path: rows 0-3 and columns 0-7 are
-	// one 4x8 tile, rows 4-5 a Go pair and row 6 a trailing odd row,
-	// columns 8-11 a 4-column strip and column 12 a single column.
+	// The 7x13 product runs every path below 16 columns: rows 0-3 and
+	// columns 0-7 are one 4x8 tile, rows 4-5 a Go pair and row 6 a
+	// trailing odd row, columns 8-11 a 4-column strip and column 12 a
+	// single column. The 7x29 product puts a 4x16 tile before them.
 
 	// A zero in A against an infinity in B is NaN, not a skipped term:
 	// zeros in the tile's first and last rows, the pair and the odd
@@ -215,32 +228,61 @@ func testGemmMatchesNaive(t *testing.T) {
 		c.Data[i] = math.Copysign(0, -1)
 	}
 	check("negzero", c, a, b)
+
+	// The same two cases shifted right by a 16-column strip: the zeros
+	// in A now meet infinities in both halves of the 4x16 tile too.
+	a, b = random(7, 5), random(5, 29)
+	a.Set(0, 2, 0)
+	a.Set(3, 2, 0)
+	a.Set(4, 2, 0)
+	a.Set(6, 4, 0)
+	for _, col := range []int{3, 11, 19, 22, 25} {
+		b.Set(2, col, math.Inf(1))
+	}
+	b.Set(4, 1, math.Inf(-1))
+	b.Set(4, 14, math.Inf(-1))
+	b.Set(4, 28, math.Inf(-1))
+	c = NewMat(7, 29)
+	check("inf16", c, a, b)
+	for _, at := range [][2]int{{0, 3}, {3, 11}, {0, 19}, {3, 22}, {4, 25}, {6, 1}, {6, 14}, {6, 28}} {
+		if x := c.At(at[0], at[1]); !math.IsNaN(x) {
+			t.Errorf("0 * Inf accumulated to C[%d][%d] = %v, want NaN", at[0], at[1], x)
+		}
+	}
+	a, b = NewMat(7, 3), random(3, 29)
+	c = NewMat(7, 29)
+	for i := range c.Data {
+		c.Data[i] = math.Copysign(0, -1)
+	}
+	check("negzero16", c, a, b)
 }
 
-// TestGemmShortDataPanicsInGo gives each operand of a full 4x8 tile one
-// element too few: the index Gemm takes before the assembly call must
-// panic with a Go bounds error instead of letting the tile read or write
-// past the slice.
+// TestGemmShortDataPanicsInGo gives each operand of a full 4x8 and a
+// full 4x16 tile one element too few: the index Gemm takes before the
+// assembly call must panic with a Go bounds error instead of letting
+// the tile read or write past the slice.
 func TestGemmShortDataPanicsInGo(t *testing.T) {
 	eachKernel(func(kernel string) {
-		for _, short := range []string{"a", "b", "c"} {
-			a, b, c := NewMat(4, 3), NewMat(3, 8), NewMat(4, 8)
-			switch short {
-			case "a":
-				a.Data = a.Data[: len(a.Data)-1 : len(a.Data)-1]
-			case "b":
-				b.Data = b.Data[: len(b.Data)-1 : len(b.Data)-1]
-			case "c":
-				c.Data = c.Data[: len(c.Data)-1 : len(c.Data)-1]
-			}
-			func() {
-				defer func() {
-					if _, ok := recover().(runtime.Error); !ok {
-						t.Errorf("%s: Gemm with a short %s did not panic with a runtime error", kernel, short)
-					}
+		for _, n := range []int{8, 16} {
+			for _, short := range []string{"a", "b", "c"} {
+				a, b, c := NewMat(4, 3), NewMat(3, n), NewMat(4, n)
+				switch short {
+				case "a":
+					a.Data = a.Data[: len(a.Data)-1 : len(a.Data)-1]
+				case "b":
+					b.Data = b.Data[: len(b.Data)-1 : len(b.Data)-1]
+				case "c":
+					c.Data = c.Data[: len(c.Data)-1 : len(c.Data)-1]
+				}
+				func() {
+					defer func() {
+						if _, ok := recover().(runtime.Error); !ok {
+							t.Errorf("%s n=%d: Gemm with a short %s did not panic with a runtime error", kernel, n, short)
+						}
+					}()
+					_ = Gemm(c, a, b)
 				}()
-				_ = Gemm(c, a, b)
-			}()
+			}
 		}
 	})
 }
@@ -254,9 +296,10 @@ var gemmSpecials = []float64{
 	-0x1p-1022, 1, -1,
 }
 
-// FuzzGemmMatchesNaive holds both kernels to the naive loop on shapes
-// and values the fuzzer picks: m and n up to 40, k up to 2*gemmKC+11 so
-// it crosses one and two packed blocks, operands drawn from a normal
+// FuzzGemmMatchesNaive holds every kernel to the naive loop on shapes
+// and values the fuzzer picks: m and n up to 40, k up to 139 so it
+// crosses one packed block of a 4-column strip (128 rows), two of an
+// 8-column one and four of a 16-column one, operands drawn from a normal
 // generator the fuzzer seeds, and special values (gemmSpecials) at
 // positions it picks, three bytes each: a little-endian position into
 // A, then B, then C, and the special's index. Results must match bit
@@ -266,8 +309,9 @@ var gemmSpecials = []float64{
 func FuzzGemmMatchesNaive(f *testing.F) {
 	f.Add(uint8(4), uint8(8), uint8(3), uint64(1), []byte{})
 	f.Add(uint8(7), uint8(13), uint8(65), uint64(2), []byte{2, 0, 0, 40, 0, 2, 200, 0, 1})
+	f.Add(uint8(9), uint8(37), uint8(97), uint64(3), []byte{5, 0, 2, 160, 1, 3, 100, 3, 0})
 	f.Fuzz(func(t *testing.T, mb, nb, kb uint8, seed uint64, specials []byte) {
-		m, n, kk := int(mb%41), int(nb%41), int(kb)%(2*gemmKC+12)
+		m, n, kk := int(mb%41), int(nb%41), int(kb)%140
 		a, b, c := NewMat(m, kk), NewMat(kk, n), NewMat(m, n)
 		rng := rand.New(rand.NewSource(int64(seed)))
 		operands := [][]float64{a.Data, b.Data, c.Data}
@@ -305,7 +349,7 @@ func FuzzGemmMatchesNaive(f *testing.F) {
 	})
 }
 
-// BenchmarkGemm times both kernels at BPMF's latent dimension (the
+// BenchmarkGemm times every kernel at BPMF's latent dimension (the
 // Wishart draw's two products), SUMMA's fig-apps block and the order
 // 256 of the reference product its verification computes (in 64-row
 // bands), on operands without zeros, as SUMMA's are.
@@ -423,7 +467,7 @@ func TestCholeskyIntoOverwrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	l, _ := FromRows([][]float64{{7, 7}, {7, 7}}) // a reused factor holds the last one
-	if err := CholeskyInto(l, a); err != nil {
+	if err := CholeskyInto(l, nil, a); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want.Data {
@@ -431,7 +475,7 @@ func TestCholeskyIntoOverwrites(t *testing.T) {
 			t.Errorf("element %d = %v, want %v", i, l.Data[i], want.Data[i])
 		}
 	}
-	if err := CholeskyInto(NewMat(3, 3), a); err == nil {
+	if err := CholeskyInto(NewMat(3, 3), nil, a); err == nil {
 		t.Error("destination of another shape accepted")
 	}
 }
@@ -443,6 +487,110 @@ func TestCholeskyRejects(t *testing.T) {
 	neg, _ := FromRows([][]float64{{-1}})
 	if _, err := Cholesky(neg); err == nil {
 		t.Error("negative-definite accepted")
+	}
+}
+
+// choleskyRowOrder is the row-by-row factorization CholeskyInto used
+// before it turned left-looking, kept as the reference it must match:
+// row i, then element j = 0..i of it, each a[i][j] minus the products
+// l[i][k]*l[j][k] in ascending k. The conversions round each product
+// on its own on every platform, as CholeskyInto does.
+func choleskyRowOrder(l, a *Mat) error {
+	n := a.Rows
+	for i := 0; i < n; i++ {
+		li := l.Row(i)
+		for j := 0; j <= i; j++ {
+			lj := l.Row(j)
+			s := a.At(i, j)
+			for k := 0; k < j; k++ {
+				s -= float64(li[k] * lj[k])
+			}
+			if i == j {
+				if s <= 0 {
+					return fmt.Errorf("%w (pivot %d = %g)", ErrNotSPD, i, s)
+				}
+				li[i] = math.Sqrt(s)
+			} else {
+				li[j] = s / lj[j]
+			}
+		}
+		clear(li[i+1:])
+	}
+	return nil
+}
+
+// TestCholeskyMatchesRowOrder holds the left-looking factor to the
+// row-order loops bit for bit at sizes 1-20, with and without a
+// separate Lᵀ and with Lᵀ written over a itself, and to the same
+// ErrNotSPD, pivot and pivot value when a pivot is negative or zero.
+func TestCholeskyMatchesRowOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for n := 1; n <= 20; n++ {
+		m := NewMat(n, n)
+		for i := range m.Data {
+			m.Data[i] = rng.NormFloat64()
+		}
+		a := NewMat(n, n)
+		naiveGemm(a, m, m.T())
+		for i := 0; i < n; i++ {
+			a.Add(i, i, float64(n)/4)
+		}
+		want := NewMat(n, n)
+		if err := choleskyRowOrder(want, a); err != nil {
+			t.Fatalf("n=%d: reference: %v", n, err)
+		}
+		l, lt := NewMat(n, n), NewMat(n, n)
+		for i := range l.Data {
+			l.Data[i], lt.Data[i] = 7, -7 // a reused workspace holds old values
+		}
+		if err := CholeskyInto(l, lt, a); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if i, ok := sameBits(l, want); !ok {
+			t.Fatalf("n=%d: element %d = %v, row order gives %v", n, i, l.Data[i], want.Data[i])
+		}
+		inPlace := a.Clone()
+		l2 := NewMat(n, n)
+		if err := CholeskyInto(l2, inPlace, inPlace); err != nil {
+			t.Fatalf("n=%d: in place: %v", n, err)
+		}
+		if i, ok := sameBits(l2, want); !ok {
+			t.Fatalf("n=%d: with Lᵀ over a, element %d = %v, row order gives %v", n, i, l2.Data[i], want.Data[i])
+		}
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				wantT, wantA := -7.0, a.At(i, j)
+				if j >= i {
+					wantT, wantA = want.At(j, i), want.At(j, i)
+				}
+				if got := lt.At(i, j); math.Float64bits(got) != math.Float64bits(wantT) {
+					t.Fatalf("n=%d: Lᵀ[%d][%d] = %v, want %v", n, i, j, got, wantT)
+				}
+				if got := inPlace.At(i, j); math.Float64bits(got) != math.Float64bits(wantA) {
+					t.Fatalf("n=%d: Lᵀ over a [%d][%d] = %v, want %v", n, i, j, got, wantA)
+				}
+			}
+		}
+
+		// A negative pivot at every position: the error, its pivot and
+		// the pivot's value are the row order's.
+		for p := 0; p < n; p++ {
+			bad := a.Clone()
+			bad.Set(p, p, -1)
+			wantErr := choleskyRowOrder(NewMat(n, n), bad)
+			err := CholeskyInto(NewMat(n, n), nil, bad)
+			if !errors.Is(err, ErrNotSPD) || wantErr == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("n=%d pivot %d: error %v, row order gives %v", n, p, err, wantErr)
+			}
+		}
+	}
+	// An exactly zero pivot is not positive either.
+	one, _ := FromRows([][]float64{{1, 1}, {1, 1}})
+	if err := CholeskyInto(NewMat(2, 2), nil, one); !errors.Is(err, ErrNotSPD) || !strings.Contains(err.Error(), "pivot 1 = 0") {
+		t.Errorf("singular 2x2: %v, want ErrNotSPD at pivot 1 = 0", err)
+	}
+	if err := CholeskyInto(NewMat(2, 2), NewMat(3, 3), one); err == nil {
+		t.Error("Lᵀ of another shape accepted")
 	}
 }
 
@@ -619,8 +767,8 @@ func TestSampleMVNDeterministicPerSeed(t *testing.T) {
 // FromRows, Eye, Add, AddMat and SolveSPD are the tests' fixtures and
 // referee: no workload builds a matrix from literals or an identity,
 // updates one through anything but a row slice, or solves one system
-// without keeping the factor (bpmf calls CholeskyInto, SolveLowerInto
-// and SolveUpperTInto itself, on its own workspace).
+// without keeping the factor (bpmf calls CholeskyInto itself, on its
+// own workspace, and solves over the factor and its transpose there).
 
 // Add increments element (i, j).
 func (m *Mat) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }

@@ -3,6 +3,11 @@
 // multivariate-normal sampling), replacing the Eigen library the paper's
 // BPMF code links against. Matrices are small and dense, stored
 // row-major.
+//
+// Every product that feeds a sum is written float64(x * y): the Go spec
+// lets a compiler fuse x*y + s into one rounding, and the arm64 compiler
+// does, while an explicit conversion keeps the product's own rounding,
+// so each kernel rounds alike on every platform.
 package la
 
 import (
@@ -60,9 +65,22 @@ func (m *Mat) Scale(s float64) *Mat {
 	return m
 }
 
-// gemmKC is how many k rows of an 8- or 4-column strip of B Gemm packs
-// into its stack buffer at once (4 KiB at the wider strip).
-const gemmKC = 64
+// gemmKernel is the widest register tile Gemm may run: the Go 2 x 4
+// tile alone, or also the AVX 4 x 8 tile, or also the AVX-512 4 x 16
+// tile. Each level includes the ones below it.
+type gemmKernel int
+
+const (
+	gemmGo gemmKernel = iota
+	gemmAVX
+	gemmAVX512
+)
+
+// gemmStripLen is how many elements of B Gemm packs into its stack
+// buffer at once (4 KiB): gemmStripLen/w k rows of a w-column strip, so
+// 32 at 16 columns, 64 at 8 and 128 at 4. Gemm runs on rank goroutines,
+// which start each Run on small stacks.
+const gemmStripLen = 512
 
 // Gemm computes C += A * B with exactly the roundings of the naive
 // loop: every c[i][j] starts from its own value and adds a[i][k]*b[k][j]
@@ -70,45 +88,70 @@ const gemmKC = 64
 // each sum rounded on its own (never fused), so zeros, signed zeros,
 // infinities and NaNs come out as IEEE arithmetic gives them, on every
 // platform. c must not share storage with a or b: the kernels hold a
-// tile of C in registers across gemmKC steps of k.
+// tile of C in registers across a packed block of k.
 //
-// On amd64 with AVX, the kernel packs an 8-column strip of B, gemmKC
-// rows at a time, into one contiguous stack buffer and runs every group
-// of four A rows over it with an assembly 4 x 8 tile (multiply, then
-// add; no FMA). Elsewhere, and for the rows and columns that tile
-// leaves, the Go kernel packs 4-column strips and runs pairs of A rows
-// as a 2 x 4 tile; a trailing odd row and the columns past the last
-// multiple of four take the same sums one element at a time. It
-// allocates nothing. Returns an error on dimension mismatch.
+// Gemm walks C's columns in strips. It packs a strip of B, as many k
+// rows as fit gemmStripLen, into one contiguous stack buffer and runs
+// every group of four A rows over it with the widest tile the CPU has
+// (gemmLevel): on amd64 an AVX-512 4 x 16 tile over 16-column strips
+// and an AVX 4 x 8 tile over the 8-column strip that may follow (both
+// assembly; multiply, then add; no FMA). The Go kernel takes the rest:
+// 4-column strips, run as 2 x 4 tiles over pairs of A rows, and the
+// rows the assembly tiles leave; a trailing odd row and the columns
+// past the last multiple of four take the same sums one element at a
+// time. It allocates nothing. Returns an error on dimension mismatch.
 func Gemm(c, a, b *Mat) error {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		return fmt.Errorf("la: Gemm shapes %dx%d * %dx%d -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols)
 	}
-	m, n, kk := a.Rows, b.Cols, a.Cols
-	var strip [8 * gemmKC]float64
-	for k0 := 0; k0 < kk; k0 += gemmKC {
-		k1 := min(k0+gemmKC, kk)
-		j := 0
-		if gemmAVX {
-			for ; j+8 <= n; j += 8 {
-				gemmTiles(c, a, gemmPack(strip[:8*(k1-k0)], b.Data[k0*n+j:], n, 8), k0, k1, j)
-			}
+	m, n := a.Rows, b.Cols
+	var strip [gemmStripLen]float64
+	j := 0
+	if gemmLevel >= gemmAVX512 {
+		for ; j+16 <= n; j += 16 {
+			gemmStrip(c, a, b, strip[:], j, 16)
 		}
-		for ; j+4 <= n; j += 4 {
-			gemmRows(c, a, gemmPack(strip[:4*(k1-k0)], b.Data[k0*n+j:], n, 4), 4, 0, k0, k1, j)
+	}
+	if gemmLevel >= gemmAVX {
+		for ; j+8 <= n; j += 8 {
+			gemmStrip(c, a, b, strip[:], j, 8)
 		}
-		for ; j < n; j++ {
-			for i := 0; i < m; i++ {
-				a0, s := a.Row(i)[k0:k1], c.At(i, j)
-				for k, x := range a0 {
-					s += float64(x * b.Data[(k0+k)*n+j])
-				}
-				c.Set(i, j, s)
+	}
+	for ; j+4 <= n; j += 4 {
+		gemmStrip(c, a, b, strip[:], j, 4)
+	}
+	for ; j < n; j++ {
+		for i := 0; i < m; i++ {
+			s := c.At(i, j)
+			for k, x := range a.Row(i) {
+				s += float64(x * b.Data[k*n+j])
 			}
+			c.Set(i, j, s)
 		}
 	}
 	return nil
+}
+
+// gemmStrip adds A times columns j..j+w-1 of B to the same columns of
+// C, w = 4, 8 or 16: block by block of k it packs the strip into the
+// buffer, runs the assembly tile of width w (w > 4) over every group of
+// four rows, and the Go kernel over the rows left, four columns at a
+// time.
+func gemmStrip(c, a, b *Mat, buf []float64, j, w int) {
+	n, kk := b.Cols, a.Cols
+	kc := len(buf) / w
+	for k0 := 0; k0 < kk; k0 += kc {
+		k1 := min(k0+kc, kk)
+		p := gemmPack(buf[:w*(k1-k0)], b.Data[k0*n+j:], n, w)
+		i := 0
+		if w > 4 {
+			i = gemmTiles(c, a, p, k0, k1, j, w)
+		}
+		for q := 0; q < w; q += 4 {
+			gemmRows(c, a, p[q:], w, i, k0, k1, j+q)
+		}
+	}
 }
 
 // gemmPack copies the first w columns of len(p)/w rows of B, which start
@@ -120,21 +163,25 @@ func gemmPack(p, b []float64, ldb, w int) []float64 {
 	return p
 }
 
-// gemmTiles adds A's columns k0..k1 times the 8 columns of B packed at
-// p (row k at p[8*k:8*k+8]) to columns j..j+7 of C: the AVX tile takes
-// every group of four rows, the Go kernel the rows left over.
-func gemmTiles(c, a *Mat, p []float64, k0, k1, j int) {
+// gemmTiles adds A's columns k0..k1 times the w = 8 or 16 columns of B
+// packed at p (row k at p[w*k:w*k+w]) to columns j..j+w-1 of C, with the
+// assembly 4 x w tile over every group of four rows. It returns the
+// first row it left.
+func gemmTiles(c, a *Mat, p []float64, k0, k1, j, w int) int {
 	m, n, kk, kc := a.Rows, c.Cols, a.Cols, k1-k0
 	i := 0
 	for ; i+4 <= m; i += 4 {
 		ai, ci := i*kk+k0, i*n+j
 		// The last element of A, the strip and C the tile touches: a bad
 		// shape panics here, not in assembly.
-		_, _, _ = a.Data[ai+3*kk+kc-1], p[8*kc-1], c.Data[ci+3*n+7]
-		gemm4x8(kc, &a.Data[ai], kk, &p[0], &c.Data[ci], n)
+		_, _, _ = a.Data[ai+3*kk+kc-1], p[w*kc-1], c.Data[ci+3*n+w-1]
+		if w == 16 {
+			gemm4x16(kc, &a.Data[ai], kk, &p[0], &c.Data[ci], n)
+		} else {
+			gemm4x8(kc, &a.Data[ai], kk, &p[0], &c.Data[ci], n)
+		}
 	}
-	gemmRows(c, a, p, 8, i, k0, k1, j)
-	gemmRows(c, a, p[4:], 8, i, k0, k1, j+4)
+	return i
 }
 
 // gemmRows is Gemm's Go kernel: it adds A's columns k0..k1 times four
@@ -198,7 +245,7 @@ func MulVec(a *Mat, x []float64) ([]float64, error) {
 		row := a.Row(i)
 		s := 0.0
 		for j, v := range row {
-			s += v * x[j]
+			s += float64(v * x[j])
 		}
 		y[i] = s
 	}
@@ -214,7 +261,7 @@ func SyrkUpper(c *Mat, x []float64) error {
 	for i, xi := range x {
 		row := c.Row(i)[:len(x)]
 		for j, xj := range x {
-			row[j] += xi * xj
+			row[j] += float64(xi * xj)
 		}
 	}
 	return nil
@@ -230,7 +277,7 @@ func Cholesky(a *Mat) (*Mat, error) {
 		return nil, fmt.Errorf("la: Cholesky of %dx%d", a.Rows, a.Cols)
 	}
 	l := NewMat(a.Rows, a.Rows)
-	if err := CholeskyInto(l, a); err != nil {
+	if err := CholeskyInto(l, nil, a); err != nil {
 		return nil, err
 	}
 	return l, nil
@@ -238,30 +285,82 @@ func Cholesky(a *Mat) (*Mat, error) {
 
 // CholeskyInto is Cholesky into a caller-owned l of a's shape, whose
 // previous contents are overwritten (the strict upper triangle with
-// zeros). l must not alias a.
-func CholeskyInto(l, a *Mat) error {
+// zeros). It reads only a's lower triangle. If lt is not nil, it also
+// receives Lᵀ in its upper triangle, diagonal included, and keeps its
+// strict lower triangle; lt may be a itself, since the factor reads
+// each element of a before it writes the same position of lt. l must
+// not alias a or lt.
+//
+// The factor is left-looking, column by column: every element of
+// column j is a[i][j] minus l[i][k]*l[j][k] for k = 0..j-1 in ascending
+// order, one rounding per product and one per difference, then divided
+// by the pivot (or, on the diagonal, its square root): the roundings of
+// the row-by-row order, in which an element waits for the division
+// before it. Here the rows of one column are independent chains, run
+// four at a time. A non-positive pivot is ErrNotSPD at the same pivot
+// either order meets first.
+func CholeskyInto(l, lt, a *Mat) error {
 	n := a.Rows
-	if a.Cols != n || l.Rows != n || l.Cols != n {
+	if a.Cols != n || l.Rows != n || l.Cols != n || lt != nil && (lt.Rows != n || lt.Cols != n) {
 		return fmt.Errorf("la: Cholesky of %dx%d into %dx%d", a.Rows, a.Cols, l.Rows, l.Cols)
 	}
-	for i := 0; i < n; i++ {
-		li := l.Row(i)
-		for j := 0; j <= i; j++ {
-			lj := l.Row(j)
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= li[k] * lj[k]
+	ld, ad := l.Data[:n*n], a.Data[:n*n]
+	var ltd []float64
+	if lt != nil {
+		ltd = lt.Data[:n*n]
+	}
+	for j := 0; j < n; j++ {
+		lj := ld[j*n : j*n+n]
+		pj := lj[:j]
+		s := ad[j*n+j]
+		for _, x := range pj {
+			s -= float64(x * x)
+		}
+		if s <= 0 {
+			return fmt.Errorf("%w (pivot %d = %g)", ErrNotSPD, j, s)
+		}
+		d := math.Sqrt(s)
+		lj[j] = d
+		var ltj []float64
+		if lt != nil {
+			ltj = ltd[j*n : j*n+n]
+			ltj[j] = d
+		}
+		// Row i of the column also zeroes l[j][i], the strict upper
+		// triangle of row j.
+		i := j + 1
+		for ; i+4 <= n; i += 4 {
+			r0, r1 := ld[i*n:i*n+j+1], ld[(i+1)*n:(i+1)*n+j+1]
+			r2, r3 := ld[(i+2)*n:(i+2)*n+j+1], ld[(i+3)*n:(i+3)*n+j+1]
+			s0, s1, s2, s3 := ad[i*n+j], ad[(i+1)*n+j], ad[(i+2)*n+j], ad[(i+3)*n+j]
+			for k, x := range pj {
+				s0 -= float64(r0[k] * x)
+				s1 -= float64(r1[k] * x)
+				s2 -= float64(r2[k] * x)
+				s3 -= float64(r3[k] * x)
 			}
-			if i == j {
-				if s <= 0 {
-					return fmt.Errorf("%w (pivot %d = %g)", ErrNotSPD, i, s)
-				}
-				li[i] = math.Sqrt(s)
-			} else {
-				li[j] = s / lj[j]
+			v0, v1, v2, v3 := s0/d, s1/d, s2/d, s3/d
+			r0[j], r1[j], r2[j], r3[j] = v0, v1, v2, v3
+			z := lj[i : i+4]
+			z[0], z[1], z[2], z[3] = 0, 0, 0, 0
+			if lt != nil {
+				t := ltj[i : i+4]
+				t[0], t[1], t[2], t[3] = v0, v1, v2, v3
 			}
 		}
-		clear(li[i+1:])
+		for ; i < n; i++ {
+			r0 := ld[i*n : i*n+j+1]
+			s0 := ad[i*n+j]
+			for k, x := range pj {
+				s0 -= float64(r0[k] * x)
+			}
+			v0 := s0 / d
+			r0[j] = v0
+			lj[i] = 0
+			if lt != nil {
+				ltj[i] = v0
+			}
+		}
 	}
 	return nil
 }
@@ -276,8 +375,8 @@ func SolveLowerInto(y []float64, l *Mat, b []float64) error {
 	for i := 0; i < n; i++ {
 		li := l.Row(i)
 		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= li[k] * y[k]
+		for k, x := range y[:i] {
+			s -= float64(li[k] * x)
 		}
 		d := li[i]
 		if d == 0 {
@@ -298,7 +397,7 @@ func SolveUpperTInto(x []float64, l *Mat, y []float64) error {
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * x[k]
+			s -= float64(l.At(k, i) * x[k])
 		}
 		d := l.At(i, i)
 		if d == 0 {
@@ -357,7 +456,7 @@ func SampleMVN(mean []float64, cov *Mat, rng Source) ([]float64, error) {
 	for i := 0; i < n; i++ {
 		s := mean[i]
 		for k := 0; k <= i; k++ {
-			s += l.At(i, k) * z[k]
+			s += float64(l.At(i, k) * z[k])
 		}
 		x[i] = s
 	}
@@ -369,7 +468,7 @@ func SampleMVN(mean []float64, cov *Mat, rng Source) ([]float64, error) {
 // and a uniform per attempt, accepted more than 95% of the time, where
 // summing k squared normals costs k draws (BPMF's k is the row count).
 func chiSquare(k int, rng Source) float64 {
-	alpha := float64(k) / 2
+	alpha := float64(float64(k) / 2)
 	boost := 1.0
 	if alpha < 1 {
 		// Gamma(a) = Gamma(a+1) * U^(1/a).
@@ -380,13 +479,13 @@ func chiSquare(k int, rng Source) float64 {
 	c := 1 / math.Sqrt(9*d)
 	for {
 		x := rng.NormFloat64()
-		v := 1 + c*x
+		v := 1 + float64(c*x)
 		if v <= 0 {
 			continue
 		}
-		v = v * v * v
+		v = float64(v * v * v)
 		u := rng.Float64()
-		if x2 := x * x; u < 1-0.0331*x2*x2 || math.Log(u) < 0.5*x2+d*(1-v+math.Log(v)) {
+		if x2 := x * x; u < 1-float64(0.0331*x2*x2) || math.Log(u) < float64(0.5*x2)+float64(d*(1-v+math.Log(v))) {
 			return 2 * d * v * boost
 		}
 	}

@@ -121,7 +121,7 @@ func (ns *noiseState) xferScale(p *Proc, class sim.HopClass) float64 {
 	if ns.jitter > 0 {
 		u := sim.NoiseU01(ns.seed, p.rank, p.noiseOps, class)
 		p.noiseOps++
-		s *= 1 + ns.jitter*u
+		s *= 1 + float64(ns.jitter*u) // rounded before the add, never fused
 	}
 	if s == 1 {
 		return 0
