@@ -28,9 +28,6 @@
 //	scale    the scale-out dimension: size-only allgather/allreduce up
 //	         to -scalemax ranks on the -engine backends, cross-checked
 //	         when both run
-//	stencil  the process-topology dimension: 4-dim grid halo exchanges
-//	         (CartCreate + NeighborAlltoall) per halo width up to
-//	         -scalemax ranks
 //	noise    the robustness dimension: an allreduce ladder per
 //	         deterministic noise level, refereed across engines and
 //	         world-reuse paths
@@ -70,8 +67,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("perf", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	out := fs.String("out", "", "write the JSON report (or query result) to this path")
-	sweep := fs.String("sweep", "", "sweep dimensions: coll,topo,scale,stencil,noise,tuned or all")
-	scaleMax := fs.Int("scalemax", 65536, "scale and stencil sweeps: largest rank count to run")
+	sweep := fs.String("sweep", "", "sweep dimensions: coll,topo,scale,noise,tuned or all")
+	scaleMax := fs.Int("scalemax", 65536, "scale sweep: largest rank count to run")
 	noiseSeed := fs.Int64("noiseseed", 42, "noise and tuned sweeps: seed keying every noisy level")
 	engineSpec := fs.String("engine", "both",
 		"execution backend for the scale sweep and query mode: goroutine, event or both (cross-checked)")

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/bpmf"
-	"repro/internal/coll"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -22,7 +21,6 @@ var goldenVirtualPs = map[string]int64{
 	"p2p/pingpong_2x1_8B":       1_900_960,
 	"fig7/allgather_1x24_e512":  68_697_760,
 	"fig9/allgather_64x24_e512": 5_222_157_840,
-	"stencil/halo4d_256_e64":    31_383_040,
 	"fig11/summa_c64_b64":       1_465_384_160,
 	"fig12/bpmf_c120":           222_228_848_646,
 }
@@ -50,9 +48,8 @@ func TestVirtualTimeUnchangedByDataPlane(t *testing.T) {
 
 // TestVirtualTimeIdenticalOnEventEngine is the cross-engine
 // differential gate: every golden workload — the paper's figure-scale
-// runs, the halo stencil, the p2p engine — re-run on the discrete-event
-// backend must land on the same golden picosecond as the goroutine
-// backend.
+// runs and the p2p engine — re-run on the discrete-event backend must
+// land on the same golden picosecond as the goroutine backend.
 func TestVirtualTimeIdenticalOnEventEngine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure-scale runs in -short mode")
@@ -86,9 +83,8 @@ type wallCase struct {
 // wallCases returns the standard figure-scale workload set on engine:
 // the paper's Fig. 7 (one full node) and Fig. 9 (64 nodes x 24 ranks —
 // 1536 ranks) allgather pairs as the figures run them (spec Queries,
-// fold auto), the Fig. 11 (SUMMA) and Fig. 12 (BPMF) scale points, a
-// 4-dim stencil halo, and a small-message ping-pong that isolates the
-// p2p matcher fast path.
+// fold auto), the Fig. 11 (SUMMA) and Fig. 12 (BPMF) scale points, and
+// a small-message ping-pong that isolates the p2p matcher fast path.
 func wallCases(engine sim.Engine) []wallCase {
 	cray := sim.HazelHenCray()
 	opts := []mpi.Option{mpi.WithEngine(engine)}
@@ -121,44 +117,6 @@ func wallCases(engine sim.Engine) []wallCase {
 		{
 			Name: "fig9/allgather_64x24_e512",
 			Run:  func() (sim.Time, error) { return pair(spec.Topology{Nodes: 64, PPN: 24}, 2) },
-		},
-		{
-			Name: "stencil/halo4d_256_e64",
-			Run: func() (sim.Time, error) {
-				// A 4-dim periodic 4^4 grid (256 ranks, 16 nodes),
-				// reordered onto node bricks, exchanging 64-double
-				// halos — the figure-scale anchor of the stencil path.
-				topo, err := sim.Uniform(16, 16)
-				if err != nil {
-					return 0, err
-				}
-				w, err := mpi.NewWorld(cray, topo, opts...)
-				if err != nil {
-					return 0, err
-				}
-				defer w.Close()
-				dims := []int{4, 4, 4, 4}
-				periods := []bool{true, true, true, true}
-				err = w.Run(func(p *mpi.Proc) error {
-					cart, err := p.CommWorld().CartCreate(dims, periods, true)
-					if err != nil {
-						return err
-					}
-					in, _, _ := cart.Neighborhood()
-					send := mpi.Sized(512 * len(in))
-					recv := mpi.Sized(512 * len(in))
-					for i := 0; i < 2; i++ {
-						if err := coll.NeighborAlltoall(cart, send, recv, 512); err != nil {
-							return err
-						}
-					}
-					return nil
-				})
-				if err != nil {
-					return 0, err
-				}
-				return w.MaxClock(), nil
-			},
 		},
 		{
 			Name: "fig11/summa_c64_b64",

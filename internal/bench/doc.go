@@ -6,10 +6,10 @@
 //
 // Beyond the figures, the package carries the sweep dimensions behind
 // cmd/perf -sweep (the Dimensions table: selection crossovers,
-// multi-level topologies, scale-out to 1,048,576 ranks, 4-dim stencil
-// halos, deterministic noise levels, measured tuning) and the tests
-// that pin virtual time to the picosecond: the figure-scale goldens of
-// determinism_test.go and the sweep golden in testdata/. Every
+// multi-level topologies, scale-out to 1,048,576 ranks, deterministic
+// noise levels, measured tuning) and the tests that pin virtual time
+// to the picosecond: the figure-scale goldens of determinism_test.go
+// and the sweep golden in testdata/. Every
 // cross-engine and cross-reuse-path check in the sweeps goes through
 // spec.Referee.
 //

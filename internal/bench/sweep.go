@@ -14,7 +14,7 @@ import (
 type SweepConfig struct {
 	Model    *sim.CostModel // machine profile (its Name is the spec machine)
 	Tuning   coll.Tuning    // coll, topo
-	MaxRanks int            // scale, stencil: largest rank count to run
+	MaxRanks int            // scale: largest rank count to run
 	Engines  []sim.Engine   // scale: backends to run (empty = both)
 	Seed     int64          // noise, tuned
 }
@@ -37,7 +37,6 @@ var Dimensions = []Dimension{
 	{"coll", func(c SweepConfig) (Section, error) { return RunCollSweep(c.Model, c.Tuning), nil }},
 	{"topo", func(c SweepConfig) (Section, error) { return RunTopoSweep(c.Model, c.Tuning) }},
 	{"scale", func(c SweepConfig) (Section, error) { return RunScaleSweep(c.Model.Name, c.MaxRanks, c.Engines) }},
-	{"stencil", func(c SweepConfig) (Section, error) { return RunStencilSweep(c.Model, c.MaxRanks) }},
 	{"noise", func(c SweepConfig) (Section, error) { return RunNoiseSweep(c.Model.Name, c.Seed) }},
 	{"tuned", func(c SweepConfig) (Section, error) { return RunTunedSweep(c.Model.Name, c.Seed) }},
 }

@@ -75,21 +75,21 @@ func diffTree(path string, got, want any) []string {
 }
 
 // TestSweepGolden is the gate on every deterministic number the sweeps
-// report: the five dimensions of
+// report: the four dimensions of
 //
-//	go run ./cmd/perf -sweep coll,topo,stencil,noise,tuned -scalemax 4096
+//	go run ./cmd/perf -sweep coll,topo,noise,tuned
 //
 // must reproduce testdata/sweeps.golden.json exactly (regenerate with
 // -update, and say why in the PR). The scale dimension is pinned by
 // TestScaleSweepSmoke instead.
 func TestSweepGolden(t *testing.T) {
-	dims, err := SelectDimensions("coll,topo,stencil,noise,tuned")
+	dims, err := SelectDimensions("coll,topo,noise,tuned")
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep, err := RunSweeps(dims, SweepConfig{
 		Model: sim.HazelHenCray(), Tuning: coll.Tuning{Policy: coll.PolicyCost},
-		MaxRanks: 4096, Seed: 42,
+		Seed: 42,
 	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -138,9 +138,9 @@ func TestSweepGoldenNamesDrift(t *testing.T) {
 			points(tree, "noise_sweep")[3].(map[string]any)["virtual_ps"] = json.Number("1")
 		}, ".noise_sweep.points[3].virtual_ps: got 1, golden "},
 		{"one point dropped", func(tree map[string]any) {
-			sec := tree["stencil_sweep"].(map[string]any)
-			sec["points"] = points(tree, "stencil_sweep")[1:]
-		}, ".stencil_sweep.points: got 2 entries, golden has 3"},
+			sec := tree["noise_sweep"].(map[string]any)
+			sec["points"] = points(tree, "noise_sweep")[1:]
+		}, ".noise_sweep.points: got 13 entries, golden has 14"},
 		{"one section emptied", func(tree map[string]any) {
 			tree["tuned_sweep"] = map[string]any{}
 		}, ".tuned_sweep.points: missing"},

@@ -6,11 +6,10 @@
 // # Selection engine
 //
 // Every entry point (Allgather, Allgatherv, Allreduce, Reduce, Bcast,
-// Barrier, Alltoall, Gather, Scan, and the Neighbor* family) resolves
-// its algorithm through a registry: one entry per implemented
-// algorithm, carrying an applicability predicate and an
-// alpha-beta-gamma cost estimate at the call's communicator size,
-// message size and hop class. Three policies select over the entries —
+// Barrier, Alltoall, Gather and Scan) resolves its algorithm through a
+// registry: one entry per implemented algorithm, carrying an
+// applicability predicate and an alpha-beta-gamma cost estimate at the
+// call's communicator size, message size and hop class. Three policies select over the entries —
 // PolicyTable replicates the machine profile's MPICH/OpenMPI-style
 // cutoff tables (the default, bit-identical in virtual time to the
 // historical hard-wired choices), PolicyCost prices every applicable
@@ -47,11 +46,4 @@
 // rounds of sends/receives executed by an asynchronous progress engine
 // on its own virtual cursor, so callers overlap local compute between
 // Start and Wait with deterministic timing.
-//
-// # Neighborhood collectives
-//
-// NeighborAlltoall exchanges blocks along the edges of a communicator's
-// process topology (an mpi.CartCreate grid): the sparse halo-exchange
-// pattern of stencil codes, routed through the same registry (a paired
-// per-dimension exchange, or a posted-all path).
 package coll

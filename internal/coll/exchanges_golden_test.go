@@ -123,10 +123,6 @@ var exchSizes = []int{1, 2, 5, 8, 12, 16}
 // crosses the network and 5 is irregular.
 var exchShape = map[int][]int{1: {1}, 2: {1, 1}, 5: {2, 3}, 8: {4, 4}, 12: {4, 4, 4}, 16: {4, 4, 4, 4}}
 
-// exchGrid is the Cartesian grid of the neighborhood cases (first
-// dimension periodic, second not, so ProcNull boundaries are covered).
-var exchGrid = map[int][]int{1: {1}, 2: {2}, 5: {5}, 8: {2, 4}, 12: {3, 4}, 16: {4, 4}}
-
 func forced(cl Collective, names ...string) []map[Collective]string {
 	out := []map[Collective]string{nil}
 	for _, n := range names {
@@ -157,11 +153,6 @@ func stride(counts []int) (displs []int, size int) {
 		displs[i] += 16 * (i + 1)
 	}
 	return displs, Total(counts) + 16*(len(counts)+1)
-}
-
-func cartOf(p *mpi.Proc) (*mpi.Comm, error) {
-	dims := exchGrid[p.Size()]
-	return p.CommWorld().CartCreate(dims, []bool{true, false}[:len(dims)], false)
 }
 
 func exchVariants() []exchVariant {
@@ -232,25 +223,6 @@ func exchVariants() []exchVariant {
 		}
 		return recv, Reduce(p.CommWorld(), nums(p.Rank(), a.elems()), recv, a.elems(), mpi.Float64, mpi.OpSum, root)
 	})
-
-	// The neighborhood exchange on a Cartesian grid: the selecting
-	// entry point and each registered shape forced (their keys predate
-	// the forcing: they were per-shape entry points).
-	for name, force := range map[string]map[Collective]string{
-		"NeighborAlltoall/auto":         nil,
-		"NeighborAlltoallPairwise/auto": {CollNeighborAlltoall: "pairwise"},
-		"NeighborAlltoallLinear/auto":   {CollNeighborAlltoall: "linear"},
-	} {
-		vs = append(vs, exchVariant{name: name, force: force, body: func(p *mpi.Proc, a exchArgs) (mpi.Buf, error) {
-			cart, err := cartOf(p)
-			if err != nil {
-				return mpi.Buf{}, err
-			}
-			in, out, _ := cart.Neighborhood()
-			recv := mpi.Bytes(make([]byte, a.per()*len(in)))
-			return recv, NeighborAlltoall(cart, pattern(p.Rank(), a.per()*len(out)), recv, a.per())
-		}})
-	}
 
 	add("Iallreduce", forced(CollAllreduce), func(p *mpi.Proc, a exchArgs) (mpi.Buf, error) {
 		recv := mpi.Bytes(make([]byte, 8*a.elems()))
@@ -358,11 +330,11 @@ func runExchange(v exchVariant, a exchArgs, eng sim.Engine) (exchPin, error) {
 
 // TestExchangesGolden pins virtual time and payload bytes of every
 // public form that runs a ring, doubling, root-gather or binomial
-// exchange — regular, in-place, v, strided, nonblocking, neighborhood
-// and composed — under every forced algorithm, at power-of-two and
-// other communicator sizes, on both engines. The golden was generated
-// before those forms were rewritten over one set of step primitives;
-// byte identity here is what "the forms are views of one loop" means.
+// exchange — regular, in-place, v, strided, nonblocking and composed —
+// under every forced algorithm, at power-of-two and other communicator
+// sizes, on both engines. The golden was generated before those forms
+// were rewritten over one set of step primitives; byte identity here is
+// what "the forms are views of one loop" means.
 func TestExchangesGolden(t *testing.T) {
 	const path = "testdata/exchanges.golden.json"
 	got := map[string]exchPin{}

@@ -17,8 +17,8 @@ const (
 // A 1-D stencil ring, the hybrid MPI+MPI motif the paper generalizes to
 // collectives, in three flavors over 2 nodes of 6 ranks:
 //
-//   - pure MPI: a periodic Cartesian communicator and one
-//     NeighborAlltoall per step exchange both borders;
+//   - pure MPI: two Sendrecv calls per step on the world communicator
+//     swap both borders with the ring neighbors;
 //   - hybrid MPI+MPI: the node's sub-domain lives in one shared window,
 //     so on-node borders need no copies, and only the two node-edge
 //     ranks talk to other nodes, between node barriers;
@@ -71,8 +71,8 @@ type outcome struct {
 }
 
 // ring is the pure-MPI stencil: private ghost cells, both borders
-// swapped by one NeighborAlltoall per step on a periodic 1-D grid
-// (unreordered: the decomposition is the rank order). With norm, every
+// swapped by two Sendrecv calls per step around the periodic ring of
+// world ranks (the decomposition is the rank order). With norm, every
 // step also reduces the global sum of the field, blocking or, with
 // overlap, posted as a schedule before the independent border exchange
 // and update and completed after them.
@@ -85,13 +85,11 @@ func ring(topo *sim.Topology, norm, overlap bool) (outcome, error) {
 	var lastNorm float64
 	err = w.Run(func(p *mpi.Proc) error {
 		c := p.CommWorld()
-		grid, err := c.CartCreate([]int{p.Size()}, []bool{true}, false)
-		if err != nil {
-			return err
-		}
+		left, right := (p.Rank()-1+p.Size())%p.Size(), (p.Rank()+1)%p.Size()
 		field := initField(p.Rank())
 		local, global := mpi.Bytes(make([]byte, 8)), mpi.Bytes(make([]byte, 8))
-		borders, ghosts := mpi.Bytes(make([]byte, 16)), mpi.Bytes(make([]byte, 16))
+		lb, rb := mpi.Bytes(make([]byte, 8)), mpi.Bytes(make([]byte, 8))
+		gl, gr := mpi.Bytes(make([]byte, 8)), mpi.Bytes(make([]byte, 8))
 		for s := 0; s < steps; s++ {
 			var sched *mpi.Sched
 			if norm {
@@ -105,14 +103,18 @@ func ring(topo *sim.Topology, norm, overlap bool) (outcome, error) {
 					return err
 				}
 			}
-			// Slot 0 goes to the negative neighbor, slot 1 to the
-			// positive; the received slots are the left and right ghosts.
-			borders.PutFloat64(0, field[0])
-			borders.PutFloat64(1, field[cells-1])
-			if err := coll.NeighborAlltoall(grid, borders, ghosts, 8); err != nil {
+			// The left border travels left while the right ghost
+			// arrives, then the right border travels right while the
+			// left ghost arrives.
+			lb.PutFloat64(0, field[0])
+			rb.PutFloat64(0, field[cells-1])
+			if _, err := c.Sendrecv(lb, left, 2, gr, right, 2); err != nil {
 				return err
 			}
-			field = relax(field, ghosts.Float64At(0), ghosts.Float64At(1))
+			if _, err := c.Sendrecv(rb, right, 1, gl, left, 1); err != nil {
+				return err
+			}
+			field = relax(field, gl.Float64At(0), gr.Float64At(0))
 			p.Compute(3 * cells)
 			if sched != nil {
 				if err := sched.Wait(); err != nil {

@@ -30,7 +30,6 @@ const (
 	CollAlltoall
 	CollGather
 	CollScan
-	CollNeighborAlltoall
 	numCollectives
 )
 
@@ -55,8 +54,6 @@ func (cl Collective) String() string {
 		return "gather"
 	case CollScan:
 		return "scan"
-	case CollNeighborAlltoall:
-		return "neighboralltoall"
 	default:
 		return fmt.Sprintf("Collective(%d)", int(cl))
 	}
@@ -84,14 +81,6 @@ type Env struct {
 	Count int
 	Model *sim.CostModel
 	Hop   sim.HopClass
-
-	// Degree and Cart describe the neighborhood of NeighborAlltoall:
-	// the larger of the non-null in/out neighbor counts,
-	// and whether the communicator carries a Cartesian topology (the
-	// pairwise per-dimension exchange needs the grid's paired
-	// direction structure). Zero-valued for the global collectives.
-	Degree int
-	Cart   bool
 }
 
 // envFor derives the selection environment of a call on a communicator.
@@ -121,7 +110,6 @@ type (
 	alltoallFn  = func(*mpi.Comm, mpi.Buf, mpi.Buf, int) error
 	gatherFn    = func(*mpi.Comm, mpi.Buf, mpi.Buf, int, int) error
 	scanFn      = func(*mpi.Comm, mpi.Buf, mpi.Buf, int, mpi.Datatype, mpi.Op) error
-	neighborFn  = func(*neighborCall) error
 )
 
 // entry is one registered algorithm.
@@ -363,19 +351,6 @@ var registry = [numCollectives][]entry{
 			run: gatherFn(GatherLinear),
 		},
 	},
-	CollNeighborAlltoall: {
-		{
-			name:    "pairwise",
-			applies: func(e Env) bool { return e.Cart },
-			cost:    neighborPairwiseCost,
-			run:     neighborFn((*neighborCall).pairwise),
-		},
-		{
-			name: "linear",
-			cost: neighborLinearCost,
-			run:  neighborFn((*neighborCall).linear),
-		},
-	},
 	CollScan: {
 		{
 			name: "recdbl",
@@ -446,15 +421,6 @@ func tableChoice(cl Collective, e Env, inPlace bool) string {
 	case CollScan:
 		// The historical Scan was always recursive doubling.
 		return "recdbl"
-	case CollNeighborAlltoall:
-		// On grids the paired per-dimension exchange mirrors the
-		// hand-rolled halo pattern stencil codes use (and its virtual
-		// timeline); a neighborhood without that structure takes the
-		// posted-all path.
-		if e.Cart {
-			return "pairwise"
-		}
-		return "linear"
 	}
 	return ""
 }

@@ -83,16 +83,15 @@ func TestCostPolicyTieBreaksByRegistrationOrder(t *testing.T) {
 // deliberately.
 func TestRegistrationOrderPinned(t *testing.T) {
 	want := map[Collective][]string{
-		CollAllgather:        {"recdbl", "bruck", "ring", "neighbor"},
-		CollAllgatherv:       {"recdbl", "ring"},
-		CollAllreduce:        {"recdbl", "rabenseifner"},
-		CollReduce:           {"binomial"},
-		CollBcast:            {"binomial", "scag", "pipelined"},
-		CollBarrier:          {"dissemination", "central"},
-		CollAlltoall:         {"pairwise"},
-		CollGather:           {"binomial", "linear"},
-		CollScan:             {"recdbl", "linear"},
-		CollNeighborAlltoall: {"pairwise", "linear"},
+		CollAllgather:  {"recdbl", "bruck", "ring", "neighbor"},
+		CollAllgatherv: {"recdbl", "ring"},
+		CollAllreduce:  {"recdbl", "rabenseifner"},
+		CollReduce:     {"binomial"},
+		CollBcast:      {"binomial", "scag", "pipelined"},
+		CollBarrier:    {"dissemination", "central"},
+		CollAlltoall:   {"pairwise"},
+		CollGather:     {"binomial", "linear"},
+		CollScan:       {"recdbl", "linear"},
 	}
 	for cl, names := range want {
 		if got := namesOf(cl); !reflect.DeepEqual(got, names) {
@@ -118,7 +117,7 @@ func TestRegistrationOrderPinned(t *testing.T) {
 	}
 	// The families this package no longer has are unknown names, like
 	// any misspelling.
-	for _, gone := range []string{"neighborallgather", "neighboralltoallv"} {
+	for _, gone := range []string{"neighborallgather", "neighboralltoall", "neighboralltoallv"} {
 		if _, err := ParseCollective(gone); err == nil {
 			t.Errorf("ParseCollective(%q) still succeeds", gone)
 		}

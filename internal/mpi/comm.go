@@ -32,10 +32,6 @@ type Comm struct {
 	// inherit it, so hybrid and workload layers see the tuning the
 	// world or a parent communicator was configured with.
 	collCfg any
-
-	// ptopo is the process topology (a Cartesian grid) attached by
-	// CartCreate, nil on plain communicators. See topo.go.
-	ptopo *procTopo
 }
 
 // CommWorld returns this rank's handle on MPI_COMM_WORLD. The handle is

@@ -25,9 +25,6 @@
 //     the library tuning cutoffs of the two machine profiles
 //     (HazelHenCray, VulcanOpenMPI) plus a small Laptop profile for
 //     examples and tests.
-//   - TileExtents: the grid-to-level-stack mapping used by reordering
-//     Cartesian communicators (mpi.CartCreate) to place compact grid
-//     bricks onto topology groups.
 //   - Tracer and the stats helpers for event capture.
 //
 // Topologies are immutable and interned by structural fingerprint, so

@@ -22,13 +22,3 @@ func ExampleUniformHier() {
 	// 2x4 (socket⊂node)
 	// socket shm net
 }
-
-// TileExtents bricks a process grid into node-sized tiles — the
-// placement heuristic behind mpi.CartCreate's reorder: here 8-rank
-// nodes each take a 2x2x2 brick of a 4x4x4 grid.
-func ExampleTileExtents() {
-	ext, ok := sim.TileExtents(8, []int{4, 4, 4})
-	fmt.Println(ext, ok)
-	// Output:
-	// [2 2 2] true
-}

@@ -152,8 +152,6 @@ type Query struct {
 	Topology Topology `json:"topology"`
 	// Collective names the operation: allgather, allgatherv,
 	// allreduce, reduce, bcast, barrier, alltoall, gather or scan.
-	// (Neighborhood collectives need a process topology, which a Query
-	// cannot yet express.)
 	Collective string `json:"collective"`
 	// Sizes is the message-size ladder in bytes, one simulated point
 	// per entry: the per-rank block for allgather, allgatherv,

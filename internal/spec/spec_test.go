@@ -46,7 +46,7 @@ func TestParseTuningGrammar(t *testing.T) {
 	}
 	// A family the registry no longer has is rejected exactly like a
 	// misspelt one: with coll.ParseCollective's error.
-	for _, gone := range []string{"warp=9", "neighborallgather=linear", "neighboralltoallv=pairwise"} {
+	for _, gone := range []string{"warp=9", "neighborallgather=linear", "neighboralltoall=pairwise", "neighboralltoallv=pairwise"} {
 		name, _, _ := strings.Cut(gone, "=")
 		_, want := coll.ParseCollective(name)
 		if _, err := spec.ParseTuning(gone); err == nil || want == nil || !strings.Contains(err.Error(), want.Error()) {
