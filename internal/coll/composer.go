@@ -200,7 +200,14 @@ func NewComposerNamed(c *mpi.Comm, names ...string) (*Composer, error) {
 		}
 		levels = append(levels, l)
 	}
-	sort.Ints(levels)
+	// Insertion sort over at most a few levels. sort.Ints would reach
+	// slices.Sort through a generic dictionary call, which on 386 makes
+	// store escape: one heap object per rank per world.
+	for i := 1; i < len(levels); i++ {
+		for j := i; j > 0 && levels[j] < levels[j-1]; j-- {
+			levels[j], levels[j-1] = levels[j-1], levels[j]
+		}
+	}
 	return NewComposer(c, levels)
 }
 

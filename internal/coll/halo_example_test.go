@@ -92,6 +92,7 @@ func ring(topo *sim.Topology, norm, overlap bool) (outcome, error) {
 		gl, gr := mpi.Bytes(make([]byte, 8)), mpi.Bytes(make([]byte, 8))
 		for s := 0; s < steps; s++ {
 			var sched *mpi.Sched
+			var err error // per rank: the enclosing err is Run's
 			if norm {
 				local.PutFloat64(0, sum(field))
 				if !overlap {

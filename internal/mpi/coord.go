@@ -25,11 +25,12 @@ import (
 //
 // Who writes what: InitContexts fills ranks, exec, hop, oneNode and
 // queues before any handle exists; a queue's records are touched only
-// under its lock; state goes live -> revoked once (Revoke, before its
-// queue walk) and -> retired when the Run that opened the context ends,
-// so a handle lives for the Run that built it (the world communicator's
-// record, and those opened between Runs, live as long as the world);
-// cur, slots and base are touched only under mu. Why nothing here is
+// under its lock, or on a live event Run's driver thread, the one
+// thread that touches them then (matcher); state goes live -> revoked
+// once (Revoke, before its queue walk) and -> retired when the Run that
+// opened the context ends, so a handle lives for the Run that built it
+// (the world communicator's record, and those opened between Runs, live
+// as long as the world); cur, slots and base are touched only under mu. Why nothing here is
 // sharded: DESIGN.md, "Communicator contexts".
 type Context struct {
 	ranks []int // comm rank -> global rank (shared, read-only)
@@ -245,12 +246,16 @@ func (c *Comm) meet(members []int, n, idx int, clk sim.Time, val any, build func
 }
 
 // awaitClose is the wait of a rendezvous round's member: rank p blocks
-// until done is closed, by the last arrival or a poison walk. The event
-// engine polls, parks and re-checks on every wake; after an abort it
-// receives directly, since the abort walk closes every live round.
+// until done is closed, by the last arrival or a poison walk. A live
+// event engine polls, parks and re-checks on every wake: whoever closes
+// the round, the driver's abort walk included, readies its members.
 func awaitClose(p *Proc, done <-chan struct{}, on *round) {
 	w := p.world
-	for w.evLive && !w.Aborted() {
+	if !w.evLive {
+		<-done
+		return
+	}
+	for {
 		select {
 		case <-done:
 			return
@@ -258,7 +263,6 @@ func awaitClose(p *Proc, done <-chan struct{}, on *round) {
 		}
 		w.ev.park(p.rank, on)
 	}
-	<-done
 }
 
 // end closes the context's current round, completed (err nil) or
@@ -282,16 +286,17 @@ func (cx *Context) end(w *World, err error) {
 // err. A recovery round over the live set is not waiting on the dead
 // rank, so a death walk leaves it alone. A context opened after the walk
 // (which holds the list's lock) re-checks the published flags under its
-// own locks (postSend, meet). wake is nil in Abort's walk, which may run
-// outside the Run.
-func (w *World) poison(wake *World, at sim.Time, err error, hit func(g int) bool) {
+// own locks (postSend, meet). On a live event Run the walk runs on the
+// driver thread (World.Abort, killRank), and readies every rank it
+// unblocks.
+func (w *World) poison(at sim.Time, err error, hit func(g int) bool) {
 	w.ctxMu.Lock()
 	defer w.ctxMu.Unlock()
 	for _, cx := range w.ctxs {
-		cx.fail(wake, at, hit)
+		cx.fail(w, at, hit)
 		cx.mu.Lock()
 		if cx.cur != nil && slices.ContainsFunc(cx.cur.members, hit) {
-			cx.end(wake, err)
+			cx.end(w, err)
 		}
 		cx.mu.Unlock()
 	}

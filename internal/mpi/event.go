@@ -17,27 +17,36 @@ import (
 // rank, and gets control back when the rank parks (awaitSlot,
 // awaitClose), yields (a Test poll) or finishes its body. A completer
 // feeds the record's slot and puts the rank it satisfied on the ring
-// (wake); a live, unaborted engine never touches a record's channel,
-// since a parked rank re-checks its slot's state word when resumed.
-// Control passes by coroutine switch alone, so all scheduler state is
-// touched by one logical thread, and each switch is a happens-before
-// edge for the race detector. What this saves is what the parallel
-// engine pays for concurrency: lock contention, host scheduler churn,
-// and a nondeterministic execution order. With rank-symmetry folding
-// (fold.go), which shrinks the executing ranks to the distinct rank
-// behaviors, it is what makes million-rank worlds affordable.
+// (wake); a live engine never touches a record's channel, since a
+// parked rank re-checks its slot's state word when resumed. Control
+// passes by coroutine switch alone, so everything a live Run touches —
+// scheduler state, the contexts' message queues, the rendezvous rounds,
+// the message and receive records — is touched by one logical thread,
+// and each switch is a happens-before edge for the race detector. The
+// matcher therefore takes no queue lock (matcher.postSend), and records
+// recycle through the scheduler's own free lists instead of the
+// process-wide pools (World.getMessage). What this saves is what the
+// parallel engine pays for concurrency: locks, pool round trips, host
+// scheduler churn, and a nondeterministic execution order. With
+// rank-symmetry folding (fold.go), which shrinks the executing ranks to
+// the distinct rank behaviors, it is what makes million-rank worlds
+// affordable.
 //
-// Abort and deadlock. External goroutines may only poison the matcher
-// and the live rendezvous rounds (World.Abort); they never touch
-// scheduler state. A ready ring that runs dry with ranks still parked
-// means nothing inside the world can wake them. If the world was
-// aborted, the driver readies them so each can observe its sentinel or
-// closed round; a rank that finds its record not yet fed by an outside
-// abort walk sleeps on the record's channel, on the driver thread, until
-// the walk feeds it. If not aborted, the run is deadlocked: the driver
-// names each parked rank and the record it waits on in an ErrDeadlock,
-// aborts the world and unwinds them the same way, so the Run returns and
-// the world stays poisoned.
+// Abort and deadlock. The driver is also the only code that walks a
+// live Run's queues and rounds when the world is aborted. World.Abort
+// from outside (spec's cancellation watcher) or from a rank only
+// publishes the flag; a handshake under World.abortMu, taken when the
+// driver goes live, when it stops, and in Abort, settles who walks. The
+// driver runs the abort walk itself at its next dispatch, which feeds
+// every queued record its sentinel, ends every live round and readies
+// each rank it unblocked, and once more after its loop if the flag
+// landed after the last dispatch. A parked rank is therefore always
+// woken by the driver, and always parks. A ready ring that runs dry
+// with ranks still parked, before any abort, means nothing inside the
+// world can wake them: the run is deadlocked, and the driver names each
+// parked rank and the record it waits on in an ErrDeadlock, aborts the
+// world and walks it the same way, so the Run returns and the world
+// stays poisoned.
 
 // ErrDeadlock is joined into a Run's error when the event engine finds
 // every unfinished rank parked with nothing left to wake them.
@@ -64,6 +73,51 @@ type evSched struct {
 	rhead int
 	rlen  int
 	done  int // ranks finished this Run
+
+	// The recycled message and receive records of this world's Runs
+	// (World.getMessage): a live Run takes from and returns to them
+	// only, and one ending cuts each back to n records (trim).
+	msgs, rrs freeList
+}
+
+// freeList is a stack of recycled records, linked through their queue
+// nodes (a free record is in no queue).
+type freeList struct {
+	head *qnode
+	n    int
+}
+
+func (l *freeList) push(n *qnode) {
+	n.next = l.head
+	l.head = n
+	l.n++
+}
+
+// pop takes the most recently pushed record, nil when the list is empty.
+func (l *freeList) pop() *qnode {
+	n := l.head
+	if n != nil {
+		l.head, n.next = n.next, nil
+		l.n--
+	}
+	return n
+}
+
+// trim hands the records past the first keep back to the process-wide
+// pools. A Run keeps the list at its high-water mark; between Runs a
+// world keeps one record of each kind per executing rank, about what a
+// ring, Bruck or recursive-doubling step has in flight (on the pooled
+// 64-, 1,024- and 1,536-rank event worlds of the serve-cold benchmark
+// no Run has more), and a Run that queued thousands of eager messages
+// does not pin them all for the life of the world.
+func (l *freeList) trim(keep int) {
+	for l.n > keep {
+		if n := l.pop(); n.msg != nil {
+			msgPool.Put(n.msg)
+		} else {
+			recvReqPool.Put(n.rr)
+		}
+	}
 }
 
 // evRank is one rank's coroutine: next resumes it (driver only), yield
@@ -105,9 +159,21 @@ func (ev *evSched) body(r int) iter.Seq[struct{}] {
 }
 
 // run is the driver of one Run: it readies every rank and resumes them
-// in ring order until each has finished its body. It returns an
-// ErrDeadlock naming the parked ranks if it had to break a deadlock.
+// in ring order until each has finished its body, and runs the abort
+// walk once the world is aborted (see the file comment). It returns an
+// ErrDeadlock naming the parked ranks if it had to break a deadlock, and
+// ErrAborted without running anything if the world was aborted before
+// the driver went live.
 func (ev *evSched) run() error {
+	w := ev.w
+	w.abortMu.Lock()
+	if w.Aborted() {
+		w.abortMu.Unlock()
+		return errPoisoned
+	}
+	w.evLive = true
+	w.abortMu.Unlock()
+
 	ev.done = 0
 	ev.rhead, ev.rlen = 0, 0
 	for r := range ev.n {
@@ -115,13 +181,22 @@ func (ev *evSched) run() error {
 		ev.pushReady(r)
 	}
 	var deadlock error
+	walked := false
 	for ev.done < ev.n {
+		if !walked && w.Aborted() {
+			walked = true
+			w.abortWalk()
+		}
 		if ev.rlen == 0 {
-			if !ev.w.Aborted() { // deadlock: every unfinished rank is parked
-				deadlock = ev.deadlock()
-				ev.w.Abort()
+			if walked {
+				// The walk fed every queued record and ended every live
+				// round, readying each rank parked on one; a rank can wait
+				// on nothing else.
+				panic("mpi: event engine: ranks still parked after the abort walk")
 			}
-			ev.wakeAllParked()
+			// Deadlock: every unfinished rank is parked.
+			deadlock = ev.deadlock()
+			w.Abort()
 			continue
 		}
 		r := ev.ready[ev.rhead]
@@ -135,6 +210,16 @@ func (ev *evSched) run() error {
 			ev.done++
 		}
 	}
+
+	w.abortMu.Lock()
+	w.evLive = false
+	late := !walked && w.Aborted()
+	w.abortMu.Unlock()
+	if late {
+		w.abortWalk()
+	}
+	ev.msgs.trim(ev.n)
+	ev.rrs.trim(ev.n)
 	return deadlock
 }
 
@@ -176,14 +261,6 @@ func (ev *evSched) deadlock() error {
 	return fmt.Errorf("%w: ranks %v parked with no event left to wake them:%s", ErrDeadlock, parked, lines.String())
 }
 
-// wakeAllParked readies every parked rank after an abort, so each can
-// drain its poison sentinel or observe the aborted state and unwind.
-func (ev *evSched) wakeAllParked() {
-	for r := range ev.n {
-		ev.wake(r)
-	}
-}
-
 // wake enqueues a parked rank whose awaited record was just completed.
 // Called by the completing rank; idempotent for ranks already ready,
 // running, or done — a rank parked on record B may be woken by record
@@ -215,22 +292,24 @@ func (ev *evSched) yield(r int) {
 	ev.ranks[r].yield(struct{}{})
 }
 
-// shutdown ends every rank's coroutine. Called once, by World.Close, and
-// only between Runs, when every rank is suspended after its body.
+// shutdown ends every rank's coroutine and hands the free lists'
+// records to the process-wide pools, for the next world's first Run.
+// Called once, by World.Close, and only between Runs, when every rank
+// is suspended after its body.
 func (ev *evSched) shutdown() {
 	for r := range ev.ranks {
 		ev.ranks[r].stop()
 	}
+	ev.msgs.trim(0)
+	ev.rrs.trim(0)
 }
 
 // wake readies a rank whose awaited record was just completed: a no-op
 // on the goroutine engine, where the slot's feed (or the round's close)
-// is the wake. The receiver is nil in Abort's walks — Abort may run on
-// a goroutine outside the Run (spec's cancellation watcher) and must not
-// touch scheduler state; the driver readies every parked rank once it
-// finds the world aborted.
+// is the wake. On a live event Run every completer runs on the driver
+// thread, the abort walk included.
 func (w *World) wake(rank int) {
-	if w != nil && w.evLive {
+	if w.evLive {
 		w.ev.wake(rank)
 	}
 }
@@ -247,23 +326,19 @@ func (p *Proc) yield() {
 // recvReq.result): rank p returns as soon as it loads fed. Whatever ends
 // the wait — completion, abort, a peer's death, revocation — is fed
 // through the slot itself, so no wait selects against an abort signal.
-// A live, unaborted event engine parks the rank on the ring and
-// re-checks on every wake, touching no channel. The goroutine engine,
-// and the event engine after an abort (whose walks, possibly on a
-// goroutine outside the Run, feed every queued record), announce a
-// sleeper and block on the slot's channel unless the CAS finds the slot
-// already fed. on is the record, for the deadlock report.
+// A live event engine parks the rank on the ring and re-checks on every
+// wake, touching no channel: every feed, the abort walk's included,
+// runs on the driver thread and readies the rank. The goroutine engine
+// announces a sleeper and blocks on the slot's channel unless the CAS
+// finds the slot already fed. on is the record, for the deadlock report.
 func awaitSlot[T any](p *Proc, s *slot[T], on any) T {
 	w := p.world
-	for !s.fed() {
-		if w.evLive && !w.Aborted() {
+	if w.evLive {
+		for !s.fed() {
 			w.ev.park(p.rank, on)
-			continue
 		}
-		if s.state.CompareAndSwap(slotEmpty, slotSleeper) {
-			<-s.wake
-		}
-		break
+	} else if !s.fed() && s.state.CompareAndSwap(slotEmpty, slotSleeper) {
+		<-s.wake
 	}
 	return s.take()
 }

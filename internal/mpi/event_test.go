@@ -332,10 +332,10 @@ func TestEventDeadlockReturnsErrDeadlock(t *testing.T) {
 // deadlock first. The abort walk feeds the poller's record (queue 0)
 // first and its rendezvous Isend to rank 7 (queue 7) last, behind the
 // backlog ranks 5 and 6 left in their queues; the poller Waits on that
-// Isend as soon as its poll fails, so on the event engine it finds the
-// world aborted and its record not yet fed (in about nine runs of ten
-// on a 2-vCPU host), and sleeps on the record's channel on the driver
-// thread until the walk gets there.
+// Isend as soon as its poll fails, so on the goroutine engine it can
+// find its record not yet fed and sleep on the record's channel until
+// the walk gets there. On the event engine the outside Abort only
+// publishes the flag, and the driver walks before it resumes anyone.
 func TestAbortFromOutside(t *testing.T) {
 	const backlog = 4096 // unmatched receives each of ranks 5 and 6 leaves queued
 	for _, e := range []sim.Engine{sim.EngineGoroutine, sim.EngineEvent} {
@@ -485,4 +485,85 @@ func TestLostWakeupStressMatchesEventEngine(t *testing.T) {
 	want := perRankClocks(t, topo, sim.EngineEvent, body)
 	got := perRankClocks(t, topo, sim.EngineGoroutine, body)
 	diffClocks(t, "goroutine vs event", got, want)
+}
+
+// TestEventRecordsSurviveGC pins where a live event Run's message and
+// receive records come from: the scheduler's free lists, which a GC
+// does not empty the way it empties a sync.Pool. After warm-up and two
+// collections (the second clears the pools' victim caches), a ring of
+// Sendrecvs must make no new record.
+func TestEventRecordsSurviveGC(t *testing.T) {
+	w, err := NewWorld(sim.HazelHenCray(), sim.MustUniform(1, 4), WithEngine(sim.EngineEvent))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	body := func(p *Proc) error {
+		c := p.CommWorld()
+		n := c.Size()
+		right, left := (p.Rank()+1)%n, (p.Rank()-1+n)%n
+		for range 4 {
+			if _, err := c.Sendrecv(Sized(64), right, 7, Sized(64), left, 7); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for range 2 {
+		if err := w.Run(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	var made atomic.Int32
+	newMsg, newRR := msgPool.New, recvReqPool.New
+	msgPool.New = func() any { made.Add(1); return newMsg() }
+	recvReqPool.New = func() any { made.Add(1); return newRR() }
+	defer func() { msgPool.New, recvReqPool.New = newMsg, newRR }()
+	if err := w.Run(body); err != nil {
+		t.Fatal(err)
+	}
+	if n := made.Load(); n != 0 {
+		t.Errorf("a warm event Run after a GC made %d message and receive records, want 0", n)
+	}
+}
+
+// TestEventFreeListsCapped runs a Run whose sender leaves a thousand
+// eager messages queued before the receiver drains them: the Run
+// recycles every one through the scheduler's lists, and the Run's end
+// leaves at most one record of each kind per rank there for the world
+// to keep.
+func TestEventFreeListsCapped(t *testing.T) {
+	const sends = 1000
+	w, err := NewWorld(sim.HazelHenCray(), sim.MustUniform(1, 2), WithEngine(sim.EngineEvent))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	err = w.Run(func(p *Proc) error {
+		c := p.CommWorld()
+		for i := range sends {
+			if p.Rank() == 0 {
+				if err := c.Send(Sized(8), 1, i); err != nil {
+					return err
+				}
+			} else if _, err := c.Recv(Sized(8), 0, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := w.pendingRecords(); n != 0 {
+		t.Fatalf("%d records still queued after the drain", n)
+	}
+	if got, want := w.ev.msgs.n, w.Size(); got != want {
+		t.Errorf("message free list holds %d records after %d queued sends, want the cap %d", got, sends, want)
+	}
+	if got := w.ev.rrs.n; got < 1 || got > w.Size() {
+		t.Errorf("receive free list holds %d records, want 1 to %d", got, w.Size())
+	}
 }

@@ -191,7 +191,7 @@ func (w *World) Damaged() bool { return w.damaged.Load() }
 func (w *World) killRank(p *Proc) {
 	w.damaged.Store(true)
 	w.match.dead[p.rank].Store(true)
-	w.poison(w, failClock, fmt.Errorf("mpi: rank %d failed during a rendezvous: %w", p.rank, ErrRankFailed),
+	w.poison(failClock, fmt.Errorf("mpi: rank %d failed during a rendezvous: %w", p.rank, ErrRankFailed),
 		func(g int) bool { return g == p.rank })
 	if w.tracer.Enabled() {
 		w.tracer.Record(sim.Event{At: p.clock, Rank: p.rank, Kind: "fail", Note: "scheduled rank failure"})

@@ -101,13 +101,18 @@ func (s *slot[T]) take() T {
 	return s.val
 }
 
-// Object pools for the matcher fast path. A large run posts millions of
-// sends and receives; recycling the request records (each carrying its
-// slot's buffered channel and its queue link) and the eager-send
-// payload snapshots keeps the steady state allocation-free. A record is
-// recycled only after its waiter took the completion (or, for
-// fire-and-forget eager sends, never fed), so a recycled record's slot
-// is empty and its channel drained.
+// Record recycling for the matcher fast path. A large run posts
+// millions of sends and receives; recycling the request records (each
+// carrying its slot's buffered channel and its queue link) and the
+// eager-send payload snapshots keeps the steady state allocation-free.
+// A record is recycled only after its waiter took the completion (or,
+// for fire-and-forget eager sends, never fed), so a recycled record's
+// slot is empty and its channel drained. On a live event-engine Run the
+// records go round the scheduler's own free lists (evSched.msgs and
+// rrs, event.go), which only the driver thread touches; everywhere else
+// — the goroutine engine, code outside any Run, an abort walk outside
+// the driver — they go round these process-wide pools, which also
+// carry records from one world to the next.
 var (
 	msgPool = sync.Pool{New: func() any {
 		m := new(message)
@@ -141,21 +146,43 @@ func (r *recvReq) feed(w *World, res recvResult) {
 	w.wake(dst)
 }
 
-func getMessage() *message { return msgPool.Get().(*message) }
+func (w *World) getMessage() *message {
+	if w.evLive {
+		if n := w.ev.msgs.pop(); n != nil {
+			return n.msg
+		}
+	}
+	return msgPool.Get().(*message)
+}
 
 // putMessage recycles a message whose slot is empty: never fed (an
 // eager send), or taken by its waiter.
-func putMessage(m *message) {
+func (w *World) putMessage(m *message) {
 	m.data = Buf{}
 	m.store = nil
+	if w.evLive {
+		w.ev.msgs.push(&m.q)
+		return
+	}
 	msgPool.Put(m)
 }
 
-func getRecvReq() *recvReq { return recvReqPool.Get().(*recvReq) }
+func (w *World) getRecvReq() *recvReq {
+	if w.evLive {
+		if n := w.ev.rrs.pop(); n != nil {
+			return n.rr
+		}
+	}
+	return recvReqPool.Get().(*recvReq)
+}
 
 // putRecvReq recycles a receive record whose completion was taken.
-func putRecvReq(r *recvReq) {
+func (w *World) putRecvReq(r *recvReq) {
 	r.buf = Buf{}
+	if w.evLive {
+		w.ev.rrs.push(&r.q)
+		return
+	}
 	recvReqPool.Put(r)
 }
 
@@ -203,24 +230,29 @@ const (
 // matcher pairs posted sends with posted receives. The queues it
 // matches in are the contexts' own (Context.queues, one per executing
 // member, each with its lock); the matcher holds only what is the
-// world's: the fold unit and the flags every post checks.
+// world's: the fold unit and the flags every post checks. A post takes
+// its queue's lock only where another thread can reach the queue: on
+// the goroutine engine, or outside any Run. On a live event-engine Run
+// the driver thread is the only code that touches the queues (an abort
+// from outside leaves its walk to the driver, World.Abort).
 type matcher struct {
 	fold    int // rank-symmetry fold unit, 0 when unfolded (fold.go)
 	aborted atomic.Bool
 
 	// Fault-injection state (fault.go): per-global-rank death flags
 	// (nil unless the world schedules failures). Like a context's state
-	// they are checked under the queue lock on posts so a post either
-	// precedes the corresponding purge walk (which then fails it) or
-	// observes the flag.
+	// they are checked under the queue lock on posts (or on the driver
+	// thread) so a post either precedes the corresponding purge walk
+	// (which then fails it) or observes the flag.
 	dead []atomic.Bool
 }
 
 // rankQueue holds the unmatched sends and receives targeting one
-// (context, destination) pair, under its own lock, in one list in
-// posting order: each kind keeps MPI's non-overtaking order. The list
-// runs through the records themselves (qnode), so a queue that lives
-// for one collective call costs no storage beyond its two ends.
+// (context, destination) pair, under its own lock (see matcher for when
+// it is taken), in one list in posting order: each kind keeps MPI's
+// non-overtaking order. The list runs through the records themselves
+// (qnode), so a queue that lives for one collective call costs no
+// storage beyond its two ends.
 type rankQueue struct {
 	mu         sync.Mutex
 	head, tail *qnode
@@ -230,7 +262,9 @@ type rankQueue struct {
 // record posted after it (nil while the record is in no queue), and
 // exactly one of msg and rr points back at the record that embeds the
 // node. The back pointer is set once, when the pool makes the record; a
-// record sits in at most one queue.
+// record sits in at most one queue. A recycled record that waits on an
+// event scheduler's free list (freeList, event.go) is in no queue, and
+// the list links it through the same next.
 type qnode struct {
 	next *qnode
 	msg  *message
@@ -302,11 +336,15 @@ func (m *matcher) accepts(r *recvReq, msg *message) bool {
 
 // postSend enqueues a send to comm rank dst or pairs it with a waiting
 // receive. It returns the matched receive (nil if queued), or the error
-// of the flag it observed under the queue lock (see fail).
-func (m *matcher) postSend(cx *Context, dst int, msg *message) (*recvReq, error) {
+// of the flag it observed under the queue lock (see fail). owned says
+// the caller runs on a live event Run's driver thread, which owns the
+// queue outright, so no lock is taken (World.evLive).
+func (m *matcher) postSend(cx *Context, dst int, msg *message, owned bool) (*recvReq, error) {
 	q := cx.queue(dst)
-	q.mu.Lock()
-	defer q.mu.Unlock()
+	if !owned {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+	}
 	if m.aborted.Load() {
 		return nil, ErrAborted
 	}
@@ -333,11 +371,13 @@ func (m *matcher) postSend(cx *Context, dst int, msg *message) (*recvReq, error)
 
 // postRecv enqueues a receive posted by comm rank me or pairs it with a
 // waiting send. It returns the matched send (nil if queued); the flags
-// are checked as in postSend.
-func (m *matcher) postRecv(cx *Context, me int, r *recvReq) (*message, error) {
+// are checked, and the lock taken, as in postSend.
+func (m *matcher) postRecv(cx *Context, me int, r *recvReq, owned bool) (*message, error) {
 	q := cx.queue(me)
-	q.mu.Lock()
-	defer q.mu.Unlock()
+	if !owned {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+	}
 	if m.aborted.Load() {
 		return nil, ErrAborted
 	}
@@ -371,7 +411,9 @@ func (m *matcher) postRecv(cx *Context, me int, r *recvReq) (*message, error) {
 // Each caller publishes its flag first (matcher.aborted, dead,
 // Context.state), and posts check the flags under the queue lock: a
 // post either lands before the walk locks that queue, which then feeds
-// it, or observes the flag, so a waiter is never stranded.
+// it, or observes the flag, so a waiter is never stranded. On a live
+// event Run the walk and every post run on the driver thread, one after
+// the other, so the same holds without the lock.
 //
 // The walk selects on what a record waits for, not on who posted it:
 // what a dead rank posted before dying stays matchable (in-flight
@@ -398,7 +440,7 @@ func (cx *Context) fail(w *World, at sim.Time, sel func(peer int) bool) {
 					if msg.store != nil {
 						putEagerStore(msg.store)
 					}
-					putMessage(msg)
+					w.putMessage(msg)
 				} else {
 					msg.feed(w, at)
 				}
@@ -431,7 +473,7 @@ func (w *World) complete(m *message, r *recvReq) {
 			source: m.commSrc,
 			tag:    m.tag,
 		})
-		putMessage(m)
+		w.putMessage(m)
 		return
 	}
 	class := w.topo.Hop(m.src, m.dst)
@@ -465,7 +507,7 @@ func (w *World) complete(m *message, r *recvReq) {
 		if m.store != nil {
 			putEagerStore(m.store)
 		}
-		putMessage(m)
+		w.putMessage(m)
 	} else {
 		m.feed(w, sendDone)
 	}
@@ -502,13 +544,14 @@ func (c *Comm) SendFlag(dst, tag int) error {
 	if !w.topo.SameNode(c.p.rank, c.cx.ranks[dst]) {
 		return fmt.Errorf("mpi: SendFlag to rank %d on another node", dst)
 	}
-	msg := getMessage()
+	msg := w.getMessage()
 	msg.src, msg.dst, msg.commSrc, msg.tag = c.p.rank, c.cx.ranks[dst], c.rank, tag
 	msg.data, msg.store = Sized(0), nil
 	msg.eager, msg.flag = true, true
 	msg.xferScale, msg.postClock = 0, c.p.clock
-	r, err := w.match.postSend(c.cx, dst, msg)
+	r, err := w.match.postSend(c.cx, dst, msg, w.evLive)
 	if err != nil {
+		w.putMessage(msg)
 		return err
 	}
 	if r != nil {

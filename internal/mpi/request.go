@@ -41,7 +41,7 @@ func (c *Comm) postSendAtClock(buf Buf, dst, tag int, at sim.Time, kind string) 
 		xscale = ns.xferScale(c.p, w.topo.Hop(c.p.rank, c.cx.ranks[dst]))
 	}
 	// Field by field: a literal would overwrite the pooled slot and link.
-	msg := getMessage()
+	msg := w.getMessage()
 	msg.src, msg.dst, msg.commSrc, msg.tag = c.p.rank, c.cx.ranks[dst], c.rank, tag
 	msg.data, msg.store = data, store
 	msg.eager, msg.flag = eager, false
@@ -49,9 +49,9 @@ func (c *Comm) postSendAtClock(buf Buf, dst, tag int, at sim.Time, kind string) 
 	if w.tracer.Enabled() {
 		w.tracer.Record(sim.Event{At: at, Rank: c.p.rank, Kind: kind, Bytes: buf.Len()})
 	}
-	r, err := w.match.postSend(c.cx, dst, msg)
+	r, err := w.match.postSend(c.cx, dst, msg, w.evLive)
 	if err != nil {
-		putMessage(msg)
+		w.putMessage(msg)
 		return nil, err
 	}
 	if r != nil {
@@ -93,15 +93,15 @@ func (c *Comm) postRecvReqAt(buf Buf, src, tag int, at sim.Time, kind string) (*
 		srcGlobal = c.cx.ranks[src]
 	}
 	w := c.p.world
-	rr := getRecvReq()
+	rr := w.getRecvReq()
 	rr.src, rr.tag, rr.srcGlobal, rr.dst = src, tag, srcGlobal, c.p.rank
 	rr.buf, rr.postClock = buf, at
 	if kind != "" && w.tracer.Enabled() {
 		w.tracer.Record(sim.Event{At: at, Rank: c.p.rank, Kind: kind, Bytes: buf.Len()})
 	}
-	msg, err := w.match.postRecv(c.cx, c.rank, rr)
+	msg, err := w.match.postRecv(c.cx, c.rank, rr, w.evLive)
 	if err != nil {
-		putRecvReq(rr)
+		w.putRecvReq(rr)
 		return nil, err
 	}
 	if msg != nil {
@@ -135,7 +135,7 @@ func (p *Proc) waitSendMsg(m *message) error { return p.finishSend(m, awaitSlot(
 // its completion time, or the sentinel that ended the wait: the message
 // is recycled and the clock advances.
 func (p *Proc) finishSend(m *message, at sim.Time) error {
-	putMessage(m)
+	p.world.putMessage(m)
 	if err := failErr(at); err != nil {
 		return err
 	}
@@ -153,7 +153,7 @@ func (p *Proc) waitRecvReq(rr *recvReq) (Status, error) {
 
 // finishRecv is finishSend for a receive record.
 func (p *Proc) finishRecv(rr *recvReq, res recvResult) (Status, error) {
-	putRecvReq(rr)
+	p.world.putRecvReq(rr)
 	if err := failErr(res.at); err != nil {
 		return Status{}, err
 	}

@@ -51,16 +51,24 @@ type World struct {
 	// (spawned execN times per Run), the event scheduler (event backend,
 	// lazily created), the reusable per-Run dispatch record, and the Run
 	// gate that enforces the one-Run-at-a-time /
-	// no-clock-reads-during-Run contract. evLive is set only while an
-	// event-engine Run is in flight; only wake, yield, awaitSlot
-	// (event.go) and awaitClose (coord.go) branch on it.
+	// no-clock-reads-during-Run contract.
 	engine   sim.Engine
 	ev       *evSched
-	evLive   bool
 	rankMain func() // w.runNextRank, bound once so `go w.rankMain()` allocates nothing
 	run      runState
 	running  atomic.Bool
 	closed   atomic.Bool
+
+	// evLive is set while an event-engine Run's driver is live: while
+	// it is, the driver thread is the only code that touches the
+	// world's queues, rounds and records, so the matcher skips its queue
+	// locks, records recycle through the scheduler's free lists, waits
+	// park, and an abort only publishes its flag for the driver to walk
+	// (Abort). Only the driver writes it, and only under abortMu, the
+	// handshake Abort reads it under; the ranks the driver runs read it
+	// freely.
+	abortMu sync.Mutex
+	evLive  bool
 
 	// Rank-symmetry folding (fold.go): with foldUnit u > 0 only ranks
 	// 0..u-1 execute; every rank r aliases the Proc of its class
@@ -79,21 +87,40 @@ type World struct {
 // a barrier forever.
 var ErrAborted = errors.New("mpi: job aborted because another rank failed")
 
+// errPoisoned is Run's refusal of an aborted world.
+var errPoisoned = fmt.Errorf("mpi: Run on poisoned world: %w", ErrAborted)
+
 // Abort wakes every blocked operation with ErrAborted. It is invoked
 // automatically when a rank body returns an error or panics; tests use
-// it directly for failure injection. A world stays poisoned after
-// Abort.
+// it directly for failure injection, and it is safe from any goroutine.
+// A world stays poisoned after Abort.
 //
 // Every wait is on the slot of the record (awaitSlot, event.go) or the
 // channel of the round (awaitClose, coord.go) the rank waits on, so
 // Abort reaches them all the same way: flag first, then one pass over
-// the live contexts feeds every queued matcher record the abortClock
-// sentinel and closes every live rendezvous round.
+// the live contexts (abortWalk) feeds every queued matcher record the
+// abortClock sentinel and closes every live rendezvous round. Who walks
+// is settled under abortMu: while an event-engine Run is live its
+// driver owns the queues and rounds, so Abort only publishes the flag
+// and the driver walks at its next dispatch (evSched.run); otherwise —
+// on the goroutine engine, or between Runs — Abort walks itself, under
+// the queue and context locks.
 func (w *World) Abort() {
 	w.abortOnce.Do(func() {
+		w.abortMu.Lock()
 		w.match.aborted.Store(true)
-		w.poison(nil, abortClock, ErrAborted, func(int) bool { return true })
+		driven := w.evLive
+		w.abortMu.Unlock()
+		if !driven {
+			w.abortWalk()
+		}
 	})
+}
+
+// abortWalk feeds every queued record the abortClock sentinel and ends
+// every live round with ErrAborted.
+func (w *World) abortWalk() {
+	w.poison(abortClock, ErrAborted, func(int) bool { return true })
 }
 
 // Closed reports whether Close has run. A closed world cannot Run
@@ -292,7 +319,7 @@ func (w *World) Run(body func(p *Proc) error) error {
 		return ErrClosed
 	}
 	if w.Aborted() {
-		return fmt.Errorf("mpi: Run on poisoned world: %w", ErrAborted)
+		return errPoisoned
 	}
 	if !w.running.CompareAndSwap(false, true) {
 		panic("mpi: concurrent World.Run calls")
@@ -307,14 +334,12 @@ func (w *World) Run(body func(p *Proc) error) error {
 	} else {
 		clear(st.errs)
 	}
-	var deadlock error // the event driver's report, when it had to break one
+	var deadlock error // the event driver's report: a deadlock it broke, or an abort that beat its start
 	if w.engine == sim.EngineEvent {
 		if w.ev == nil {
 			w.ev = newEvSched(w, w.execN)
 		}
-		w.evLive = true
 		deadlock = w.ev.run()
-		w.evLive = false
 	} else {
 		st.next.Store(0)
 		st.wg.Add(w.execN)

@@ -1,7 +1,11 @@
 package spec_test
 
 import (
+	"errors"
 	"fmt"
+	"math/rand/v2"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -276,5 +280,118 @@ func TestWorldPoolConcurrentHammer(t *testing.T) {
 	p.Close()
 	if s := p.Stats(); s.IdleWorlds != 0 || s.IdleRanks != 0 {
 		t.Errorf("after close: %+v", s)
+	}
+}
+
+// TestOutsideAbortHammer aborts event-engine Runs from a goroutine
+// outside them, the way spec's cancellation watcher does, after a seeded
+// host delay of up to 3 ms: before the Run starts, or while it has
+// queued receives and rendezvous sends, two live rendezvous rounds (a
+// Barrier and a FuseClocks) and one rank polling with Test. While the
+// driver is live the abort only publishes its flag and the driver
+// walks; either way every Run must return ErrAborted and no deadlock,
+// promptly, and the pool must retire each aborted world instead of
+// handing it out again. Closing the pool leaves no goroutine behind.
+func TestOutsideAbortHammer(t *testing.T) {
+	const runs = 16
+	base := runtime.NumGoroutine()
+	topo := sim.MustUniform(2, 4)
+	big := mpi.Sized(2 * sim.Laptop().EagerLimit)
+	p := spec.NewWorldPool(spec.PoolConfig{MaxIdle: -1})
+	rng := rand.New(rand.NewPCG(52, 1))
+	seen := make(map[*mpi.World]bool, runs)
+	body := func(proc *mpi.Proc) error {
+		c := proc.CommWorld()
+		node, err := c.SplitTypeShared() // ranks 0-3 and 4-7
+		if err != nil {
+			return err
+		}
+		switch proc.Rank() {
+		case 0: // polls a receive nobody sends, keeping the ready ring busy
+			rq, err := c.Irecv(mpi.Sized(8), 7, 0)
+			if err != nil {
+				return err
+			}
+			for {
+				ok, _, err := rq.Test()
+				if err != nil {
+					return err
+				}
+				if ok {
+					return errors.New("poll completed without a sender")
+				}
+			}
+		case 1:
+			_, err := c.Recv(mpi.Sized(8), 7, 1)
+			return err
+		case 2:
+			return c.Send(big, 7, 2)
+		case 3: // a clock-fusion round the rest of node 0 never joins
+			node.FuseClocks(proc.Clock())
+			return errors.New("clock fusion completed without ranks 0-2")
+		case 4, 5: // a barrier round ranks 6 and 7 never join
+			if err := node.Barrier(); err != nil {
+				return err
+			}
+			return errors.New("barrier completed without ranks 6 and 7")
+		case 6:
+			sq, err := c.Isend(big, 1, 6)
+			if err != nil {
+				return err
+			}
+			rq, err := c.Irecv(mpi.Sized(8), 1, 6)
+			if err != nil {
+				return err
+			}
+			return mpi.Waitall(sq, rq)
+		default:
+			_, err := c.Recv(mpi.Sized(8), 6, 9)
+			return err
+		}
+	}
+	for i := range runs {
+		pw, err := p.Checkout(poolKey(topo, 0), poolWorld(t, topo))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := pw.W
+		if seen[w] {
+			t.Fatalf("run %d: the pool handed out a world an earlier Run aborted", i)
+		}
+		seen[w] = true
+		delay := time.Duration(rng.IntN(3000)) * time.Microsecond
+		aborted := make(chan time.Time)
+		go func() {
+			time.Sleep(delay)
+			at := time.Now()
+			w.Abort()
+			aborted <- at
+		}()
+		err = w.Run(body)
+		at := <-aborted
+		if took := time.Since(at); took > time.Second {
+			t.Errorf("run %d: Run returned %v after the outside Abort", i, took)
+		}
+		if !errors.Is(err, mpi.ErrAborted) || errors.Is(err, mpi.ErrDeadlock) {
+			t.Errorf("run %d (abort after %v): Run returned %v, want ErrAborted and no deadlock", i, delay, err)
+		}
+		if err != nil && !strings.Contains(err.Error(), "poisoned world") { // the Run started
+			for r := range topo.Size() {
+				if !strings.Contains(err.Error(), fmt.Sprintf("rank %d: ", r)) {
+					t.Errorf("run %d: rank %d not unwound with its own error: %v", i, r, err)
+				}
+			}
+		}
+		p.Checkin(pw)
+	}
+	if s := p.Stats(); s.Hits != 0 || s.Discarded != runs || s.IdleWorlds != 0 {
+		t.Errorf("pool after %d aborted Runs: %+v, want no hit, every world discarded", runs, s)
+	}
+	p.Close()
+	for i := 0; i < 2000 && runtime.NumGoroutine() > base; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after the pool closed, %d before", n, base)
 	}
 }
