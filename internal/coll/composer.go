@@ -129,7 +129,7 @@ func NewComposer(c *mpi.Comm, levels []int) (*Composer, error) {
 	// collective (every member must call, in the same order) but nobody
 	// waits on anybody.
 	k, v, err := mpi.SetupSlab[Composer](c, func() (any, error) {
-		geom, err := composerGeomFor(topo, c.Ranks(), levels)
+		geom, err := composerGeomFor(topo, c.Ranks(), c.RanksHash(), levels)
 		if err != nil {
 			return nil, err
 		}

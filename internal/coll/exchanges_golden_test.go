@@ -8,6 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"testing"
 
@@ -296,36 +297,41 @@ func exchVariants() []exchVariant {
 	return vs
 }
 
-// runExchange runs one golden case on one engine.
-func runExchange(v exchVariant, a exchArgs, eng sim.Engine) (exchPin, error) {
+// runExchange runs one golden case on one engine, on the event engine
+// under the given schedule seed (0 is FIFO, see eventScheduleSeed), and
+// returns the pin and every rank's final clock.
+func runExchange(v exchVariant, a exchArgs, eng sim.Engine, seed uint64) (exchPin, []sim.Time, error) {
 	topo, err := sim.NewTopology(exchShape[a.n])
 	if v.topo != nil {
 		topo, err = v.topo(a.n)
 	}
 	if err != nil {
-		return exchPin{}, err
+		return exchPin{}, nil, err
 	}
 	w, err := mpi.NewWorld(sim.HazelHenCray(), topo, mpi.WithRealData(), mpi.WithEngine(eng),
 		mpi.WithCollConfig(Tuning{Force: v.force}))
 	if err != nil {
-		return exchPin{}, err
+		return exchPin{}, nil, err
 	}
 	defer w.Close()
 	results := make([][]byte, a.n)
+	clocks := make([]sim.Time, a.n)
+	eventScheduleSeed.Store(seed)
+	defer eventScheduleSeed.Store(0)
 	err = w.Run(func(p *mpi.Proc) error {
 		out, err := v.body(p, a)
-		results[p.Rank()] = out.Raw()
+		results[p.Rank()], clocks[p.Rank()] = out.Raw(), p.Clock()
 		return err
 	})
 	if err != nil {
-		return exchPin{}, err
+		return exchPin{}, nil, err
 	}
 	h := sha256.New()
 	for r, b := range results {
 		fmt.Fprintf(h, "rank %d: %d bytes\n", r, len(b))
 		h.Write(b)
 	}
-	return exchPin{Ps: int64(w.MaxClock()), Sum: hex.EncodeToString(h.Sum(nil)[:8])}, nil
+	return exchPin{Ps: int64(w.MaxClock()), Sum: hex.EncodeToString(h.Sum(nil)[:8])}, clocks, nil
 }
 
 // TestExchangesGolden pins virtual time and payload bytes of every
@@ -334,7 +340,9 @@ func runExchange(v exchVariant, a exchArgs, eng sim.Engine) (exchPin, error) {
 // under every forced algorithm, at power-of-two and other communicator
 // sizes, on both engines. The golden was generated before those forms
 // were rewritten over one set of step primitives; byte identity here is
-// what "the forms are views of one loop" means.
+// what "the forms are views of one loop" means. The event engine runs
+// every row in FIFO order and under scheduleSeeds seeded orders, and
+// each must give the goroutine engine's pin and per-rank clocks.
 func TestExchangesGolden(t *testing.T) {
 	const path = "testdata/exchanges.golden.json"
 	got := map[string]exchPin{}
@@ -347,16 +355,19 @@ func TestExchangesGolden(t *testing.T) {
 			for _, kind := range []string{"uniform", "irregular", "large"} {
 				key := fmt.Sprintf("%s/n=%d/%s", v.name, n, kind)
 				a := exchArgs{kind: kind, n: n}
-				pin, err := runExchange(v, a, sim.EngineGoroutine)
+				pin, clocks, err := runExchange(v, a, sim.EngineGoroutine, 0)
 				if err != nil {
 					t.Fatalf("%s: %v", key, err)
 				}
-				ev, err := runExchange(v, a, sim.EngineEvent)
-				if err != nil {
-					t.Fatalf("%s (event engine): %v", key, err)
-				}
-				if ev != pin {
-					t.Errorf("%s: engines disagree: goroutine %+v, event %+v", key, pin, ev)
+				for seed := range uint64(scheduleSeeds + 1) {
+					ev, evClocks, err := runExchange(v, a, sim.EngineEvent, seed)
+					if err != nil {
+						t.Fatalf("%s (event engine, %s): %v", key, scheduleName(seed), err)
+					}
+					if ev != pin || !slices.Equal(evClocks, clocks) {
+						t.Errorf("%s: engines disagree: goroutine %+v, event (%s) %+v; per-rank clocks %v vs %v",
+							key, pin, scheduleName(seed), ev, clocks, evClocks)
+					}
 				}
 				got[key] = pin
 			}

@@ -21,7 +21,7 @@ import (
 // shared read-only by every rank of every world with this shape.
 type composerGeom struct {
 	topo    *sim.Topology // first publisher's topology (structural verify)
-	members []int         // comm rank table snapshot (exact key verify)
+	members []int         // the comm rank table of the latest hit (exact key verify; immutable, see mpi.Comm.Ranks)
 	levels  []int
 
 	shape     *compShape
@@ -33,6 +33,12 @@ type composerGeom struct {
 	handleOff []int32   // comm rank -> first slot in the per-plan Comm arena; [n] is the total
 }
 
+// matches verifies a cache hit. A table is compared by its backing
+// array before its content: a pooled world composes over its world table
+// again and again, so a hit walks no member. A hit on equal content
+// re-anchors the geometry to the table it was handed, the latest
+// world's, so that world's next hit compares arrays only. The cache
+// calls matches under its lock, and nothing else reads members.
 func (g *composerGeom) matches(topo *sim.Topology, members, levels []int) bool {
 	if len(g.members) != len(members) || len(g.levels) != len(levels) || !g.topo.EqualStructure(topo) {
 		return false
@@ -42,24 +48,27 @@ func (g *composerGeom) matches(topo *sim.Topology, members, levels []int) bool {
 			return false
 		}
 	}
+	if len(members) == 0 || &g.members[0] == &members[0] {
+		return true
+	}
 	for i, m := range members {
 		if g.members[i] != m {
 			return false
 		}
 	}
+	g.members = members
 	return true
 }
 
 var composerGeomCache = sim.NewShapeCache[*composerGeom](256)
 
 // composerGeomFor returns the cached geometry for (topo, members,
-// levels), building it on miss. Callers reach it once per (world,
-// composer call) through mpi.SetupSlab, so the O(members) verification
-// never lands on the per-rank path.
-func composerGeomFor(topo *sim.Topology, members, levels []int) (*composerGeom, error) {
-	h := topo.Fingerprint()
-	h = sim.HashInts(h, members)
-	h = sim.HashInts(h^0x9e3779b97f4a7c15, levels)
+// levels), building it on miss; membersHash is the table's fingerprint
+// (mpi.Comm.RanksHash), which a communicator computes once. Callers
+// reach it once per (world, composer call) through mpi.SetupSlab, and a
+// world's second hit on a geometry walks no member (matches).
+func composerGeomFor(topo *sim.Topology, members []int, membersHash uint64, levels []int) (*composerGeom, error) {
+	h := sim.HashInts(topo.Fingerprint()^membersHash, levels)
 	return composerGeomCache.GetOrBuild(h,
 		func(g *composerGeom) bool { return g.matches(topo, members, levels) },
 		func() (*composerGeom, error) { return buildComposerGeom(topo, members, levels), nil })
@@ -82,7 +91,7 @@ func buildComposerGeom(topo *sim.Topology, members, levels []int) *composerGeom 
 	tiers := len(levels)
 	g := &composerGeom{
 		topo:      topo,
-		members:   append([]int(nil), members...),
+		members:   members,
 		levels:    append([]int(nil), levels...),
 		tierRanks: make([][][]int, tiers),
 		tierGroup: make([][]int32, tiers),

@@ -1,6 +1,7 @@
 package coll
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/mpi"
@@ -17,11 +18,12 @@ func TestComposerGeomCachedAcrossWorlds(t *testing.T) {
 	for i := range members {
 		members[i] = i
 	}
-	g1, err := composerGeomFor(topo, members, []int{0, 1})
+	hash := sim.HashInts(sim.HashSeed, members)
+	g1, err := composerGeomFor(topo, members, hash, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := composerGeomFor(topo, members, []int{0, 1})
+	g2, err := composerGeomFor(topo, members, hash, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +33,7 @@ func TestComposerGeomCachedAcrossWorlds(t *testing.T) {
 	// A rebuilt topology of the same shape interns to the same object,
 	// so a fresh world still hits.
 	topo2 := sim.MustUniformHier(3, sim.LevelDim{Name: "socket", Arity: 2}, sim.LevelDim{Name: "node", Arity: 2})
-	g3, err := composerGeomFor(topo2, members, []int{0, 1})
+	g3, err := composerGeomFor(topo2, members, hash, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,19 +41,29 @@ func TestComposerGeomCachedAcrossWorlds(t *testing.T) {
 		t.Error("rebuilt same-shape topology missed the geometry cache")
 	}
 	// Different stack or membership must not share.
-	g4, err := composerGeomFor(topo, members, []int{1})
+	g4, err := composerGeomFor(topo, members, hash, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g4 == g1 {
 		t.Error("different level stacks share a cached geometry")
 	}
-	g5, err := composerGeomFor(topo, members[:6], []int{0, 1})
+	g5, err := composerGeomFor(topo, members[:6], sim.HashInts(sim.HashSeed, members[:6]), []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g5 == g1 {
 		t.Error("different memberships share a cached geometry")
+	}
+	// An equal table in another array (a rebuilt world's) hits, and the
+	// geometry then keeps that array, so its next hit compares no member.
+	again := slices.Clone(members)
+	g6, err := composerGeomFor(topo, again, hash, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g6 != g1 || &g1.members[0] != &again[0] {
+		t.Error("an equal member table in a new array did not hit and re-anchor the cached geometry")
 	}
 }
 

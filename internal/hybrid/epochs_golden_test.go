@@ -8,6 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"testing"
 
@@ -190,19 +191,25 @@ func localRank(p *mpi.Proc) int {
 	return n
 }
 
-// runEpochs runs one golden case on one engine.
-func runEpochs(cl epochCollective, mode SyncMode, sh epochShape, key func(p *mpi.Proc) int, root int, eng sim.Engine) (epochPin, error) {
+// runEpochs runs one golden case on one engine, on the event engine
+// under the given schedule seed (0 is FIFO, see eventScheduleSeed), and
+// returns the pin and every rank's final clock.
+func runEpochs(cl epochCollective, mode SyncMode, sh epochShape, key func(p *mpi.Proc) int, root int, eng sim.Engine, seed uint64) (epochPin, []sim.Time, error) {
 	topo, err := sh.topo()
 	if err != nil {
-		return epochPin{}, err
+		return epochPin{}, nil, err
 	}
 	w, err := mpi.NewWorld(sim.HazelHenCray(), topo, mpi.WithRealData(), mpi.WithEngine(eng))
 	if err != nil {
-		return epochPin{}, err
+		return epochPin{}, nil, err
 	}
 	defer w.Close()
 	seen := make([]bytes.Buffer, topo.Size())
+	clocks := make([]sim.Time, topo.Size())
+	eventScheduleSeed.Store(seed)
+	defer eventScheduleSeed.Store(0)
 	err = w.Run(func(p *mpi.Proc) error {
+		defer func() { clocks[p.Rank()] = p.Clock() }()
 		comm := p.CommWorld()
 		if key != nil {
 			sub, err := comm.Split(0, key(p))
@@ -227,14 +234,14 @@ func runEpochs(cl epochCollective, mode SyncMode, sh epochShape, key func(p *mpi
 		})
 	})
 	if err != nil {
-		return epochPin{}, err
+		return epochPin{}, nil, err
 	}
 	h := sha256.New()
 	for r := range seen {
 		fmt.Fprintf(h, "rank %d: %d bytes\n", r, seen[r].Len())
 		h.Write(seen[r].Bytes())
 	}
-	return epochPin{Ps: int64(w.MaxClock()), Sum: hex.EncodeToString(h.Sum(nil)[:8])}, nil
+	return epochPin{Ps: int64(w.MaxClock()), Sum: hex.EncodeToString(h.Sum(nil)[:8])}, clocks, nil
 }
 
 // TestEpochsGolden pins virtual time and every rank's visible result
@@ -246,6 +253,9 @@ func runEpochs(cl epochCollective, mode SyncMode, sh epochShape, key func(p *mpi
 // "instances of one protocol" means. The Alltoaller rows under the
 // pairwise flavors were added by that change: before it the pull read
 // peers' rows before they were written (TestHyAlltoallWaitsForWriters).
+// The event engine runs every row in FIFO order and under scheduleSeeds
+// seeded orders, and each must give the goroutine engine's pin and
+// per-rank clocks.
 func TestEpochsGolden(t *testing.T) {
 	const path = "testdata/epochs.golden.json"
 	got := map[string]epochPin{}
@@ -269,16 +279,19 @@ func TestEpochsGolden(t *testing.T) {
 						if cl.rooted {
 							key += fmt.Sprintf("/root=%d", root)
 						}
-						pin, err := runEpochs(cl, mode, sh, pl.key, root, sim.EngineGoroutine)
+						pin, clocks, err := runEpochs(cl, mode, sh, pl.key, root, sim.EngineGoroutine, 0)
 						if err != nil {
 							t.Fatalf("%s: %v", key, err)
 						}
-						ev, err := runEpochs(cl, mode, sh, pl.key, root, sim.EngineEvent)
-						if err != nil {
-							t.Fatalf("%s (event engine): %v", key, err)
-						}
-						if ev != pin {
-							t.Errorf("%s: engines disagree: goroutine %+v, event %+v", key, pin, ev)
+						for seed := range uint64(scheduleSeeds + 1) {
+							ev, evClocks, err := runEpochs(cl, mode, sh, pl.key, root, sim.EngineEvent, seed)
+							if err != nil {
+								t.Fatalf("%s (event engine, %s): %v", key, scheduleName(seed), err)
+							}
+							if ev != pin || !slices.Equal(evClocks, clocks) {
+								t.Errorf("%s: engines disagree: goroutine %+v, event (%s) %+v; per-rank clocks %v vs %v",
+									key, pin, scheduleName(seed), ev, clocks, evClocks)
+							}
 						}
 						got[key] = pin
 					}

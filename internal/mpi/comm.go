@@ -57,6 +57,20 @@ func (c *Comm) Proc() *Proc { return c.p }
 // Ranks returns the comm-rank -> global-rank table (do not modify).
 func (c *Comm) Ranks() []int { return c.cx.ranks }
 
+// RanksHash is the fingerprint of the member table,
+// sim.HashInts(sim.HashSeed, c.Ranks()). The table is immutable, so it
+// is computed once per communicator context, by its first caller, and
+// every handle over the context shares it.
+func (c *Comm) RanksHash() uint64 {
+	cx := c.cx
+	if h := cx.ranksHash.Load(); h != 0 {
+		return h
+	}
+	h := sim.HashInts(sim.HashSeed, cx.ranks)
+	cx.ranksHash.Store(h)
+	return h
+}
+
 // exchange performs an untimed allgather of one value per member: one
 // round of the communicator's rendezvous (coord.go). It is the
 // building block for communicator and window construction — the

@@ -46,6 +46,10 @@ type Context struct {
 	queues []rankQueue  // comm rank -> the queue of messages to it, one per executing member (p2p.go)
 	state  atomic.Int32 // ctxLive, ctxRevoked or ctxRetired
 
+	// ranksHash is the member table's fingerprint (Comm.RanksHash),
+	// computed on first use: 0 until then.
+	ranksHash atomic.Uint64
+
 	mu    sync.Mutex
 	cur   *round      // the round still collecting arrivals (or being built), nil between rounds
 	slots *setupEntry // live setup slots, linked oldest first: calls base, base+1, ...

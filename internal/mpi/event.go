@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"math/rand/v2"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // This file is the discrete-event execution backend (sim.EngineEvent):
@@ -23,7 +25,8 @@ import (
 // scheduler state, the contexts' message queues, the rendezvous rounds,
 // the message and receive records — is touched by one logical thread,
 // and each switch is a happens-before edge for the race detector. The
-// matcher therefore takes no queue lock (matcher.postSend), and records
+// matcher therefore takes no queue lock (matcher.postSend), a record's
+// slot state word is read and written plainly (slot), and records
 // recycle through the scheduler's own free lists instead of the
 // process-wide pools (World.getMessage). What this saves is what the
 // parallel engine pays for concurrency: locks, pool round trips, host
@@ -78,7 +81,20 @@ type evSched struct {
 	// (World.getMessage): a live Run takes from and returns to them
 	// only, and one ending cuts each back to n records (trim).
 	msgs, rrs freeList
+
+	// order, nil by default, draws the next rank to run from the ready
+	// set instead of taking the ring head (scheduleSeed).
+	order *rand.Rand
 }
+
+// scheduleSeed is a test-only seam: while it is nonzero, a world's event
+// scheduler, built at the world's first event Run, is seeded with it,
+// and its driver runs a seeded draw from the ready set next instead of
+// the ring head. Any ready rank may legally run next, so every seed is
+// a valid schedule, and clocks are computed order-independently: each
+// seed must give the same picoseconds as FIFO and as the goroutine
+// engine. Tests outside this package reach it with go:linkname.
+var scheduleSeed atomic.Uint64
 
 // freeList is a stack of recycled records, linked through their queue
 // nodes (a free record is in no queue).
@@ -136,6 +152,9 @@ type evRank struct {
 // suspended until its first dispatch.
 func newEvSched(w *World, n int) *evSched {
 	ev := &evSched{w: w, n: n, ranks: make([]evRank, n), ready: make([]int32, n)}
+	if seed := scheduleSeed.Load(); seed != 0 {
+		ev.order = rand.New(rand.NewPCG(seed, 0))
+	}
 	for r := range ev.ranks {
 		ev.ranks[r].next, ev.ranks[r].stop = iter.Pull(ev.body(r))
 	}
@@ -198,6 +217,13 @@ func (ev *evSched) run() error {
 			deadlock = ev.deadlock()
 			w.Abort()
 			continue
+		}
+		if ev.order != nil && ev.rlen > 1 {
+			i := ev.rhead + ev.order.IntN(ev.rlen)
+			if i >= ev.n {
+				i -= ev.n
+			}
+			ev.ready[ev.rhead], ev.ready[i] = ev.ready[i], ev.ready[ev.rhead]
 		}
 		r := ev.ready[ev.rhead]
 		if ev.rhead++; ev.rhead == ev.n {
@@ -327,18 +353,21 @@ func (p *Proc) yield() {
 // the wait — completion, abort, a peer's death, revocation — is fed
 // through the slot itself, so no wait selects against an abort signal.
 // A live event engine parks the rank on the ring and re-checks on every
-// wake, touching no channel: every feed, the abort walk's included,
-// runs on the driver thread and readies the rank. The goroutine engine
-// announces a sleeper and blocks on the slot's channel unless the CAS
-// finds the slot already fed. on is the record, for the deadlock report.
+// wake, touching no channel and reading the state word plainly: every
+// feed, the abort walk's included, runs on the driver thread and
+// readies the rank. The goroutine engine announces a sleeper and blocks
+// on the slot's channel unless the CAS finds the slot already fed. on
+// is the record, for the deadlock report.
 func awaitSlot[T any](p *Proc, s *slot[T], on any) T {
 	w := p.world
 	if w.evLive {
-		for !s.fed() {
+		for !s.fed(true) {
 			w.ev.park(p.rank, on)
 		}
-	} else if !s.fed() && s.state.CompareAndSwap(slotEmpty, slotSleeper) {
+		return s.take(true)
+	}
+	if !s.fed(false) && atomic.CompareAndSwapInt32(&s.state, slotEmpty, slotSleeper) {
 		<-s.wake
 	}
-	return s.take()
+	return s.take(false)
 }

@@ -58,19 +58,27 @@ type recvResult struct {
 
 // slot is a record's completion: the value its completer feeds, a state
 // word, and a channel that is only used when the waiter really sleeps.
-// It follows the futex pattern: the completer stores the value, then
-// swaps the state to fed, and sends on the channel only if the waiter
-// had announced itself as a sleeper; the waiter returns as soon as it
-// loads fed, and otherwise moves the state from empty to sleeper before
-// it blocks on the channel. No wakeup can be lost: the value is stored
-// before the swap, and the waiter's CAS either finds fed (and reads the
-// value without blocking) or leaves sleeper for the completer's swap to
-// find. Exactly one completer feeds a slot per use, and its one waiter
-// empties it again when it takes the value (take), so a recycled record
-// holds an empty slot and a drained channel.
+// On the goroutine engine it follows the futex pattern: the completer
+// stores the value, then swaps the state to fed, and sends on the
+// channel only if the waiter had announced itself as a sleeper; the
+// waiter returns as soon as it loads fed, and otherwise moves the state
+// from empty to sleeper before it blocks on the channel. No wakeup can
+// be lost: the value is stored before the swap, and the waiter's CAS
+// either finds fed (and reads the value without blocking) or leaves
+// sleeper for the completer's swap to find. Exactly one completer feeds
+// a slot per use, and its one waiter empties it again when it takes the
+// value (take), so a recycled record holds an empty slot and a drained
+// channel.
+//
+// On a live event-engine Run the driver thread is the only code that
+// touches a slot — its completer and its waiter run there, one after
+// the other — so the word is read and written plainly and never holds
+// sleeper (owned, World.evLive). A record crosses to the goroutine
+// engine only through the process-wide pools, which order the plain
+// writes before the next Run's atomics.
 type slot[T any] struct {
 	val   T
-	state atomic.Int32
+	state int32
 	wake  chan struct{} // buffer 1: the completer's send never blocks
 }
 
@@ -82,22 +90,34 @@ const (
 )
 
 // feed completes the slot. The record may be recycled by its waiter as
-// soon as the swap lands, unless the waiter sleeps, in which case it is
-// still blocked on wake until the send.
-func (s *slot[T]) feed(v T) {
+// soon as the state says fed, unless the waiter sleeps, in which case
+// it is still blocked on wake until the send. owned says the caller is
+// a live event Run's driver thread (see slot).
+func (s *slot[T]) feed(v T, owned bool) {
 	s.val = v
-	if s.state.Swap(slotFed) == slotSleeper {
+	if owned {
+		s.state = slotFed
+	} else if atomic.SwapInt32(&s.state, slotFed) == slotSleeper {
 		s.wake <- struct{}{}
 	}
 }
 
 // fed reports whether the slot holds its completion.
-func (s *slot[T]) fed() bool { return s.state.Load() == slotFed }
+func (s *slot[T]) fed(owned bool) bool {
+	if owned {
+		return s.state == slotFed
+	}
+	return atomic.LoadInt32(&s.state) == slotFed
+}
 
 // take returns the completion of a fed slot and empties it for the
 // record's next use.
-func (s *slot[T]) take() T {
-	s.state.Store(slotEmpty)
+func (s *slot[T]) take(owned bool) T {
+	if owned {
+		s.state = slotEmpty
+	} else {
+		atomic.StoreInt32(&s.state, slotEmpty)
+	}
 	return s.val
 }
 
@@ -135,14 +155,14 @@ var (
 // recycling it.
 func (m *message) feed(w *World, at sim.Time) {
 	src := m.src
-	m.done.feed(at)
+	m.done.feed(at, w.evLive)
 	w.wake(src)
 }
 
 // feed is message.feed for a receive record.
 func (r *recvReq) feed(w *World, res recvResult) {
 	dst := r.dst
-	r.result.feed(res)
+	r.result.feed(res, w.evLive)
 	w.wake(dst)
 }
 
@@ -481,7 +501,7 @@ func (w *World) complete(m *message, r *recvReq) {
 	if r.buf.Len() < n {
 		n = r.buf.Len() // truncation: account only what lands
 	}
-	xfer := w.model.XferCost(class, n)
+	xfer := w.hopCost[class].Xfer(n)
 	if m.xferScale > 0 {
 		// Congestion/jitter stretch drawn at post time in the sender's
 		// program order (fault.go); a single float64 multiply keeps the

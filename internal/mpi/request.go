@@ -122,10 +122,11 @@ func take[T any](p *Proc, s *slot[T], on any, block bool) (v T, ok bool) {
 	if block {
 		return awaitSlot(p, s, on), true
 	}
-	if !s.fed() {
+	owned := p.world.evLive
+	if !s.fed(owned) {
 		return v, false
 	}
-	return s.take(), true
+	return s.take(owned), true
 }
 
 // waitSendMsg blocks until a rendezvous send completes.

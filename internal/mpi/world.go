@@ -22,10 +22,11 @@ import (
 // every communicator context opened on it (Context, coord.go), which is
 // where all per-communicator state lives.
 type World struct {
-	topo   *sim.Topology
-	model  *sim.CostModel
-	tracer *sim.Tracer
-	real   bool // real data movement (tests) vs size-only (big benches)
+	topo    *sim.Topology
+	model   *sim.CostModel
+	hopCost [sim.HopGroup + 1]sim.LevelCost // model.HopCost of each hop class, resolved once: complete reads no LevelCosts map
+	tracer  *sim.Tracer
+	real    bool // real data movement (tests) vs size-only (big benches)
 
 	match   *matcher
 	collCfg any // default collective-tuning config inherited by CommWorld
@@ -230,6 +231,9 @@ func NewWorldConfig(model *sim.CostModel, topo *sim.Topology, cfg Config) (*Worl
 	}
 	if cfg.Noise.BreaksSymmetry() && cfg.FoldUnit > 0 {
 		return nil, fmt.Errorf("mpi: noise config breaks rank symmetry (jitter/stragglers/failures): %w", ErrFoldUnsafe)
+	}
+	for c := range w.hopCost {
+		w.hopCost[c] = model.HopCost(sim.HopClass(c))
 	}
 	w.noise = compileNoise(cfg.Noise, topo.Size())
 	w.execN = topo.Size()
@@ -452,10 +456,13 @@ func (w *World) assertNotRunning(op string) {
 }
 
 // ResetClocks zeroes every rank's virtual clock (between benchmark
-// repetitions). It must not be called while a Run is in flight.
+// repetitions). It must not be called while a Run is in flight. It
+// walks the executing ranks only: on a folded world every replica
+// aliases its representative's Proc, so the replicas' clocks are reset
+// with it.
 func (w *World) ResetClocks() {
 	w.assertNotRunning("ResetClocks")
-	for _, p := range w.procs {
+	for _, p := range w.procs[:w.execN] {
 		p.clock = 0
 		p.noiseOps = 0
 	}
@@ -463,11 +470,12 @@ func (w *World) ResetClocks() {
 
 // MaxClock returns the latest clock across ranks — the virtual makespan
 // of everything run so far. It must not be called while a Run is in
-// flight.
+// flight. Like ResetClocks it reads the executing ranks only, whose
+// clocks a folded world's replicas share.
 func (w *World) MaxClock() sim.Time {
 	w.assertNotRunning("MaxClock")
 	var max sim.Time
-	for _, p := range w.procs {
+	for _, p := range w.procs[:w.execN] {
 		if p.clock > max {
 			max = p.clock
 		}

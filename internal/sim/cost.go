@@ -73,11 +73,16 @@ func (h HopClass) SharedMemory() bool {
 }
 
 // LevelCost is the per-level latency/bandwidth override a profile may
-// attach to the extended hop classes (HopNuma, HopSocket, HopGroup).
+// attach to the extended hop classes (HopNuma, HopSocket, HopGroup), and
+// the pair a hop class resolves to (HopCost).
 type LevelCost struct {
 	Alpha         Time
 	BetaPsPerByte int64
 }
+
+// Xfer is the wire time of an n-byte message at this cost: alpha +
+// n*beta, for n >= 0.
+func (lc LevelCost) Xfer(n int) Time { return lc.Alpha + Time(int64(n)*lc.BetaPsPerByte) }
 
 // Tuning holds the MPICH/OpenMPI-style runtime selection cutoffs that
 // differ between the two library stacks of the paper (Cray MPI on Hazel
@@ -118,6 +123,11 @@ type Tuning struct {
 // distinct latency (alpha) and inverse bandwidth (beta) per hop class,
 // memory-copy costs with a saturation-based contention term, a CPU rate
 // for modeled compute, and the library tuning cutoffs.
+//
+// A model must not be mutated while a world built on it lives: an
+// mpi.World resolves each hop class's HopCost once, when it is built, and
+// keeps pricing with those values. Derive a changed model
+// from a copy (the profiles are returned fresh by their constructors).
 type CostModel struct {
 	// Name identifies the profile ("hazelhen-cray", "vulcan-openmpi").
 	Name string
@@ -225,6 +235,11 @@ func (m *CostModel) BetaPsPerByte(class HopClass) int64 {
 	}
 }
 
+// HopCost resolves a hop class's latency and per-byte cost.
+func (m *CostModel) HopCost(class HopClass) LevelCost {
+	return LevelCost{Alpha: m.Alpha(class), BetaPsPerByte: m.BetaPsPerByte(class)}
+}
+
 // XferCost returns the wire time of an n-byte message on the given hop
 // class: alpha + n*beta. Overheads are charged separately by the p2p
 // engine so that they can overlap with transfers.
@@ -232,7 +247,7 @@ func (m *CostModel) XferCost(class HopClass, n int) Time {
 	if n < 0 {
 		n = 0
 	}
-	return m.Alpha(class) + Time(int64(n)*m.BetaPsPerByte(class))
+	return m.HopCost(class).Xfer(n)
 }
 
 // CopyCost returns the time for one rank to copy n bytes locally while

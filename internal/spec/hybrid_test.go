@@ -35,7 +35,8 @@ func refereeAllPaths(t *testing.T, q *spec.Query) *spec.Result {
 // TestFig9PointThroughReferee: Fig. 9's Cray 64x24 point at 512
 // elements, both sides of the paper's comparison, is one Query each and
 // lands on cmd/experiments' report.golden figures (4,337.01 us pure,
-// 884.88 us hybrid) on every engine and world-reuse path.
+// 884.88 us hybrid) on every engine and world-reuse path, and on the
+// event engine under scheduleSeeds seeded orders.
 func TestFig9PointThroughReferee(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure-scale runs in -short mode")
@@ -55,6 +56,18 @@ func TestFig9PointThroughReferee(t *testing.T) {
 		res := refereeAllPaths(t, q)
 		if got := fmt.Sprintf("%.2f", res.Points[0].VirtualUsPerOp); got != c.want {
 			t.Errorf("tuning %s: %s us per op, report.golden has %s", c.tuning, got, c.want)
+		}
+		q.Engine = "event"
+		for seed := uint64(1); seed <= scheduleSeeds; seed++ {
+			eventScheduleSeed.Store(seed)
+			got, err := spec.Run(q)
+			eventScheduleSeed.Store(0)
+			if err != nil {
+				t.Fatalf("tuning %s, event schedule seed %d: %v", c.tuning, seed, err)
+			}
+			if err := spec.Agree(fmt.Sprintf("event schedule seed %d", seed), got, res); err != nil {
+				t.Errorf("tuning %s: %v", c.tuning, err)
+			}
 		}
 	}
 }

@@ -9,7 +9,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
+	"repro/internal/coll"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -393,5 +395,38 @@ func TestOutsideAbortHammer(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > base {
 		t.Errorf("%d goroutines after the pool closed, %d before", n, base)
+	}
+}
+
+// TestClosedPooledWorldIsCollectable: a pooled event world that built a
+// hierarchical composer, whose geometry the process-wide cache keeps
+// (it holds the member table it was built from), is garbage once the
+// pool has closed it and nobody holds it.
+func TestClosedPooledWorldIsCollectable(t *testing.T) {
+	topo := sim.MustUniform(4, 4)
+	p := spec.NewWorldPool(spec.PoolConfig{MaxIdle: -1})
+	ref := func() weak.Pointer[mpi.World] {
+		pw, err := p.Checkout(poolKey(topo, 0), poolWorld(t, topo))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = pw.W.Run(func(pr *mpi.Proc) error {
+			h, err := coll.NewHier(pr.CommWorld())
+			if err != nil {
+				return err
+			}
+			return h.Allgather(mpi.Sized(8), mpi.Sized(8*pr.Size()), 8)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Checkin(pw)
+		return weak.Make(pw.W)
+	}()
+	p.Close()
+	runtime.GC()
+	runtime.GC()
+	if ref.Value() != nil {
+		t.Error("a closed pooled world that ran NewHier is still reachable after a GC")
 	}
 }
