@@ -54,6 +54,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/sim"
@@ -290,41 +291,33 @@ type httpError struct {
 func (e *httpError) Error() string { return e.err.Error() }
 func (e *httpError) Unwrap() error { return e.err }
 
-// statusWriter remembers the status code for the request log.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-// WriteHeader records the status before delegating.
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
+// handler is an endpoint: it answers the request and returns the status
+// code it wrote, which instrument records without wrapping the writer.
+type handler func(http.ResponseWriter, *http.Request) int
 
 // instrument wraps a handler with latency/count metrics and a
 // structured request log line.
-func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+func (s *Server) instrument(endpoint string, h handler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
+		code := h(w, r)
 		d := time.Since(start)
-		s.met.request(endpoint, sw.code, d)
+		s.met.request(endpoint, code, d)
 		if s.cfg.Logger.Enabled(r.Context(), slog.LevelDebug) {
 			s.cfg.Logger.Debug("request",
-				"endpoint", endpoint, "code", sw.code, "duration", d,
-				"cache", sw.Header().Get("X-Cache"))
+				"endpoint", endpoint, "code", code, "duration", d,
+				"cache", w.Header().Get("X-Cache"))
 		}
 	}
 }
 
 // tenantName extracts the request's tenant identity: the X-Tenant
 // header, or "default" when absent — anonymous clients share one
-// bucket rather than bypassing the limiter.
+// bucket rather than bypassing the limiter. The header map is read
+// directly: net/http stores request keys canonical.
 func tenantName(r *http.Request) string {
-	if t := r.Header.Get("X-Tenant"); t != "" {
-		return t
+	if t := r.Header["X-Tenant"]; len(t) > 0 && t[0] != "" {
+		return t[0]
 	}
 	return "default"
 }
@@ -334,11 +327,11 @@ func tenantName(r *http.Request) string {
 // answer 429 with a Retry-After header (whole seconds, rounded up)
 // so well-behaved clients can back off precisely; both outcomes feed
 // the repro_tenant_requests_total metric.
-func (s *Server) rateLimit(h http.HandlerFunc) http.HandlerFunc {
+func (s *Server) rateLimit(h handler) handler {
 	if s.tenants == nil {
 		return h
 	}
-	return func(w http.ResponseWriter, r *http.Request) {
+	return func(w http.ResponseWriter, r *http.Request) int {
 		tenant := tenantName(r)
 		ok, retry := s.tenants.allow(tenant, time.Now())
 		s.met.tenant(tenant, ok)
@@ -348,25 +341,48 @@ func (s *Server) rateLimit(h http.HandlerFunc) http.HandlerFunc {
 				secs = 1
 			}
 			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			writeError(w, &httpError{http.StatusTooManyRequests,
+			return writeError(w, &httpError{http.StatusTooManyRequests,
 				fmt.Errorf("server: tenant %q over its %g req/s rate limit, retry in %ds", tenant, s.cfg.TenantQPS, secs)})
-			return
 		}
-		h(w, r)
+		return h(w, r)
 	}
 }
 
-// writeJSON writes v as the JSON response body.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	b, _ := encode(v, nil)
-	writeBytes(w, code, b)
+// Response header values shared by every response. Each is assigned
+// whole under its canonical key, never through Header.Set (which
+// canonicalizes the key and allocates a slice per call), and nothing
+// mutates one: length and capacity are 1, so even an Add appends into
+// a new array.
+var (
+	contentTypeJSON = []string{"application/json"}
+	xCacheHit       = []string{string(hit)}
+	xCacheMiss      = []string{string(lead)}
+	xCacheCoalesced = []string{string(follow)}
+)
+
+// xCache is o's shared X-Cache header value.
+func xCache(o outcome) []string {
+	switch o {
+	case hit:
+		return xCacheHit
+	case lead:
+		return xCacheMiss
+	}
+	return xCacheCoalesced
 }
 
-// writeBytes writes an encoded JSON response body.
-func writeBytes(w http.ResponseWriter, code int, b []byte) {
-	w.Header().Set("Content-Type", "application/json")
+// writeJSON writes v as the JSON response body and returns code.
+func writeJSON(w http.ResponseWriter, code int, v any) int {
+	b, _ := encode(v, nil)
+	return writeBytes(w, code, b)
+}
+
+// writeBytes writes an encoded JSON response body and returns code.
+func writeBytes(w http.ResponseWriter, code int, b []byte) int {
+	w.Header()["Content-Type"] = contentTypeJSON
 	w.WriteHeader(code)
 	w.Write(b) //nolint:errcheck // client gone is the only failure
+	return code
 }
 
 // encode is the one JSON encoding of every response body, indented and
@@ -385,10 +401,10 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// writeError maps err onto the JSON error envelope. Validation errors
-// (anything from spec parsing) are 400; timeouts 504; cancellations
-// 503; an *httpError carries its own code.
-func writeError(w http.ResponseWriter, err error) {
+// writeError maps err onto the JSON error envelope and returns the
+// code. Validation errors (anything from spec parsing) are 400;
+// timeouts 504; cancellations 503; an *httpError carries its own code.
+func writeError(w http.ResponseWriter, err error) int {
 	code := http.StatusInternalServerError
 	var he *httpError
 	switch {
@@ -399,16 +415,57 @@ func writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, context.Canceled):
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, errorBody{Error: err.Error()})
+	return writeJSON(w, code, errorBody{Error: err.Error()})
 }
 
-// readBody reads the request body under the MaxBodyBytes cap.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		return nil, &httpError{http.StatusRequestEntityTooLarge, err}
+// bodyBuf holds one request's body. Buffers recycle through bodyBufs: a
+// handler takes one, reads into it and puts it back when it returns,
+// and nothing keeps the bytes past that (spec.Parse decodes copies,
+// cache keys are hashes of them).
+type bodyBuf struct{ b []byte }
+
+var bodyBufs = sync.Pool{New: func() any { return &bodyBuf{b: make([]byte, 0, 512)} }}
+
+// maxPooledBody is the largest buffer put back in bodyBufs; one grown
+// past it by a large body is dropped, so the pool holds small buffers.
+const maxPooledBody = 64 << 10
+
+func getBodyBuf() *bodyBuf { return bodyBufs.Get().(*bodyBuf) }
+
+func putBodyBuf(buf *bodyBuf) {
+	if cap(buf.b) <= maxPooledBody {
+		bodyBufs.Put(buf)
 	}
-	return body, nil
+}
+
+// readBody reads the request body into buf, at most MaxBodyBytes+1
+// bytes of it. A longer body is a 413 carrying http.MaxBytesError's
+// text and Connection: close, as http.MaxBytesReader answers; any other
+// read failure (a truncated or aborted upload) is a 400.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, buf *bodyBuf) error {
+	limit := s.cfg.MaxBodyBytes
+	b := buf.b[:0]
+	defer func() { buf.b = b }()
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		room := b[len(b):cap(b)]
+		if left := limit + 1 - int64(len(b)); int64(len(room)) > left {
+			room = room[:left]
+		}
+		n, err := r.Body.Read(room)
+		b = b[:len(b)+n]
+		switch {
+		case int64(len(b)) > limit:
+			w.Header().Set("Connection", "close")
+			return &httpError{http.StatusRequestEntityTooLarge, &http.MaxBytesError{Limit: limit}}
+		case err == io.EOF:
+			return nil
+		case err != nil:
+			return &httpError{http.StatusBadRequest, err}
+		}
+	}
 }
 
 // parseQuery strictly decodes a request body into a canonical Query,
@@ -456,8 +513,9 @@ func (s *Server) admit(q *spec.Query) error {
 // cache / an identical in-flight execution) and return the
 // spec.Result. The X-Cache response header reports which path answered
 // (hit, miss, coalesced); the body is bit-identical on all three.
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	switch s.serveCached(w, r, false, func(q *spec.Query) ([]byte, error) { return encode(s.execute(q)) }) {
+func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) int {
+	o, code := s.serveCached(w, r, false, func(q *spec.Query) ([]byte, error) { return encode(s.execute(q)) })
+	switch o {
 	case hit:
 		s.met.cacheHits.Add(1)
 	case lead:
@@ -465,31 +523,31 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	case follow:
 		s.met.coalesced.Add(1)
 	}
+	return code
 }
 
 // serveCached answers /v1/run's query (price false) or /v1/price's and
-// reports how ("" when the body fails to read, parse or pass admission).
+// reports how ("" when the body fails to read, parse or pass admission)
+// and with which status code.
 // A body aliasing a resident entry is answered from its bytes: Parse is
 // a pure function and the caps are fixed at New, so those bytes passed
 // both before. Otherwise a follower waits for the leader or for its own
 // client to give up, and a leader computes; finish runs even if compute
 // panics, or every later identical query would park forever.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, price bool, compute func(*spec.Query) ([]byte, error)) outcome {
-	body, err := s.readBody(w, r)
-	if err != nil {
-		writeError(w, err)
-		return ""
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, price bool, compute func(*spec.Query) ([]byte, error)) (outcome, int) {
+	buf := getBodyBuf()
+	defer putBodyBuf(buf)
+	if err := s.readBody(w, r, buf); err != nil {
+		return "", writeError(w, err)
 	}
-	raw := rawKey{sha256.Sum256(body), price}
+	raw := rawKey{sha256.Sum256(buf.b), price}
 	if e := s.cache.lookup(raw); e != nil {
-		w.Header().Set("X-Cache", string(hit))
-		writeBytes(w, http.StatusOK, e.body)
-		return hit
+		w.Header()["X-Cache"] = xCacheHit
+		return hit, writeBytes(w, http.StatusOK, e.body)
 	}
-	q, fp, err := s.parseQuery(body)
+	q, fp, err := s.parseQuery(buf.b)
 	if err != nil {
-		writeError(w, err)
-		return ""
+		return "", writeError(w, err)
 	}
 	// Measured-policy results depend on the tuning store's contents as
 	// well as the query, so their bytes are never aliased and a run's
@@ -508,8 +566,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, price bool,
 		select {
 		case <-e.done:
 		case <-r.Context().Done():
-			writeError(w, r.Context().Err())
-			return o
+			return o, writeError(w, r.Context().Err())
 		}
 	case lead:
 		func() {
@@ -524,12 +581,10 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, price bool,
 		}()
 	}
 	if e.err != nil {
-		writeError(w, e.err)
-		return o
+		return o, writeError(w, e.err)
 	}
-	w.Header().Set("X-Cache", string(o))
-	writeBytes(w, http.StatusOK, e.body)
-	return o
+	w.Header()["X-Cache"] = xCache(o)
+	return o, writeBytes(w, http.StatusOK, e.body)
 }
 
 // execute runs the query under the worker pools and the configured
@@ -559,8 +614,9 @@ func (s *Server) execute(q *spec.Query) (*spec.Result, error) {
 // ladder without simulating. Cheap enough that it bypasses the worker
 // pools; cached, coalesced and aliased like /v1/run, but not counted in
 // the run cache counters.
-func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
-	s.serveCached(w, r, true, func(q *spec.Query) ([]byte, error) { return encode(spec.Price(q)) })
+func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) int {
+	_, code := s.serveCached(w, r, true, func(q *spec.Query) ([]byte, error) { return encode(spec.Price(q)) })
+	return code
 }
 
 // canonBody is the POST /v1/canon response: the canonical form and
@@ -573,34 +629,33 @@ type canonBody struct {
 }
 
 // handleCanon is POST /v1/canon: validate, canonicalize, fingerprint.
-func (s *Server) handleCanon(w http.ResponseWriter, r *http.Request) {
-	body, err := s.readBody(w, r)
-	if err != nil {
-		writeError(w, err)
-		return
+func (s *Server) handleCanon(w http.ResponseWriter, r *http.Request) int {
+	buf := getBodyBuf()
+	defer putBodyBuf(buf)
+	if err := s.readBody(w, r, buf); err != nil {
+		return writeError(w, err)
 	}
-	q, fp, err := s.parseQuery(body)
+	q, fp, err := s.parseQuery(buf.b)
 	if err != nil {
-		writeError(w, err)
-		return
+		return writeError(w, err)
 	}
 	canon, err := q.CanonicalJSON()
 	if err != nil {
-		writeError(w, &httpError{http.StatusBadRequest, err})
-		return
+		return writeError(w, &httpError{http.StatusBadRequest, err})
 	}
-	writeJSON(w, http.StatusOK, canonBody{Fingerprint: fp, Canonical: canon})
+	return writeJSON(w, http.StatusOK, canonBody{Fingerprint: fp, Canonical: canon})
 }
 
 // handleHealthz is GET /healthz.
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) int {
+	return writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleMetrics is GET /metrics: Prometheus text exposition.
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) int {
 	var b strings.Builder
 	s.met.render(&b, s.cache.len(), s.cfg.Workers, s.cfg.SweepWorkers, s.PoolStats(), s.TuneStats())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	io.WriteString(w, b.String()) //nolint:errcheck // client gone is the only failure
+	return http.StatusOK
 }

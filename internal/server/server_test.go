@@ -2,12 +2,14 @@ package server_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"os"
 	"path/filepath"
 	"slices"
@@ -514,6 +516,101 @@ func TestAdmissionCaps(t *testing.T) {
 	}
 }
 
+// TestBodyCapOverSocket pins the body cap as a client over a real socket
+// sees it: a body of exactly MaxBodyBytes is served, and one byte more
+// answers 413 with http.MaxBytesError's text and closes the connection,
+// so the next request dials anew.
+func TestBodyCapOverSocket(t *testing.T) {
+	const pad = 16
+	srv := server.New(server.Config{
+		Workers: 2, SweepWorkers: 1,
+		MaxBodyBytes: int64(len(pointBody) + pad),
+		Timeout:      30 * time.Second,
+		Logger:       quietLogger(),
+	})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	client := ts.Client()
+	send := func(body string) (*http.Response, []byte, bool) {
+		t.Helper()
+		var reused bool
+		trace := &httptrace.ClientTrace{GotConn: func(c httptrace.GotConnInfo) { reused = c.Reused }}
+		req, err := http.NewRequestWithContext(httptrace.WithClientTrace(context.Background(), trace),
+			"POST", ts.URL+"/v1/run", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, b, reused
+	}
+	atCap := pointBody + strings.Repeat(" ", pad)
+	if resp, b, _ := send(atCap); resp.StatusCode != 200 {
+		t.Fatalf("a body of exactly the cap: code %d: %s", resp.StatusCode, b)
+	}
+	resp, b, reused := send(atCap + " ")
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("a body one byte over the cap: code %d, want 413: %s", resp.StatusCode, b)
+	}
+	if !reused {
+		t.Error("the over-cap request did not reuse the first request's connection")
+	}
+	var e struct{ Error string }
+	if err := json.Unmarshal(b, &e); err != nil || e.Error != "http: request body too large" {
+		t.Errorf("over-cap body %q (%v), want the error %q", b, err, "http: request body too large")
+	}
+	if !resp.Close {
+		t.Error("the over-cap answer keeps the connection open, want Connection: close")
+	}
+	if resp, b, reused := send(atCap); resp.StatusCode != 200 || reused {
+		t.Errorf("after the 413: code %d, connection reused %v; want 200 on a new connection: %s", resp.StatusCode, reused, b)
+	}
+}
+
+// failingReader yields its bytes, then fails with err.
+type failingReader struct {
+	data []byte
+	err  error
+}
+
+func (r *failingReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, r.err
+	}
+	n := copy(p, r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// TestBodyReadFailure: a body whose read fails short of the cap, as a
+// truncated or aborted upload does, answers 400 with the read error's
+// text; only a body over the cap is too large.
+func TestBodyReadFailure(t *testing.T) {
+	srv := newTestServer()
+	defer srv.Close()
+	for _, path := range []string{"/v1/run", "/v1/price", "/v1/canon"} {
+		body := &failingReader{data: []byte(pointBody[:20]), err: io.ErrUnexpectedEOF}
+		req := httptest.NewRequest("POST", path, body)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		var e struct{ Error string }
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+			t.Fatalf("%s: %v: %s", path, err, rec.Body)
+		}
+		if rec.Code != http.StatusBadRequest || e.Error != io.ErrUnexpectedEOF.Error() {
+			t.Errorf("%s: a truncated body answered %d %q, want 400 %q", path, rec.Code, e.Error, io.ErrUnexpectedEOF)
+		}
+	}
+}
+
 // replayWriter is the reusable http.ResponseWriter of TestWarmHitAllocs.
 type replayWriter struct {
 	header http.Header
@@ -528,11 +625,12 @@ func (w *replayWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestWarmHitAllocs pins what a warm /v1/run hit allocates when it is
-// sent as the serve-warm benchmark sends it: one request replayed by
-// rewinding its body into one writer reset between answers. A hit
-// answered from its stored bytes allocates a handful of objects; one
-// that parses, fingerprints and encodes again allocates about forty.
+// TestWarmHitAllocs pins what a warm /v1/run or /v1/price hit allocates
+// when it is sent as the serve-warm benchmark sends it: one request
+// replayed by rewinding its body into one writer reset between answers.
+// A hit answered from its stored bytes allocates nothing: the body is
+// read into a pooled buffer, and its headers are shared values. The
+// shared values must still read what they did after every run.
 func TestWarmHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -540,25 +638,41 @@ func TestWarmHitAllocs(t *testing.T) {
 	srv := newTestServer()
 	defer srv.Close()
 	raw := []byte(pointBody)
-	var body bytes.Reader
-	req, err := http.NewRequest("POST", "/v1/run", io.NopCloser(&body))
-	if err != nil {
-		t.Fatal(err)
+	var miss, hit, contentType []string // header values as the handler assigned them
+	for _, path := range []string{"/v1/run", "/v1/price"} {
+		var body bytes.Reader
+		req, err := http.NewRequest("POST", path, io.NopCloser(&body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &replayWriter{header: http.Header{}, body: make([]byte, 0, 4096)}
+		send := func() {
+			body.Reset(raw)
+			clear(w.header)
+			w.code, w.body = 0, w.body[:0]
+			srv.ServeHTTP(w, req)
+		}
+		send()
+		if w.code != 200 || w.header.Get("X-Cache") != "miss" {
+			t.Fatalf("%s cold request: code %d, X-Cache %q: %s", path, w.code, w.header.Get("X-Cache"), w.body)
+		}
+		miss = w.header["X-Cache"]
+		send()
+		if w.code != 200 || w.header.Get("X-Cache") != "hit" {
+			t.Fatalf("%s warm request: code %d, X-Cache %q: %s", path, w.code, w.header.Get("X-Cache"), w.body)
+		}
+		if n := testing.AllocsPerRun(200, send); n != 0 {
+			t.Errorf("a warm %s hit allocates %.1f objects, want 0", path, n)
+		}
+		hit, contentType = w.header["X-Cache"], w.header["Content-Type"]
 	}
-	w := &replayWriter{header: http.Header{}, body: make([]byte, 0, 4096)}
-	send := func() {
-		body.Reset(raw)
-		clear(w.header)
-		w.code, w.body = 0, w.body[:0]
-		srv.ServeHTTP(w, req)
-	}
-	send()
-	send()
-	if w.code != 200 || w.header.Get("X-Cache") != "hit" {
-		t.Fatalf("warm request: code %d, X-Cache %q: %s", w.code, w.header.Get("X-Cache"), w.body)
-	}
-	if n := testing.AllocsPerRun(200, send); n > 5 {
-		t.Errorf("a warm hit allocates %.1f objects, want at most 5", n)
+	for _, c := range []struct {
+		got  []string
+		want string
+	}{{contentType, "application/json"}, {hit, "hit"}, {miss, "miss"}} {
+		if len(c.got) != 1 || c.got[0] != c.want {
+			t.Errorf("a shared header value reads %q after the runs, want [%q]", c.got, c.want)
+		}
 	}
 }
 
