@@ -68,6 +68,26 @@ func BenchmarkFig9(b *testing.B) {
 	}
 }
 
+// BenchmarkFig9FreshWorlds is the host time of the Fig. 9 pair as the
+// repository benchmark's fig-micro op and cmd/mpibench run it: hybrid
+// and pure Allgather on 64x24 ranks at 512 doubles, two calls each,
+// each side on a goroutine-engine world it builds, runs and closes. It
+// sizes the per-rank cost of that path (goroutine start, stack growth,
+// setup exchanges) in seconds: `go test -run '^$' -bench
+// Fig9FreshWorlds -cpu 2 -count 10`.
+func BenchmarkFig9FreshWorlds(b *testing.B) {
+	model, topo := sim.HazelHenCray(), sim.MustUniform(64, 24)
+	const bytes, calls = 8 * 512, 2
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, hy := range []bool{true, false} {
+			if _, err := bench.Makespan(model, topo, bench.Allgathers(hy, bytes, calls)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkFig10 measures the irregularly populated configuration
 // (42x24 + 1x16) at 1024 elements.
 func BenchmarkFig10(b *testing.B) {

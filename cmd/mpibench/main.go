@@ -18,7 +18,6 @@ import (
 	"os"
 
 	"repro/internal/bench"
-	"repro/internal/coll"
 	"repro/internal/hybrid"
 	"repro/internal/mpi"
 	"repro/internal/sim"
@@ -63,12 +62,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	topo := sim.MustUniform(*nodes, *ppn)
 	bytes := 8 * *elems
+	syncOpt := hybrid.WithSync(syncMode) // built once, not per rank
 	n := cmp.Or(*iters, 5)
 	// The hybrid side runs under -sync, which a spec.Query cannot
 	// state, so both sides run here; the figures' series are Queries.
 	var t [2]sim.Time
 	for i, hy := range []bool{true, false} {
-		if t[i], err = bench.Makespan(model, topo, allgathers(hy, syncMode, bytes, n)); err != nil {
+		if t[i], err = bench.Makespan(model, topo, bench.Allgathers(hy, bytes, n, syncOpt)); err != nil {
 			return err
 		}
 	}
@@ -89,45 +89,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// One more hybrid op with event tracing on, for its message counts
 	// and bytes.
 	tr := sim.NewTracer()
-	_, err = bench.Makespan(model, topo, allgathers(true, syncMode, bytes, 1), mpi.WithTracer(tr))
+	_, err = bench.Makespan(model, topo, bench.Allgathers(true, bytes, 1, syncOpt), mpi.WithTracer(tr))
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(stdout, "\nevent trace of one Hy_Allgather:")
 	return tr.Stats().Fprint(stdout)
-}
-
-// allgathers is the rank body of one side: n allgathers of bytes per
-// rank, Hy_Allgather under sync (context and window set up untimed, as
-// in Sect. 5) or the SMP-aware pure MPI_Allgather.
-func allgathers(hy bool, sync hybrid.SyncMode, bytes, n int) func(p *mpi.Proc) error {
-	return func(p *mpi.Proc) error {
-		var op func() error
-		if hy {
-			ctx, err := hybrid.New(p.CommWorld(), hybrid.WithSync(sync))
-			if err != nil {
-				return err
-			}
-			a, err := ctx.NewAllgatherer(bytes)
-			if err != nil {
-				return err
-			}
-			op = a.Allgather
-		} else {
-			h, err := coll.NewHier(p.CommWorld())
-			if err != nil {
-				return err
-			}
-			send, recv := mpi.Sized(bytes), mpi.Sized(bytes*p.Size())
-			op = func() error { return h.Allgather(send, recv, bytes) }
-		}
-		for i := 0; i < n; i++ {
-			if err := op(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 }
 
 // parseSyncMode maps the -sync flag to a hybrid synchronization flavor.

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/coll"
+	"repro/internal/hybrid"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
@@ -38,6 +40,41 @@ func Makespan(model *sim.CostModel, topo *sim.Topology, body func(p *mpi.Proc) e
 		return 0, err
 	}
 	return w.MaxClock(), nil
+}
+
+// Allgathers is the rank body of one side of the Figs. 7-10 pair: n
+// allgathers of bytes per rank, Hy_Allgather built with opts (context
+// and window set up untimed, as in Sect. 5) or the SMP-aware pure
+// MPI_Allgather. The caller builds opts once: a hybrid.Option made in
+// the rank body is one allocation per rank.
+func Allgathers(hy bool, bytes, n int, opts ...hybrid.Option) func(p *mpi.Proc) error {
+	return func(p *mpi.Proc) error {
+		var op func() error
+		if hy {
+			ctx, err := hybrid.New(p.CommWorld(), opts...)
+			if err != nil {
+				return err
+			}
+			a, err := ctx.NewAllgatherer(bytes)
+			if err != nil {
+				return err
+			}
+			op = a.Allgather
+		} else {
+			h, err := coll.NewHier(p.CommWorld())
+			if err != nil {
+				return err
+			}
+			send, recv := mpi.Sized(bytes), mpi.Sized(bytes*p.Size())
+			op = func() error { return h.Allgather(send, recv, bytes) }
+		}
+		for i := 0; i < n; i++ {
+			if err := op(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }
 
 // Machines returns the two machine/library stacks of the evaluation, in

@@ -10,6 +10,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -362,10 +363,47 @@ func (w *World) Run(body func(p *Proc) error) error {
 }
 
 // runNextRank is the body of one goroutine-engine rank goroutine: it
-// claims the next unclaimed rank of the Run in flight and executes it.
+// grows the goroutine's stack into the 4 KiB class (growRankStack),
+// then claims the next unclaimed rank of the Run in flight and
+// executes it.
 func (w *World) runNextRank() {
+	growRankStack()
 	defer w.run.wg.Done()
 	w.runRank(w.procs[w.run.next.Add(1)-1])
+}
+
+// rankStackFrame is the size of growRankStack's array. A rank body
+// (hybrid.New, coll.NewHier, their setup exchanges) runs deeper than
+// 2 KiB and fits in 4 KiB. The runtime starts a goroutine on the
+// average stack its last GC scanned (the adaptive starting size), and
+// that falls to 2 KiB whenever a GC lands while few ranks are alive.
+// A rank started there used to grow to 4 KiB at a prologue deep inside
+// its setup, copying every frame below it, and at exit gfput frees any
+// stack that is not the starting size, so the next rank paid the same
+// deep copy again. Growing at entry instead copies one or two frames.
+//
+// The size is what fits one 4 KiB stack. newstack doubles the stack
+// until the grown frame plus the stack guard (928 B on linux/amd64:
+// 800 for NOSPLIT chains plus 128 of small-frame slack) fit above what
+// is already in use: the goexit return slot and runNextRank's frame,
+// with growRankStack's own return address and saved frame pointer,
+// under 608 B together (about 120 B on linux/amd64). 4096 - 928 - 608
+// = 2560. A 3 KiB array lands the stack in the 8 KiB class, never the
+// starting size, so gfput frees it at every exit; under -race the
+// guard is 1,728 B and this array lands there too.
+const rankStackFrame = 2560
+
+// growRankStack grows a goroutine that starts on a 2 KiB stack to 4 KiB
+// while its stack is one frame deep; one that starts on 4 KiB does not
+// grow, and its stack goes back to the runtime's free list with it.
+//
+// The KeepAlive is what makes the compiler lay the array out: one that
+// is only read from is folded away, frame and all.
+//
+//go:noinline
+func growRankStack() {
+	var frame [rankStackFrame]byte
+	runtime.KeepAlive(&frame)
 }
 
 // runRank executes the Run body on one rank, on either engine: panics

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -186,6 +187,17 @@ const maxSizeBytes = 1 << 30
 // maxIters bounds the per-point repetition count.
 const maxIters = 1 << 20
 
+// blockPerRank reports whether cl's buffers hold one ladder-size block
+// per rank (runOps sizes them b × ranks). Where int is 32 bits that
+// product passes math.MaxInt inside the (0, maxSizeBytes] ladder.
+func blockPerRank(cl coll.Collective) bool {
+	switch cl {
+	case coll.CollAllgather, coll.CollAllgatherv, coll.CollAlltoall, coll.CollGather:
+		return true
+	}
+	return false
+}
+
 // Parse strictly decodes a Query from JSON — unknown fields and
 // trailing data are rejected — and canonicalizes it.
 func Parse(data []byte) (*Query, error) {
@@ -236,10 +248,13 @@ func (q *Query) Canonicalize() error {
 		}
 		sizes := append([]int(nil), q.Sizes...)
 		sort.Ints(sizes)
-		out := sizes[:0]
+		out, ranks := sizes[:0], q.Topology.Ranks()
 		for i, b := range sizes {
 			if b <= 0 || b > maxSizeBytes {
 				return fmt.Errorf("spec: size %d out of range (0, %d]", b, maxSizeBytes)
+			}
+			if blockPerRank(cl) && b > math.MaxInt/ranks {
+				return fmt.Errorf("spec: %s of %d bytes per rank on %d ranks needs a buffer larger than the %d bytes an int addresses here", cl, b, ranks, math.MaxInt)
 			}
 			if i == 0 || b != sizes[i-1] {
 				out = append(out, b)

@@ -442,3 +442,27 @@ func TestPriceFloorsSubElementSizes(t *testing.T) {
 		}
 	}
 }
+
+// TestBlockTimesRanksFitsInt runs the gathering collectives at the
+// largest ladder size, whose buffers hold size × ranks bytes. Where int
+// is 64 bits they run; where it is 32 bits (GOARCH=386) the product
+// wraps, so the query is refused with a plain error instead of a rank
+// panicking on a wrapped buffer length.
+func TestBlockTimesRanksFitsInt(t *testing.T) {
+	const size, ranks = 1 << 30, 4
+	for _, cl := range []string{"allgather", "allgatherv", "alltoall", "gather"} {
+		q := &spec.Query{Machine: "laptop", Topology: spec.Topology{Nodes: 1, PPN: ranks}, Collective: cl, Sizes: []int{size}}
+		res, err := spec.Run(q)
+		if size > math.MaxInt/ranks {
+			if err == nil || !strings.Contains(err.Error(), "needs a buffer larger than") || strings.Contains(err.Error(), "panic") {
+				t.Errorf("%s: %d bytes on %d ranks: err = %v, want a plain refusal", cl, size, ranks, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", cl, err)
+		} else if res.Points[0].VirtualPs <= 0 {
+			t.Errorf("%s: virtual time %d ps", cl, res.Points[0].VirtualPs)
+		}
+	}
+}
